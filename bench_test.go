@@ -117,21 +117,9 @@ func BenchmarkAblationNearestAdaptive(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationTwoChoiceRejection measures Strategy II's rejection
-// sampler on a dense-replica world (its fast path).
-func BenchmarkAblationTwoChoiceRejection(b *testing.B) {
-	cfg := repro.Config{Side: 45, K: 100, M: 20, Seed: 7,
-		Strategy: repro.StrategySpec{Kind: repro.TwoChoices, Radius: 8}}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := repro.RunTrial(cfg, uint64(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationTwoChoiceExact measures the same workload forced down
-// the exact-filter path via distinct-candidate sampling.
+// BenchmarkAblationTwoChoiceExact measures Strategy II on a dense-replica
+// world with distinct-candidate sampling, which materializes the exact
+// in-ball candidate list through the tile index instead of sampling it.
 func BenchmarkAblationTwoChoiceExact(b *testing.B) {
 	cfg := repro.Config{Side: 45, K: 100, M: 20, Seed: 7,
 		Strategy: repro.StrategySpec{Kind: repro.TwoChoices, Radius: 8, WithoutReplacement: true}}

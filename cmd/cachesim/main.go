@@ -6,12 +6,12 @@
 //	cachesim -side 45 -k 500 -m 10 -strategy two-choices -radius 8 -trials 100
 //	cachesim -side 45 -k 2000 -m 1 -strategy nearest -gamma 0.8 -trials 50
 //
-// Wide worlds (n = 10⁶ servers) at flat memory — streaming metrics, the
-// batched split-stream request discipline, and the tile-bucketed spatial
-// replica index (sub-second trials):
+// Wide worlds (n = 10⁶ servers) at flat memory — streaming metrics over
+// the batched request pipeline and the tile-bucketed spatial replica
+// index (sub-second trials):
 //
 //	cachesim -side 1000 -k 10000 -m 10 -strategy two-choices -radius 8 \
-//	    -metrics streaming -streams split -index tiles -trials 4
+//	    -metrics streaming -trials 4
 //
 // The §VI dynamic regime — caches migrate replicas mid-trial while
 // requests keep arriving (uniformly with -churn replicas, chasing a
@@ -21,15 +21,15 @@
 //	    -requests 8192 -churn replicas -churn-rate 0.5 -trials 20
 //
 // Intra-trial sharding — one trial's request pipeline on P workers
-// (requires -streams split; -shard-workers is orthogonal to -workers,
-// which parallelizes across trials). The default deterministic mode is
-// bit-identical for every P; racy mode shares one atomic load vector to
-// model allocation under stale load reads:
+// (-shard-workers is orthogonal to -workers, which parallelizes across
+// trials). The default deterministic mode is bit-identical for every P;
+// racy mode shares one atomic load vector to model allocation under
+// stale load reads:
 //
 //	cachesim -side 1000 -k 10000 -m 10 -strategy two-choices -radius 8 \
-//	    -metrics streaming -streams split -index tiles -shard-workers 8 -trials 4
+//	    -metrics streaming -shard-workers 8 -trials 4
 //	cachesim -side 25 -k 2000 -m 4 -strategy two-choices -radius 6 \
-//	    -streams split -shard-workers 8 -shard racy -chunk 256 -trials 20
+//	    -shard-workers 8 -shard racy -chunk 256 -trials 20
 //
 // Node fault injection — servers crash (and optionally recover)
 // mid-trial while the strategies mask dead nodes and degrade
@@ -75,8 +75,6 @@ func main() {
 		requests = flag.Int("requests", 0, "requests per trial (0 = n)")
 		miss     = flag.String("miss", "resample", "miss policy: resample, escalate or origin")
 		metrics  = flag.String("metrics", "scalar", "per-trial instrumentation: scalar, links or streaming")
-		streams  = flag.String("streams", "interleaved", "request RNG discipline: interleaved or split (batched generation)")
-		index    = flag.String("index", "none", "candidate enumeration for bounded radii: none or tiles (spatial replica index)")
 		churn    = flag.String("churn", "none", "mid-trial re-placement: none, replicas (uniform migration) or drift (popularity-coupled)")
 		churnRt  = flag.Float64("churn-rate", 0, "expected replica migrations per request (required with -churn)")
 		faults   = flag.String("faults", "none", "node fault injection: none, crash (uniform) or regional (tile-aligned failure domains)")
@@ -85,7 +83,7 @@ func main() {
 		hetero   = flag.String("hetero", "none", "node heterogeneity: none, capacity (per-node M_u/C_u) or arrival (plus mid-trial joins)")
 		profile  = flag.String("profile", "uniform", "per-node cache-size profile under -hetero: uniform, two-tier or power-law")
 		arrRt    = flag.Float64("arrival-rate", 0, "expected node arrivals per request (required with -hetero arrival)")
-		shardW   = flag.Int("shard-workers", 0, "intra-trial shard workers P (0 = sequential engine; needs -streams split)")
+		shardW   = flag.Int("shard-workers", 0, "intra-trial shard workers P (0 = sequential engine)")
 		shard    = flag.String("shard", "deterministic", "sharded load visibility: deterministic (bit-identical across P) or racy (shared atomic loads)")
 		chunk    = flag.Int("chunk", 0, "request-pipeline chunk size (0 = engine default; multiple of 64 under -shard-workers)")
 		trials   = flag.Int("trials", 50, "independent trials")
@@ -95,7 +93,7 @@ func main() {
 	)
 	flag.Parse()
 
-	cfg, err := buildConfig(*side, *topo, *k, *m, *gamma, *strategy, *radius, *choices, *requests, *miss, *metrics, *streams, *index, *churn, *churnRt, *faults, *faultRt, *recovRt, *hetero, *profile, *arrRt, *shardW, *shard, *chunk, *seed)
+	cfg, err := buildConfig(*side, *topo, *k, *m, *gamma, *strategy, *radius, *choices, *requests, *miss, *metrics, *churn, *churnRt, *faults, *faultRt, *recovRt, *hetero, *profile, *arrRt, *shardW, *shard, *chunk, *seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cachesim:", err)
 		os.Exit(2)
@@ -164,7 +162,7 @@ func printEras(cfg repro.Config, trials int) {
 
 // buildConfig translates CLI flags into a sim configuration.
 func buildConfig(side int, topo string, k, m int, gamma float64, strategy string,
-	radius, choices, requests int, miss, metrics, streams, index, churn string,
+	radius, choices, requests int, miss, metrics, churn string,
 	churnRate float64, faults string, faultRate, recoverRate float64,
 	hetero, profile string, arrivalRate float64,
 	shardWorkers int, shard string, chunk int, seed uint64) (repro.Config, error) {
@@ -174,14 +172,6 @@ func buildConfig(side int, topo string, k, m int, gamma float64, strategy string
 		return cfg, err
 	}
 	mm, err := repro.ParseMetricsMode(metrics)
-	if err != nil {
-		return cfg, err
-	}
-	sd, err := repro.ParseStreams(streams)
-	if err != nil {
-		return cfg, err
-	}
-	ix, err := repro.ParseIndex(index)
 	if err != nil {
 		return cfg, err
 	}
@@ -211,7 +201,7 @@ func buildConfig(side int, topo string, k, m int, gamma float64, strategy string
 	}
 	cfg = repro.Config{
 		Side: side, Topology: tp, K: k, M: m,
-		Requests: requests, MissPolicy: mp, Metrics: mm, Streams: sd, Index: ix,
+		Requests: requests, MissPolicy: mp, Metrics: mm,
 		Churn: ch, ChurnRate: churnRate,
 		Faults: fm, FaultRate: faultRate, RecoverRate: recoverRate,
 		Hetero: hm, Profile: pf, ArrivalRate: arrivalRate,

@@ -15,7 +15,7 @@ func TestBuildConfigStrategies(t *testing.T) {
 		"one":         {Kind: repro.OneChoiceRandom, Radius: 5},
 		"oracle":      {Kind: repro.Oracle, Radius: 5},
 	} {
-		cfg, err := buildConfig(10, "torus", 50, 2, 0, name, 5, 2, 0, "resample", "scalar", "interleaved", "none", "none", 0, "none", 0, 0, "none", "uniform", 0, 0, "deterministic", 0, 1)
+		cfg, err := buildConfig(10, "torus", 50, 2, 0, name, 5, 2, 0, "resample", "scalar", "none", 0, "none", 0, 0, "none", "uniform", 0, 0, "deterministic", 0, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -26,19 +26,19 @@ func TestBuildConfigStrategies(t *testing.T) {
 }
 
 func TestBuildConfigErrors(t *testing.T) {
-	if _, err := buildConfig(10, "torus", 50, 2, 0, "bogus", 5, 2, 0, "resample", "scalar", "interleaved", "none", "none", 0, "none", 0, 0, "none", "uniform", 0, 0, "deterministic", 0, 1); err == nil {
+	if _, err := buildConfig(10, "torus", 50, 2, 0, "bogus", 5, 2, 0, "resample", "scalar", "none", 0, "none", 0, 0, "none", "uniform", 0, 0, "deterministic", 0, 1); err == nil {
 		t.Error("bogus strategy accepted")
 	}
-	if _, err := buildConfig(10, "torus", 50, 2, 0, "nearest", 5, 2, 0, "bogus", "scalar", "interleaved", "none", "none", 0, "none", 0, 0, "none", "uniform", 0, 0, "deterministic", 0, 1); err == nil {
+	if _, err := buildConfig(10, "torus", 50, 2, 0, "nearest", 5, 2, 0, "bogus", "scalar", "none", 0, "none", 0, 0, "none", "uniform", 0, 0, "deterministic", 0, 1); err == nil {
 		t.Error("bogus miss policy accepted")
 	}
-	if _, err := buildConfig(10, "moebius", 50, 2, 0, "nearest", 5, 2, 0, "resample", "scalar", "interleaved", "none", "none", 0, "none", 0, 0, "none", "uniform", 0, 0, "deterministic", 0, 1); err == nil {
+	if _, err := buildConfig(10, "moebius", 50, 2, 0, "nearest", 5, 2, 0, "resample", "scalar", "none", 0, "none", 0, 0, "none", "uniform", 0, 0, "deterministic", 0, 1); err == nil {
 		t.Error("bogus topology accepted")
 	}
 }
 
 func TestBuildConfigPopularityAndMiss(t *testing.T) {
-	cfg, err := buildConfig(10, "grid", 50, 2, 1.5, "nearest", -1, 2, 33, "origin", "streaming", "split", "none", "none", 0, "none", 0, 0, "none", "uniform", 0, 0, "deterministic", 0, 9)
+	cfg, err := buildConfig(10, "grid", 50, 2, 1.5, "nearest", -1, 2, 33, "origin", "streaming", "none", 0, "none", 0, 0, "none", "uniform", 0, 0, "deterministic", 0, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,28 +53,22 @@ func TestBuildConfigPopularityAndMiss(t *testing.T) {
 		t.Fatalf("built config does not run: %v", err)
 	}
 	for _, miss := range []string{"resample", "escalate"} {
-		if _, err := buildConfig(10, "torus", 50, 2, 0, "nearest", -1, 2, 0, miss, "scalar", "interleaved", "none", "none", 0, "none", 0, 0, "none", "uniform", 0, 0, "deterministic", 0, 1); err != nil {
+		if _, err := buildConfig(10, "torus", 50, 2, 0, "nearest", -1, 2, 0, miss, "scalar", "none", 0, "none", 0, 0, "none", "uniform", 0, 0, "deterministic", 0, 1); err != nil {
 			t.Errorf("miss %s rejected: %v", miss, err)
 		}
 	}
 }
 
 func TestBuildConfigMetricsAndStreams(t *testing.T) {
-	cfg, err := buildConfig(10, "torus", 50, 2, 0, "two-choices", 4, 2, 0, "resample", "streaming", "split", "tiles", "none", 0, "none", 0, 0, "none", "uniform", 0, 0, "deterministic", 0, 1)
+	cfg, err := buildConfig(10, "torus", 50, 2, 0, "two-choices", 4, 2, 0, "resample", "streaming", "none", 0, "none", 0, 0, "none", "uniform", 0, 0, "deterministic", 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Metrics != repro.MetricsStreaming || cfg.Streams != repro.StreamsSplit || cfg.Index != repro.IndexTiles {
-		t.Errorf("metrics/streams/index = %v/%v/%v, want streaming/split/tiles", cfg.Metrics, cfg.Streams, cfg.Index)
+	if cfg.Metrics != repro.MetricsStreaming {
+		t.Errorf("metrics = %v, want streaming", cfg.Metrics)
 	}
-	if _, err := buildConfig(10, "torus", 50, 2, 0, "nearest", -1, 2, 0, "resample", "scalar", "interleaved", "bogus", "none", 0, "none", 0, 0, "none", "uniform", 0, 0, "deterministic", 0, 1); err == nil {
-		t.Error("bogus index mode accepted")
-	}
-	if _, err := buildConfig(10, "torus", 50, 2, 0, "nearest", -1, 2, 0, "resample", "bogus", "interleaved", "none", "none", 0, "none", 0, 0, "none", "uniform", 0, 0, "deterministic", 0, 1); err == nil {
+	if _, err := buildConfig(10, "torus", 50, 2, 0, "nearest", -1, 2, 0, "resample", "bogus", "none", 0, "none", 0, 0, "none", "uniform", 0, 0, "deterministic", 0, 1); err == nil {
 		t.Error("bogus metrics mode accepted")
-	}
-	if _, err := buildConfig(10, "torus", 50, 2, 0, "nearest", -1, 2, 0, "resample", "scalar", "bogus", "none", "none", 0, "none", 0, 0, "none", "uniform", 0, 0, "deterministic", 0, 1); err == nil {
-		t.Error("bogus streams discipline accepted")
 	}
 	// The streaming config must actually run and report the extras.
 	res, err := repro.RunTrial(cfg, 0)
@@ -87,18 +81,18 @@ func TestBuildConfigMetricsAndStreams(t *testing.T) {
 }
 
 func TestBuildConfigChurn(t *testing.T) {
-	cfg, err := buildConfig(10, "torus", 50, 2, 0, "two-choices", 4, 2, 0, "resample", "scalar", "interleaved", "tiles", "replicas", 0.5, "none", 0, 0, "none", "uniform", 0, 0, "deterministic", 0, 1)
+	cfg, err := buildConfig(10, "torus", 50, 2, 0, "two-choices", 4, 2, 0, "resample", "scalar", "replicas", 0.5, "none", 0, 0, "none", "uniform", 0, 0, "deterministic", 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cfg.Churn != repro.ChurnReplicas || cfg.ChurnRate != 0.5 {
 		t.Errorf("churn = %v rate %v, want replicas/0.5", cfg.Churn, cfg.ChurnRate)
 	}
-	if _, err := buildConfig(10, "torus", 50, 2, 0, "nearest", -1, 2, 0, "resample", "scalar", "interleaved", "none", "bogus", 0.5, "none", 0, 0, "none", "uniform", 0, 0, "deterministic", 0, 1); err == nil {
+	if _, err := buildConfig(10, "torus", 50, 2, 0, "nearest", -1, 2, 0, "resample", "scalar", "bogus", 0.5, "none", 0, 0, "none", "uniform", 0, 0, "deterministic", 0, 1); err == nil {
 		t.Error("bogus churn mode accepted")
 	}
 	// A churn mode without a rate must be rejected at run time.
-	bad, err := buildConfig(10, "torus", 50, 2, 0, "nearest", -1, 2, 0, "resample", "scalar", "interleaved", "none", "drift", 0, "none", 0, 0, "none", "uniform", 0, 0, "deterministic", 0, 1)
+	bad, err := buildConfig(10, "torus", 50, 2, 0, "nearest", -1, 2, 0, "resample", "scalar", "drift", 0, "none", 0, 0, "none", "uniform", 0, 0, "deterministic", 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,18 +111,18 @@ func TestBuildConfigChurn(t *testing.T) {
 }
 
 func TestBuildConfigFaults(t *testing.T) {
-	cfg, err := buildConfig(10, "torus", 50, 2, 0, "two-choices", 4, 2, 0, "escalate", "scalar", "interleaved", "tiles", "none", 0, "crash", 0.05, 0.02, "none", "uniform", 0, 0, "deterministic", 0, 1)
+	cfg, err := buildConfig(10, "torus", 50, 2, 0, "two-choices", 4, 2, 0, "escalate", "scalar", "none", 0, "crash", 0.05, 0.02, "none", "uniform", 0, 0, "deterministic", 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cfg.Faults != repro.FaultsCrash || cfg.FaultRate != 0.05 || cfg.RecoverRate != 0.02 {
 		t.Errorf("faults = %v rates %v/%v, want crash/0.05/0.02", cfg.Faults, cfg.FaultRate, cfg.RecoverRate)
 	}
-	if _, err := buildConfig(10, "torus", 50, 2, 0, "nearest", -1, 2, 0, "escalate", "scalar", "interleaved", "none", "none", 0, "bogus", 0.05, 0, "none", "uniform", 0, 0, "deterministic", 0, 1); err == nil {
+	if _, err := buildConfig(10, "torus", 50, 2, 0, "nearest", -1, 2, 0, "escalate", "scalar", "none", 0, "bogus", 0.05, 0, "none", "uniform", 0, 0, "deterministic", 0, 1); err == nil {
 		t.Error("bogus faults mode accepted")
 	}
 	// A fault mode without a rate must be rejected at run time.
-	bad, err := buildConfig(10, "torus", 50, 2, 0, "nearest", -1, 2, 0, "escalate", "scalar", "interleaved", "none", "none", 0, "regional", 0, 0, "none", "uniform", 0, 0, "deterministic", 0, 1)
+	bad, err := buildConfig(10, "torus", 50, 2, 0, "nearest", -1, 2, 0, "escalate", "scalar", "none", 0, "regional", 0, 0, "none", "uniform", 0, 0, "deterministic", 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +130,7 @@ func TestBuildConfigFaults(t *testing.T) {
 		t.Error("faults without rate ran")
 	}
 	// So must faults under the resampling miss policy.
-	bad, err = buildConfig(10, "torus", 50, 2, 0, "nearest", -1, 2, 0, "resample", "scalar", "interleaved", "none", "none", 0, "crash", 0.05, 0, "none", "uniform", 0, 0, "deterministic", 0, 1)
+	bad, err = buildConfig(10, "torus", 50, 2, 0, "nearest", -1, 2, 0, "resample", "scalar", "none", 0, "crash", 0.05, 0, "none", "uniform", 0, 0, "deterministic", 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +149,7 @@ func TestBuildConfigFaults(t *testing.T) {
 }
 
 func TestBuildConfigShard(t *testing.T) {
-	cfg, err := buildConfig(10, "torus", 50, 2, 0, "two-choices", 4, 2, 0, "resample", "scalar", "split", "none", "none", 0, "none", 0, 0, "none", "uniform", 0, 4, "racy", 256, 1)
+	cfg, err := buildConfig(10, "torus", 50, 2, 0, "two-choices", 4, 2, 0, "resample", "scalar", "none", 0, "none", 0, 0, "none", "uniform", 0, 4, "racy", 256, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,35 +159,27 @@ func TestBuildConfigShard(t *testing.T) {
 	if _, err := repro.RunTrial(cfg, 0); err != nil {
 		t.Fatalf("built sharded config does not run: %v", err)
 	}
-	if _, err := buildConfig(10, "torus", 50, 2, 0, "nearest", -1, 2, 0, "resample", "scalar", "split", "none", "none", 0, "none", 0, 0, "none", "uniform", 0, 4, "bogus", 0, 1); err == nil {
+	if _, err := buildConfig(10, "torus", 50, 2, 0, "nearest", -1, 2, 0, "resample", "scalar", "none", 0, "none", 0, 0, "none", "uniform", 0, 4, "bogus", 0, 1); err == nil {
 		t.Error("bogus shard mode accepted")
-	}
-	// Sharding without the split discipline must be rejected at run time.
-	bad, err := buildConfig(10, "torus", 50, 2, 0, "nearest", -1, 2, 0, "resample", "scalar", "interleaved", "none", "none", 0, "none", 0, 0, "none", "uniform", 0, 2, "deterministic", 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := repro.RunTrial(bad, 0); err == nil {
-		t.Error("sharded interleaved config ran")
 	}
 }
 
 func TestBuildConfigHetero(t *testing.T) {
-	cfg, err := buildConfig(10, "torus", 50, 2, 0, "two-choices", 4, 2, 0, "escalate", "scalar", "interleaved", "none", "none", 0, "none", 0, 0, "arrival", "power-law", 0.01, 0, "deterministic", 0, 1)
+	cfg, err := buildConfig(10, "torus", 50, 2, 0, "two-choices", 4, 2, 0, "escalate", "scalar", "none", 0, "none", 0, 0, "arrival", "power-law", 0.01, 0, "deterministic", 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cfg.Hetero != repro.HeteroArrival || cfg.Profile != repro.ProfilePowerLaw || cfg.ArrivalRate != 0.01 {
 		t.Errorf("hetero/profile/rate = %v/%v/%v, want arrival/power-law/0.01", cfg.Hetero, cfg.Profile, cfg.ArrivalRate)
 	}
-	if _, err := buildConfig(10, "torus", 50, 2, 0, "nearest", -1, 2, 0, "resample", "scalar", "interleaved", "none", "none", 0, "none", 0, 0, "bogus", "uniform", 0, 0, "deterministic", 0, 1); err == nil {
+	if _, err := buildConfig(10, "torus", 50, 2, 0, "nearest", -1, 2, 0, "resample", "scalar", "none", 0, "none", 0, 0, "bogus", "uniform", 0, 0, "deterministic", 0, 1); err == nil {
 		t.Error("bogus hetero mode accepted")
 	}
-	if _, err := buildConfig(10, "torus", 50, 2, 0, "nearest", -1, 2, 0, "resample", "scalar", "interleaved", "none", "none", 0, "none", 0, 0, "capacity", "bogus", 0, 0, "deterministic", 0, 1); err == nil {
+	if _, err := buildConfig(10, "torus", 50, 2, 0, "nearest", -1, 2, 0, "resample", "scalar", "none", 0, "none", 0, 0, "capacity", "bogus", 0, 0, "deterministic", 0, 1); err == nil {
 		t.Error("bogus cache profile accepted")
 	}
 	// An arrival mode without a rate must be rejected at run time.
-	bad, err := buildConfig(10, "torus", 50, 2, 0, "nearest", -1, 2, 0, "escalate", "scalar", "interleaved", "none", "none", 0, "none", 0, 0, "arrival", "two-tier", 0, 0, "deterministic", 0, 1)
+	bad, err := buildConfig(10, "torus", 50, 2, 0, "nearest", -1, 2, 0, "escalate", "scalar", "none", 0, "none", 0, 0, "arrival", "two-tier", 0, 0, "deterministic", 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +187,7 @@ func TestBuildConfigHetero(t *testing.T) {
 		t.Error("arrival without rate ran")
 	}
 	// So must arrivals under the resampling miss policy.
-	bad, err = buildConfig(10, "torus", 50, 2, 0, "nearest", -1, 2, 0, "resample", "scalar", "interleaved", "none", "none", 0, "none", 0, 0, "arrival", "two-tier", 0.01, 0, "deterministic", 0, 1)
+	bad, err = buildConfig(10, "torus", 50, 2, 0, "nearest", -1, 2, 0, "resample", "scalar", "none", 0, "none", 0, 0, "arrival", "two-tier", 0.01, 0, "deterministic", 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

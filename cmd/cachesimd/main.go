@@ -8,7 +8,7 @@
 // Start a quiesced daemon and query it:
 //
 //	cachesimd -side 32 -k 2000 -m 4 -strategy two-choices -radius 6 \
-//	    -gamma 0.8 -index tiles -addr :8080
+//	    -gamma 0.8 -addr :8080
 //	curl -s localhost:8080/v1/place -d '{"pairs":[{"u":17,"f":3}]}'
 //	curl -s localhost:8080/healthz
 //	curl -s localhost:8080/metrics
@@ -27,7 +27,7 @@
 // snapshot engine directly — the ≥10⁶ decisions/s headline path:
 //
 //	cachesimd -side 32 -k 2000 -m 4 -strategy two-choices -radius 6 \
-//	    -gamma 0.8 -index tiles -loadgen 4000000 -conns 8 -batch 256
+//	    -gamma 0.8 -loadgen 4000000 -conns 8 -batch 256
 package main
 
 import (
@@ -58,7 +58,6 @@ func main() {
 		choices  = flag.Int("choices", 2, "number of sampled candidates d")
 		requests = flag.Int("requests", 0, "requests per era in loadgen replay (0 = n)")
 		miss     = flag.String("miss", "resample", "miss policy: resample, escalate or origin")
-		index    = flag.String("index", "none", "candidate enumeration for bounded radii: none or tiles")
 		churn    = flag.String("churn", "none", "between-batch re-placement: none, replicas or drift")
 		churnRt  = flag.Float64("churn-rate", 0, "expected replica migrations per served request")
 		faults   = flag.String("faults", "none", "node fault injection: none, crash or regional")
@@ -77,7 +76,7 @@ func main() {
 	flag.Parse()
 
 	cfg, err := buildConfig(*side, *topo, *k, *m, *gamma, *strategy, *radius, *choices,
-		*requests, *miss, *index, *churn, *churnRt, *faults, *faultRt, *recovRt,
+		*requests, *miss, *churn, *churnRt, *faults, *faultRt, *recovRt,
 		*hetero, *profile, *arrRt, *seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cachesimd:", err)
@@ -148,20 +147,15 @@ func newHTTPServer(addr string, h http.Handler) *http.Server {
 }
 
 // buildConfig translates CLI flags into a served simulation
-// configuration. The request discipline is pinned to split streams:
-// the served mode generates queries and strategy draws from separate
-// streams by construction, which is also what makes a quiesced daemon
-// bit-identical to the batch engine's split-stream trials.
+// configuration. The served mode draws queries and strategy picks from
+// the engine's separate request and assignment streams, which is what
+// makes a quiesced daemon bit-identical to the batch engine's trials.
 func buildConfig(side int, topo string, k, m int, gamma float64, strategy string,
-	radius, choices, requests int, miss, index, churn string, churnRate float64,
+	radius, choices, requests int, miss, churn string, churnRate float64,
 	faults string, faultRate, recoverRate float64,
 	hetero, profile string, arrivalRate float64, seed uint64) (repro.Config, error) {
 	var cfg repro.Config
 	tp, err := grid.ParseTopology(topo)
-	if err != nil {
-		return cfg, err
-	}
-	ix, err := repro.ParseIndex(index)
 	if err != nil {
 		return cfg, err
 	}
@@ -187,7 +181,7 @@ func buildConfig(side int, topo string, k, m int, gamma float64, strategy string
 	}
 	cfg = repro.Config{
 		Side: side, Topology: tp, K: k, M: m,
-		Requests: requests, MissPolicy: mp, Streams: repro.StreamsSplit, Index: ix,
+		Requests: requests, MissPolicy: mp,
 		Churn: ch, ChurnRate: churnRate,
 		Faults: fm, FaultRate: faultRate, RecoverRate: recoverRate,
 		Hetero: hm, Profile: pf, ArrivalRate: arrivalRate,

@@ -6,17 +6,13 @@ import (
 	"repro"
 )
 
-// TestBuildConfig checks the flag translation: served configs always
-// pin the split request discipline (the bit-compat precondition of the
-// golden pin) and reject unknown enum values.
+// TestBuildConfig checks the flag translation and the rejection of
+// unknown enum values.
 func TestBuildConfig(t *testing.T) {
 	cfg, err := buildConfig(32, "torus", 2000, 4, 0.8, "two-choices", 6, 2,
-		0, "escalate", "tiles", "replicas", 0.01, "crash", 0.001, 0.001, "none", "uniform", 0, 2017)
+		0, "escalate", "replicas", 0.01, "crash", 0.001, 0.001, "none", "uniform", 0, 2017)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if cfg.Streams != repro.StreamsSplit {
-		t.Fatal("served config must pin split streams")
 	}
 	if cfg.Strategy.Kind != repro.TwoChoices || cfg.Strategy.Radius != 6 {
 		t.Fatalf("strategy %+v", cfg.Strategy)
@@ -30,15 +26,15 @@ func TestBuildConfig(t *testing.T) {
 
 	for name, f := range map[string]func() error{
 		"strategy": func() error {
-			_, err := buildConfig(32, "torus", 100, 4, 0, "best-effort", 6, 2, 0, "resample", "none", "none", 0, "none", 0, 0, "none", "uniform", 0, 1)
+			_, err := buildConfig(32, "torus", 100, 4, 0, "best-effort", 6, 2, 0, "resample", "none", 0, "none", 0, 0, "none", "uniform", 0, 1)
 			return err
 		},
 		"topology": func() error {
-			_, err := buildConfig(32, "ring", 100, 4, 0, "nearest", 6, 2, 0, "resample", "none", "none", 0, "none", 0, 0, "none", "uniform", 0, 1)
+			_, err := buildConfig(32, "ring", 100, 4, 0, "nearest", 6, 2, 0, "resample", "none", 0, "none", 0, 0, "none", "uniform", 0, 1)
 			return err
 		},
 		"churn": func() error {
-			_, err := buildConfig(32, "torus", 100, 4, 0, "nearest", 6, 2, 0, "resample", "none", "sometimes", 0, "none", 0, 0, "none", "uniform", 0, 1)
+			_, err := buildConfig(32, "torus", 100, 4, 0, "nearest", 6, 2, 0, "resample", "sometimes", 0, "none", 0, 0, "none", "uniform", 0, 1)
 			return err
 		},
 	} {

@@ -87,7 +87,7 @@ func assignmentTo(g *grid.Grid, req Request, server int32, escalated bool) Assig
 // resampling among live replicas, then escalation to r = ∞ over the
 // live replica set, then backhaul at the origin. Binding nil restores
 // the exact liveness-blind behaviour (bit-identical to a strategy that
-// was never bound — the golden matrices pin this).
+// was never bound — the golden table pins this).
 //
 // Like churn, liveness is mutated only between Assign calls (at the
 // engine's chunk barriers), so every candidate enumeration observes a

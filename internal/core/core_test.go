@@ -272,41 +272,6 @@ func TestTwoChoiceNoEscalateBackhauls(t *testing.T) {
 	}
 }
 
-func TestTwoChoiceRejectionMatchesExactDistribution(t *testing.T) {
-	// The rejection sampler (big replica lists) and the exact filter
-	// (small lists) must produce the same served-node distribution.
-	// Force both paths by toggling maxTry on the same world.
-	g, p := testWorld(12, 3, 1, 23) // K=3, M=1 ⇒ huge replica lists
-	j := cachedFile(p, 10)
-	radius := 4
-	origin := int32(50)
-	loads := ballsbins.NewLoads(g.N())
-
-	run := func(forceExact bool) map[int32]float64 {
-		s := NewTwoChoice(g, p, TwoChoiceConfig{Radius: radius})
-		if forceExact {
-			s.maxTry = 0 // force exact-filter fallback
-		}
-		r := xrand.NewSource(24).Stream(0)
-		counts := map[int32]int{}
-		const trials = 40000
-		for i := 0; i < trials; i++ {
-			counts[s.Assign(Request{Origin: origin, File: int32(j)}, loads, r).Server]++
-		}
-		freq := map[int32]float64{}
-		for k, v := range counts {
-			freq[k] = float64(v) / trials
-		}
-		return freq
-	}
-	fr, fe := run(false), run(true)
-	for k := range fe {
-		if math.Abs(fr[k]-fe[k]) > 0.02 {
-			t.Fatalf("server %d: rejection %.4f vs exact %.4f", k, fr[k], fe[k])
-		}
-	}
-}
-
 func TestTwoChoiceWithoutReplacementDistinct(t *testing.T) {
 	// With exactly 2 candidates and one heavily loaded, without-
 	// replacement sampling must *always* pick the light one (both

@@ -43,7 +43,6 @@ type TwoChoice struct {
 	common
 	cfg     TwoChoiceConfig
 	ballN   int             // |B_r| on the torus (candidate-space size for rejection)
-	maxTry  int             // rejection budget before exact fallback
 	ball    *grid.BallTable // precomputed B_r template (nil when inapplicable)
 	ballBuf []int32
 	candBuf []int32
@@ -96,13 +95,6 @@ func NewTwoChoice(g *grid.Grid, p *cache.Placement, cfg TwoChoiceConfig) *TwoCho
 	if cfg.Radius != RadiusUnbounded {
 		t.ballN = g.BallSize(cfg.Radius)
 		t.ball = g.NewBallTable(cfg.Radius)
-		// Expected rejection tries per accepted draw is n/|B_r|; budget a
-		// small multiple before paying for the exact candidate list.
-		// Distinct-candidate sampling always uses the exact list (the
-		// rejection loop cannot guarantee distinctness cheaply).
-		if !cfg.WithoutReplacement {
-			t.maxTry = 4*(g.N()/t.ballN+1) + 16
-		}
 		t.bindIndex()
 	}
 	return t
@@ -111,7 +103,7 @@ func NewTwoChoice(g *grid.Grid, p *cache.Placement, cfg TwoChoiceConfig) *TwoCho
 // bindIndex adopts the placement's spatial replica index, if any, and
 // (re)builds the radius cover template over its tile geometry. With an
 // index bound, Assign routes bounded-radius candidate work through the
-// tile walk instead of the rejection/exact-filter ladder.
+// tile walk instead of the exact filter.
 func (s *TwoChoice) bindIndex() {
 	tix := s.p.TileIndex()
 	if tix == nil {
@@ -226,26 +218,9 @@ func (s *TwoChoice) assign(req Request, loads LoadReader, r *rand.Rand) Assignme
 	if s.tix != nil {
 		return s.assignIndexed(req, reps, d, loads, r)
 	}
-	// Bounded radius. Rejection sampling pays off only when the replica
-	// list is larger than the try budget; the budget is zero for
-	// distinct-candidate sampling (the rejection loop cannot guarantee
-	// distinctness cheaply), which therefore goes straight to the exact
-	// filter instead of through a doomed sampler. Both rejection forms
-	// draw uniformly over S_j ∩ B_r(u), from whichever side of the
-	// intersection is denser: a uniform replica accepted when it lies in
-	// the ball (sparse files), or a uniform ball node accepted when it
-	// caches the file (popular files, where the replica list can be
-	// almost the whole network and in-ball hits are rare).
-	if len(reps) > s.maxTry && s.maxTry > 0 {
-		if s.ball != nil && len(reps) > s.ballN {
-			if srv, ok := s.sampleFromBall(req, d, loads, r); ok {
-				return assignmentTo(s.g, req, srv, false)
-			}
-		} else if srv, ok := s.sampleByRejection(req, reps, d, loads, r); ok {
-			return assignmentTo(s.g, req, srv, false)
-		}
-	}
-	// Exact in-radius candidate list (also the rejection fallback).
+	// Bounded radius without an index (direct callers whose placement
+	// carries no TileIndex): the exact in-radius candidate list, drawn
+	// from uniformly — the reference law the indexed samplers match.
 	s.candBuf = s.exactCandidates(req, reps, s.candBuf[:0])
 	pool, escalated := s.candBuf, false
 	if len(pool) == 0 {
@@ -609,9 +584,9 @@ func (s *TwoChoice) distFrom(ox, oy int, v int32) int {
 // Candidates are drawn by a two-stage sampler — a weighted draw over the
 // per-tile replica counts, then a uniform pick inside the tile's run —
 // with rejection of out-of-ball picks from partial tiles, which is
-// uniform over S_j ∩ B_r(u) exactly like the rejection samplers of the
-// non-indexed path. Distinct-candidate sampling and exhausted budgets
-// fall back to the materialized exact list.
+// uniform over S_j ∩ B_r(u) exactly like a draw from the exact candidate
+// list. Distinct-candidate sampling and exhausted budgets fall back to
+// the materialized exact list.
 func (s *TwoChoice) assignIndexed(req Request, reps []int32, d int, loads LoadReader, r *rand.Rand) Assignment {
 	// Dense files (|S_j| ≥ n/8, see cache.denseBitThreshold — the bound
 	// also sizes the bitmap arena) skip the tile walk entirely: a uniform
@@ -788,8 +763,8 @@ func (s *TwoChoice) bitExactCandidates(origin int, bits []uint64, dst []int32) [
 
 // sampleFromBits draws the d candidates by ball-cell rejection against a
 // dense file's node bitmap: a uniform node of B_r(u) (O(1) through the
-// ball template) is accepted when its bit is set — the sampleFromBall
-// law with an O(1) membership probe instead of a cached-list scan.
+// ball template) is accepted when its bit is set, which is uniform over
+// S_j ∩ B_r(u) with an O(1) membership probe.
 // Returns ok=false when the try budget is exhausted (the caller falls
 // back to the exact tile walk; partial progress is discarded).
 func (s *TwoChoice) sampleFromBits(req Request, reps []int32, bits []uint64, d int, loads LoadReader, r *rand.Rand) (int32, bool) {
@@ -861,66 +836,6 @@ func pickLeastLoaded(cand []int32, loads LoadReader, r *rand.Rand) int32 {
 	return best
 }
 
-// sampleByRejection draws the d candidates by rejection from the replica
-// list (accept when within radius). Returns ok=false when the try budget
-// is exhausted before d acceptances.
-func (s *TwoChoice) sampleByRejection(req Request, reps []int32, d int, loads LoadReader, r *rand.Rand) (int32, bool) {
-	var best int32 = -1
-	ties := 0
-	accepted := 0
-	tries := 0
-	for accepted < d {
-		if tries >= s.maxTry {
-			return -1, false
-		}
-		tries++
-		v := reps[r.IntN(len(reps))]
-		if s.g.Dist(int(req.Origin), int(v)) > s.cfg.Radius {
-			continue
-		}
-		if s.live != nil && !s.live.Live(int(v)) {
-			s.retried = true
-			continue
-		}
-		accepted++
-		best, ties = s.foldCandidate(best, ties, v, loads, r)
-	}
-	return best, true
-}
-
-// sampleFromBall draws the d candidates by rejection from the ball
-// (uniform node of B_r(u), accepted when it caches the file). Uniform over
-// S_j ∩ B_r(u), exactly like sampleByRejection, but with acceptance
-// probability |S_j ∩ B_r|/|B_r| instead of |S_j ∩ B_r|/|S_j| — the right
-// side of the intersection when replicas outnumber the ball. Returns
-// ok=false when the try budget is exhausted before d acceptances.
-func (s *TwoChoice) sampleFromBall(req Request, d int, loads LoadReader, r *rand.Rand) (int32, bool) {
-	// Expected tries per accepted draw is |B_r|/|S_j ∩ B_r| ≈ n/|S_j| ≤
-	// n/|B_r| here; reuse the symmetric budget of the replica-side loop.
-	var best int32 = -1
-	ties := 0
-	accepted := 0
-	tries := 0
-	file := int(req.File)
-	for accepted < d {
-		if tries >= s.maxTry {
-			return -1, false
-		}
-		tries++
-		v := s.ball.Node(int(req.Origin), r.IntN(s.ballN))
-		if !s.p.Has(int(v), file) {
-			continue
-		}
-		if s.live != nil && !s.live.Live(int(v)) {
-			s.retried = true
-			continue
-		}
-		accepted++
-		best, ties = s.foldCandidate(best, ties, v, loads, r)
-	}
-	return best, true
-}
-
 // pickFromPool samples d candidates uniformly from pool and returns the
 // least-loaded (ties uniform).
 func (s *TwoChoice) pickFromPool(pool []int32, d int, loads LoadReader, r *rand.Rand) int32 {
@@ -963,7 +878,7 @@ func (s *TwoChoice) pickFromPool(pool []int32, d int, loads LoadReader, r *rand.
 
 // pickLivePool is pickFromPool behind the liveness mask — the pool pick
 // of the graceful-degradation ladder. Without a mask it delegates
-// unchanged (zero extra draws: the golden matrices pin this). With one,
+// unchanged (zero extra draws: the golden table pins this). With one,
 // a bounded rejection loop resamples dead picks among the pool's live
 // members; exhaustion (or distinct-candidate sampling, which cannot
 // reject cheaply) falls back to filtering the pool into preallocated

@@ -16,11 +16,8 @@ var churnRates = []float64{0, 0.1, 0.25, 0.5, 1}
 // popularity) while Strategy II keeps assigning requests against the
 // live placement. Static vs dynamic load curves: the x axis is the
 // migration rate (expected events per request), the rate-0 point is the
-// ChurnNone engine every golden matrix freezes. Both candidate-
-// enumeration disciplines run the uniform schedule, which doubles as a
-// visible cross-check that the incremental TileIndex maintenance agrees
-// with the exact path (the churn schedules are identical by
-// construction; see sim's TestChurnScheduleIndexInvariant).
+// static ChurnNone engine. Migrations splice the placement and its tile
+// index incrementally between pipeline chunks.
 //
 // Expected shape: because migrations preserve every |S_j| (the
 // placement profile never decays, only replica geography moves), the
@@ -43,7 +40,7 @@ func Churn(opt Options) (*Table, error) {
 		YLabel: "max load",
 		Notes: []string{
 			fmt.Sprintf("trials/point = %d; %d requests per trial (8 pipeline chunks)", trials, 8*1024),
-			"rate 0 is the static ChurnNone engine (frozen by the golden matrices); higher rates migrate replicas mid-trial via incremental Placement/TileIndex splices",
+			"rate 0 is the static ChurnNone engine; higher rates migrate replicas mid-trial via incremental Placement/TileIndex splices",
 			"replicas: uniform replica migration; drift: migrations chase a shot-noise popularity drifter",
 			"|S_j| is invariant under migration, so load stays near the static curve while mean cost drifts with replica geography",
 		},
@@ -51,11 +48,9 @@ func Churn(opt Options) (*Table, error) {
 	series := []struct {
 		name  string
 		churn sim.ChurnMode
-		index sim.IndexMode
 	}{
-		{"replicas (exact path)", sim.ChurnReplicas, sim.IndexNone},
-		{"replicas (tile index)", sim.ChurnReplicas, sim.IndexTiles},
-		{"drift (tile index)", sim.ChurnDrift, sim.IndexTiles},
+		{"replicas", sim.ChurnReplicas},
+		{"drift", sim.ChurnDrift},
 	}
 	var cfgs []sim.Config
 	for _, s := range series {
@@ -65,8 +60,9 @@ func Churn(opt Options) (*Table, error) {
 				Popularity: sim.PopSpec{Kind: sim.PopZipf, Gamma: 0.8},
 				Strategy:   sim.StrategySpec{Kind: sim.TwoChoices, Radius: radius},
 				Requests:   8 * 1024,
-				Index:      s.index,
-				Seed:       opt.seed() + uint64(17*int(s.churn)+3*int(s.index)),
+				// The offset derives from the churn mode alone, so a
+				// series' seed does not depend on which others are listed.
+				Seed: opt.seed() + uint64(17*int(s.churn)+3),
 			}
 			if rate > 0 {
 				cfg.Churn = s.churn

@@ -85,9 +85,9 @@ func LinkCongestion(opt Options) (*Table, error) {
 	for i, sp := range specs {
 		cfg := sim.Config{
 			Side: 45, K: 500, M: 10,
-			Strategy:     sp.s,
-			CollectLinks: true,
-			Seed:         opt.seed() + uint64(i),
+			Strategy: sp.s,
+			Metrics:  sim.MetricsLinks,
+			Seed:     opt.seed() + uint64(i),
 		}
 		agg, err := sim.Run(cfg, trials, opt.Workers)
 		if err != nil {

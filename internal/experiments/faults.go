@@ -17,7 +17,7 @@ var faultFractions = []float64{0, 0.1, 0.25, 0.5}
 // graceful-degradation ladder, and the surviving network keeps serving.
 // The x axis is the expected failed fraction at trial end (FaultRate is
 // scaled so frac·n crash events accrue over the trial); the fraction-0
-// point is the FaultsNone engine every golden matrix freezes. Y is the
+// point is the FaultsNone engine the golden table freezes. Y is the
 // max load over ALL nodes; availability, degraded-path mass (retried),
 // dead population and backhaul volume ride along as extras.
 //
@@ -45,7 +45,7 @@ func Faults(opt Options) (*Table, error) {
 		YLabel: "max load",
 		Notes: []string{
 			fmt.Sprintf("trials/point = %d; %d requests per trial; FaultRate = frac·n/requests, RecoverRate = 0 (permanent crashes)", trials, nReq),
-			"fraction 0 is the FaultsNone engine (frozen by the golden matrices); higher fractions crash nodes at chunk barriers via the namespace-7 fault stream",
+			"fraction 0 is the FaultsNone engine (frozen by the golden table); higher fractions crash nodes at chunk barriers via the namespace-7 fault stream",
 			"crash: independent uniform node failures; regional: whole tile-aligned failure domains (regionSize geometry)",
 			"strategies reject dead candidates and walk the degradation ladder: live-pool retry, escalation to r=∞ over live replicas, backhaul at the origin",
 			"extras: availability = in-network served fraction; retried = degraded-path requests/trial; dead_nodes at trial end; backhaul requests/trial",
@@ -70,7 +70,6 @@ func Faults(opt Options) (*Table, error) {
 				Strategy:   s.strat,
 				Requests:   nReq,
 				MissPolicy: sim.MissEscalate,
-				Index:      sim.IndexTiles,
 				Seed:       opt.seed() + uint64(23*int(s.faults)+5*int(s.strat.Kind)),
 			}
 			if frac > 0 {

@@ -24,7 +24,7 @@ var heteroProfiles = []struct {
 // arrival regime) ~25% of nodes starting vacant and joining mid-trial
 // at chunk barriers. The x axis is the profile index (0 = uniform,
 // 1 = two-tier, 2 = power-law); x=0 under HeteroCapacity is draw-for-
-// draw identical to the homogeneous engine the golden matrices freeze.
+// draw identical to the homogeneous engine the golden table freezes.
 // Y is the max load over all nodes; cost, backhaul and — for the
 // arrival series — the join/vacancy counters ride along as extras.
 //
@@ -55,7 +55,7 @@ func Hetero(opt Options) (*Table, error) {
 		YLabel: "max load",
 		Notes: []string{
 			fmt.Sprintf("trials/point = %d; %d requests per trial; profiles draw M_u and C_u on the namespace-8 hetero stream", trials, nReq),
-			"profile 0 under the capacity regime is the homogeneous engine (degenerate identity frozen by the golden matrices)",
+			"profile 0 under the capacity regime is the homogeneous engine (degenerate identity frozen by the golden table)",
 			"two-tier: ~25% of nodes get (2M, C=2), the rest (2M/3, C=1); power-law: Pareto(α=1.5) sizes clamped to [1, 8M], C_u ∝ M_u",
 			fmt.Sprintf("arrival series: ~25%% of nodes start vacant and join at chunk barriers (ArrivalRate %g, namespace-8 credit schedule)", arrRt),
 			"extras: cost, backhaul requests/trial; arrivals and vacant (trial end) on the arrival series",
@@ -79,7 +79,6 @@ func Hetero(opt Options) (*Table, error) {
 				Strategy:   s.strat,
 				Requests:   nReq,
 				MissPolicy: sim.MissEscalate,
-				Index:      sim.IndexTiles,
 				Hetero:     s.hetero,
 				Profile:    p.profile,
 				Seed:       opt.seed() + uint64(31*int(s.hetero)+5*int(s.strat.Kind)),

@@ -61,7 +61,6 @@ func Staleness(opt Options) (*Table, error) {
 		Popularity: sim.PopSpec{Kind: sim.PopZipf, Gamma: 0.8},
 		Strategy:   sim.StrategySpec{Kind: sim.TwoChoices, Radius: radius},
 		Requests:   nReq,
-		Streams:    sim.StreamsSplit,
 		Seed:       opt.seed(),
 	}
 

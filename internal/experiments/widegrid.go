@@ -18,8 +18,8 @@ var (
 // Strategy II on tori up to Side = 1000 (n = 10⁶ servers, 10⁶ requests
 // per trial), runnable at flat memory because every trial uses the
 // streaming metrics mode (constant-memory hop/load accumulators, no O(n)
-// metric vectors) and the split-stream request discipline (batched
-// generation, allocation-free request loop). Reported per point: max
+// metric vectors) over the batched, allocation-free request loop.
+// Reported per point: max
 // load, mean cost, and the streaming extras (hop max/std, 99th-percentile
 // node load).
 func WideGrid(opt Options) (*Table, error) {
@@ -35,8 +35,8 @@ func WideGrid(opt Options) (*Table, error) {
 		YLabel: "max load",
 		Notes: []string{
 			fmt.Sprintf("trials/point = %d; preset %s sides %v", trials, opt.Preset, sides),
-			"split-stream request discipline + streaming metrics: request path allocates nothing, no O(n) metric vector is materialized",
-			"tile-bucketed spatial replica index (IndexTiles): S_j ∩ B_r(u) enumerated per covered tile, making the Side=1000 two-choices trial sub-second",
+			"batched request generation + streaming metrics: request path allocates nothing, no O(n) metric vector is materialized",
+			"tile-bucketed spatial replica index: S_j ∩ B_r(u) enumerated per covered tile, making the Side=1000 two-choices trial sub-second",
 			"expected shape: Strategy I grows with log n; Strategy II stays near log log n at cost Θ(r)",
 		},
 	}
@@ -54,8 +54,6 @@ func WideGrid(opt Options) (*Table, error) {
 				Side: side, K: 10000, M: 10,
 				Strategy: sim.StrategySpec{Kind: k.kind, Radius: wideGridRadius(side)},
 				Metrics:  sim.MetricsStreaming,
-				Streams:  sim.StreamsSplit,
-				Index:    sim.IndexTiles,
 				Seed:     opt.seed() + uint64(1000*int(k.kind)+side),
 			})
 		}

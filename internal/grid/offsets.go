@@ -48,13 +48,9 @@ func (t *BallTable) Radius() int { return t.r }
 // Size returns |B_r|.
 func (t *BallTable) Size() int { return len(t.dx) }
 
-// Node returns the i-th node of B_r(u) (Ball enumeration order) in O(1),
-// without materializing the ball. i must lie in [0, Size()).
-func (t *BallTable) Node(u, i int) int32 {
-	return t.NodeAt(int(t.g.xOf[u]), int(t.g.yOf[u]), i)
-}
-
-// NodeAt is Node with the origin's coordinates supplied by the caller —
+// NodeAt returns the i-th node of B_r(u) (Ball enumeration order) for
+// the origin u at coordinates (ux, uy) in O(1), without materializing the
+// ball. i must lie in [0, Size()). The caller supplies the coordinates —
 // no coordinate-table loads, which matters in rejection loops that probe
 // the same origin many times.
 func (t *BallTable) NodeAt(ux, uy, i int) int32 {

@@ -16,8 +16,6 @@ func benchConfig() sim.Config {
 		Side: 32, K: 2000, M: 4, Seed: 2017,
 		Strategy:   sim.StrategySpec{Kind: sim.TwoChoices, Radius: 6},
 		Popularity: sim.PopSpec{Kind: sim.PopZipf, Gamma: 0.8},
-		Streams:    sim.StreamsSplit,
-		Index:      sim.IndexTiles,
 	}
 }
 

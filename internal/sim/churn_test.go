@@ -46,11 +46,11 @@ func TestChurnValidation(t *testing.T) {
 // discipline honours.
 func TestChurnDeterminism(t *testing.T) {
 	for _, churn := range []ChurnMode{ChurnReplicas, ChurnDrift} {
-		for _, index := range []IndexMode{IndexNone, IndexTiles} {
+		for _, strat := range []StrategySpec{{Kind: TwoChoices, Radius: 4}, {Kind: Nearest}} {
 			cfg := churnBaseCfg()
 			cfg.Churn = churn
 			cfg.ChurnRate = 0.4
-			cfg.Index = index
+			cfg.Strategy = strat
 			w1, err := Compile(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -65,11 +65,11 @@ func TestChurnDeterminism(t *testing.T) {
 				b := w2.NewRunner().RunTrial(trial)
 				c := w2.RunTrial(trial)
 				if a != b || a != c {
-					t.Fatalf("churn=%v index=%v t=%d: reused %+v fresh %+v pooled %+v",
-						churn, index, trial, a, b, c)
+					t.Fatalf("churn=%v %v t=%d: reused %+v fresh %+v pooled %+v",
+						churn, strat.Kind, trial, a, b, c)
 				}
 				if a.ChurnEvents == 0 {
-					t.Fatalf("churn=%v index=%v t=%d: no churn events applied", churn, index, trial)
+					t.Fatalf("churn=%v %v t=%d: no churn events applied", churn, strat.Kind, trial)
 				}
 			}
 		}
@@ -77,29 +77,23 @@ func TestChurnDeterminism(t *testing.T) {
 }
 
 // TestChurnScheduleIndexInvariant: the churn stream is independent of
-// the candidate-enumeration discipline and of the request-stream
-// discipline — event draws depend only on placement content, which is
-// identical across Index and Streams. The applied/skipped schedule must
-// therefore match exactly, even though the load results differ (the
-// strategies are distinct seeded processes).
+// the strategy, and hence of its candidate ladder (tile walk, nearest
+// scan, oracle enumeration), and of the sharded engine — event draws
+// depend only on placement content. The applied/skipped schedule must
+// therefore match exactly, even though the load results differ.
 func TestChurnScheduleIndexInvariant(t *testing.T) {
 	for _, churn := range []ChurnMode{ChurnReplicas, ChurnDrift} {
-		type variant struct {
-			index   IndexMode
-			streams Streams
-		}
 		var ref Result
-		for i, v := range []variant{
-			{IndexNone, StreamsInterleaved},
-			{IndexTiles, StreamsInterleaved},
-			{IndexNone, StreamsSplit},
-			{IndexTiles, StreamsSplit},
+		for i, mut := range []func(*Config){
+			func(*Config) {},
+			func(c *Config) { c.Strategy = StrategySpec{Kind: Nearest} },
+			func(c *Config) { c.Strategy = StrategySpec{Kind: Oracle, Radius: 4} },
+			func(c *Config) { c.Workers = 2 },
 		} {
 			cfg := churnBaseCfg()
 			cfg.Churn = churn
 			cfg.ChurnRate = 0.4
-			cfg.Index = v.index
-			cfg.Streams = v.streams
+			mut(&cfg)
 			res, err := RunTrial(cfg, 1)
 			if err != nil {
 				t.Fatal(err)
@@ -109,10 +103,28 @@ func TestChurnScheduleIndexInvariant(t *testing.T) {
 				continue
 			}
 			if res.ChurnEvents != ref.ChurnEvents || res.ChurnSkipped != ref.ChurnSkipped {
-				t.Errorf("churn=%v index=%v streams=%v: schedule (%d,%d) != reference (%d,%d)",
-					churn, v.index, v.streams,
-					res.ChurnEvents, res.ChurnSkipped, ref.ChurnEvents, ref.ChurnSkipped)
+				t.Errorf("churn=%v variant %d: schedule (%d,%d) != reference (%d,%d)",
+					churn, i, res.ChurnEvents, res.ChurnSkipped, ref.ChurnEvents, ref.ChurnSkipped)
 			}
+		}
+	}
+}
+
+// TestChurnNoneBitIdentity: a Config with Churn spelled out as ChurnNone
+// is the same comparable value as the static pins of the golden table,
+// so replaying a sample of them documents — and enforces — that the
+// churn engine derives and consumes nothing when it is off.
+func TestChurnNoneBitIdentity(t *testing.T) {
+	for _, p := range everyNth(9, func(c Config) bool { return c.Churn == ChurnNone }) {
+		p.cfg.Churn = ChurnNone
+		p.cfg.ChurnRate = 0
+		got, err := RunTrial(p.cfg, p.trial)
+		if err != nil {
+			t.Fatalf("%s: %v", p.name, err)
+		}
+		if got != p.want {
+			t.Errorf("pin %s t=%d diverged under explicit ChurnNone:\n got %+v\nwant %+v",
+				p.name, p.trial, got, p.want)
 		}
 	}
 }
@@ -146,7 +158,7 @@ func TestChurnMovesLoad(t *testing.T) {
 
 // TestChurnSteadyStateAllocs extends the engine's allocation-free
 // contract to the churn path: a warmed Runner allocates nothing per
-// trial under either churn mode, with and without the tile index —
+// trial under either churn mode, with and without streaming metrics —
 // migrations, swaps, drift ticks and drift-sampler rebuilds included.
 func TestChurnSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
@@ -158,17 +170,10 @@ func TestChurnSteadyStateAllocs(t *testing.T) {
 	}{
 		{"replicas", func(c *Config) { c.Churn = ChurnReplicas; c.ChurnRate = 0.5 }},
 		{"drift", func(c *Config) { c.Churn = ChurnDrift; c.ChurnRate = 0.5 }},
-		{"replicas-tiles-streaming", func(c *Config) {
+		{"replicas-streaming", func(c *Config) {
 			c.Churn = ChurnReplicas
 			c.ChurnRate = 0.5
-			c.Index = IndexTiles
 			c.Metrics = MetricsStreaming
-			c.Streams = StreamsSplit
-		}},
-		{"drift-tiles", func(c *Config) {
-			c.Churn = ChurnDrift
-			c.ChurnRate = 0.5
-			c.Index = IndexTiles
 		}},
 	} {
 		cfg := paperScaleCfg()

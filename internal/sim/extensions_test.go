@@ -9,7 +9,7 @@ import (
 
 func TestCollectLinksMetrics(t *testing.T) {
 	cfg := baseConfig()
-	cfg.CollectLinks = true
+	cfg.Metrics = MetricsLinks
 	cfg.Strategy = StrategySpec{Kind: TwoChoices, Radius: core.RadiusUnbounded}
 	res, err := RunTrial(cfg, 0)
 	if err != nil {
@@ -21,14 +21,14 @@ func TestCollectLinksMetrics(t *testing.T) {
 	if res.LinkCongestion < 1 {
 		t.Fatalf("congestion factor %v must be ≥ 1 when traffic flows", res.LinkCongestion)
 	}
-	// Without the flag, link metrics stay zero.
-	cfg.CollectLinks = false
+	// In scalar mode, link metrics stay zero.
+	cfg.Metrics = MetricsScalar
 	res2, err := RunTrial(cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res2.MaxLinkLoad != 0 || res2.LinkCongestion != 0 {
-		t.Fatalf("link metrics leaked without CollectLinks: %+v", res2)
+		t.Fatalf("link metrics leaked into scalar mode: %+v", res2)
 	}
 	// Aggregates fold link metrics only when present.
 	var agg Aggregate
@@ -42,7 +42,7 @@ func TestCollectLinksMetrics(t *testing.T) {
 func TestNearestTrafficBelowUnboundedTwoChoice(t *testing.T) {
 	mk := func(kind StrategySpec) Config {
 		c := baseConfig()
-		c.CollectLinks = true
+		c.Metrics = MetricsLinks
 		c.Strategy = kind
 		return c
 	}

@@ -20,8 +20,7 @@ import (
 // process independent of the placement, request and churn streams:
 // FaultsNone never derives the stream and stays bit-identical to the
 // fault-free engine, and the schedule itself is invariant across
-// Streams, Index, Workers and Strategy (pinned by
-// TestFaultScheduleIndexInvariant).
+// Workers and Strategy (pinned by TestFaultScheduleIndexInvariant).
 //
 //   - FaultsCrash kills a uniform live node per crash event and revives
 //     a uniform dead node per recovery event (MTTR-style re-admission);
@@ -85,8 +84,8 @@ func (r *Runner) nodeLoad(u int32) int {
 // apply executes the schedule accrued by c elapsed requests against lv,
 // counting outcomes into res. Crash events drain before recovery events
 // within an application — the order is part of the seeded process
-// frozen by the fault golden matrix. loadOf reads a node's load at its
-// crash instant for the DeadLoad account; nil skips that account (the
+// frozen by the golden table's fault pins. loadOf reads a node's load at
+// its crash instant for the DeadLoad account; nil skips that account (the
 // served mode, where loads live in per-connection contexts rather than
 // one engine vector).
 func (fs *faultState) apply(w *World, lv *cache.Liveness, rng *rand.Rand, c int, loadOf func(int32) int, res *Result) {

@@ -32,8 +32,9 @@ func scheduleOf(r Result) schedule {
 }
 
 // TestFaultScheduleIndexInvariant: the crash/recovery schedule must be
-// bit-identical across Index, Streams, Strategy and the sharded engine —
-// the fault stream is a seeded process of (Seed, trial) alone.
+// bit-identical across Strategy (and hence its candidate ladder), miss
+// policy, churn and the sharded engine — the fault stream is a seeded
+// process of (Seed, trial) alone.
 func TestFaultScheduleIndexInvariant(t *testing.T) {
 	for _, mode := range []FaultsMode{FaultsCrash, FaultsRegional} {
 		ref := faultBase()
@@ -46,14 +47,11 @@ func TestFaultScheduleIndexInvariant(t *testing.T) {
 			t.Fatalf("%v: reference trial saw no faults: %+v", mode, base)
 		}
 		variants := map[string]func(c *Config){
-			"tiles":       func(c *Config) { c.Index = IndexTiles },
-			"split":       func(c *Config) { c.Streams = StreamsSplit },
-			"tiles/split": func(c *Config) { c.Index = IndexTiles; c.Streams = StreamsSplit },
 			"nearest":     func(c *Config) { c.Strategy = StrategySpec{Kind: Nearest} },
 			"oracle":      func(c *Config) { c.Strategy = StrategySpec{Kind: Oracle, Radius: 3} },
 			"one-choice":  func(c *Config) { c.Strategy = StrategySpec{Kind: OneChoiceRandom, Radius: 3} },
-			"workers2":    func(c *Config) { c.Streams = StreamsSplit; c.Workers = 2 },
-			"workers5":    func(c *Config) { c.Streams = StreamsSplit; c.Workers = 5 },
+			"workers2":    func(c *Config) { c.Workers = 2 },
+			"workers5":    func(c *Config) { c.Workers = 5 },
 			"miss-origin": func(c *Config) { c.MissPolicy = MissOrigin },
 			"churn":       func(c *Config) { c.Churn = ChurnReplicas; c.ChurnRate = 0.5 },
 		}
@@ -79,8 +77,6 @@ func TestFaultShardedPIndependent(t *testing.T) {
 	for _, mode := range []FaultsMode{FaultsCrash, FaultsRegional} {
 		cfg := faultBase()
 		cfg.Faults = mode
-		cfg.Streams = StreamsSplit
-		cfg.Index = IndexTiles
 		cfg.Churn = ChurnReplicas
 		cfg.ChurnRate = 0.5
 		cfg.Workers = 1
@@ -110,8 +106,6 @@ func TestFaultShardRacyStress(t *testing.T) {
 	for _, mode := range []FaultsMode{FaultsCrash, FaultsRegional} {
 		cfg := faultBase()
 		cfg.Faults = mode
-		cfg.Streams = StreamsSplit
-		cfg.Index = IndexTiles
 		cfg.Churn = ChurnReplicas
 		cfg.ChurnRate = 0.5
 		cfg.Workers = 4
@@ -227,10 +221,9 @@ func TestFaultSteadyStateAllocs(t *testing.T) {
 		name string
 		mut  func(c *Config)
 	}{
-		{"crash/none", func(c *Config) {}},
-		{"crash/tiles", func(c *Config) { c.Index = IndexTiles }},
-		{"regional/tiles", func(c *Config) { c.Faults = FaultsRegional; c.Index = IndexTiles }},
-		{"crash/tiles/split", func(c *Config) { c.Index = IndexTiles; c.Streams = StreamsSplit }},
+		{"crash", func(c *Config) {}},
+		{"regional", func(c *Config) { c.Faults = FaultsRegional }},
+		{"crash/nearest", func(c *Config) { c.Strategy = StrategySpec{Kind: Nearest} }},
 	} {
 		cfg := faultBase()
 		variant.mut(&cfg)
@@ -255,6 +248,26 @@ func TestFaultRegionGeometry(t *testing.T) {
 	for side, want := range cases {
 		if got := regionSize(side); got != want {
 			t.Errorf("regionSize(%d) = %d, want %d", side, got, want)
+		}
+	}
+}
+
+// TestFaultsNoneBitIdentity: a Config with Faults spelled out as
+// FaultsNone is the same comparable value as the fault-free pins of the
+// golden table, so replaying a sample of them enforces that the fault
+// engine never derives the namespace-7 stream or binds a mask when off.
+func TestFaultsNoneBitIdentity(t *testing.T) {
+	for _, p := range everyNth(9, func(c Config) bool { return c.Faults == FaultsNone }) {
+		p.cfg.Faults = FaultsNone
+		p.cfg.FaultRate = 0
+		p.cfg.RecoverRate = 0
+		got, err := RunTrial(p.cfg, p.trial)
+		if err != nil {
+			t.Fatalf("%s: %v", p.name, err)
+		}
+		if got != p.want {
+			t.Errorf("pin %s t=%d diverged under explicit FaultsNone:\n got %+v\nwant %+v",
+				p.name, p.trial, got, p.want)
 		}
 	}
 }

@@ -10,13 +10,13 @@ import "testing"
 // name plus representative junk (case variants, whitespace, prefixes).
 
 // fuzzSeedInputs is the shared seed corpus: all canonical names of all
-// seven parsers plus near-misses that must be rejected.
+// six parsers plus near-misses that must be rejected.
 var fuzzSeedInputs = []string{
 	"", "none", "replicas", "drift", "deterministic", "racy",
-	"tiles", "resample", "escalate", "origin", "crash", "regional",
+	"resample", "escalate", "origin", "crash", "regional",
 	"capacity", "arrival", "uniform", "two-tier", "power-law",
 	"None", "CRASH", " crash", "crash ", "crashx", "regiona",
-	"tile", "det", "\x00", "日本語",
+	"tiles", "tile", "det", "\x00", "日本語",
 	"Capacity", "arrivals", " uniform", "two-tier ", "powerlaw", "two_tier",
 }
 
@@ -51,12 +51,6 @@ func FuzzParseChurn(f *testing.F) {
 func FuzzParseShard(f *testing.F) {
 	fuzzParse(f, ParseShard, map[string]ShardMode{
 		"": ShardDeterministic, "deterministic": ShardDeterministic, "racy": ShardRacy,
-	})
-}
-
-func FuzzParseIndex(f *testing.F) {
-	fuzzParse(f, ParseIndex, map[string]IndexMode{
-		"": IndexNone, "none": IndexNone, "tiles": IndexTiles,
 	})
 }
 

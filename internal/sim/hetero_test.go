@@ -27,8 +27,8 @@ func heteroArrivalBase() Config {
 // TestHeteroArrivalScheduleInvariance: the arrival schedule lives on the
 // dedicated namespace-8 stream, so which nodes start vacant, how many
 // join, and how many remain at trial end must be identical whichever
-// candidate index, request discipline or worker count the trial runs
-// under — those knobs perturb assignment, never the hetero stream.
+// strategy or worker count the trial runs under — those knobs perturb
+// assignment, never the hetero stream.
 func TestHeteroArrivalScheduleInvariance(t *testing.T) {
 	base := heteroArrivalBase()
 	type sched struct{ events, skipped, vacant int }
@@ -47,10 +47,9 @@ func TestHeteroArrivalScheduleInvariance(t *testing.T) {
 		name string
 		mut  func(*Config)
 	}{
-		{"tiles", func(c *Config) { c.Index = IndexTiles }},
-		{"split", func(c *Config) { c.Streams = StreamsSplit }},
-		{"split/p2", func(c *Config) { c.Streams = StreamsSplit; c.Workers = 2 }},
-		{"split/p4", func(c *Config) { c.Streams = StreamsSplit; c.Workers = 4 }},
+		{"nearest", func(c *Config) { c.Strategy = StrategySpec{Kind: Nearest} }},
+		{"p2", func(c *Config) { c.Workers = 2 }},
+		{"p4", func(c *Config) { c.Workers = 4 }},
 		{"churn-composed", func(c *Config) { c.Churn = ChurnReplicas; c.ChurnRate = 0.5 }},
 		{"faults-composed", func(c *Config) { c.Faults = FaultsCrash; c.FaultRate = 0.02; c.RecoverRate = 0.01 }},
 		{"two-tier", func(c *Config) { c.Profile = ProfileTwoTier }},
@@ -93,15 +92,12 @@ func TestHeteroShardedWorkerInvariance(t *testing.T) {
 		Side: 12, K: 150, M: 2,
 		Strategy: StrategySpec{Kind: TwoChoices, Radius: 3},
 		Requests: 4096,
-		Streams:  StreamsSplit,
 		Hetero:   HeteroCapacity,
 		Profile:  ProfileTwoTier,
 		Seed:     0x63,
 	}
 	arrival := heteroArrivalBase()
-	arrival.Streams = StreamsSplit
 	churned := arrival
-	churned.Index = IndexTiles
 	churned.Churn = ChurnReplicas
 	churned.ChurnRate = 0.5
 	for _, cfg := range []Config{capacity, arrival, churned} {
@@ -151,8 +147,6 @@ func TestHeteroShardedRacyStress(t *testing.T) {
 		Strategy:    StrategySpec{Kind: TwoChoices, Radius: 3},
 		Requests:    8192,
 		MissPolicy:  MissEscalate,
-		Streams:     StreamsSplit,
-		Index:       IndexTiles,
 		Churn:       ChurnReplicas,
 		ChurnRate:   0.5,
 		Hetero:      HeteroArrival,
@@ -282,15 +276,12 @@ func TestHeteroSteadyStateAllocs(t *testing.T) {
 		{"capacity-two-tier", func(c *Config) {
 			c.Hetero, c.Profile = HeteroCapacity, ProfileTwoTier
 		}},
-		{"capacity-power-law-tiles", func(c *Config) {
+		{"capacity-power-law", func(c *Config) {
 			c.Hetero, c.Profile = HeteroCapacity, ProfilePowerLaw
-			c.Index = IndexTiles
 		}},
-		{"arrival-power-law-tiles-split", func(c *Config) {
+		{"arrival-power-law", func(c *Config) {
 			c.Hetero, c.Profile, c.ArrivalRate = HeteroArrival, ProfilePowerLaw, 0.01
 			c.MissPolicy = MissEscalate
-			c.Index = IndexTiles
-			c.Streams = StreamsSplit
 		}},
 	} {
 		cfg := Config{
@@ -315,6 +306,30 @@ func TestHeteroSteadyStateAllocs(t *testing.T) {
 			trial++
 		}); n != 0 {
 			t.Errorf("%s: steady-state Runner.RunTrial allocates %.1f/op, want 0", variant.name, n)
+		}
+	}
+}
+
+// TestHeteroDegenerateBitIdentical pins the degenerate-profile identity:
+// HeteroCapacity with ProfileUniform draws every M_u = M and every
+// C_u = 1, allocates no multiplier vector, and therefore installs no
+// weighted view — the engine must reproduce the homogeneous pins of the
+// golden table draw for draw, not merely statistically. Any divergence
+// means the uniform profile consumed RNG or perturbed the comparison.
+func TestHeteroDegenerateBitIdentical(t *testing.T) {
+	homogeneous := func(c Config) bool {
+		return c.Hetero == HeteroNone && c.Faults == FaultsNone && c.Workers == 0
+	}
+	for _, p := range everyNth(7, homogeneous) {
+		p.cfg.Hetero = HeteroCapacity
+		p.cfg.Profile = ProfileUniform
+		got, err := RunTrial(p.cfg, p.trial)
+		if err != nil {
+			t.Fatalf("%s: %v", p.name, err)
+		}
+		if got != p.want {
+			t.Errorf("pin %s t=%d diverged under degenerate HeteroCapacity:\n got %+v\nwant %+v",
+				p.name, p.trial, got, p.want)
 		}
 	}
 }

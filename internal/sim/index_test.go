@@ -1,44 +1,47 @@
 package sim
 
-import "testing"
+import (
+	"testing"
 
-// TestIndexTilesDeterministic: the tile-index discipline is a first-
-// class citizen of the determinism contract — reused runner, fresh
-// runner and pooled World.RunTrial agree, and reruns reproduce — across
-// the strategy × miss-policy matrix and both stream disciplines.
+	"repro/internal/cache"
+)
+
+// TestIndexTilesDeterministic: the tile-index ladder is a first-class
+// citizen of the determinism contract — reused runner, fresh runner and
+// pooled World.RunTrial agree, and reruns reproduce — across the
+// strategy × miss-policy matrix.
 func TestIndexTilesDeterministic(t *testing.T) {
-	for _, streams := range []Streams{StreamsInterleaved, StreamsSplit} {
-		for _, base := range pipelineMatrix() {
-			cfg := base
-			cfg.Streams = streams
-			cfg.Index = IndexTiles
-			w, err := Compile(cfg)
-			if err != nil {
-				t.Fatal(err)
+	for _, cfg := range pipelineMatrix() {
+		w, err := Compile(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, indexed := indexedRadius(cfg, w.g); indexed != (w.tiling != nil) {
+			t.Fatalf("%s: tiling built = %v, want %v", cfg.Strategy.Kind, w.tiling != nil, indexed)
+		}
+		reused := w.NewRunner()
+		for trial := uint64(0); trial < 2; trial++ {
+			want := reused.RunTrial(trial)
+			if got := w.NewRunner().RunTrial(trial); got != want {
+				t.Fatalf("%s/%s t=%d: fresh runner %+v != reused %+v",
+					cfg.Strategy.Kind, cfg.MissPolicy, trial, got, want)
 			}
-			reused := w.NewRunner()
-			for trial := uint64(0); trial < 2; trial++ {
-				want := reused.RunTrial(trial)
-				if got := w.NewRunner().RunTrial(trial); got != want {
-					t.Fatalf("%s/%s/%s t=%d: fresh runner %+v != reused %+v",
-						cfg.Strategy.Kind, cfg.MissPolicy, streams, trial, got, want)
-				}
-				if got := w.RunTrial(trial); got != want {
-					t.Fatalf("%s/%s/%s t=%d: pooled %+v != reused %+v",
-						cfg.Strategy.Kind, cfg.MissPolicy, streams, trial, got, want)
-				}
-				if got := reused.RunTrial(trial); got != want {
-					t.Fatalf("%s/%s/%s t=%d: rerun %+v != first %+v",
-						cfg.Strategy.Kind, cfg.MissPolicy, streams, trial, got, want)
-				}
+			if got := w.RunTrial(trial); got != want {
+				t.Fatalf("%s/%s t=%d: pooled %+v != reused %+v",
+					cfg.Strategy.Kind, cfg.MissPolicy, trial, got, want)
+			}
+			if got := reused.RunTrial(trial); got != want {
+				t.Fatalf("%s/%s t=%d: rerun %+v != first %+v",
+					cfg.Strategy.Kind, cfg.MissPolicy, trial, got, want)
 			}
 		}
 	}
 }
 
 // TestIndexTilesNoOpWithoutBoundedRadius: for Nearest and for unbounded
-// radii the index has nothing to serve, so IndexTiles must be a true
-// no-op — bit-identical results to IndexNone, not merely equivalent.
+// radii the index has nothing to serve, so Compile builds no tiling and
+// the trial is bit-identical to one whose placements carry no index at
+// all.
 func TestIndexTilesNoOpWithoutBoundedRadius(t *testing.T) {
 	for _, cfg := range []Config{
 		{Side: 10, K: 120, M: 2, Seed: 4, Strategy: StrategySpec{Kind: Nearest}},
@@ -46,13 +49,7 @@ func TestIndexTilesNoOpWithoutBoundedRadius(t *testing.T) {
 		{Side: 10, K: 120, M: 2, Seed: 4, Strategy: StrategySpec{Kind: TwoChoices, Radius: 99}},
 		{Side: 10, K: 120, M: 2, Seed: 4, Strategy: StrategySpec{Kind: Oracle, Radius: -1}},
 	} {
-		plain, err := RunTrial(cfg, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		icfg := cfg
-		icfg.Index = IndexTiles
-		w, err := Compile(icfg)
+		w, err := Compile(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,94 +57,67 @@ func TestIndexTilesNoOpWithoutBoundedRadius(t *testing.T) {
 			t.Fatalf("%s r=%d: tiling built for a configuration the index cannot serve",
 				cfg.Strategy.Kind, cfg.Strategy.Radius)
 		}
-		if got := w.RunTrial(0); got != plain {
-			t.Fatalf("%s r=%d: IndexTiles diverged on a no-op config:\n got %+v\nwant %+v",
-				cfg.Strategy.Kind, cfg.Strategy.Radius, got, plain)
+		if got, want := w.RunTrial(0), exactLadderRunner(w).RunTrial(0); got != want {
+			t.Fatalf("%s r=%d: trial depends on the absent index:\n got %+v\nwant %+v",
+				cfg.Strategy.Kind, cfg.Strategy.Radius, got, want)
 		}
 	}
 }
 
-// TestIndexTilesDiffersFromIndexNone documents that the tile index is a
-// distinct seeded process on bounded radii (its candidate sampling
-// consumes the RNG differently), so nobody mistakes it for a
-// bit-compatible drop-in.
-func TestIndexTilesDiffersFromIndexNone(t *testing.T) {
-	cfg := Config{Side: 12, K: 150, M: 2, Seed: 0x63,
-		Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}}
-	plain, err := RunTrial(cfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Index = IndexTiles
-	tiles, err := RunTrial(cfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain == tiles {
-		t.Fatalf("IndexNone and IndexTiles produced identical trials %+v — disciplines collapsed?", plain)
-	}
+// exactLadderRunner returns a runner of w whose placements carry no tile
+// index, so bounded-radius choice strategies fall back to the exact
+// filter (the core package's path for placements without a TileIndex).
+func exactLadderRunner(w *World) *Runner {
+	r := w.NewRunner()
+	r.placer = cache.NewPlacer(w.g.N(), w.cfg.M, w.cfg.K)
+	return r
 }
 
-// TestIndexValidationAndParse covers the knob's plumbing.
+// TestIndexValidationAndParse: the retired Index knob accepts only its
+// zero value, IndexTiles.
 func TestIndexValidationAndParse(t *testing.T) {
-	bad := Config{Side: 5, K: 10, M: 1, Index: IndexMode(9)}
-	if _, err := Compile(bad); err == nil {
-		t.Error("unknown index mode accepted")
-	}
-	for in, want := range map[string]IndexMode{"": IndexNone, "none": IndexNone, "tiles": IndexTiles} {
-		got, err := ParseIndex(in)
-		if err != nil || got != want {
-			t.Errorf("ParseIndex(%q) = %v, %v; want %v", in, got, err, want)
+	for _, m := range []IndexMode{1, -1, 9} {
+		bad := Config{Side: 5, K: 10, M: 1, Index: m}
+		if _, err := Compile(bad); err == nil {
+			t.Errorf("retired index mode %d accepted", m)
 		}
 	}
-	if _, err := ParseIndex("bogus"); err == nil {
-		t.Error("bogus index mode accepted")
-	}
-	if IndexNone.String() != "none" || IndexTiles.String() != "tiles" {
-		t.Errorf("String(): %v/%v", IndexNone, IndexTiles)
+	if _, err := Compile(Config{Side: 5, K: 10, M: 1, Index: IndexTiles}); err != nil {
+		t.Errorf("IndexTiles rejected: %v", err)
 	}
 }
 
-// TestIndexTilesScalarsPlausible: cross-discipline statistical sanity —
-// the tile index changes trajectories, not distributions, so per-trial
-// scalars must stay in the same regime as IndexNone over a small batch.
+// TestIndexTilesScalarsPlausible: the tile index changes trajectories,
+// not distributions, so per-trial scalars must stay in the same regime
+// as the exact-filter ladder over a small batch.
 func TestIndexTilesScalarsPlausible(t *testing.T) {
-	// Split streams: the request sequence then comes from dedicated
-	// generation streams, so it is identical across index disciplines
-	// and the escalation fraction (placement- and request-determined)
-	// must match exactly. Under interleaved streams the index's
-	// different RNG consumption would shift subsequent requests.
-	base := Config{Side: 20, K: 300, M: 3, Seed: 11, Streams: StreamsSplit,
+	cfg := Config{Side: 20, K: 300, M: 3, Seed: 11,
 		Strategy: StrategySpec{Kind: TwoChoices, Radius: 4}}
-	var plain, tiles Aggregate
+	w, err := Compile(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact, tiles := exactLadderRunner(w), w.NewRunner()
+	var plain, indexed Aggregate
 	for trial := uint64(0); trial < 20; trial++ {
-		r1, err := RunTrial(base, trial)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plain.Add(r1)
-		icfg := base
-		icfg.Index = IndexTiles
-		r2, err := RunTrial(icfg, trial)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tiles.Add(r2)
+		plain.Add(exact.RunTrial(trial))
+		indexed.Add(tiles.RunTrial(trial))
 	}
 	// Means within 4 pooled standard errors; the escalation fraction is
-	// RNG-free given the placement, so it must match exactly.
-	if d := plain.MaxLoad.Mean() - tiles.MaxLoad.Mean(); d > 4*(plain.MaxLoad.SE()+tiles.MaxLoad.SE())+1e-9 || -d > 4*(plain.MaxLoad.SE()+tiles.MaxLoad.SE())+1e-9 {
-		t.Errorf("max-load means diverge: %v vs %v", plain.MaxLoad.Mean(), tiles.MaxLoad.Mean())
+	// RNG-free given the placement and the request streams, which both
+	// ladders share, so it must match exactly.
+	if d := plain.MaxLoad.Mean() - indexed.MaxLoad.Mean(); d > 4*(plain.MaxLoad.SE()+indexed.MaxLoad.SE())+1e-9 || -d > 4*(plain.MaxLoad.SE()+indexed.MaxLoad.SE())+1e-9 {
+		t.Errorf("max-load means diverge: %v vs %v", plain.MaxLoad.Mean(), indexed.MaxLoad.Mean())
 	}
-	if plain.Escalated.Mean() != tiles.Escalated.Mean() {
+	if plain.Escalated.Mean() != indexed.Escalated.Mean() {
 		t.Errorf("escalation fractions diverge: %v vs %v (placement-determined, must be exact)",
-			plain.Escalated.Mean(), tiles.Escalated.Mean())
+			plain.Escalated.Mean(), indexed.Escalated.Mean())
 	}
 }
 
 // TestWideWorldIndexedTrial is the scaled-down widegrid acceptance check
 // under the tile index: multiple chunk boundaries, streaming metrics,
-// split streams, allocation-free steady state.
+// allocation-free steady state.
 func TestWideWorldIndexedTrial(t *testing.T) {
 	side := 120
 	if testing.Short() {
@@ -157,8 +127,6 @@ func TestWideWorldIndexedTrial(t *testing.T) {
 		Side: side, K: 4000, M: 4, Seed: 9,
 		Strategy: StrategySpec{Kind: TwoChoices, Radius: 16},
 		Metrics:  MetricsStreaming,
-		Streams:  StreamsSplit,
-		Index:    IndexTiles,
 	}
 	w, err := Compile(cfg)
 	if err != nil {

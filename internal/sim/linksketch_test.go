@@ -22,9 +22,11 @@ func TestLinkMaxApproxBracketsExact(t *testing.T) {
 		{"small-nearest", Config{Side: 14, K: 200, M: 2, Seed: 5,
 			Strategy: StrategySpec{Kind: Nearest}}, true},
 		{"quick-preset", Config{Side: 40, K: 2000, M: 4, Seed: 7,
-			Strategy: StrategySpec{Kind: TwoChoices, Radius: 8}, Streams: StreamsSplit}, false},
+			Strategy: StrategySpec{Kind: TwoChoices, Radius: 8}}, false},
+		// Zipf popularity: the head files take the index's dense-bitmap path.
 		{"quick-indexed", Config{Side: 40, K: 2000, M: 4, Seed: 7,
-			Strategy: StrategySpec{Kind: TwoChoices, Radius: 8}, Streams: StreamsSplit, Index: IndexTiles}, false},
+			Popularity: PopSpec{Kind: PopZipf, Gamma: 1.2},
+			Strategy:   StrategySpec{Kind: TwoChoices, Radius: 8}}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.exact && 4*tc.cfg.N() > LinkSketchCap {

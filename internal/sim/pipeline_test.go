@@ -6,12 +6,13 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dist"
 	"repro/internal/stats"
 )
 
 // pipelineMatrix is the strategy × miss-policy grid the pipeline
 // invariance tests sweep (torus; the topology dimension is covered by the
-// golden matrix).
+// golden table).
 func pipelineMatrix() []Config {
 	var cfgs []Config
 	for _, kind := range []StrategyKind{Nearest, TwoChoices, OneChoiceRandom, Oracle} {
@@ -37,34 +38,28 @@ func compileChunked(t *testing.T, cfg Config, chunk int) *World {
 }
 
 // TestPipelineChunkInvariance: a trial's result must not depend on how the
-// request block is partitioned into pipeline chunks — for the interleaved
-// discipline because generate+assign stay fused, for the split discipline
-// because each role's stream is consumed in sequential order regardless of
-// batch boundaries (the RequestBatch property lifted to the whole engine).
+// request block is partitioned into pipeline chunks, because each role's
+// stream (origins, files, assignment) is consumed in sequential order
+// regardless of batch boundaries (the RequestBatch property lifted to the
+// whole engine).
 func TestPipelineChunkInvariance(t *testing.T) {
-	for _, streams := range []Streams{StreamsInterleaved, StreamsSplit} {
-		for _, base := range pipelineMatrix() {
-			cfg := base
-			cfg.Streams = streams
-			want := compileChunked(t, cfg, 1).NewRunner().RunTrial(0)
-			for _, chunk := range []int{3, 17, 64, defaultChunk} {
-				got := compileChunked(t, cfg, chunk).NewRunner().RunTrial(0)
-				if got != want {
-					t.Fatalf("%s/%s/%s chunk=%d: %+v != chunk=1 %+v",
-						cfg.Strategy.Kind, cfg.MissPolicy, streams, chunk, got, want)
-				}
+	for _, cfg := range pipelineMatrix() {
+		want := compileChunked(t, cfg, 1).NewRunner().RunTrial(0)
+		for _, chunk := range []int{3, 17, 64, defaultChunk} {
+			got := compileChunked(t, cfg, chunk).NewRunner().RunTrial(0)
+			if got != want {
+				t.Fatalf("%s/%s chunk=%d: %+v != chunk=1 %+v",
+					cfg.Strategy.Kind, cfg.MissPolicy, chunk, got, want)
 			}
 		}
 	}
 }
 
-// TestSplitStreamsDeterministic: the split discipline is a first-class
-// citizen of the determinism contract — reused runner, fresh runner and
-// pooled World.RunTrial agree, and reruns reproduce.
+// TestSplitStreamsDeterministic: the split request streams honour the
+// determinism contract — reused runner, fresh runner and pooled
+// World.RunTrial agree, and reruns reproduce.
 func TestSplitStreamsDeterministic(t *testing.T) {
-	for _, base := range pipelineMatrix() {
-		cfg := base
-		cfg.Streams = StreamsSplit
+	for _, cfg := range pipelineMatrix() {
 		w, err := Compile(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -88,55 +83,29 @@ func TestSplitStreamsDeterministic(t *testing.T) {
 	}
 }
 
-// TestSplitStreamsDifferFromInterleaved documents that the two
-// disciplines are distinct seeded processes (the split streams are new RNG
-// namespaces), so nobody mistakes StreamsSplit for a bit-compatible
-// drop-in: estimator distributions match, trajectories do not.
-func TestSplitStreamsDifferFromInterleaved(t *testing.T) {
-	cfg := Config{Side: 10, K: 120, M: 2, Seed: 77,
-		Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}}
-	inter, err := RunTrial(cfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Streams = StreamsSplit
-	split, err := RunTrial(cfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inter == split {
-		t.Fatalf("interleaved and split produced identical trials %+v — namespaces collapsed?", inter)
-	}
-}
-
 // TestMetricsModesAgreeOnScalars: the instrumentation knob must be purely
 // additive — scalar, links and streaming modes report identical
-// Definition 1 scalars for identical (cfg, trial) pairs, under both
-// stream disciplines.
+// Definition 1 scalars for identical (cfg, trial) pairs.
 func TestMetricsModesAgreeOnScalars(t *testing.T) {
-	for _, streams := range []Streams{StreamsInterleaved, StreamsSplit} {
-		for _, base := range pipelineMatrix() {
-			cfg := base
-			cfg.Streams = streams
-			want, err := RunTrial(cfg, 1)
+	for _, cfg := range pipelineMatrix() {
+		want, err := RunTrial(cfg, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []MetricsMode{MetricsLinks, MetricsStreaming} {
+			mcfg := cfg
+			mcfg.Metrics = mode
+			got, err := RunTrial(mcfg, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, mode := range []MetricsMode{MetricsLinks, MetricsStreaming} {
-				mcfg := cfg
-				mcfg.Metrics = mode
-				got, err := RunTrial(mcfg, 1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				// Blank the mode-specific extras; the scalars must match.
-				got.MaxLinkLoad, got.LinkCongestion = 0, 0
-				got.Streamed, got.HopMax, got.HopStd, got.LoadP99 = false, 0, 0, 0
-				got.LinkMaxApprox = 0
-				if got != want {
-					t.Fatalf("%s/%s/%s metrics=%s: scalars %+v != %+v",
-						cfg.Strategy.Kind, cfg.MissPolicy, streams, mode, got, want)
-				}
+			// Blank the mode-specific extras; the scalars must match.
+			got.MaxLinkLoad, got.LinkCongestion = 0, 0
+			got.Streamed, got.HopMax, got.HopStd, got.LoadP99 = false, 0, 0, 0
+			got.LinkMaxApprox = 0
+			if got != want {
+				t.Fatalf("%s/%s metrics=%s: scalars %+v != %+v",
+					cfg.Strategy.Kind, cfg.MissPolicy, mode, got, want)
 			}
 		}
 	}
@@ -157,7 +126,8 @@ func TestStreamingMetricsMatchSequentialOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Oracle: the pre-pipeline sequential loop over the same world state.
+	// Oracle: an unchunked sequential loop over the same world state and
+	// streams.
 	oracle := cfg
 	oracle.Metrics = MetricsScalar
 	w, err := Compile(oracle)
@@ -168,14 +138,16 @@ func TestStreamingMetricsMatchSequentialOracle(t *testing.T) {
 	placement := r.placer.Place(w.placeProfile, w.cfg.PlacementMode, r.place.stream(w.placeSrc, trial))
 	strat := r.strategy(placement)
 	sampler := r.fileSampler(placement)
-	reqRNG := r.req.stream(w.reqSrc, trial)
+	originRNG, fileRNG := w.RequestStream(trial)
+	assignRNG := r.assign.stream(w.assignSrc, trial)
 	r.loads.Reset()
 	var hopMoments stats.Summary // Welford, as the streaming accumulator folds
 	hopSum := 0.0                // plain running sum, as MeanCost folds
 	hopMax := 0
 	for i := 0; i < w.nReq; i++ {
-		req := core.Request{Origin: int32(reqRNG.IntN(w.g.N())), File: int32(sampler.Sample(reqRNG))}
-		a := strat.Assign(req, r.loads, reqRNG)
+		var origin, file [1]int32
+		dist.RequestBatch(originRNG, fileRNG, w.g.N(), sampler, origin[:], file[:])
+		a := strat.Assign(core.Request{Origin: origin[0], File: file[0]}, r.loads, assignRNG)
 		r.loads.Add(int(a.Server))
 		hopMoments.Add(float64(a.Hops))
 		hopSum += float64(a.Hops)
@@ -273,7 +245,8 @@ func TestStreamingExtrasSurviveZeroHops(t *testing.T) {
 	}
 }
 
-// TestMetricsStreamsValidation covers the new knob validation.
+// TestMetricsStreamsValidation covers the metrics knob's validation and
+// the retired Streams knob, which accepts only its zero value.
 func TestMetricsStreamsValidation(t *testing.T) {
 	base := Config{Side: 5, K: 10, M: 1}
 	bad := base
@@ -281,25 +254,17 @@ func TestMetricsStreamsValidation(t *testing.T) {
 	if _, err := Compile(bad); err == nil {
 		t.Error("unknown metrics mode accepted")
 	}
-	bad = base
-	bad.Streams = Streams(9)
-	if _, err := Compile(bad); err == nil {
-		t.Error("unknown streams discipline accepted")
-	}
-	bad = base
-	bad.CollectLinks = true
-	bad.Metrics = MetricsStreaming
-	if _, err := Compile(bad); err == nil {
-		t.Error("CollectLinks + MetricsStreaming accepted")
+	for _, s := range []Streams{1, -1, 9} {
+		bad = base
+		bad.Streams = s
+		if _, err := Compile(bad); err == nil {
+			t.Errorf("retired streams value %d accepted", s)
+		}
 	}
 	ok := base
-	ok.CollectLinks = true
-	res, err := RunTrial(ok, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MaxLinkLoad == 0 {
-		t.Error("CollectLinks no longer upgrades to MetricsLinks")
+	ok.Streams = StreamsSplit
+	if _, err := Compile(ok); err != nil {
+		t.Errorf("StreamsSplit rejected: %v", err)
 	}
 }
 
@@ -307,8 +272,8 @@ func TestMetricsStreamsValidation(t *testing.T) {
 // request engine at the paper-scale acceptance point (MissResample with
 // uncached files every trial, so the conditioned sampler is rebuilt into
 // the arenas each time): a warmed Runner allocates nothing per trial, and
-// the pooled World.RunTrial convenience stays ≤ 1 alloc/op. The split
-// discipline and the streaming metrics mode are held to the same bar.
+// the pooled World.RunTrial convenience stays ≤ 1 alloc/op. The streaming
+// metrics mode and the nearest-replica scan are held to the same bar.
 func TestRunTrialSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates and disables pool caching")
@@ -317,16 +282,9 @@ func TestRunTrialSteadyStateAllocs(t *testing.T) {
 		name string
 		mut  func(*Config)
 	}{
-		{"interleaved-scalar", func(*Config) {}},
-		{"split-scalar", func(c *Config) { c.Streams = StreamsSplit }},
-		{"split-streaming", func(c *Config) { c.Streams = StreamsSplit; c.Metrics = MetricsStreaming }},
-		{"interleaved-streaming", func(c *Config) { c.Metrics = MetricsStreaming }},
-		{"tiles-scalar", func(c *Config) { c.Index = IndexTiles }},
-		{"tiles-split-streaming", func(c *Config) {
-			c.Index = IndexTiles
-			c.Streams = StreamsSplit
-			c.Metrics = MetricsStreaming
-		}},
+		{"scalar", func(*Config) {}},
+		{"streaming", func(c *Config) { c.Metrics = MetricsStreaming }},
+		{"nearest-scalar", func(c *Config) { c.Strategy = StrategySpec{Kind: Nearest} }},
 	} {
 		cfg := paperScaleCfg()
 		variant.mut(&cfg)
@@ -377,7 +335,7 @@ func TestChunkBuffersSizedToRequests(t *testing.T) {
 
 // TestWideWorldStreamingTrial is a scaled-down widegrid acceptance check
 // that still crosses multiple chunk boundaries and runs both strategies
-// with streaming metrics + split streams on a torus larger than every
+// with streaming metrics on a torus larger than every
 // paper figure; the full Side=1000 (n=10⁶) point runs in
 // BenchmarkWideWorldTrial and the widegrid experiment's paper preset.
 func TestWideWorldStreamingTrial(t *testing.T) {
@@ -390,7 +348,6 @@ func TestWideWorldStreamingTrial(t *testing.T) {
 			Side: side, K: 4000, M: 4, Seed: 9,
 			Strategy: StrategySpec{Kind: kind, Radius: 16},
 			Metrics:  MetricsStreaming,
-			Streams:  StreamsSplit,
 		}
 		w, err := Compile(cfg)
 		if err != nil {

@@ -1,0 +1,271 @@
+package sim
+
+import (
+	"maps"
+	"math"
+	"math/rand/v2"
+	"slices"
+	"testing"
+
+	"repro/internal/cache"
+	"repro/internal/dist"
+	"repro/internal/grid"
+)
+
+// referenceTrial is a brute-force Strategy II (and one-choice / oracle)
+// trial: trial t's placement and split request streams, exactly as
+// RunTrial draws them, assigned by scanning every replica of the file
+// with grid.Dist, drawing d candidates uniformly from those within r
+// (distinct under WithoutReplacement) and taking the least loaded, ties
+// uniform. Its own rng draws the candidates, so it matches the engine in
+// law, not trajectory. Homogeneous, fault-free, churn-free worlds only.
+func referenceTrial(w *World, t uint64, rng *rand.Rand) Result {
+	cfg, g, n := w.cfg, w.g, w.g.N()
+	var placeRNG reseedRand
+	p := cache.NewPlacer(n, cfg.M, cfg.K).Place(w.placeProfile, cfg.PlacementMode, placeRNG.stream(w.placeSrc, t))
+	pop := w.pop
+	if cfg.MissPolicy == MissResample && p.UncachedCount() > 0 {
+		weights := make([]float64, cfg.K)
+		for _, j := range p.CachedFiles() {
+			weights[j] = w.pop.P(int(j))
+		}
+		pop = dist.NewCustom(weights, w.condName)
+	}
+	origins, files := make([]int32, w.nReq), make([]int32, w.nReq)
+	originRNG, fileRNG := w.RequestStream(t)
+	dist.RequestBatch(originRNG, fileRNG, n, pop, origins, files)
+
+	sp := cfg.Strategy
+	d := max(sp.Choices, 2)
+	if sp.Kind == OneChoiceRandom {
+		d = 1
+	}
+	radius := sp.Radius
+	if radius < 0 || radius >= g.Diameter() {
+		radius = g.Diameter()
+	}
+	// The oracle escalates on an empty ball under every miss policy; only
+	// the sampling strategies honour MissOrigin's backhaul.
+	noEscalate := cfg.MissPolicy == MissOrigin && sp.Kind != Oracle
+	loads := make([]int, n)
+	res := Result{Requests: w.nReq, Uncached: p.UncachedCount()}
+	var hops float64
+	var pool, cand []int32
+	for i, u := range origins {
+		reps := p.Replicas(int(files[i]))
+		pool = pool[:0]
+		for _, v := range reps {
+			if g.Dist(int(u), int(v)) <= radius {
+				pool = append(pool, v)
+			}
+		}
+		server := u
+		switch {
+		case len(reps) == 0, len(pool) == 0 && noEscalate:
+			res.Backhaul++
+		default:
+			if len(pool) == 0 {
+				pool = append(pool, reps...)
+				res.Escalated++
+			}
+			switch {
+			case sp.Kind == Oracle || sp.WithoutReplacement && d >= len(pool):
+				cand = append(cand[:0], pool...)
+			case sp.WithoutReplacement:
+				for k := 0; k < d; k++ { // partial Fisher–Yates
+					j := k + rng.IntN(len(pool)-k)
+					pool[k], pool[j] = pool[j], pool[k]
+				}
+				cand = append(cand[:0], pool[:d]...)
+			default:
+				cand = cand[:0]
+				for range d {
+					cand = append(cand, pool[rng.IntN(len(pool))])
+				}
+			}
+			best, ties := cand[0], 1
+			for _, v := range cand[1:] {
+				switch lv, lb := loads[v], loads[best]; {
+				case lv < lb:
+					best, ties = v, 1
+				case lv == lb:
+					if ties++; rng.IntN(ties) == 0 {
+						best = v
+					}
+				}
+			}
+			server = best
+			hops += float64(g.Dist(int(u), int(server)))
+		}
+		loads[server]++
+	}
+	res.MaxLoad = slices.Max(loads)
+	res.MeanCost = hops / float64(w.nReq)
+	return res
+}
+
+// referenceConfigs span the reference comparison: torus and bounded
+// grid, Zipf with dense files, d = 4 without replacement, the oracle, and
+// all three miss policies.
+var referenceConfigs = []struct {
+	name string
+	cfg  Config
+}{
+	{"torus/resample", Config{Side: 16, K: 60, M: 4, Seed: 0x63, Strategy: StrategySpec{Kind: TwoChoices, Radius: 4}}},
+	{"grid/escalate", Config{Side: 12, K: 150, M: 2, Seed: 0x63, Topology: grid.Bounded, MissPolicy: MissEscalate, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}}},
+	{"zipf/origin", Config{Side: 12, K: 150, M: 2, Seed: 0x63, Popularity: PopSpec{Kind: PopZipf, Gamma: 1.2}, MissPolicy: MissOrigin, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}}},
+	{"d4-distinct", Config{Side: 12, K: 100, M: 2, Seed: 0x7, Strategy: StrategySpec{Kind: TwoChoices, Radius: 4, Choices: 4, WithoutReplacement: true}}},
+	{"oracle", Config{Side: 12, K: 150, M: 2, Seed: 0x63, Strategy: StrategySpec{Kind: Oracle, Radius: 3}}},
+}
+
+// referencePValues compares engine (RunTrial of cfg) against the
+// reference over trials. Trial t of both shares its placement and
+// requests, so their escalation, backhaul and uncached counts must agree
+// exactly (RNG-free given those); the law comparison pairs engine trials
+// [trials, 2·trials) with reference trials [0, trials), which are
+// independent samples. It returns the chi² homogeneity p-value of the
+// MaxLoad histograms and the two-sample KS p-value of MeanCost.
+func referencePValues(t *testing.T, cfg Config, trials int) (chi2P, ksP float64) {
+	w, err := Compile(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := w.NewRunner()
+	rng := rand.New(rand.NewPCG(cfg.Seed, 0x5eed))
+	var engLoad, refLoad []int
+	var engCost, refCost []float64
+	for i := range trials {
+		ref := referenceTrial(w, uint64(i), rng)
+		eng := r.RunTrial(uint64(i))
+		if eng.Escalated != ref.Escalated || eng.Backhaul != ref.Backhaul || eng.Uncached != ref.Uncached || eng.Requests != ref.Requests {
+			t.Fatalf("trial %d: engine %+v and reference %+v disagree on RNG-free counts", i, eng, ref)
+		}
+		eng = r.RunTrial(uint64(trials + i))
+		engLoad, refLoad = append(engLoad, eng.MaxLoad), append(refLoad, ref.MaxLoad)
+		engCost, refCost = append(engCost, eng.MeanCost), append(refCost, ref.MeanCost)
+	}
+	return chi2Homogeneity(engLoad, refLoad), ksTwoSample(engCost, refCost)
+}
+
+// TestReferenceMatchesRunTrial: the engine's Strategy II law equals the
+// brute-force reference on every reference configuration. The seeds are
+// fixed, so the p-values are too (docs/perf.md records them); 1e-3 is a
+// Bonferroni-style floor over the ten tests.
+func TestReferenceMatchesRunTrial(t *testing.T) {
+	for _, rc := range referenceConfigs {
+		chi2P, ksP := referencePValues(t, rc.cfg, 200)
+		t.Logf("%-16s MaxLoad chi² p=%.3f  MeanCost KS p=%.3f", rc.name, chi2P, ksP)
+		if chi2P < 1e-3 || ksP < 1e-3 {
+			t.Errorf("%s: engine law departs from the reference (chi² p=%.2g, KS p=%.2g)", rc.name, chi2P, ksP)
+		}
+	}
+}
+
+// chi2Homogeneity is the two-sample chi² homogeneity test over integer
+// histograms, with adjacent values pooled until every bin expects ≥ 5.
+func chi2Homogeneity(a, b []int) float64 {
+	hist := map[int][2]float64{}
+	for s, xs := range [][]int{a, b} {
+		for _, x := range xs {
+			h := hist[x]
+			h[s]++
+			hist[x] = h
+		}
+	}
+	keys := slices.Sorted(maps.Keys(hist))
+	na, nb := float64(len(a)), float64(len(b))
+	var bins [][2]float64
+	var acc [2]float64
+	for i, k := range keys {
+		acc[0] += hist[k][0]
+		acc[1] += hist[k][1]
+		if (acc[0]+acc[1])*min(na, nb)/(na+nb) >= 5 || i == len(keys)-1 {
+			bins = append(bins, acc)
+			acc = [2]float64{}
+		}
+	}
+	if len(bins) > 1 && (bins[len(bins)-1][0]+bins[len(bins)-1][1])*min(na, nb)/(na+nb) < 5 {
+		last := bins[len(bins)-1]
+		bins = bins[:len(bins)-1]
+		bins[len(bins)-1][0] += last[0]
+		bins[len(bins)-1][1] += last[1]
+	}
+	if len(bins) < 2 {
+		return 1
+	}
+	var stat float64
+	for _, o := range bins {
+		tot := o[0] + o[1]
+		for s, ns := range [2]float64{na, nb} {
+			e := tot * ns / (na + nb)
+			stat += (o[s] - e) * (o[s] - e) / e
+		}
+	}
+	return gammaQ(float64(len(bins)-1)/2, stat/2)
+}
+
+// gammaQ is the regularized upper incomplete gamma function Q(a, x): a
+// series below a+1, Lentz's continued fraction above.
+func gammaQ(a, x float64) float64 {
+	if x <= 0 {
+		return 1
+	}
+	lg, _ := math.Lgamma(a)
+	pre := math.Exp(-x + a*math.Log(x) - lg)
+	if x < a+1 {
+		sum, del := 1/a, 1/a
+		for ap := a + 1; math.Abs(del) > 1e-15*math.Abs(sum); ap++ {
+			del *= x / ap
+			sum += del
+		}
+		return 1 - sum*pre
+	}
+	const tiny = 1e-300
+	b := x + 1 - a
+	c, d := 1/tiny, 1/b
+	h := d
+	for i := 1.0; i < 1000; i++ {
+		an := -i * (i - a)
+		b += 2
+		if d = an*d + b; math.Abs(d) < tiny {
+			d = tiny
+		}
+		if c = b + an/c; math.Abs(c) < tiny {
+			c = tiny
+		}
+		d = 1 / d
+		h *= d * c
+		if math.Abs(d*c-1) < 1e-15 {
+			break
+		}
+	}
+	return pre * h
+}
+
+// ksTwoSample is the two-sample Kolmogorov–Smirnov p-value (asymptotic
+// distribution with Stephens' small-sample correction).
+func ksTwoSample(a, b []float64) float64 {
+	a, b = slices.Sorted(slices.Values(a)), slices.Sorted(slices.Values(b))
+	var dmax float64
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		x := min(a[i], b[j])
+		for i < len(a) && a[i] == x {
+			i++
+		}
+		for j < len(b) && b[j] == x {
+			j++
+		}
+		dmax = max(dmax, math.Abs(float64(i)/float64(len(a))-float64(j)/float64(len(b))))
+	}
+	ne := math.Sqrt(float64(len(a)*len(b)) / float64(len(a)+len(b)))
+	lambda := (ne + 0.12 + 0.11/ne) * dmax
+	if lambda < 1.18 { // the small-λ form of the Kolmogorov CDF converges fast here
+		if lambda == 0 {
+			return 1
+		}
+		y := math.Exp(-math.Pi * math.Pi / (8 * lambda * lambda))
+		return 1 - math.Sqrt(2*math.Pi)/lambda*(y+math.Pow(y, 9)+math.Pow(y, 25)+math.Pow(y, 49))
+	}
+	x := math.Exp(-2 * lambda * lambda)
+	return 2 * (x - math.Pow(x, 4) + math.Pow(x, 9))
+}

@@ -43,22 +43,22 @@ import (
 // Determinism. ShardDeterministic strategies read the frozen base load
 // vector, which no one writes during a chunk, so assignments within a
 // chunk are a pure function of the granule streams: results are
-// bit-identical for every P ≥ 1 (pinned by TestGoldenMatrixParallel and
-// the P-sweep property tests). This batched-visibility process is
-// deliberately a *distinct seeded process* from the sequential engine —
-// the same convention as StreamsSplit and IndexTiles, each frozen by
-// its own golden matrix, with Workers = 0 keeping the sequential
-// goldens bit-identical. ShardRacy swaps the frozen snapshot for one
-// shared ballsbins.AtomicLoads: reads are live but unsynchronized with
-// other workers' in-flight adds (balls into bins with outdated
-// information), so assignment outcomes are scheduling-dependent while
-// generation stays on the deterministic granule streams.
+// bit-identical for every P ≥ 1 (pinned by the golden table's sharded
+// pins, replayed at P ∈ {1, 2, 4, 8}, and the P-sweep property tests).
+// This batched-visibility process is deliberately a *distinct seeded
+// process* from the sequential engine (Workers = 0), whose loads update
+// after every request as in the paper's sequential model. ShardRacy
+// swaps the frozen snapshot for one shared ballsbins.AtomicLoads: reads
+// are live but unsynchronized with other workers' in-flight adds (balls
+// into bins with outdated information), so assignment outcomes are
+// scheduling-dependent while generation stays on the deterministic
+// granule streams.
 
 // shardGranule is the fixed request-count unit of shard ownership and
 // RNG stream derivation: small enough to balance shards within a
 // 1024-request chunk at P = 8, large enough that per-granule reseeding
 // (three PCG seeds per granule) is noise. Part of the seeded process
-// frozen by the parallel golden matrix.
+// frozen by the golden table's sharded pins.
 const shardGranule = 64
 
 // shardAcct is one shard's order-insensitive chunk account. Hop counts
@@ -97,7 +97,7 @@ func (r *Runner) initShards() {
 	if w.cfg.Shard == ShardRacy && r.atomicLoads == nil {
 		r.atomicLoads = ballsbins.NewAtomicLoads(w.g.N())
 	}
-	if w.metrics == MetricsStreaming && r.granAccs == nil {
+	if w.cfg.Metrics == MetricsStreaming && r.granAccs == nil {
 		g := (min(w.chunk, w.nReq) + shardGranule - 1) / shardGranule
 		r.granAccs = make([]*stats.Accumulator, g)
 		for i := range r.granAccs {
@@ -146,7 +146,7 @@ func (r *Runner) runTrialSharded(t uint64) Result {
 	res := Result{Requests: w.nReq, Uncached: placement.UncachedCount()}
 	var links *routing.LinkLoads
 	var hopAcc *stats.Accumulator
-	switch w.metrics {
+	switch w.cfg.Metrics {
 	case MetricsLinks:
 		if r.links == nil {
 			r.links = routing.NewLinkLoads(w.g)

@@ -6,15 +6,14 @@ import (
 )
 
 // shardMatrix spans the discipline surface of the sharded engine:
-// strategies × miss policies, plus index, churn, and metrics variants.
-// All configs run StreamsSplit (a Workers requirement) at a scale with
-// several chunks per trial so the barrier machinery is exercised.
+// strategies × miss policies, plus churn and metrics variants, at a
+// scale with several chunks per trial so the barrier machinery is
+// exercised.
 func shardMatrix() []Config {
 	base := Config{
 		Side: 10, K: 120, M: 2,
 		Popularity: PopSpec{Kind: PopZipf, Gamma: 0.9},
 		Requests:   4096,
-		Streams:    StreamsSplit,
 		Seed:       0x5eed,
 	}
 	var cfgs []Config
@@ -26,11 +25,6 @@ func shardMatrix() []Config {
 			cfgs = append(cfgs, cfg)
 		}
 	}
-	tiles := base
-	tiles.Strategy = StrategySpec{Kind: TwoChoices, Radius: 3}
-	tiles.Index = IndexTiles
-	cfgs = append(cfgs, tiles)
-
 	churn := base
 	churn.Strategy = StrategySpec{Kind: TwoChoices, Radius: 3}
 	churn.Churn = ChurnReplicas
@@ -39,7 +33,6 @@ func shardMatrix() []Config {
 
 	drift := churn
 	drift.Churn = ChurnDrift
-	drift.Index = IndexTiles
 	cfgs = append(cfgs, drift)
 
 	streaming := base
@@ -58,8 +51,8 @@ func shardMatrix() []Config {
 // TestShardDeterministicWorkerInvariance is the parallel-equivalence
 // property: under ShardDeterministic, a trial's Result is a pure
 // function of (cfg, trial) — bit-identical across every worker count —
-// for every chunk size. This is the invariant that lets the parallel
-// golden matrix be captured at P=1 and enforced at any P.
+// for every chunk size. This is the invariant that lets the golden
+// table's sharded pins be captured at one P and enforced at any P.
 func TestShardDeterministicWorkerInvariance(t *testing.T) {
 	for _, cfg := range shardMatrix() {
 		for _, chunk := range []int{64, 1024} {
@@ -129,7 +122,7 @@ func TestShardChunkInvariance(t *testing.T) {
 // TestShardValidation pins the config surface errors of the sharded
 // engine.
 func TestShardValidation(t *testing.T) {
-	ok := Config{Side: 6, K: 30, M: 2, Streams: StreamsSplit, Workers: 2}
+	ok := Config{Side: 6, K: 30, M: 2, Workers: 2}
 	if _, err := Compile(ok); err != nil {
 		t.Fatalf("valid sharded config rejected: %v", err)
 	}
@@ -139,7 +132,6 @@ func TestShardValidation(t *testing.T) {
 	}{
 		{"negative workers", func(c *Config) { c.Workers = -1 }},
 		{"racy without workers", func(c *Config) { c.Workers = 0; c.Shard = ShardRacy }},
-		{"workers with interleaved streams", func(c *Config) { c.Streams = StreamsInterleaved }},
 		{"chunk not granule-aligned", func(c *Config) { c.Chunk = 96 }},
 		{"negative chunk", func(c *Config) { c.Chunk = -1 }},
 		{"unknown shard mode", func(c *Config) { c.Shard = ShardRacy + 1 }},
@@ -181,7 +173,6 @@ func TestShardRacySanity(t *testing.T) {
 		Popularity: PopSpec{Kind: PopZipf, Gamma: 0.9},
 		Strategy:   StrategySpec{Kind: TwoChoices, Radius: 3},
 		Requests:   4096,
-		Streams:    StreamsSplit,
 		Workers:    4,
 		Shard:      ShardRacy,
 		Seed:       0x5eed,
@@ -234,15 +225,13 @@ func TestShardRacyChurnStress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test")
 	}
-	for _, ix := range []IndexMode{IndexNone, IndexTiles} {
+	for _, kind := range []StrategyKind{TwoChoices, Oracle} {
 		cfg := Config{
 			Side: 16, K: 400, M: 2,
 			Popularity: PopSpec{Kind: PopZipf, Gamma: 1.1},
-			Strategy:   StrategySpec{Kind: TwoChoices, Radius: 4},
+			Strategy:   StrategySpec{Kind: kind, Radius: 4},
 			Requests:   16 * 1024,
 			Metrics:    MetricsStreaming,
-			Streams:    StreamsSplit,
-			Index:      ix,
 			Churn:      ChurnReplicas,
 			ChurnRate:  0.5,
 			Workers:    8,
@@ -257,13 +246,13 @@ func TestShardRacyChurnStress(t *testing.T) {
 		for trial := uint64(0); trial < 4; trial++ {
 			res := w.RunTrial(trial)
 			if res.Requests != cfg.Requests {
-				t.Fatalf("index=%v t=%d: Requests = %d, want %d", ix, trial, res.Requests, cfg.Requests)
+				t.Fatalf("%v t=%d: Requests = %d, want %d", kind, trial, res.Requests, cfg.Requests)
 			}
 			if res.ChurnEvents == 0 {
-				t.Errorf("index=%v t=%d: churn never fired under rate %v", ix, trial, cfg.ChurnRate)
+				t.Errorf("%v t=%d: churn never fired under rate %v", kind, trial, cfg.ChurnRate)
 			}
 			if res.MaxLoad <= 0 || !res.Streamed {
-				t.Errorf("index=%v t=%d: implausible result %+v", ix, trial, res)
+				t.Errorf("%v t=%d: implausible result %+v", kind, trial, res)
 			}
 		}
 	}
@@ -277,7 +266,6 @@ func TestShardWideWorkerCounts(t *testing.T) {
 		Side: 6, K: 60, M: 2,
 		Strategy: StrategySpec{Kind: TwoChoices, Radius: 2},
 		Requests: 128, // 2 granules per 64-chunk
-		Streams:  StreamsSplit,
 		Chunk:    64,
 		Seed:     9,
 	}
@@ -312,7 +300,6 @@ func TestShardRunnerReuse(t *testing.T) {
 		Strategy:   StrategySpec{Kind: TwoChoices, Radius: 3},
 		Requests:   2048,
 		Metrics:    MetricsStreaming,
-		Streams:    StreamsSplit,
 		Workers:    4,
 		Seed:       0x77,
 	}
@@ -342,7 +329,6 @@ func TestShardAggregateAcrossWorkers(t *testing.T) {
 		Side: 8, K: 80, M: 2,
 		Strategy: StrategySpec{Kind: TwoChoices, Radius: 3},
 		Requests: 1024,
-		Streams:  StreamsSplit,
 		Workers:  2,
 		Seed:     5,
 	}
@@ -377,7 +363,6 @@ func ExampleConfig_workers() {
 	cfg := Config{
 		Side: 8, K: 64, M: 2,
 		Strategy: StrategySpec{Kind: TwoChoices, Radius: 3},
-		Streams:  StreamsSplit,
 		Workers:  4,
 		Seed:     1,
 	}
@@ -410,16 +395,11 @@ func TestShardedTrialSteadyStateAllocs(t *testing.T) {
 	}{
 		{"det-scalar-p4", func(c *Config) { c.Workers = 4 }},
 		{"det-streaming-p4", func(c *Config) { c.Workers = 4; c.Metrics = MetricsStreaming }},
-		{"det-tiles-streaming-p8", func(c *Config) {
-			c.Workers = 8
-			c.Index = IndexTiles
-			c.Metrics = MetricsStreaming
-		}},
+		{"det-streaming-p8", func(c *Config) { c.Workers = 8; c.Metrics = MetricsStreaming }},
 		{"racy-scalar-p4", func(c *Config) { c.Workers = 4; c.Shard = ShardRacy }},
 		{"det-churn-p4", func(c *Config) { c.Workers = 4; c.Churn = ChurnReplicas; c.ChurnRate = 0.25 }},
 	} {
 		cfg := paperScaleCfg()
-		cfg.Streams = StreamsSplit
 		variant.mut(&cfg)
 		w, err := Compile(cfg)
 		if err != nil {

@@ -181,90 +181,35 @@ func ParseMetricsMode(s string) (MetricsMode, error) {
 	return 0, fmt.Errorf("sim: unknown metrics mode %q (want scalar, links or streaming)", s)
 }
 
-// Streams selects the request-phase RNG discipline.
+// Streams is the retired request-discipline knob. Every trial draws its
+// origins, files and strategy picks from three dedicated per-trial
+// streams (xrand namespaces 3, 4 and 5), which is what lets the engine
+// generate whole chunks through dist.RequestBatch.
+//
+// Deprecated: split streams are the only discipline; leave Config.Streams
+// unset. Config accepts only the zero value, StreamsSplit.
 type Streams int
 
-const (
-	// StreamsInterleaved is the legacy discipline: one stream per trial,
-	// consumed request by request — origin and file draws interleaved with
-	// the strategy's candidate sampling and tie breaks. Bit-compatible
-	// with every pre-pipeline golden. Default.
-	StreamsInterleaved Streams = iota
-	// StreamsSplit derives three independent per-trial streams (origins,
-	// files, assignment), decoupling id generation from the strategy's
-	// draws. That makes generation batchable — the engine pre-draws whole
-	// chunks through dist.RequestBatch — and results invariant to the
-	// chunk partition (property-tested). Statistically equivalent to, but
-	// not bit-identical with, StreamsInterleaved.
-	StreamsSplit
-)
+// StreamsSplit is the split-stream request discipline: the zero value of
+// Streams and the only one Config accepts.
+//
+// Deprecated: leave Config.Streams unset.
+const StreamsSplit Streams = 0
 
-// String implements fmt.Stringer.
-func (s Streams) String() string {
-	switch s {
-	case StreamsInterleaved:
-		return "interleaved"
-	case StreamsSplit:
-		return "split"
-	default:
-		return fmt.Sprintf("Streams(%d)", int(s))
-	}
-}
-
-// ParseStreams converts a CLI name.
-func ParseStreams(s string) (Streams, error) {
-	switch s {
-	case "interleaved", "":
-		return StreamsInterleaved, nil
-	case "split":
-		return StreamsSplit, nil
-	}
-	return 0, fmt.Errorf("sim: unknown streams discipline %q (want interleaved or split)", s)
-}
-
-// IndexMode selects the candidate-enumeration discipline of the
-// radius-bounded choice strategies.
+// IndexMode is the retired candidate-ladder knob. Bounded-radius choice
+// strategies always enumerate S_j ∩ B_r(u) through the tile-bucketed
+// replica index (cache.TileIndex over grid.Tiling); Nearest and unbounded
+// radii have nothing for it to serve and build no tiling.
+//
+// Deprecated: the tile index is the only ladder; leave Config.Index unset.
+// Config accepts only the zero value, IndexTiles.
 type IndexMode int
 
-const (
-	// IndexNone is the PR 3 discipline: rejection sampling from the
-	// denser side of S_j ∩ B_r(u) with an exact-filter fallback that
-	// costs O(min(|S_j|, |B_r|)) per miss. Bit-compatible with every
-	// pinned golden. Default.
-	IndexNone IndexMode = iota
-	// IndexTiles compiles a tile-bucketed spatial replica index into the
-	// world (cache.TileIndex over grid.Tiling): S_j ∩ B_r(u) is
-	// enumerated by walking only the O((r/t+2)²) tiles overlapping the
-	// ball, and candidates are drawn by a two-stage sampler (replica-
-	// count-weighted tile draw, then uniform within the tile) — the same
-	// uniform law as IndexNone but a distinct seeded process, pinned by
-	// its own golden matrix. This is what makes 10⁶-node bounded-radius
-	// trials sub-second; it is a no-op for Nearest and unbounded radii.
-	IndexTiles
-)
-
-// String implements fmt.Stringer.
-func (m IndexMode) String() string {
-	switch m {
-	case IndexNone:
-		return "none"
-	case IndexTiles:
-		return "tiles"
-	default:
-		return fmt.Sprintf("IndexMode(%d)", int(m))
-	}
-}
-
-// ParseIndex converts a CLI name.
-func ParseIndex(s string) (IndexMode, error) {
-	switch s {
-	case "none", "":
-		return IndexNone, nil
-	case "tiles":
-		return IndexTiles, nil
-	}
-	return 0, fmt.Errorf("sim: unknown index mode %q (want none or tiles)", s)
-}
+// IndexTiles is the tile-index candidate ladder: the zero value of
+// IndexMode and the only one Config accepts.
+//
+// Deprecated: leave Config.Index unset.
+const IndexTiles IndexMode = 0
 
 // ChurnMode selects the mid-trial placement-mutation discipline — the
 // engine side of the paper's §VI dynamic regime, where caches evict and
@@ -336,11 +281,10 @@ const (
 	// churn) serially in request order at the barrier. Request ids and
 	// strategy draws come from per-granule RNG streams (see shardGranule),
 	// so the result is a pure function of (cfg, trial) — bit-identical
-	// across every worker count P ≥ 1, pinned by the parallel golden
-	// matrix. It is a distinct seeded process from the sequential engine
-	// (frozen-snapshot chunk semantics vs live per-request loads), exactly
-	// as StreamsSplit and IndexTiles are distinct processes from their
-	// predecessors. Default.
+	// across every worker count P ≥ 1, pinned by the golden table's
+	// sharded pins. It is a distinct seeded process from the sequential
+	// engine (frozen-snapshot chunk semantics vs live per-request loads).
+	// Default.
 	ShardDeterministic ShardMode = iota
 	// ShardRacy shares one atomic load vector among the workers: adds are
 	// atomic increments, reads are atomic but unsynchronized with other
@@ -458,11 +402,13 @@ type Config struct {
 	// Metrics selects the per-trial instrumentation level (zero value:
 	// MetricsScalar; see MetricsMode).
 	Metrics MetricsMode
-	// Streams selects the request-phase RNG discipline (zero value:
-	// StreamsInterleaved; see Streams).
+	// Streams is the retired request-discipline knob.
+	//
+	// Deprecated: leave unset; Config accepts only StreamsSplit.
 	Streams Streams
-	// Index selects the candidate-enumeration discipline for bounded-
-	// radius strategies (zero value: IndexNone; see IndexMode).
+	// Index is the retired candidate-ladder knob.
+	//
+	// Deprecated: leave unset; Config accepts only IndexTiles.
 	Index IndexMode
 	// Churn selects the mid-trial placement-mutation discipline (zero
 	// value: ChurnNone; see ChurnMode). Non-none churn requires a
@@ -502,16 +448,11 @@ type Config struct {
 	// them at the next chunk barrier). Events draw from the same
 	// dedicated hetero RNG stream as the capacity profile.
 	ArrivalRate float64
-	// CollectLinks is the pre-Metrics spelling of MetricsLinks, kept for
-	// compatibility: it upgrades MetricsScalar to MetricsLinks.
-	CollectLinks bool
 	// Workers is the intra-trial shard count P. 0 (default) runs the
-	// sequential engine, bit-identical to every pinned golden. P ≥ 1
+	// sequential engine, whose loads update after every request. P ≥ 1
 	// engages the sharded engine: each pipeline chunk is partitioned into
 	// fixed 64-request granules owned by P workers, with loads visible
 	// per Shard's discipline and all merging done at the chunk barrier.
-	// Requires Streams == StreamsSplit (the interleaved discipline fuses
-	// generation into the strategy stream and is inherently serial).
 	// Orthogonal to trial-level parallelism (Run's workers): a sharded
 	// trial uses P goroutines by itself.
 	Workers int
@@ -532,9 +473,19 @@ type Config struct {
 // N returns the number of servers n = Side².
 func (c Config) N() int { return c.Side * c.Side }
 
+// World-size bounds. Node ids and the placement's CSR offsets are int32,
+// so n = Side² must fit one (46340² < 2³¹ ≤ 46341²), and the cache-slot
+// arena n·max M_u is capped at maxSlots = 2²⁸, about 27× the widegrid
+// paper preset's 10⁷ slots — past that a config would exhaust memory or
+// overflow the offsets instead of failing validation.
+const (
+	maxSide  = 46340
+	maxSlots = 1 << 28
+)
+
 func (c Config) validate() error {
-	if c.Side <= 0 {
-		return fmt.Errorf("sim: Side must be positive, got %d", c.Side)
+	if c.Side <= 0 || c.Side > maxSide {
+		return fmt.Errorf("sim: Side must be in [1, %d] (n = Side² must fit int32 node ids), got %d", maxSide, c.Side)
 	}
 	if c.K <= 0 || c.M <= 0 {
 		return fmt.Errorf("sim: K and M must be positive, got K=%d M=%d", c.K, c.M)
@@ -545,11 +496,11 @@ func (c Config) validate() error {
 	if c.Metrics < MetricsScalar || c.Metrics > MetricsStreaming {
 		return fmt.Errorf("sim: unknown metrics mode %d", int(c.Metrics))
 	}
-	if c.Streams < StreamsInterleaved || c.Streams > StreamsSplit {
-		return fmt.Errorf("sim: unknown streams discipline %d", int(c.Streams))
+	if c.Streams != StreamsSplit {
+		return fmt.Errorf("sim: Streams %d is retired; split streams are the only request discipline (leave it unset)", int(c.Streams))
 	}
-	if c.Index < IndexNone || c.Index > IndexTiles {
-		return fmt.Errorf("sim: unknown index mode %d", int(c.Index))
+	if c.Index != IndexTiles {
+		return fmt.Errorf("sim: Index %d is retired; the tile index is the only candidate ladder (leave it unset)", int(c.Index))
 	}
 	if c.Churn < ChurnNone || c.Churn > ChurnDrift {
 		return fmt.Errorf("sim: unknown churn mode %d", int(c.Churn))
@@ -593,8 +544,9 @@ func (c Config) validate() error {
 	if c.Hetero == HeteroArrival && c.MissPolicy == MissResample {
 		return fmt.Errorf("sim: Hetero=arrival cannot combine with MissPolicy=resample (arrivals grow the cached set mid-trial, invalidating the conditioned stream); use MissEscalate or MissOrigin")
 	}
-	if c.CollectLinks && c.Metrics == MetricsStreaming {
-		return fmt.Errorf("sim: CollectLinks materializes per-link loads; it cannot combine with MetricsStreaming")
+	// Divide rather than multiply, so the check itself cannot overflow.
+	if c.M > maxSlots || profileMaxCap(c.Profile, c.M) > maxSlots/c.N() {
+		return fmt.Errorf("sim: Side=%d with M=%d (profile %v) exceeds the %d-slot world budget", c.Side, c.M, c.Profile, maxSlots)
 	}
 	if c.Workers < 0 {
 		return fmt.Errorf("sim: Workers must be non-negative, got %d", c.Workers)
@@ -604,9 +556,6 @@ func (c Config) validate() error {
 	}
 	if c.Workers == 0 && c.Shard != ShardDeterministic {
 		return fmt.Errorf("sim: shard mode %v needs intra-trial workers (set Config.Workers)", c.Shard)
-	}
-	if c.Workers > 0 && c.Streams != StreamsSplit {
-		return fmt.Errorf("sim: Workers=%d needs Streams=split (the interleaved discipline is inherently serial)", c.Workers)
 	}
 	if c.Chunk < 0 {
 		return fmt.Errorf("sim: Chunk must be non-negative, got %d", c.Chunk)
@@ -649,8 +598,7 @@ type Result struct {
 	ArrivalSkipped int // scheduled arrivals dropped (no vacant node left)
 	Vacant         int // nodes still vacant at trial end
 
-	// Link metrics, populated only in MetricsLinks mode (or the
-	// compatibility Config.CollectLinks spelling).
+	// Link metrics, populated only in MetricsLinks mode.
 	MaxLinkLoad    int64   // traffic on the hottest directed link
 	LinkCongestion float64 // max/mean link load (1 = perfectly even)
 

@@ -36,6 +36,18 @@ func TestConfigValidation(t *testing.T) {
 		"k":        func(c *Config) { c.K = 0 },
 		"m":        func(c *Config) { c.M = -1 },
 		"requests": func(c *Config) { c.Requests = -5 },
+		// n = Side² must fit int32 node ids; Side² itself must not
+		// overflow before the check.
+		"side over int32": func(c *Config) { c.Side = maxSide + 1 },
+		"side overflow":   func(c *Config) { c.Side = 1 << 33 },
+		// 4096² nodes × 2²⁰ slots = 1.7·10¹³ slots (a sweep-cap corner).
+		"slots":      func(c *Config) { c.Side, c.M = 4096, 1<<20 },
+		"slots m":    func(c *Config) { c.M = 1 << 62 },
+		"slots edge": func(c *Config) { c.Side, c.M = 16384, 2 },
+		"slots profile": func(c *Config) {
+			c.Side, c.M = 8192, 4
+			c.Hetero, c.Profile = HeteroCapacity, ProfilePowerLaw
+		},
 	} {
 		c := baseConfig()
 		mut(&c)
@@ -48,6 +60,13 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := Run(baseConfig(), 0, 1); err == nil {
 		t.Error("Run accepted zero trials")
+	}
+	// The slot budget is inclusive: 16384² nodes × 1 slot = 2²⁸, and
+	// 8192² × 4 under the uniform profile is the same budget.
+	for _, c := range []Config{{Side: 16384, K: 10, M: 1}, {Side: 8192, K: 10, M: 4}} {
+		if err := Validate(c); err != nil {
+			t.Errorf("Side=%d M=%d at the slot budget rejected: %v", c.Side, c.M, err)
+		}
 	}
 }
 

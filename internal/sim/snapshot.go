@@ -293,22 +293,21 @@ func (i SnapshotInfo) String() string {
 	return s
 }
 
-// RequestStream returns the split-discipline request generation streams
-// for trial era t: a dedicated origin RNG and file RNG, exactly the
-// streams RunTrial(t) consumes under StreamsSplit. The served loadgen
-// replays them through dist.RequestBatch, which draws all origins then
-// all files per batch — so any batch partition of the same request
-// count consumes the streams identically (the chunk-partition
-// invariance the golden pin leans on).
+// RequestStream returns the request generation streams for trial era
+// t: a dedicated origin RNG and file RNG, exactly the streams
+// RunTrial(t) consumes. The served loadgen replays them through
+// dist.RequestBatch, which draws all origins then all files per batch —
+// so any batch partition of the same request count consumes the streams
+// identically (the chunk-partition invariance the golden pin leans on).
 func (w *World) RequestStream(t uint64) (originRNG, fileRNG *rand.Rand) {
 	var ro, rf reseedRand
 	return ro.stream(w.originSrc, t), rf.stream(w.fileSrc, t)
 }
 
-// AssignSeed returns the per-trial seed pair of the split-discipline
-// assignment stream — the stream the strategies draw candidate picks
-// and tie breaks from in RunTrial(t). A single served context seeded
-// with it reproduces the batch trial's decision sequence exactly.
+// AssignSeed returns the per-trial seed pair of the assignment stream —
+// the stream the strategies draw candidate picks and tie breaks from in
+// RunTrial(t). A single served context seeded with it reproduces the
+// batch trial's decision sequence exactly.
 func (w *World) AssignSeed(t uint64) (uint64, uint64) {
 	return w.assignSrc.StreamSeed(t)
 }

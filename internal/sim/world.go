@@ -50,7 +50,9 @@ const loadHistBound = 1 << 10
 // alias table, the placement profile, the ball/ring offset templates and
 // the derived RNG sources — built exactly once by Compile. A World is
 // immutable and safe for concurrent use; per-trial mutable state lives in
-// Runners.
+// Runners. Its RNG sources are xrand namespaces 1 and 3–8 of Config.Seed;
+// namespace 2 held the retired interleaved request streams and is never
+// reused, so every later namespace keeps its draws.
 //
 // Compiling amortizes the expensive trial-invariant setup (the Zipf PMF
 // alone is K pow() calls) across the hundreds-to-thousands of trials every
@@ -62,18 +64,16 @@ type World struct {
 	placeProfile dist.Popularity
 	condName     string       // name of the MissResample-conditioned stream
 	placeSrc     xrand.Source // namespace 1: placement streams, one per trial
-	reqSrc       xrand.Source // namespace 2: interleaved request streams
-	originSrc    xrand.Source // namespace 3: split-discipline origin streams
-	fileSrc      xrand.Source // namespace 4: split-discipline file streams
-	assignSrc    xrand.Source // namespace 5: split-discipline assignment streams
+	originSrc    xrand.Source // namespace 3: request origin streams
+	fileSrc      xrand.Source // namespace 4: request file streams
+	assignSrc    xrand.Source // namespace 5: strategy assignment streams
 	churnSrc     xrand.Source // namespace 6: churn event streams
 	faultSrc     xrand.Source // namespace 7: fault event streams
 	heteroSrc    xrand.Source // namespace 8: hetero profile + arrival streams
 	nReq         int
-	metrics      MetricsMode  // resolved (CollectLinks folded in)
 	chunk        int          // request-pipeline block size (tests override)
 	loadBound    int          // streaming load-histogram bound
-	tiling       *grid.Tiling // spatial-index geometry (IndexTiles, bounded radius)
+	tiling       *grid.Tiling // spatial-index geometry (bounded-radius choice strategies)
 	regionTiling *grid.Tiling // FaultsRegional failure-domain geometry
 
 	runners sync.Pool // *Runner recycling for the RunTrial convenience path
@@ -89,21 +89,16 @@ func Compile(cfg Config) (*World, error) {
 		cfg:       cfg,
 		g:         grid.New(cfg.Side, cfg.Topology),
 		placeSrc:  src.Split(1),
-		reqSrc:    src.Split(2),
 		originSrc: src.Split(3),
 		fileSrc:   src.Split(4),
 		assignSrc: src.Split(5),
 		churnSrc:  src.Split(6),
 		faultSrc:  src.Split(7),
 		heteroSrc: src.Split(8),
-		metrics:   cfg.Metrics,
 		chunk:     defaultChunk,
 	}
 	if cfg.Chunk > 0 {
 		w.chunk = cfg.Chunk
-	}
-	if w.metrics == MetricsScalar && cfg.CollectLinks {
-		w.metrics = MetricsLinks
 	}
 	w.pop = cfg.Popularity.Build(cfg.K)
 	w.condName = w.pop.Name() + "|cached"
@@ -112,14 +107,12 @@ func Compile(cfg Config) (*World, error) {
 	if w.nReq == 0 {
 		w.nReq = w.g.N()
 	}
-	// The spatial replica index applies to bounded-radius choice
-	// strategies; the tile side tracks the radius (t ∈ [r/3, r], see
-	// tileSize) so a ball cover spans a handful of tiles whose footprint
-	// scales with |B_r|.
-	if cfg.Index == IndexTiles {
-		if r, ok := indexedRadius(cfg, w.g); ok {
-			w.tiling = w.g.NewTiling(tileSize(cfg.Side, r))
-		}
+	// The spatial replica index serves bounded-radius choice strategies;
+	// the tile side tracks the radius (t ∈ [r/3, r], see tileSize) so a
+	// ball cover spans a handful of tiles whose footprint scales with
+	// |B_r|.
+	if r, ok := indexedRadius(cfg, w.g); ok {
+		w.tiling = w.g.NewTiling(tileSize(cfg.Side, r))
 	}
 	// Regional faults kill whole tile-aligned failure domains. The region
 	// side is independent of the index tiling (which tracks the search
@@ -227,13 +220,10 @@ func RegionNodes(side int) int {
 //	           the next chunk is generated (see churn.go), so strategies
 //	           never observe a half-spliced index.
 //
-// Under the default StreamsInterleaved discipline the generate and assign
-// phases are fused into one pass: every strategy draws from the same
-// per-trial stream as the id generation (candidate sampling, tie breaks),
-// so separating them would reorder RNG consumption and break
-// bit-compatibility with the pinned goldens. StreamsSplit gives each role
-// its own stream, which is what lets generate run as one batched
-// dist.RequestBatch call per chunk.
+// Origins, files and the strategy's own draws (candidate sampling, tie
+// breaks) come from three dedicated per-trial streams, so generate runs
+// as one batched dist.RequestBatch call per chunk and the result does not
+// depend on the chunk partition.
 type Runner struct {
 	w       *World
 	placer  *cache.Placer
@@ -243,7 +233,7 @@ type Runner struct {
 	weights []float64
 	cond    *dist.CustomBuilder
 
-	place, req, origin, file, assign, churn, fault, hetero reseedRand
+	place, origin, file, assign, churn, fault, hetero reseedRand
 
 	// Heterogeneity state (Config.Hetero != HeteroNone): the per-trial
 	// capacity profile and vacancy scratch, the weighted load view bound
@@ -462,7 +452,7 @@ func (r *Runner) RunTrial(t uint64) Result {
 	res := Result{Requests: w.nReq, Uncached: placement.UncachedCount()}
 	var links *routing.LinkLoads
 	var hopAcc *stats.Accumulator
-	switch w.metrics {
+	switch w.cfg.Metrics {
 	case MetricsLinks:
 		if r.links == nil {
 			r.links = routing.NewLinkLoads(w.g)
@@ -496,49 +486,28 @@ func (r *Runner) RunTrial(t uint64) Result {
 	}
 	// Likewise the fault stream (namespace 7): FaultsNone never derives
 	// it, never binds a mask, and stays bit-identical to the fault-free
-	// engine (pinned by the golden matrices).
+	// engine (pinned by the golden table).
 	faultRNG := r.armFaults(strat, t)
 
 	var a acct
 	chunk := len(r.origins)
-	switch w.cfg.Streams {
-	case StreamsInterleaved:
-		reqRNG := r.req.stream(w.reqSrc, t)
-		for base := 0; base < w.nReq; base += chunk {
-			c := min(chunk, w.nReq-base)
-			r.generateAssign(strat, fileSampler, reqRNG, c)
-			r.account(c, &a, links, hopAcc)
-			if base+c < w.nReq {
-				if arrivalRNG != nil {
-					r.arrivalChunk(arrivalRNG, c, &res)
-				}
-				if faultRNG != nil {
-					r.faultChunk(faultRNG, c, &res)
-				}
-				if churnRNG != nil {
-					r.churnChunk(placement, churnRNG, c, &res)
-				}
+	originRNG := r.origin.stream(w.originSrc, t)
+	fileRNG := r.file.stream(w.fileSrc, t)
+	assignRNG := r.assign.stream(w.assignSrc, t)
+	for base := 0; base < w.nReq; base += chunk {
+		c := min(chunk, w.nReq-base)
+		dist.RequestBatch(originRNG, fileRNG, n, fileSampler, r.origins[:c], r.files[:c])
+		r.assignChunk(strat, assignRNG, c)
+		r.account(c, &a, links, hopAcc)
+		if base+c < w.nReq {
+			if arrivalRNG != nil {
+				r.arrivalChunk(arrivalRNG, c, &res)
 			}
-		}
-	case StreamsSplit:
-		originRNG := r.origin.stream(w.originSrc, t)
-		fileRNG := r.file.stream(w.fileSrc, t)
-		assignRNG := r.assign.stream(w.assignSrc, t)
-		for base := 0; base < w.nReq; base += chunk {
-			c := min(chunk, w.nReq-base)
-			dist.RequestBatch(originRNG, fileRNG, n, fileSampler, r.origins[:c], r.files[:c])
-			r.assignChunk(strat, assignRNG, c)
-			r.account(c, &a, links, hopAcc)
-			if base+c < w.nReq {
-				if arrivalRNG != nil {
-					r.arrivalChunk(arrivalRNG, c, &res)
-				}
-				if faultRNG != nil {
-					r.faultChunk(faultRNG, c, &res)
-				}
-				if churnRNG != nil {
-					r.churnChunk(placement, churnRNG, c, &res)
-				}
+			if faultRNG != nil {
+				r.faultChunk(faultRNG, c, &res)
+			}
+			if churnRNG != nil {
+				r.churnChunk(placement, churnRNG, c, &res)
 			}
 		}
 	}
@@ -569,25 +538,8 @@ func (r *Runner) RunTrial(t uint64) Result {
 	return res
 }
 
-// generateAssign is the fused generate+assign phase of the interleaved
-// discipline: ids and strategy draws share one stream, consumed per
-// request in the exact pre-pipeline order (origin, file, then the
-// strategy's own draws).
-func (r *Runner) generateAssign(strat core.Strategy, pop dist.Popularity, rng *rand.Rand, c int) {
-	n := r.w.g.N()
-	for i := 0; i < c; i++ {
-		req := core.Request{
-			Origin: int32(rng.IntN(n)),
-			File:   int32(pop.Sample(rng)),
-		}
-		r.origins[i] = req.Origin
-		r.record(i, strat.Assign(req, r.loadView, rng))
-	}
-}
-
-// assignChunk is the assign phase of the split discipline: it consumes the
-// pre-generated chunk ids, running the strategy against the dedicated
-// assignment stream.
+// assignChunk is the assign phase: it consumes the pre-generated chunk
+// ids, running the strategy against the dedicated assignment stream.
 func (r *Runner) assignChunk(strat core.Strategy, rng *rand.Rand, c int) {
 	for i := 0; i < c; i++ {
 		req := core.Request{Origin: r.origins[i], File: r.files[i]}
@@ -616,8 +568,8 @@ func (r *Runner) record(i int, a core.Assignment) {
 
 // account folds one chunk of request records into the trial accumulators.
 // It never touches the RNG streams, so deferring it out of the assign loop
-// is invisible to the draw order. The hop sum adds in request order,
-// keeping MeanCost bit-identical to the pre-pipeline per-request fold.
+// is invisible to the draw order. The hop sum adds in request order, so
+// MeanCost does not depend on the chunk partition.
 func (r *Runner) account(c int, a *acct, links *routing.LinkLoads, hopAcc *stats.Accumulator) {
 	for i := 0; i < c; i++ {
 		a.hops += float64(r.hops[i])

@@ -44,54 +44,25 @@ func BenchmarkWorldRunTrial(b *testing.B) {
 	}
 }
 
-// BenchmarkWorldRunTrialSplit measures the same paper-scale trial under
-// the split-stream discipline, where the generate phase runs as one
-// batched dist.RequestBatch call per pipeline chunk instead of two
-// interface dispatches per request.
-func BenchmarkWorldRunTrialSplit(b *testing.B) {
-	cfg := paperScaleCfg()
-	cfg.Streams = StreamsSplit
-	w, err := Compile(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := w.NewRunner()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = r.RunTrial(uint64(i))
-	}
-}
-
 // wideWorldCfg is the widegrid acceptance point: one Side=1000
 // (n = 10⁶ servers, 10⁶ requests) two-choices r=8 trial with streaming
-// metrics and split streams. The request path allocates nothing; all
+// metrics. The request path allocates nothing; all
 // memory is the compiled world plus the runner's O(n) placement/load
 // state — no O(n) metric vector is ever materialized.
-func wideWorldCfg(ix IndexMode) Config {
+func wideWorldCfg() Config {
 	return Config{
 		Side: 1000, K: 10000, M: 10, Seed: 1,
 		Popularity: PopSpec{Kind: PopZipf, Gamma: 1.2},
 		Strategy:   StrategySpec{Kind: TwoChoices, Radius: 8},
 		Metrics:    MetricsStreaming,
-		Streams:    StreamsSplit,
-		Index:      ix,
 	}
 }
 
-// BenchmarkWideWorldTrial is the PR 4 headline: the wide-world trial
-// through the tile-bucketed spatial replica index (sub-second; was ~9.8s
-// through the exact filter, kept below as the NoIndex baseline).
+// BenchmarkWideWorldTrial is the wide-world headline: the trial through
+// the tile-bucketed spatial replica index (sub-second; the retired exact
+// filter took ~4.9 s, see docs/perf.md).
 func BenchmarkWideWorldTrial(b *testing.B) {
-	benchWideWorld(b, wideWorldCfg(IndexTiles))
-}
-
-// BenchmarkWideWorldTrialNoIndex is the same point under the PR 3
-// discipline: at K = 10⁴, M = 10 the mid-popularity files have
-// |S_j| ≈ 10³ ≈ the rejection budget, so most assignments pay the exact
-// O(min(|S_j|, |B_r|)) filter.
-func BenchmarkWideWorldTrialNoIndex(b *testing.B) {
-	benchWideWorld(b, wideWorldCfg(IndexNone))
+	benchWideWorld(b, wideWorldCfg())
 }
 
 // BenchmarkWideWorldTrialParallel is the PR 6 scaling curve: the
@@ -104,7 +75,7 @@ func BenchmarkWideWorldTrialNoIndex(b *testing.B) {
 func BenchmarkWideWorldTrialParallel(b *testing.B) {
 	for _, p := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("p%d", p), func(b *testing.B) {
-			cfg := wideWorldCfg(IndexTiles)
+			cfg := wideWorldCfg()
 			cfg.Workers = p
 			benchWideWorld(b, cfg)
 		})
@@ -124,33 +95,16 @@ func benchWideWorld(b *testing.B, cfg Config) {
 	}
 }
 
-// BenchmarkWorldRunTrialIndexed is the paper-scale point under the
-// tile-index discipline (compare BenchmarkWorldRunTrial).
-func BenchmarkWorldRunTrialIndexed(b *testing.B) {
-	cfg := paperScaleCfg()
-	cfg.Index = IndexTiles
-	w, err := Compile(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := w.NewRunner()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = r.RunTrial(uint64(i))
-	}
-}
-
 // BenchmarkWideWorldTrialFaults is the wide-world trial with the fault
 // engine live: FaultsCrash at a rate that kills ~1% of the 10⁶ nodes
-// over the trial with MTTR-style recovery at half that rate, under the
-// tile index and MissEscalate (the resampling policy is incompatible
+// over the trial with MTTR-style recovery at half that rate, under
+// MissEscalate (the resampling policy is incompatible
 // with faults). Measures the steady-state cost of the liveness mask on
 // the request path — per-candidate Live() checks, tile live-count
 // consultation, and the occasional degradation-ladder retry — on top of
 // the per-chunk fault events themselves.
 func BenchmarkWideWorldTrialFaults(b *testing.B) {
-	cfg := wideWorldCfg(IndexTiles)
+	cfg := wideWorldCfg()
 	cfg.MissPolicy = MissEscalate
 	cfg.Faults = FaultsCrash
 	cfg.FaultRate = 0.01
@@ -166,7 +120,7 @@ func BenchmarkWideWorldTrialFaults(b *testing.B) {
 // weighted reads plus the per-trial profile draw on top of the
 // homogeneous BenchmarkWideWorldTrial.
 func BenchmarkWideWorldTrialHetero(b *testing.B) {
-	cfg := wideWorldCfg(IndexTiles)
+	cfg := wideWorldCfg()
 	cfg.Hetero = HeteroCapacity
 	cfg.Profile = ProfilePowerLaw
 	benchWideWorld(b, cfg)
@@ -183,7 +137,6 @@ func BenchmarkWideWorldTrialHetero(b *testing.B) {
 // are still vacant.
 func BenchmarkWorldRunTrialHeteroArrival(b *testing.B) {
 	cfg := paperScaleCfg()
-	cfg.Index = IndexTiles
 	cfg.MissPolicy = MissEscalate
 	cfg.Hetero = HeteroArrival
 	cfg.Profile = ProfilePowerLaw
@@ -215,15 +168,14 @@ func BenchmarkCompile(b *testing.B) {
 
 // BenchmarkWorldRunTrialChurn measures the paper-scale trial with the
 // dynamic regime switched on (ChurnReplicas, rate 0.5 — one migration
-// per two requests, ~2k events per trial) under the tile index: the
+// per two requests, ~2k events per trial): the
 // incremental Placement/TileIndex maintenance costs under a µs per
 // event (~0.9 µs including the swap double-splices), so even this heavy
 // schedule keeps the dynamic trial at ~1.6× the frozen-placement
-// BenchmarkWorldRunTrialIndexed, where per-chunk from-scratch rebuilds
+// BenchmarkWorldRunTrial, where per-chunk from-scratch rebuilds
 // would more than double it (see docs/perf.md's tradeoff table).
 func BenchmarkWorldRunTrialChurn(b *testing.B) {
 	cfg := paperScaleCfg()
-	cfg.Index = IndexTiles
 	cfg.Churn = ChurnReplicas
 	cfg.ChurnRate = 0.5
 	w, err := Compile(cfg)
@@ -243,7 +195,6 @@ func BenchmarkWorldRunTrialChurn(b *testing.B) {
 // rebuild per chunk on top of the migrations).
 func BenchmarkWorldRunTrialChurnDrift(b *testing.B) {
 	cfg := paperScaleCfg()
-	cfg.Index = IndexTiles
 	cfg.Churn = ChurnDrift
 	cfg.ChurnRate = 0.5
 	w, err := Compile(cfg)

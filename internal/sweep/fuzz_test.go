@@ -9,8 +9,9 @@ import (
 // the sweep grid-spec parser. The contract: ParseSpec never panics, and
 // every accepted spec is fully usable — Points and Shards succeed, the
 // expansion respects the caps, and the hash is well-formed. Parse-time
-// caps make this safe to fuzz: no accepted input can demand a
-// multi-terabyte world or a billion-point grid.
+// caps and the engine's world budget (sim.Validate) make this safe to
+// fuzz: no accepted input can demand a multi-terabyte world or a
+// billion-point grid.
 func FuzzParseSpec(f *testing.F) {
 	seeds := []string{
 		// Valid specs.
@@ -31,6 +32,7 @@ func FuzzParseSpec(f *testing.F) {
 		`{"trials":1,"base":{"side":5,"k":10,"m":1},"axes":[{"field":"side","values":[99999999]}]}`,
 		`{"trials":1048577,"base":{"side":5,"k":10,"m":1}}`,
 		`{"trials":1,"base":{"side":5,"k":16777217,"m":1}}`,
+		`{"trials":1,"base":{"side":4096,"k":10,"m":1048576}}`,
 		`{"trials":1,"base":{"side":5,"k":10,"m":1},"axes":[{"field":"m","values":[` +
 			strings.TrimSuffix(strings.Repeat("1,", 2000), ",") + `]}]}`,
 	}

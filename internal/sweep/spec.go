@@ -81,10 +81,6 @@ type PointSpec struct {
 	Miss string `json:"miss,omitempty"`
 	// Metrics is "scalar" (default), "links" or "streaming".
 	Metrics string `json:"metrics,omitempty"`
-	// Streams is "interleaved" (default) or "split".
-	Streams string `json:"streams,omitempty"`
-	// Index is "none" (default) or "tiles".
-	Index string `json:"index,omitempty"`
 	// Churn is "none" (default), "replicas" or "drift".
 	Churn string `json:"churn,omitempty"`
 	// ChurnRate is expected replica migrations per request.
@@ -123,14 +119,6 @@ func (p PointSpec) Config(seed uint64) (sim.Config, error) {
 	if err != nil {
 		return cfg, err
 	}
-	st, err := sim.ParseStreams(p.Streams)
-	if err != nil {
-		return cfg, err
-	}
-	ix, err := sim.ParseIndex(p.Index)
-	if err != nil {
-		return cfg, err
-	}
 	ch, err := sim.ParseChurn(p.Churn)
 	if err != nil {
 		return cfg, err
@@ -145,7 +133,7 @@ func (p PointSpec) Config(seed uint64) (sim.Config, error) {
 	}
 	cfg = sim.Config{
 		Side: p.Side, Topology: tp, K: p.K, M: p.M,
-		Requests: p.Requests, MissPolicy: mp, Metrics: mm, Streams: st, Index: ix,
+		Requests: p.Requests, MissPolicy: mp, Metrics: mm,
 		Churn: ch, ChurnRate: p.ChurnRate,
 		Faults: fm, FaultRate: p.FaultRate, RecoverRate: p.RecoverRate,
 		Workers: p.Workers, Shard: sh, Chunk: p.Chunk,
@@ -224,8 +212,6 @@ var setters = map[string]func(*PointSpec, any) error{
 	"requests":            func(p *PointSpec, v any) (err error) { p.Requests, err = asInt(v); return },
 	"miss":                func(p *PointSpec, v any) (err error) { p.Miss, err = asString(v); return },
 	"metrics":             func(p *PointSpec, v any) (err error) { p.Metrics, err = asString(v); return },
-	"streams":             func(p *PointSpec, v any) (err error) { p.Streams, err = asString(v); return },
-	"index":               func(p *PointSpec, v any) (err error) { p.Index, err = asString(v); return },
 	"churn":               func(p *PointSpec, v any) (err error) { p.Churn, err = asString(v); return },
 	"churn_rate":          func(p *PointSpec, v any) (err error) { p.ChurnRate, err = asFloat(v); return },
 	"faults":              func(p *PointSpec, v any) (err error) { p.Faults, err = asString(v); return },

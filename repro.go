@@ -179,12 +179,6 @@ type (
 	// MetricsMode selects per-trial instrumentation (scalar, links,
 	// streaming).
 	MetricsMode = sim.MetricsMode
-	// Streams selects the request-phase RNG discipline (interleaved or
-	// split).
-	Streams = sim.Streams
-	// IndexMode selects the candidate-enumeration discipline of the
-	// radius-bounded strategies (none or tiles).
-	IndexMode = sim.IndexMode
 	// ChurnMode selects the mid-trial placement-mutation discipline of
 	// the §VI dynamic regime (none, replicas or drift).
 	ChurnMode = sim.ChurnMode
@@ -234,29 +228,11 @@ const (
 	MetricsStreaming = sim.MetricsStreaming
 )
 
-// Request-stream discipline constants for Config.Streams.
-const (
-	// StreamsInterleaved is the legacy bit-compatible discipline (default).
-	StreamsInterleaved = sim.StreamsInterleaved
-	// StreamsSplit batches request generation over dedicated streams.
-	StreamsSplit = sim.StreamsSplit
-)
-
-// Index discipline constants for Config.Index.
-const (
-	// IndexNone is the PR 3 rejection/exact-filter ladder (default,
-	// golden-pinned).
-	IndexNone = sim.IndexNone
-	// IndexTiles enumerates S_j ∩ B_r(u) through the tile-bucketed
-	// spatial replica index — the sub-second wide-world discipline.
-	IndexTiles = sim.IndexTiles
-)
-
 // Shard discipline constants for Config.Shard (with Config.Workers > 0).
 const (
 	// ShardDeterministic freezes chunk-barrier load snapshots; results
 	// are bit-identical across every worker count (default,
-	// golden-pinned by the parallel matrix).
+	// golden-pinned).
 	ShardDeterministic = sim.ShardDeterministic
 	// ShardRacy shares one atomic load vector among workers — stale
 	// unsynchronized reads, scheduling-dependent results.
@@ -358,14 +334,8 @@ func NewAtomicLoads(n int) *AtomicLoads { return ballsbins.NewAtomicLoads(n) }
 // NewSpaceSaving returns a heavy-hitter sketch monitoring up to k keys.
 func NewSpaceSaving(k int) *SpaceSaving { return stats.NewSpaceSaving(k) }
 
-// ParseIndex converts a CLI name into an IndexMode.
-func ParseIndex(s string) (IndexMode, error) { return sim.ParseIndex(s) }
-
 // ParseMetricsMode converts a CLI name into a MetricsMode.
 func ParseMetricsMode(s string) (MetricsMode, error) { return sim.ParseMetricsMode(s) }
-
-// ParseStreams converts a CLI name into a Streams discipline.
-func ParseStreams(s string) (Streams, error) { return sim.ParseStreams(s) }
 
 // Strategy kind constants for StrategySpec.Kind.
 const (
