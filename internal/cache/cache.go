@@ -5,10 +5,10 @@
 // assignment strategies, and exposes the structural quantities t(u) and
 // t(u,v) from the goodness property (Definition 5, Lemma 2).
 //
-// Placements are stored in CSR (compressed sparse row) form: the forward
-// map node → files and the inverted index file → replica nodes each live
-// in one flat backing array with an offset index, instead of n + K little
-// heap-allocated slices. A Placer owns the backing arrays plus all build
+// Placements live in flat arenas instead of n + K little heap-allocated
+// slices: the forward map node → files as one slab of M_u slots per node,
+// the inverted index file → replica nodes in CSR (compressed sparse row)
+// form with an offset index. A Placer owns the arenas plus all build
 // scratch, so the per-trial placement build of the simulation engine is
 // allocation-free after the first trial.
 package cache
@@ -46,26 +46,23 @@ func (m Mode) String() string {
 	}
 }
 
-// Placement is a cache assignment for n nodes over a K-file library, in
-// CSR layout. Build one per simulation trial with Place, or — on the hot
-// path — through a reusable Placer. Placements are immutable once built,
-// with one exception: placements built by a churn-enabled Placer
+// Placement is a cache assignment for n nodes over a K-file library.
+// Build one per simulation trial with Place, or — on the hot path —
+// through a reusable Placer. Placements are immutable once built, with
+// one exception: placements built by a churn-enabled Placer
 // (Placer.EnableChurn) additionally support in-place replica migration
 // through ReplaceReplica, the primitive behind the engine's §VI dynamic
 // regime.
 type Placement struct {
 	n, k, m int
 
-	// Forward map, node → distinct cached files, sorted ascending
-	// (length t(u) ≤ M). Two layouts share the accessors:
-	//
-	//	immutable (lens == nil): files[nodeOff[u]:nodeOff[u+1]], tight CSR;
-	//	mutable  (lens != nil):  files[u*m : u*m+lens[u]], M-stride slabs
-	//	                         so ReplaceReplica can grow and shrink a
-	//	                         node's list without shifting the arena.
-	files   []int32
-	nodeOff []int32 // length n+1 (immutable layout only)
-	lens    []int32 // per-node list length (mutable layout only)
+	// Forward map, node → distinct cached files (length t(u) ≤ M_u): node
+	// u's list is files[slabBase(u) : slabBase(u)+lens[u]], one slab of
+	// Cap(u) slots per node, so the mutation primitives can grow and
+	// shrink a list without shifting the arena. Lists are sorted ascending
+	// on churn-enabled placements and keep draw order otherwise.
+	files []int32
+	lens  []int32
 
 	// nodes[repOff[j]:repOff[j+1]] lists the nodes caching file j, sorted
 	// ascending. This is S_j in the paper's notation. Segment lengths are
@@ -79,29 +76,27 @@ type Placement struct {
 
 	// caps and capOff carry heterogeneous per-node capacities
 	// (Placer.EnableHetero): caps[u] = M_u, and capOff is its prefix sum
-	// (length n+1), which replaces the uniform M stride on mutable
-	// layouts — node u's slab lives at files[capOff[u]:capOff[u]+lens[u]].
-	// Both are nil on homogeneous placements, keeping the u*m arithmetic
-	// byte-for-byte untouched.
+	// (length n+1), which replaces the uniform M stride — node u's slab
+	// lives at files[capOff[u]:capOff[u]+lens[u]]. Both are nil on
+	// homogeneous placements, keeping the u*m arithmetic byte-for-byte
+	// untouched.
 	caps   []int32
 	capOff []int32
 
 	// tix is the optional spatial replica index (see TileIndex), built
 	// only by Placers with EnableTiles.
 	tix *TileIndex
-	// unsorted marks EnableTiles placements, whose per-node file lists
-	// skip the sort; NodeFiles-order consumers must not assume order.
-	// Churn-enabled placements always sort (ReplaceReplica keeps order).
-	unsorted bool
+
+	// sorted marks placements built by a churn-enabled Placer: every node
+	// list is sorted, which the in-place splices of ReplaceReplica,
+	// SwapReplicas and ArriveNode maintain and rely on.
+	sorted bool
 }
 
-// nodeSpan returns node u's file list under either forward layout.
+// nodeSpan returns node u's file list.
 func (p *Placement) nodeSpan(u int) []int32 {
-	if p.lens != nil {
-		base := p.slabBase(u)
-		return p.files[base : base+int(p.lens[u])]
-	}
-	return p.files[p.nodeOff[u]:p.nodeOff[u+1]]
+	base := p.slabBase(u)
+	return p.files[base : base+int(p.lens[u])]
 }
 
 // Cap returns node u's slot capacity M_u — M on homogeneous placements,
@@ -136,7 +131,7 @@ type Placer struct {
 	n, m, k int
 	p       Placement
 
-	draws  []int32 // n·m flat slot draws (with-replacement batch)
+	draws  []int32 // flat slot draws (with-replacement batch), slab layout
 	counts []int32 // per-file replica count, then CSR fill cursor
 	mark   []uint64
 	stamp  uint64
@@ -144,16 +139,6 @@ type Placer struct {
 	// Tile-index state (EnableTiles): the geometry and the index arenas.
 	tiling *grid.Tiling
 	tix    TileIndex
-	// noSort skips the per-node file-list sort (EnableTiles): the
-	// replica-side CSR comes out identical either way (it is built by a
-	// node-ascending scatter), and the indexed strategies never read
-	// per-node order — but NodeFiles/Has/TPair then see unspecified
-	// order, so only the index-backed engine path may opt in.
-	noSort bool
-	// mutable builds placements in the churn layout (EnableChurn):
-	// M-stride forward slabs and a capacity-padded tile directory, so
-	// ReplaceReplica can splice every structure in place.
-	mutable bool
 
 	// Heterogeneity state (EnableHetero/SetHetero): per-trial node
 	// capacities up to maxCap and an optional vacancy mask.
@@ -179,11 +164,11 @@ func (pl *Placer) vacantAt(u int) bool { return pl.vacant != nil && pl.vacant[u]
 // of up to maxCap slots: the draw, forward and replica arenas are
 // re-budgeted for the worst case, and every subsequent Place call must
 // be preceded by SetHetero installing that trial's capacity vector. It
-// must be called before EnableChurn and EnableTiles, which size their
-// arenas off the slot capacity, and panics otherwise.
+// must be called before EnableTiles, which sizes its arenas off the slot
+// capacity, and panics otherwise.
 func (pl *Placer) EnableHetero(maxCap int) {
-	if pl.mutable || pl.tiling != nil {
-		panic("cache: EnableHetero must precede EnableChurn/EnableTiles")
+	if pl.tiling != nil {
+		panic("cache: EnableHetero must precede EnableTiles")
 	}
 	if maxCap < pl.m {
 		panic(fmt.Sprintf("cache: EnableHetero maxCap %d below M=%d", maxCap, pl.m))
@@ -194,7 +179,7 @@ func (pl *Placer) EnableHetero(maxCap int) {
 	pl.hetero = true
 	pl.maxCap = maxCap
 	pl.draws = make([]int32, pl.n*maxCap)
-	pl.p.files = make([]int32, 0, pl.n*min(maxCap, pl.k))
+	pl.p.files = make([]int32, pl.n*maxCap)
 	pl.p.nodes = make([]int32, pl.n*min(maxCap, pl.k))
 	pl.p.capOff = make([]int32, pl.n+1)
 }
@@ -228,23 +213,13 @@ func (pl *Placer) SetHetero(caps []int32, vacant []bool) {
 }
 
 // EnableChurn makes every subsequent Place call build a mutable
-// placement: the forward map moves to M-stride slabs (tight CSR cannot
-// grow a node's list in place) and, when EnableTiles is also active, the
-// tile directory is capacity-padded per file (see buildTileIndex). The
-// build consumes the RNG in exactly the same order as the immutable
-// layout, so a churn-enabled placement starts bit-identical in content to
-// its immutable twin; only the memory layout differs. Churn-enabled
-// placements always keep node lists sorted (ReplaceReplica maintains the
-// order), so NodeFiles-order consumers remain usable even with tiles.
-func (pl *Placer) EnableChurn() {
-	if pl.mutable {
-		return
-	}
-	pl.mutable = true
-	pl.noSort = false
-	pl.p.files = make([]int32, pl.n*pl.slotCap())
-	pl.p.lens = make([]int32, pl.n)
-}
+// placement: each node's file list is sorted at build time, the order
+// ReplaceReplica, SwapReplicas and ArriveNode splice in. Sorting is the
+// only difference — the layout is the one every placement uses, and the
+// build consumes the RNG exactly as without it, so a churn-enabled
+// placement holds the same node sets, replica CSR and tile index as its
+// draw-order twin.
+func (pl *Placer) EnableChurn() { pl.p.sorted = true }
 
 // NewPlacer returns a Placer for n nodes of m slots over a k-file library.
 // It panics on non-positive dimensions (misconfiguration, not runtime
@@ -264,8 +239,8 @@ func NewPlacer(n, m, k int) *Placer {
 	}
 	pl.p = Placement{
 		n: n, k: k, m: m,
-		files:       make([]int32, 0, n*min(m, k)),
-		nodeOff:     make([]int32, n+1),
+		files:       make([]int32, n*m),
+		lens:        make([]int32, n),
 		nodes:       make([]int32, n*min(m, k)),
 		repOff:      make([]int32, k+1),
 		cachedFiles: make([]int32, 0, k),
@@ -279,25 +254,10 @@ func Place(n, m int, pop dist.Popularity, mode Mode, r *rand.Rand) *Placement {
 	if n <= 0 || m <= 0 {
 		panic(fmt.Sprintf("cache: need n > 0 and m > 0, got n=%d m=%d", n, m))
 	}
-	// Clone off the Placer so the returned Placement owns right-sized
-	// arrays instead of pinning the builder's scratch (draws/marks/counts)
-	// for its whole lifetime.
-	return NewPlacer(n, m, pop.K()).Place(pop, mode, r).clone()
-}
-
-// clone returns a standalone copy of p with independently owned arrays.
-func (p *Placement) clone() *Placement {
-	c := *p
-	c.files = slices.Clone(p.files)
-	c.nodeOff = slices.Clone(p.nodeOff)
-	c.lens = slices.Clone(p.lens)
-	c.nodes = slices.Clone(p.nodes)
-	c.repOff = slices.Clone(p.repOff)
-	c.cachedFiles = slices.Clone(p.cachedFiles)
-	c.caps = slices.Clone(p.caps)
-	c.capOff = slices.Clone(p.capOff)
-	c.tix = nil // the tile index lives in the builder's arenas
-	return &c
+	// Clone off the Placer so the returned Placement owns its arrays
+	// instead of pinning the builder's scratch (draws/marks/counts) for
+	// its whole lifetime.
+	return NewPlacer(n, m, pop.K()).Place(pop, mode, r).Clone()
 }
 
 // Place draws a placement into the Placer's backing arrays, invalidating
@@ -312,10 +272,6 @@ func (pl *Placer) Place(pop dist.Popularity, mode Mode, r *rand.Rand) *Placement
 		panic("cache: Place with EnableHetero needs SetHetero first")
 	}
 	p := &pl.p
-	if !pl.mutable {
-		p.files = p.files[:0]
-	}
-
 	switch mode {
 	case WithReplacement:
 		// Batched sampling: all slot draws (n·M, or Σ M_u under
@@ -330,53 +286,29 @@ func (pl *Placer) Place(pop dist.Popularity, mode Mode, r *rand.Rand) *Placement
 			total = pl.totalCap
 		}
 		dist.SampleBatch(pop, r, pl.draws[:total])
-		if pl.mutable {
-			for u := 0; u < pl.n; u++ {
-				pl.stamp++
-				base, ln := p.slabBase(u), 0
-				if !pl.vacantAt(u) {
-					for _, f := range pl.draws[base : base+p.Cap(u)] {
-						if pl.mark[f] != pl.stamp {
-							pl.mark[f] = pl.stamp
-							p.files[base+ln] = f
-							ln++
-						}
-					}
-					slices.Sort(p.files[base : base+ln])
-				}
-				p.lens[u] = int32(ln)
-			}
-			break
-		}
 		for u := 0; u < pl.n; u++ {
-			pl.stamp++
-			start := len(p.files)
+			ln := 0
 			if !pl.vacantAt(u) {
 				base := p.slabBase(u)
-				for _, f := range pl.draws[base : base+p.Cap(u)] {
-					if pl.mark[f] != pl.stamp {
-						pl.mark[f] = pl.stamp
-						p.files = append(p.files, f)
-					}
-				}
-				if !pl.noSort {
-					slices.Sort(p.files[start:])
-				}
+				ln = pl.dedup(base, pl.draws[base:base+p.Cap(u)])
 			}
-			p.nodeOff[u+1] = int32(len(p.files))
+			pl.setLen(u, ln)
 		}
 	case WithoutReplacement:
-		if pl.mutable {
-			pl.placeWithoutReplacementMutable(pop, r)
-		} else {
-			pl.placeWithoutReplacement(pop, r)
+		for u := 0; u < pl.n; u++ {
+			ln := 0
+			if !pl.vacantAt(u) {
+				// Vacant nodes are placed empty with no draws consumed
+				// (per-node rejection sampling has no batch to burn).
+				ln = pl.drawDistinct(p.slabBase(u), p.Cap(u), pop, r)
+			}
+			pl.setLen(u, ln)
 		}
 	default:
 		panic(fmt.Sprintf("cache: unknown mode %v", mode))
 	}
 
 	pl.buildReplicaIndex()
-	p.unsorted = pl.noSort
 	if pl.tiling != nil {
 		pl.buildTileIndex()
 	} else {
@@ -385,90 +317,56 @@ func (pl *Placer) Place(pop dist.Popularity, mode Mode, r *rand.Rand) *Placement
 	return p
 }
 
-// placeWithoutReplacement fills each node with m distinct files. The
-// rejection loop is fast while m << K (the paper's M ≪ K standing
-// assumption); a marked sweep completes the draw when rejection stalls.
-func (pl *Placer) placeWithoutReplacement(pop dist.Popularity, r *rand.Rand) {
-	p := &pl.p
-	for u := 0; u < pl.n; u++ {
-		pl.stamp++
-		start := len(p.files)
-		want := p.Cap(u)
-		switch {
-		case pl.vacantAt(u):
-			// Vacant: placed empty, no draws consumed (per-node rejection
-			// sampling has no batch to burn).
-		case want >= pl.k:
-			// Degenerate: cache the whole library.
-			for j := int32(0); j < int32(pl.k); j++ {
-				p.files = append(p.files, j)
-			}
-		default:
-			tries := 0
-			for len(p.files)-start < want {
-				f := int32(pop.Sample(r))
-				if pl.mark[f] != pl.stamp {
-					pl.mark[f] = pl.stamp
-					p.files = append(p.files, f)
-				}
-				tries++
-				if tries > 64*want && len(p.files)-start < want {
-					pl.fillRemainder(start, want, r)
-					break
-				}
-			}
+// dedup writes the distinct files of draws, in first-draw order, into
+// the slab at base and returns their count.
+func (pl *Placer) dedup(base int, draws []int32) int {
+	files := pl.p.files[base:]
+	pl.stamp++
+	ln := 0
+	for _, f := range draws {
+		if pl.mark[f] != pl.stamp {
+			pl.mark[f] = pl.stamp
+			files[ln] = f
+			ln++
 		}
-		if !pl.noSort {
-			slices.Sort(p.files[start:])
-		}
-		p.nodeOff[u+1] = int32(len(p.files))
 	}
+	return ln
 }
 
-// placeWithoutReplacementMutable mirrors placeWithoutReplacement for the
-// churn (M-stride) layout: identical RNG consumption order, slab writes
-// instead of CSR appends.
-func (pl *Placer) placeWithoutReplacementMutable(pop dist.Popularity, r *rand.Rand) {
-	p := &pl.p
-	for u := 0; u < pl.n; u++ {
-		pl.stamp++
-		base, ln := p.slabBase(u), 0
-		want := p.Cap(u)
-		switch {
-		case pl.vacantAt(u):
-			// Vacant: placed empty, no draws consumed.
-		case want >= pl.k:
-			// Degenerate: cache the whole library.
-			for j := int32(0); j < int32(pl.k); j++ {
-				p.files[base+ln] = j
-				ln++
-			}
-		default:
-			tries := 0
-			for ln < want {
-				f := int32(pop.Sample(r))
-				if pl.mark[f] != pl.stamp {
-					pl.mark[f] = pl.stamp
-					p.files[base+ln] = f
-					ln++
-				}
-				tries++
-				if tries > 64*want && ln < want {
-					ln = pl.fillRemainderMutable(base, ln, want, r)
-					break
-				}
-			}
+// drawDistinct fills the slab at base with want distinct files and
+// returns the list length. The popularity-weighted rejection loop is fast
+// while want ≪ K (the paper's M ≪ K standing assumption); a marked sweep
+// completes the draw when rejection stalls, and want ≥ K caches the whole
+// library.
+func (pl *Placer) drawDistinct(base, want int, pop dist.Popularity, r *rand.Rand) int {
+	files := pl.p.files[base:]
+	if want >= pl.k {
+		for j := range pl.k {
+			files[j] = int32(j)
 		}
-		slices.Sort(p.files[base : base+ln])
-		p.lens[u] = int32(ln)
+		return pl.k
 	}
+	pl.stamp++
+	ln, tries := 0, 0
+	for ln < want {
+		f := int32(pop.Sample(r))
+		if pl.mark[f] != pl.stamp {
+			pl.mark[f] = pl.stamp
+			files[ln] = f
+			ln++
+		}
+		tries++
+		if tries > 64*want && ln < want {
+			return pl.fillRemainder(files, ln, want, r)
+		}
+	}
+	return ln
 }
 
-// fillRemainderMutable is fillRemainder for the churn layout: same
-// uniform completion over the unmarked files, written into the slab.
-// Returns the completed list length.
-func (pl *Placer) fillRemainderMutable(base, ln, want int, r *rand.Rand) int {
-	p := &pl.p
+// fillRemainder completes a without-replacement draw uniformly over the
+// unmarked files when popularity rejection stalls (extremely skewed
+// Zipf), appending to files[:ln]. Returns the completed length.
+func (pl *Placer) fillRemainder(files []int32, ln, want int, r *rand.Rand) int {
 	missing := make([]int32, 0, pl.k-ln)
 	for j := int32(0); j < int32(pl.k); j++ {
 		if pl.mark[j] != pl.stamp {
@@ -477,7 +375,7 @@ func (pl *Placer) fillRemainderMutable(base, ln, want int, r *rand.Rand) int {
 	}
 	for ln < want && len(missing) > 0 {
 		i := r.IntN(len(missing))
-		p.files[base+ln] = missing[i]
+		files[ln] = missing[i]
 		ln++
 		missing[i] = missing[len(missing)-1]
 		missing = missing[:len(missing)-1]
@@ -485,38 +383,26 @@ func (pl *Placer) fillRemainderMutable(base, ln, want int, r *rand.Rand) int {
 	return ln
 }
 
-// fillRemainder completes a without-replacement draw uniformly over the
-// unmarked files when popularity rejection stalls (extremely skewed Zipf).
-func (pl *Placer) fillRemainder(start, want int, r *rand.Rand) {
+// setLen records node u's list length, sorting the list first on
+// churn-enabled placements.
+func (pl *Placer) setLen(u, ln int) {
 	p := &pl.p
-	missing := make([]int32, 0, pl.k-(len(p.files)-start))
-	for j := int32(0); j < int32(pl.k); j++ {
-		if pl.mark[j] != pl.stamp {
-			missing = append(missing, j)
-		}
+	if p.sorted {
+		base := p.slabBase(u)
+		slices.Sort(p.files[base : base+ln])
 	}
-	for len(p.files)-start < want && len(missing) > 0 {
-		i := r.IntN(len(missing))
-		p.files = append(p.files, missing[i])
-		missing[i] = missing[len(missing)-1]
-		missing = missing[:len(missing)-1]
-	}
+	p.lens[u] = int32(ln)
 }
 
 // buildReplicaIndex constructs the inverted CSR index in two passes:
 // count replicas per file, prefix-sum into offsets, then scatter node ids.
-// Scanning nodes in ascending order keeps every S_j sorted for free.
+// Scanning nodes in ascending order keeps every S_j sorted for free,
+// whatever the order of the node lists.
 func (pl *Placer) buildReplicaIndex() {
 	p := &pl.p
 	clear(pl.counts)
-	if p.lens != nil {
-		for u := 0; u < pl.n; u++ {
-			for _, f := range p.nodeSpan(u) {
-				pl.counts[f]++
-			}
-		}
-	} else {
-		for _, f := range p.files {
+	for u := 0; u < pl.n; u++ {
+		for _, f := range p.nodeSpan(u) {
 			pl.counts[f]++
 		}
 	}
@@ -555,73 +441,38 @@ func (p *Placement) M() int { return p.m }
 // must not mutate the returned slice.
 func (p *Placement) Replicas(j int) []int32 { return p.nodes[p.repOff[j]:p.repOff[j+1]] }
 
-// NodeFiles returns the distinct files cached at node u, sorted ascending
-// except on indexed (EnableTiles, churn-disabled) placements, whose lists
-// carry unspecified order. The caller must not mutate the returned slice,
-// and on churn-enabled placements the slice is only valid until the next
-// ReplaceReplica call.
+// NodeFiles returns the distinct files cached at node u: sorted ascending
+// on churn-enabled placements (Placer.EnableChurn), in draw order
+// otherwise. The caller must not mutate the returned slice, and on
+// churn-enabled placements the slice is only valid until the next
+// mutation.
 func (p *Placement) NodeFiles(u int) []int32 { return p.nodeSpan(u) }
 
-// Has reports whether node u caches file j. Sorted-scan for the short
-// lists that dominate (t(u) ≤ M, typically ≤ a few dozen), binary search
-// beyond; both avoid the closure dispatch of sort.Search on what is the
-// single hottest lookup of the ball-side candidate sampler. On indexed
-// (EnableTiles, churn-disabled) placements, whose node lists are
-// unsorted, it falls back to a full linear scan — correct, just not the
-// hot-path shape (the index-backed strategies never call it). Churn-
-// enabled placements always keep lists sorted, so the fast paths apply.
+// Has reports whether node u caches file j, whatever the order of u's
+// list: a scan of the list while it holds at most 32 files (t(u) ≤ M,
+// typically a few dozen at most), a binary search for u in the
+// node-sorted S_j beyond. It is the per-node lookup of the ball-side
+// scans (the exact candidate filter, nearest-replica rings).
 func (p *Placement) Has(u, j int) bool {
 	files := p.nodeSpan(u)
-	f := int32(j)
-	if p.unsorted {
-		for _, v := range files {
-			if v == f {
-				return true
-			}
-		}
-		return false
-	}
 	if len(files) <= 32 {
-		for _, v := range files {
-			if v >= f {
-				return v == f
-			}
-		}
-		return false
+		return slices.Contains(files, int32(j))
 	}
-	_, ok := slices.BinarySearch(files, f)
+	_, ok := slices.BinarySearch(p.Replicas(j), int32(u))
 	return ok
 }
 
 // T returns t(u), the number of distinct files cached at node u.
-func (p *Placement) T(u int) int {
-	if p.lens != nil {
-		return int(p.lens[u])
-	}
-	return int(p.nodeOff[u+1] - p.nodeOff[u])
-}
+func (p *Placement) T(u int) int { return int(p.lens[u]) }
 
 // TPair returns t(u,v) = |T(u,v)|, the number of distinct files cached at
-// both u and v, via sorted-list intersection. It panics on indexed
-// (EnableTiles, churn-disabled) placements, whose node lists are
-// unsorted — better a loud failure than a silently wrong intersection
-// count. Churn-enabled placements keep lists sorted and are fine.
+// both u and v: each of u's files is looked up in its node-sorted S_j, so
+// the count holds whatever the order of the node lists.
 func (p *Placement) TPair(u, v int) int {
-	if p.unsorted {
-		panic("cache: TPair needs sorted node lists; indexed (EnableTiles) placements skip the sort")
-	}
-	a, b := p.NodeFiles(u), p.NodeFiles(v)
-	t, i, j := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
+	t := 0
+	for _, f := range p.nodeSpan(u) {
+		if _, ok := slices.BinarySearch(p.Replicas(int(f)), int32(v)); ok {
 			t++
-			i++
-			j++
 		}
 	}
 	return t

@@ -6,12 +6,13 @@ import (
 )
 
 // This file implements in-place placement mutation — the cache layer of
-// the engine's §VI dynamic regime. A churn-enabled Placer
-// (Placer.EnableChurn) builds placements whose every structure can be
-// spliced without arena reallocation:
+// the engine's §VI dynamic regime. Every placement's structures can be
+// spliced without arena reallocation, and a churn-enabled Placer
+// (Placer.EnableChurn) additionally sorts the node lists the forward
+// splices keep in order:
 //
-//   - forward map: M-stride slabs, so a node's list grows/shrinks by a
-//     memmove of at most M entries;
+//   - forward map: per-node slabs of Cap(u) slots, so a node's list
+//     grows/shrinks by a memmove of at most M_u entries;
 //   - replica CSR: |S_j| is invariant under ReplaceReplica, so a
 //     migration is a rotation inside the file's segment;
 //   - TileIndex: dense files flip two bitmap bits; sparse files splice
@@ -24,7 +25,7 @@ import (
 
 // Mutable reports whether the placement supports ReplaceReplica (it was
 // built by a churn-enabled Placer).
-func (p *Placement) Mutable() bool { return p.lens != nil }
+func (p *Placement) Mutable() bool { return p.sorted }
 
 // CanReplace reports whether ReplaceReplica(j, u, v) is a legal
 // migration: u caches j, and v is a distinct node that does not cache j
@@ -45,7 +46,7 @@ func (p *Placement) CanReplace(j int, u, v int32) bool {
 // the migration is legal (see CanReplace) — the engine validates events
 // first, so a violation here is a programming error.
 func (p *Placement) ReplaceReplica(j int, u, v int32) {
-	if p.lens == nil {
+	if !p.sorted {
 		panic("cache: ReplaceReplica needs a churn-enabled placement (Placer.EnableChurn)")
 	}
 	if u == v {
@@ -83,7 +84,7 @@ func (p *Placement) CanSwap(j int, u int32, j2 int, v int32) bool {
 // ReplaceReplica calls; it panics unless the exchange is legal (see
 // CanSwap).
 func (p *Placement) SwapReplicas(j int, u int32, j2 int, v int32) {
-	if p.lens == nil {
+	if !p.sorted {
 		panic("cache: SwapReplicas needs a churn-enabled placement (Placer.EnableChurn)")
 	}
 	if !p.CanSwap(j, u, j2, v) {
@@ -183,9 +184,6 @@ func (ix *TileIndex) replaceReplica(j int, u, v int32) {
 		words[u>>6] &^= 1 << (uint(u) & 63)
 		words[v>>6] |= 1 << (uint(v) & 63)
 		return
-	}
-	if ix.dirLen == nil {
-		panic("cache: tile-index splice needs a churn-enabled build")
 	}
 	s1 := ix.repOff[j+1]
 	dBase := int(ix.dirOff[j])

@@ -10,9 +10,10 @@ import (
 )
 
 // TestMutableBuildMatchesImmutable: a churn-enabled build must produce
-// the same placement content (node lists, replica lists, cached set) as
-// the immutable layout from the same RNG history, for both placement
-// modes and with or without the tile index.
+// the same placement content as a build without EnableChurn from the same
+// RNG history — each node list the sorted draw-order list, and identical
+// replica lists, cached set and tile index — for both placement modes
+// and with or without the tile index. Sorting is the only difference.
 func TestMutableBuildMatchesImmutable(t *testing.T) {
 	const side, m, k = 8, 3, 60
 	n := side * side
@@ -22,20 +23,23 @@ func TestMutableBuildMatchesImmutable(t *testing.T) {
 		for _, tiles := range []bool{false, true} {
 			r1 := rand.New(rand.NewPCG(7, 9))
 			r2 := rand.New(rand.NewPCG(7, 9))
-			ref := NewPlacer(n, m, k).Place(pop, mode, r1)
-			mut := NewPlacer(n, m, k)
+			plain, mut := NewPlacer(n, m, k), NewPlacer(n, m, k)
 			if tiles {
-				mut.EnableTiles(g.NewTiling(2))
+				tl := g.NewTiling(2)
+				plain.EnableTiles(tl)
+				mut.EnableTiles(tl)
 			}
 			mut.EnableChurn()
+			ref := plain.Place(pop, mode, r1)
 			got := mut.Place(pop, mode, r2)
-			if !got.Mutable() {
-				t.Fatal("EnableChurn placement not mutable")
+			if ref.Mutable() || !got.Mutable() {
+				t.Fatalf("Mutable: plain %v, EnableChurn %v", ref.Mutable(), got.Mutable())
 			}
 			for u := 0; u < n; u++ {
-				if !slices.Equal(ref.NodeFiles(u), got.NodeFiles(u)) {
-					t.Fatalf("mode=%v tiles=%v node %d: files %v != %v",
-						mode, tiles, u, got.NodeFiles(u), ref.NodeFiles(u))
+				want := slices.Sorted(slices.Values(ref.NodeFiles(u)))
+				if !slices.Equal(want, got.NodeFiles(u)) {
+					t.Fatalf("mode=%v tiles=%v node %d: files %v, want sorted %v",
+						mode, tiles, u, got.NodeFiles(u), want)
 				}
 			}
 			for j := 0; j < k; j++ {
@@ -46,6 +50,35 @@ func TestMutableBuildMatchesImmutable(t *testing.T) {
 			if !slices.Equal(ref.CachedFiles(), got.CachedFiles()) {
 				t.Fatalf("mode=%v tiles=%v: cached sets differ", mode, tiles)
 			}
+			if tiles {
+				sameTileIndex(t, ref, got)
+			}
+		}
+	}
+}
+
+// sameTileIndex fails unless a and b carry identical tile indexes: the
+// same dense bitmaps, tile-major segments and directories.
+func sameTileIndex(t *testing.T, a, b *Placement) {
+	t.Helper()
+	ia, ib := a.TileIndex(), b.TileIndex()
+	if ia == nil || ib == nil {
+		t.Fatalf("tile index missing: %v, %v", ia != nil, ib != nil)
+	}
+	for j := 0; j < a.K(); j++ {
+		if !slices.Equal(ia.FileBits(j), ib.FileBits(j)) {
+			t.Fatalf("file %d: dense bitmaps differ", j)
+		}
+		if ia.FileBits(j) != nil {
+			continue // the segment is stale scratch under a bitmap
+		}
+		if !slices.Equal(ia.Replicas(j), ib.Replicas(j)) {
+			t.Fatalf("file %d: tile-major segments %v vs %v", j, ia.Replicas(j), ib.Replicas(j))
+		}
+		ta, sa, ea := ia.FileRuns(j)
+		tb, sb, eb := ib.FileRuns(j)
+		if !slices.Equal(ta, tb) || !slices.Equal(sa, sb) || ea != eb {
+			t.Fatalf("file %d: directories (%v,%v,%d) vs (%v,%v,%d)", j, ta, sa, ea, tb, sb, eb)
 		}
 	}
 }
@@ -66,7 +99,7 @@ func checkAgainstRebuild(t *testing.T, p *Placement, tl *grid.Tiling) {
 	for u := 0; u < n; u++ {
 		files := p.NodeFiles(u)
 		if !slices.IsSorted(files) {
-			t.Fatalf("node %d file list unsorted: %v", u, files)
+			t.Fatalf("node %d file list not sorted: %v", u, files)
 		}
 		if len(files) != p.T(u) {
 			t.Fatalf("node %d: len(files)=%d, T=%d", u, len(files), p.T(u))
@@ -81,7 +114,7 @@ func checkAgainstRebuild(t *testing.T, p *Placement, tl *grid.Tiling) {
 	for j := 0; j < k; j++ {
 		reps := p.Replicas(j)
 		if !slices.IsSorted(reps) {
-			t.Fatalf("file %d replica segment unsorted: %v", j, reps)
+			t.Fatalf("file %d replica segment not sorted: %v", j, reps)
 		}
 		if len(reps) != len(model[j]) {
 			t.Fatalf("file %d: |S_j|=%d, model has %d", j, len(reps), len(model[j]))
@@ -258,11 +291,12 @@ func TestSlotReplica(t *testing.T) {
 }
 
 // TestReplaceReplicaPanics pins the loud-failure contract for illegal
-// migrations and immutable placements.
+// migrations and placements built without EnableChurn.
 func TestReplaceReplicaPanics(t *testing.T) {
 	r := rand.New(rand.NewPCG(1, 2))
 	imm := NewPlacer(9, 2, 10).Place(dist.NewUniform(10), WithReplacement, r)
-	mustPanic(t, "immutable", func() { imm.ReplaceReplica(0, 0, 1) })
+	mustPanic(t, "no EnableChurn", func() { imm.ReplaceReplica(0, 0, 1) })
+	mustPanic(t, "no EnableChurn swap", func() { imm.SwapReplicas(0, 0, 1, 1) })
 
 	pl := NewPlacer(9, 2, 10)
 	pl.EnableChurn()

@@ -11,19 +11,17 @@ import "slices"
 // what keeps the publish cadence cheap next to a from-scratch Place.
 
 // Clone returns a standalone deep copy of p: every backing arena
-// (forward map, replica CSR, cached-file list and — unlike the internal
-// build-path clone — the tile index, when present) is copied into
-// independently owned memory, so the copy is unaffected by later
-// mutation of p or by the next Place call on the Placer that built p.
-// The copy preserves p's layout: a mutable (churn-enabled) placement
-// clones mutable, so ReplaceReplica/SwapReplicas keep working on it,
-// while readers that treat the clone as frozen get a consistent
-// immutable view. Cost is O(n·M) memcpy — no per-node allocations and
-// no index rebuild.
+// (forward map, replica CSR, cached-file list and the tile index, when
+// present) is copied into independently owned memory, so the copy is
+// unaffected by later mutation of p or by the next Place call on the
+// Placer that built p. A mutable (churn-enabled) placement clones
+// mutable, so ReplaceReplica/SwapReplicas keep working on it, while
+// readers that treat the clone as frozen get a consistent immutable
+// view. Cost is O(n·M) memcpy — no per-node allocations and no index
+// rebuild.
 func (p *Placement) Clone() *Placement {
 	c := *p
 	c.files = slices.Clone(p.files)
-	c.nodeOff = slices.Clone(p.nodeOff)
 	c.lens = slices.Clone(p.lens)
 	c.nodes = slices.Clone(p.nodes)
 	c.repOff = slices.Clone(p.repOff)

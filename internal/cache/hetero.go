@@ -3,7 +3,6 @@ package cache
 import (
 	"fmt"
 	"math/rand/v2"
-	"slices"
 
 	"repro/internal/dist"
 )
@@ -25,7 +24,7 @@ import (
 // (the same per-node draw a from-scratch build performs) and rebuilds
 // the replica CSR — and, when present, the tile index — in place. The
 // capacity-padded tile directories are re-padded to the grown segment
-// widths (see buildMutableDirectory), which is the rebuild half of the
+// widths (see buildTileIndex), which is the rebuild half of the
 // grow-or-rebuild contract asserted by the replaceReplica overflow
 // panic. Allocation-free; the Placement and TileIndex pointers returned
 // by the preceding Place stay valid because the rebuild rewrites their
@@ -36,53 +35,25 @@ func (pl *Placer) ArriveNode(u int32, pop dist.Popularity, mode Mode, r *rand.Ra
 	if !pl.hetero {
 		panic("cache: ArriveNode needs EnableHetero")
 	}
-	if !pl.mutable {
+	if !p.sorted {
 		panic("cache: ArriveNode needs a churn-enabled placement (Placer.EnableChurn)")
 	}
 	if p.lens[u] != 0 {
 		panic(fmt.Sprintf("cache: ArriveNode: node %d is not vacant (t=%d)", u, p.lens[u]))
 	}
 	base, want := p.slabBase(int(u)), p.Cap(int(u))
-	pl.stamp++
 	ln := 0
 	switch mode {
 	case WithReplacement:
 		span := pl.draws[base : base+want]
 		dist.SampleBatch(pop, r, span)
-		for _, f := range span {
-			if pl.mark[f] != pl.stamp {
-				pl.mark[f] = pl.stamp
-				p.files[base+ln] = f
-				ln++
-			}
-		}
+		ln = pl.dedup(base, span)
 	case WithoutReplacement:
-		if want >= pl.k {
-			for j := int32(0); j < int32(pl.k); j++ {
-				p.files[base+ln] = j
-				ln++
-			}
-		} else {
-			tries := 0
-			for ln < want {
-				f := int32(pop.Sample(r))
-				if pl.mark[f] != pl.stamp {
-					pl.mark[f] = pl.stamp
-					p.files[base+ln] = f
-					ln++
-				}
-				tries++
-				if tries > 64*want && ln < want {
-					ln = pl.fillRemainderMutable(base, ln, want, r)
-					break
-				}
-			}
-		}
+		ln = pl.drawDistinct(base, want, pop, r)
 	default:
 		panic(fmt.Sprintf("cache: unknown mode %v", mode))
 	}
-	slices.Sort(p.files[base : base+ln])
-	p.lens[u] = int32(ln)
+	pl.setLen(int(u), ln)
 	if pl.vacant != nil {
 		pl.vacant[u] = false
 	}

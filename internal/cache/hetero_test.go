@@ -21,10 +21,12 @@ func heteroCaps(n, maxCap int) []int32 {
 
 // TestHeteroDegenerateMatchesHomogeneous: a hetero-enabled Placer whose
 // capacity vector is uniformly M must reproduce the homogeneous engine's
-// placement draw for draw — same RNG history, same node lists, same
-// replica CSR, same cached set — across placement modes and layouts.
-// The variable-stride CSR (per-node capOff offsets instead of the
-// M-stride slab) is a pure layout change.
+// placement draw for draw — same RNG history, same node sets, same
+// replica CSR, same cached set — across placement modes, with and
+// without the tile index and EnableChurn. The variable-stride slabs
+// (per-node capOff offsets instead of the M stride) are a pure layout
+// change; node lists compare as sorted copies because only EnableChurn
+// sorts them.
 func TestHeteroDegenerateMatchesHomogeneous(t *testing.T) {
 	const side, m, k = 8, 3, 60
 	n := side * side
@@ -39,7 +41,8 @@ func TestHeteroDegenerateMatchesHomogeneous(t *testing.T) {
 			name          string
 			tiles, mutate bool
 		}{
-			{name: "immutable"},
+			{name: "plain"},
+			{name: "tiles", tiles: true},
 			{name: "churn", mutate: true},
 			{name: "churn+tiles", tiles: true, mutate: true},
 		} {
@@ -60,10 +63,10 @@ func TestHeteroDegenerateMatchesHomogeneous(t *testing.T) {
 				if got.Cap(u) != m {
 					t.Fatalf("mode=%v %s node %d: Cap=%d, want %d", mode, layout.name, u, got.Cap(u), m)
 				}
-				gf := slices.Clone(got.NodeFiles(u))
-				slices.Sort(gf)
-				if !slices.Equal(ref.NodeFiles(u), gf) {
-					t.Fatalf("mode=%v %s node %d: files %v != %v", mode, layout.name, u, gf, ref.NodeFiles(u))
+				gf := slices.Sorted(slices.Values(got.NodeFiles(u)))
+				rf := slices.Sorted(slices.Values(ref.NodeFiles(u)))
+				if !slices.Equal(rf, gf) {
+					t.Fatalf("mode=%v %s node %d: files %v != %v", mode, layout.name, u, gf, rf)
 				}
 			}
 			for j := 0; j < k; j++ {
@@ -316,7 +319,7 @@ func TestHeteroArriveNodePanics(t *testing.T) {
 	frozen.EnableHetero(2)
 	frozen.SetHetero([]int32{2, 2, 2, 2, 2, 2, 2, 2, 2}, nil)
 	frozen.Place(pop, WithReplacement, r)
-	mustPanic(t, "immutable layout", func() { frozen.ArriveNode(0, pop, WithReplacement, r) })
+	mustPanic(t, "no EnableChurn", func() { frozen.ArriveNode(0, pop, WithReplacement, r) })
 
 	het := NewPlacer(9, 2, 10)
 	het.EnableHetero(2)

@@ -24,18 +24,20 @@ import "repro/internal/grid"
 // Placement.ReplaceReplica splices the affected tile run, directory and
 // bitmap in place (see churn.go), so readers always observe a state
 // identical to a from-scratch rebuild of the mutated placement.
+//
+// The directory is capacity-padded: dirOff pads file j's span to
+// min(|S_j|, Tiles) entries — the most it can ever occupy while |S_j| is
+// invariant — and dirLen holds the entries in use, so a splice inserts
+// and removes entries by memmove inside the file's own span. Σ capacities
+// ≤ Σ|S_j| keeps the padded directory inside the replica arena's budget.
 type TileIndex struct {
 	tl       *grid.Tiling
 	repOff   []int32 // borrowed from the Placement (length k+1)
 	nodes    []int32
 	dirTiles []int32
 	dirStart []int32
-	dirOff   []int32 // length k+1
-	// dirLen holds per-file directory lengths on churn-enabled builds,
-	// whose dirOff prefixes pad each file to its capacity
-	// min(|S_j|, Tiles) so replaceReplica can insert entries in place.
-	// nil on immutable builds (length = dirOff[j+1]-dirOff[j]).
-	dirLen []int32
+	dirOff   []int32 // length k+1, padded to per-file capacity
+	dirLen   []int32 // per-file directory entries in use
 
 	// Dense-file bitmaps: files with |S_j| ≥ n/8 (at most 8M of them,
 	// since Σ|S_j| ≤ nM) get a node bitmap, so the strategies can sample
@@ -74,10 +76,8 @@ func (ix *TileIndex) Replicas(j int) []int32 { return ix.nodes[ix.repOff[j]:ix.r
 // with no replicas (and for dense bitmap files). The caller must not
 // mutate them.
 func (ix *TileIndex) FileRuns(j int) (tiles, starts []int32, segEnd int32) {
-	lo, hi := ix.dirOff[j], ix.dirOff[j+1]
-	if ix.dirLen != nil {
-		hi = lo + ix.dirLen[j]
-	}
+	lo := ix.dirOff[j]
+	hi := lo + ix.dirLen[j]
 	return ix.dirTiles[lo:hi], ix.dirStart[lo:hi], ix.repOff[j+1]
 }
 
@@ -94,12 +94,6 @@ func (ix *TileIndex) FileBits(j int) []uint64 {
 // EnableTiles makes every subsequent Place call additionally build a
 // TileIndex over tl into reusable arenas, attached to the returned
 // Placement. The tiling must cover the same node count as the Placer.
-//
-// Indexed placements skip the per-node file-list sort: the replica-side
-// CSR (Replicas, ReplicaCount, CachedFiles) is bit-identical either
-// way, but NodeFiles order becomes unspecified, so NodeFiles-order
-// consumers (Has, TPair, CheckGoodness) must not be used on them. The
-// index-backed strategies never are.
 func (pl *Placer) EnableTiles(tl *grid.Tiling) {
 	if tl.Grid().N() != pl.n {
 		panic("cache: tiling and placer disagree on node count")
@@ -108,7 +102,6 @@ func (pl *Placer) EnableTiles(tl *grid.Tiling) {
 		return
 	}
 	pl.tiling = tl
-	pl.noSort = !pl.mutable // churn keeps lists sorted for in-place splices
 	arena := pl.n * min(pl.slotCap(), pl.k)
 	wordsPer := (pl.n + 63) / 64
 	// Σ|S_j| ≤ n·slotCap bounds files above n/8 (slotCap = M, or the
@@ -121,6 +114,7 @@ func (pl *Placer) EnableTiles(tl *grid.Tiling) {
 		dirTiles:  make([]int32, 0, arena),
 		dirStart:  make([]int32, 0, arena),
 		dirOff:    make([]int32, pl.k+1),
+		dirLen:    make([]int32, pl.k),
 		bitWords:  make([]uint64, maxDense*wordsPer),
 		bitOf:     make([]int32, pl.k),
 		wordsPer:  wordsPer,
@@ -133,7 +127,7 @@ func (pl *Placer) EnableTiles(tl *grid.Tiling) {
 // replicas are scattered tile-major through per-file cursors (each
 // segment comes out sorted by tile for free, exactly like the replica
 // index scatter sorts by node), then each segment is walked once to emit
-// its directory runs. All passes are O(n·M).
+// its directory runs into the file's padded span. All passes are O(n·M).
 func (pl *Placer) buildTileIndex() {
 	p, ix := &pl.p, &pl.tix
 
@@ -178,40 +172,9 @@ func (pl *Placer) buildTileIndex() {
 			}
 		}
 	}
-	if pl.mutable {
-		pl.buildMutableDirectory()
-	} else {
-		ix.dirTiles, ix.dirStart = ix.dirTiles[:0], ix.dirStart[:0]
-		for j := 0; j < pl.k; j++ {
-			ix.dirOff[j] = int32(len(ix.dirTiles))
-			if ix.bitOf[j] >= 0 {
-				continue // dense: empty directory by design
-			}
-			last := int32(-1)
-			for i := p.repOff[j]; i < p.repOff[j+1]; i++ {
-				if tid := ix.entryTile[i]; tid != last {
-					ix.dirTiles = append(ix.dirTiles, tid)
-					ix.dirStart = append(ix.dirStart, i)
-					last = tid
-				}
-			}
-		}
-		ix.dirOff[pl.k] = int32(len(ix.dirTiles))
-	}
-	p.tix = ix
-}
 
-// buildMutableDirectory lays the tile directory out with per-file
-// capacity min(|S_j|, Tiles) — the most entries file j can ever occupy,
-// since |S_j| is invariant under ReplaceReplica — so replaceReplica can
-// insert and remove entries by memmove inside the file's own span.
-// Σ capacities ≤ Σ|S_j| keeps the padded layout inside the same arena
-// as the tight one. Actual lengths live in dirLen (see FileRuns).
-func (pl *Placer) buildMutableDirectory() {
-	p, ix := &pl.p, &pl.tix
-	if ix.dirLen == nil {
-		ix.dirLen = make([]int32, pl.k)
-	}
+	// Directory: pad each sparse file's span to min(|S_j|, Tiles); dense
+	// files get an empty span by design.
 	maxTiles := int32(pl.tiling.Tiles())
 	total := int32(0)
 	for j := 0; j < pl.k; j++ {
@@ -239,4 +202,5 @@ func (pl *Placer) buildMutableDirectory() {
 		}
 		ix.dirLen[j] = ln
 	}
+	p.tix = ix
 }

@@ -196,26 +196,71 @@ func TestPlacementCloneDropsIndex(t *testing.T) {
 	}
 }
 
-// TestIndexedPlacementGuards: NodeFiles-order consumers stay safe on
-// indexed placements — Has falls back to a correct full scan, TPair
-// fails loudly instead of returning a wrong intersection.
-func TestIndexedPlacementGuards(t *testing.T) {
-	_, p := buildIndexed(t, 10, 3, grid.Torus, 30, 4, 1.2, 6)
-	for u := 0; u < p.N(); u++ {
-		cached := map[int32]bool{}
-		for _, f := range p.NodeFiles(u) {
-			cached[f] = true
-		}
-		for j := 0; j < p.K(); j++ {
-			if got := p.Has(u, j); got != cached[int32(j)] {
-				t.Fatalf("Has(%d, %d) = %v on indexed placement, want %v", u, j, got, cached[int32(j)])
+// TestHasTPairBruteForce: Has and TPair agree with brute force over
+// the node lists of plain (draw-order), indexed, churned (sorted, then
+// mutated) and heterogeneous placements, including lists of more than 32
+// files, where Has binary-searches S_j instead of scanning the list.
+func TestHasTPairBruteForce(t *testing.T) {
+	const side, k, maxCap = 6, 120, 40
+	n := side * side
+	g := grid.New(side, grid.Torus)
+	pop := dist.NewZipf(k, 0.6)
+	for _, tc := range []struct {
+		name                 string
+		m                    int
+		mode                 Mode
+		tiles, churn, hetero bool
+	}{
+		{name: "plain", m: 4},
+		{name: "plain/long", m: maxCap, mode: WithoutReplacement},
+		{name: "indexed", m: 4, tiles: true},
+		{name: "indexed/long", m: maxCap, mode: WithoutReplacement, tiles: true},
+		{name: "churned", m: maxCap, tiles: true, churn: true},
+		{name: "hetero", m: 4, mode: WithoutReplacement, tiles: true, hetero: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pl := NewPlacer(n, tc.m, k)
+			if tc.hetero {
+				pl.EnableHetero(maxCap)
+				pl.SetHetero(heteroCaps(n, maxCap), nil)
 			}
-		}
+			if tc.tiles {
+				pl.EnableTiles(g.NewTiling(2))
+			}
+			if tc.churn {
+				pl.EnableChurn()
+			}
+			r := rand.New(rand.NewPCG(6, 7))
+			p := pl.Place(pop, tc.mode, r)
+			if tc.churn {
+				storm(t, p, r, 300)
+			}
+			long := 0
+			for u := 0; u < n; u++ {
+				files := p.NodeFiles(u)
+				if len(files) > 32 {
+					long++
+				}
+				for j := 0; j < k; j++ {
+					if got, want := p.Has(u, j), slices.Contains(files, int32(j)); got != want {
+						t.Fatalf("Has(%d, %d) = %v, want %v", u, j, got, want)
+					}
+				}
+				for v := 0; v < n; v++ {
+					want := 0
+					for _, f := range files {
+						if slices.Contains(p.NodeFiles(v), f) {
+							want++
+						}
+					}
+					if got := p.TPair(u, v); got != want {
+						t.Fatalf("TPair(%d, %d) = %d, want %d", u, v, got, want)
+					}
+				}
+			}
+			if (tc.m > 32 || tc.hetero) && long == 0 {
+				t.Fatal("no node list longer than 32; the S_j branch of Has never ran")
+			}
+		})
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("TPair on an indexed placement should panic")
-		}
-	}()
-	p.TPair(0, 1)
 }

@@ -107,7 +107,7 @@ func TestAssignUnderChurnStaysInRadius(t *testing.T) {
 		p := pl.Place(dist.NewZipf(k, 1.0), cache.WithReplacement, rng)
 		strats := []Strategy{
 			NewTwoChoice(g, p, TwoChoiceConfig{Radius: radius}),
-			NewLeastLoadedOracle(g, p, radius),
+			NewLeastLoadedOracle(g, p, TwoChoiceConfig{Radius: radius}),
 			NewNearestReplica(g, p),
 		}
 		loads := ballsbins.NewLoads(g.N())

@@ -245,30 +245,32 @@ func TestTwoChoiceRadiusRespected(t *testing.T) {
 
 func TestTwoChoiceNoEscalateBackhauls(t *testing.T) {
 	g, p := testWorld(15, 10, 1, 17)
-	s := NewTwoChoice(g, p, TwoChoiceConfig{Radius: 2, NoEscalate: true})
-	r := xrand.NewSource(19).Stream(0)
-	loads := ballsbins.NewLoads(g.N())
-	sawBackhaul := false
-	for origin := 0; origin < g.N() && !sawBackhaul; origin++ {
-		for j := 0; j < p.K(); j++ {
-			if len(p.Replicas(j)) == 0 {
-				continue
-			}
-			a := s.Assign(Request{Origin: int32(origin), File: int32(j)}, loads, r)
-			if a.Backhaul {
-				if a.Server != int32(origin) || a.Hops != 0 {
-					t.Fatalf("backhaul must serve at origin: %+v", a)
+	cfg := TwoChoiceConfig{Radius: 2, NoEscalate: true}
+	for _, s := range []Strategy{NewTwoChoice(g, p, cfg), NewLeastLoadedOracle(g, p, cfg)} {
+		r := xrand.NewSource(19).Stream(0)
+		loads := ballsbins.NewLoads(g.N())
+		sawBackhaul := false
+		for origin := 0; origin < g.N() && !sawBackhaul; origin++ {
+			for j := 0; j < p.K(); j++ {
+				if len(p.Replicas(j)) == 0 {
+					continue
 				}
-				sawBackhaul = true
-				break
-			}
-			if int(a.Hops) > 2 {
-				t.Fatalf("NoEscalate served beyond radius: %+v", a)
+				a := s.Assign(Request{Origin: int32(origin), File: int32(j)}, loads, r)
+				if a.Backhaul {
+					if a.Server != int32(origin) || a.Hops != 0 {
+						t.Fatalf("%s: backhaul must serve at origin: %+v", s.Name(), a)
+					}
+					sawBackhaul = true
+					break
+				}
+				if int(a.Hops) > 2 || a.Escalated {
+					t.Fatalf("%s: NoEscalate served beyond radius: %+v", s.Name(), a)
+				}
 			}
 		}
-	}
-	if !sawBackhaul {
-		t.Skip("every (origin,file) pair had a local replica (unlikely)")
+		if !sawBackhaul {
+			t.Skip("every (origin,file) pair had a local replica (unlikely)")
+		}
 	}
 }
 
@@ -334,7 +336,7 @@ func TestOneChoiceIgnoresLoad(t *testing.T) {
 func TestLeastLoadedOracle(t *testing.T) {
 	g, p := testWorld(9, 6, 2, 31)
 	j := cachedFile(p, 3)
-	o := NewLeastLoadedOracle(g, p, RadiusUnbounded)
+	o := NewLeastLoadedOracle(g, p, TwoChoiceConfig{Radius: RadiusUnbounded})
 	r := xrand.NewSource(32).Stream(0)
 	loads := ballsbins.NewLoads(g.N())
 	reps := p.Replicas(j)
@@ -357,7 +359,7 @@ func TestLeastLoadedOracle(t *testing.T) {
 
 func TestLeastLoadedOracleRadiusAndBackhaul(t *testing.T) {
 	g, p := testWorld(15, 600, 1, 33)
-	o := NewLeastLoadedOracle(g, p, 2)
+	o := NewLeastLoadedOracle(g, p, TwoChoiceConfig{Radius: 2})
 	r := xrand.NewSource(34).Stream(0)
 	loads := ballsbins.NewLoads(g.N())
 	if j := uncachedFile(p); j >= 0 {
@@ -428,7 +430,7 @@ func TestAssignmentServerAlwaysValid(t *testing.T) {
 			NewTwoChoice(g, p, TwoChoiceConfig{Radius: radius}),
 			NewTwoChoice(g, p, TwoChoiceConfig{Radius: RadiusUnbounded, WithoutReplacement: true}),
 			NewOneChoice(g, p, radius),
-			NewLeastLoadedOracle(g, p, radius),
+			NewLeastLoadedOracle(g, p, TwoChoiceConfig{Radius: radius}),
 		}
 		for trial := 0; trial < 30; trial++ {
 			req := Request{Origin: int32(r.IntN(g.N())), File: int32(r.IntN(k))}

@@ -98,7 +98,7 @@ func TestLivenessAssignNeverPicksDead(t *testing.T) {
 		"two-inf":     NewTwoChoice(g, p, TwoChoiceConfig{Radius: RadiusUnbounded}),
 		"two-distinct": NewTwoChoice(g, p, TwoChoiceConfig{
 			Radius: radius, Choices: 3, WithoutReplacement: true}),
-		"oracle": NewLeastLoadedOracle(g, p, radius),
+		"oracle": NewLeastLoadedOracle(g, p, TwoChoiceConfig{Radius: radius}),
 	}
 	for name, st := range strategies {
 		st.(LivenessAware).SetLiveness(lv)
@@ -139,7 +139,7 @@ func TestLivenessAllDeadBackhaul(t *testing.T) {
 		NewNearestReplica(g, p),
 		NewTwoChoice(g, p, TwoChoiceConfig{Radius: 3}),
 		NewTwoChoice(g, p, TwoChoiceConfig{Radius: RadiusUnbounded}),
-		NewLeastLoadedOracle(g, p, 3),
+		NewLeastLoadedOracle(g, p, TwoChoiceConfig{Radius: 3}),
 	} {
 		st.(LivenessAware).SetLiveness(lv)
 		rng := rand.New(rand.NewPCG(9, 9))

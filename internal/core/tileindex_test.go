@@ -210,8 +210,8 @@ func TestIndexedAssignMatchesSemantics(t *testing.T) {
 // least-loaded in-radius replica whether or not the index is bound.
 func TestOracleIndexedMatchesExact(t *testing.T) {
 	g, p, _, plainStrat := indexedWorld(12, 3, grid.Torus, 100, 2, 0.9, TwoChoiceConfig{Radius: 3}, 8)
-	indexed := NewLeastLoadedOracle(g, p, 3)
-	plain := NewLeastLoadedOracle(g, plainStrat.p, 3)
+	indexed := NewLeastLoadedOracle(g, p, TwoChoiceConfig{Radius: 3})
+	plain := NewLeastLoadedOracle(g, plainStrat.p, TwoChoiceConfig{Radius: 3})
 	loads := ballsbins.NewLoads(g.N())
 	rng := rand.New(rand.NewPCG(3, 33))
 	for q := 0; q < 3000; q++ {

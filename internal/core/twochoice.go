@@ -952,9 +952,11 @@ type LeastLoadedOracle struct {
 	inner *TwoChoice
 }
 
-// NewLeastLoadedOracle builds the oracle baseline.
-func NewLeastLoadedOracle(g *grid.Grid, p *cache.Placement, radius int) *LeastLoadedOracle {
-	return &LeastLoadedOracle{inner: NewTwoChoice(g, p, TwoChoiceConfig{Radius: radius})}
+// NewLeastLoadedOracle builds the oracle baseline. It reads cfg.Radius
+// and cfg.NoEscalate (an empty ball backhauls instead of widening to
+// r = ∞); the sampling fields do not apply to a full-information scan.
+func NewLeastLoadedOracle(g *grid.Grid, p *cache.Placement, cfg TwoChoiceConfig) *LeastLoadedOracle {
+	return &LeastLoadedOracle{inner: NewTwoChoice(g, p, TwoChoiceConfig{Radius: cfg.Radius, NoEscalate: cfg.NoEscalate})}
 }
 
 // Name implements Strategy.
@@ -987,6 +989,11 @@ func (o *LeastLoadedOracle) Assign(req Request, loads LoadReader, r *rand.Rand) 
 		}
 		pool = s.candBuf
 		if len(pool) == 0 {
+			if s.cfg.NoEscalate {
+				a := backhaul(req)
+				a.Retried = s.retried
+				return a
+			}
 			pool, escalated = reps, true
 		}
 	}

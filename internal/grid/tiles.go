@@ -361,21 +361,6 @@ func absRangeMinMax(lo, hi int) (dmin, dmax int) {
 	return dmin, max(alo, ahi)
 }
 
-// Template exposes the raw cover template for origin u — the parallel
-// tile-delta/full arrays of u's intra-tile offset plus the coordinates
-// needed to resolve absolute tile ids (tile = wrap(uty+dty)*per +
-// wrap(utx+dtx)). The spatial index's hottest loop consumes the template
-// in place instead of materializing a CoverBuf. Callers must not mutate
-// the returned slices.
-func (ct *CoverTable) Template(u int) (dtx, dty []int16, full []bool, utx, uty, per int) {
-	tl := ct.tl
-	t := tl.t
-	ux, uy := int(tl.g.xOf[u]), int(tl.g.yOf[u])
-	off := (uy%t)*t + ux%t
-	lo, hi := ct.start[off], ct.start[off+1]
-	return ct.dtx[lo:hi], ct.dty[lo:hi], ct.full[lo:hi], ux / t, uy / t, tl.perSide
-}
-
 // Rows exposes the row-span template for origin u, plus the coordinates
 // needed to resolve absolute tiles (row = wrap(uty+Dty), columns
 // wrap(utx+C0..C1)). Callers must not mutate the returned slice.

@@ -72,13 +72,6 @@ func (cs *churnState) reset() {
 	}
 }
 
-// churnChunk applies the churn schedule accrued by one accounted chunk
-// of c requests. The engine skips the call after the trial's final
-// chunk (no request would ever observe the mutation).
-func (r *Runner) churnChunk(p *cache.Placement, rng *rand.Rand, c int, res *Result) {
-	r.churnSt.apply(r.w, p, rng, c, &res.ChurnEvents, &res.ChurnSkipped)
-}
-
 // apply executes the schedule accrued by c elapsed requests against p,
 // counting applied migrations into events and infeasible drops into
 // skipped. One drifter tick per call: under the batch engine a call is

@@ -4,7 +4,6 @@ import (
 	"math/rand/v2"
 
 	"repro/internal/cache"
-	"repro/internal/core"
 )
 
 // The fault phase of the request pipeline (robustness regime): after a
@@ -49,27 +48,6 @@ type faultState struct {
 
 // reset zeroes both event credits (the trial-start state).
 func (fs *faultState) reset() { fs.crashCredit, fs.recoverCredit = 0, 0 }
-
-// armFaults prepares the fault engine for one trial: reset the mask to
-// all-live, zero the event credits, bind the mask into the strategy and
-// derive the per-trial fault stream. Returns nil (and unbinds nothing)
-// under FaultsNone, keeping the fault-free engine untouched.
-func (r *Runner) armFaults(strat core.Strategy, t uint64) *rand.Rand {
-	if r.live == nil {
-		return nil
-	}
-	r.live.Reset()
-	r.faultSt.reset()
-	strat.(core.LivenessAware).SetLiveness(r.live)
-	return r.fault.stream(r.w.faultSrc, t)
-}
-
-// faultChunk applies the crash/recovery schedule accrued by one
-// accounted chunk of c requests. The engine skips the call after the
-// trial's final chunk (no request would ever observe the mutation).
-func (r *Runner) faultChunk(rng *rand.Rand, c int, res *Result) {
-	r.faultSt.apply(r.w, r.live, rng, c, r.nodeLoad, res)
-}
 
 // nodeLoad reads node u's current load through the engine's active view:
 // the base vector everywhere except racy sharded trials, whose live

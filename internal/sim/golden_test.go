@@ -357,13 +357,13 @@ var goldenPins = []pin{
 	{name: "oracle/escalate/grid", trial: 1, cfg: Config{Side: 12, Topology: grid.Bounded, K: 150, M: 2, Strategy: StrategySpec{Kind: Oracle, Radius: 3}, MissPolicy: MissEscalate, Seed: 0x63},
 		want: Result{MaxLoad: 4, MeanCost: 6.256944444444445, Requests: 144, Escalated: 92, Backhaul: 21, Uncached: 23}},
 	{name: "oracle/origin/torus", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: Oracle, Radius: 3}, MissPolicy: MissOrigin, Seed: 0x63},
-		want: Result{MaxLoad: 4, MeanCost: 4.215277777777778, Requests: 144, Escalated: 77, Backhaul: 25, Uncached: 22}},
+		want: Result{MaxLoad: 4, MeanCost: 0.6458333333333334, Requests: 144, Backhaul: 102, Uncached: 22}},
 	{name: "oracle/origin/torus", trial: 1, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: Oracle, Radius: 3}, MissPolicy: MissOrigin, Seed: 0x63},
-		want: Result{MaxLoad: 4, MeanCost: 4.576388888888889, Requests: 144, Escalated: 85, Backhaul: 21, Uncached: 23}},
+		want: Result{MaxLoad: 4, MeanCost: 0.6527777777777778, Requests: 144, Backhaul: 106, Uncached: 23}},
 	{name: "oracle/origin/grid", trial: 0, cfg: Config{Side: 12, Topology: grid.Bounded, K: 150, M: 2, Strategy: StrategySpec{Kind: Oracle, Radius: 3}, MissPolicy: MissOrigin, Seed: 0x63},
-		want: Result{MaxLoad: 4, MeanCost: 5.847222222222222, Requests: 144, Escalated: 86, Backhaul: 25, Uncached: 22}},
+		want: Result{MaxLoad: 4, MeanCost: 0.5069444444444444, Requests: 144, Backhaul: 111, Uncached: 22}},
 	{name: "oracle/origin/grid", trial: 1, cfg: Config{Side: 12, Topology: grid.Bounded, K: 150, M: 2, Strategy: StrategySpec{Kind: Oracle, Radius: 3}, MissPolicy: MissOrigin, Seed: 0x63},
-		want: Result{MaxLoad: 4, MeanCost: 6.256944444444445, Requests: 144, Escalated: 92, Backhaul: 21, Uncached: 23}},
+		want: Result{MaxLoad: 4, MeanCost: 0.5208333333333334, Requests: 144, Backhaul: 113, Uncached: 23}},
 	{name: "zipf-rinf", trial: 0, cfg: Config{Side: 15, K: 50, M: 2, Popularity: PopSpec{Kind: PopZipf, Gamma: 1}, Strategy: StrategySpec{Kind: TwoChoices, Radius: -1}, Seed: 0x2a},
 		want: Result{MaxLoad: 3, MeanCost: 7.64, Requests: 225}},
 	{name: "zipf-rinf", trial: 1, cfg: Config{Side: 15, K: 50, M: 2, Popularity: PopSpec{Kind: PopZipf, Gamma: 1}, Strategy: StrategySpec{Kind: TwoChoices, Radius: -1}, Seed: 0x2a},
@@ -587,7 +587,7 @@ var goldenPins = []pin{
 	{name: "sharded/oracle/escalate", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Popularity: PopSpec{Kind: PopZipf, Gamma: 0.9}, Strategy: StrategySpec{Kind: Oracle, Radius: 3}, Requests: 4096, MissPolicy: MissEscalate, Workers: 4, Seed: 0x71},
 		want: Result{MaxLoad: 58, MeanCost: 3.311279296875, Requests: 4096, Escalated: 1241, Backhaul: 651, Uncached: 62}},
 	{name: "sharded/oracle/origin", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Popularity: PopSpec{Kind: PopZipf, Gamma: 0.9}, Strategy: StrategySpec{Kind: Oracle, Radius: 3}, Requests: 4096, MissPolicy: MissOrigin, Workers: 4, Seed: 0x71},
-		want: Result{MaxLoad: 58, MeanCost: 3.311279296875, Requests: 4096, Escalated: 1241, Backhaul: 651, Uncached: 62}},
+		want: Result{MaxLoad: 50, MeanCost: 1.22900390625, Requests: 4096, Backhaul: 1892, Uncached: 62}},
 	{name: "sharded/churn-replicas/two-choices", trial: 1, cfg: Config{Side: 12, K: 150, M: 2, Popularity: PopSpec{Kind: PopZipf, Gamma: 0.9}, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 4096, Churn: ChurnReplicas, ChurnRate: 0.5, Workers: 4, Seed: 0x71},
 		want: Result{MaxLoad: 48, MeanCost: 3.970947265625, Requests: 4096, Escalated: 1567, Uncached: 50, ChurnEvents: 1394, ChurnSkipped: 142}},
 	{name: "sharded/churn-drift/two-choices", trial: 1, cfg: Config{Side: 12, K: 150, M: 2, Popularity: PopSpec{Kind: PopZipf, Gamma: 0.9}, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 4096, Churn: ChurnDrift, ChurnRate: 0.5, Workers: 4, Seed: 0x71},

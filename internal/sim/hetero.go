@@ -294,11 +294,6 @@ func (hs *heteroState) applyArrivals(w *World, placer *cache.Placer, live *cache
 	}
 }
 
-// arrivalChunk is the batch engine's barrier hook over applyArrivals.
-func (r *Runner) arrivalChunk(rng *rand.Rand, c int, res *Result) {
-	r.heteroSt.applyArrivals(r.w, r.placer, r.live, rng, c, &res.ArrivalEvents, &res.ArrivalSkipped)
-}
-
 // finishHetero records trial-end heterogeneity counters.
 func (r *Runner) finishHetero(res *Result) {
 	if r.w.cfg.Hetero == HeteroArrival {

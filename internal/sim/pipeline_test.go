@@ -136,7 +136,7 @@ func TestStreamingMetricsMatchSequentialOracle(t *testing.T) {
 	}
 	r := w.NewRunner()
 	placement := r.placer.Place(w.placeProfile, w.cfg.PlacementMode, r.place.stream(w.placeSrc, trial))
-	strat := r.strategy(placement)
+	strat := r.bindStrategy(nil, placement)
 	sampler := r.fileSampler(placement)
 	originRNG, fileRNG := w.RequestStream(trial)
 	assignRNG := r.assign.stream(w.assignSrc, trial)

@@ -44,9 +44,7 @@ func referenceTrial(w *World, t uint64, rng *rand.Rand) Result {
 	if radius < 0 || radius >= g.Diameter() {
 		radius = g.Diameter()
 	}
-	// The oracle escalates on an empty ball under every miss policy; only
-	// the sampling strategies honour MissOrigin's backhaul.
-	noEscalate := cfg.MissPolicy == MissOrigin && sp.Kind != Oracle
+	noEscalate := cfg.MissPolicy == MissOrigin
 	loads := make([]int, n)
 	res := Result{Requests: w.nReq, Uncached: p.UncachedCount()}
 	var hops float64
@@ -105,8 +103,8 @@ func referenceTrial(w *World, t uint64, rng *rand.Rand) Result {
 }
 
 // referenceConfigs span the reference comparison: torus and bounded
-// grid, Zipf with dense files, d = 4 without replacement, the oracle, and
-// all three miss policies.
+// grid, Zipf with dense files, d = 4 without replacement, the oracle
+// (escalating and backhauling), and all three miss policies.
 var referenceConfigs = []struct {
 	name string
 	cfg  Config
@@ -116,6 +114,7 @@ var referenceConfigs = []struct {
 	{"zipf/origin", Config{Side: 12, K: 150, M: 2, Seed: 0x63, Popularity: PopSpec{Kind: PopZipf, Gamma: 1.2}, MissPolicy: MissOrigin, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}}},
 	{"d4-distinct", Config{Side: 12, K: 100, M: 2, Seed: 0x7, Strategy: StrategySpec{Kind: TwoChoices, Radius: 4, Choices: 4, WithoutReplacement: true}}},
 	{"oracle", Config{Side: 12, K: 150, M: 2, Seed: 0x63, Strategy: StrategySpec{Kind: Oracle, Radius: 3}}},
+	{"oracle/origin", Config{Side: 12, K: 150, M: 2, Seed: 0x63, MissPolicy: MissOrigin, Strategy: StrategySpec{Kind: Oracle, Radius: 3}}},
 }
 
 // referencePValues compares engine (RunTrial of cfg) against the
@@ -150,7 +149,7 @@ func referencePValues(t *testing.T, cfg Config, trials int) (chi2P, ksP float64)
 // TestReferenceMatchesRunTrial: the engine's Strategy II law equals the
 // brute-force reference on every reference configuration. The seeds are
 // fixed, so the p-values are too (docs/perf.md records them); 1e-3 is a
-// Bonferroni-style floor over the ten tests.
+// Bonferroni-style floor over the twelve tests.
 func TestReferenceMatchesRunTrial(t *testing.T) {
 	for _, rc := range referenceConfigs {
 		chi2P, ksP := referencePValues(t, rc.cfg, 200)

@@ -1,12 +1,9 @@
 package sim
 
 import (
-	"math/rand/v2"
-
 	"repro/internal/ballsbins"
 	"repro/internal/core"
 	"repro/internal/dist"
-	"repro/internal/routing"
 	"repro/internal/stats"
 )
 
@@ -61,17 +58,6 @@ import (
 // frozen by the golden table's sharded pins.
 const shardGranule = 64
 
-// shardAcct is one shard's order-insensitive chunk account. Hop counts
-// sum in int64, so folding shards in any grouping is exact — float
-// summation here would make MeanCost depend on the shard partition and
-// hence on P.
-type shardAcct struct {
-	hops      int64
-	escalated int
-	backhaul  int
-	retried   int
-}
-
 // shardState is one worker's private scratch: its strategy instance
 // (strategies carry per-instance buffers and are not concurrency-safe),
 // its three granule-reseeded generators, its chunk account and, in racy
@@ -79,7 +65,7 @@ type shardAcct struct {
 type shardState struct {
 	strat                core.Strategy
 	origin, file, assign reseedRand
-	acct                 shardAcct
+	acct                 acct
 	maxSeen              int
 }
 
@@ -107,29 +93,21 @@ func (r *Runner) initShards() {
 }
 
 // runTrialSharded executes one trial through the sharded engine. The
-// trial-invariant setup (placement, conditioning, metric arenas, churn
-// stream) matches the sequential engine exactly; only the request
-// pipeline changes discipline.
+// prologue, chunk end and epilogue are the sequential engine's; only the
+// request phase changes discipline.
 func (r *Runner) runTrialSharded(t uint64) Result {
 	w := r.w
 	r.initShards()
-	arrivalRNG := r.armHetero(t)
-	placement := r.placer.Place(w.placeProfile, w.cfg.PlacementMode, r.place.stream(w.placeSrc, t))
+	placement, m, res := r.beginTrial(t)
+	// Faults compose with sharding: one shared mask, bound into every
+	// shard's strategy, mutated only by the coordinator at the chunk
+	// barrier (workers read it concurrently but never during a mutation —
+	// the same happens-before edges that protect the chunk buffers).
 	for s := range r.shards {
 		st := &r.shards[s]
-		if st.strat == nil {
-			st.strat = buildStrategy(w.cfg, w.g, placement)
-		} else if rb, ok := st.strat.(core.Rebindable); ok {
-			rb.Rebind(placement)
-		} else {
-			st.strat = buildStrategy(w.cfg, w.g, placement)
-		}
-		st.acct = shardAcct{}
-		st.maxSeen = 0
+		st.strat = r.bindStrategy(st.strat, placement)
+		st.acct, st.maxSeen = acct{}, 0
 	}
-
-	n := w.g.N()
-	r.loads.Reset()
 	r.shardRacy = w.cfg.Shard == ShardRacy
 	if r.shardRacy {
 		r.atomicLoads.Reset()
@@ -143,56 +121,6 @@ func (r *Runner) runTrialSharded(t uint64) Result {
 	r.shardT = t
 	r.shardSampler = r.fileSampler(placement)
 
-	res := Result{Requests: w.nReq, Uncached: placement.UncachedCount()}
-	var links *routing.LinkLoads
-	var hopAcc *stats.Accumulator
-	switch w.cfg.Metrics {
-	case MetricsLinks:
-		if r.links == nil {
-			r.links = routing.NewLinkLoads(w.g)
-		} else {
-			r.links.Reset()
-		}
-		links = r.links
-	case MetricsStreaming:
-		if r.hopAcc == nil {
-			r.hopAcc = stats.NewAccumulator(w.g.Diameter())
-			r.loadAcc = stats.NewAccumulator(w.loadBound)
-			if n <= LinkSketchMaxN {
-				r.links64 = stats.NewSpaceSaving(LinkSketchCap)
-				r.linkBuf = make([]uint64, 0, w.g.Diameter()+1)
-			}
-		}
-		r.hopAcc.Reset()
-		r.loadAcc.Reset()
-		if r.links64 != nil {
-			r.links64.Reset()
-		}
-		for _, acc := range r.granAccs {
-			acc.Reset()
-		}
-		hopAcc = r.hopAcc
-	}
-
-	var churnRNG *rand.Rand
-	if w.cfg.Churn != ChurnNone {
-		churnRNG = r.churn.stream(w.churnSrc, t)
-		r.churnSt.reset()
-	}
-	// Faults compose with sharding: one shared mask, bound into every
-	// shard's strategy, mutated only by the coordinator at the chunk
-	// barrier (workers read it concurrently but never during a mutation —
-	// the same happens-before edges that protect the chunk buffers).
-	var faultRNG *rand.Rand
-	if r.live != nil {
-		r.live.Reset()
-		r.faultSt.reset()
-		for s := range r.shards {
-			r.shards[s].strat.(core.LivenessAware).SetLiveness(r.live)
-		}
-		faultRNG = r.fault.stream(w.faultSrc, t)
-	}
-
 	chunk := len(r.origins)
 	nChunks := (w.nReq + chunk - 1) / chunk
 	p := len(r.shards)
@@ -200,7 +128,7 @@ func (r *Runner) runTrialSharded(t uint64) Result {
 		go r.shardWorker(s, nChunks)
 	}
 
-	var a shardAcct
+	var a acct
 	for base := 0; base < w.nReq; base += chunk {
 		c := min(chunk, w.nReq-base)
 		r.shardBase, r.shardC = base, c
@@ -221,82 +149,18 @@ func (r *Runner) runTrialSharded(t uint64) Result {
 			}
 		}
 		for s := range r.shards {
-			st := &r.shards[s]
-			a.hops += st.acct.hops
-			a.escalated += st.acct.escalated
-			a.backhaul += st.acct.backhaul
-			a.retried += st.acct.retried
-			st.acct = shardAcct{}
+			a.add(r.shards[s].acct)
+			r.shards[s].acct = acct{}
 		}
-		if links != nil {
-			for i := 0; i < c; i++ {
-				links.Route(int(r.origins[i]), int(r.servers[i]))
-			}
-		}
-		if hopAcc != nil {
-			g := (c + shardGranule - 1) / shardGranule
-			for i := 0; i < g; i++ {
-				hopAcc.Merge(r.granAccs[i])
+		if r.hopAcc != nil {
+			for i := 0; i < (c+shardGranule-1)/shardGranule; i++ {
+				r.hopAcc.Merge(r.granAccs[i])
 				r.granAccs[i].Reset()
 			}
-			if r.links64 != nil {
-				gr := w.g
-				for i := 0; i < c; i++ {
-					if r.hops[i] == 0 {
-						continue
-					}
-					r.linkBuf = routing.AppendLinks(gr, int(r.origins[i]), int(r.servers[i]), r.linkBuf[:0])
-					for _, id := range r.linkBuf {
-						r.links64.Observe(id)
-					}
-				}
-			}
 		}
-		if base+c < w.nReq {
-			if arrivalRNG != nil {
-				r.arrivalChunk(arrivalRNG, c, &res)
-			}
-			if faultRNG != nil {
-				r.faultChunk(faultRNG, c, &res)
-			}
-			if churnRNG != nil {
-				r.churnChunk(placement, churnRNG, c, &res)
-			}
-		}
+		r.endChunk(placement, &m, base, c, &res)
 	}
-
-	res.Escalated, res.Backhaul, res.Retried = a.escalated, a.backhaul, a.retried
-	r.finishHetero(&res)
-	if links != nil {
-		res.MaxLinkLoad = links.Max()
-		res.LinkCongestion = links.CongestionFactor()
-	}
-	if r.shardRacy {
-		for s := range r.shards {
-			if r.shards[s].maxSeen > res.MaxLoad {
-				res.MaxLoad = r.shards[s].maxSeen
-			}
-		}
-	} else {
-		res.MaxLoad = r.loads.Max()
-	}
-	if w.nReq > 0 {
-		res.MeanCost = float64(a.hops) / float64(w.nReq)
-	}
-	if hopAcc != nil {
-		for u := 0; u < n; u++ {
-			r.loadAcc.Observe(r.shardLoads.Load(u))
-		}
-		res.Streamed = true
-		res.HopMax = hopAcc.Max()
-		res.HopStd = hopAcc.Std()
-		res.LoadP99 = r.loadAcc.Quantile(0.99)
-		if r.links64 != nil {
-			res.LinkMaxApprox = r.links64.MaxCount()
-		}
-	}
-	r.finishFaults(&res)
-	return res
+	return r.finishTrial(res, a)
 }
 
 // shardWorker is the goroutine body of shard s: one barrier round per

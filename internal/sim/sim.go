@@ -477,10 +477,14 @@ func (c Config) N() int { return c.Side * c.Side }
 // so n = Side² must fit one (46340² < 2³¹ ≤ 46341²), and the cache-slot
 // arena n·max M_u is capped at maxSlots = 2²⁸, about 27× the widegrid
 // paper preset's 10⁷ slots — past that a config would exhaust memory or
-// overflow the offsets instead of failing validation.
+// overflow the offsets instead of failing validation. File ids are int32
+// too, and the popularity tables, Placer and tile-index arenas are all
+// O(K), so the library is capped at maxK = 2²⁴ files, the sweep spec's
+// cap (a 2²⁴-file Zipf PMF alone is ~128 MiB per world).
 const (
 	maxSide  = 46340
 	maxSlots = 1 << 28
+	maxK     = 1 << 24
 )
 
 func (c Config) validate() error {
@@ -489,6 +493,9 @@ func (c Config) validate() error {
 	}
 	if c.K <= 0 || c.M <= 0 {
 		return fmt.Errorf("sim: K and M must be positive, got K=%d M=%d", c.K, c.M)
+	}
+	if c.K > maxK {
+		return fmt.Errorf("sim: K must be at most %d files, got %d", maxK, c.K)
 	}
 	if c.Requests < 0 {
 		return fmt.Errorf("sim: Requests must be non-negative, got %d", c.Requests)
@@ -664,7 +671,10 @@ func buildStrategy(cfg Config, g *grid.Grid, p *cache.Placement) core.Strategy {
 			NoEscalate: cfg.MissPolicy == MissOrigin,
 		})
 	case Oracle:
-		return core.NewLeastLoadedOracle(g, p, sp.Radius)
+		return core.NewLeastLoadedOracle(g, p, core.TwoChoiceConfig{
+			Radius:     sp.Radius,
+			NoEscalate: cfg.MissPolicy == MissOrigin,
+		})
 	default:
 		panic(fmt.Sprintf("sim: unknown strategy kind %d", sp.Kind))
 	}

@@ -48,6 +48,9 @@ func TestConfigValidation(t *testing.T) {
 			c.Side, c.M = 8192, 4
 			c.Hetero, c.Profile = HeteroCapacity, ProfilePowerLaw
 		},
+		// File ids are int32 and every per-file arena is O(K).
+		"k over cap": func(c *Config) { c.K = maxK + 1 },
+		"k overflow": func(c *Config) { c.K = 1 << 40 },
 	} {
 		c := baseConfig()
 		mut(&c)
@@ -67,6 +70,10 @@ func TestConfigValidation(t *testing.T) {
 		if err := Validate(c); err != nil {
 			t.Errorf("Side=%d M=%d at the slot budget rejected: %v", c.Side, c.M, err)
 		}
+	}
+	// The file cap is inclusive too.
+	if err := Validate(Config{Side: 4, K: maxK, M: 1}); err != nil {
+		t.Errorf("K=%d at the file cap rejected: %v", maxK, err)
 	}
 }
 

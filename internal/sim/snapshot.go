@@ -28,10 +28,10 @@ import (
 // the copy-on-write discipline internal/serve enforces by mutating a
 // private shadow and publishing Clones.
 
-// Snapshot is one era of served placement state: a churn-capable
-// placement (with tile index when the world is indexed), the liveness
-// mask (when faults are configured) and the event schedules that evolve
-// them.
+// Snapshot is one era of served placement state: the placement (with
+// tile index when the world is indexed, mutable when the world mutates
+// it), the liveness mask (when faults are configured) and the event
+// schedules that evolve them.
 type Snapshot struct {
 	w    *World
 	p    *cache.Placement
@@ -56,25 +56,15 @@ type Snapshot struct {
 }
 
 // Snapshot compiles the served state for trial era t: the placement is
-// built from the same per-trial placement stream as RunTrial(t) — so
-// its content (replica sets, tile index, cached-file set) is identical
-// to the batch trial's — but in the mutable churn layout, ready for
-// in-place migration. The churn and fault schedules are armed from the
-// same per-trial streams the batch engine would consume, so the served
-// mutation sequence is the trial's seeded process applied at the
-// daemon's own batch cadence.
+// built by the Runner's Placer configuration from the same per-trial
+// placement stream as RunTrial(t), so it is identical to the batch
+// trial's — node lists, replica CSR and tile index — and sorted for
+// in-place migration exactly when the world mutates. The churn and
+// fault schedules are armed from the same per-trial streams the batch
+// engine would consume, so the served mutation sequence is the trial's
+// seeded process applied at the daemon's own batch cadence.
 func (w *World) Snapshot(t uint64) *Snapshot {
-	placer := cache.NewPlacer(w.g.N(), w.cfg.M, w.cfg.K)
-	// Hetero layout first (EnableTiles and EnableChurn size arenas off
-	// its slot budget), then churn: EnableTiles keys its sort policy off
-	// the churn layout.
-	if w.cfg.Hetero != HeteroNone {
-		placer.EnableHetero(profileMaxCap(w.cfg.Profile, w.cfg.M))
-	}
-	placer.EnableChurn()
-	if w.tiling != nil {
-		placer.EnableTiles(w.tiling)
-	}
+	placer := w.newPlacer()
 	// One reseedRand per role: stream() reuses its receiver's generator,
 	// so sharing one across roles would alias every stream to the last
 	// reseed.

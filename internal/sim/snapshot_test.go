@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"strings"
 	"testing"
 
@@ -150,6 +151,71 @@ func TestSnapshotReplayMatchesTrial(t *testing.T) {
 					got.FaultEvents != want.FaultEvents || got.RecoverEvents != want.RecoverEvents ||
 					got.FaultSkipped != want.FaultSkipped || got.DeadNodes != want.DeadNodes {
 					t.Errorf("trial %d: replay events %+v, want %+v", trial, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestSnapshotPlacementMatchesRunner: a Runner and a Snapshot of one
+// world build the same trial placement — node lists in order, replica
+// CSR, cached set and tile index — because both take their Placer from
+// World.newPlacer. Only the mutating world sorts its node lists.
+func TestSnapshotPlacementMatchesRunner(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		mutable bool
+	}{
+		{name: "quiesced", cfg: Config{Side: 12, K: 150, M: 3, Seed: 0x63,
+			Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}}},
+		{name: "mutating", mutable: true, cfg: Config{Side: 12, K: 150, M: 3, Seed: 0x63,
+			Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, MissPolicy: MissEscalate,
+			Churn: ChurnReplicas, ChurnRate: 0.5,
+			Hetero: HeteroArrival, Profile: ProfilePowerLaw, ArrivalRate: 0.01}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w, err := Compile(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := w.NewRunner()
+			for trial := uint64(0); trial < 3; trial++ {
+				got, _, _ := r.beginTrial(trial)
+				want := w.Snapshot(trial).Placement()
+				if got.Mutable() != tc.mutable || want.Mutable() != tc.mutable {
+					t.Fatalf("trial %d: Mutable runner %v, snapshot %v, want %v",
+						trial, got.Mutable(), want.Mutable(), tc.mutable)
+				}
+				for u := 0; u < w.N(); u++ {
+					if !slices.Equal(got.NodeFiles(u), want.NodeFiles(u)) || got.Cap(u) != want.Cap(u) {
+						t.Fatalf("trial %d node %d: runner %v (cap %d), snapshot %v (cap %d)",
+							trial, u, got.NodeFiles(u), got.Cap(u), want.NodeFiles(u), want.Cap(u))
+					}
+				}
+				if !slices.Equal(got.CachedFiles(), want.CachedFiles()) {
+					t.Fatalf("trial %d: cached sets differ", trial)
+				}
+				gi, wi := got.TileIndex(), want.TileIndex()
+				if gi == nil || wi == nil {
+					t.Fatalf("trial %d: tile index missing (runner %v, snapshot %v)", trial, gi != nil, wi != nil)
+				}
+				for j := 0; j < w.cfg.K; j++ {
+					if !slices.Equal(got.Replicas(j), want.Replicas(j)) {
+						t.Fatalf("trial %d file %d: replicas differ", trial, j)
+					}
+					if !slices.Equal(gi.FileBits(j), wi.FileBits(j)) {
+						t.Fatalf("trial %d file %d: dense bitmaps differ", trial, j)
+					}
+					if gi.FileBits(j) != nil {
+						continue // a bitmap file's segment is stale scratch
+					}
+					gt, gs, ge := gi.FileRuns(j)
+					wt, ws, we := wi.FileRuns(j)
+					if !slices.Equal(gi.Replicas(j), wi.Replicas(j)) ||
+						!slices.Equal(gt, wt) || !slices.Equal(gs, ws) || ge != we {
+						t.Fatalf("trial %d file %d: tile index differs", trial, j)
+					}
 				}
 			}
 		})

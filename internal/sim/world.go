@@ -335,21 +335,34 @@ const (
 	churnDriftLifespan = 64.0
 )
 
-// NewRunner returns a fresh Runner over w.
-func (w *World) NewRunner() *Runner {
-	b := min(w.chunk, w.nReq)
+// newPlacer returns a Placer for w's placements, shared by NewRunner and
+// Snapshot so a batch trial and its served era build the same placement:
+// heterogeneous capacities when configured, the tile index when the
+// strategy is indexed, and sorted node lists exactly when the world
+// mutates placements mid-trial (churn or arrivals), whose in-place
+// splices keep them in order.
+func (w *World) newPlacer() *cache.Placer {
 	placer := cache.NewPlacer(w.g.N(), w.cfg.M, w.cfg.K)
-	// Hetero layout first: EnableTiles and EnableChurn size their arenas
-	// off the per-node slot budget EnableHetero installs.
+	// Hetero first: EnableTiles sizes its arenas off the per-node slot
+	// budget EnableHetero installs.
 	if w.cfg.Hetero != HeteroNone {
 		placer.EnableHetero(profileMaxCap(w.cfg.Profile, w.cfg.M))
 	}
 	if w.tiling != nil {
 		placer.EnableTiles(w.tiling)
 	}
+	if w.cfg.Churn != ChurnNone || w.cfg.Hetero == HeteroArrival {
+		placer.EnableChurn()
+	}
+	return placer
+}
+
+// NewRunner returns a fresh Runner over w.
+func (w *World) NewRunner() *Runner {
+	b := min(w.chunk, w.nReq)
 	r := &Runner{
 		w:       w,
-		placer:  placer,
+		placer:  w.newPlacer(),
 		loads:   ballsbins.NewLoads(w.g.N()),
 		origins: make([]int32, b),
 		files:   make([]int32, b),
@@ -362,11 +375,6 @@ func (w *World) NewRunner() *Runner {
 		if r.heteroSt.mults != nil {
 			r.weighted = &ballsbins.WeightedLoads{}
 		}
-	}
-	// Arrivals mutate the placement mid-trial, so HeteroArrival needs the
-	// churn (mutable slab) layout even with churn itself off.
-	if w.cfg.Churn != ChurnNone || w.cfg.Hetero == HeteroArrival {
-		placer.EnableChurn()
 	}
 	if w.cfg.Churn != ChurnNone {
 		r.churnSt.init(w)
@@ -385,18 +393,19 @@ func (w *World) NewRunner() *Runner {
 	return r
 }
 
-// strategy returns the per-runner strategy instance bound to p, rebinding
-// the existing instance when the strategy supports it (all built-ins do).
-func (r *Runner) strategy(p *cache.Placement) core.Strategy {
-	if r.strat == nil {
-		r.strat = buildStrategy(r.w.cfg, r.w.g, p)
-		return r.strat
-	}
-	if rb, ok := r.strat.(core.Rebindable); ok {
+// bindStrategy returns cur rebound to the trial placement p — or a fresh
+// strategy over p when cur is nil or cannot rebind (all built-ins can) —
+// with the runner's liveness mask bound in under a fault process.
+func (r *Runner) bindStrategy(cur core.Strategy, p *cache.Placement) core.Strategy {
+	if rb, ok := cur.(core.Rebindable); ok {
 		rb.Rebind(p)
-		return r.strat
+	} else {
+		cur = buildStrategy(r.w.cfg, r.w.g, p)
 	}
-	return buildStrategy(r.w.cfg, r.w.g, p)
+	if r.live != nil {
+		cur.(core.LivenessAware).SetLiveness(r.live)
+	}
+	return cur
 }
 
 // fileSampler returns the request-stream file distribution for this
@@ -423,11 +432,164 @@ func (r *Runner) fileSampler(p *cache.Placement) dist.Popularity {
 }
 
 // acct carries the scalar trial accumulators between account passes.
+// Hop counts sum in int64: exact in any grouping, so the sharded engine's
+// per-shard accounts fold to the same total as a request-order sum.
 type acct struct {
-	hops      float64
+	hops      int64
 	escalated int
 	backhaul  int
 	retried   int
+}
+
+// add folds account b into a.
+func (a *acct) add(b acct) {
+	a.hops += b.hops
+	a.escalated += b.escalated
+	a.backhaul += b.backhaul
+	a.retried += b.retried
+}
+
+// mutations holds one trial's chunk-barrier streams, each nil when the
+// world does not run that process.
+type mutations struct {
+	arrival, fault, churn *rand.Rand
+}
+
+// beginTrial is the prologue both trial loops share: it arms trial t's
+// heterogeneity (ahead of Place, which reads the capacity vector), builds
+// the placement, resets the load vector and the metric arenas, and arms
+// the fault and churn schedules. Each barrier stream is derived only
+// when its process is on, so a world without it stays bit-identical to
+// the engine before that process existed.
+func (r *Runner) beginTrial(t uint64) (*cache.Placement, mutations, Result) {
+	w := r.w
+	m := mutations{arrival: r.armHetero(t)}
+	p := r.placer.Place(w.placeProfile, w.cfg.PlacementMode, r.place.stream(w.placeSrc, t))
+	r.loads.Reset()
+	r.armMetrics()
+	if w.cfg.Churn != ChurnNone {
+		m.churn = r.churn.stream(w.churnSrc, t)
+		r.churnSt.reset()
+	}
+	if r.live != nil {
+		r.live.Reset()
+		r.faultSt.reset()
+		m.fault = r.fault.stream(w.faultSrc, t)
+	}
+	return p, m, Result{Requests: w.nReq, Uncached: p.UncachedCount()}
+}
+
+// armMetrics sizes (first trial) and resets the arenas of the world's
+// metrics mode: the link-load vector under MetricsLinks; the hop and load
+// accumulators, the link sketch and the sharded engine's per-granule
+// accumulators under MetricsStreaming.
+func (r *Runner) armMetrics() {
+	w := r.w
+	switch w.cfg.Metrics {
+	case MetricsLinks:
+		if r.links == nil {
+			r.links = routing.NewLinkLoads(w.g)
+		} else {
+			r.links.Reset()
+		}
+	case MetricsStreaming:
+		if r.hopAcc == nil {
+			r.hopAcc = stats.NewAccumulator(w.g.Diameter())
+			r.loadAcc = stats.NewAccumulator(w.loadBound)
+			if w.g.N() <= LinkSketchMaxN {
+				r.links64 = stats.NewSpaceSaving(LinkSketchCap)
+				r.linkBuf = make([]uint64, 0, w.g.Diameter()+1)
+			}
+		}
+		r.hopAcc.Reset()
+		r.loadAcc.Reset()
+		if r.links64 != nil {
+			r.links64.Reset()
+		}
+		for _, acc := range r.granAccs {
+			acc.Reset()
+		}
+	}
+}
+
+// endChunk closes one accounted chunk of c requests starting at request
+// base: it replays the chunk's deliveries into the link metrics — every
+// XY route into the link vector (MetricsLinks) or into the heavy-hitter
+// sketch (MetricsStreaming on sketch-sized worlds), recovering per-link
+// traffic without the O(n) vector — then, unless the chunk was the
+// trial's last (no request would observe the mutation), runs the barrier
+// mutations in the order arrivals → faults → churn that
+// Snapshot.Advance shares. Neither step touches a request stream.
+func (r *Runner) endChunk(p *cache.Placement, m *mutations, base, c int, res *Result) {
+	if r.links != nil {
+		for i := 0; i < c; i++ {
+			r.links.Route(int(r.origins[i]), int(r.servers[i]))
+		}
+	}
+	if r.links64 != nil {
+		g := r.w.g
+		for i := 0; i < c; i++ {
+			if r.hops[i] == 0 {
+				continue
+			}
+			r.linkBuf = routing.AppendLinks(g, int(r.origins[i]), int(r.servers[i]), r.linkBuf[:0])
+			for _, id := range r.linkBuf {
+				r.links64.Observe(id)
+			}
+		}
+	}
+	if base+c >= r.w.nReq {
+		return
+	}
+	if m.arrival != nil {
+		r.heteroSt.applyArrivals(r.w, r.placer, r.live, m.arrival, c, &res.ArrivalEvents, &res.ArrivalSkipped)
+	}
+	if m.fault != nil {
+		r.faultSt.apply(r.w, r.live, m.fault, c, r.nodeLoad, res)
+	}
+	if m.churn != nil {
+		r.churnSt.apply(r.w, p, m.churn, c, &res.ChurnEvents, &res.ChurnSkipped)
+	}
+}
+
+// finishTrial is the result epilogue both trial loops share: the account
+// totals, MaxLoad and MeanCost, the link and streaming summaries, and the
+// heterogeneity and fault counters. A racy sharded trial's loads live in
+// the shared atomic vector, whose maximum the shards tracked as they
+// added.
+func (r *Runner) finishTrial(res Result, a acct) Result {
+	w := r.w
+	res.Escalated, res.Backhaul, res.Retried = a.escalated, a.backhaul, a.retried
+	var loads core.LoadReader = r.loads
+	res.MaxLoad = r.loads.Max()
+	if r.shardRacy {
+		loads, res.MaxLoad = r.atomicLoads, 0
+		for s := range r.shards {
+			res.MaxLoad = max(res.MaxLoad, r.shards[s].maxSeen)
+		}
+	}
+	if w.nReq > 0 {
+		res.MeanCost = float64(a.hops) / float64(w.nReq)
+	}
+	if r.links != nil {
+		res.MaxLinkLoad = r.links.Max()
+		res.LinkCongestion = r.links.CongestionFactor()
+	}
+	if r.hopAcc != nil {
+		for u := 0; u < w.g.N(); u++ {
+			r.loadAcc.Observe(loads.Load(u))
+		}
+		res.Streamed = true
+		res.HopMax = r.hopAcc.Max()
+		res.HopStd = r.hopAcc.Std()
+		res.LoadP99 = r.loadAcc.Quantile(0.99)
+		if r.links64 != nil {
+			res.LinkMaxApprox = r.links64.MaxCount()
+		}
+	}
+	r.finishHetero(&res)
+	r.finishFaults(&res)
+	return res
 }
 
 // RunTrial executes one independent trial. Identical (cfg, t) pairs
@@ -438,56 +600,11 @@ func (r *Runner) RunTrial(t uint64) Result {
 		return r.runTrialSharded(t)
 	}
 	w := r.w
-	// The hetero stream (namespace 8) is derived only for non-none modes;
-	// it installs the trial's capacity/vacancy vectors ahead of Place and
-	// stays live for the arrival schedule under HeteroArrival.
-	arrivalRNG := r.armHetero(t)
-	placement := r.placer.Place(w.placeProfile, w.cfg.PlacementMode, r.place.stream(w.placeSrc, t))
-	strat := r.strategy(placement)
+	placement, m, res := r.beginTrial(t)
+	r.strat = r.bindStrategy(r.strat, placement)
+	strat := r.strat
 	fileSampler := r.fileSampler(placement)
-
-	n := w.g.N()
-	r.loads.Reset()
 	r.loadView = r.wrapView(r.loads)
-	res := Result{Requests: w.nReq, Uncached: placement.UncachedCount()}
-	var links *routing.LinkLoads
-	var hopAcc *stats.Accumulator
-	switch w.cfg.Metrics {
-	case MetricsLinks:
-		if r.links == nil {
-			r.links = routing.NewLinkLoads(w.g)
-		} else {
-			r.links.Reset()
-		}
-		links = r.links
-	case MetricsStreaming:
-		if r.hopAcc == nil {
-			r.hopAcc = stats.NewAccumulator(w.g.Diameter())
-			r.loadAcc = stats.NewAccumulator(w.loadBound)
-			if n <= LinkSketchMaxN {
-				r.links64 = stats.NewSpaceSaving(LinkSketchCap)
-				r.linkBuf = make([]uint64, 0, w.g.Diameter()+1)
-			}
-		}
-		r.hopAcc.Reset()
-		r.loadAcc.Reset()
-		if r.links64 != nil {
-			r.links64.Reset()
-		}
-		hopAcc = r.hopAcc
-	}
-
-	// The churn stream is derived (and consumed) only for non-none churn,
-	// so ChurnNone trials remain bit-identical to the pre-churn engine.
-	var churnRNG *rand.Rand
-	if w.cfg.Churn != ChurnNone {
-		churnRNG = r.churn.stream(w.churnSrc, t)
-		r.churnSt.reset()
-	}
-	// Likewise the fault stream (namespace 7): FaultsNone never derives
-	// it, never binds a mask, and stays bit-identical to the fault-free
-	// engine (pinned by the golden table).
-	faultRNG := r.armFaults(strat, t)
 
 	var a acct
 	chunk := len(r.origins)
@@ -496,46 +613,12 @@ func (r *Runner) RunTrial(t uint64) Result {
 	assignRNG := r.assign.stream(w.assignSrc, t)
 	for base := 0; base < w.nReq; base += chunk {
 		c := min(chunk, w.nReq-base)
-		dist.RequestBatch(originRNG, fileRNG, n, fileSampler, r.origins[:c], r.files[:c])
+		dist.RequestBatch(originRNG, fileRNG, w.g.N(), fileSampler, r.origins[:c], r.files[:c])
 		r.assignChunk(strat, assignRNG, c)
-		r.account(c, &a, links, hopAcc)
-		if base+c < w.nReq {
-			if arrivalRNG != nil {
-				r.arrivalChunk(arrivalRNG, c, &res)
-			}
-			if faultRNG != nil {
-				r.faultChunk(faultRNG, c, &res)
-			}
-			if churnRNG != nil {
-				r.churnChunk(placement, churnRNG, c, &res)
-			}
-		}
+		r.account(c, &a)
+		r.endChunk(placement, &m, base, c, &res)
 	}
-
-	res.Escalated, res.Backhaul, res.Retried = a.escalated, a.backhaul, a.retried
-	r.finishHetero(&res)
-	r.finishFaults(&res)
-	if links != nil {
-		res.MaxLinkLoad = links.Max()
-		res.LinkCongestion = links.CongestionFactor()
-	}
-	res.MaxLoad = r.loads.Max()
-	if w.nReq > 0 {
-		res.MeanCost = a.hops / float64(w.nReq)
-	}
-	if hopAcc != nil {
-		for u := 0; u < n; u++ {
-			r.loadAcc.Observe(r.loads.Load(u))
-		}
-		res.Streamed = true
-		res.HopMax = hopAcc.Max()
-		res.HopStd = hopAcc.Std()
-		res.LoadP99 = r.loadAcc.Quantile(0.99)
-		if r.links64 != nil {
-			res.LinkMaxApprox = r.links64.MaxCount()
-		}
-	}
-	return res
+	return r.finishTrial(res, a)
 }
 
 // assignChunk is the assign phase: it consumes the pre-generated chunk
@@ -568,11 +651,10 @@ func (r *Runner) record(i int, a core.Assignment) {
 
 // account folds one chunk of request records into the trial accumulators.
 // It never touches the RNG streams, so deferring it out of the assign loop
-// is invisible to the draw order. The hop sum adds in request order, so
-// MeanCost does not depend on the chunk partition.
-func (r *Runner) account(c int, a *acct, links *routing.LinkLoads, hopAcc *stats.Accumulator) {
+// is invisible to the draw order.
+func (r *Runner) account(c int, a *acct) {
 	for i := 0; i < c; i++ {
-		a.hops += float64(r.hops[i])
+		a.hops += int64(r.hops[i])
 		f := r.flags[i]
 		if f&flagEscalated != 0 {
 			a.escalated++
@@ -584,29 +666,9 @@ func (r *Runner) account(c int, a *acct, links *routing.LinkLoads, hopAcc *stats
 			a.retried++
 		}
 	}
-	if links != nil {
+	if r.hopAcc != nil {
 		for i := 0; i < c; i++ {
-			links.Route(int(r.origins[i]), int(r.servers[i]))
-		}
-	}
-	if hopAcc != nil {
-		for i := 0; i < c; i++ {
-			hopAcc.Observe(int(r.hops[i]))
-		}
-		if r.links64 != nil {
-			// Recover per-link traffic without the O(n) link vector:
-			// replay each delivery's XY route into the heavy-hitter
-			// sketch.
-			g := r.w.g
-			for i := 0; i < c; i++ {
-				if r.hops[i] == 0 {
-					continue
-				}
-				r.linkBuf = routing.AppendLinks(g, int(r.origins[i]), int(r.servers[i]), r.linkBuf[:0])
-				for _, id := range r.linkBuf {
-					r.links64.Observe(id)
-				}
-			}
+			r.hopAcc.Observe(int(r.hops[i]))
 		}
 	}
 }
