@@ -141,11 +141,13 @@ type Placer struct {
 	tix    TileIndex
 
 	// Heterogeneity state (EnableHetero/SetHetero): per-trial node
-	// capacities up to maxCap and an optional vacancy mask.
+	// capacities up to maxCap, an optional vacancy mask, and ArriveNode's
+	// per-file plan (maxCap entries, one per file of the joining node).
 	hetero   bool
 	maxCap   int
 	totalCap int    // Σ caps of the current trial
 	vacant   []bool // borrowed per trial; vacant[u] ⇒ u is placed empty
+	joinPlan []joinStep
 }
 
 // slotCap returns the per-node slab capacity every arena must budget
@@ -182,6 +184,7 @@ func (pl *Placer) EnableHetero(maxCap int) {
 	pl.p.files = make([]int32, pl.n*maxCap)
 	pl.p.nodes = make([]int32, pl.n*min(maxCap, pl.k))
 	pl.p.capOff = make([]int32, pl.n+1)
+	pl.joinPlan = make([]joinStep, maxCap)
 }
 
 // SetHetero installs the next trial's per-node capacities (caps[u] = M_u,

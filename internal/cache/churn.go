@@ -18,10 +18,13 @@ import (
 //   - TileIndex: dense files flip two bitmap bits; sparse files splice
 //     the tile-major run and the capacity-padded tile directory.
 //
-// Every mutation preserves the exact invariants the from-scratch build
-// establishes (sorted node lists, node-sorted replica segments,
-// tile-major index segments with ascending directories), which is what
-// the mutation-storm property tests assert batch by batch.
+// Node arrivals (hetero.go) are the one mutation that grows segments;
+// they splice through the same layout by shifting it. Every mutation
+// preserves the exact invariants the from-scratch build establishes
+// (sorted node lists, node-sorted replica segments, tile-major index
+// segments with ascending directories padded to min(|S_j|, Tiles)),
+// which is what the mutation-storm property tests assert batch by
+// batch.
 
 // Mutable reports whether the placement supports ReplaceReplica (it was
 // built by a churn-enabled Placer).
@@ -235,12 +238,12 @@ func (ix *TileIndex) replaceReplica(j int, u, v int32) {
 	} else {
 		// New directory entry at dv; its run starts where the next run
 		// currently begins (or at the end of the valid data). The padded
-		// capacity min(|S_j| at build, Tiles) admits every reachable
-		// splice while |S_j| is invariant; a grown segment (node arrival)
-		// must rebuild instead — Placer.ArriveNode re-pads — so hitting
-		// the capacity here means a caller mutated a stale-capacity index.
+		// capacity min(|S_j|, Tiles) admits every reachable splice while
+		// |S_j| is invariant, and a node arrival that grows |S_j| re-pads
+		// it (Placer.ArriveNode), so hitting the capacity here means a
+		// caller grew a segment without re-padding its directory.
 		if int32(dn) >= ix.dirOff[j+1]-ix.dirOff[j] {
-			panic(fmt.Sprintf("cache: tile-index splice: file %d's directory is at capacity; a grown |S_j| needs a rebuild (Placer.ArriveNode)", j))
+			panic(fmt.Sprintf("cache: tile-index splice: file %d's directory is at capacity; a grown |S_j| needs its directory re-padded (Placer.ArriveNode)", j))
 		}
 		pvAbs = s1 - 1
 		if dv < dn {

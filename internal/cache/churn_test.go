@@ -84,10 +84,11 @@ func sameTileIndex(t *testing.T, a, b *Placement) {
 }
 
 // checkAgainstRebuild verifies every incremental structure of p against
-// a from-scratch rebuild from p's forward map: the replica CSR, and —
-// when a tile index is attached — the tile-major segments, the tile
-// directory and the dense-file bitmaps, using exactly the construction
-// rule of buildTileIndex.
+// a from-scratch rebuild from p's forward map: the replica CSR, the
+// cached-file list and the arena totals, and — when a tile index is
+// attached — which files are dense, their bitmaps, the tile-major
+// segments, the tile directory and its padded capacity, using exactly
+// the construction rule of buildTileIndex.
 func checkAgainstRebuild(t *testing.T, p *Placement, tl *grid.Tiling) {
 	t.Helper()
 	n, k := p.N(), p.K()
@@ -125,9 +126,39 @@ func checkAgainstRebuild(t *testing.T, p *Placement, tl *grid.Tiling) {
 			}
 		}
 	}
+	var cached []int32
+	slots := 0
+	for j := 0; j < k; j++ {
+		if len(model[j]) > 0 {
+			cached = append(cached, int32(j))
+		}
+		slots += len(model[j])
+	}
+	if !slices.Equal(p.CachedFiles(), cached) {
+		t.Fatalf("cached files %v, rebuild %v", p.CachedFiles(), cached)
+	}
+	if p.UncachedCount() != k-len(cached) || p.ReplicaSlots() != slots {
+		t.Fatalf("UncachedCount=%d ReplicaSlots=%d, rebuild %d and %d",
+			p.UncachedCount(), p.ReplicaSlots(), k-len(cached), slots)
+	}
 	ix := p.TileIndex()
 	if ix == nil {
 		return
+	}
+	thresh := int(denseBitThreshold(n))
+	for j := 0; j < k; j++ {
+		dense := len(model[j]) >= thresh
+		if (ix.FileBits(j) != nil) != dense {
+			t.Fatalf("file %d: |S_j|=%d, bitmap %v, want dense=%v (threshold %d)",
+				j, len(model[j]), ix.FileBits(j) != nil, dense, thresh)
+		}
+		want := int32(0)
+		if !dense {
+			want = int32(min(len(model[j]), tl.Tiles()))
+		}
+		if got := ix.dirOff[j+1] - ix.dirOff[j]; got != want {
+			t.Fatalf("file %d: directory capacity %d, rebuild pads %d", j, got, want)
+		}
 	}
 	// From-scratch rebuild of the tile-major segments: walk tiles in
 	// order, nodes ascending inside, emitting each non-dense file's

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -84,10 +85,10 @@ func TestHeteroDegenerateMatchesHomogeneous(t *testing.T) {
 // TestHeteroStormAgainstRebuild is the variable-stride extension of
 // TestReplaceReplicaStorm: over a mixed-capacity placement with vacant
 // nodes, random legal migration/swap batches interleave with node
-// arrivals (which rebuild the replica CSR and tile index in place), and
-// after every batch each incremental structure must be set-equal to a
-// from-scratch rebuild. This is the property contract that lets churn
-// and arrivals compose mid-trial.
+// arrivals (which splice the joining node into the replica CSR and tile
+// index in place), and after every batch each incremental structure
+// must be set-equal to a from-scratch rebuild. This is the property
+// contract that lets churn and arrivals compose mid-trial.
 func TestHeteroStormAgainstRebuild(t *testing.T) {
 	const side, m, k, maxCap = 8, 3, 60, 6
 	n := side * side
@@ -181,9 +182,9 @@ func TestHeteroStormAgainstRebuild(t *testing.T) {
 	}
 }
 
-// TestHeteroArriveNodeRepadsDirectory pins the rebuild half of the
-// grow-or-rebuild contract: an arrival grows |S_j| for every file the
-// joining node drew, and the rebuild must re-pad each sparse file's
+// TestHeteroArriveNodeRepadsDirectory pins the grow half of the
+// directory-capacity contract: an arrival grows |S_j| for every file the
+// joining node drew, and the join must re-pad each sparse file's
 // tile-directory capacity to min(|S_j|, Tiles) — so post-arrival churn
 // splices have the headroom the capacity panic assumes.
 func TestHeteroArriveNodeRepadsDirectory(t *testing.T) {
@@ -250,11 +251,153 @@ func TestHeteroArriveNodeRepadsDirectory(t *testing.T) {
 
 func vacantSkip(vacant []bool, v int32) bool { return vacant[v] }
 
+// TestArriveNodeMatchesRebuild runs a splicing Placer in lockstep with a
+// twin that rebuilds its replica CSR and tile index from scratch after
+// every ArriveNode. Both draw their placements and joins from identically
+// seeded RNGs and take the same churn batches between joins; after every
+// join the two must agree on every structure — node lists, replica CSR,
+// cached set, dense bitmaps, tile-major segments, directories and their
+// padded capacities. Only the numbering of bitmap blocks may differ.
+func TestArriveNodeMatchesRebuild(t *testing.T) {
+	const m, maxCap = 3, 6
+	promoted, fresh := 0, 0
+	for _, side := range []int{8, 12, 16} {
+		n := side * side
+		g := grid.New(side, grid.Torus)
+		caps := heteroCaps(n, maxCap)
+		for _, k := range []int{20, 60, 400} {
+			pop := dist.NewZipf(k, 1.0)
+			for _, mode := range []Mode{WithReplacement, WithoutReplacement} {
+				for _, tiles := range []bool{false, true} {
+					var tl *grid.Tiling
+					if tiles {
+						tl = g.NewTiling(side / 4)
+					}
+					newPlacer := func() *Placer {
+						pl := NewPlacer(n, m, k)
+						pl.EnableHetero(maxCap)
+						if tiles {
+							pl.EnableTiles(tl)
+						}
+						pl.EnableChurn()
+						return pl
+					}
+					splice, twin := newPlacer(), newPlacer()
+					vacant := make([]bool, n)
+					var queue []int32
+					for u := 1; u < n; u += 3 {
+						vacant[u] = true
+						queue = append(queue, int32(u))
+					}
+					splice.SetHetero(caps, vacant)
+					twin.SetHetero(caps, vacant)
+					seed := uint64(side*1000 + k)
+					rs, rt := rand.New(rand.NewPCG(seed, 1)), rand.New(rand.NewPCG(seed, 1))
+					events := rand.New(rand.NewPCG(seed, 2))
+					p, q := splice.Place(pop, mode, rs), twin.Place(pop, mode, rt)
+					for len(queue) > 0 {
+						lockstepChurn(p, q, vacant, events, 20)
+						i := events.IntN(len(queue))
+						u := queue[i]
+						queue[i] = queue[len(queue)-1]
+						queue = queue[:len(queue)-1]
+						dense, uncached := denseFiles(p), p.UncachedCount()
+						splice.ArriveNode(u, pop, mode, rs)
+						twin.ArriveNode(u, pop, mode, rt)
+						twin.buildReplicaIndex()
+						if tiles {
+							twin.buildTileIndex()
+						}
+						sameAsRebuild(t, p, q)
+						checkAgainstRebuild(t, p, tl)
+						promoted += denseFiles(p) - dense
+						fresh += uncached - p.UncachedCount()
+					}
+				}
+			}
+		}
+	}
+	if promoted == 0 || fresh == 0 {
+		t.Fatalf("joins promoted %d files to bitmaps and newly cached %d; test is vacuous", promoted, fresh)
+	}
+}
+
+// lockstepChurn draws up to n churn events from p's state — a migration
+// to a free slot, or a swap when the destination is full — and applies
+// each to both p and its twin q. Vacant destinations are skipped, as
+// the engine does.
+func lockstepChurn(p, q *Placement, vacant []bool, r *rand.Rand, n int) {
+	for e := 0; e < n; e++ {
+		j, u := p.SlotReplica(r.IntN(p.ReplicaSlots()))
+		v := int32(r.IntN(p.N()))
+		if vacant[v] {
+			continue
+		}
+		if p.CanReplace(j, u, v) {
+			p.ReplaceReplica(j, u, v)
+			q.ReplaceReplica(j, u, v)
+			continue
+		}
+		if v == u || p.Has(int(v), j) || p.T(int(v)) < p.Cap(int(v)) {
+			continue
+		}
+		vFiles := p.NodeFiles(int(v))
+		j2 := int(vFiles[r.IntN(len(vFiles))])
+		if p.CanSwap(j, u, j2, v) {
+			p.SwapReplicas(j, u, j2, v)
+			q.SwapReplicas(j, u, j2, v)
+		}
+	}
+}
+
+// denseFiles counts the files p's tile index keeps as bitmaps.
+func denseFiles(p *Placement) int {
+	ix, c := p.TileIndex(), 0
+	for j := 0; ix != nil && j < p.K(); j++ {
+		if ix.FileBits(j) != nil {
+			c++
+		}
+	}
+	return c
+}
+
+// sameAsRebuild fails unless the spliced placement p and the rebuilt q
+// agree on the forward map, replica CSR, cached set, arena totals and,
+// when indexed, the tile index including every file's padded directory
+// span.
+func sameAsRebuild(t *testing.T, p, q *Placement) {
+	t.Helper()
+	for u := 0; u < p.N(); u++ {
+		if !slices.Equal(p.NodeFiles(u), q.NodeFiles(u)) {
+			t.Fatalf("node %d: files %v, rebuild %v", u, p.NodeFiles(u), q.NodeFiles(u))
+		}
+	}
+	if !slices.Equal(p.repOff, q.repOff) || !slices.Equal(p.nodes, q.nodes) {
+		t.Fatal("replica CSR differs from the rebuild")
+	}
+	if !slices.Equal(p.CachedFiles(), q.CachedFiles()) ||
+		p.UncachedCount() != q.UncachedCount() || p.ReplicaSlots() != q.ReplicaSlots() {
+		t.Fatalf("cached set %v (uncached %d, slots %d), rebuild %v (%d, %d)",
+			p.CachedFiles(), p.UncachedCount(), p.ReplicaSlots(),
+			q.CachedFiles(), q.UncachedCount(), q.ReplicaSlots())
+	}
+	if (p.TileIndex() == nil) != (q.TileIndex() == nil) {
+		t.Fatal("tile index attached on one side only")
+	}
+	if p.TileIndex() == nil {
+		return
+	}
+	sameTileIndex(t, p, q)
+	if !slices.Equal(p.tix.dirOff, q.tix.dirOff) {
+		t.Fatalf("directory spans %v, rebuild %v", p.tix.dirOff, q.tix.dirOff)
+	}
+}
+
 // TestHeteroTileDirectoryOverflowPanics pins the loud half of the
-// grow-or-rebuild contract: a splice that needs a directory entry beyond
-// the file's padded capacity — the state a grown |S_j| reaches when a
-// caller skips the ArriveNode rebuild — must panic rather than corrupt a
-// neighbouring file's directory. The test forges the stale-capacity
+// directory-capacity contract: a splice that needs a directory entry
+// beyond the file's padded capacity — the state a grown |S_j| would
+// reach if a join failed to re-pad it — must panic rather than corrupt
+// a neighbouring file's directory. The test forges the stale-capacity
 // state by clamping one file's capacity to its current length.
 func TestHeteroTileDirectoryOverflowPanics(t *testing.T) {
 	const side, m, k = 8, 3, 60
@@ -337,4 +480,54 @@ func TestHeteroArriveNodePanics(t *testing.T) {
 		t.Fatal("placement left every node empty")
 	}
 	mustPanic(t, "non-vacant node", func() { het.ArriveNode(occupied, pop, WithReplacement, r) })
+}
+
+// BenchmarkArriveNode measures one node join — the arrival layer of the
+// chunk-barrier mutations — at the shape of the engine's paper-scale
+// dynamic regime: 70×70 torus, K = 10⁴ Zipf(1.2), M = 10, tiles of 7,
+// power-law capacities up to 8M (Pareto α = 3/2 from M/3, as
+// internal/sim's ProfilePowerLaw draws them) and a quarter of the nodes
+// vacant. Each iteration joins one vacant node; once none is left the
+// placement is drawn afresh with the timer stopped.
+func BenchmarkArriveNode(b *testing.B) {
+	const side, m, k = 70, 10, 10000
+	n := side * side
+	g := grid.New(side, grid.Torus)
+	pop := dist.NewZipf(k, 1.2)
+	r := rand.New(rand.NewPCG(17, 19))
+	caps := make([]int32, n)
+	for u := range caps {
+		mu := int(math.Round(m / 3.0 * math.Pow(1-r.Float64(), -1/1.5)))
+		caps[u] = int32(min(max(mu, 1), 8*m))
+	}
+	pl := NewPlacer(n, m, k)
+	pl.EnableHetero(8 * m)
+	pl.EnableTiles(g.NewTiling(7))
+	pl.EnableChurn()
+	vacant := make([]bool, n)
+	var queue []int32
+	place := func() {
+		queue = queue[:0]
+		for u := range vacant {
+			vacant[u] = r.IntN(4) == 0
+			if vacant[u] {
+				queue = append(queue, int32(u))
+			}
+		}
+		pl.SetHetero(caps, vacant)
+		pl.Place(pop, WithReplacement, r)
+	}
+	place()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(queue) == 0 {
+			b.StopTimer()
+			place()
+			b.StartTimer()
+		}
+		u := queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
+		pl.ArriveNode(u, pop, WithReplacement, r)
+	}
 }

@@ -22,13 +22,16 @@ import "repro/internal/grid"
 // call on that Placer. On churn-enabled builds (Placer.EnableChurn) the
 // index is additionally maintained incrementally: every
 // Placement.ReplaceReplica splices the affected tile run, directory and
-// bitmap in place (see churn.go), so readers always observe a state
-// identical to a from-scratch rebuild of the mutated placement.
+// bitmap in place (see churn.go), and every Placer.ArriveNode splices
+// the joining node into each of its files (see hetero.go), so readers
+// always observe a state identical to a from-scratch rebuild of the
+// mutated placement, up to the numbering of bitmap blocks.
 //
 // The directory is capacity-padded: dirOff pads file j's span to
 // min(|S_j|, Tiles) entries — the most it can ever occupy while |S_j| is
 // invariant — and dirLen holds the entries in use, so a splice inserts
-// and removes entries by memmove inside the file's own span. Σ capacities
+// and removes entries by memmove inside the file's own span; a join,
+// which grows |S_j|, widens the span by the same rule. Σ capacities
 // ≤ Σ|S_j| keeps the padded directory inside the replica arena's budget.
 type TileIndex struct {
 	tl       *grid.Tiling
@@ -132,8 +135,10 @@ func (pl *Placer) buildTileIndex() {
 	p, ix := &pl.p, &pl.tix
 
 	// Dense-file bitmaps first — the scatter consults them. Clear only
-	// the blocks the previous placement used; the block count cannot
-	// exceed the arena by the Σ|S_j| ≤ nM argument.
+	// the blocks the previous placement used (its joins' promotions
+	// included), which leaves every free block clear for the next
+	// promotion; the block count cannot exceed the arena by the
+	// Σ|S_j| ≤ nM argument.
 	clear(ix.bitWords[:ix.blocks*ix.wordsPer])
 	ix.blocks = 0
 	thresh := denseBitThreshold(pl.n)

@@ -269,8 +269,8 @@ func (r *Runner) armHetero(t uint64) *rand.Rand {
 // applyArrivals advances the arrival schedule past c served requests:
 // credit accrues at ArrivalRate events per request, and each whole
 // event picks a uniform still-vacant node, fills it via the placer
-// (rebuilding the replica and tile indexes in place) and revives it if
-// fault injection had crashed it. With no vacant nodes left the event
+// (which splices it into the replica and tile indexes in place) and
+// revives it if fault injection had crashed it. With no vacant nodes left the event
 // is burned as skipped, keeping the RNG schedule independent of how
 // fast the network fills up. Both mutable-placement owners drive it at
 // their barriers — the batch Runner per pipeline chunk, the served

@@ -263,8 +263,10 @@ func TestHeteroWeightedTwoChoicesUniformity(t *testing.T) {
 
 // TestHeteroSteadyStateAllocs holds the heterogeneity regimes to the
 // engine's allocation-free bar: profile draws, weighted-view rebinds and
-// in-place arrival rebuilds must all run out of the arenas sized at
-// compile time.
+// in-place node joins must all run out of the arenas sized at compile
+// time. The dynamic row composes arrivals with replica churn and crash
+// faults at the rates of perfbench's dynamic workload, so every barrier
+// mutation runs in the same trial.
 func TestHeteroSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates and disables pool caching")
@@ -283,6 +285,12 @@ func TestHeteroSteadyStateAllocs(t *testing.T) {
 			c.Hetero, c.Profile, c.ArrivalRate = HeteroArrival, ProfilePowerLaw, 0.01
 			c.MissPolicy = MissEscalate
 		}},
+		{"dynamic", func(c *Config) {
+			c.Hetero, c.Profile, c.ArrivalRate = HeteroArrival, ProfilePowerLaw, 0.01
+			c.Churn, c.ChurnRate = ChurnReplicas, 0.5
+			c.Faults, c.FaultRate, c.RecoverRate = FaultsCrash, 0.01, 0.005
+			c.MissPolicy = MissEscalate
+		}},
 	} {
 		cfg := Config{
 			Side: 12, K: 150, M: 2,
@@ -296,8 +304,13 @@ func TestHeteroSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := w.NewRunner()
-		if res := r.RunTrial(0); cfg.Hetero == HeteroArrival && res.ArrivalEvents == 0 {
-			t.Fatalf("%s: no arrivals; the rebuild path is not exercised", variant.name)
+		res := r.RunTrial(0)
+		if cfg.Hetero == HeteroArrival && res.ArrivalEvents == 0 {
+			t.Fatalf("%s: no arrivals; the join path is not exercised", variant.name)
+		}
+		if (cfg.Churn != ChurnNone && res.ChurnEvents == 0) || (cfg.Faults != FaultsNone && res.FaultEvents == 0) {
+			t.Fatalf("%s: churn or faults never ran (%d churn, %d fault events)",
+				variant.name, res.ChurnEvents, res.FaultEvents)
 		}
 		r.RunTrial(1) // second warm-up: buffers at steady-state size
 		trial := uint64(2)

@@ -580,7 +580,9 @@ type Result struct {
 	Requests  int     // requests issued
 	Escalated int     // radius misses that widened to r = ∞
 	Backhaul  int     // requests served from upstream at the origin
-	Uncached  int     // library files with zero replicas in this trial
+	// Uncached counts library files with zero replicas when the trial's
+	// placement is built; node arrivals can cache some of them mid-trial.
+	Uncached int
 
 	// Churn counters, populated only under a non-none Config.Churn.
 	ChurnEvents  int // replica migrations applied this trial

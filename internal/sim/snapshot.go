@@ -47,8 +47,9 @@ type Snapshot struct {
 	churnRNG *rand.Rand
 	faultRNG *rand.Rand
 	// arrivalRNG (HeteroArrival only) drives the era's arrival schedule;
-	// placer is retained because arrivals rebuild the placement's derived
-	// indexes through it. Both nil on clones, which cannot Advance.
+	// placer is retained because arrivals splice joining nodes into the
+	// placement's derived indexes through it. Both nil on clones, which
+	// cannot Advance.
 	arrivalRNG *rand.Rand
 	placer     *cache.Placer
 
@@ -80,8 +81,8 @@ func (w *World) Snapshot(t uint64) *Snapshot {
 		placer.SetHetero(s.heteroSt.caps, s.heteroSt.vacant)
 		if w.cfg.Hetero == HeteroArrival {
 			// The hetero RNG stays live for the era's arrival schedule,
-			// and the placer is retained: arrivals rebuild the replica and
-			// tile indexes through it.
+			// and the placer is retained: arrivals splice into the replica
+			// and tile indexes through it.
 			s.arrivalRNG = rng
 			s.placer = placer
 		}
@@ -256,7 +257,7 @@ func (s *Snapshot) Info() SnapshotInfo {
 type SnapshotInfo struct {
 	Era           uint64 // trial index the placement was compiled from
 	Seq           uint64 // mutation batches applied since compile
-	Uncached      int    // library files with zero replicas this era
+	Uncached      int    // library files with zero replicas now; arrivals can cache some mid-era
 	ChurnEvents   int    // replica migrations applied
 	ChurnSkipped  int    // infeasible churn events dropped
 	FaultEvents   int    // crash events applied

@@ -127,14 +127,12 @@ func BenchmarkWideWorldTrialHetero(b *testing.B) {
 }
 
 // BenchmarkWorldRunTrialHeteroArrival is the open-system regime at the
-// paper-scale point (compare BenchmarkWorldRunTrialChurn): ~25% of the
-// nodes start vacant and join at chunk barriers, and every join refills
-// the node's slots and rebuilds the replica index and tile index —
-// an O(n·M) rebuild per event, which is why this benchmark lives at
-// paper scale: at the wide-world point the per-join rebuild alone is
-// ~10⁷ entries and arrivals would dominate the trial by orders of
-// magnitude. MissEscalate handles requests whose in-radius candidates
-// are still vacant.
+// paper-scale point (compare BenchmarkWorldRunTrial): ~25% of the nodes
+// start vacant and join at chunk barriers, and every join refills the
+// node's slots and splices it into the replica index and tile index by
+// shifting both arenas — O(Σ|S_j| + K) memmove and add work per event
+// (cache.BenchmarkArriveNode times one join). MissEscalate handles
+// requests whose in-radius candidates are still vacant.
 func BenchmarkWorldRunTrialHeteroArrival(b *testing.B) {
 	cfg := paperScaleCfg()
 	cfg.MissPolicy = MissEscalate
