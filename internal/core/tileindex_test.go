@@ -77,22 +77,20 @@ func TestIndexExactCandidatesMatchExactCandidates(t *testing.T) {
 // chiSquaredUniform draws n single-candidate assignments for a fixed
 // request through the full Assign path (flat loads, d = 1, so the
 // returned server IS the sampled candidate) and returns the chi-squared
-// statistic against the uniform law over the exact candidate set.
-func chiSquaredUniform(t *testing.T, g *grid.Grid, s, oracle *TwoChoice, req Request, n int, seed uint64) (chi2 float64, df int) {
+// statistic against the uniform law over cands. Every draw must carry
+// the given escalation flag and no backhaul.
+func chiSquaredUniform(t *testing.T, g *grid.Grid, s *TwoChoice, cands []int32, escalated bool, req Request, n int, seed uint64) (chi2 float64, df int) {
 	t.Helper()
-	reps := oracle.p.Replicas(int(req.File))
-	cands := slices.Clone(oracle.exactCandidates(req, reps, nil))
 	if len(cands) < 2 {
 		t.Fatalf("degenerate candidate set %v for origin=%d file=%d", cands, req.Origin, req.File)
 	}
-	slices.Sort(cands)
 	counts := make(map[int32]int, len(cands))
 	loads := ballsbins.NewLoads(g.N())
 	rng := rand.New(rand.NewPCG(seed, seed*2+1))
 	for i := 0; i < n; i++ {
 		a := s.Assign(req, loads, rng)
-		if a.Escalated || a.Backhaul {
-			t.Fatalf("unexpected miss for origin=%d file=%d: %+v", req.Origin, req.File, a)
+		if a.Escalated != escalated || a.Backhaul {
+			t.Fatalf("origin=%d file=%d: %+v, want escalated=%v and no backhaul", req.Origin, req.File, a, escalated)
 		}
 		counts[a.Server]++
 	}
@@ -103,16 +101,19 @@ func chiSquaredUniform(t *testing.T, g *grid.Grid, s, oracle *TwoChoice, req Req
 		delete(counts, v)
 	}
 	if len(counts) != 0 {
-		t.Fatalf("sampler produced servers outside S_j ∩ B_r: %v", counts)
+		t.Fatalf("sampler produced servers outside the candidate set: %v", counts)
 	}
 	return chi2, len(cands) - 1
 }
 
-// TestTwoStageSamplerUniformLaw: the two-stage tile sampler must draw
+// TestTwoStageSamplerUniformLaw: Strategy II at d = 1 must draw
 // uniformly over S_j ∩ B_r(u) across the popularity spectrum (sparse,
-// mid, popular files), under both the precomputed cover template and the
-// per-query fallback. Thresholds sit far above the 99.9th chi-squared
-// percentile; seeds are fixed, so the test is deterministic.
+// mid, popular files), and uniformly over all of S_j when the ball holds
+// no replica and the request escalates. The three geometries exercise
+// the memoized cover (torus, tiles dividing the side), a torus whose
+// tiles do not divide the side and a bounded grid. Thresholds sit far
+// above the 99.9th chi-squared percentile; seeds are fixed, so the test
+// is deterministic.
 func TestTwoStageSamplerUniformLaw(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -120,57 +121,53 @@ func TestTwoStageSamplerUniformLaw(t *testing.T) {
 		tile int
 		topo grid.Topology
 	}{
-		{"template", 24, 3, grid.Torus},  // 24 % 3 == 0, r+t-1 ≤ 12: CoverTable path
-		{"fallback", 22, 4, grid.Torus},  // 22 % 4 != 0: per-query Cover path
-		{"bounded", 20, 3, grid.Bounded}, // boundary clipping: per-query Cover path
+		{"template", 24, 3, grid.Torus},  // 24 % 3 == 0, r+t-1 ≤ 12: CoverTable rows
+		{"fallback", 22, 4, grid.Torus},  // 22 % 4 != 0: per-query rows
+		{"bounded", 20, 3, grid.Bounded}, // boundary clipping: per-query rows
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const k, m, radius = 40, 2, 6
 			g, p, s, oracle := indexedWorld(tc.l, tc.tile, tc.topo, k, m, 1.1, TwoChoiceConfig{Radius: radius, Choices: 1}, 77)
-			if (tc.name == "template") != (s.cover != nil) {
-				t.Fatalf("cover template presence = %v, want %v", s.cover != nil, tc.name == "template")
-			}
 			// Pick one sparse, one mid, one popular file relative to the
 			// candidate space, each with ≥ 2 in-radius candidates from a
-			// suitable origin.
-			type probe struct {
-				file   int32
-				origin int32
-				size   int
-			}
-			var probes []probe
-			for class, want := range map[string]func(sj, inBall int) bool{
-				"sparse":  func(sj, inBall int) bool { return sj <= 6 && inBall >= 2 },
-				"mid":     func(sj, inBall int) bool { return sj > 6 && sj <= 40 && inBall >= 3 },
-				"popular": func(sj, inBall int) bool { return sj > 40 && inBall >= 8 },
+			// suitable origin, and one file of ≥ 2 replicas seen from an
+			// origin whose ball holds none of them.
+			for _, class := range []struct {
+				name string
+				want func(sj, inBall int) bool
+			}{
+				{"sparse", func(sj, inBall int) bool { return sj <= 6 && inBall >= 2 }},
+				{"mid", func(sj, inBall int) bool { return sj > 6 && sj <= 40 && inBall >= 3 }},
+				{"popular", func(sj, inBall int) bool { return sj > 40 && inBall >= 8 }},
+				{"escalated", func(sj, inBall int) bool { return sj >= 2 && inBall == 0 }},
 			} {
-				found := false
+				var req Request
+				var cands []int32
 			search:
-				for j := 0; j < k && !found; j++ {
+				for j := 0; j < k; j++ {
 					reps := p.Replicas(j)
 					for u := 0; u < g.N(); u += 7 {
-						req := Request{Origin: int32(u), File: int32(j)}
-						in := len(oracle.exactCandidates(req, reps, nil))
-						if want(len(reps), in) {
-							probes = append(probes, probe{int32(j), int32(u), in})
-							found = true
-							continue search
+						req = Request{Origin: int32(u), File: int32(j)}
+						if in := oracle.exactCandidates(req, reps, nil); class.want(len(reps), len(in)) {
+							cands = slices.Clone(in)
+							if len(in) == 0 {
+								cands = slices.Clone(reps)
+							}
+							break search
 						}
 					}
 				}
-				if !found {
-					t.Fatalf("no %s file found in this world (tune the fixture)", class)
+				if cands == nil {
+					t.Fatalf("no %s file found in this world (tune the fixture)", class.name)
 				}
-			}
-			for _, pr := range probes {
 				const n = 40000
-				chi2, df := chiSquaredUniform(t, g, s, oracle, Request{Origin: pr.origin, File: pr.file}, n, 1234+uint64(pr.file))
+				chi2, df := chiSquaredUniform(t, g, s, cands, class.name == "escalated", req, n, 1234+uint64(req.File))
 				// 99.9th percentile of chi² ≈ df + 3.09·√(2df) for moderate
 				// df; allow a wide margin on top.
 				limit := float64(df) + 4.5*math.Sqrt(2*float64(df)) + 6
 				if chi2 > limit {
-					t.Errorf("file %d origin %d (%d candidates): chi² = %.1f > %.1f (df=%d) — sampler not uniform",
-						pr.file, pr.origin, pr.size, chi2, limit, df)
+					t.Errorf("%s: file %d origin %d (%d candidates): chi² = %.1f > %.1f (df=%d) — sampler not uniform",
+						class.name, req.File, req.Origin, len(cands), chi2, limit, df)
 				}
 			}
 		})

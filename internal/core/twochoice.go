@@ -51,10 +51,10 @@ type TwoChoice struct {
 	// Tile-index path (bound when the placement carries a TileIndex).
 	tix         *cache.TileIndex
 	boundTiling *grid.Tiling     // geometry the cover/buffers were built for
-	cover       *grid.CoverTable // radius cover template (nil → per-query Cover)
-	coverBuf    grid.CoverBuf
-	runs        []tileRun // per covered tile holding replicas of the file
-	gl          int       // grid side, for table-free distance arithmetic
+	cover       *grid.CoverTable // radius cover memo (nil → per-query CoverRows)
+	rowBuf      []grid.CoverRow  // per-query cover rows when cover is nil
+	runs        []tileRun        // per covered tile holding replicas of the file
+	gl          int              // grid side, for table-free distance arithmetic
 	torus       bool
 
 	// Fault-injection path (bound when the engine runs with Faults on).
@@ -101,7 +101,7 @@ func NewTwoChoice(g *grid.Grid, p *cache.Placement, cfg TwoChoiceConfig) *TwoCho
 }
 
 // bindIndex adopts the placement's spatial replica index, if any, and
-// (re)builds the radius cover template over its tile geometry. With an
+// (re)builds the radius cover memo over its tile geometry. With an
 // index bound, Assign routes bounded-radius candidate work through the
 // tile walk instead of the exact filter.
 func (s *TwoChoice) bindIndex() {
@@ -118,7 +118,7 @@ func (s *TwoChoice) bindIndex() {
 		s.boundTiling = tix.Tiling()
 		s.cover = tix.Tiling().NewCoverTable(s.cfg.Radius)
 		// Pre-size the per-request buffers to their worst case — every
-		// covered tile holds an in-ball cell, so covers and runs are
+		// covered tile holds an in-ball cell, so cover rows and runs are
 		// bounded by min(|B_r|, #tiles) and exact candidate lists by
 		// |B_r| — keeping steady-state trials allocation-free from the
 		// first placement instead of creeping to a high-water mark.
@@ -126,9 +126,8 @@ func (s *TwoChoice) bindIndex() {
 		if cap(s.runs) < maxRuns {
 			s.runs = make([]tileRun, 0, maxRuns)
 		}
-		if cap(s.coverBuf.IDs) < maxRuns {
-			s.coverBuf.IDs = make([]int32, 0, maxRuns)
-			s.coverBuf.Full = make([]bool, 0, maxRuns)
+		if s.cover == nil && cap(s.rowBuf) < maxRuns {
+			s.rowBuf = make([]grid.CoverRow, 0, maxRuns)
 		}
 		if cap(s.candBuf) < s.ballN {
 			s.candBuf = make([]int32, 0, s.ballN)
@@ -210,10 +209,7 @@ func (s *TwoChoice) assign(req Request, loads LoadReader, r *rand.Rand) Assignme
 		d = 1 // the (1+β) process degrades to one choice this round
 	}
 	if s.cfg.Radius == RadiusUnbounded {
-		if srv, ok := s.pickLivePool(reps, d, loads, r); ok {
-			return assignmentTo(s.g, req, srv, false)
-		}
-		return backhaul(req) // every replica of the file is dead
+		return s.assignPool(req, reps, reps, d, loads, r) // every replica is in range
 	}
 	if s.tix != nil {
 		return s.assignIndexed(req, reps, d, loads, r)
@@ -222,7 +218,15 @@ func (s *TwoChoice) assign(req Request, loads LoadReader, r *rand.Rand) Assignme
 	// carries no TileIndex): the exact in-radius candidate list, drawn
 	// from uniformly — the reference law the indexed samplers match.
 	s.candBuf = s.exactCandidates(req, reps, s.candBuf[:0])
-	pool, escalated := s.candBuf, false
+	return s.assignPool(req, s.candBuf, reps, d, loads, r)
+}
+
+// assignPool is every candidate path's tail: draw from the in-radius
+// pool, or — when it is empty — escalate to the whole replica list reps
+// (backhaul under NoEscalate), and backhaul when the drawn-from pool
+// holds no live replica.
+func (s *TwoChoice) assignPool(req Request, pool, reps []int32, d int, loads LoadReader, r *rand.Rand) Assignment {
+	escalated := false
 	if len(pool) == 0 {
 		if s.cfg.NoEscalate {
 			return backhaul(req)
@@ -230,9 +234,9 @@ func (s *TwoChoice) assign(req Request, loads LoadReader, r *rand.Rand) Assignme
 		pool, escalated = reps, true
 	}
 	if srv, ok := s.pickLivePool(pool, d, loads, r); ok {
-		return assignmentTo(s.g, req, srv, escalated)
+		return s.assignArith(req, srv, escalated)
 	}
-	return backhaul(req) // escalated pool held no live replica either
+	return backhaul(req)
 }
 
 // exactCandidates filters the replicas of req.File to those within the
@@ -286,6 +290,13 @@ func (s *TwoChoice) indexedCandidates(req Request, dst []int32) []int32 {
 // are a superset of S_j ∩ B_r(u) (partial tiles may hold out-of-ball
 // replicas) and cover it completely, so weight 0 proves the
 // intersection empty.
+//
+// The cover comes as tile-row runs — memoized on tori the CoverTable
+// serves, computed per query elsewhere — and the walk intersects each
+// run with the file's sorted tile directory: one position jump per run
+// (interpolated on sparse directories, direct indexing on contiguous
+// ones) followed by a contiguous scan. Runs are gathered in the cover's
+// order, which the samplers' draws index into.
 func (s *TwoChoice) collectRuns(origin, file int32) int {
 	tiles, starts, segEnd := s.tix.FileRuns(int(file))
 	s.runs = s.runs[:0]
@@ -293,112 +304,17 @@ func (s *TwoChoice) collectRuns(origin, file int32) int {
 	if n == 0 {
 		return 0
 	}
-	tl := s.tix.Tiling()
-	tileSpan := int(tiles[n-1]-tiles[0]) + 1
-	density := float64(n) / float64(tileSpan)
+	var rows []grid.CoverRow
+	var utx, uty, per int
 	if s.cover != nil {
-		// Sparse directory with an unwrapped templated cover: the
-		// cover's id bounds come straight off the template in O(1), and
-		// one linear walk of the bracketed directory slice with an O(1)
-		// geometric classification per entry replaces both the cover
-		// materialization and the per-tile searches.
-		if n*16 <= tl.Tiles() {
-			if lo, hi, ok := s.cover.Bounds(int(origin)); ok {
-				total := 0
-				for pos := interpSearch(tiles, 0, lo, density); pos < n && tiles[pos] <= hi; pos++ {
-					overlap, full := tl.Classify(tiles[pos], int(origin), s.cfg.Radius)
-					if !overlap {
-						continue
-					}
-					total += s.pushRun(starts, pos, segEnd, full, tiles[pos])
-				}
-				return total
-			}
-		}
-		return s.collectRunsRows(origin, tiles, starts, segEnd, density)
+		rows, utx, uty, per = s.cover.Rows(int(origin))
+	} else {
+		s.rowBuf, utx, uty, per = s.tix.Tiling().CoverRows(int(origin), s.cfg.Radius, s.rowBuf[:0])
+		rows = s.rowBuf
 	}
-
-	// No template (bounded grids, tiles that do not divide the side,
-	// wrapping radii): materialize the cover, then intersect.
-	tl.Cover(int(origin), s.cfg.Radius, &s.coverBuf)
-	ids := s.coverBuf.IDs
-	total := 0
-	switch {
-	case tileSpan == n:
-		// Contiguous directory: direct indexing.
-		base := tiles[0]
-		for i, tid := range ids {
-			pos := int(tid - base)
-			if pos < 0 || pos >= n {
-				continue
-			}
-			total += s.pushRun(starts, pos, segEnd, s.coverBuf.Full[i], tid)
-		}
-	case n*16 <= tl.Tiles() && ascendingIDs(ids):
-		// Sparse directory, unwrapped cover: one bracketed walk. (A
-		// wrapped cover splits into segments whose id ranges can
-		// interleave, which would double-count — those origins take the
-		// merge below.)
-		lo, hi := ids[0], ids[len(ids)-1]
-		for pos := interpSearch(tiles, 0, lo, density); pos < n && tiles[pos] <= hi; pos++ {
-			overlap, full := tl.Classify(tiles[pos], int(origin), s.cfg.Radius)
-			if !overlap {
-				continue
-			}
-			total += s.pushRun(starts, pos, segEnd, full, tiles[pos])
-		}
-	default:
-		// Merge join: cover tiles are emitted in ascending-id segments
-		// (the order only resets where the cover wraps around the
-		// torus), and the directory is sorted, so an interpolating
-		// cursor replaces a full binary search per tile.
-		pos := 0
-		prev := int32(-1)
-		for i, tid := range ids {
-			if tid < prev {
-				pos = 0 // cover wrapped: new ascending segment
-			}
-			prev = tid
-			pos = interpSearch(tiles, pos, tid, density)
-			if pos >= n || tiles[pos] != tid {
-				continue
-			}
-			total += s.pushRun(starts, pos, segEnd, s.coverBuf.Full[i], tid)
-		}
-	}
-	return total
-}
-
-// pushRun appends directory entry pos as a tileRun and returns its
-// replica count. The run ends at the next entry's start (usually the
-// same cache line) or the segment end. Tiles with zero live nodes are
-// skipped outright when the liveness counts share the index's tiling —
-// their replicas cannot serve, so dropping the run keeps the sampler
-// weights proportional to potentially-live candidates and lets a
-// region-wide failure erase whole tiles in O(1).
-func (s *TwoChoice) pushRun(starts []int32, pos int, segEnd int32, full bool, tid int32) int {
-	if s.liveTiles && s.live.TileLive(tid) == 0 {
-		return 0
-	}
-	start := starts[pos]
-	end := segEnd
-	if pos+1 < len(starts) {
-		end = starts[pos+1]
-	}
-	s.runs = append(s.runs, tileRun{start, end - start, full})
-	return int(end - start)
-}
-
-// collectRunsRows intersects the file's directory with the row-span
-// form of the cover template: one position jump per covered tile row
-// (interpolated on sparse directories, direct indexing on contiguous
-// ones) followed by a contiguous walk — the hot shape of the wide-world
-// request loop.
-func (s *TwoChoice) collectRunsRows(origin int32, tiles, starts []int32, segEnd int32, density float64) int {
-	n := len(tiles)
-	rows, utx, uty, per := s.cover.Rows(int(origin))
 	base := int(tiles[0])
 	dense := int(tiles[n-1])-base == n-1
+	density := float64(n) / float64(int(tiles[n-1])-base+1)
 	total := 0
 	pos := 0
 	lastID := -1
@@ -411,7 +327,8 @@ func (s *TwoChoice) collectRunsRows(origin int32, tiles, starts []int32, segEnd 
 		}
 		rowBase := ty * per
 		c0, c1 := utx+int(row.C0), utx+int(row.C1)
-		// Wrapped rows split into at most two absolute column spans.
+		// A memoized run that crosses the torus's edge splits into two
+		// absolute column spans.
 		var spans [2][2]int
 		ns := 1
 		switch {
@@ -449,7 +366,7 @@ func (s *TwoChoice) collectRunsRows(origin int32, tiles, starts []int32, segEnd 
 				continue
 			}
 			if lo <= lastID {
-				pos = 0 // wrapped span: the cursor is past it
+				pos = 0 // the span lies behind the cursor
 			}
 			lastID = hi
 			pos = interpSearch(tiles, pos, int32(lo), density)
@@ -467,15 +384,24 @@ func (s *TwoChoice) collectRunsRows(origin int32, tiles, starts []int32, segEnd 
 	return total
 }
 
-// ascendingIDs reports whether the cover ids form one strictly ascending
-// run (i.e. the cover did not wrap around the torus).
-func ascendingIDs(ids []int32) bool {
-	for i := 1; i < len(ids); i++ {
-		if ids[i] <= ids[i-1] {
-			return false
-		}
+// pushRun appends directory entry pos as a tileRun and returns its
+// replica count. The run ends at the next entry's start (usually the
+// same cache line) or the segment end. Tiles with zero live nodes are
+// skipped outright when the liveness counts share the index's tiling —
+// their replicas cannot serve, so dropping the run keeps the sampler
+// weights proportional to potentially-live candidates and lets a
+// region-wide failure erase whole tiles in O(1).
+func (s *TwoChoice) pushRun(starts []int32, pos int, segEnd int32, full bool, tid int32) int {
+	if s.liveTiles && s.live.TileLive(tid) == 0 {
+		return 0
 	}
-	return true
+	start := starts[pos]
+	end := segEnd
+	if pos+1 < len(starts) {
+		end = starts[pos+1]
+	}
+	s.runs = append(s.runs, tileRun{start, end - start, full})
+	return int(end - start)
 }
 
 // interpSearch returns the smallest i ≥ pos with tiles[i] ≥ tid. The
@@ -601,54 +527,27 @@ func (s *TwoChoice) assignIndexed(req Request, reps []int32, d int, loads LoadRe
 			}
 		}
 		s.candBuf = s.bitExactCandidates(int(req.Origin), bits, s.candBuf[:0])
-		pool, escalated := s.candBuf, false
-		if len(pool) == 0 {
-			if s.cfg.NoEscalate {
-				return backhaul(req)
-			}
-			pool, escalated = reps, true
-		}
-		if srv, ok := s.pickLivePool(pool, d, loads, r); ok {
-			return s.assignArith(req, srv, escalated)
-		}
-		return backhaul(req) // escalated pool held no live replica either
+		return s.assignPool(req, s.candBuf, reps, d, loads, r)
 	}
 	total := s.collectRuns(req.Origin, req.File)
 	if total == 0 {
 		// No replica in any covered tile (under a liveness mask: none in
 		// any covered tile with a live node) ⇒ live S_j ∩ B_r(u) = ∅.
-		if s.cfg.NoEscalate {
-			return backhaul(req)
-		}
-		if srv, ok := s.pickLivePool(reps, d, loads, r); ok {
-			return s.assignArith(req, srv, true)
-		}
-		return backhaul(req) // every replica of the file is dead
+		return s.assignPool(req, nil, reps, d, loads, r)
 	}
 	if !s.cfg.WithoutReplacement && total > 3*d {
 		if srv, ok := s.sampleFromRuns(req, total, d, loads, r); ok {
 			return s.assignArith(req, srv, false)
 		}
 	}
-	// Tiny run totals (the common shape for mid-popularity files) skip
-	// the rejection sampler: materializing ≤ 3d contiguous candidates
-	// and drawing from the pool is the same uniform law at fewer
-	// scattered reads. The materialization is also the sampler's
-	// budget-exhaustion fallback.
-	// Exact materialization: distinct-candidate sampling, or the two-stage
-	// sampler burned its budget on out-of-ball picks from partial tiles.
+	// Exact materialization: tiny run totals (the common shape for
+	// mid-popularity files, where materializing ≤ 3d contiguous
+	// candidates and drawing from the pool is the same uniform law at
+	// fewer scattered reads), distinct-candidate sampling, or a two-stage
+	// sampler that burned its budget on out-of-ball picks from partial
+	// tiles.
 	s.candBuf = s.indexExactCandidates(req.Origin, s.candBuf[:0])
-	pool, escalated := s.candBuf, false
-	if len(pool) == 0 {
-		if s.cfg.NoEscalate {
-			return backhaul(req)
-		}
-		pool, escalated = reps, true
-	}
-	if srv, ok := s.pickLivePool(pool, d, loads, r); ok {
-		return s.assignArith(req, srv, escalated)
-	}
-	return backhaul(req) // escalated pool held no live replica either
+	return s.assignPool(req, s.candBuf, reps, d, loads, r)
 }
 
 // assignArith is assignmentTo with the hop count computed arithmetically

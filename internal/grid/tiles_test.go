@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 )
@@ -49,78 +50,122 @@ func coverConfigs() []struct {
 		{12, 5, 6, Bounded},
 		{7, 7, 3, Bounded}, // single tile
 		{16, 1, 5, Torus},  // tile size 1
+		{7, 1, 3, Torus},   // memo applies although 2r+1 = L
 	}
 }
 
+// expandRows resolves cover rows into absolute tile ids and full flags,
+// in the order a row walk meets them.
+func expandRows(rows []CoverRow, utx, uty, per int) (ids []int32, full []bool) {
+	wrap := func(v int) int { return ((v % per) + per) % per }
+	for _, row := range rows {
+		ty := wrap(uty + int(row.Dty))
+		for d := row.C0; d <= row.C1; d++ {
+			ids = append(ids, int32(ty*per+wrap(utx+int(d))))
+			full = append(full, row.F0 <= d && d <= row.F1)
+		}
+	}
+	return ids, full
+}
+
+// coverQuery is one lattice and the origins a cover test queries on it.
+type coverQuery struct {
+	l, t, r int
+	topo    Topology
+	origins []int
+}
+
+// everyOrigin queries each coverConfigs lattice at every node.
+func everyOrigin() []coverQuery {
+	var qs []coverQuery
+	for _, c := range coverConfigs() {
+		all := make([]int, c.l*c.l)
+		for u := range all {
+			all[u] = u
+		}
+		qs = append(qs, coverQuery{c.l, c.t, c.r, c.topo, all})
+	}
+	return qs
+}
+
+// checkRowsMatchBruteForce is the cover property: on every queried
+// lattice the per-query rows (perQuery) and the CoverTable memo wherever
+// it applies (memo) expand to exactly the tiles overlapping B_r(u), each
+// once, with exactly the brute force's full flags. It returns how many
+// lattices the memo applied to.
+func checkRowsMatchBruteForce(t *testing.T, queries []coverQuery, perQuery, memo bool) (memoized int) {
+	t.Helper()
+	for _, q := range queries {
+		g := New(q.l, q.topo)
+		tl := g.NewTiling(q.t)
+		ct := tl.NewCoverTable(q.r)
+		if ct != nil {
+			memoized++
+		}
+		var buf []CoverRow
+		for _, u := range q.origins {
+			check := func(form string, ids []int32, full []bool) {
+				t.Helper()
+				where := fmt.Sprintf("l=%d t=%d r=%d %v u=%d %s", q.l, q.t, q.r, q.topo, u, form)
+				wantOverlap, wantFull := bruteCover(g, tl, u, q.r)
+				if len(ids) != len(wantOverlap) {
+					t.Fatalf("%s: rows expand to %d tiles %v, brute force %d", where, len(ids), ids, len(wantOverlap))
+				}
+				for i, tid := range ids {
+					if !wantOverlap[tid] {
+						t.Fatalf("%s: tile %d emitted twice or outside the ball", where, tid)
+					}
+					if full[i] != wantFull[tid] {
+						t.Fatalf("%s: tile %d full=%v, brute force %v", where, tid, full[i], wantFull[tid])
+					}
+					delete(wantOverlap, tid)
+				}
+			}
+			if perQuery {
+				var utx, uty, per int
+				buf, utx, uty, per = tl.CoverRows(u, q.r, buf[:0])
+				ids, full := expandRows(buf, utx, uty, per)
+				check("per-query", ids, full)
+			}
+			if memo && ct != nil {
+				ids, full := expandRows(ct.Rows(u))
+				check("memo", ids, full)
+			}
+		}
+	}
+	return memoized
+}
+
+// TestCoverMatchesBruteForce: on every coverConfigs lattice — bounded
+// grids, tiles that do not divide the side, radii that wrap an axis — the
+// per-query rows at every origin cover B_r(u) exactly, with exact full
+// flags.
 func TestCoverMatchesBruteForce(t *testing.T) {
-	for _, c := range coverConfigs() {
-		g := New(c.l, c.topo)
-		tl := g.NewTiling(c.t)
-		var buf CoverBuf
-		for _, u := range []int{0, 1, c.l - 1, g.N() / 2, g.N() - 1, g.N() / 3} {
-			tl.Cover(u, c.r, &buf)
-			wantOverlap, wantFull := bruteCover(g, tl, u, c.r)
-			seen := map[int32]bool{}
-			for i, tid := range buf.IDs {
-				if seen[tid] {
-					t.Fatalf("l=%d t=%d r=%d %v u=%d: tile %d emitted twice", c.l, c.t, c.r, c.topo, u, tid)
-				}
-				seen[tid] = true
-				if buf.Full[i] && !wantFull[tid] {
-					t.Errorf("l=%d t=%d r=%d %v u=%d: tile %d marked full but has out-of-ball cells", c.l, c.t, c.r, c.topo, u, tid)
-				}
-			}
-			// Every overlapping tile must be covered (no in-ball node missed);
-			// and every tile the brute force calls full must be marked full
-			// (partial misclassification would only cost distance checks, but
-			// the classification is exact, so pin it).
-			for tid := range wantOverlap {
-				if !seen[tid] {
-					t.Fatalf("l=%d t=%d r=%d %v u=%d: overlapping tile %d not covered", c.l, c.t, c.r, c.topo, u, tid)
-				}
-			}
-			for i, tid := range buf.IDs {
-				if wantFull[tid] && !buf.Full[i] {
-					t.Errorf("l=%d t=%d r=%d %v u=%d: tile %d is fully in-ball but marked partial", c.l, c.t, c.r, c.topo, u, tid)
-				}
-			}
-		}
-	}
+	checkRowsMatchBruteForce(t, everyOrigin(), true, false)
 }
 
-// TestCoverTableMatchesCover: wherever the template applies it must
-// reproduce the per-query cover exactly (as a tile → full map).
-func TestCoverTableMatchesCover(t *testing.T) {
-	applied := 0
-	for _, c := range coverConfigs() {
-		g := New(c.l, c.topo)
-		tl := g.NewTiling(c.t)
-		ct := tl.NewCoverTable(c.r)
-		if ct == nil {
-			continue
+// TestCoverRandomized checks the same property, for the per-query rows
+// and the memo, on random lattices, radii and origins.
+func TestCoverRandomized(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 7))
+	var queries []coverQuery
+	for it := 0; it < 200; it++ {
+		l := 5 + rng.IntN(20)
+		q := coverQuery{l: l, t: 1 + rng.IntN(l), r: rng.IntN(l + 2), topo: Topology(rng.IntN(2))}
+		for range 3 {
+			q.origins = append(q.origins, rng.IntN(l*l))
 		}
-		applied++
-		var direct, templ CoverBuf
-		for u := 0; u < g.N(); u++ {
-			tl.Cover(u, c.r, &direct)
-			ct.Cover(u, &templ)
-			want := map[int32]bool{}
-			for i, tid := range direct.IDs {
-				want[tid] = direct.Full[i]
-			}
-			if len(templ.IDs) != len(direct.IDs) {
-				t.Fatalf("l=%d t=%d r=%d u=%d: template %d tiles, direct %d", c.l, c.t, c.r, u, len(templ.IDs), len(direct.IDs))
-			}
-			for i, tid := range templ.IDs {
-				f, ok := want[tid]
-				if !ok || f != templ.Full[i] {
-					t.Fatalf("l=%d t=%d r=%d u=%d: template tile %d full=%v, direct %v (present %v)", c.l, c.t, c.r, u, tid, templ.Full[i], f, ok)
-				}
-			}
-		}
+		queries = append(queries, q)
 	}
-	if applied == 0 {
-		t.Fatal("no config exercised the cover template")
+	checkRowsMatchBruteForce(t, queries, true, true)
+}
+
+// TestCoverTableMatchesCover: wherever the CoverTable memo applies, its
+// rows at every origin satisfy the same property as the per-query rows;
+// on the lattices where the memo cannot hold it must not be built.
+func TestCoverTableMatchesCover(t *testing.T) {
+	if checkRowsMatchBruteForce(t, everyOrigin(), false, true) == 0 {
+		t.Fatal("no lattice exercised the CoverTable memo")
 	}
 	for _, bad := range []struct {
 		l, t, r int
@@ -129,10 +174,10 @@ func TestCoverTableMatchesCover(t *testing.T) {
 		{12, 3, 2, Bounded}, // bounded: clipping is origin-dependent
 		{12, 5, 2, Torus},   // t does not divide L
 		{10, 3, 7, Torus},   // 2(r+t-1) > L: wrapped distances diverge
-		{10, 1, 5, Torus},   // 2(r+t-1) = L: the antipodal tile would be emitted twice
+		{10, 1, 5, Torus},   // 2(r+t-1) = L: the antipodal tile would be met twice
 	} {
 		if New(bad.l, bad.topo).NewTiling(bad.t).NewCoverTable(bad.r) != nil {
-			t.Errorf("l=%d t=%d r=%d %v: template should not apply", bad.l, bad.t, bad.r, bad.topo)
+			t.Errorf("l=%d t=%d r=%d %v: memo should not apply", bad.l, bad.t, bad.r, bad.topo)
 		}
 	}
 }
@@ -182,41 +227,6 @@ func TestTileOfGeometry(t *testing.T) {
 		want := int32((y/4)*3 + x/4)
 		if tl.TileOf(int32(u)) != want {
 			t.Fatalf("TileOf(%d) = %d, want %d", u, tl.TileOf(int32(u)), want)
-		}
-	}
-}
-
-// TestCoverRandomized cross-checks random (u, r) pairs on random lattices
-// against the brute force, including exhaustive in-ball membership: the
-// union of covered tiles must contain the whole ball, with full tiles
-// containing no out-of-ball cell.
-func TestCoverRandomized(t *testing.T) {
-	rng := rand.New(rand.NewPCG(7, 7))
-	var buf CoverBuf
-	for it := 0; it < 200; it++ {
-		l := 5 + rng.IntN(20)
-		topo := Topology(rng.IntN(2))
-		g := New(l, topo)
-		ts := 1 + rng.IntN(l)
-		tl := g.NewTiling(ts)
-		u := rng.IntN(g.N())
-		r := rng.IntN(l + 2)
-		tl.Cover(u, r, &buf)
-		covered := map[int32]bool{}
-		full := map[int32]bool{}
-		for i, tid := range buf.IDs {
-			covered[tid] = true
-			full[tid] = buf.Full[i]
-		}
-		for v := 0; v < g.N(); v++ {
-			tid := tl.TileOf(int32(v))
-			in := g.Dist(u, v) <= r
-			if in && !covered[tid] {
-				t.Fatalf("l=%d t=%d r=%d u=%d %v: in-ball node %d in uncovered tile %d", l, ts, r, u, topo, v, tid)
-			}
-			if !in && full[tid] {
-				t.Fatalf("l=%d t=%d r=%d u=%d %v: out-of-ball node %d in full tile %d", l, ts, r, u, topo, v, tid)
-			}
 		}
 	}
 }

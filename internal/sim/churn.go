@@ -76,20 +76,27 @@ func (cs *churnState) reset() {
 // counting applied migrations into events and infeasible drops into
 // skipped. One drifter tick per call: under the batch engine a call is
 // one pipeline chunk, under the served mode one mutator batch — each is
-// its own seeded process over the shared event mechanics.
+// its own seeded process over the shared event mechanics. A placement
+// with no replica at all (HeteroArrival before any occupied node joins)
+// has nothing to migrate: its events are burned as skipped without a
+// draw, as applyArrivals burns events with no vacant node left.
 func (cs *churnState) apply(w *World, p *cache.Placement, rng *rand.Rand, c int, events, skipped *int) {
 	cs.credit += w.cfg.ChurnRate * float64(c)
+	slots := p.ReplicaSlots()
 	if cs.drift != nil {
 		// One drift tick per application; rebuild the conditioned
 		// migration sampler only when the active set actually changed.
 		cs.drift.Step(rng)
-		if cs.driftPop == nil || cs.drift.Dirty() {
+		if slots > 0 && (cs.driftPop == nil || cs.drift.Dirty()) {
 			cs.rebuildDriftSampler(p)
 		}
 	}
 	n := w.g.N()
-	slots := p.ReplicaSlots()
 	for ; cs.credit >= 1; cs.credit-- {
+		if slots == 0 {
+			*skipped++
+			continue
+		}
 		var j int
 		var u int32
 		switch w.cfg.Churn {

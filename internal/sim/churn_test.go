@@ -196,3 +196,59 @@ func TestChurnSteadyStateAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestChurnEmptyPlacement: churn over a placement that holds no replica
+// — seed 206 starts all four nodes vacant — burns its events as skipped
+// instead of drawing from the empty arena, under both churn modes, in
+// the batch engine and through the served Snapshot.Advance path. At the
+// lower arrival rate no node ever joins; at the higher one a node joins
+// at the second barrier, after one empty-arena barrier.
+func TestChurnEmptyPlacement(t *testing.T) {
+	const accrued = 3 * 512 // ChurnRate 0.5 at the three barriers of 4096 requests
+	for _, mode := range []ChurnMode{ChurnReplicas, ChurnDrift} {
+		for _, rate := range []float64{0.00001, 0.0005} {
+			cfg := Config{Side: 2, K: 10, M: 2, Seed: 206, Requests: 4096,
+				Strategy:    StrategySpec{Kind: TwoChoices, Radius: 1},
+				MissPolicy:  MissEscalate,
+				Churn:       mode,
+				ChurnRate:   0.5,
+				Hetero:      HeteroArrival,
+				ArrivalRate: rate,
+			}
+			w, err := Compile(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := w.Snapshot(0)
+			if s.Placement().ReplicaSlots() != 0 {
+				t.Fatalf("mode %v: trial 0 starts with %d replicas; the fixture needs none", mode, s.Placement().ReplicaSlots())
+			}
+			res, err := RunTrial(cfg, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 3; i++ {
+				s.Advance(1024)
+			}
+			info := s.Info()
+			for _, got := range []struct {
+				path             string
+				events, skipped  int
+				arrivals, vacant int
+			}{
+				{"RunTrial", res.ChurnEvents, res.ChurnSkipped, res.ArrivalEvents, res.Vacant},
+				{"Snapshot.Advance", info.ChurnEvents, info.ChurnSkipped, info.ArrivalEvents, info.Vacant},
+			} {
+				if got.events+got.skipped != accrued {
+					t.Errorf("mode %v rate %v %s: %d events + %d skipped, want %d accrued", mode, rate, got.path, got.events, got.skipped, accrued)
+				}
+				if got.arrivals == 0 && got.events != 0 {
+					t.Errorf("mode %v rate %v %s: %d churn events on a placement no node joined", mode, rate, got.path, got.events)
+				}
+				if wantJoins := rate > 0.0001; (got.arrivals > 0) != wantJoins {
+					t.Errorf("mode %v rate %v %s: %d arrivals (%d vacant at end)", mode, rate, got.path, got.arrivals, got.vacant)
+				}
+			}
+		}
+	}
+}
