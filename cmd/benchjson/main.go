@@ -4,7 +4,13 @@
 // the benchstat-friendly text artifact and future PRs can diff numbers
 // programmatically:
 //
-//	go test -bench . -benchtime=1x -run '^$' ./... | benchjson > BENCH_$SHA.json
+//	go test -bench . -count 5 -run '^$' ./... | benchjson > BENCH_$SHA.json
+//
+// Repeats of one benchmark within one package (`-count`) fold into one
+// entry: ns_per_op is the median of the runs, with their minimum, their
+// median absolute deviation and the run count beside it; iterations are
+// summed, B/op and allocs/op are the largest any run reported, and extra
+// metrics are the first run's.
 //
 // Malformed or truncated benchmark lines — an interrupted run, an OOM
 // kill mid-line, interleaved panic output — are skipped with a warning
@@ -17,16 +23,21 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 )
 
-// Entry is one benchmark result.
+// Entry is one benchmark's result, folded over its runs.
 type Entry struct {
 	Iterations  int64    `json:"iterations"`
-	NsPerOp     float64  `json:"ns_per_op"`
+	NsPerOp     float64  `json:"ns_per_op"` // median over the runs
+	MinNsPerOp  float64  `json:"min_ns_per_op"`
+	MADNsPerOp  float64  `json:"mad_ns_per_op"` // median absolute deviation
+	Runs        int      `json:"runs"`
 	BytesPerOp  *int64   `json:"bytes_per_op,omitempty"`
 	AllocsPerOp *int64   `json:"allocs_per_op,omitempty"`
 	Extra       []string `json:"extra,omitempty"` // unrecognized metric tokens, verbatim
@@ -47,19 +58,30 @@ func main() {
 }
 
 // parse extracts benchmark lines ("BenchmarkX-8   10   123 ns/op ...")
-// from bench output, ignoring everything else (pkg headers, PASS/ok).
-// A line that looks like a benchmark but carries an unparseable value
-// is skipped with a warning to warnw — only I/O errors abort the run.
-// Duplicate names (the same benchmark across packages or repeated runs)
-// get "#2", "#3", ... suffixes, mirroring benchstat's disambiguation.
+// from bench output, ignoring everything else (PASS/ok lines). A line
+// that looks like a benchmark but carries an unparseable value is
+// skipped with a warning to warnw — only I/O errors abort the run.
+// Repeats of a name within one "pkg:" block fold into one entry; the
+// same name in another package gets a "#2", "#3", ... suffix, mirroring
+// benchstat's disambiguation.
 func parse(r io.Reader, warnw io.Writer) (map[string]Entry, error) {
-	out := map[string]Entry{}
+	type group struct {
+		name string
+		runs []Entry
+	}
+	var groups []*group
+	byKey := map[[2]string]*group{}
+	pkg := ""
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	lineno := 0
 	for sc.Scan() {
 		lineno++
 		f := strings.Fields(sc.Text())
+		if len(f) == 2 && f[0] == "pkg:" {
+			pkg = f[1]
+			continue
+		}
 		if len(f) == 0 || !strings.HasPrefix(f[0], "Benchmark") {
 			continue
 		}
@@ -113,19 +135,69 @@ func parse(r io.Reader, warnw io.Writer) (map[string]Entry, error) {
 				name = name[:i]
 			}
 		}
-		key := name
-		for n := 2; ; n++ {
-			if _, dup := out[key]; !dup {
-				break
-			}
-			key = fmt.Sprintf("%s#%d", name, n)
+		g := byKey[[2]string{pkg, name}]
+		if g == nil {
+			g = &group{name: name}
+			byKey[[2]string{pkg, name}] = g
+			groups = append(groups, g)
 		}
-		out[key] = e
+		g.runs = append(g.runs, e)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
+	out := map[string]Entry{}
+	for _, g := range groups {
+		key := g.name
+		for n := 2; ; n++ {
+			if _, dup := out[key]; !dup {
+				break
+			}
+			key = fmt.Sprintf("%s#%d", g.name, n)
+		}
+		out[key] = fold(g.runs)
+	}
 	return out, nil
+}
+
+// fold combines the runs of one benchmark into one entry.
+func fold(runs []Entry) Entry {
+	e := runs[0]
+	ns := make([]float64, len(runs))
+	for i, r := range runs {
+		ns[i] = r.NsPerOp
+		if i > 0 {
+			e.Iterations += r.Iterations
+			e.BytesPerOp = maxPtr(e.BytesPerOp, r.BytesPerOp)
+			e.AllocsPerOp = maxPtr(e.AllocsPerOp, r.AllocsPerOp)
+		}
+	}
+	e.Runs = len(runs)
+	e.NsPerOp = median(ns)
+	e.MinNsPerOp = slices.Min(ns)
+	for i := range ns {
+		ns[i] = math.Abs(ns[i] - e.NsPerOp)
+	}
+	e.MADNsPerOp = median(ns)
+	return e
+}
+
+// median returns the median of xs, reordering them.
+func median(xs []float64) float64 {
+	slices.Sort(xs)
+	m := len(xs) / 2
+	if len(xs)%2 == 1 {
+		return xs[m]
+	}
+	return (xs[m-1] + xs[m]) / 2
+}
+
+// maxPtr returns the larger of two optional counts.
+func maxPtr(a, b *int64) *int64 {
+	if a == nil || (b != nil && *b > *a) {
+		return b
+	}
+	return a
 }
 
 // warn reports one skipped line.

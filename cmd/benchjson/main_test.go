@@ -52,6 +52,42 @@ func TestParseBenchOutput(t *testing.T) {
 	}
 }
 
+// TestParseFoldsCount: -count repeats within one package fold into one
+// entry with the median, minimum and MAD of ns/op; the same name in a
+// second package still gets its own "#2" entry.
+func TestParseFoldsCount(t *testing.T) {
+	in := `pkg: repro/internal/serve
+BenchmarkPlaceDecode-2   	   40000	     30000 ns/op	       2 B/op	       0 allocs/op
+BenchmarkPlaceDecode-2   	   40000	     28000 ns/op	       2 B/op	       0 allocs/op
+BenchmarkPlaceDecode-2   	   30000	     35000 ns/op	      16 B/op	       1 allocs/op
+BenchmarkOnce-2          	     100	       500 ns/op
+ok  	repro/internal/serve	4.2s
+pkg: repro/internal/sim
+BenchmarkPlaceDecode-2   	      10	        70 ns/op
+BenchmarkPlaceDecode-2   	      10	        90 ns/op
+`
+	got, err := parse(strings.NewReader(in), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if names := strings.Join(sortedNames(got), ","); names != "BenchmarkOnce,BenchmarkPlaceDecode,BenchmarkPlaceDecode#2" {
+		t.Fatalf("parsed %s", names)
+	}
+	d := got["BenchmarkPlaceDecode"]
+	if d.Runs != 3 || d.NsPerOp != 30000 || d.MinNsPerOp != 28000 || d.MADNsPerOp != 2000 || d.Iterations != 110000 {
+		t.Fatalf("folded entry %+v", d)
+	}
+	if *d.BytesPerOp != 16 || *d.AllocsPerOp != 1 {
+		t.Fatalf("folded B/op %d allocs/op %d, want the largest run's 16 and 1", *d.BytesPerOp, *d.AllocsPerOp)
+	}
+	if o := got["BenchmarkOnce"]; o.Runs != 1 || o.NsPerOp != 500 || o.MinNsPerOp != 500 || o.MADNsPerOp != 0 {
+		t.Fatalf("single-run entry %+v", o)
+	}
+	if d2 := got["BenchmarkPlaceDecode#2"]; d2.Runs != 2 || d2.NsPerOp != 80 || d2.MinNsPerOp != 70 || d2.MADNsPerOp != 10 {
+		t.Fatalf("second package's entry %+v", d2)
+	}
+}
+
 func TestParseIgnoresGarbage(t *testing.T) {
 	got, err := parse(strings.NewReader("hello\nBenchmarkBroken abc def\nok\n"), nil)
 	if err != nil {

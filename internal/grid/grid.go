@@ -242,19 +242,17 @@ func (g *Grid) Ball(u, r int, dst []int32) []int32 {
 		return dst
 	}
 	ux, uy := g.Coord(u)
-	seenRow := make(map[int]bool, 2*r+2)
-	for dy := -r; dy <= r; dy++ {
+	last := r
+	if g.topo == Torus {
+		// Small torus: from dy = L−r on, rows repeat those of dy − L.
+		last = min(r, g.l-1-r)
+	}
+	for dy := -r; dy <= last; dy++ {
 		y := uy + dy
 		if g.topo == Torus {
 			y = ((y % g.l) + g.l) % g.l
 		} else if y < 0 || y >= g.l {
 			continue
-		}
-		if g.topo == Torus {
-			if seenRow[y] {
-				continue // small torus: rows alias when 2r+1 ≥ L
-			}
-			seenRow[y] = true
 		}
 		ady := dy
 		if ady < 0 {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"math/rand/v2"
+	"net/http"
 	"testing"
 
 	"repro/internal/sim"
@@ -131,4 +132,52 @@ func BenchmarkServePlaceStorm(b *testing.B) {
 	b.StopTimer()
 	dec := float64(b.N) * benchBatch
 	b.ReportMetric(dec/b.Elapsed().Seconds(), "decisions/s")
+}
+
+// BenchmarkPlaceDecode decodes one 256-pair /v1/place body of the served
+// benchmark workload: the request half of the HTTP codec layer.
+func BenchmarkPlaceDecode(b *testing.B) {
+	_, pairs := servedWorkload(b, benchBatch)
+	body := placeBody(b, pairs)
+	var d placeDecoder
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	for b.Loop() {
+		if n, err := d.decode(body); err != nil || n != benchBatch {
+			b.Fatalf("decoded %d pairs: %v", n, err)
+		}
+	}
+}
+
+// BenchmarkPlaceEncode encodes the answer to one 256-pair batch of the
+// served benchmark workload: the response half of the HTTP codec layer.
+func BenchmarkPlaceEncode(b *testing.B) {
+	w, pairs := servedWorkload(b, benchBatch)
+	e := New(w, servedEra)
+	defer e.Close()
+	ctx := e.Get()
+	ds := make([]Decision, len(pairs))
+	st := ctx.PlaceBatch(pairs, ds)
+	var out []byte
+	b.ReportAllocs()
+	for b.Loop() {
+		out = appendPlaceResponse(out[:0], st, ds)
+	}
+	b.SetBytes(int64(len(out)))
+}
+
+// BenchmarkHandlePlace runs the whole /v1/place handler on one 256-pair
+// body of the served benchmark workload, without a socket: body read,
+// decode, range checks, the engine's batch and the encoded answer.
+func BenchmarkHandlePlace(b *testing.B) {
+	w, pairs := servedWorkload(b, benchBatch)
+	e := New(w, servedEra)
+	defer e.Close()
+	h := newPlaceHarness(NewServer(e), placeBody(b, pairs))
+	b.ReportAllocs()
+	for b.Loop() {
+		if code := h.call(); code != http.StatusOK {
+			b.Fatalf("status %d", code)
+		}
+	}
 }

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
+	"strconv"
 	"sync"
 	"time"
 
@@ -18,12 +20,14 @@ const latencyBound = 100_000
 
 // Server is the HTTP front of an Engine: batched placement queries on
 // POST /v1/place, liveness on GET /healthz, and qps/latency/era
-// diagnostics on GET /metrics. Decision contexts are pooled per
-// request, so concurrent connections scale like the in-process engine.
+// diagnostics on GET /metrics. Decision contexts and the /v1/place
+// codec's buffers are pooled per request, so concurrent connections
+// scale like the in-process engine.
 type Server struct {
-	e     *Engine
-	mux   *http.ServeMux
-	start time.Time
+	e       *Engine
+	mux     *http.ServeMux
+	start   time.Time
+	scratch sync.Pool // *placeScratch
 
 	mu      sync.Mutex
 	lat     *stats.Accumulator // per-batch service latency, µs
@@ -33,10 +37,11 @@ type Server struct {
 // NewServer wraps e in an HTTP handler.
 func NewServer(e *Engine) *Server {
 	s := &Server{
-		e:     e,
-		mux:   http.NewServeMux(),
-		start: time.Now(),
-		lat:   stats.NewAccumulator(latencyBound),
+		e:       e,
+		mux:     http.NewServeMux(),
+		start:   time.Now(),
+		scratch: sync.Pool{New: func() any { return new(placeScratch) }},
+		lat:     stats.NewAccumulator(latencyBound),
 	}
 	s.mux.HandleFunc("POST /v1/place", s.handlePlace)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -50,13 +55,16 @@ func (s *Server) Engine() *Engine { return s.e }
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// PlaceRequest is the POST /v1/place body: a batch of queries.
+// PlaceRequest is the POST /v1/place body: a batch of queries. The
+// server accepts exactly the bodies json.Unmarshal accepts into it, as
+// one document with nothing after it but whitespace.
 type PlaceRequest struct {
 	Pairs []Pair `json:"pairs"`
 }
 
 // PlaceResponse is the POST /v1/place answer: one decision per query,
-// all stamped with the single snapshot version they observed.
+// all stamped with the single snapshot version they observed. The
+// server writes it as json.NewEncoder would, on one line.
 type PlaceResponse struct {
 	Stamp
 	Decisions []Decision `json:"decisions"`
@@ -73,39 +81,51 @@ const maxBatch = 1 << 16
 // buffered.
 const maxPlaceBody = 4 << 20
 
+// handlePlace reads the body whole, decodes it with the pooled
+// placeDecoder, answers the batch and writes the encoded answer in one
+// Write with its Content-Length.
 func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
+	sc := s.scratch.Get().(*placeScratch)
+	defer s.scratch.Put(sc)
+
 	r.Body = http.MaxBytesReader(w, r.Body, maxPlaceBody)
-	var req PlaceRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	sc.body.Reset()
+	if _, err := sc.body.ReadFrom(r.Body); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			http.Error(w, fmt.Sprintf("request body exceeds %d bytes", maxPlaceBody), http.StatusRequestEntityTooLarge)
 			return
 		}
+		http.Error(w, "bad request: read body: "+err.Error(), http.StatusBadRequest)
+		return
+	}
+	n, err := sc.dec.decode(sc.body.Bytes())
+	if err != nil {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	if len(req.Pairs) == 0 {
+	if n == 0 {
 		http.Error(w, "bad request: empty batch", http.StatusBadRequest)
 		return
 	}
-	if len(req.Pairs) > maxBatch {
-		http.Error(w, fmt.Sprintf("bad request: batch %d exceeds limit %d", len(req.Pairs), maxBatch), http.StatusBadRequest)
+	if n > maxBatch {
+		http.Error(w, fmt.Sprintf("bad request: batch %d exceeds limit %d", n, maxBatch), http.StatusBadRequest)
 		return
 	}
-	n := s.e.World().N()
+	pairs := sc.dec.pairs[:n]
+	nodes := s.e.World().N()
 	k := s.e.World().Config().K
-	for i, p := range req.Pairs {
-		if p.User < 0 || int(p.User) >= n || p.File < 0 || int(p.File) >= k {
-			http.Error(w, fmt.Sprintf("bad request: pair %d (u=%d f=%d) out of range (n=%d K=%d)", i, p.User, p.File, n, k), http.StatusBadRequest)
+	for i, p := range pairs {
+		if p.User < 0 || int(p.User) >= nodes || p.File < 0 || int(p.File) >= k {
+			http.Error(w, fmt.Sprintf("bad request: pair %d (u=%d f=%d) out of range (n=%d K=%d)", i, p.User, p.File, nodes, k), http.StatusBadRequest)
 			return
 		}
 	}
 
 	t0 := time.Now()
 	ctx := s.e.Get()
-	resp := PlaceResponse{Decisions: make([]Decision, len(req.Pairs))}
-	resp.Stamp = ctx.PlaceBatch(req.Pairs, resp.Decisions)
+	sc.decisions = slices.Grow(sc.decisions[:0], n)[:n]
+	stamp := ctx.PlaceBatch(pairs, sc.decisions)
 	s.e.Put(ctx)
 	el := time.Since(t0).Microseconds()
 
@@ -114,8 +134,14 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 	s.batches++
 	s.mu.Unlock()
 
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(&resp)
+	sc.out = appendPlaceResponse(sc.out[:0], stamp, sc.decisions)
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	// AppendInt, not Itoa: Itoa returns a static string below 100, so
+	// the call's allocation count would depend on the answer's size.
+	var digits [20]byte
+	h.Set("Content-Length", string(strconv.AppendInt(digits[:0], int64(len(sc.out)), 10)))
+	w.Write(sc.out)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/grid"
 	"repro/internal/stats"
 )
 
@@ -285,6 +286,9 @@ func TestRunTrialSteadyStateAllocs(t *testing.T) {
 		{"scalar", func(*Config) {}},
 		{"streaming", func(c *Config) { c.Metrics = MetricsStreaming }},
 		{"nearest-scalar", func(c *Config) { c.Strategy = StrategySpec{Kind: Nearest} }},
+		// Bounded grids have no BallTable, so dense files enumerate the
+		// ball through grid.Ball on every request.
+		{"bounded", func(c *Config) { c.Topology = grid.Bounded }},
 	} {
 		cfg := paperScaleCfg()
 		variant.mut(&cfg)
