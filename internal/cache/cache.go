@@ -89,8 +89,13 @@ type Placement struct {
 
 	// sorted marks placements built by a churn-enabled Placer: every node
 	// list is sorted, which the in-place splices of ReplaceReplica,
-	// SwapReplicas and ArriveNode maintain and rely on.
+	// SwapReplicas and the arrival splice maintain and rely on.
 	sorted bool
+
+	// staged marks nodes staged by Placer.StageArrival and not yet
+	// spliced: their forward lists are set, but no replica list holds
+	// them.
+	staged bool
 }
 
 // nodeSpan returns node u's file list.
@@ -141,13 +146,20 @@ type Placer struct {
 	tix    TileIndex
 
 	// Heterogeneity state (EnableHetero/SetHetero): per-trial node
-	// capacities up to maxCap, an optional vacancy mask, and ArriveNode's
-	// per-file plan (maxCap entries, one per file of the joining node).
+	// capacities up to maxCap and an optional vacancy mask.
 	hetero   bool
 	maxCap   int
 	totalCap int    // Σ caps of the current trial
 	vacant   []bool // borrowed per trial; vacant[u] ⇒ u is placed empty
-	joinPlan []joinStep
+
+	// Arrival staging (StageArrival/SpliceArrivals), sized once by
+	// EnableHetero for arrivalBatch·maxCap inserts: the staged
+	// (file, node) inserts and the splice plan over them.
+	joins     []int64 // file<<32 | node per staged insert
+	tixJoins  []int64 // tile<<32 | node: each file's inserts tile-major
+	joinAt    []int32 // pre-splice slot of joins[x] in the replica CSR
+	tixAt     []int32 // pre-splice slot of tixJoins[x] in the tile-major arena
+	joinFiles []joinFile
 }
 
 // slotCap returns the per-node slab capacity every arena must budget
@@ -164,7 +176,8 @@ func (pl *Placer) vacantAt(u int) bool { return pl.vacant != nil && pl.vacant[u]
 
 // EnableHetero prepares the Placer for heterogeneous per-node capacities
 // of up to maxCap slots: the draw, forward and replica arenas are
-// re-budgeted for the worst case, and every subsequent Place call must
+// re-budgeted for the worst case, the arrival plan is sized for
+// arrivalBatch full-capacity joiners, and every subsequent Place call must
 // be preceded by SetHetero installing that trial's capacity vector. It
 // must be called before EnableTiles, which sizes its arenas off the slot
 // capacity, and panics otherwise.
@@ -184,7 +197,12 @@ func (pl *Placer) EnableHetero(maxCap int) {
 	pl.p.files = make([]int32, pl.n*maxCap)
 	pl.p.nodes = make([]int32, pl.n*min(maxCap, pl.k))
 	pl.p.capOff = make([]int32, pl.n+1)
-	pl.joinPlan = make([]joinStep, maxCap)
+	plan := arrivalBatch * maxCap
+	pl.joins = make([]int64, 0, plan)
+	pl.tixJoins = make([]int64, plan)
+	pl.joinAt = make([]int32, plan)
+	pl.tixAt = make([]int32, plan)
+	pl.joinFiles = make([]joinFile, 0, plan)
 }
 
 // SetHetero installs the next trial's per-node capacities (caps[u] = M_u,
@@ -217,7 +235,7 @@ func (pl *Placer) SetHetero(caps []int32, vacant []bool) {
 
 // EnableChurn makes every subsequent Place call build a mutable
 // placement: each node's file list is sorted at build time, the order
-// ReplaceReplica, SwapReplicas and ArriveNode splice in. Sorting is the
+// ReplaceReplica, SwapReplicas and SpliceArrivals splice in. Sorting is the
 // only difference — the layout is the one every placement uses, and the
 // build consumes the RNG exactly as without it, so a churn-enabled
 // placement holds the same node sets, replica CSR and tile index as its
@@ -275,6 +293,9 @@ func (pl *Placer) Place(pop dist.Popularity, mode Mode, r *rand.Rand) *Placement
 		panic("cache: Place with EnableHetero needs SetHetero first")
 	}
 	p := &pl.p
+	if p.staged {
+		panic("cache: Place with staged arrivals (call SpliceArrivals first)")
+	}
 	switch mode {
 	case WithReplacement:
 		// Batched sampling: all slot draws (n·M, or Σ M_u under

@@ -19,12 +19,12 @@ import (
 //     the tile-major run and the capacity-padded tile directory.
 //
 // Node arrivals (hetero.go) are the one mutation that grows segments;
-// they splice through the same layout by shifting it. Every mutation
-// preserves the exact invariants the from-scratch build establishes
-// (sorted node lists, node-sorted replica segments, tile-major index
-// segments with ascending directories padded to min(|S_j|, Tiles)),
-// which is what the mutation-storm property tests assert batch by
-// batch.
+// they splice through the same layout by shifting it, once per batch.
+// Every mutation preserves the exact invariants the from-scratch build
+// establishes (sorted node lists, node-sorted replica segments,
+// tile-major index segments with ascending directories padded to
+// min(|S_j|, Tiles)), which is what the mutation-storm property tests
+// assert batch by batch.
 
 // Mutable reports whether the placement supports ReplaceReplica (it was
 // built by a churn-enabled Placer).
@@ -51,6 +51,9 @@ func (p *Placement) CanReplace(j int, u, v int32) bool {
 func (p *Placement) ReplaceReplica(j int, u, v int32) {
 	if !p.sorted {
 		panic("cache: ReplaceReplica needs a churn-enabled placement (Placer.EnableChurn)")
+	}
+	if p.staged {
+		panic("cache: ReplaceReplica with staged arrivals (call Placer.SpliceArrivals first)")
 	}
 	if u == v {
 		panic("cache: ReplaceReplica needs distinct nodes")
@@ -89,6 +92,9 @@ func (p *Placement) CanSwap(j int, u int32, j2 int, v int32) bool {
 func (p *Placement) SwapReplicas(j int, u int32, j2 int, v int32) {
 	if !p.sorted {
 		panic("cache: SwapReplicas needs a churn-enabled placement (Placer.EnableChurn)")
+	}
+	if p.staged {
+		panic("cache: SwapReplicas with staged arrivals (call Placer.SpliceArrivals first)")
 	}
 	if !p.CanSwap(j, u, j2, v) {
 		panic(fmt.Sprintf("cache: illegal swap of files (%d,%d) between nodes (%d,%d)", j, j2, u, v))
@@ -240,10 +246,10 @@ func (ix *TileIndex) replaceReplica(j int, u, v int32) {
 		// currently begins (or at the end of the valid data). The padded
 		// capacity min(|S_j|, Tiles) admits every reachable splice while
 		// |S_j| is invariant, and a node arrival that grows |S_j| re-pads
-		// it (Placer.ArriveNode), so hitting the capacity here means a
+		// it (Placer.SpliceArrivals), so hitting the capacity here means a
 		// caller grew a segment without re-padding its directory.
 		if int32(dn) >= ix.dirOff[j+1]-ix.dirOff[j] {
-			panic(fmt.Sprintf("cache: tile-index splice: file %d's directory is at capacity; a grown |S_j| needs its directory re-padded (Placer.ArriveNode)", j))
+			panic(fmt.Sprintf("cache: tile-index splice: file %d's directory is at capacity; a grown |S_j| needs its directory re-padded (Placer.SpliceArrivals)", j))
 		}
 		pvAbs = s1 - 1
 		if dv < dn {

@@ -10,53 +10,62 @@ import (
 
 // This file implements node arrival — the cache layer of the engine's
 // HeteroArrival regime. A vacant node (placed empty by SetHetero's
-// vacancy mask) joins the network mid-trial: its forward slab is filled
-// with a fresh draw from the placement profile, and its sorted file list
-// F is then spliced into every derived structure in place. Arrivals are
-// the one mutation that grows replica segments (|S_j| is invariant under
-// ReplaceReplica and SwapReplicas, which rotate inside a segment), so the
-// join shifts the arenas instead: the segments from F[i] up to the next
-// file of F move right by i, and u lands in F[i]'s segment. One backward
-// pass of block moves does that for the replica CSR, the tile-major
-// arena and the capacity-padded tile directory together, in
-// O(Σ|S_j| + K) memmove and add work inside the arenas EnableHetero
-// budgeted for the worst case. Afterwards every structure equals a
-// from-scratch rebuild of the forward map, directory padding included;
-// only the numbering of dense-file bitmap blocks may differ (a file
-// promoted by a join takes the next free block).
+// vacancy mask) joins the network mid-trial in two halves. StageArrival
+// fills its forward slab with a fresh draw from the placement profile
+// and stages one (file, node) insert per file it caches; SpliceArrivals
+// then splices every staged insert into the derived structures in
+// place, once per batch of joiners. Arrivals are the one mutation that
+// grows replica segments (|S_j| is invariant under ReplaceReplica and
+// SwapReplicas, which rotate inside a segment), so the splice shifts
+// the arenas instead: with the inserts merged by file, each file that
+// gains c_f replicas, and every file up to the next such file, moves
+// right by the inserts of the files before it, and the new replicas
+// land at their sorted slots. One backward pass of block moves does
+// that for the replica CSR, the tile-major arena and the
+// capacity-padded tile directory together, in O(Σ|S_j| + K) memmove and
+// add work per batch, however many nodes it holds, inside the arenas
+// EnableHetero budgeted for the worst case. Afterwards every structure
+// equals a from-scratch rebuild of the forward map, directory padding
+// included; only the numbering of dense-file bitmap blocks may differ (a
+// file promoted by a join takes the next free block).
 
-// joinStep is ArriveNode's plan for one file f of the joining node's
-// list, computed in pre-join coordinates before anything moves.
-type joinStep struct {
-	at     int32 // u's offset in f's replica CSR segment (node order)
-	tixAt  int32 // u's offset in f's tile-major segment
-	split  int32 // f's first directory entry whose run lies after u
-	grow   int32 // growth of f's directory capacity, 0 or 1
-	newRun bool  // u's tile opens a new directory entry at split
+// arrivalBatch is the number of full-capacity joiners the splice plan
+// holds: StageArrival splices the staged batch early when the next
+// node's inserts would overflow it. Splitting a batch changes no
+// structure (the splice is exact whatever the batch) and no draw (the
+// splice consumes no randomness), so the bound only caps the plan at
+// arrivalBatch·maxCap inserts rather than one per slot of the world.
+const arrivalBatch = 32
+
+// joinFile is SpliceArrivals' plan for one file f gaining replicas,
+// computed in pre-splice coordinates before anything moves. Its inserts
+// are the staged entries from the previous joinFile's end up to end.
+type joinFile struct {
+	f       int32
+	end     int32 // one past f's last insert
+	grow    int32 // growth of f's directory capacity
+	newRuns int32 // tiles the batch adds to f's directory
+	fresh   bool  // f had no replica before the batch
 }
 
-// ArriveNode fills vacant node u with up to Cap(u) files drawn from pop
-// (the same per-node draw a from-scratch build performs) and splices u
-// into the replica CSR, the cached-file list and, when present, the tile
-// index. Each file u caches gains a replica: its capacity-padded tile
-// directory grows to min(|S_j|, Tiles) entries, and a file reaching the
-// dense threshold moves to a bitmap with an empty directory — the layout
-// buildTileIndex gives, so post-arrival churn splices have the headroom
-// the replaceReplica capacity panic assumes. Allocation-free; the
-// Placement and TileIndex pointers returned by the preceding Place stay
-// valid because the splice rewrites their backing arrays. It panics
-// unless the Placer is hetero- and churn-enabled and node u is currently
-// empty.
-func (pl *Placer) ArriveNode(u int32, pop dist.Popularity, mode Mode, r *rand.Rand) {
+// StageArrival fills vacant node u with up to Cap(u) files drawn from
+// pop — the same per-node draw a from-scratch build performs, consuming
+// r exactly as it does — and stages u's inserts for the next
+// SpliceArrivals. Until then u's forward list is set but u is in no
+// replica list, and Place, ReplaceReplica and SwapReplicas panic.
+// Staging a node whose inserts would overflow the plan first splices
+// the nodes already staged. Allocation-free. It panics unless the
+// Placer is hetero- and churn-enabled and node u is currently empty.
+func (pl *Placer) StageArrival(u int32, pop dist.Popularity, mode Mode, r *rand.Rand) {
 	p := &pl.p
 	if !pl.hetero {
-		panic("cache: ArriveNode needs EnableHetero")
+		panic("cache: StageArrival needs EnableHetero")
 	}
 	if !p.sorted {
-		panic("cache: ArriveNode needs a churn-enabled placement (Placer.EnableChurn)")
+		panic("cache: StageArrival needs a churn-enabled placement (Placer.EnableChurn)")
 	}
 	if p.lens[u] != 0 {
-		panic(fmt.Sprintf("cache: ArriveNode: node %d is not vacant (t=%d)", u, p.lens[u]))
+		panic(fmt.Sprintf("cache: StageArrival: node %d is not vacant (t=%d)", u, p.lens[u]))
 	}
 	base, want := p.slabBase(int(u)), p.Cap(int(u))
 	ln := 0
@@ -74,99 +83,159 @@ func (pl *Placer) ArriveNode(u int32, pop dist.Popularity, mode Mode, r *rand.Ra
 	if pl.vacant != nil {
 		pl.vacant[u] = false
 	}
-	pl.join(u)
+	if len(pl.joins)+ln > cap(pl.joins) {
+		pl.SpliceArrivals()
+	}
+	for _, f := range p.nodeSpan(int(u)) {
+		pl.joins = append(pl.joins, int64(f)<<32|int64(u))
+	}
+	p.staged = true
 }
 
-// join splices node u's sorted list F, just written to its slab, into
-// the replica CSR, the cached-file list and the tile index.
-func (pl *Placer) join(u int32) {
+// SpliceArrivals splices every staged node into the replica CSR, the
+// cached-file list and, when present, the tile index: one plan pass and
+// one backward pass, whatever the number of nodes staged. Each file the
+// batch touches gains its replicas at their sorted slots, and its
+// capacity-padded tile directory grows to min(|S_j|, Tiles) entries —
+// joiners in one tile share a run, and a new tile opens one entry. A
+// file reaching the dense threshold moves to a bitmap with an empty
+// directory, the layout buildTileIndex gives, so post-arrival churn
+// splices have the headroom the replaceReplica capacity panic assumes.
+// Allocation-free; the Placement and TileIndex pointers returned by the
+// preceding Place stay valid because the splice rewrites their backing
+// arrays. With nothing staged it does nothing.
+func (pl *Placer) SpliceArrivals() {
 	p := &pl.p
+	p.staged = false
+	if len(pl.joins) == 0 {
+		return
+	}
+	joins := pl.joins
+	slices.Sort(joins) // (file, node) order
 	ix := p.tix
-	files := p.nodeSpan(int(u))
-	plan := pl.joinPlan[:len(files)]
-	promoted := int32(-1) // first file the join moves to a bitmap
-	grow := int32(0)      // directory capacity growth over F
-	for i, f := range files {
+
+	// The plan: group the inserts by file and find each one's slot in
+	// the file's node-sorted and tile-major segments.
+	plan := pl.joinFiles[:0]
+	promoted := int32(-1) // first file the batch moves to a bitmap
+	grow, fresh := int32(0), 0
+	for s := 0; s < len(joins); {
+		f := int32(joins[s] >> 32)
+		e := s + 1
+		for e < len(joins) && int32(joins[e]>>32) == f {
+			e++
+		}
 		lo, hi := p.repOff[f], p.repOff[f+1]
-		at, _ := slices.BinarySearch(p.nodes[lo:hi], u)
-		plan[i] = joinStep{at: lo + int32(at)}
-		if ix != nil && ix.planJoin(u, f, &plan[i]) && promoted < 0 {
+		at := lo
+		for x := s; x < e; x++ {
+			i, _ := slices.BinarySearch(p.nodes[at:hi], int32(joins[x]))
+			at += int32(i)
+			pl.joinAt[x] = at
+		}
+		jf := joinFile{f: f, end: int32(e), fresh: lo == hi}
+		if ix != nil && ix.planJoins(&jf, joins[s:e], pl.tixJoins[s:e], pl.tixAt[s:e]) && promoted < 0 {
 			promoted = f
 		}
-		grow += plan[i].grow
+		if jf.fresh {
+			fresh++
+		}
+		grow += jf.grow
+		plan = append(plan, jf)
+		s = e
 	}
 
-	// The backward pass. Step i moves the blocks of files F[i] up to the
-	// next file of F: entries before u's slot by i, u's slot and the rest
-	// by i+1 — in the directory, spans after F[i] by the capacity growth
-	// of F[0..i] and run starts by the node shift.
-	k, t := int32(pl.k), int32(len(files))
+	// The backward pass. File f's block — its segment and those of the
+	// files up to the next planned one — moves right by the inserts of
+	// the files before f, and f's replicas land at their slots; in the
+	// directory, spans after f move by the capacity growth up to f, and
+	// run starts by the node shift.
+	k, total := int32(pl.k), int32(len(joins))
 	hi, next := p.repOff[k], k
-	p.nodes = p.nodes[:hi+t]
-	var tu, dhi int32
+	p.nodes = p.nodes[:hi+total]
+	var dhi int32
 	if ix != nil {
-		tu, dhi = ix.tl.TileOf(u), ix.dirOff[k]
-		ix.nodes = ix.nodes[:hi+t]
+		dhi = ix.dirOff[k]
+		ix.nodes = ix.nodes[:hi+total]
 		ix.dirTiles = ix.dirTiles[:dhi+grow]
 		ix.dirStart = ix.dirStart[:dhi+grow]
 	}
-	for i := t - 1; i >= 0; i-- {
-		f, s := files[i], &plan[i]
-		lo := p.repOff[f]
-		insertShifted(p.nodes, lo, s.at, hi, i, u)
-		shiftAdd(p.repOff, f+1, next+1, 0, i+1)
-		if ix != nil {
-			insertShifted(ix.nodes, lo, s.tixAt, hi, i, u)
-			ix.moveRuns(ix.dirOff[f+1], dhi, grow, i+1)
-			shiftAdd(ix.dirOff, f+1, next+1, 0, grow)
-			grow -= s.grow
-			base := ix.dirOff[f]
-			split, end := base+s.split, base+ix.dirLen[f]
-			if s.newRun {
-				ix.moveRuns(split, end, grow+1, i+1)
-				ix.dirTiles[split+grow] = tu
-				ix.dirStart[split+grow] = s.tixAt + i
-				ix.dirLen[f]++
-			} else {
-				ix.moveRuns(split, end, grow, i+1)
-			}
-			ix.moveRuns(base, split, grow, i)
-			dhi = base
+	for i := len(plan) - 1; i >= 0; i-- {
+		jf := &plan[i]
+		s := int32(0)
+		if i > 0 {
+			s = plan[i-1].end
 		}
+		f, e, before := jf.f, jf.end, total-(jf.end-s)
+		lo := p.repOff[f]
+		spliceBlock(p.nodes, lo, hi, before, pl.joinAt[s:e], joins[s:e])
+		shiftAdd(p.repOff, f+1, next+1, 0, total)
+		if ix != nil {
+			spliceBlock(ix.nodes, lo, hi, before, pl.tixAt[s:e], pl.tixJoins[s:e])
+			ix.moveRuns(ix.dirOff[f+1], dhi, grow, total)
+			shiftAdd(ix.dirOff, f+1, next+1, 0, grow)
+			grow -= jf.grow
+			dhi = ix.dirOff[f]
+			if ix.bitOf[f] < 0 {
+				ix.mergeRuns(f, grow, before, jf.newRuns, pl.tixAt[s:e], pl.tixJoins[s:e])
+			}
+		}
+		total = before
 		hi, next = lo, f
 	}
 	if promoted >= 0 {
 		ix.dropPromotedSpans(promoted)
 	}
 
-	// Files whose |S_f| went 0 → 1 join the cached list — a few per join,
-	// each a memmove inside the list's K-entry capacity.
-	for _, f := range files {
-		if p.ReplicaCount(int(f)) == 1 {
-			i, _ := slices.BinarySearch(p.cachedFiles, f)
-			p.cachedFiles = slices.Insert(p.cachedFiles, i, f)
+	// Files whose |S_f| went from 0 join the cached list: one backward
+	// merge inside the list's K-entry capacity.
+	cached := p.cachedFiles[:len(p.cachedFiles)+fresh]
+	r, w := len(p.cachedFiles)-1, len(cached)-1
+	for i := len(plan) - 1; i >= 0 && w > r; i-- {
+		if !plan[i].fresh {
+			continue
 		}
+		for f := plan[i].f; r >= 0 && cached[r] > f; r, w = r-1, w-1 {
+			cached[w] = cached[r]
+		}
+		cached[w] = plan[i].f
+		w--
 	}
+	p.cachedFiles = cached
+	pl.joins = joins[:0]
 }
 
-// insertShifted moves a[lo:at] right by s and a[at:hi] by s+1, writing v
-// into the slot between them.
-func insertShifted(a []int32, lo, at, hi, s, v int32) {
-	copy(a[at+s+1:hi+s+1], a[at:hi])
-	copy(a[lo+s:at+s], a[lo:at])
-	a[at+s] = v
+// spliceBlock shifts the block a[lo:hi] right by s while inserting the
+// nodes of keys (their low 32 bits) at the pre-splice slots at,
+// non-decreasing in [lo, hi]: insert x lands at at[x]+s+x, and the
+// entries between two inserts move by s plus the inserts before them.
+// Like copy it is safe when source and destination overlap.
+func spliceBlock(a []int32, lo, hi, s int32, at []int32, keys []int64) {
+	for x := len(at) - 1; x >= 0; x-- {
+		d := s + int32(x) + 1
+		copy(a[at[x]+d:hi+d], a[at[x]:hi])
+		a[at[x]+d-1] = int32(keys[x])
+		hi = at[x]
+	}
+	copy(a[lo+s:hi+s], a[lo:hi])
 }
 
 // shiftAdd moves a[lo:hi] right by s ≥ 0 slots, adding add to every
 // moved value. Like copy it is safe when source and destination overlap.
 func shiftAdd(a []int32, lo, hi, s, add int32) {
-	if add == 0 {
+	switch {
+	case add == 0:
 		copy(a[lo+s:hi+s], a[lo:hi])
-		return
-	}
-	src, dst := a[lo:hi], a[lo+s:hi+s]
-	for x := len(src) - 1; x >= 0; x-- {
-		dst[x] = src[x] + add
+	case s == 0:
+		seg := a[lo:hi]
+		for x := range seg {
+			seg[x] += add
+		}
+	default:
+		src, dst := a[lo:hi], a[lo+s:hi+s]
+		dst = dst[:len(src)]
+		for x := len(src) - 1; x >= 0; x-- {
+			dst[x] = src[x] + add
+		}
 	}
 }
 
@@ -177,53 +246,106 @@ func (ix *TileIndex) moveRuns(lo, hi, s, add int32) {
 	shiftAdd(ix.dirStart, lo, hi, s, add)
 }
 
-// planJoin fills the tile-index half of step s for node u joining file
-// f, and reports whether f reaches the dense threshold. A dense file
-// only gains u's bit; a promoted file takes the next bitmap block (free
-// blocks are clear, see buildTileIndex) and drops its directory entries,
-// and its span is compacted away after the backward pass. Either way its
-// tile-major segment is scratch, so u is parked at the segment's start.
-func (ix *TileIndex) planJoin(u, f int32, s *joinStep) (promoted bool) {
-	lo, hi := ix.repOff[f], ix.repOff[f+1]
-	s.tixAt = lo
-	if b := ix.bitOf[f]; b >= 0 {
-		ix.bitWords[int(b)*ix.wordsPer+int(u>>6)] |= 1 << (uint(u) & 63)
-		return false
-	}
-	if hi-lo+1 >= denseBitThreshold(ix.tl.Grid().N()) {
-		words := ix.bitWords[ix.blocks*ix.wordsPer : (ix.blocks+1)*ix.wordsPer]
-		for _, v := range ix.nodes[lo:hi] {
-			words[v>>6] |= 1 << (uint(v) & 63)
+// planJoins fills the tile-index half of jf's plan for the node-ordered
+// inserts ins: their tile-major order tix (keys tile<<32 | node) and
+// pre-splice slots at, f's directory growth and the tiles it gains. It
+// reports whether f reaches the dense threshold. A dense file only
+// gains the joiners' bits; a promoted file takes the next bitmap block
+// (free blocks are clear, see buildTileIndex) and drops its directory
+// entries, and its span is compacted away after the backward pass.
+// Either way its tile-major segment is scratch, so the joiners are
+// parked at the segment's start.
+func (ix *TileIndex) planJoins(jf *joinFile, ins, tix []int64, at []int32) (promoted bool) {
+	lo, hi := ix.repOff[jf.f], ix.repOff[jf.f+1]
+	c := int32(len(ins))
+	if b := ix.bitOf[jf.f]; b >= 0 || hi-lo+c >= denseBitThreshold(ix.tl.Grid().N()) {
+		if b < 0 {
+			b = int32(ix.blocks)
+			ix.blocks++
+			ix.bitOf[jf.f] = b
+			ix.dirLen[jf.f] = 0
+			promoted = true
 		}
-		words[u>>6] |= 1 << (uint(u) & 63)
-		ix.bitOf[f] = int32(ix.blocks)
-		ix.blocks++
-		ix.dirLen[f] = 0
-		return true
-	}
-	if hi-lo < int32(ix.tl.Tiles()) {
-		s.grow = 1
-	}
-	base := ix.dirOff[f]
-	tiles := ix.dirTiles[base : base+ix.dirLen[f]]
-	starts := ix.dirStart[base : base+ix.dirLen[f]]
-	d, found := slices.BinarySearch(tiles, ix.tl.TileOf(u))
-	// Run d — u's own, or the one u opens in front of it — starts at
-	// starts[d], or at the segment end past the last run.
-	s.tixAt, s.split, s.newRun = hi, int32(d), !found
-	if d < len(starts) {
-		s.tixAt = starts[d]
-	}
-	if found {
-		end := hi
-		if d+1 < len(starts) {
-			end = starts[d+1]
+		words := ix.bitWords[int(b)*ix.wordsPer : int(b+1)*ix.wordsPer]
+		if promoted {
+			for _, v := range ix.nodes[lo:hi] {
+				words[v>>6] |= 1 << (uint(v) & 63)
+			}
 		}
-		pos, _ := slices.BinarySearch(ix.nodes[s.tixAt:end], u)
-		s.tixAt += int32(pos)
-		s.split++
+		for x, key := range ins {
+			u := int32(key)
+			words[u>>6] |= 1 << (uint(u) & 63)
+			tix[x], at[x] = key, lo
+		}
+		return promoted
+	}
+	tiles := int32(ix.tl.Tiles())
+	jf.grow = min(hi-lo+c, tiles) - min(hi-lo, tiles)
+	for x, key := range ins {
+		u := int32(key)
+		tix[x] = int64(ix.tl.TileOf(u))<<32 | int64(u)
+	}
+	slices.Sort(tix)
+	base := ix.dirOff[jf.f]
+	dir := ix.dirTiles[base : base+ix.dirLen[jf.f]]
+	starts := ix.dirStart[base : base+ix.dirLen[jf.f]]
+	for x, key := range tix {
+		tu := int32(key >> 32)
+		d, found := slices.BinarySearch(dir, tu)
+		// Run d — u's own, or the one u's new run goes in front of —
+		// starts at starts[d], or at the segment end past the last run.
+		pos := hi
+		if d < len(starts) {
+			pos = starts[d]
+		}
+		if found {
+			end := hi
+			if d+1 < len(starts) {
+				end = starts[d+1]
+			}
+			i, _ := slices.BinarySearch(ix.nodes[pos:end], int32(key))
+			pos += int32(i)
+		} else if x == 0 || int32(tix[x-1]>>32) != tu {
+			jf.newRuns++
+		}
+		at[x] = pos
 	}
 	return false
+}
+
+// mergeRuns rewrites sparse file f's directory for the batch, from
+// the right: its entries move from f's pre-splice span by grow, the
+// capacity growth of the files before f, merged with one new entry per
+// tile the batch adds. Every run start moves by shift, the inserts of
+// the files before f, plus f's inserts in earlier tiles. tix and at are
+// f's inserts in tile-major order and their pre-splice slots.
+func (ix *TileIndex) mergeRuns(f, grow, shift, newRuns int32, at []int32, tix []int64) {
+	base, n := ix.dirOff[f], ix.dirLen[f]
+	d, w := base+n-1, base+grow+n+newRuns-1
+	x := len(tix) - 1
+	for x >= 0 {
+		tu := int32(tix[x] >> 32)
+		if d >= base && ix.dirTiles[d] >= tu {
+			// Old entry d: its run absorbs the joiners of its tile, which
+			// all sort inside it or at its start.
+			td, sd := ix.dirTiles[d], ix.dirStart[d]
+			for x >= 0 && int32(tix[x]>>32) == td {
+				x--
+			}
+			ix.dirTiles[w], ix.dirStart[w] = td, sd+shift+int32(x+1)
+			d--
+		} else {
+			// A new tile: its run starts at its first joiner's slot.
+			for x > 0 && int32(tix[x-1]>>32) == tu {
+				x--
+			}
+			ix.dirTiles[w], ix.dirStart[w] = tu, at[x]+shift+int32(x)
+			x--
+		}
+		w--
+	}
+	ix.moveRuns(base, d+1, grow, shift)
+	ix.dirLen[f] = n + newRuns
 }
 
 // dropPromotedSpans compacts away the directory spans that files

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"slices"
@@ -84,11 +85,11 @@ func TestHeteroDegenerateMatchesHomogeneous(t *testing.T) {
 
 // TestHeteroStormAgainstRebuild is the variable-stride extension of
 // TestReplaceReplicaStorm: over a mixed-capacity placement with vacant
-// nodes, random legal migration/swap batches interleave with node
-// arrivals (which splice the joining node into the replica CSR and tile
-// index in place), and after every batch each incremental structure
-// must be set-equal to a from-scratch rebuild. This is the property
-// contract that lets churn and arrivals compose mid-trial.
+// nodes, random legal migration/swap batches interleave with batches of
+// node arrivals (which splice the joining nodes into the replica CSR
+// and tile index in place), and after every batch each incremental
+// structure must be set-equal to a from-scratch rebuild. This is the
+// property contract that lets churn and arrivals compose mid-trial.
 func TestHeteroStormAgainstRebuild(t *testing.T) {
 	const side, m, k, maxCap = 8, 3, 60, 6
 	n := side * side
@@ -153,17 +154,19 @@ func TestHeteroStormAgainstRebuild(t *testing.T) {
 						swapped++
 					}
 				}
-				if batch%4 == 3 && len(vacantList) > 0 {
-					i := r.IntN(len(vacantList))
-					u := vacantList[i]
-					vacantList[i] = vacantList[len(vacantList)-1]
-					vacantList = vacantList[:len(vacantList)-1]
-					pl.ArriveNode(u, tc.pop, tc.mode, r)
-					vacant[u] = false
-					if p.T(int(u)) == 0 {
-						t.Fatalf("arrival left node %d empty", u)
+				if batch%4 == 3 {
+					for joins := 1 + r.IntN(3); joins > 0 && len(vacantList) > 0; joins-- {
+						i := r.IntN(len(vacantList))
+						u := vacantList[i]
+						vacantList[i] = vacantList[len(vacantList)-1]
+						vacantList = vacantList[:len(vacantList)-1]
+						pl.StageArrival(u, tc.pop, tc.mode, r)
+						if vacant[u] || p.T(int(u)) == 0 {
+							t.Fatalf("arrival left node %d vacant or empty", u)
+						}
+						arrived++
 					}
-					arrived++
+					pl.SpliceArrivals()
 				}
 				checkAgainstRebuild(t, p, tl)
 			}
@@ -206,7 +209,8 @@ func TestHeteroArriveNodeRepadsDirectory(t *testing.T) {
 	pl.SetHetero(caps, vacant)
 	p := pl.Place(pop, WithReplacement, r)
 
-	pl.ArriveNode(u, pop, WithReplacement, r)
+	pl.StageArrival(u, pop, WithReplacement, r)
+	pl.SpliceArrivals()
 	if p.T(int(u)) == 0 {
 		t.Fatal("arrival left the node empty")
 	}
@@ -253,14 +257,21 @@ func vacantSkip(vacant []bool, v int32) bool { return vacant[v] }
 
 // TestArriveNodeMatchesRebuild runs a splicing Placer in lockstep with a
 // twin that rebuilds its replica CSR and tile index from scratch after
-// every ArriveNode. Both draw their placements and joins from identically
-// seeded RNGs and take the same churn batches between joins; after every
-// join the two must agree on every structure — node lists, replica CSR,
-// cached set, dense bitmaps, tile-major segments, directories and their
-// padded capacities. Only the numbering of bitmap blocks may differ.
+// every batch of arrivals. Both draw their placements and joins from
+// identically seeded RNGs and take the same churn batches between
+// batches of k ∈ {1, 2, 10, all vacant} joins; after every batch the two
+// must agree on every structure — node lists, replica CSR, cached set,
+// dense bitmaps, tile-major segments, directories and their padded
+// capacities. Only the numbering of bitmap blocks may differ. Batches of
+// size 1 are sequential joins, so a batch equals both the joins one at
+// a time and a rebuild. The test fails unless some batch hit each of
+// the batched plan's merge cases: two joiners of one file, two joiners
+// of one file in one tile (sharing a run), joiners pushing a sparse file
+// past the dense threshold together, and a batch larger than the plan
+// arena (spliced in sub-batches).
 func TestArriveNodeMatchesRebuild(t *testing.T) {
 	const m, maxCap = 3, 6
-	promoted, fresh := 0, 0
+	var sharedFile, sharedTile, densePush, overflow, promoted, fresh int
 	for _, side := range []int{8, 12, 16} {
 		n := side * side
 		g := grid.New(side, grid.Torus)
@@ -269,49 +280,68 @@ func TestArriveNodeMatchesRebuild(t *testing.T) {
 			pop := dist.NewZipf(k, 1.0)
 			for _, mode := range []Mode{WithReplacement, WithoutReplacement} {
 				for _, tiles := range []bool{false, true} {
-					var tl *grid.Tiling
-					if tiles {
-						tl = g.NewTiling(side / 4)
-					}
-					newPlacer := func() *Placer {
-						pl := NewPlacer(n, m, k)
-						pl.EnableHetero(maxCap)
+					for _, batch := range []int{1, 2, 10, n} {
+						var tl *grid.Tiling
 						if tiles {
-							pl.EnableTiles(tl)
+							tl = g.NewTiling(side / 4)
 						}
-						pl.EnableChurn()
-						return pl
-					}
-					splice, twin := newPlacer(), newPlacer()
-					vacant := make([]bool, n)
-					var queue []int32
-					for u := 1; u < n; u += 3 {
-						vacant[u] = true
-						queue = append(queue, int32(u))
-					}
-					splice.SetHetero(caps, vacant)
-					twin.SetHetero(caps, vacant)
-					seed := uint64(side*1000 + k)
-					rs, rt := rand.New(rand.NewPCG(seed, 1)), rand.New(rand.NewPCG(seed, 1))
-					events := rand.New(rand.NewPCG(seed, 2))
-					p, q := splice.Place(pop, mode, rs), twin.Place(pop, mode, rt)
-					for len(queue) > 0 {
-						lockstepChurn(p, q, vacant, events, 20)
-						i := events.IntN(len(queue))
-						u := queue[i]
-						queue[i] = queue[len(queue)-1]
-						queue = queue[:len(queue)-1]
-						dense, uncached := denseFiles(p), p.UncachedCount()
-						splice.ArriveNode(u, pop, mode, rs)
-						twin.ArriveNode(u, pop, mode, rt)
-						twin.buildReplicaIndex()
-						if tiles {
-							twin.buildTileIndex()
+						newPlacer := func() *Placer {
+							pl := NewPlacer(n, m, k)
+							pl.EnableHetero(maxCap)
+							if tiles {
+								pl.EnableTiles(tl)
+							}
+							pl.EnableChurn()
+							return pl
 						}
-						sameAsRebuild(t, p, q)
-						checkAgainstRebuild(t, p, tl)
-						promoted += denseFiles(p) - dense
-						fresh += uncached - p.UncachedCount()
+						splice, twin := newPlacer(), newPlacer()
+						vacant := make([]bool, n)
+						var queue []int32
+						for u := 1; u < n; u += 3 {
+							vacant[u] = true
+							queue = append(queue, int32(u))
+						}
+						splice.SetHetero(caps, vacant)
+						twin.SetHetero(caps, vacant)
+						seed := uint64(side*1000 + k)
+						rs, rt := rand.New(rand.NewPCG(seed, 1)), rand.New(rand.NewPCG(seed, 1))
+						events := rand.New(rand.NewPCG(seed, 2))
+						p, q := splice.Place(pop, mode, rs), twin.Place(pop, mode, rt)
+						for len(queue) > 0 {
+							lockstepChurn(p, q, vacant, events, 20)
+							dense, uncached := denseFiles(p), p.UncachedCount()
+							wasDense := make([]bool, k)
+							for j := range wasDense {
+								wasDense[j] = p.TileIndex() != nil && p.TileIndex().FileBits(j) != nil
+							}
+							var joiners []int32
+							for len(joiners) < batch && len(queue) > 0 {
+								i := events.IntN(len(queue))
+								u := queue[i]
+								queue[i] = queue[len(queue)-1]
+								queue = queue[:len(queue)-1]
+								splice.StageArrival(u, pop, mode, rs)
+								twin.StageArrival(u, pop, mode, rt)
+								joiners = append(joiners, u)
+							}
+							inserts := 0
+							for _, u := range joiners {
+								inserts += p.T(int(u))
+							}
+							if inserts > cap(splice.joins) {
+								overflow++
+							}
+							splice.SpliceArrivals()
+							twin.rebuildArrivals()
+							sameAsRebuild(t, p, q)
+							checkAgainstRebuild(t, p, tl)
+							promoted += denseFiles(p) - dense
+							fresh += uncached - p.UncachedCount()
+							f, ft, dp := batchMerges(p, tl, joiners, wasDense)
+							sharedFile += f
+							sharedTile += ft
+							densePush += dp
+						}
 					}
 				}
 			}
@@ -320,6 +350,55 @@ func TestArriveNodeMatchesRebuild(t *testing.T) {
 	if promoted == 0 || fresh == 0 {
 		t.Fatalf("joins promoted %d files to bitmaps and newly cached %d; test is vacuous", promoted, fresh)
 	}
+	if sharedFile == 0 || sharedTile == 0 || densePush == 0 || overflow == 0 {
+		t.Fatalf("batches with joiners sharing a file %d, a file's tile %d, pushing a file dense together %d, outgrowing the plan %d; every count must be non-zero",
+			sharedFile, sharedTile, densePush, overflow)
+	}
+}
+
+// rebuildArrivals is the rebuilding twin's splice: it drops the staged
+// plan and rebuilds the replica CSR and tile index from the forward map.
+func (pl *Placer) rebuildArrivals() {
+	pl.joins = pl.joins[:0]
+	pl.p.staged = false
+	pl.buildReplicaIndex()
+	if pl.tiling != nil {
+		pl.buildTileIndex()
+	}
+}
+
+// batchMerges reports whether the batch of joiners just spliced into p
+// had two joiners of one file, two joiners of one file in one tile of
+// tl (nil: untiled), and a file that was sparse before the batch
+// (wasDense[j] false) and dense after, reached by at least two joiners.
+// Each result is 0 or 1.
+func batchMerges(p *Placement, tl *grid.Tiling, joiners []int32, wasDense []bool) (file, tile, dense int) {
+	byFile := map[int32][]int32{}
+	for _, u := range joiners {
+		for _, f := range p.NodeFiles(int(u)) {
+			byFile[f] = append(byFile[f], u)
+		}
+	}
+	for f, us := range byFile {
+		if len(us) < 2 {
+			continue
+		}
+		file = 1
+		if ix := p.TileIndex(); ix != nil && !wasDense[f] && ix.FileBits(int(f)) != nil {
+			dense = 1
+		}
+		if tl == nil {
+			continue
+		}
+		seen := map[int32]bool{}
+		for _, u := range us {
+			if seen[tl.TileOf(u)] {
+				tile = 1
+			}
+			seen[tl.TileOf(u)] = true
+		}
+	}
+	return file, tile, dense
 }
 
 // lockstepChurn draws up to n churn events from p's state — a migration
@@ -448,7 +527,10 @@ func TestHeteroTileDirectoryOverflowPanics(t *testing.T) {
 	t.Fatal("no overflow-inducing migration found; placement shape too degenerate")
 }
 
-// TestHeteroArriveNodePanics pins the precondition contract.
+// TestHeteroArriveNodePanics pins the precondition contract of the
+// arrival halves: staging needs a hetero- and churn-enabled Placer and a
+// vacant node, and while nodes are staged, Place, ReplaceReplica and
+// SwapReplicas panic rather than read replica lists that miss them.
 func TestHeteroArriveNodePanics(t *testing.T) {
 	pop := dist.NewUniform(10)
 	r := rand.New(rand.NewPCG(1, 2))
@@ -456,13 +538,13 @@ func TestHeteroArriveNodePanics(t *testing.T) {
 	plain := NewPlacer(9, 2, 10)
 	plain.EnableChurn()
 	plain.Place(pop, WithReplacement, r)
-	mustPanic(t, "no EnableHetero", func() { plain.ArriveNode(0, pop, WithReplacement, r) })
+	mustPanic(t, "no EnableHetero", func() { plain.StageArrival(0, pop, WithReplacement, r) })
 
 	frozen := NewPlacer(9, 2, 10)
 	frozen.EnableHetero(2)
 	frozen.SetHetero([]int32{2, 2, 2, 2, 2, 2, 2, 2, 2}, nil)
 	frozen.Place(pop, WithReplacement, r)
-	mustPanic(t, "no EnableChurn", func() { frozen.ArriveNode(0, pop, WithReplacement, r) })
+	mustPanic(t, "no EnableChurn", func() { frozen.StageArrival(0, pop, WithReplacement, r) })
 
 	het := NewPlacer(9, 2, 10)
 	het.EnableHetero(2)
@@ -479,55 +561,180 @@ func TestHeteroArriveNodePanics(t *testing.T) {
 	if occupied < 0 {
 		t.Fatal("placement left every node empty")
 	}
-	mustPanic(t, "non-vacant node", func() { het.ArriveNode(occupied, pop, WithReplacement, r) })
+	mustPanic(t, "non-vacant node", func() { het.StageArrival(occupied, pop, WithReplacement, r) })
+
+	// Stage one of two vacant nodes, then try each mutation a barrier
+	// could run before the splice. Each is legal but for the staged node:
+	// the swap is between two placed nodes, and the migration goes to
+	// the other vacant node, which is empty.
+	caps := []int32{2, 2, 2, 2, 2, 2, 2, 2, 2}
+	vacant := make([]bool, 9)
+	vacant[4], vacant[7] = true, true
+	het.SetHetero(caps, vacant)
+	p = het.Place(pop, WithReplacement, r)
+	het.StageArrival(4, pop, WithReplacement, r)
+	mustPanic(t, "Place while staged", func() { het.Place(pop, WithReplacement, r) })
+	var j, j2 int
+	var u, v int32 = -1, -1
+	for a := int32(0); a < 9 && u < 0; a++ {
+		for b := int32(0); b < 9 && u < 0; b++ {
+			for _, fa := range p.NodeFiles(int(a)) {
+				for _, fb := range p.NodeFiles(int(b)) {
+					if a != 4 && b != 4 && p.CanSwap(int(fa), a, int(fb), b) {
+						j, u, j2, v = int(fa), a, int(fb), b
+					}
+				}
+			}
+		}
+	}
+	if u < 0 {
+		t.Fatal("no legal swap in the staged placement")
+	}
+	mustPanic(t, "SwapReplicas while staged", func() { p.SwapReplicas(j, u, j2, v) })
+	mustPanic(t, "ReplaceReplica while staged", func() { p.ReplaceReplica(j, u, 7) })
+	het.SpliceArrivals()
+	p.SwapReplicas(j, u, j2, v) // both legal again once spliced
+	p.ReplaceReplica(j2, u, 7)
+	checkAgainstRebuild(t, p, nil)
 }
 
-// BenchmarkArriveNode measures one node join — the arrival layer of the
+// BenchmarkArriveNode measures node joins — the arrival layer of the
 // chunk-barrier mutations — at the shape of the engine's paper-scale
 // dynamic regime: 70×70 torus, K = 10⁴ Zipf(1.2), M = 10, tiles of 7,
 // power-law capacities up to 8M (Pareto α = 3/2 from M/3, as
 // internal/sim's ProfilePowerLaw draws them) and a quarter of the nodes
-// vacant. Each iteration joins one vacant node; once none is left the
-// placement is drawn afresh with the timer stopped.
+// vacant. Each iteration stages k vacant nodes and splices them as one
+// batch; k = 10 is the batch a dynamic chunk barrier lands. ns/node is
+// the cost per joining node. Once fewer than k vacant nodes are left
+// the placement is drawn afresh with the timer stopped.
 func BenchmarkArriveNode(b *testing.B) {
-	const side, m, k = 70, 10, 10000
-	n := side * side
-	g := grid.New(side, grid.Torus)
-	pop := dist.NewZipf(k, 1.2)
-	r := rand.New(rand.NewPCG(17, 19))
-	caps := make([]int32, n)
-	for u := range caps {
-		mu := int(math.Round(m / 3.0 * math.Pow(1-r.Float64(), -1/1.5)))
-		caps[u] = int32(min(max(mu, 1), 8*m))
+	for _, k := range []int{1, 10} {
+		b.Run(fmt.Sprintf("k%d", k), func(b *testing.B) {
+			const side, m, files = 70, 10, 10000
+			n := side * side
+			g := grid.New(side, grid.Torus)
+			pop := dist.NewZipf(files, 1.2)
+			r := rand.New(rand.NewPCG(17, 19))
+			caps := make([]int32, n)
+			for u := range caps {
+				mu := int(math.Round(m / 3.0 * math.Pow(1-r.Float64(), -1/1.5)))
+				caps[u] = int32(min(max(mu, 1), 8*m))
+			}
+			pl := NewPlacer(n, m, files)
+			pl.EnableHetero(8 * m)
+			pl.EnableTiles(g.NewTiling(7))
+			pl.EnableChurn()
+			vacant := make([]bool, n)
+			var queue []int32
+			place := func() {
+				queue = queue[:0]
+				for u := range vacant {
+					vacant[u] = r.IntN(4) == 0
+					if vacant[u] {
+						queue = append(queue, int32(u))
+					}
+				}
+				pl.SetHetero(caps, vacant)
+				pl.Place(pop, WithReplacement, r)
+			}
+			place()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if len(queue) < k {
+					b.StopTimer()
+					place()
+					b.StartTimer()
+				}
+				for _, u := range queue[len(queue)-k:] {
+					pl.StageArrival(u, pop, WithReplacement, r)
+				}
+				queue = queue[:len(queue)-k]
+				pl.SpliceArrivals()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*k), "ns/node")
+		})
 	}
-	pl := NewPlacer(n, m, k)
-	pl.EnableHetero(8 * m)
-	pl.EnableTiles(g.NewTiling(7))
-	pl.EnableChurn()
-	vacant := make([]bool, n)
-	var queue []int32
-	place := func() {
-		queue = queue[:0]
-		for u := range vacant {
-			vacant[u] = r.IntN(4) == 0
-			if vacant[u] {
+}
+
+// FuzzArriveNodes decodes its input into a small world — side 3–12,
+// torus or bounded, an optional tile index whose tile size need not
+// divide the side, K, M, maxCap, placement mode, popularity, a vacancy
+// mask and a seed — and a partition of the vacant nodes into batches
+// with churn between them. After every batch the spliced placement must
+// equal a rebuilding twin and a from-scratch rebuild.
+func FuzzArriveNodes(f *testing.F) {
+	f.Add([]byte{5, 3, 40, 0x12, 1, 7, 0x33, 0x55, 0xAA})
+	f.Add([]byte{9, 8, 12, 0x31, 2, 1, 0xFF, 0xFF, 0x0F, 0xF0})
+	f.Add([]byte{2, 0, 200, 0x03, 3, 9, 0x01, 0x80})
+	f.Add([]byte{0, 1, 1, 0x20, 0, 0, 0xFF})
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF}) // every node vacant
+	f.Fuzz(func(t *testing.T, data []byte) {
+		at := func(i int) byte {
+			if i < len(data) {
+				return data[i]
+			}
+			return 0
+		}
+		side := 3 + int(at(0))%10
+		n := side * side
+		topo := grid.Torus
+		if at(1)&1 != 0 {
+			topo = grid.Bounded
+		}
+		var tl *grid.Tiling
+		if ts := int(at(1)>>1) % (side + 1); ts > 0 {
+			tl = grid.New(side, topo).NewTiling(ts)
+		}
+		k := 1 + int(at(2))
+		m := 1 + int(at(3)&3)
+		maxCap := m + int(at(3)>>2&7)
+		mode := Mode(at(4) & 1)
+		var pop dist.Popularity = dist.NewUniform(k)
+		if at(4)&2 != 0 {
+			pop = dist.NewZipf(k, 0.5+float64(at(4)>>2&7)/4)
+		}
+		r := rand.New(rand.NewPCG(uint64(at(5)), uint64(at(6))))
+		caps := make([]int32, n)
+		vacant := make([]bool, n)
+		var queue []int32
+		for u := range caps {
+			caps[u] = int32(1 + r.IntN(maxCap))
+			if at(7+u/8)>>(u%8)&1 != 0 {
+				vacant[u] = true
 				queue = append(queue, int32(u))
 			}
 		}
-		pl.SetHetero(caps, vacant)
-		pl.Place(pop, WithReplacement, r)
-	}
-	place()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if len(queue) == 0 {
-			b.StopTimer()
-			place()
-			b.StartTimer()
+		newPlacer := func() *Placer {
+			pl := NewPlacer(n, m, k)
+			pl.EnableHetero(maxCap)
+			if tl != nil {
+				pl.EnableTiles(tl)
+			}
+			pl.EnableChurn()
+			pl.SetHetero(caps, vacant)
+			return pl
 		}
-		u := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		pl.ArriveNode(u, pop, WithReplacement, r)
-	}
+		splice, twin := newPlacer(), newPlacer()
+		seed := uint64(at(5))<<8 | uint64(at(6))
+		rs, rt := rand.New(rand.NewPCG(seed, 3)), rand.New(rand.NewPCG(seed, 3))
+		p, q := splice.Place(pop, mode, rs), twin.Place(pop, mode, rt)
+		for len(queue) > 0 {
+			if p.ReplicaSlots() > 0 {
+				lockstepChurn(p, q, vacant, r, r.IntN(8))
+			}
+			for batch := 1 + r.IntN(len(queue)); batch > 0; batch-- {
+				i := r.IntN(len(queue))
+				u := queue[i]
+				queue[i] = queue[len(queue)-1]
+				queue = queue[:len(queue)-1]
+				splice.StageArrival(u, pop, mode, rs)
+				twin.StageArrival(u, pop, mode, rt)
+			}
+			splice.SpliceArrivals()
+			twin.rebuildArrivals()
+			sameAsRebuild(t, p, q)
+			checkAgainstRebuild(t, p, tl)
+		}
+	})
 }

@@ -22,10 +22,11 @@ import "repro/internal/grid"
 // call on that Placer. On churn-enabled builds (Placer.EnableChurn) the
 // index is additionally maintained incrementally: every
 // Placement.ReplaceReplica splices the affected tile run, directory and
-// bitmap in place (see churn.go), and every Placer.ArriveNode splices
-// the joining node into each of its files (see hetero.go), so readers
-// always observe a state identical to a from-scratch rebuild of the
-// mutated placement, up to the numbering of bitmap blocks.
+// bitmap in place (see churn.go), and every Placer.SpliceArrivals
+// splices a batch of joining nodes into each of their files (see
+// hetero.go), so readers always observe a state identical to a
+// from-scratch rebuild of the mutated placement, up to the numbering of
+// bitmap blocks.
 //
 // The directory is capacity-padded: dirOff pads file j's span to
 // min(|S_j|, Tiles) entries — the most it can ever occupy while |S_j| is

@@ -268,13 +268,15 @@ func (r *Runner) armHetero(t uint64) *rand.Rand {
 
 // applyArrivals advances the arrival schedule past c served requests:
 // credit accrues at ArrivalRate events per request, and each whole
-// event picks a uniform still-vacant node, fills it via the placer
-// (which splices it into the replica and tile indexes in place) and
-// revives it if fault injection had crashed it. With no vacant nodes left the event
-// is burned as skipped, keeping the RNG schedule independent of how
-// fast the network fills up. Both mutable-placement owners drive it at
-// their barriers — the batch Runner per pipeline chunk, the served
-// Snapshot per Advance — always before the fault and churn engines.
+// event picks a uniform still-vacant node, stages it in the placer
+// (drawing its slab) and revives it if fault injection had crashed it.
+// With no vacant nodes left the event is burned as skipped, keeping the
+// RNG schedule independent of how fast the network fills up. Nothing
+// reads the replica or tile index between events, so the staged nodes
+// are spliced into both in one pass at the end, before the caller's
+// fault and churn engines read the placement. Both mutable-placement
+// owners drive it at their barriers — the batch Runner per pipeline
+// chunk, the served Snapshot per Advance.
 func (hs *heteroState) applyArrivals(w *World, placer *cache.Placer, live *cache.Liveness, rng *rand.Rand, c int, events, skipped *int) {
 	hs.credit += w.cfg.ArrivalRate * float64(c)
 	for ; hs.credit >= 1; hs.credit-- {
@@ -286,12 +288,13 @@ func (hs *heteroState) applyArrivals(w *World, placer *cache.Placer, live *cache
 		u := hs.vacantList[i]
 		hs.vacantList[i] = hs.vacantList[len(hs.vacantList)-1]
 		hs.vacantList = hs.vacantList[:len(hs.vacantList)-1]
-		placer.ArriveNode(u, w.placeProfile, w.cfg.PlacementMode, rng)
+		placer.StageArrival(u, w.placeProfile, w.cfg.PlacementMode, rng)
 		if live != nil {
 			live.Revive(u)
 		}
 		*events++
 	}
+	placer.SpliceArrivals()
 }
 
 // finishHetero records trial-end heterogeneity counters.

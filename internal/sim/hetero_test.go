@@ -266,31 +266,40 @@ func TestHeteroWeightedTwoChoicesUniformity(t *testing.T) {
 // in-place node joins must all run out of the arenas sized at compile
 // time. The dynamic row composes arrivals with replica churn and crash
 // faults at the rates of perfbench's dynamic workload, so every barrier
-// mutation runs in the same trial.
+// mutation runs in the same trial. The arrival-burst row splices the
+// largest batch there is: its rate empties the vacant list at the first
+// barrier, so one splice holds every vacant node and later events are
+// skipped.
 func TestHeteroSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates and disables pool caching")
 	}
 	for _, variant := range []struct {
-		name string
-		mut  func(*Config)
+		name  string
+		mut   func(*Config)
+		burst bool
 	}{
 		{"capacity-two-tier", func(c *Config) {
 			c.Hetero, c.Profile = HeteroCapacity, ProfileTwoTier
-		}},
+		}, false},
 		{"capacity-power-law", func(c *Config) {
 			c.Hetero, c.Profile = HeteroCapacity, ProfilePowerLaw
-		}},
+		}, false},
 		{"arrival-power-law", func(c *Config) {
 			c.Hetero, c.Profile, c.ArrivalRate = HeteroArrival, ProfilePowerLaw, 0.01
 			c.MissPolicy = MissEscalate
-		}},
+		}, false},
 		{"dynamic", func(c *Config) {
 			c.Hetero, c.Profile, c.ArrivalRate = HeteroArrival, ProfilePowerLaw, 0.01
 			c.Churn, c.ChurnRate = ChurnReplicas, 0.5
 			c.Faults, c.FaultRate, c.RecoverRate = FaultsCrash, 0.01, 0.005
 			c.MissPolicy = MissEscalate
-		}},
+		}, false},
+		// ~102 events at the first barrier against ~36 vacant nodes.
+		{"arrival-burst", func(c *Config) {
+			c.Hetero, c.Profile, c.ArrivalRate = HeteroArrival, ProfilePowerLaw, 0.1
+			c.MissPolicy = MissEscalate
+		}, true},
 	} {
 		cfg := Config{
 			Side: 12, K: 150, M: 2,
@@ -307,6 +316,14 @@ func TestHeteroSteadyStateAllocs(t *testing.T) {
 		res := r.RunTrial(0)
 		if cfg.Hetero == HeteroArrival && res.ArrivalEvents == 0 {
 			t.Fatalf("%s: no arrivals; the join path is not exercised", variant.name)
+		}
+		// The first barrier drains ⌊ArrivalRate·defaultChunk⌋ events, so a
+		// trial that ends with no vacant node and no more joins than that
+		// took them all at once.
+		if variant.burst && (res.Vacant != 0 || res.ArrivalSkipped == 0 ||
+			res.ArrivalEvents > int(cfg.ArrivalRate*defaultChunk)) {
+			t.Fatalf("%s: %d arrivals, %d skipped, %d still vacant; the first barrier did not take every vacant node",
+				variant.name, res.ArrivalEvents, res.ArrivalSkipped, res.Vacant)
 		}
 		if (cfg.Churn != ChurnNone && res.ChurnEvents == 0) || (cfg.Faults != FaultsNone && res.FaultEvents == 0) {
 			t.Fatalf("%s: churn or faults never ran (%d churn, %d fault events)",

@@ -487,6 +487,17 @@ const (
 	maxK     = 1 << 24
 )
 
+// maxEventRate caps ChurnRate, FaultRate, RecoverRate and ArrivalRate,
+// in expected events per request. Each schedule adds rate·c to a
+// float64 credit at a chunk barrier and drains it one whole event at a
+// time, so the credit must stay small enough to drain: +Inf never does
+// (Inf − 1 = Inf), and from 2⁵³ on subtracting 1 no longer changes the
+// credit at all, so either would hang the trial. A NaN rate would
+// silently schedule nothing. 64 events per request sits far above every
+// rate in use (the largest is ChurnRate 5) and keeps a 1024-request
+// chunk's credit near 2¹⁶.
+const maxEventRate = 64
+
 func (c Config) validate() error {
 	if c.Side <= 0 || c.Side > maxSide {
 		return fmt.Errorf("sim: Side must be in [1, %d] (n = Side² must fit int32 node ids), got %d", maxSide, c.Side)
@@ -508,6 +519,15 @@ func (c Config) validate() error {
 	}
 	if c.Index != IndexTiles {
 		return fmt.Errorf("sim: Index %d is retired; the tile index is the only candidate ladder (leave it unset)", int(c.Index))
+	}
+	for _, r := range [...]struct {
+		name string
+		v    float64
+	}{{"ChurnRate", c.ChurnRate}, {"FaultRate", c.FaultRate}, {"RecoverRate", c.RecoverRate}, {"ArrivalRate", c.ArrivalRate}} {
+		// The negated form also rejects NaN, which fails every comparison.
+		if !(r.v <= maxEventRate) {
+			return fmt.Errorf("sim: %s must be finite and at most %d events per request, got %v", r.name, maxEventRate, r.v)
+		}
 	}
 	if c.Churn < ChurnNone || c.Churn > ChurnDrift {
 		return fmt.Errorf("sim: unknown churn mode %d", int(c.Churn))

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -52,13 +53,33 @@ func TestConfigValidation(t *testing.T) {
 		"k over cap": func(c *Config) { c.K = maxK + 1 },
 		"k overflow": func(c *Config) { c.K = 1 << 40 },
 	} {
-		c := baseConfig()
-		mut(&c)
-		if _, err := RunTrial(c, 0); err == nil {
-			t.Errorf("%s: invalid config accepted", name)
+		validationRejects(t, name, mut)
+	}
+	// Event rates: a NaN rate passes every sign check, and a credit loop
+	// never drains +Inf or a rate past 2⁵³ per chunk, so each of the four
+	// rates must be finite and at most maxEventRate.
+	for _, rate := range []struct {
+		name string
+		set  func(*Config, float64)
+	}{
+		{"churn", func(c *Config, v float64) { c.Churn, c.ChurnRate = ChurnReplicas, v }},
+		{"fault", func(c *Config, v float64) {
+			c.Faults, c.FaultRate, c.MissPolicy = FaultsCrash, v, MissEscalate
+		}},
+		{"recover", func(c *Config, v float64) {
+			c.Faults, c.FaultRate, c.RecoverRate, c.MissPolicy = FaultsCrash, 0.01, v, MissEscalate
+		}},
+		{"arrival", func(c *Config, v float64) {
+			c.Hetero, c.ArrivalRate, c.MissPolicy = HeteroArrival, v, MissEscalate
+		}},
+	} {
+		for _, v := range []float64{math.NaN(), math.Inf(1), maxEventRate * 1.5, 1e300} {
+			validationRejects(t, fmt.Sprintf("%s rate %v", rate.name, v), func(c *Config) { rate.set(c, v) })
 		}
-		if _, err := Run(c, 1, 1); err == nil {
-			t.Errorf("%s: Run accepted invalid config", name)
+		c := baseConfig()
+		rate.set(&c, maxEventRate)
+		if err := Validate(c); err != nil {
+			t.Errorf("%s rate at the %d ceiling rejected: %v", rate.name, maxEventRate, err)
 		}
 	}
 	if _, err := Run(baseConfig(), 0, 1); err == nil {
@@ -74,6 +95,20 @@ func TestConfigValidation(t *testing.T) {
 	// The file cap is inclusive too.
 	if err := Validate(Config{Side: 4, K: maxK, M: 1}); err != nil {
 		t.Errorf("K=%d at the file cap rejected: %v", maxK, err)
+	}
+}
+
+// validationRejects fails unless RunTrial and Run both reject the base
+// config as changed by mut.
+func validationRejects(t *testing.T, name string, mut func(*Config)) {
+	t.Helper()
+	c := baseConfig()
+	mut(&c)
+	if _, err := RunTrial(c, 0); err == nil {
+		t.Errorf("%s: invalid config accepted", name)
+	}
+	if _, err := Run(c, 1, 1); err == nil {
+		t.Errorf("%s: Run accepted invalid config", name)
 	}
 }
 

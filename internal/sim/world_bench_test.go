@@ -128,11 +128,13 @@ func BenchmarkWideWorldTrialHetero(b *testing.B) {
 
 // BenchmarkWorldRunTrialHeteroArrival is the open-system regime at the
 // paper-scale point (compare BenchmarkWorldRunTrial): ~25% of the nodes
-// start vacant and join at chunk barriers, and every join refills the
-// node's slots and splices it into the replica index and tile index by
-// shifting both arenas — O(Σ|S_j| + K) memmove and add work per event
-// (cache.BenchmarkArriveNode times one join). MissEscalate handles
-// requests whose in-radius candidates are still vacant.
+// start vacant and join at chunk barriers. Each join refills the node's
+// slots, and each barrier splices its joiners into the replica index and
+// tile index by shifting both arenas once — O(Σ|S_j| + K) memmove and
+// add work per barrier, not per event (cache.BenchmarkArriveNode times
+// batches of 1 and 10 joins, BenchmarkBarrier/arrivals one barrier).
+// MissEscalate handles requests whose in-radius candidates are still
+// vacant.
 func BenchmarkWorldRunTrialHeteroArrival(b *testing.B) {
 	cfg := paperScaleCfg()
 	cfg.MissPolicy = MissEscalate
@@ -148,6 +150,54 @@ func BenchmarkWorldRunTrialHeteroArrival(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = r.RunTrial(uint64(i))
+	}
+}
+
+// BenchmarkBarrier splits the chunk-barrier mutations of the dynamic
+// regime (perfbench's dynamic workload) by kind. Each sub-benchmark
+// times one Snapshot.Advance(1024) — the barrier a 1024-request
+// pipeline chunk closes with — at the dynamic shape (the paper-scale
+// point, power-law capacities, MissEscalate) with only its own mutation
+// on: arrivals at 0.01 per request from ~25% vacant nodes, crash faults
+// at 0.01 recovering at 0.005, or replica churn at 0.5. composed is the
+// dynamic config, all three in the engine's order. A paper-scale trial
+// closes 4 barriers, so every 4 the era snapshot is drawn afresh with
+// the timer stopped, keeping the placement as close to its start as a
+// trial's.
+func BenchmarkBarrier(b *testing.B) {
+	arrivals := func(c *Config) { c.Hetero, c.ArrivalRate = HeteroArrival, 0.01 }
+	faults := func(c *Config) { c.Faults, c.FaultRate, c.RecoverRate = FaultsCrash, 0.01, 0.005 }
+	churn := func(c *Config) { c.Churn, c.ChurnRate = ChurnReplicas, 0.5 }
+	for _, kind := range []struct {
+		name string
+		mut  func(*Config)
+	}{
+		{"arrivals", arrivals},
+		{"faults", faults},
+		{"churn", churn},
+		{"composed", func(c *Config) { arrivals(c); faults(c); churn(c) }},
+	} {
+		b.Run(kind.name, func(b *testing.B) {
+			cfg := paperScaleCfg()
+			cfg.MissPolicy = MissEscalate
+			cfg.Hetero, cfg.Profile = HeteroCapacity, ProfilePowerLaw
+			kind.mut(&cfg)
+			w, err := Compile(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var s *Snapshot
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%4 == 0 {
+					b.StopTimer()
+					s = w.Snapshot(uint64(i / 4))
+					b.StartTimer()
+				}
+				s.Advance(defaultChunk)
+			}
+		})
 	}
 }
 

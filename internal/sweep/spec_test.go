@@ -110,6 +110,7 @@ func TestParseSpecRejects(t *testing.T) {
 		"bad strategy":   `{"trials":1,"base":{"side":5,"k":10,"m":1,"strategy":"wat"}}`,
 		"engine invalid": `{"trials":1,"base":{"side":5,"k":10,"m":1,"workers":3,"chunk":7}}`,
 		"world budget":   `{"trials":1,"base":{"side":4096,"k":10,"m":1048576}}`,
+		"huge rate":      `{"trials":1,"base":{"side":5,"k":10,"m":1,"churn":"replicas","churn_rate":1e300}}`,
 	} {
 		if _, err := ParseSpec([]byte(src)); err == nil {
 			t.Errorf("%s: accepted", name)
