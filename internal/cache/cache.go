@@ -8,9 +8,13 @@
 // Placements live in flat arenas instead of n + K little heap-allocated
 // slices: the forward map node → files as one slab of M_u slots per node,
 // the inverted index file → replica nodes in CSR (compressed sparse row)
-// form with an offset index. A Placer owns the arenas plus all build
-// scratch, so the per-trial placement build of the simulation engine is
-// allocation-free after the first trial.
+// form with an offset index. Each S_j is stored once, ordered by the key
+// (TileOf(v), v) of the placement's tiling — plain node order when the
+// placement has no tile index — so the spatial index (TileIndex) is only
+// a tile directory and dense-file bitmaps over that one arena. A Placer
+// owns the arenas plus all build scratch, so the per-trial placement
+// build of the simulation engine is allocation-free after the first
+// trial.
 package cache
 
 import (
@@ -64,10 +68,12 @@ type Placement struct {
 	files []int32
 	lens  []int32
 
-	// nodes[repOff[j]:repOff[j+1]] lists the nodes caching file j, sorted
-	// ascending. This is S_j in the paper's notation. Segment lengths are
-	// invariant under ReplaceReplica (it migrates replicas, never changes
-	// |S_j|), which is what lets the CSR stay splice-able in place.
+	// nodes[repOff[j]:repOff[j+1]] lists the nodes caching file j — S_j in
+	// the paper's notation — ascending by key (see find): (TileOf(v), v)
+	// under a tile index, v without one. The tile index's directory runs
+	// index these segments. Segment lengths are invariant under
+	// ReplaceReplica (it migrates replicas, never changes |S_j|), which is
+	// what lets the CSR stay splice-able in place.
 	nodes  []int32
 	repOff []int32 // length k+1
 
@@ -84,7 +90,7 @@ type Placement struct {
 	capOff []int32
 
 	// tix is the optional spatial replica index (see TileIndex), built
-	// only by Placers with EnableTiles.
+	// only by Placers with EnableTiles; its tiling orders every S_j.
 	tix *TileIndex
 
 	// sorted marks placements built by a churn-enabled Placer: every node
@@ -156,9 +162,7 @@ type Placer struct {
 	// EnableHetero for arrivalBatch·maxCap inserts: the staged
 	// (file, node) inserts and the splice plan over them.
 	joins     []int64 // file<<32 | node per staged insert
-	tixJoins  []int64 // tile<<32 | node: each file's inserts tile-major
 	joinAt    []int32 // pre-splice slot of joins[x] in the replica CSR
-	tixAt     []int32 // pre-splice slot of tixJoins[x] in the tile-major arena
 	joinFiles []joinFile
 }
 
@@ -199,9 +203,7 @@ func (pl *Placer) EnableHetero(maxCap int) {
 	pl.p.capOff = make([]int32, pl.n+1)
 	plan := arrivalBatch * maxCap
 	pl.joins = make([]int64, 0, plan)
-	pl.tixJoins = make([]int64, plan)
 	pl.joinAt = make([]int32, plan)
-	pl.tixAt = make([]int32, plan)
 	pl.joinFiles = make([]joinFile, 0, plan)
 }
 
@@ -332,12 +334,7 @@ func (pl *Placer) Place(pop dist.Popularity, mode Mode, r *rand.Rand) *Placement
 		panic(fmt.Sprintf("cache: unknown mode %v", mode))
 	}
 
-	pl.buildReplicaIndex()
-	if pl.tiling != nil {
-		pl.buildTileIndex()
-	} else {
-		p.tix = nil
-	}
+	pl.buildIndex()
 	return p
 }
 
@@ -418,11 +415,13 @@ func (pl *Placer) setLen(u, ln int) {
 	p.lens[u] = int32(ln)
 }
 
-// buildReplicaIndex constructs the inverted CSR index in two passes:
-// count replicas per file, prefix-sum into offsets, then scatter node ids.
-// Scanning nodes in ascending order keeps every S_j sorted for free,
-// whatever the order of the node lists.
-func (pl *Placer) buildReplicaIndex() {
+// buildIndex fills the replica CSR — and, under EnableTiles, the tile
+// index — from the node lists just drawn: one count pass sizes every S_j,
+// and one scatter in key order fills them, tile by tile through the
+// tiling's node order (ascending inside a tile) or node by node without
+// a tiling, which leaves each S_j sorted by key whatever the order of
+// the node lists.
+func (pl *Placer) buildIndex() {
 	p := &pl.p
 	clear(pl.counts)
 	for u := 0; u < pl.n; u++ {
@@ -431,24 +430,36 @@ func (pl *Placer) buildReplicaIndex() {
 		}
 	}
 	total := int32(0)
+	p.cachedFiles = p.cachedFiles[:0]
 	for j := 0; j < pl.k; j++ {
+		if pl.counts[j] > 0 {
+			p.cachedFiles = append(p.cachedFiles, int32(j))
+		}
 		p.repOff[j] = total
 		total += pl.counts[j]
 		pl.counts[j] = p.repOff[j] // reuse as fill cursor
 	}
 	p.repOff[pl.k] = total
 	p.nodes = p.nodes[:total]
-	for u := 0; u < pl.n; u++ {
-		for _, f := range p.nodeSpan(u) {
-			p.nodes[pl.counts[f]] = int32(u)
-			pl.counts[f]++
+	if pl.tiling == nil {
+		p.tix = nil
+		for u := int32(0); u < int32(pl.n); u++ {
+			pl.scatter(u)
 		}
+		return
 	}
-	p.cachedFiles = p.cachedFiles[:0]
-	for j := 0; j < pl.k; j++ {
-		if p.repOff[j+1] > p.repOff[j] {
-			p.cachedFiles = append(p.cachedFiles, int32(j))
-		}
+	for _, u := range pl.tiling.Order() {
+		pl.scatter(u)
+	}
+	pl.buildTileIndex()
+}
+
+// scatter appends node u to the replica segment of every file it caches.
+func (pl *Placer) scatter(u int32) {
+	p := &pl.p
+	for _, f := range p.nodeSpan(int(u)) {
+		p.nodes[pl.counts[f]] = u
+		pl.counts[f]++
 	}
 }
 
@@ -461,9 +472,32 @@ func (p *Placement) K() int { return p.k }
 // M returns the per-node slot count.
 func (p *Placement) M() int { return p.m }
 
-// Replicas returns S_j, the sorted node list caching file j. The caller
-// must not mutate the returned slice.
+// Replicas returns S_j, the nodes caching file j, in key order: sorted by
+// (TileOf(v), v) on a placement with a tile index, so each tile's
+// replicas form one run (see TileIndex.FileRuns), and by node id on a
+// placement without one. The caller must not mutate the returned slice.
 func (p *Placement) Replicas(j int) []int32 { return p.nodes[p.repOff[j]:p.repOff[j+1]] }
+
+// find binary-searches the key-ordered segment seg for node v and
+// returns its slot, or the slot v would be inserted at, and whether v is
+// there. The key is (TileOf(v), v) under a tile index, v without one.
+func (p *Placement) find(seg []int32, v int32) (int, bool) {
+	if p.tix == nil {
+		return slices.BinarySearch(seg, v)
+	}
+	tl := p.tix.tl
+	tv := tl.TileOf(v)
+	lo, hi := 0, len(seg)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if tm := tl.TileOf(seg[mid]); tm < tv || tm == tv && seg[mid] < v {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(seg) && seg[lo] == v
+}
 
 // NodeFiles returns the distinct files cached at node u: sorted ascending
 // on churn-enabled placements (Placer.EnableChurn), in draw order
@@ -474,15 +508,16 @@ func (p *Placement) NodeFiles(u int) []int32 { return p.nodeSpan(u) }
 
 // Has reports whether node u caches file j, whatever the order of u's
 // list: a scan of the list while it holds at most 32 files (t(u) ≤ M,
-// typically a few dozen at most), a binary search for u in the
-// node-sorted S_j beyond. It is the per-node lookup of the ball-side
-// scans (the exact candidate filter, nearest-replica rings).
+// typically a few dozen at most), a binary search for u's key
+// (TileOf(u), u) — u itself when untiled — in S_j beyond. It is the
+// per-node lookup of the ball-side scans (the exact candidate filter,
+// nearest-replica rings) and of the churn engine's feasibility checks.
 func (p *Placement) Has(u, j int) bool {
 	files := p.nodeSpan(u)
 	if len(files) <= 32 {
 		return slices.Contains(files, int32(j))
 	}
-	_, ok := slices.BinarySearch(p.Replicas(j), int32(u))
+	_, ok := p.find(p.Replicas(j), int32(u))
 	return ok
 }
 
@@ -490,12 +525,12 @@ func (p *Placement) Has(u, j int) bool {
 func (p *Placement) T(u int) int { return int(p.lens[u]) }
 
 // TPair returns t(u,v) = |T(u,v)|, the number of distinct files cached at
-// both u and v: each of u's files is looked up in its node-sorted S_j, so
-// the count holds whatever the order of the node lists.
+// both u and v: v's key is binary-searched in the S_j of each of u's
+// files, so the count holds whatever the order of the node lists.
 func (p *Placement) TPair(u, v int) int {
 	t := 0
 	for _, f := range p.nodeSpan(u) {
-		if _, ok := slices.BinarySearch(p.Replicas(int(f)), int32(v)); ok {
+		if _, ok := p.find(p.Replicas(int(f)), int32(v)); ok {
 			t++
 		}
 	}
@@ -528,14 +563,12 @@ func (g Goodness) IsGood(delta float64, mu int, m int) bool {
 // Θ(n²); pairSamples > 0 bounds the work by sampling random pairs instead
 // (0 means exhaustive, which is fine for n ≤ a few thousand).
 func (p *Placement) CheckGoodness(pairSamples int, r *rand.Rand) Goodness {
-	g := Goodness{MinT: p.m + 1}
+	g := Goodness{MinT: p.T(0)}
 	sum := 0
 	for u := 0; u < p.n; u++ {
 		t := p.T(u)
 		sum += t
-		if t < g.MinT {
-			g.MinT = t
-		}
+		g.MinT = min(g.MinT, t)
 	}
 	g.MeanT = float64(sum) / float64(p.n)
 	if pairSamples <= 0 {

@@ -259,6 +259,26 @@ func TestGoodnessExhaustiveVsSampled(t *testing.T) {
 	}
 }
 
+// TestGoodnessHeteroMinT: MinT is the smallest t(u) over the nodes
+// themselves, not capped at M+1 — on a heterogeneous placement whose
+// every capacity exceeds M, each node caches Cap(u) distinct files.
+func TestGoodnessHeteroMinT(t *testing.T) {
+	const n, m, capacity = 16, 2, 6
+	pl := NewPlacer(n, m, 40)
+	pl.EnableHetero(capacity)
+	caps := make([]int32, n)
+	for u := range caps {
+		caps[u] = capacity
+	}
+	pl.SetHetero(caps, nil)
+	r := xrand.NewSource(13).Stream(0)
+	p := pl.Place(dist.NewUniform(40), WithoutReplacement, r)
+	g := p.CheckGoodness(0, r)
+	if g.MinT != capacity || g.MeanT != capacity {
+		t.Fatalf("MinT %d, MeanT %v; every node caches %d files", g.MinT, g.MeanT, capacity)
+	}
+}
+
 func TestGoodnessLemma2Regime(t *testing.T) {
 	// Lemma 2 regime: K = n, M = n^α with α < 1/2. For n = 2025, α ≈ 0.35
 	// gives M ≈ 14. Expect t(u) ≥ δM with δ = (1-α)/3 and small t(u,v).

@@ -14,17 +14,16 @@ import (
 //   - forward map: per-node slabs of Cap(u) slots, so a node's list
 //     grows/shrinks by a memmove of at most M_u entries;
 //   - replica CSR: |S_j| is invariant under ReplaceReplica, so a
-//     migration is a rotation inside the file's segment;
-//   - TileIndex: dense files flip two bitmap bits; sparse files splice
-//     the tile-major run and the capacity-padded tile directory.
+//     migration is one rotation inside the file's key-ordered segment;
+//   - TileIndex: dense files flip two bitmap bits; sparse files fix up
+//     the capacity-padded tile directory around the rotation.
 //
 // Node arrivals (hetero.go) are the one mutation that grows segments;
 // they splice through the same layout by shifting it, once per batch.
 // Every mutation preserves the exact invariants the from-scratch build
-// establishes (sorted node lists, node-sorted replica segments,
-// tile-major index segments with ascending directories padded to
-// min(|S_j|, Tiles)), which is what the mutation-storm property tests
-// assert batch by batch.
+// establishes (sorted node lists, key-ordered replica segments, ascending
+// directories padded to min(|S_j|, Tiles)), which is what the
+// mutation-storm property tests assert batch by batch.
 
 // Mutable reports whether the placement supports ReplaceReplica (it was
 // built by a churn-enabled Placer).
@@ -41,8 +40,8 @@ func (p *Placement) CanReplace(j int, u, v int32) bool {
 // ReplaceReplica migrates file j's replica from node u to node v,
 // splicing the forward map, the replica CSR and (when present) the tile
 // index in place — O(t(u) + t(v)) for the forward slabs, O(|S_j|) for
-// the CSR segment, and O(|S_j| + directory entries) for the tile index;
-// no allocation on any path. |S_j| and the cached-file set are invariant
+// the CSR segment, and O(directory entries) for the tile index; no
+// allocation on any path. |S_j| and the cached-file set are invariant
 // (the placement profile never drifts, only replica geography), so
 // conditioned request samplers and dense-file classifications built at
 // trial start stay valid. It panics unless the placement is mutable and
@@ -129,34 +128,25 @@ func (p *Placement) forwardAdd(u, f int32) {
 	p.lens[u]++
 }
 
-// migrate splices file j's replica u → v through the replica CSR and,
-// when present, the tile index. Forward slabs are the caller's job.
+// migrate moves file j's replica u → v inside S_j — one rotation that
+// keeps the segment in key order — and fixes up the tile index around
+// it. Forward slabs are the caller's job.
 func (p *Placement) migrate(j int, u, v int32) {
-	spliceSorted(p.nodes[p.repOff[j]:p.repOff[j+1]], u, v)
-	if p.tix != nil {
-		p.tix.replaceReplica(j, u, v)
-	}
-}
-
-// spliceSorted replaces old with new in the sorted segment seg with one
-// memmove, restoring ascending order.
-func spliceSorted(seg []int32, old, new int32) {
-	i, ok := slices.BinarySearch(seg, old)
+	seg := p.Replicas(j)
+	i, ok := p.find(seg, u)
 	if !ok {
 		panic("cache: replica splice: node not in segment")
 	}
-	switch {
-	case new > old:
-		j, _ := slices.BinarySearch(seg[i+1:], new)
-		j += i + 1 // first index > i with seg[j] ≥ new
-		copy(seg[i:], seg[i+1:j])
-		seg[j-1] = new
-	case new < old:
-		j, _ := slices.BinarySearch(seg[:i], new)
-		copy(seg[j+1:i+1], seg[j:i])
-		seg[j] = new
-	default:
-		panic("cache: replica splice: nodes must differ")
+	w, _ := p.find(seg, v)
+	if w > i {
+		w-- // v lands left of its pre-removal slot
+		copy(seg[i:w], seg[i+1:w+1])
+	} else {
+		copy(seg[w+1:i+1], seg[w:i])
+	}
+	seg[w] = v
+	if p.tix != nil {
+		p.tix.migrate(j, u, v, int32(w), int32(len(seg)))
 	}
 }
 
@@ -167,7 +157,9 @@ func (p *Placement) ReplicaSlots() int { return int(p.repOff[p.k]) }
 
 // SlotReplica maps a flat replica-arena index (0 ≤ slot < ReplicaSlots)
 // to its (file, node) pair by binary-searching the CSR offsets — the
-// O(log K) inverse the churn engine uses to draw a uniform replica.
+// O(log K) inverse the churn engine uses to draw a uniform replica. Slots
+// follow the arena's order: file-major, each S_j in key order (see
+// Replicas).
 func (p *Placement) SlotReplica(slot int) (file int, node int32) {
 	s := int32(slot)
 	lo, hi := 0, p.k // invariant: repOff[lo] ≤ s < repOff[hi]
@@ -182,91 +174,62 @@ func (p *Placement) SlotReplica(slot int) (file int, node int32) {
 	return lo, p.nodes[slot]
 }
 
-// replaceReplica splices the tile index for the migration of file j's
-// replica from u to v. Dense files flip two bitmap bits; sparse files
-// rotate the tile-major segment and splice the capacity-padded
-// directory (remove u's run entry when it empties, insert v's when its
-// tile is new). O(|S_j| + directory entries), allocation-free.
-func (ix *TileIndex) replaceReplica(j int, u, v int32) {
+// migrate fixes up the tile index after S_j's rotation moved the
+// replica u → v, with v now at slot at of the size-long segment. Dense
+// files flip two bitmap bits. Sparse files update the capacity-padded
+// directory: the run starts after u's run move left by one and u's entry
+// goes when its run empties, then v's run gains an entry when its tile
+// is new and the starts after it move right by one. O(directory
+// entries), allocation-free.
+func (ix *TileIndex) migrate(j int, u, v, at, size int32) {
 	if b := ix.bitOf[j]; b >= 0 {
 		words := ix.bitWords[int(b)*ix.wordsPer : (int(b)+1)*ix.wordsPer]
 		words[u>>6] &^= 1 << (uint(u) & 63)
 		words[v>>6] |= 1 << (uint(v) & 63)
 		return
 	}
-	s1 := ix.repOff[j+1]
-	dBase := int(ix.dirOff[j])
+	base := ix.dirOff[j]
 	dn := int(ix.dirLen[j])
-	dir := ix.dirTiles[dBase : dBase+dn]
-	starts := ix.dirStart[dBase : dBase+dn]
-	tu, tv := ix.tl.TileOf(u), ix.tl.TileOf(v)
+	dir := ix.dirTiles[base : base+int32(dn)]
+	starts := ix.dirStart[base : base+int32(dn)]
 
-	// Remove u from its run. Runs are (tile, node)-sorted, so both the
-	// directory entry and the in-run position binary-search.
-	du, ok := slices.BinarySearch(dir, tu)
+	du, ok := slices.BinarySearch(dir, ix.tl.TileOf(u))
 	if !ok {
 		panic("cache: tile-index splice: source tile has no run")
 	}
-	ru0 := starts[du]
-	ru1 := s1
+	end := size
 	if du+1 < dn {
-		ru1 = starts[du+1]
+		end = starts[du+1]
 	}
-	pu, ok := slices.BinarySearch(ix.nodes[ru0:ru1], u)
-	if !ok {
-		panic("cache: tile-index splice: node not in its tile run")
+	for d := du + 1; d < dn; d++ {
+		starts[d]--
 	}
-	puAbs := int(ru0) + pu
-	copy(ix.nodes[puAbs:s1-1], ix.nodes[puAbs+1:s1])
-	for i := du + 1; i < dn; i++ {
-		starts[i]--
-	}
-	if ru1-ru0 == 1 { // u was the run's only replica: drop the entry
+	if end-starts[du] == 1 { // u was the run's only replica: drop the entry
 		copy(dir[du:], dir[du+1:])
 		copy(starts[du:], starts[du+1:])
 		dn--
-		ix.dirLen[j]--
 	}
-	dir, starts = dir[:dn], starts[:dn]
 
-	// Insert v. The segment's valid data now ends at s1-1; the insertion
-	// restores the full |S_j| width.
-	dv, ok := slices.BinarySearch(dir, tv)
-	var pvAbs int32
-	if ok {
-		rv0 := starts[dv]
-		rv1 := s1 - 1
-		if dv+1 < dn {
-			rv1 = starts[dv+1]
-		}
-		pv, _ := slices.BinarySearch(ix.nodes[rv0:rv1], v)
-		pvAbs = rv0 + int32(pv)
-	} else {
-		// New directory entry at dv; its run starts where the next run
-		// currently begins (or at the end of the valid data). The padded
+	tv := ix.tl.TileOf(v)
+	dv, ok := slices.BinarySearch(dir[:dn], tv)
+	if !ok {
+		// A new entry for v's tile, its run starting at v. The padded
 		// capacity min(|S_j|, Tiles) admits every reachable splice while
 		// |S_j| is invariant, and a node arrival that grows |S_j| re-pads
 		// it (Placer.SpliceArrivals), so hitting the capacity here means a
 		// caller grew a segment without re-padding its directory.
-		if int32(dn) >= ix.dirOff[j+1]-ix.dirOff[j] {
+		if int32(dn) >= ix.dirOff[j+1]-base {
 			panic(fmt.Sprintf("cache: tile-index splice: file %d's directory is at capacity; a grown |S_j| needs its directory re-padded (Placer.SpliceArrivals)", j))
 		}
-		pvAbs = s1 - 1
-		if dv < dn {
-			pvAbs = starts[dv]
-		}
-		dir = ix.dirTiles[dBase : dBase+dn+1]
-		starts = ix.dirStart[dBase : dBase+dn+1]
+		dir = ix.dirTiles[base : base+int32(dn)+1]
+		starts = ix.dirStart[base : base+int32(dn)+1]
 		copy(dir[dv+1:], dir[dv:dn])
 		copy(starts[dv+1:], starts[dv:dn])
-		dir[dv] = tv
-		starts[dv] = pvAbs
+		dir[dv], starts[dv] = tv, at
 		dn++
-		ix.dirLen[j]++
 	}
-	copy(ix.nodes[pvAbs+1:s1], ix.nodes[pvAbs:s1-1])
-	ix.nodes[pvAbs] = v
-	for i := dv + 1; i < dn; i++ {
-		starts[i]++
+	for d := dv + 1; d < dn; d++ {
+		starts[d]++
 	}
+	ix.dirLen[j] = int32(dn)
 }

@@ -58,7 +58,7 @@ func TestMutableBuildMatchesImmutable(t *testing.T) {
 }
 
 // sameTileIndex fails unless a and b carry identical tile indexes: the
-// same dense bitmaps, tile-major segments and directories.
+// same dense bitmaps and directories.
 func sameTileIndex(t *testing.T, a, b *Placement) {
 	t.Helper()
 	ia, ib := a.TileIndex(), b.TileIndex()
@@ -69,70 +69,63 @@ func sameTileIndex(t *testing.T, a, b *Placement) {
 		if !slices.Equal(ia.FileBits(j), ib.FileBits(j)) {
 			t.Fatalf("file %d: dense bitmaps differ", j)
 		}
-		if ia.FileBits(j) != nil {
-			continue // the segment is stale scratch under a bitmap
-		}
-		if !slices.Equal(ia.Replicas(j), ib.Replicas(j)) {
-			t.Fatalf("file %d: tile-major segments %v vs %v", j, ia.Replicas(j), ib.Replicas(j))
-		}
-		ta, sa, ea := ia.FileRuns(j)
-		tb, sb, eb := ib.FileRuns(j)
-		if !slices.Equal(ta, tb) || !slices.Equal(sa, sb) || ea != eb {
-			t.Fatalf("file %d: directories (%v,%v,%d) vs (%v,%v,%d)", j, ta, sa, ea, tb, sb, eb)
+		ta, sa := ia.FileRuns(j)
+		tb, sb := ib.FileRuns(j)
+		if !slices.Equal(ta, tb) || !slices.Equal(sa, sb) {
+			t.Fatalf("file %d: directories (%v,%v) vs (%v,%v)", j, ta, sa, tb, sb)
 		}
 	}
 }
 
 // checkAgainstRebuild verifies every incremental structure of p against
-// a from-scratch rebuild from p's forward map: the replica CSR, the
-// cached-file list and the arena totals, and — when a tile index is
-// attached — which files are dense, their bitmaps, the tile-major
-// segments, the tile directory and its padded capacity, using exactly
-// the construction rule of buildTileIndex.
+// a from-scratch rebuild from p's forward map: every S_j — dense files'
+// included — in key order (tile by tile through tl's node order, node
+// order when tl is nil), the cached-file list and the arena totals, and
+// — when a tile index is attached — which files are dense, their
+// bitmaps, the tile directory and its padded capacity, using exactly the
+// construction rule of buildIndex. Node lists must be sorted on mutable
+// placements.
 func checkAgainstRebuild(t *testing.T, p *Placement, tl *grid.Tiling) {
 	t.Helper()
 	n, k := p.N(), p.K()
-	// Forward-map invariants + the model replica sets.
-	model := make([]map[int32]bool, k)
-	for j := range model {
-		model[j] = map[int32]bool{}
-	}
 	for u := 0; u < n; u++ {
 		files := p.NodeFiles(u)
-		if !slices.IsSorted(files) {
+		if p.Mutable() && !slices.IsSorted(files) {
 			t.Fatalf("node %d file list not sorted: %v", u, files)
 		}
 		if len(files) != p.T(u) {
 			t.Fatalf("node %d: len(files)=%d, T=%d", u, len(files), p.T(u))
 		}
 		for i, f := range files {
-			if i > 0 && files[i-1] == f {
+			if slices.Contains(files[:i], f) {
 				t.Fatalf("node %d caches file %d twice", u, f)
 			}
-			model[f][int32(u)] = true
 		}
 	}
-	for j := 0; j < k; j++ {
-		reps := p.Replicas(j)
-		if !slices.IsSorted(reps) {
-			t.Fatalf("file %d replica segment not sorted: %v", j, reps)
+	order := make([]int32, n)
+	if tl != nil {
+		order = tl.Order()
+	} else {
+		for u := range order {
+			order[u] = int32(u)
 		}
-		if len(reps) != len(model[j]) {
-			t.Fatalf("file %d: |S_j|=%d, model has %d", j, len(reps), len(model[j]))
-		}
-		for _, u := range reps {
-			if !model[j][u] {
-				t.Fatalf("file %d: replica at %d not in forward map", j, u)
-			}
+	}
+	segs := make([][]int32, k)
+	for _, u := range order {
+		for _, f := range p.NodeFiles(int(u)) {
+			segs[f] = append(segs[f], u)
 		}
 	}
 	var cached []int32
 	slots := 0
 	for j := 0; j < k; j++ {
-		if len(model[j]) > 0 {
+		if !slices.Equal(p.Replicas(j), segs[j]) {
+			t.Fatalf("file %d: replica segment %v, rebuild %v", j, p.Replicas(j), segs[j])
+		}
+		if len(segs[j]) > 0 {
 			cached = append(cached, int32(j))
 		}
-		slots += len(model[j])
+		slots += len(segs[j])
 	}
 	if !slices.Equal(p.CachedFiles(), cached) {
 		t.Fatalf("cached files %v, rebuild %v", p.CachedFiles(), cached)
@@ -147,74 +140,43 @@ func checkAgainstRebuild(t *testing.T, p *Placement, tl *grid.Tiling) {
 	}
 	thresh := int(denseBitThreshold(n))
 	for j := 0; j < k; j++ {
-		dense := len(model[j]) >= thresh
-		if (ix.FileBits(j) != nil) != dense {
+		dense := len(segs[j]) >= thresh
+		bits := ix.FileBits(j)
+		if (bits != nil) != dense {
 			t.Fatalf("file %d: |S_j|=%d, bitmap %v, want dense=%v (threshold %d)",
-				j, len(model[j]), ix.FileBits(j) != nil, dense, thresh)
+				j, len(segs[j]), bits != nil, dense, thresh)
 		}
 		want := int32(0)
 		if !dense {
-			want = int32(min(len(model[j]), tl.Tiles()))
+			want = int32(min(len(segs[j]), tl.Tiles()))
 		}
 		if got := ix.dirOff[j+1] - ix.dirOff[j]; got != want {
 			t.Fatalf("file %d: directory capacity %d, rebuild pads %d", j, got, want)
 		}
-	}
-	// From-scratch rebuild of the tile-major segments: walk tiles in
-	// order, nodes ascending inside, emitting each non-dense file's
-	// replicas — the construction rule of buildTileIndex.
-	segs := make([][]int32, k)
-	order, orderOff := tl.Order(), tl.OrderOff()
-	for tid := int32(0); tid < int32(tl.Tiles()); tid++ {
-		for _, u := range order[orderOff[tid]:orderOff[tid+1]] {
-			for _, f := range p.NodeFiles(int(u)) {
-				if ix.FileBits(int(f)) == nil {
-					segs[f] = append(segs[f], u)
-				}
-			}
-		}
-	}
-	for j := 0; j < k; j++ {
-		if bits := ix.FileBits(j); bits != nil {
-			for u := 0; u < n; u++ {
-				got := bits[u>>6]&(1<<(uint(u)&63)) != 0
-				if got != model[j][int32(u)] {
-					t.Fatalf("dense file %d: bit for node %d = %v, model %v",
-						j, u, got, model[j][int32(u)])
-				}
-			}
-			continue
-		}
-		seg := ix.Replicas(j)
-		if !slices.Equal(seg, segs[j]) {
-			t.Fatalf("file %d: tile-major segment %v, rebuild %v", j, seg, segs[j])
-		}
-		tiles, starts, segEnd := ix.FileRuns(j)
-		if len(tiles) != len(starts) {
-			t.Fatalf("file %d: directory tiles/starts length mismatch", j)
-		}
-		// Rebuild the directory from the rebuilt segment and compare.
 		var wantTiles, wantStarts []int32
-		last := int32(-1)
-		for i, u := range segs[j] {
-			if tid := tl.TileOf(u); tid != last {
-				wantTiles = append(wantTiles, tid)
-				wantStarts = append(wantStarts, ix.repOffOf(j)+int32(i))
-				last = tid
+		if dense {
+			for u := int32(0); u < int32(n); u++ {
+				if got, want := bits[u>>6]&(1<<(uint(u)&63)) != 0, slices.Contains(segs[j], u); got != want {
+					t.Fatalf("dense file %d: bit for node %d = %v, rebuild %v", j, u, got, want)
+				}
+			}
+		} else {
+			last := int32(-1)
+			for i, u := range segs[j] {
+				if tid := tl.TileOf(u); tid != last {
+					wantTiles = append(wantTiles, tid)
+					wantStarts = append(wantStarts, int32(i))
+					last = tid
+				}
 			}
 		}
+		tiles, starts := ix.FileRuns(j)
 		if !slices.Equal(tiles, wantTiles) || !slices.Equal(starts, wantStarts) {
 			t.Fatalf("file %d: directory (%v,%v), rebuild (%v,%v)",
 				j, tiles, starts, wantTiles, wantStarts)
 		}
-		if segEnd != ix.repOffOf(j)+int32(len(segs[j])) {
-			t.Fatalf("file %d: segEnd %d, want %d", j, segEnd, ix.repOffOf(j)+int32(len(segs[j])))
-		}
 	}
 }
-
-// repOffOf exposes the segment start for the rebuild check.
-func (ix *TileIndex) repOffOf(j int) int32 { return ix.repOff[j] }
 
 // TestReplaceReplicaStorm interleaves random legal ReplaceReplica
 // batches with full set-equality checks against a from-scratch rebuild,

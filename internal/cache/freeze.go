@@ -7,8 +7,10 @@ import "slices"
 // churn and fault events to a private shadow placement and publishes
 // immutable copies at batch boundaries, so concurrent readers never
 // observe a half-spliced structure. Clone is a handful of memcpys over
-// the flat CSR arenas — no per-node allocation, no rebuild — which is
-// what keeps the publish cadence cheap next to a from-scratch Place.
+// the flat CSR arenas — one replica arena, which the tile index's
+// directory indexes rather than copies; no per-node allocation, no
+// rebuild — which is what keeps the publish cadence cheap next to a
+// from-scratch Place.
 
 // Clone returns a standalone deep copy of p: every backing arena
 // (forward map, replica CSR, cached-file list and the tile index, when
@@ -29,27 +31,21 @@ func (p *Placement) Clone() *Placement {
 	c.caps = slices.Clone(p.caps)
 	c.capOff = slices.Clone(p.capOff)
 	if p.tix != nil {
-		c.tix = p.tix.clone(c.repOff)
+		c.tix = p.tix.clone()
 	}
 	return &c
 }
 
-// clone deep-copies the tile index for a cloned placement whose replica
-// CSR offsets are repOff (the index borrows them rather than owning a
-// second copy, mirroring the build-path layout). The build scratch
-// (entryTile) is dropped: clones are never rebuilt, only spliced by
-// replaceReplica, which touches no scratch.
-func (ix *TileIndex) clone(repOff []int32) *TileIndex {
+// clone deep-copies the tile index for a cloned placement: the directory
+// and the bitmap blocks in use.
+func (ix *TileIndex) clone() *TileIndex {
 	c := *ix
-	c.repOff = repOff
-	c.nodes = slices.Clone(ix.nodes)
 	c.dirTiles = slices.Clone(ix.dirTiles)
 	c.dirStart = slices.Clone(ix.dirStart)
 	c.dirOff = slices.Clone(ix.dirOff)
 	c.dirLen = slices.Clone(ix.dirLen)
 	c.bitWords = slices.Clone(ix.bitWords[:ix.blocks*ix.wordsPer])
 	c.bitOf = slices.Clone(ix.bitOf)
-	c.entryTile = nil
 	return &c
 }
 

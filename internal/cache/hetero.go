@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand/v2"
 	"slices"
@@ -20,14 +21,14 @@ import (
 // the arenas instead: with the inserts merged by file, each file that
 // gains c_f replicas, and every file up to the next such file, moves
 // right by the inserts of the files before it, and the new replicas
-// land at their sorted slots. One backward pass of block moves does
-// that for the replica CSR, the tile-major arena and the
-// capacity-padded tile directory together, in O(Σ|S_j| + K) memmove and
-// add work per batch, however many nodes it holds, inside the arenas
-// EnableHetero budgeted for the worst case. Afterwards every structure
-// equals a from-scratch rebuild of the forward map, directory padding
-// included; only the numbering of dense-file bitmap blocks may differ (a
-// file promoted by a join takes the next free block).
+// land at their key-ordered slots. One backward pass of block moves does
+// that for the replica CSR and the capacity-padded tile directory
+// together, in O(Σ|S_j| + K) memmove and add work per batch, however
+// many nodes it holds, inside the arenas EnableHetero budgeted for the
+// worst case. Afterwards every structure equals a from-scratch rebuild
+// of the forward map, directory padding included; only the numbering of
+// dense-file bitmap blocks may differ (a file promoted by a join takes
+// the next free block).
 
 // arrivalBatch is the number of full-capacity joiners the splice plan
 // holds: StageArrival splices the staged batch early when the next
@@ -95,12 +96,12 @@ func (pl *Placer) StageArrival(u int32, pop dist.Popularity, mode Mode, r *rand.
 // SpliceArrivals splices every staged node into the replica CSR, the
 // cached-file list and, when present, the tile index: one plan pass and
 // one backward pass, whatever the number of nodes staged. Each file the
-// batch touches gains its replicas at their sorted slots, and its
+// batch touches gains its replicas at their key-ordered slots, and its
 // capacity-padded tile directory grows to min(|S_j|, Tiles) entries —
 // joiners in one tile share a run, and a new tile opens one entry. A
 // file reaching the dense threshold moves to a bitmap with an empty
 // directory, the layout buildTileIndex gives, so post-arrival churn
-// splices have the headroom the replaceReplica capacity panic assumes.
+// splices have the headroom the migrate capacity panic assumes.
 // Allocation-free; the Placement and TileIndex pointers returned by the
 // preceding Place stay valid because the splice rewrites their backing
 // arrays. With nothing staged it does nothing.
@@ -111,11 +112,22 @@ func (pl *Placer) SpliceArrivals() {
 		return
 	}
 	joins := pl.joins
-	slices.Sort(joins) // (file, node) order
+	slices.SortFunc(joins, func(a, b int64) int { // (file, key) order
+		if c := cmp.Compare(a>>32, b>>32); c != 0 {
+			return c
+		}
+		x, y := int32(a), int32(b)
+		if p.tix != nil {
+			if c := cmp.Compare(p.tix.tl.TileOf(x), p.tix.tl.TileOf(y)); c != 0 {
+				return c
+			}
+		}
+		return cmp.Compare(x, y)
+	})
 	ix := p.tix
 
-	// The plan: group the inserts by file and find each one's slot in
-	// the file's node-sorted and tile-major segments.
+	// The plan: group the inserts by file and find each one's slot in the
+	// file's key-ordered segment.
 	plan := pl.joinFiles[:0]
 	promoted := int32(-1) // first file the batch moves to a bitmap
 	grow, fresh := int32(0), 0
@@ -128,12 +140,12 @@ func (pl *Placer) SpliceArrivals() {
 		lo, hi := p.repOff[f], p.repOff[f+1]
 		at := lo
 		for x := s; x < e; x++ {
-			i, _ := slices.BinarySearch(p.nodes[at:hi], int32(joins[x]))
+			i, _ := p.find(p.nodes[at:hi], int32(joins[x]))
 			at += int32(i)
 			pl.joinAt[x] = at
 		}
 		jf := joinFile{f: f, end: int32(e), fresh: lo == hi}
-		if ix != nil && ix.planJoins(&jf, joins[s:e], pl.tixJoins[s:e], pl.tixAt[s:e]) && promoted < 0 {
+		if ix != nil && ix.planJoins(&jf, p.nodes[lo:hi], lo, joins[s:e], pl.joinAt[s:e]) && promoted < 0 {
 			promoted = f
 		}
 		if jf.fresh {
@@ -147,15 +159,14 @@ func (pl *Placer) SpliceArrivals() {
 	// The backward pass. File f's block — its segment and those of the
 	// files up to the next planned one — moves right by the inserts of
 	// the files before f, and f's replicas land at their slots; in the
-	// directory, spans after f move by the capacity growth up to f, and
-	// run starts by the node shift.
+	// directory, spans after f move by the capacity growth up to f (run
+	// starts are segment-relative and move only inside f).
 	k, total := int32(pl.k), int32(len(joins))
 	hi, next := p.repOff[k], k
 	p.nodes = p.nodes[:hi+total]
 	var dhi int32
 	if ix != nil {
 		dhi = ix.dirOff[k]
-		ix.nodes = ix.nodes[:hi+total]
 		ix.dirTiles = ix.dirTiles[:dhi+grow]
 		ix.dirStart = ix.dirStart[:dhi+grow]
 	}
@@ -168,15 +179,14 @@ func (pl *Placer) SpliceArrivals() {
 		f, e, before := jf.f, jf.end, total-(jf.end-s)
 		lo := p.repOff[f]
 		spliceBlock(p.nodes, lo, hi, before, pl.joinAt[s:e], joins[s:e])
-		shiftAdd(p.repOff, f+1, next+1, 0, total)
+		addTo(p.repOff[f+1:next+1], total)
 		if ix != nil {
-			spliceBlock(ix.nodes, lo, hi, before, pl.tixAt[s:e], pl.tixJoins[s:e])
-			ix.moveRuns(ix.dirOff[f+1], dhi, grow, total)
-			shiftAdd(ix.dirOff, f+1, next+1, 0, grow)
+			ix.moveRuns(ix.dirOff[f+1], dhi, grow)
+			addTo(ix.dirOff[f+1:next+1], grow)
 			grow -= jf.grow
 			dhi = ix.dirOff[f]
 			if ix.bitOf[f] < 0 {
-				ix.mergeRuns(f, grow, before, jf.newRuns, pl.tixAt[s:e], pl.tixJoins[s:e])
+				ix.mergeRuns(f, grow, lo, jf.newRuns, pl.joinAt[s:e], joins[s:e])
 			}
 		}
 		total = before
@@ -219,46 +229,31 @@ func spliceBlock(a []int32, lo, hi, s int32, at []int32, keys []int64) {
 	copy(a[lo+s:hi+s], a[lo:hi])
 }
 
-// shiftAdd moves a[lo:hi] right by s ≥ 0 slots, adding add to every
-// moved value. Like copy it is safe when source and destination overlap.
-func shiftAdd(a []int32, lo, hi, s, add int32) {
-	switch {
-	case add == 0:
-		copy(a[lo+s:hi+s], a[lo:hi])
-	case s == 0:
-		seg := a[lo:hi]
-		for x := range seg {
-			seg[x] += add
-		}
-	default:
-		src, dst := a[lo:hi], a[lo+s:hi+s]
-		dst = dst[:len(src)]
-		for x := len(src) - 1; x >= 0; x-- {
-			dst[x] = src[x] + add
-		}
+// addTo adds add to every entry of a.
+func addTo(a []int32, add int32) {
+	for x := range a {
+		a[x] += add
 	}
 }
 
-// moveRuns moves directory entries [lo, hi) right by s, adding add to
-// their run starts.
-func (ix *TileIndex) moveRuns(lo, hi, s, add int32) {
+// moveRuns moves directory entries [lo, hi) right by s.
+func (ix *TileIndex) moveRuns(lo, hi, s int32) {
 	copy(ix.dirTiles[lo+s:hi+s], ix.dirTiles[lo:hi])
-	shiftAdd(ix.dirStart, lo, hi, s, add)
+	copy(ix.dirStart[lo+s:hi+s], ix.dirStart[lo:hi])
 }
 
-// planJoins fills the tile-index half of jf's plan for the node-ordered
-// inserts ins: their tile-major order tix (keys tile<<32 | node) and
-// pre-splice slots at, f's directory growth and the tiles it gains. It
-// reports whether f reaches the dense threshold. A dense file only
-// gains the joiners' bits; a promoted file takes the next bitmap block
-// (free blocks are clear, see buildTileIndex) and drops its directory
-// entries, and its span is compacted away after the backward pass.
-// Either way its tile-major segment is scratch, so the joiners are
-// parked at the segment's start.
-func (ix *TileIndex) planJoins(jf *joinFile, ins, tix []int64, at []int32) (promoted bool) {
-	lo, hi := ix.repOff[jf.f], ix.repOff[jf.f+1]
+// planJoins fills the tile-index half of jf's plan: f's directory growth
+// and the tiles it gains from the key-ordered inserts ins, given f's
+// pre-splice segment seg, which starts at arena slot lo, and the
+// inserts' pre-splice arena slots at. It reports whether f reaches the
+// dense threshold. A dense file only gains the joiners' bits; a promoted
+// file takes the next bitmap block (free blocks are clear, see
+// buildTileIndex) and drops its directory entries, and its span is
+// compacted away after the backward pass.
+func (ix *TileIndex) planJoins(jf *joinFile, seg []int32, lo int32, ins []int64, at []int32) (promoted bool) {
 	c := int32(len(ins))
-	if b := ix.bitOf[jf.f]; b >= 0 || hi-lo+c >= denseBitThreshold(ix.tl.Grid().N()) {
+	size := int32(len(seg))
+	if b := ix.bitOf[jf.f]; b >= 0 || size+c >= denseBitThreshold(ix.tl.Grid().N()) {
 		if b < 0 {
 			b = int32(ix.blocks)
 			ix.blocks++
@@ -268,83 +263,64 @@ func (ix *TileIndex) planJoins(jf *joinFile, ins, tix []int64, at []int32) (prom
 		}
 		words := ix.bitWords[int(b)*ix.wordsPer : int(b+1)*ix.wordsPer]
 		if promoted {
-			for _, v := range ix.nodes[lo:hi] {
+			for _, v := range seg {
 				words[v>>6] |= 1 << (uint(v) & 63)
 			}
 		}
-		for x, key := range ins {
+		for _, key := range ins {
 			u := int32(key)
 			words[u>>6] |= 1 << (uint(u) & 63)
-			tix[x], at[x] = key, lo
 		}
 		return promoted
 	}
 	tiles := int32(ix.tl.Tiles())
-	jf.grow = min(hi-lo+c, tiles) - min(hi-lo, tiles)
+	jf.grow = min(size+c, tiles) - min(size, tiles)
 	for x, key := range ins {
-		u := int32(key)
-		tix[x] = int64(ix.tl.TileOf(u))<<32 | int64(u)
-	}
-	slices.Sort(tix)
-	base := ix.dirOff[jf.f]
-	dir := ix.dirTiles[base : base+ix.dirLen[jf.f]]
-	starts := ix.dirStart[base : base+ix.dirLen[jf.f]]
-	for x, key := range tix {
-		tu := int32(key >> 32)
-		d, found := slices.BinarySearch(dir, tu)
-		// Run d — u's own, or the one u's new run goes in front of —
-		// starts at starts[d], or at the segment end past the last run.
-		pos := hi
-		if d < len(starts) {
-			pos = starts[d]
+		// The segment is key-ordered, so a replica already in u's tile
+		// sits next to u's slot.
+		tu, i := ix.tl.TileOf(int32(key)), at[x]-lo
+		if i > 0 && ix.tl.TileOf(seg[i-1]) == tu || i < size && ix.tl.TileOf(seg[i]) == tu {
+			continue
 		}
-		if found {
-			end := hi
-			if d+1 < len(starts) {
-				end = starts[d+1]
-			}
-			i, _ := slices.BinarySearch(ix.nodes[pos:end], int32(key))
-			pos += int32(i)
-		} else if x == 0 || int32(tix[x-1]>>32) != tu {
+		if x == 0 || ix.tl.TileOf(int32(ins[x-1])) != tu {
 			jf.newRuns++
 		}
-		at[x] = pos
 	}
 	return false
 }
 
-// mergeRuns rewrites sparse file f's directory for the batch, from
-// the right: its entries move from f's pre-splice span by grow, the
-// capacity growth of the files before f, merged with one new entry per
-// tile the batch adds. Every run start moves by shift, the inserts of
-// the files before f, plus f's inserts in earlier tiles. tix and at are
-// f's inserts in tile-major order and their pre-splice slots.
-func (ix *TileIndex) mergeRuns(f, grow, shift, newRuns int32, at []int32, tix []int64) {
+// mergeRuns rewrites sparse file f's directory for the batch, from the
+// right: its entries move from f's pre-splice span by grow, the capacity
+// growth of the files before f, merged with one new entry per tile the
+// batch adds. A run start moves by f's inserts in earlier tiles. ins
+// are f's inserts in key order and at their pre-splice slots, which
+// index the arena from lo.
+func (ix *TileIndex) mergeRuns(f, grow, lo, newRuns int32, at []int32, ins []int64) {
 	base, n := ix.dirOff[f], ix.dirLen[f]
 	d, w := base+n-1, base+grow+n+newRuns-1
-	x := len(tix) - 1
+	x := len(ins) - 1
 	for x >= 0 {
-		tu := int32(tix[x] >> 32)
+		tu := ix.tl.TileOf(int32(ins[x]))
 		if d >= base && ix.dirTiles[d] >= tu {
 			// Old entry d: its run absorbs the joiners of its tile, which
 			// all sort inside it or at its start.
 			td, sd := ix.dirTiles[d], ix.dirStart[d]
-			for x >= 0 && int32(tix[x]>>32) == td {
+			for x >= 0 && ix.tl.TileOf(int32(ins[x])) == td {
 				x--
 			}
-			ix.dirTiles[w], ix.dirStart[w] = td, sd+shift+int32(x+1)
+			ix.dirTiles[w], ix.dirStart[w] = td, sd+int32(x+1)
 			d--
 		} else {
 			// A new tile: its run starts at its first joiner's slot.
-			for x > 0 && int32(tix[x-1]>>32) == tu {
+			for x > 0 && ix.tl.TileOf(int32(ins[x-1])) == tu {
 				x--
 			}
-			ix.dirTiles[w], ix.dirStart[w] = tu, at[x]+shift+int32(x)
+			ix.dirTiles[w], ix.dirStart[w] = tu, at[x]-lo+int32(x)
 			x--
 		}
 		w--
 	}
-	ix.moveRuns(base, d+1, grow, shift)
+	ix.moveRuns(base, d+1, grow)
 	ix.dirLen[f] = n + newRuns
 }
 

@@ -50,12 +50,15 @@ func TestHeteroDegenerateMatchesHomogeneous(t *testing.T) {
 		} {
 			r1 := rand.New(rand.NewPCG(7, 9))
 			r2 := rand.New(rand.NewPCG(7, 9))
-			ref := NewPlacer(n, m, k).Place(pop, mode, r1)
+			plain := NewPlacer(n, m, k)
 			het := NewPlacer(n, m, k)
 			het.EnableHetero(m)
 			if layout.tiles {
-				het.EnableTiles(g.NewTiling(2))
+				tl := g.NewTiling(2)
+				plain.EnableTiles(tl)
+				het.EnableTiles(tl)
 			}
+			ref := plain.Place(pop, mode, r1)
 			if layout.mutate {
 				het.EnableChurn()
 			}
@@ -260,15 +263,15 @@ func vacantSkip(vacant []bool, v int32) bool { return vacant[v] }
 // every batch of arrivals. Both draw their placements and joins from
 // identically seeded RNGs and take the same churn batches between
 // batches of k ∈ {1, 2, 10, all vacant} joins; after every batch the two
-// must agree on every structure — node lists, replica CSR, cached set,
-// dense bitmaps, tile-major segments, directories and their padded
-// capacities. Only the numbering of bitmap blocks may differ. Batches of
-// size 1 are sequential joins, so a batch equals both the joins one at
-// a time and a rebuild. The test fails unless some batch hit each of
-// the batched plan's merge cases: two joiners of one file, two joiners
-// of one file in one tile (sharing a run), joiners pushing a sparse file
-// past the dense threshold together, and a batch larger than the plan
-// arena (spliced in sub-batches).
+// must agree on every structure — node lists, the key-ordered replica
+// CSR (dense files' segments included), cached set, dense bitmaps,
+// directories and their padded capacities. Only the numbering of bitmap
+// blocks may differ. Batches of size 1 are sequential joins, so a batch
+// equals both the joins one at a time and a rebuild. The test fails
+// unless some batch hit each of the batched plan's merge cases: two
+// joiners of one file, two joiners of one file in one tile (sharing a
+// run), joiners pushing a sparse file past the dense threshold together,
+// and a batch larger than the plan arena (spliced in sub-batches).
 func TestArriveNodeMatchesRebuild(t *testing.T) {
 	const m, maxCap = 3, 6
 	var sharedFile, sharedTile, densePush, overflow, promoted, fresh int
@@ -361,10 +364,7 @@ func TestArriveNodeMatchesRebuild(t *testing.T) {
 func (pl *Placer) rebuildArrivals() {
 	pl.joins = pl.joins[:0]
 	pl.p.staged = false
-	pl.buildReplicaIndex()
-	if pl.tiling != nil {
-		pl.buildTileIndex()
-	}
+	pl.buildIndex()
 }
 
 // batchMerges reports whether the batch of joiners just spliced into p
@@ -498,16 +498,16 @@ func TestHeteroTileDirectoryOverflowPanics(t *testing.T) {
 		if ix.FileBits(j) != nil || len(p.Replicas(j)) < 2 {
 			continue
 		}
-		tiles, starts, segEnd := ix.FileRuns(j)
+		tiles, starts := ix.FileRuns(j)
 		for d, tu := range tiles {
-			end := segEnd
+			end := int32(len(p.Replicas(j)))
 			if d+1 < len(starts) {
 				end = starts[d+1]
 			}
 			if end-starts[d] < 2 {
 				continue // removal would drop the entry and free a slot
 			}
-			u := ix.Nodes()[starts[d]]
+			u := p.Replicas(j)[starts[d]]
 			for v := int32(0); v < int32(n); v++ {
 				tv := tl.TileOf(v)
 				if tv == tu || !p.CanReplace(j, u, v) {

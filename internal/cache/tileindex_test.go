@@ -47,9 +47,10 @@ func buildIndexed(t *testing.T, l, ts int, topo grid.Topology, k, m int, gamma f
 	return g, pl.Place(pop, WithReplacement, r)
 }
 
-// TestTileIndexIntegrity: for every file, the tile-major list is a
-// permutation of Replicas(j); runs are non-empty, tile-ascending, node-
-// ascending inside, and every run's nodes actually live in its tile.
+// TestTileIndexIntegrity: for every file, the directory's runs are
+// non-empty, tile-ascending, node-ascending inside, hold only nodes of
+// their tile and tile S_j exactly, in order; dense files carry a bitmap
+// of exactly S_j and no runs.
 func TestTileIndexIntegrity(t *testing.T) {
 	for _, w := range tileWorlds() {
 		t.Run(w.name, func(t *testing.T) {
@@ -61,7 +62,8 @@ func TestTileIndexIntegrity(t *testing.T) {
 			tl := ix.Tiling()
 			denseSeen := 0
 			for j := 0; j < p.K(); j++ {
-				want := slices.Clone(p.Replicas(j))
+				reps := p.Replicas(j)
+				tiles, starts := ix.FileRuns(j)
 				if bits := ix.FileBits(j); bits != nil {
 					// Dense file: represented by its bitmap (exactly the
 					// replica set), with an empty tile directory.
@@ -72,34 +74,21 @@ func TestTileIndexIntegrity(t *testing.T) {
 							fromBits = append(fromBits, int32(u))
 						}
 					}
-					if !slices.Equal(fromBits, want) {
+					if want := slices.Sorted(slices.Values(reps)); !slices.Equal(fromBits, want) {
 						t.Fatalf("file %d: bitmap holds %v, want S_j %v", j, fromBits, want)
 					}
-					if tiles, _, _ := ix.FileRuns(j); len(tiles) != 0 {
+					if len(tiles) != 0 {
 						t.Fatalf("file %d: dense file has %d tile runs, want none", j, len(tiles))
 					}
 					continue
 				}
-				got := slices.Clone(ix.Replicas(j))
-				slices.Sort(got)
-				if !slices.Equal(got, want) {
-					t.Fatalf("file %d: tile-major list is not a permutation of S_j: %v vs %v", j, ix.Replicas(j), want)
-				}
-				tiles, starts, segEnd := ix.FileRuns(j)
-				if len(want) == 0 {
-					if len(tiles) != 0 {
-						t.Fatalf("file %d: empty S_j with %d runs", j, len(tiles))
-					}
-					continue
-				}
 				covered := 0
-				nodes := ix.Nodes()
 				for d := range tiles {
 					tile, start := tiles[d], starts[d]
 					if d > 0 && tile <= tiles[d-1] {
 						t.Fatalf("file %d: tile run order regressed at %d", j, d)
 					}
-					end := segEnd
+					end := int32(len(reps))
 					if d+1 < len(starts) {
 						end = starts[d+1]
 					}
@@ -107,17 +96,17 @@ func TestTileIndexIntegrity(t *testing.T) {
 						t.Fatalf("file %d: empty run %d", j, d)
 					}
 					for i := start; i < end; i++ {
-						if tl.TileOf(nodes[i]) != tile {
-							t.Fatalf("file %d run %d: node %d is in tile %d, not %d", j, d, nodes[i], tl.TileOf(nodes[i]), tile)
+						if tl.TileOf(reps[i]) != tile {
+							t.Fatalf("file %d run %d: node %d is in tile %d, not %d", j, d, reps[i], tl.TileOf(reps[i]), tile)
 						}
-						if i > start && nodes[i] <= nodes[i-1] {
+						if i > start && reps[i] <= reps[i-1] {
 							t.Fatalf("file %d run %d: node order regressed", j, d)
 						}
 					}
 					covered += int(end - start)
 				}
-				if covered != len(want) {
-					t.Fatalf("file %d: runs cover %d replicas, want %d", j, covered, len(want))
+				if covered != len(reps) {
+					t.Fatalf("file %d: runs cover %d replicas, want %d", j, covered, len(reps))
 				}
 			}
 			if w.name == "dense" && denseSeen == 0 {
@@ -130,7 +119,7 @@ func TestTileIndexIntegrity(t *testing.T) {
 // TestTileIndexReuseAcrossPlacements: rebuilding through the same Placer
 // must leave the index consistent with the new placement (arenas reused,
 // contents refreshed) and not disturb RNG-determinism of the placement
-// itself.
+// itself: each S_j holds the nodes of an unindexed twin, in key order.
 func TestTileIndexReuseAcrossPlacements(t *testing.T) {
 	g := grid.New(12, grid.Torus)
 	tl := g.NewTiling(3)
@@ -147,23 +136,16 @@ func TestTileIndexReuseAcrossPlacements(t *testing.T) {
 		if pp.TileIndex() != nil {
 			t.Fatal("plain placer grew a tile index")
 		}
-		ix := pi.TileIndex()
-		if ix == nil {
+		if pi.TileIndex() == nil {
 			t.Fatal("indexed placer lost its tile index")
 		}
 		for j := 0; j < 100; j++ {
-			if !slices.Equal(pp.Replicas(j), pi.Replicas(j)) {
+			if got := slices.Sorted(slices.Values(pi.Replicas(j))); !slices.Equal(pp.Replicas(j), got) {
 				t.Fatalf("trial %d file %d: index build perturbed the placement", trial, j)
 			}
-			if ix.FileBits(j) != nil {
-				continue // dense: checked via bitmap in TestTileIndexIntegrity
-			}
-			got := slices.Clone(ix.Replicas(j))
-			slices.Sort(got)
-			if !slices.Equal(got, pi.Replicas(j)) {
-				t.Fatalf("trial %d file %d: stale index contents", trial, j)
-			}
 		}
+		checkAgainstRebuild(t, pp, nil)
+		checkAgainstRebuild(t, pi, tl)
 	}
 }
 

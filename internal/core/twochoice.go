@@ -64,8 +64,9 @@ type TwoChoice struct {
 	retried   bool            // per-Assign: a dead candidate was rejected
 }
 
-// tileRun is one covered tile's replica slice: nodes()[start:start+n],
-// with full reporting whether the tile lies entirely inside B_r(u).
+// tileRun is one covered tile's replica slice: reps[start:start+n] of the
+// file's S_j, with full reporting whether the tile lies entirely inside
+// B_r(u).
 type tileRun struct {
 	start int32
 	n     int32
@@ -273,23 +274,23 @@ func (s *TwoChoice) exactCandidates(req Request, reps []int32, dst []int32) []in
 }
 
 // indexedCandidates materializes S_j ∩ B_r(u) through the index,
-// dispatching on the file's representation (bitmap or tile runs). Equal
-// as a set to exactCandidates.
-func (s *TwoChoice) indexedCandidates(req Request, dst []int32) []int32 {
+// dispatching on the file's representation (bitmap or tile runs of
+// reps, the file's S_j). Equal as a set to exactCandidates.
+func (s *TwoChoice) indexedCandidates(req Request, reps, dst []int32) []int32 {
 	if bits := s.tix.FileBits(int(req.File)); bits != nil {
 		return s.bitExactCandidates(int(req.Origin), bits, dst)
 	}
-	s.collectRuns(req.Origin, req.File)
-	return s.indexExactCandidates(req.Origin, dst)
+	s.collectRuns(req.Origin, req.File, int32(len(reps)))
+	return s.indexExactCandidates(req.Origin, reps, dst)
 }
 
 // collectRuns walks the tiles overlapping B_r(u) and gathers, for the
 // requested file, one run per covered tile holding replicas: its offset
-// into the index arena, its length, and whether the tile is fully inside
-// the ball. Returns the total replica count across the runs. The runs
-// are a superset of S_j ∩ B_r(u) (partial tiles may hold out-of-ball
-// replicas) and cover it completely, so weight 0 proves the
-// intersection empty.
+// into the file's S_j (size replicas long), its length, and whether the
+// tile is fully inside the ball. Returns the total replica count across
+// the runs. The runs are a superset of S_j ∩ B_r(u) (partial tiles may
+// hold out-of-ball replicas) and cover it completely, so weight 0 proves
+// the intersection empty.
 //
 // The cover comes as tile-row runs — memoized on tori the CoverTable
 // serves, computed per query elsewhere — and the walk intersects each
@@ -297,8 +298,8 @@ func (s *TwoChoice) indexedCandidates(req Request, dst []int32) []int32 {
 // (interpolated on sparse directories, direct indexing on contiguous
 // ones) followed by a contiguous scan. Runs are gathered in the cover's
 // order, which the samplers' draws index into.
-func (s *TwoChoice) collectRuns(origin, file int32) int {
-	tiles, starts, segEnd := s.tix.FileRuns(int(file))
+func (s *TwoChoice) collectRuns(origin, file, size int32) int {
+	tiles, starts := s.tix.FileRuns(int(file))
 	s.runs = s.runs[:0]
 	n := len(tiles)
 	if n == 0 {
@@ -361,7 +362,7 @@ func (s *TwoChoice) collectRuns(origin, file int32) int {
 					} else if d < int(row.C0) {
 						d += per
 					}
-					total += s.pushRun(starts, p, segEnd, d >= int(row.F0) && d <= int(row.F1), int32(base+p))
+					total += s.pushRun(starts, p, size, d >= int(row.F0) && d <= int(row.F1), int32(base+p))
 				}
 				continue
 			}
@@ -377,7 +378,7 @@ func (s *TwoChoice) collectRuns(origin, file int32) int {
 				} else if d < int(row.C0) {
 					d += per
 				}
-				total += s.pushRun(starts, pos, segEnd, d >= int(row.F0) && d <= int(row.F1), tiles[pos])
+				total += s.pushRun(starts, pos, size, d >= int(row.F0) && d <= int(row.F1), tiles[pos])
 			}
 		}
 	}
@@ -386,17 +387,17 @@ func (s *TwoChoice) collectRuns(origin, file int32) int {
 
 // pushRun appends directory entry pos as a tileRun and returns its
 // replica count. The run ends at the next entry's start (usually the
-// same cache line) or the segment end. Tiles with zero live nodes are
-// skipped outright when the liveness counts share the index's tiling —
-// their replicas cannot serve, so dropping the run keeps the sampler
-// weights proportional to potentially-live candidates and lets a
-// region-wide failure erase whole tiles in O(1).
-func (s *TwoChoice) pushRun(starts []int32, pos int, segEnd int32, full bool, tid int32) int {
+// same cache line) or at size, the end of S_j. Tiles with zero live
+// nodes are skipped outright when the liveness counts share the index's
+// tiling — their replicas cannot serve, so dropping the run keeps the
+// sampler weights proportional to potentially-live candidates and lets
+// a region-wide failure erase whole tiles in O(1).
+func (s *TwoChoice) pushRun(starts []int32, pos int, size int32, full bool, tid int32) int {
 	if s.liveTiles && s.live.TileLive(tid) == 0 {
 		return 0
 	}
 	start := starts[pos]
-	end := segEnd
+	end := size
 	if pos+1 < len(starts) {
 		end = starts[pos+1]
 	}
@@ -443,15 +444,15 @@ func interpSearch(tiles []int32, pos int, tid int32, density float64) int {
 	return hi
 }
 
-// indexExactCandidates materializes S_j ∩ B_r(u) from the collected runs
-// (tile-major order): full-tile runs are copied wholesale, partial-tile
-// runs are distance-filtered. Equal as a set to exactCandidates.
-func (s *TwoChoice) indexExactCandidates(origin int32, dst []int32) []int32 {
-	nodes := s.tix.Nodes()
+// indexExactCandidates materializes S_j ∩ B_r(u) from the runs of reps
+// collected in cover order: full-tile runs are copied wholesale,
+// partial-tile runs are distance-filtered. Equal as a set to
+// exactCandidates.
+func (s *TwoChoice) indexExactCandidates(origin int32, reps, dst []int32) []int32 {
 	oy := int(origin) / s.gl
 	ox := int(origin) - oy*s.gl
 	for _, run := range s.runs {
-		span := nodes[run.start : run.start+run.n]
+		span := reps[run.start : run.start+run.n]
 		if run.full {
 			if s.live == nil {
 				dst = append(dst, span...)
@@ -529,14 +530,14 @@ func (s *TwoChoice) assignIndexed(req Request, reps []int32, d int, loads LoadRe
 		s.candBuf = s.bitExactCandidates(int(req.Origin), bits, s.candBuf[:0])
 		return s.assignPool(req, s.candBuf, reps, d, loads, r)
 	}
-	total := s.collectRuns(req.Origin, req.File)
+	total := s.collectRuns(req.Origin, req.File, int32(len(reps)))
 	if total == 0 {
 		// No replica in any covered tile (under a liveness mask: none in
 		// any covered tile with a live node) ⇒ live S_j ∩ B_r(u) = ∅.
 		return s.assignPool(req, nil, reps, d, loads, r)
 	}
 	if !s.cfg.WithoutReplacement && total > 3*d {
-		if srv, ok := s.sampleFromRuns(req, total, d, loads, r); ok {
+		if srv, ok := s.sampleFromRuns(req, reps, total, d, loads, r); ok {
 			return s.assignArith(req, srv, false)
 		}
 	}
@@ -546,7 +547,7 @@ func (s *TwoChoice) assignIndexed(req Request, reps []int32, d int, loads LoadRe
 	// fewer scattered reads), distinct-candidate sampling, or a two-stage
 	// sampler that burned its budget on out-of-ball picks from partial
 	// tiles.
-	s.candBuf = s.indexExactCandidates(req.Origin, s.candBuf[:0])
+	s.candBuf = s.indexExactCandidates(req.Origin, reps, s.candBuf[:0])
 	return s.assignPool(req, s.candBuf, reps, d, loads, r)
 }
 
@@ -571,12 +572,11 @@ func (s *TwoChoice) assignArith(req Request, server int32, escalated bool) Assig
 // uniform over S_j ∩ B_r(u). Returns ok=false when the try budget is
 // exhausted first (the run union may hold no in-ball replica at all);
 // partial progress is discarded, which leaves the fallback's law intact.
-func (s *TwoChoice) sampleFromRuns(req Request, total, d int, loads LoadReader, r *rand.Rand) (int32, bool) {
+func (s *TwoChoice) sampleFromRuns(req Request, reps []int32, total, d int, loads LoadReader, r *rand.Rand) (int32, bool) {
 	// Covered tiles overshoot the ball by less than a tile ring, so the
 	// acceptance rate is Ω(|ball| / |cover|) ≈ 1/2 whenever the
 	// intersection is non-empty; a small per-candidate budget suffices.
 	budget := 8*d + 8
-	nodes := s.tix.Nodes()
 	// Accept all d candidates before reading any load: the load vector
 	// reads are the trial's cache misses, and issuing them back to back
 	// lets them overlap instead of serializing behind each draw.
@@ -586,7 +586,6 @@ func (s *TwoChoice) sampleFromRuns(req Request, total, d int, loads LoadReader, 
 	oy := int(req.Origin) / s.gl
 	ox := int(req.Origin) - oy*s.gl
 	cand := s.seenBuf[:0]
-	nodesArena := nodes
 	// Draw positions in mini-batches and only then read the node ids:
 	// the arena reads are this loop's cache misses, and issuing a batch
 	// back to back lets them overlap instead of serializing per try.
@@ -619,7 +618,7 @@ func (s *TwoChoice) sampleFromRuns(req Request, total, d int, loads LoadReader, 
 			if o < 0 {
 				o = -o - 1
 			}
-			vs[k] = nodesArena[o]
+			vs[k] = reps[o]
 		}
 		for k := 0; k < batch; k++ {
 			tries++
@@ -882,7 +881,7 @@ func (o *LeastLoadedOracle) Assign(req Request, loads LoadReader, r *rand.Rand) 
 	escalated := false
 	if s.cfg.Radius != RadiusUnbounded {
 		if s.tix != nil {
-			s.candBuf = s.indexedCandidates(req, s.candBuf[:0])
+			s.candBuf = s.indexedCandidates(req, reps, s.candBuf[:0])
 		} else {
 			s.candBuf = s.exactCandidates(req, reps, s.candBuf[:0])
 		}

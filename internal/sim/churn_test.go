@@ -2,6 +2,8 @@ package sim
 
 import (
 	"testing"
+
+	"repro/internal/core"
 )
 
 // churnBaseCfg is the shared fixture for the churn engine tests: big
@@ -77,35 +79,78 @@ func TestChurnDeterminism(t *testing.T) {
 }
 
 // TestChurnScheduleIndexInvariant: the churn stream is independent of
-// the strategy, and hence of its candidate ladder (tile walk, nearest
-// scan, oracle enumeration), and of the sharded engine — event draws
-// depend only on placement content. The applied/skipped schedule must
-// therefore match exactly, even though the load results differ.
+// the strategy and of the sharded engine — event draws depend only on
+// the placement's content and on the order of its replica arena, which
+// the index tiling fixes ((tile, node) order under a tiling, node order
+// without one). Variants that share one tiling must therefore apply and
+// skip exactly the same events, even though their load results differ:
+// the base two-choices r = 4 world, the oracle at r = 4 and the sharded
+// engine share the r = 4 tiling, and Nearest and two-choices at r = ∞
+// build none. Across tilings the same uniform draws index differently
+// ordered lists, so only the event count and the law of the schedule
+// carry over: every variant schedules the same number of events, and
+// ChurnSkipped over 100 trials of a tiled and an untiled world must pass
+// a two-sample chi² homogeneity test.
 func TestChurnScheduleIndexInvariant(t *testing.T) {
-	for _, churn := range []ChurnMode{ChurnReplicas, ChurnDrift} {
-		var ref Result
-		for i, mut := range []func(*Config){
+	tilings := [][]func(*Config){
+		{
 			func(*Config) {},
-			func(c *Config) { c.Strategy = StrategySpec{Kind: Nearest} },
 			func(c *Config) { c.Strategy = StrategySpec{Kind: Oracle, Radius: 4} },
 			func(c *Config) { c.Workers = 2 },
-		} {
+		},
+		{
+			func(c *Config) { c.Strategy = StrategySpec{Kind: Nearest} },
+			func(c *Config) { c.Strategy = StrategySpec{Kind: TwoChoices, Radius: core.RadiusUnbounded} },
+		},
+	}
+	for _, churn := range []ChurnMode{ChurnReplicas, ChurnDrift} {
+		cfgOf := func(mut func(*Config)) Config {
 			cfg := churnBaseCfg()
 			cfg.Churn = churn
 			cfg.ChurnRate = 0.4
 			mut(&cfg)
-			res, err := RunTrial(cfg, 1)
+			return cfg
+		}
+		scheduled := -1
+		for ti, variants := range tilings {
+			var ref Result
+			for i, mut := range variants {
+				res, err := RunTrial(cfgOf(mut), 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if total := res.ChurnEvents + res.ChurnSkipped; scheduled < 0 {
+					scheduled = total
+				} else if total != scheduled {
+					t.Errorf("churn=%v tiling %d variant %d: %d events scheduled, want %d", churn, ti, i, total, scheduled)
+				}
+				if i == 0 {
+					ref = res
+					continue
+				}
+				if res.ChurnEvents != ref.ChurnEvents || res.ChurnSkipped != ref.ChurnSkipped {
+					t.Errorf("churn=%v tiling %d variant %d: schedule (%d,%d) != reference (%d,%d)",
+						churn, ti, i, res.ChurnEvents, res.ChurnSkipped, ref.ChurnEvents, ref.ChurnSkipped)
+				}
+			}
+		}
+		// The law across tilings, on independent trials of each world.
+		const trials = 100
+		var skipped [2][]int
+		for ti, variants := range tilings {
+			w, err := Compile(cfgOf(variants[0]))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if i == 0 {
-				ref = res
-				continue
+			r := w.NewRunner()
+			for trial := range trials {
+				skipped[ti] = append(skipped[ti], r.RunTrial(uint64(ti*trials+trial)).ChurnSkipped)
 			}
-			if res.ChurnEvents != ref.ChurnEvents || res.ChurnSkipped != ref.ChurnSkipped {
-				t.Errorf("churn=%v variant %d: schedule (%d,%d) != reference (%d,%d)",
-					churn, i, res.ChurnEvents, res.ChurnSkipped, ref.ChurnEvents, ref.ChurnSkipped)
-			}
+		}
+		p := chi2Homogeneity(skipped[0], skipped[1])
+		t.Logf("churn=%v: ChurnSkipped tiled vs untiled chi² p=%.3f", churn, p)
+		if p < 1e-3 {
+			t.Errorf("churn=%v: ChurnSkipped law departs across tilings (chi² p=%.2g)", churn, p)
 		}
 	}
 }

@@ -8,6 +8,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"repro/internal/cache"
@@ -511,6 +512,9 @@ func (c Config) validate() error {
 	if c.Requests < 0 {
 		return fmt.Errorf("sim: Requests must be non-negative, got %d", c.Requests)
 	}
+	if err := c.validateModel(); err != nil {
+		return err
+	}
 	if c.Metrics < MetricsScalar || c.Metrics > MetricsStreaming {
 		return fmt.Errorf("sim: unknown metrics mode %d", int(c.Metrics))
 	}
@@ -589,6 +593,57 @@ func (c Config) validate() error {
 	}
 	if c.Workers > 0 && c.Chunk > 0 && c.Chunk%shardGranule != 0 {
 		return fmt.Errorf("sim: Workers=%d needs Chunk to be a multiple of the %d-request shard granule, got %d", c.Workers, shardGranule, c.Chunk)
+	}
+	return nil
+}
+
+// validateModel checks the model fields — topology, popularity,
+// placement, miss policy, and each strategy field the configured
+// strategy reads — so a bad value fails here, naming its field, instead
+// of panicking inside a trial or silently running some other model.
+func (c Config) validateModel() error {
+	if c.Topology != grid.Torus && c.Topology != grid.Bounded {
+		return fmt.Errorf("sim: unknown Topology %d", int(c.Topology))
+	}
+	switch c.Popularity.Kind {
+	case PopUniform:
+	case PopZipf:
+		// The negated form also rejects NaN.
+		if g := c.Popularity.Gamma; !(g >= 0) || math.IsInf(g, 1) {
+			return fmt.Errorf("sim: Popularity.Gamma must be finite and non-negative, got %v", g)
+		}
+	default:
+		return fmt.Errorf("sim: unknown Popularity.Kind %d", int(c.Popularity.Kind))
+	}
+	if c.PlacementMode != cache.WithReplacement && c.PlacementMode != cache.WithoutReplacement {
+		return fmt.Errorf("sim: unknown PlacementMode %d", int(c.PlacementMode))
+	}
+	if c.PlacementPolicy < replication.Proportional || c.PlacementPolicy > replication.Capped {
+		return fmt.Errorf("sim: unknown PlacementPolicy %d", int(c.PlacementPolicy))
+	}
+	if c.PlacementPolicy == replication.Capped && (math.IsNaN(c.CapFactor) || math.IsInf(c.CapFactor, 0)) {
+		return fmt.Errorf("sim: CapFactor must be finite, got %v", c.CapFactor)
+	}
+	if c.MissPolicy < MissResample || c.MissPolicy > MissOrigin {
+		return fmt.Errorf("sim: unknown MissPolicy %d", int(c.MissPolicy))
+	}
+	sp := c.Strategy
+	switch sp.Kind {
+	case Nearest:
+		return nil
+	case TwoChoices:
+		if sp.Choices < 0 {
+			return fmt.Errorf("sim: Strategy.Choices must be non-negative (0 means 2), got %d", sp.Choices)
+		}
+		if !(sp.Beta >= 0 && sp.Beta <= 1) {
+			return fmt.Errorf("sim: Strategy.Beta must lie in [0, 1], got %v", sp.Beta)
+		}
+	case OneChoiceRandom, Oracle:
+	default:
+		return fmt.Errorf("sim: unknown Strategy.Kind %d", int(sp.Kind))
+	}
+	if sp.Radius < core.RadiusUnbounded {
+		return fmt.Errorf("sim: Strategy.Radius must be at least %d (unbounded), got %d", core.RadiusUnbounded, sp.Radius)
 	}
 	return nil
 }

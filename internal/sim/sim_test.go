@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/grid"
+	"repro/internal/replication"
 )
 
 func baseConfig() Config {
@@ -52,8 +53,42 @@ func TestConfigValidation(t *testing.T) {
 		// File ids are int32 and every per-file arena is O(K).
 		"k over cap": func(c *Config) { c.K = maxK + 1 },
 		"k overflow": func(c *Config) { c.K = 1 << 40 },
+		// Model fields, each read by the configured strategy or profile:
+		// out-of-range values used to panic inside the trial, or — for
+		// Topology, MissPolicy and a NaN Beta — run some other model.
+		"topology":          func(c *Config) { c.Topology = 9 },
+		"popularity kind":   func(c *Config) { c.Popularity.Kind = 9 },
+		"zipf gamma nan":    func(c *Config) { c.Popularity = PopSpec{Kind: PopZipf, Gamma: math.NaN()} },
+		"zipf gamma neg":    func(c *Config) { c.Popularity = PopSpec{Kind: PopZipf, Gamma: -3} },
+		"zipf gamma inf":    func(c *Config) { c.Popularity = PopSpec{Kind: PopZipf, Gamma: math.Inf(1)} },
+		"placement mode":    func(c *Config) { c.PlacementMode = 9 },
+		"placement policy":  func(c *Config) { c.PlacementPolicy = 9 },
+		"cap factor nan":    func(c *Config) { c.PlacementPolicy, c.CapFactor = replication.Capped, math.NaN() },
+		"miss policy":       func(c *Config) { c.MissPolicy = 9 },
+		"strategy kind":     func(c *Config) { c.Strategy.Kind = 9 },
+		"radius":            func(c *Config) { c.Strategy = StrategySpec{Kind: TwoChoices, Radius: -7} },
+		"radius one-choice": func(c *Config) { c.Strategy = StrategySpec{Kind: OneChoiceRandom, Radius: -7} },
+		"radius oracle":     func(c *Config) { c.Strategy = StrategySpec{Kind: Oracle, Radius: -7} },
+		"choices":           func(c *Config) { c.Strategy = StrategySpec{Kind: TwoChoices, Radius: 3, Choices: -1} },
+		"beta":              func(c *Config) { c.Strategy = StrategySpec{Kind: TwoChoices, Radius: 3, Beta: 2} },
+		"beta neg":          func(c *Config) { c.Strategy = StrategySpec{Kind: TwoChoices, Radius: 3, Beta: -0.5} },
+		"beta nan":          func(c *Config) { c.Strategy = StrategySpec{Kind: TwoChoices, Radius: 3, Beta: math.NaN()} },
 	} {
 		validationRejects(t, name, mut)
+	}
+	// Fields the configured strategy does not read stay unchecked:
+	// Nearest ignores Radius, Choices and Beta, and the oracle and
+	// one-choice ignore Choices and Beta.
+	for _, sp := range []StrategySpec{
+		{Kind: Nearest, Radius: -7, Choices: -1, Beta: 2},
+		{Kind: Oracle, Radius: 3, Choices: -1, Beta: math.NaN()},
+		{Kind: OneChoiceRandom, Radius: core.RadiusUnbounded, Choices: -1, Beta: 2},
+	} {
+		c := baseConfig()
+		c.Strategy = sp
+		if _, err := RunTrial(c, 0); err != nil {
+			t.Errorf("%v with unread fields rejected: %v", sp, err)
+		}
 	}
 	// Event rates: a NaN rate passes every sign check, and a credit loop
 	// never drains +Inf or a rate past 2⁵³ per chunk, so each of the four

@@ -111,6 +111,10 @@ func TestParseSpecRejects(t *testing.T) {
 		"engine invalid": `{"trials":1,"base":{"side":5,"k":10,"m":1,"workers":3,"chunk":7}}`,
 		"world budget":   `{"trials":1,"base":{"side":4096,"k":10,"m":1048576}}`,
 		"huge rate":      `{"trials":1,"base":{"side":5,"k":10,"m":1,"churn":"replicas","churn_rate":1e300}}`,
+		"neg radius":     `{"trials":1,"base":{"side":5,"k":10,"m":1,"strategy":"two-choices","radius":-7}}`,
+		"neg choices":    `{"trials":1,"base":{"side":5,"k":10,"m":1,"strategy":"two-choices","radius":2,"choices":-3}}`,
+		"beta over 1":    `{"trials":1,"base":{"side":5,"k":10,"m":1,"strategy":"two-choices","radius":2,"beta":5}}`,
+		"axis radius":    `{"trials":1,"base":{"side":5,"k":10,"m":1,"strategy":"oracle"},"axes":[{"field":"radius","values":[2,-7]}]}`,
 	} {
 		if _, err := ParseSpec([]byte(src)); err == nil {
 			t.Errorf("%s: accepted", name)
