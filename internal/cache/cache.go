@@ -11,10 +11,17 @@
 // form with an offset index. Each S_j is stored once, ordered by the key
 // (TileOf(v), v) of the placement's tiling — plain node order when the
 // placement has no tile index — so the spatial index (TileIndex) is only
-// a tile directory and dense-file bitmaps over that one arena. A Placer
-// owns the arenas plus all build scratch, so the per-trial placement
-// build of the simulation engine is allocation-free after the first
-// trial.
+// a tile directory and dense-file bitmaps over that one arena. Searches
+// of S_j compare the key as one int, the node's rank in the tiling's
+// node order (grid.Tiling.Rank).
+//
+// A build counts each file's replicas while it deduplicates every node's
+// draws, sizes the CSR from those counts and fills it in one scatter in
+// key order. A churn-enabled build, whose node lists must be sorted,
+// takes them from one transpose of that CSR (files visited in ascending
+// order) instead of sorting each list. A Placer owns the arenas plus all
+// build scratch, so the per-trial placement build of the simulation
+// engine is allocation-free after the first trial.
 package cache
 
 import (
@@ -94,8 +101,9 @@ type Placement struct {
 	tix *TileIndex
 
 	// sorted marks placements built by a churn-enabled Placer: every node
-	// list is sorted, which the in-place splices of ReplaceReplica,
-	// SwapReplicas and the arrival splice maintain and rely on.
+	// list is sorted (by the build's transpose of the replica CSR), which
+	// the in-place splices of ReplaceReplica, SwapReplicas and the
+	// arrival splice maintain and rely on.
 	sorted bool
 
 	// staged marks nodes staged by Placer.StageArrival and not yet
@@ -142,10 +150,11 @@ type Placer struct {
 	n, m, k int
 	p       Placement
 
-	draws  []int32 // flat slot draws (with-replacement batch), slab layout
-	counts []int32 // per-file replica count, then CSR fill cursor
-	mark   []uint64
-	stamp  uint64
+	draws   []int32 // flat slot draws (with-replacement batch), slab layout
+	counts  []int32 // per-file replica count, then CSR fill cursor
+	mark    []uint64
+	stamp   uint64
+	missing []int32 // fillRemainder's unmarked files, sized K at the first stall
 
 	// Tile-index state (EnableTiles): the geometry and the index arenas.
 	tiling *grid.Tiling
@@ -237,11 +246,12 @@ func (pl *Placer) SetHetero(caps []int32, vacant []bool) {
 
 // EnableChurn makes every subsequent Place call build a mutable
 // placement: each node's file list is sorted at build time, the order
-// ReplaceReplica, SwapReplicas and SpliceArrivals splice in. Sorting is the
-// only difference — the layout is the one every placement uses, and the
-// build consumes the RNG exactly as without it, so a churn-enabled
-// placement holds the same node sets, replica CSR and tile index as its
-// draw-order twin.
+// ReplaceReplica, SwapReplicas and SpliceArrivals splice in. The build
+// rewrites the lists by transposing the finished replica CSR, file by
+// ascending file. Sorting is the only difference — the layout is the one
+// every placement uses, and the build consumes the RNG exactly as without
+// it, so a churn-enabled placement holds the same node sets, replica CSR
+// and tile index as its draw-order twin.
 func (pl *Placer) EnableChurn() { pl.p.sorted = true }
 
 // NewPlacer returns a Placer for n nodes of m slots over a k-file library.
@@ -298,6 +308,7 @@ func (pl *Placer) Place(pop dist.Popularity, mode Mode, r *rand.Rand) *Placement
 	if p.staged {
 		panic("cache: Place with staged arrivals (call SpliceArrivals first)")
 	}
+	clear(pl.counts)
 	switch mode {
 	case WithReplacement:
 		// Batched sampling: all slot draws (n·M, or Σ M_u under
@@ -318,7 +329,7 @@ func (pl *Placer) Place(pop dist.Popularity, mode Mode, r *rand.Rand) *Placement
 				base := p.slabBase(u)
 				ln = pl.dedup(base, pl.draws[base:base+p.Cap(u)])
 			}
-			pl.setLen(u, ln)
+			p.lens[u] = int32(ln)
 		}
 	case WithoutReplacement:
 		for u := 0; u < pl.n; u++ {
@@ -328,7 +339,7 @@ func (pl *Placer) Place(pop dist.Popularity, mode Mode, r *rand.Rand) *Placement
 				// (per-node rejection sampling has no batch to burn).
 				ln = pl.drawDistinct(p.slabBase(u), p.Cap(u), pop, r)
 			}
-			pl.setLen(u, ln)
+			p.lens[u] = int32(ln)
 		}
 	default:
 		panic(fmt.Sprintf("cache: unknown mode %v", mode))
@@ -339,7 +350,7 @@ func (pl *Placer) Place(pop dist.Popularity, mode Mode, r *rand.Rand) *Placement
 }
 
 // dedup writes the distinct files of draws, in first-draw order, into
-// the slab at base and returns their count.
+// the slab at base, counts each one in counts, and returns their count.
 func (pl *Placer) dedup(base int, draws []int32) int {
 	files := pl.p.files[base:]
 	pl.stamp++
@@ -347,6 +358,7 @@ func (pl *Placer) dedup(base int, draws []int32) int {
 	for _, f := range draws {
 		if pl.mark[f] != pl.stamp {
 			pl.mark[f] = pl.stamp
+			pl.counts[f]++
 			files[ln] = f
 			ln++
 		}
@@ -354,16 +366,17 @@ func (pl *Placer) dedup(base int, draws []int32) int {
 	return ln
 }
 
-// drawDistinct fills the slab at base with want distinct files and
-// returns the list length. The popularity-weighted rejection loop is fast
-// while want ≪ K (the paper's M ≪ K standing assumption); a marked sweep
-// completes the draw when rejection stalls, and want ≥ K caches the whole
-// library.
+// drawDistinct fills the slab at base with want distinct files, counts
+// each one in counts, and returns the list length. The
+// popularity-weighted rejection loop is fast while want ≪ K (the paper's
+// M ≪ K standing assumption); a marked sweep completes the draw when
+// rejection stalls, and want ≥ K caches the whole library.
 func (pl *Placer) drawDistinct(base, want int, pop dist.Popularity, r *rand.Rand) int {
 	files := pl.p.files[base:]
 	if want >= pl.k {
 		for j := range pl.k {
 			files[j] = int32(j)
+			pl.counts[j]++
 		}
 		return pl.k
 	}
@@ -373,6 +386,7 @@ func (pl *Placer) drawDistinct(base, want int, pop dist.Popularity, r *rand.Rand
 		f := int32(pop.Sample(r))
 		if pl.mark[f] != pl.stamp {
 			pl.mark[f] = pl.stamp
+			pl.counts[f]++
 			files[ln] = f
 			ln++
 		}
@@ -386,9 +400,14 @@ func (pl *Placer) drawDistinct(base, want int, pop dist.Popularity, r *rand.Rand
 
 // fillRemainder completes a without-replacement draw uniformly over the
 // unmarked files when popularity rejection stalls (extremely skewed
-// Zipf), appending to files[:ln]. Returns the completed length.
+// Zipf), appending to files[:ln] and counting each file it adds. Returns
+// the completed length. The unmarked files go to the Placer's missing
+// scratch, so a stall allocates only the first time.
 func (pl *Placer) fillRemainder(files []int32, ln, want int, r *rand.Rand) int {
-	missing := make([]int32, 0, pl.k-ln)
+	if pl.missing == nil {
+		pl.missing = make([]int32, 0, pl.k)
+	}
+	missing := pl.missing[:0]
 	for j := int32(0); j < int32(pl.k); j++ {
 		if pl.mark[j] != pl.stamp {
 			missing = append(missing, j)
@@ -397,6 +416,7 @@ func (pl *Placer) fillRemainder(files []int32, ln, want int, r *rand.Rand) int {
 	for ln < want && len(missing) > 0 {
 		i := r.IntN(len(missing))
 		files[ln] = missing[i]
+		pl.counts[missing[i]]++
 		ln++
 		missing[i] = missing[len(missing)-1]
 		missing = missing[:len(missing)-1]
@@ -404,31 +424,16 @@ func (pl *Placer) fillRemainder(files []int32, ln, want int, r *rand.Rand) int {
 	return ln
 }
 
-// setLen records node u's list length, sorting the list first on
-// churn-enabled placements.
-func (pl *Placer) setLen(u, ln int) {
-	p := &pl.p
-	if p.sorted {
-		base := p.slabBase(u)
-		slices.Sort(p.files[base : base+ln])
-	}
-	p.lens[u] = int32(ln)
-}
-
 // buildIndex fills the replica CSR — and, under EnableTiles, the tile
-// index — from the node lists just drawn: one count pass sizes every S_j,
-// and one scatter in key order fills them, tile by tile through the
-// tiling's node order (ascending inside a tile) or node by node without
-// a tiling, which leaves each S_j sorted by key whatever the order of
-// the node lists.
+// index — from the node lists just drawn and the replica counts their
+// draws left in counts: the counts size every S_j, and one scatter in
+// key order fills them, tile by tile through the tiling's node order
+// (ascending inside a tile) or node by node without a tiling, which
+// leaves each S_j sorted by key whatever the order of the node lists.
+// A churn-enabled placement then takes its sorted node lists from the
+// CSR (see transpose).
 func (pl *Placer) buildIndex() {
 	p := &pl.p
-	clear(pl.counts)
-	for u := 0; u < pl.n; u++ {
-		for _, f := range p.nodeSpan(u) {
-			pl.counts[f]++
-		}
-	}
 	total := int32(0)
 	p.cachedFiles = p.cachedFiles[:0]
 	for j := 0; j < pl.k; j++ {
@@ -446,12 +451,30 @@ func (pl *Placer) buildIndex() {
 		for u := int32(0); u < int32(pl.n); u++ {
 			pl.scatter(u)
 		}
-		return
+	} else {
+		for _, u := range pl.tiling.Order() {
+			pl.scatter(u)
+		}
+		pl.buildTileIndex()
 	}
-	for _, u := range pl.tiling.Order() {
-		pl.scatter(u)
+	if p.sorted {
+		pl.transpose()
 	}
-	pl.buildTileIndex()
+}
+
+// transpose rewrites every node list from the replica CSR, visiting the
+// cached files in ascending order, so each list comes out sorted: the
+// order a churn-enabled placement keeps, in one pass over Σ|S_j| instead
+// of one sort per node.
+func (pl *Placer) transpose() {
+	p := &pl.p
+	clear(p.lens)
+	for _, j := range p.cachedFiles {
+		for _, v := range p.Replicas(int(j)) {
+			p.files[p.slabBase(int(v))+int(p.lens[v])] = j
+			p.lens[v]++
+		}
+	}
 }
 
 // scatter appends node u to the replica segment of every file it caches.
@@ -480,23 +503,33 @@ func (p *Placement) Replicas(j int) []int32 { return p.nodes[p.repOff[j]:p.repOf
 
 // find binary-searches the key-ordered segment seg for node v and
 // returns its slot, or the slot v would be inserted at, and whether v is
-// there. The key is (TileOf(v), v) under a tile index, v without one.
+// there. The key is (TileOf(v), v) under a tile index, compared as the
+// tiling's rank of v (one int per probe), and v without one.
 func (p *Placement) find(seg []int32, v int32) (int, bool) {
 	if p.tix == nil {
 		return slices.BinarySearch(seg, v)
 	}
 	tl := p.tix.tl
-	tv := tl.TileOf(v)
+	rv := tl.Rank(v)
 	lo, hi := 0, len(seg)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if tm := tl.TileOf(seg[mid]); tm < tv || tm == tv && seg[mid] < v {
+		if tl.Rank(seg[mid]) < rv {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
 	return lo, lo < len(seg) && seg[lo] == v
+}
+
+// key returns node v's sort key in S_j as one int: its tiling rank under
+// a tile index, v without one (see find).
+func (p *Placement) key(v int32) int32 {
+	if p.tix == nil {
+		return v
+	}
+	return p.tix.tl.Rank(v)
 }
 
 // NodeFiles returns the distinct files cached at node u: sorted ascending

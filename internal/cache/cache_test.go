@@ -2,11 +2,13 @@ package cache
 
 import (
 	"math"
+	"math/rand/v2"
 	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/dist"
+	"repro/internal/grid"
 	"repro/internal/xrand"
 )
 
@@ -158,6 +160,28 @@ func TestWithoutReplacementSkewedZipf(t *testing.T) {
 		}
 	}
 	checkInvariants(t, p)
+}
+
+// TestWithoutReplacementStallAllocs: a without-replacement build whose
+// popularity rejection stalls allocates nothing once warm. The world is
+// a two-choices one (20×20 torus, tile index) with K = 200, M = 60 and
+// Zipf γ 2.5, where the marked sweep completes the draw at most nodes;
+// its scratch belongs to the Placer, which sizes it at the first stall.
+func TestWithoutReplacementStallAllocs(t *testing.T) {
+	g := grid.New(20, grid.Torus)
+	pop := dist.NewZipf(200, 2.5)
+	pl := NewPlacer(g.N(), 60, 200)
+	pl.EnableTiles(g.NewTiling(4))
+	r := rand.New(rand.NewPCG(2, 5))
+	pl.Place(pop, WithoutReplacement, r)
+	if pl.missing == nil {
+		t.Fatal("rejection never stalled; the marked sweep is not exercised")
+	}
+	if n := testing.AllocsPerRun(5, func() {
+		pl.Place(pop, WithoutReplacement, r)
+	}); n != 0 {
+		t.Errorf("steady-state stalling Place allocates %.1f/op, want 0", n)
+	}
 }
 
 func TestM1TUIsOne(t *testing.T) {
@@ -356,5 +380,71 @@ func BenchmarkPlacePaperScale(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = Place(4900, 10, pop, WithReplacement, src.Stream(uint64(i)))
+	}
+}
+
+// BenchmarkPlace times the placement build — slot draws, the replica CSR
+// and, when tiled, the tile index — at perfbench's two shapes: static
+// (100×100 torus, tiles of 5, K = 10⁴ Zipf 1.2, M = 10) and dynamic
+// (70×70 torus, tiles of 7, the same library, power-law capacities up to
+// 8M and a quarter of the nodes vacant). untiled builds no tile index,
+// tiled adds it, and tiled-sorted is a churn-enabled build, whose node
+// lists are sorted; so tiled − untiled reads as the tile-index build and
+// tiled-sorted − tiled as the sort.
+func BenchmarkPlace(b *testing.B) {
+	const m, k = 10, 10000
+	pop := dist.NewZipf(k, 1.2)
+	for _, shape := range []struct {
+		name       string
+		side, tile int
+		hetero     bool
+	}{
+		{"static", 100, 5, false},
+		{"dynamic", 70, 7, true},
+	} {
+		g := grid.New(shape.side, grid.Torus)
+		tl := g.NewTiling(shape.tile)
+		n := g.N()
+		var caps []int32
+		var vacant []bool
+		if shape.hetero {
+			r := rand.New(rand.NewPCG(17, 19))
+			caps = powerLawCaps(n, m, r)
+			vacant = make([]bool, n)
+			for u := range vacant {
+				vacant[u] = r.IntN(4) == 0
+			}
+		}
+		for _, layout := range []struct {
+			name          string
+			tiles, sorted bool
+		}{
+			{"untiled", false, false},
+			{"tiled", true, false},
+			{"tiled-sorted", true, true},
+		} {
+			b.Run(shape.name+"/"+layout.name, func(b *testing.B) {
+				pl := NewPlacer(n, m, k)
+				if shape.hetero {
+					pl.EnableHetero(8 * m)
+				}
+				if layout.tiles {
+					pl.EnableTiles(tl)
+				}
+				if layout.sorted {
+					pl.EnableChurn()
+				}
+				if shape.hetero {
+					pl.SetHetero(caps, vacant)
+				}
+				r := rand.New(rand.NewPCG(23, 29))
+				pl.Place(pop, WithReplacement, r) // warm-up
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					pl.Place(pop, WithReplacement, r)
+				}
+			})
+		}
 	}
 }

@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"fmt"
+	"math"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -9,52 +11,65 @@ import (
 	"repro/internal/grid"
 )
 
-// TestMutableBuildMatchesImmutable: a churn-enabled build must produce
-// the same placement content as a build without EnableChurn from the same
-// RNG history — each node list the sorted draw-order list, and identical
-// replica lists, cached set and tile index — for both placement modes
-// and with or without the tile index. Sorting is the only difference.
+// TestMutableBuildMatchesImmutable: a churn-enabled build, whose sorted
+// node lists come from transposing the replica CSR, must produce the same
+// placement content as a build without EnableChurn from the same RNG
+// history — each node list the sorted draw-order list, and identical
+// replica CSR, cached set and tile index — for both placement modes,
+// untiled, with tiles that divide the side and with tiles that do not,
+// over uniform capacities and over power-law capacities with about a
+// quarter of the nodes vacant. Sorting is the only difference.
 func TestMutableBuildMatchesImmutable(t *testing.T) {
 	const side, m, k = 8, 3, 60
 	n := side * side
 	g := grid.New(side, grid.Torus)
 	pop := dist.NewZipf(k, 1.0)
+	r := rand.New(rand.NewPCG(3, 4))
+	caps := powerLawCaps(n, m, r)
+	vacant := make([]bool, n)
+	for u := range vacant {
+		vacant[u] = r.IntN(4) == 0
+	}
 	for _, mode := range []Mode{WithReplacement, WithoutReplacement} {
-		for _, tiles := range []bool{false, true} {
-			r1 := rand.New(rand.NewPCG(7, 9))
-			r2 := rand.New(rand.NewPCG(7, 9))
-			plain, mut := NewPlacer(n, m, k), NewPlacer(n, m, k)
-			if tiles {
-				tl := g.NewTiling(2)
-				plain.EnableTiles(tl)
-				mut.EnableTiles(tl)
-			}
-			mut.EnableChurn()
-			ref := plain.Place(pop, mode, r1)
-			got := mut.Place(pop, mode, r2)
-			if ref.Mutable() || !got.Mutable() {
-				t.Fatalf("Mutable: plain %v, EnableChurn %v", ref.Mutable(), got.Mutable())
-			}
-			for u := 0; u < n; u++ {
-				want := slices.Sorted(slices.Values(ref.NodeFiles(u)))
-				if !slices.Equal(want, got.NodeFiles(u)) {
-					t.Fatalf("mode=%v tiles=%v node %d: files %v, want sorted %v",
-						mode, tiles, u, got.NodeFiles(u), want)
-				}
-			}
-			for j := 0; j < k; j++ {
-				if !slices.Equal(ref.Replicas(j), got.Replicas(j)) {
-					t.Fatalf("mode=%v tiles=%v file %d: replicas differ", mode, tiles, j)
-				}
-			}
-			if !slices.Equal(ref.CachedFiles(), got.CachedFiles()) {
-				t.Fatalf("mode=%v tiles=%v: cached sets differ", mode, tiles)
-			}
-			if tiles {
-				sameTileIndex(t, ref, got)
+		for _, tile := range []int{0, 2, 3} { // 0: no tile index; 3 does not divide 8
+			for _, hetero := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%v/tiles%d/hetero=%v", mode, tile, hetero), func(t *testing.T) {
+					newPlacer := func() *Placer {
+						pl := NewPlacer(n, m, k)
+						if hetero {
+							pl.EnableHetero(8 * m)
+						}
+						if tile > 0 {
+							pl.EnableTiles(g.NewTiling(tile))
+						}
+						if hetero {
+							pl.SetHetero(caps, vacant)
+						}
+						return pl
+					}
+					plain, mut := newPlacer(), newPlacer()
+					mut.EnableChurn()
+					ref := plain.Place(pop, mode, rand.New(rand.NewPCG(7, 9)))
+					got := mut.Place(pop, mode, rand.New(rand.NewPCG(7, 9)))
+					if ref.Mutable() || !got.Mutable() {
+						t.Fatalf("Mutable: plain %v, EnableChurn %v", ref.Mutable(), got.Mutable())
+					}
+					sameStructures(t, got, ref)
+				})
 			}
 		}
 	}
+}
+
+// powerLawCaps draws n capacities as internal/sim's ProfilePowerLaw does:
+// Pareto α = 3/2 from M/3, clamped to [1, 8M].
+func powerLawCaps(n, m int, r *rand.Rand) []int32 {
+	caps := make([]int32, n)
+	for u := range caps {
+		mu := int(math.Round(float64(m) / 3 * math.Pow(1-r.Float64(), -1/1.5)))
+		caps[u] = int32(min(max(mu, 1), 8*m))
+	}
+	return caps
 }
 
 // sameTileIndex fails unless a and b carry identical tile indexes: the

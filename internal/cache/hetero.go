@@ -80,7 +80,8 @@ func (pl *Placer) StageArrival(u int32, pop dist.Popularity, mode Mode, r *rand.
 	default:
 		panic(fmt.Sprintf("cache: unknown mode %v", mode))
 	}
-	pl.setLen(int(u), ln)
+	slices.Sort(p.files[base : base+ln])
+	p.lens[u] = int32(ln)
 	if pl.vacant != nil {
 		pl.vacant[u] = false
 	}
@@ -112,18 +113,8 @@ func (pl *Placer) SpliceArrivals() {
 		return
 	}
 	joins := pl.joins
-	slices.SortFunc(joins, func(a, b int64) int { // (file, key) order
-		if c := cmp.Compare(a>>32, b>>32); c != 0 {
-			return c
-		}
-		x, y := int32(a), int32(b)
-		if p.tix != nil {
-			if c := cmp.Compare(p.tix.tl.TileOf(x), p.tix.tl.TileOf(y)); c != 0 {
-				return c
-			}
-		}
-		return cmp.Compare(x, y)
-	})
+	fileKey := func(x int64) int64 { return x>>32<<32 | int64(p.key(int32(x))) }
+	slices.SortFunc(joins, func(a, b int64) int { return cmp.Compare(fileKey(a), fileKey(b)) })
 	ix := p.tix
 
 	// The plan: group the inserts by file and find each one's slot in the

@@ -2,7 +2,6 @@ package cache
 
 import (
 	"fmt"
-	"math"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -336,7 +335,7 @@ func TestArriveNodeMatchesRebuild(t *testing.T) {
 							}
 							splice.SpliceArrivals()
 							twin.rebuildArrivals()
-							sameAsRebuild(t, p, q)
+							sameStructures(t, p, q)
 							checkAgainstRebuild(t, p, tl)
 							promoted += denseFiles(p) - dense
 							fresh += uncached - p.UncachedCount()
@@ -360,10 +359,17 @@ func TestArriveNodeMatchesRebuild(t *testing.T) {
 }
 
 // rebuildArrivals is the rebuilding twin's splice: it drops the staged
-// plan and rebuilds the replica CSR and tile index from the forward map.
+// plan, recounts the replicas of the forward map and rebuilds the
+// replica CSR and tile index from them.
 func (pl *Placer) rebuildArrivals() {
 	pl.joins = pl.joins[:0]
 	pl.p.staged = false
+	clear(pl.counts)
+	for u := 0; u < pl.n; u++ {
+		for _, f := range pl.p.NodeFiles(u) {
+			pl.counts[f]++
+		}
+	}
 	pl.buildIndex()
 }
 
@@ -440,23 +446,28 @@ func denseFiles(p *Placement) int {
 	return c
 }
 
-// sameAsRebuild fails unless the spliced placement p and the rebuilt q
-// agree on the forward map, replica CSR, cached set, arena totals and,
-// when indexed, the tile index including every file's padded directory
-// span.
-func sameAsRebuild(t *testing.T, p, q *Placement) {
+// sameStructures fails unless p and its reference q agree on the
+// forward map, replica CSR, cached set, arena totals and, when indexed,
+// the tile index including every file's padded directory span. Node
+// lists compare exactly, or as sorted copies of q's when q keeps draw
+// order (a build without EnableChurn).
+func sameStructures(t *testing.T, p, q *Placement) {
 	t.Helper()
 	for u := 0; u < p.N(); u++ {
-		if !slices.Equal(p.NodeFiles(u), q.NodeFiles(u)) {
-			t.Fatalf("node %d: files %v, rebuild %v", u, p.NodeFiles(u), q.NodeFiles(u))
+		want := q.NodeFiles(u)
+		if !q.Mutable() {
+			want = slices.Sorted(slices.Values(want))
+		}
+		if !slices.Equal(p.NodeFiles(u), want) {
+			t.Fatalf("node %d: files %v, reference %v", u, p.NodeFiles(u), want)
 		}
 	}
 	if !slices.Equal(p.repOff, q.repOff) || !slices.Equal(p.nodes, q.nodes) {
-		t.Fatal("replica CSR differs from the rebuild")
+		t.Fatal("replica CSR differs from the reference")
 	}
 	if !slices.Equal(p.CachedFiles(), q.CachedFiles()) ||
 		p.UncachedCount() != q.UncachedCount() || p.ReplicaSlots() != q.ReplicaSlots() {
-		t.Fatalf("cached set %v (uncached %d, slots %d), rebuild %v (%d, %d)",
+		t.Fatalf("cached set %v (uncached %d, slots %d), reference %v (%d, %d)",
 			p.CachedFiles(), p.UncachedCount(), p.ReplicaSlots(),
 			q.CachedFiles(), q.UncachedCount(), q.ReplicaSlots())
 	}
@@ -468,7 +479,7 @@ func sameAsRebuild(t *testing.T, p, q *Placement) {
 	}
 	sameTileIndex(t, p, q)
 	if !slices.Equal(p.tix.dirOff, q.tix.dirOff) {
-		t.Fatalf("directory spans %v, rebuild %v", p.tix.dirOff, q.tix.dirOff)
+		t.Fatalf("directory spans %v, reference %v", p.tix.dirOff, q.tix.dirOff)
 	}
 }
 
@@ -615,11 +626,7 @@ func BenchmarkArriveNode(b *testing.B) {
 			g := grid.New(side, grid.Torus)
 			pop := dist.NewZipf(files, 1.2)
 			r := rand.New(rand.NewPCG(17, 19))
-			caps := make([]int32, n)
-			for u := range caps {
-				mu := int(math.Round(m / 3.0 * math.Pow(1-r.Float64(), -1/1.5)))
-				caps[u] = int32(min(max(mu, 1), 8*m))
-			}
+			caps := powerLawCaps(n, m, r)
 			pl := NewPlacer(n, m, files)
 			pl.EnableHetero(8 * m)
 			pl.EnableTiles(g.NewTiling(7))
@@ -657,12 +664,65 @@ func BenchmarkArriveNode(b *testing.B) {
 	}
 }
 
-// FuzzArriveNodes decodes its input into a small world — side 3–12,
-// torus or bounded, an optional tile index whose tile size need not
-// divide the side, K, M, maxCap, placement mode, popularity, a vacancy
-// mask and a seed — and a partition of the vacant nodes into batches
-// with churn between them. After every batch the spliced placement must
-// equal a rebuilding twin and a from-scratch rebuild.
+// fuzzWorld is a small world decoded from fuzz bytes: side 3–12, torus
+// or bounded, an optional tile index whose tile size need not divide the
+// side, K, M, maxCap, placement mode, popularity, per-node capacities in
+// [1, maxCap], a vacancy mask and a placement seed.
+type fuzzWorld struct {
+	n, k, m, maxCap int
+	tl              *grid.Tiling // nil: no tile index
+	mode            Mode
+	pop             dist.Popularity
+	caps            []int32
+	vacant          []bool
+	queue           []int32 // the vacant nodes, ascending
+	seed            uint64
+	uniform         bool       // byte 4's high bit: a build may skip EnableHetero
+	r               *rand.Rand // the decoder's stream, past the capacities
+}
+
+// decodeFuzzWorld decodes data into a fuzzWorld; missing bytes read as 0.
+func decodeFuzzWorld(data []byte) fuzzWorld {
+	at := func(i int) byte {
+		if i < len(data) {
+			return data[i]
+		}
+		return 0
+	}
+	side := 3 + int(at(0))%10
+	w := fuzzWorld{n: side * side, k: 1 + int(at(2)), m: 1 + int(at(3)&3)}
+	topo := grid.Torus
+	if at(1)&1 != 0 {
+		topo = grid.Bounded
+	}
+	if ts := int(at(1)>>1) % (side + 1); ts > 0 {
+		w.tl = grid.New(side, topo).NewTiling(ts)
+	}
+	w.maxCap = w.m + int(at(3)>>2&7)
+	w.mode = Mode(at(4) & 1)
+	w.pop = dist.NewUniform(w.k)
+	if at(4)&2 != 0 {
+		w.pop = dist.NewZipf(w.k, 0.5+float64(at(4)>>2&7)/4)
+	}
+	w.uniform = at(4)&0x80 != 0
+	w.r = rand.New(rand.NewPCG(uint64(at(5)), uint64(at(6))))
+	w.caps = make([]int32, w.n)
+	w.vacant = make([]bool, w.n)
+	for u := range w.caps {
+		w.caps[u] = int32(1 + w.r.IntN(w.maxCap))
+		if at(7+u/8)>>(u%8)&1 != 0 {
+			w.vacant[u] = true
+			w.queue = append(w.queue, int32(u))
+		}
+	}
+	w.seed = uint64(at(5))<<8 | uint64(at(6))
+	return w
+}
+
+// FuzzArriveNodes decodes its input into a small world (see fuzzWorld)
+// and a partition of the vacant nodes into batches with churn between
+// them. After every batch the spliced placement must equal a rebuilding
+// twin and a from-scratch rebuild.
 func FuzzArriveNodes(f *testing.F) {
 	f.Add([]byte{5, 3, 40, 0x12, 1, 7, 0x33, 0x55, 0xAA})
 	f.Add([]byte{9, 8, 12, 0x31, 2, 1, 0xFF, 0xFF, 0x0F, 0xF0})
@@ -670,55 +730,22 @@ func FuzzArriveNodes(f *testing.F) {
 	f.Add([]byte{0, 1, 1, 0x20, 0, 0, 0xFF})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF}) // every node vacant
 	f.Fuzz(func(t *testing.T, data []byte) {
-		at := func(i int) byte {
-			if i < len(data) {
-				return data[i]
-			}
-			return 0
-		}
-		side := 3 + int(at(0))%10
-		n := side * side
-		topo := grid.Torus
-		if at(1)&1 != 0 {
-			topo = grid.Bounded
-		}
-		var tl *grid.Tiling
-		if ts := int(at(1)>>1) % (side + 1); ts > 0 {
-			tl = grid.New(side, topo).NewTiling(ts)
-		}
-		k := 1 + int(at(2))
-		m := 1 + int(at(3)&3)
-		maxCap := m + int(at(3)>>2&7)
-		mode := Mode(at(4) & 1)
-		var pop dist.Popularity = dist.NewUniform(k)
-		if at(4)&2 != 0 {
-			pop = dist.NewZipf(k, 0.5+float64(at(4)>>2&7)/4)
-		}
-		r := rand.New(rand.NewPCG(uint64(at(5)), uint64(at(6))))
-		caps := make([]int32, n)
-		vacant := make([]bool, n)
-		var queue []int32
-		for u := range caps {
-			caps[u] = int32(1 + r.IntN(maxCap))
-			if at(7+u/8)>>(u%8)&1 != 0 {
-				vacant[u] = true
-				queue = append(queue, int32(u))
-			}
-		}
+		w := decodeFuzzWorld(data)
+		pop, mode, tl, r, queue := w.pop, w.mode, w.tl, w.r, w.queue
 		newPlacer := func() *Placer {
-			pl := NewPlacer(n, m, k)
-			pl.EnableHetero(maxCap)
+			pl := NewPlacer(w.n, w.m, w.k)
+			pl.EnableHetero(w.maxCap)
 			if tl != nil {
 				pl.EnableTiles(tl)
 			}
 			pl.EnableChurn()
-			pl.SetHetero(caps, vacant)
+			pl.SetHetero(w.caps, w.vacant)
 			return pl
 		}
 		splice, twin := newPlacer(), newPlacer()
-		seed := uint64(at(5))<<8 | uint64(at(6))
-		rs, rt := rand.New(rand.NewPCG(seed, 3)), rand.New(rand.NewPCG(seed, 3))
+		rs, rt := rand.New(rand.NewPCG(w.seed, 3)), rand.New(rand.NewPCG(w.seed, 3))
 		p, q := splice.Place(pop, mode, rs), twin.Place(pop, mode, rt)
+		vacant := w.vacant
 		for len(queue) > 0 {
 			if p.ReplicaSlots() > 0 {
 				lockstepChurn(p, q, vacant, r, r.IntN(8))
@@ -733,8 +760,55 @@ func FuzzArriveNodes(f *testing.F) {
 			}
 			splice.SpliceArrivals()
 			twin.rebuildArrivals()
-			sameAsRebuild(t, p, q)
+			sameStructures(t, p, q)
 			checkAgainstRebuild(t, p, tl)
+		}
+	})
+}
+
+// FuzzSortedBuild decodes its input into a small world (see fuzzWorld;
+// byte 4's high bit drops EnableHetero for the uniform-stride layout)
+// and builds it twice per Placer from one seed: in draw order, and
+// churn-enabled, whose sorted node lists come from transposing the
+// replica CSR. After each build the churn-enabled placement must equal
+// its draw-order twin with every node list sorted, and the same replica
+// CSR, cached set and tile index, and pass a from-scratch rebuild.
+// FuzzArriveNodes cannot catch a transpose bug: both of its sides build
+// through the transpose.
+func FuzzSortedBuild(f *testing.F) {
+	f.Add([]byte{5, 3, 40, 0x12, 1, 7, 0x33, 0x55, 0xAA})
+	f.Add([]byte{9, 8, 12, 0x31, 2, 1, 0xFF, 0xFF, 0x0F, 0xF0})
+	f.Add([]byte{2, 7, 200, 0x03, 0x83, 9, 0x01, 0x80})
+	f.Add([]byte{4, 6, 30, 0x1F, 0x0E, 5, 0x42, 0x11, 0x22, 0x44}) // tiles of 3 on a 7×7 torus
+	f.Add([]byte{0, 1, 1, 0x20, 0x80, 0, 0xFF})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		w := decodeFuzzWorld(data)
+		newPlacer := func(sorted bool) *Placer {
+			pl := NewPlacer(w.n, w.m, w.k)
+			if !w.uniform {
+				pl.EnableHetero(w.maxCap)
+			}
+			if w.tl != nil {
+				pl.EnableTiles(w.tl)
+			}
+			if sorted {
+				pl.EnableChurn()
+			}
+			return pl
+		}
+		plain, sorted := newPlacer(false), newPlacer(true)
+		rp, rs := rand.New(rand.NewPCG(w.seed, 3)), rand.New(rand.NewPCG(w.seed, 3))
+		for range 2 {
+			if !w.uniform {
+				plain.SetHetero(w.caps, w.vacant)
+				sorted.SetHetero(w.caps, w.vacant)
+			}
+			ref, got := plain.Place(w.pop, w.mode, rp), sorted.Place(w.pop, w.mode, rs)
+			if ref.Mutable() || !got.Mutable() {
+				t.Fatalf("Mutable: draw-order build %v, churn-enabled build %v", ref.Mutable(), got.Mutable())
+			}
+			sameStructures(t, got, ref)
+			checkAgainstRebuild(t, got, w.tl)
 		}
 	})
 }

@@ -26,6 +26,7 @@ type Tiling struct {
 	tileOf   []int32 // node id → tile id
 	order    []int32 // node ids grouped by tile id, ascending inside each tile
 	orderOff []int32 // per tile: start offset into order (length Tiles+1)
+	rank     []int32 // node id → its position in order
 }
 
 // NewTiling partitions g into t×t tiles. It panics if t <= 0.
@@ -50,9 +51,11 @@ func (g *Grid) NewTiling(t int) *Tiling {
 		counts[i] += counts[i-1]
 	}
 	tl.order = make([]int32, g.n)
+	tl.rank = make([]int32, g.n)
 	for u := 0; u < g.n; u++ {
 		tid := tl.tileOf[u]
 		tl.order[counts[tid]] = int32(u)
+		tl.rank[u] = counts[tid]
 		counts[tid]++
 	}
 	// counts now holds end offsets; rebuild the start-offset index.
@@ -76,6 +79,10 @@ func (tl *Tiling) TileOf(u int32) int32 { return tl.tileOf[u] }
 // Order returns every node id grouped by tile (tile ids ascending, node
 // ids ascending within a tile). The caller must not mutate it.
 func (tl *Tiling) Order() []int32 { return tl.order }
+
+// Rank returns node u's position in Order: the key (TileOf(u), u) as one
+// int, so rank order is (tile, node) order.
+func (tl *Tiling) Rank(u int32) int32 { return tl.rank[u] }
 
 // OrderOff returns the per-tile offsets into Order: tile t's nodes are
 // Order()[OrderOff()[t]:OrderOff()[t+1]]. The caller must not mutate it.

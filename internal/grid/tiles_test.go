@@ -214,6 +214,31 @@ func TestTilingOrder(t *testing.T) {
 	}
 }
 
+// TestTilingRank: Rank inverts Order on tilings that divide the side and
+// on tilings that do not, so comparing ranks compares (TileOf(u), u)
+// keys.
+func TestTilingRank(t *testing.T) {
+	// 12/5 and 13/4 leave clipped last tiles; the rest divide the side.
+	for _, c := range []struct{ l, t int }{{12, 3}, {12, 5}, {13, 4}, {7, 7}, {16, 1}} {
+		g := New(c.l, Torus)
+		tl := g.NewTiling(c.t)
+		for i, u := range tl.Order() {
+			if got := tl.Rank(u); got != int32(i) {
+				t.Fatalf("l=%d t=%d: Rank(Order()[%d] = %d) = %d", c.l, c.t, i, u, got)
+			}
+		}
+		for u := int32(0); u < int32(g.N()); u++ {
+			for v := int32(0); v < int32(g.N()); v++ {
+				keyLess := tl.TileOf(u) < tl.TileOf(v) || tl.TileOf(u) == tl.TileOf(v) && u < v
+				if keyLess != (tl.Rank(u) < tl.Rank(v)) {
+					t.Fatalf("l=%d t=%d: nodes %d, %d: key order %v, rank order %v",
+						c.l, c.t, u, v, keyLess, tl.Rank(u) < tl.Rank(v))
+				}
+			}
+		}
+	}
+}
+
 // TestTileOfGeometry: TileOf matches coordinate arithmetic and every tile
 // is a contiguous t×t (or clipped) block.
 func TestTileOfGeometry(t *testing.T) {

@@ -131,7 +131,8 @@ const (
 	// maxServiceCap bounds C_u (the power-law clamp; two-tier tops out
 	// at 2).
 	maxServiceCap = 8
-	// paretoAlpha is the power-law profile's tail exponent.
+	// paretoAlpha is the power-law profile's tail exponent; paretoCap's
+	// cube-root form is exact for this value only.
 	paretoAlpha = 1.5
 	// vacantDenom: under HeteroArrival each node starts vacant with
 	// probability 1/vacantDenom (same odds as the two-tier "big" coin).
@@ -179,16 +180,29 @@ func drawProfile(cfg Config, caps, mults []int32, rng *rand.Rand) {
 	case ProfilePowerLaw:
 		xm := float64(m) / 3
 		for u := range caps {
-			// Inverse-CDF Pareto: x_m·(1-x)^(-1/α), x uniform in [0,1).
-			x := rng.Float64()
-			mu := int(math.Round(xm * math.Pow(1-x, -1/paretoAlpha)))
-			mu = min(max(mu, 1), 8*m)
+			mu := min(max(paretoCap(xm, rng.Float64()), 1), 8*m)
 			caps[u] = int32(mu)
 			mults[u] = capMult(min(1+mu/(2*m), maxServiceCap))
 		}
 	default:
 		panic(fmt.Sprintf("sim: unknown cache profile %v", cfg.Profile))
 	}
+}
+
+// paretoCap returns the power-law capacity for x uniform in [0,1): the
+// inverse-CDF Pareto draw round(xm·(1−x)^(−1/α)), which at α = 3/2 is
+// round(xm / cbrt((1−x)²)) — a cube root instead of math.Pow. The two
+// forms differ by a few ulps, so they can round apart only where the
+// value lies within that of a rounding boundary k + 1/2; within a
+// relative 1e-9 of one, the math.Pow form decides, so every capacity is
+// exactly the math.Pow draw's.
+func paretoCap(xm, x float64) int {
+	y := 1 - x
+	v := xm / math.Cbrt(y*y)
+	if math.Abs(v-math.Floor(v)-0.5) <= 1e-9*v {
+		v = xm * math.Pow(y, -1/paretoAlpha)
+	}
+	return int(math.Round(v))
 }
 
 // heteroState is the per-runner (and per-snapshot) heterogeneity

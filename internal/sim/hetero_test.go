@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand/v2"
 	"testing"
 
@@ -361,5 +362,58 @@ func TestHeteroDegenerateBitIdentical(t *testing.T) {
 			t.Errorf("pin %s t=%d diverged under degenerate HeteroCapacity:\n got %+v\nwant %+v",
 				p.name, p.trial, got, p.want)
 		}
+	}
+}
+
+// TestParetoCapMatchesPow: the cube-root power-law capacity equals the
+// inverse-CDF draw int(math.Round(xm·math.Pow(1−x, −1/α))) it replaces,
+// on 10⁶ uniform draws per M and on x within a few ulps of every
+// rounding boundary k + 1/2 the capacities up to 8M cross, each found by
+// bisecting the bits of x (positive floats order like their bits).
+func TestParetoCapMatchesPow(t *testing.T) {
+	powCap := func(xm, x float64) int { return int(math.Round(xm * math.Pow(1-x, -1/paretoAlpha))) }
+	cbrtApart := 0
+	for _, m := range []int{1, 2, 3, 10, 64, 1000} {
+		xm := float64(m) / 3
+		r := rand.New(rand.NewPCG(uint64(m), 0xCB7))
+		for i := 0; i < 1_000_000; i++ {
+			x := r.Float64()
+			if got, want := paretoCap(xm, x), powCap(xm, x); got != want {
+				t.Fatalf("M=%d x=%v: capacity %d, math.Pow draw %d", m, x, got, want)
+			}
+		}
+		top := math.Float64bits(math.Nextafter(1, 0))
+		for k := int(xm); k <= 8*m; k++ {
+			b := float64(k) + 0.5
+			if b <= xm {
+				continue
+			}
+			lo, hi := uint64(0), top // xm·(1−x)^(−2/3) < b at lo, ≥ b at hi
+			for hi-lo > 1 {
+				mid := lo + (hi-lo)/2
+				if xm*math.Pow(1-math.Float64frombits(mid), -1/paretoAlpha) >= b {
+					hi = mid
+				} else {
+					lo = mid
+				}
+			}
+			for bits := hi - 8; bits <= hi+8; bits++ {
+				x := math.Float64frombits(bits)
+				y := 1 - x
+				got, want := paretoCap(xm, x), powCap(xm, x)
+				if got != want {
+					t.Fatalf("M=%d boundary %v x=%v: capacity %d, math.Pow draw %d", m, b, x, got, want)
+				}
+				if int(math.Round(xm/math.Cbrt(y*y))) != want {
+					cbrtApart++
+				}
+			}
+		}
+	}
+	// The probes sit close enough to the boundaries that the bare cube
+	// root rounds apart from math.Pow at some of them: the fallback is
+	// what keeps the draws equal there.
+	if cbrtApart == 0 {
+		t.Fatal("no probe separates the bare cube root from math.Pow; the boundary search is off")
 	}
 }
