@@ -6,36 +6,54 @@ import (
 )
 
 // Alias is a Walker/Vose alias table: after O(K) construction it draws
-// from an arbitrary discrete distribution in O(1) — one bounded integer
-// draw, one float draw, one comparison — independent of K. It is the
+// from an arbitrary discrete distribution in O(1) — one 64-bit word from
+// the generator and one table load per draw, independent of K. It is the
 // hot-path sampler behind Zipf and Custom; CDF is the O(log K) alternative
 // kept for verification and benchmarks.
 //
 // Construction follows Vose's stable two-worklist formulation: columns are
 // scaled to mean 1 and split into "small" (< 1) and "large" (≥ 1); each
 // small column is topped up by an alias into a large one.
+//
+// Each column is packed into one uint64 (8 bytes a column): the high half
+// is the column's coin threshold t in units of 2⁻³², the low half its
+// alias column. A draw takes one word x. Its high 32 bits pick the column
+// j = ⌊hi·K / 2³²⌋ by multiply-shift, with Lemire's exact rejection: a
+// word whose product lands in the reject zone is dropped and a fresh word
+// supplies both column and coin, so every column has probability exactly
+// 1/K. Its low 32 bits are the coin: the draw is j when lo < t and j's
+// alias otherwise. A file therefore has probability
+// (1/K)·(t_i·2⁻³² + Σ_{j: alias_j = i} (1 − t_j·2⁻³²)), within
+// (1 + #aliasing columns)·2⁻³²/K of its weight share up to the float
+// construction's residue. t is 0 exactly when the file's weight is 0, so
+// a file is drawable iff its weight is positive. K must fit in an int32.
 type Alias struct {
-	prob  []float64 // acceptance threshold per column, in [0, 1]
-	alias []int32   // donor column used when the threshold draw fails
+	cols []uint64 // per column: coin threshold << 32 | alias column
+	zone uint32   // Lemire's reject zone: low product halves below 2³² mod K
 }
 
+// fullColumn is the coin threshold of a column that keeps all its mass:
+// with the column as its own alias, every coin returns it.
+const fullColumn = 1<<32 - 1
+
 // NewAlias builds the table from probs, which must be non-empty with
-// non-negative finite entries and a positive sum. probs need not be
-// normalized; it is copied, so the caller may reuse the slice.
+// non-negative finite entries and a finite positive sum. probs need not
+// be normalized; it is copied, so the caller may reuse the slice.
 func NewAlias(probs []float64) *Alias {
 	n := len(probs)
-	a := &Alias{prob: make([]float64, n), alias: make([]int32, n)}
+	a := &Alias{cols: make([]uint64, n)}
 	fillAlias(a, probs, make([]float64, n), make([]int32, 0, n), make([]int32, 0, n))
 	return a
 }
 
-// fillAlias runs Vose's construction into a's (pre-sized) tables using the
+// fillAlias runs Vose's construction into a's (pre-sized) table using the
 // provided scratch. It is the single construction path shared by NewAlias
 // and AliasBuilder, so arena-built and freshly allocated tables are bit
 // identical — same summation order, same scaling, same worklist order.
 func fillAlias(a *Alias, probs []float64, scaled []float64, small, large []int32) {
 	n := len(probs)
 	sum := validWeightSum("NewAlias", probs)
+	a.zone = -uint32(n) % uint32(n) // 2³² mod K
 
 	// Scale so the mean column height is exactly 1.
 	scale := float64(n) / sum
@@ -55,8 +73,7 @@ func fillAlias(a *Alias, probs []float64, scaled []float64, small, large []int32
 		small = small[:len(small)-1]
 		l := large[len(large)-1]
 
-		a.prob[s] = scaled[s]
-		a.alias[s] = l
+		a.cols[s] = coinThreshold(scaled[s], probs[s] > 0)<<32 | uint64(l)
 		// The donor loses the mass it lent to column s.
 		scaled[l] = (scaled[l] + scaled[s]) - 1
 		if scaled[l] < 1 {
@@ -66,13 +83,22 @@ func fillAlias(a *Alias, probs []float64, scaled []float64, small, large []int32
 	}
 	// Leftovers are 1 up to floating-point residue.
 	for _, i := range large {
-		a.prob[i] = 1
-		a.alias[i] = i
+		a.cols[i] = fullColumn<<32 | uint64(i)
 	}
 	for _, i := range small {
-		a.prob[i] = 1
-		a.alias[i] = i
+		a.cols[i] = fullColumn<<32 | uint64(i)
 	}
+}
+
+// coinThreshold quantizes a column height h ∈ [0, 1) to the nearest
+// multiple of 2⁻³². A file of positive weight gets at least 1 and at most
+// 2³² − 1; a file of zero weight (whose height is 0) gets 0. Rounding and
+// clamping each move under 2⁻³² of the column's mass.
+func coinThreshold(h float64, positive bool) uint64 {
+	if !positive {
+		return 0
+	}
+	return min(max(uint64(h*(1<<32)+0.5), 1), fullColumn)
 }
 
 // AliasBuilder rebuilds alias tables of a fixed support size into
@@ -95,7 +121,7 @@ func NewAliasBuilder(k int) *AliasBuilder {
 		panic(fmt.Sprintf("dist: NewAliasBuilder needs k > 0, got %d", k))
 	}
 	return &AliasBuilder{
-		out:    Alias{prob: make([]float64, k), alias: make([]int32, k)},
+		out:    Alias{cols: make([]uint64, k)},
 		scaled: make([]float64, k),
 		small:  make([]int32, 0, k),
 		large:  make([]int32, 0, k),
@@ -103,30 +129,30 @@ func NewAliasBuilder(k int) *AliasBuilder {
 }
 
 // K returns the support size the builder was sized for.
-func (b *AliasBuilder) K() int { return len(b.out.prob) }
+func (b *AliasBuilder) K() int { return len(b.out.cols) }
 
 // Build constructs the table for probs (same contract as NewAlias) into
 // the builder's arenas and returns it. The returned table aliases the
 // builder's memory: the next Build invalidates it. It panics if len(probs)
 // differs from the builder's size.
 func (b *AliasBuilder) Build(probs []float64) *Alias {
-	if len(probs) != len(b.out.prob) {
-		panic(fmt.Sprintf("dist: AliasBuilder sized for k=%d, got %d weights", len(b.out.prob), len(probs)))
+	if len(probs) != len(b.out.cols) {
+		panic(fmt.Sprintf("dist: AliasBuilder sized for k=%d, got %d weights", len(b.out.cols), len(probs)))
 	}
 	fillAlias(&b.out, probs, b.scaled, b.small[:0], b.large[:0])
 	return &b.out
 }
 
 // K returns the support size.
-func (a *Alias) K() int { return len(a.prob) }
+func (a *Alias) K() int { return len(a.cols) }
 
 // Sample draws one index in O(1).
 func (a *Alias) Sample(r *rand.Rand) int {
-	i := r.IntN(len(a.prob))
-	if r.Float64() < a.prob[i] {
-		return i
+	x := r.Uint64()
+	for a.rejects(x) {
+		x = r.Uint64()
 	}
-	return int(a.alias[i])
+	return int(a.pick(x))
 }
 
 // SampleBatch fills dst with independent draws. It consumes the RNG in
@@ -135,15 +161,29 @@ func (a *Alias) Sample(r *rand.Rand) int {
 // form exists to keep the table hot in cache and avoid the per-draw
 // interface dispatch on the placement fast path.
 func (a *Alias) SampleBatch(r *rand.Rand, dst []int32) {
-	n := len(a.prob)
 	for i := range dst {
-		j := r.IntN(n)
-		if r.Float64() < a.prob[j] {
-			dst[i] = int32(j)
-		} else {
-			dst[i] = a.alias[j]
+		x := r.Uint64()
+		for a.rejects(x) {
+			x = r.Uint64()
 		}
+		dst[i] = a.pick(x)
 	}
+}
+
+// rejects reports whether word x lies in Lemire's reject zone.
+func (a *Alias) rejects(x uint64) bool {
+	return uint32((x>>32)*uint64(len(a.cols))) < a.zone
+}
+
+// pick maps an accepted word x to a file; the coin selects without a
+// branch.
+func (a *Alias) pick(x uint64) int32 {
+	j := (x >> 32) * uint64(len(a.cols)) >> 32
+	c := a.cols[j]
+	if uint32(x) >= uint32(c>>32) {
+		j = uint64(uint32(c))
+	}
+	return int32(j)
 }
 
 // CDF samples by inverse transform over the cumulative distribution with
@@ -155,7 +195,7 @@ type CDF struct {
 }
 
 // NewCDF builds the cumulative table from probs (same contract as
-// NewAlias: non-empty, non-negative, positive sum; need not be
+// NewAlias: non-empty, non-negative, finite positive sum; need not be
 // normalized).
 func NewCDF(probs []float64) *CDF {
 	n := len(probs)

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/xrand"
@@ -43,10 +44,13 @@ func TestAliasBuilderMatchesNewAlias(t *testing.T) {
 		for round := 0; round < 2; round++ {
 			want := NewAlias(w)
 			got := b.Build(w)
+			if got.zone != want.zone {
+				t.Fatalf("case %d round %d: reject zone %d, want %d", ci, round, got.zone, want.zone)
+			}
 			for i := range w {
-				if got.prob[i] != want.prob[i] || got.alias[i] != want.alias[i] {
-					t.Fatalf("case %d round %d: column %d: built (%v,%d), want (%v,%d)",
-						ci, round, i, got.prob[i], got.alias[i], want.prob[i], want.alias[i])
+				if got.cols[i] != want.cols[i] {
+					t.Fatalf("case %d round %d: column %d: built %#x, want %#x",
+						ci, round, i, got.cols[i], want.cols[i])
 				}
 			}
 			ra := xrand.NewSource(uint64(ci)).Stream(uint64(round))
@@ -75,9 +79,8 @@ func TestAliasBuilderReuseAcrossShapes(t *testing.T) {
 		}
 		want, got := NewAlias(w), b.Build(w)
 		for i := range w {
-			if got.prob[i] != want.prob[i] || got.alias[i] != want.alias[i] {
-				t.Fatalf("seed %d column %d: built (%v,%d), want (%v,%d)",
-					seed, i, got.prob[i], got.alias[i], want.prob[i], want.alias[i])
+			if got.cols[i] != want.cols[i] {
+				t.Fatalf("seed %d column %d: built %#x, want %#x", seed, i, got.cols[i], want.cols[i])
 			}
 		}
 	}
@@ -140,8 +143,11 @@ func TestBuilderPanics(t *testing.T) {
 	expectPanic := func(name string, f func()) {
 		t.Helper()
 		defer func() {
-			if recover() == nil {
+			r := recover()
+			if r == nil {
 				t.Errorf("%s did not panic", name)
+			} else if strings.Contains(name, "overflow") && !strings.Contains(fmt.Sprint(r), "overflow") {
+				t.Errorf("%s: panic %q does not name the overflow", name, r)
 			}
 		}()
 		f()
@@ -151,6 +157,9 @@ func TestBuilderPanics(t *testing.T) {
 	expectPanic("AliasBuilder size mismatch", func() { NewAliasBuilder(3).Build([]float64{1, 2}) })
 	expectPanic("CustomBuilder size mismatch", func() { NewCustomBuilder(2).Build([]float64{1, 2, 3}, "x") })
 	expectPanic("AliasBuilder zero weights", func() { NewAliasBuilder(2).Build([]float64{0, 0}) })
+	overflow := []float64{1e308, 1e308, 1}
+	expectPanic("AliasBuilder overflow", func() { NewAliasBuilder(3).Build(overflow) })
+	expectPanic("CustomBuilder overflow", func() { NewCustomBuilder(3).Build(overflow, "x") })
 }
 
 // TestRequestBatchMatchesSequential is the RNG-stream equivalence

@@ -14,8 +14,11 @@
 //
 // Sampling is the hot path of the whole simulator (one draw per request,
 // one draw per cache slot), so the skewed profiles sample through a Walker
-// alias table (O(1) per draw, see Alias) rather than inverse-CDF binary
-// search (O(log K), see CDF, kept for benchmarking and verification).
+// alias table rather than inverse-CDF binary search (O(log K), see CDF,
+// kept for benchmarking and verification). An alias draw costs one 64-bit
+// generator word and one load from a packed 8-byte-per-column table: the
+// word's high half picks the column, exactly uniformly, and its low half
+// is the coin (see Alias). A Uniform draw is one bounded IntN.
 package dist
 
 import (
@@ -178,7 +181,8 @@ type Custom struct {
 
 // NewCustom returns the profile proportional to weights. It copies
 // weights, so the caller may reuse the slice. It panics if weights is
-// empty, contains a negative or non-finite entry, or sums to zero.
+// empty, contains a negative or non-finite entry, or sums to zero or past
+// the float64 range.
 func NewCustom(weights []float64, name string) *Custom {
 	sum := validWeightSum("NewCustom", weights)
 	pmf := make([]float64, len(weights))
@@ -253,8 +257,9 @@ func (b *CustomBuilder) Build(weights []float64, name string) *Custom {
 
 // validWeightSum enforces the shared weight contract of every
 // constructor that consumes raw weights (NewCustom, NewAlias, NewCDF):
-// non-empty, every entry non-negative and finite, positive total. It
-// returns the total and panics (naming the caller) on violation.
+// non-empty, every entry non-negative and finite, a finite positive
+// total. It returns the total and panics (naming the caller) on
+// violation.
 func validWeightSum(caller string, weights []float64) float64 {
 	if len(weights) == 0 {
 		panic("dist: " + caller + " needs at least one weight")
@@ -268,6 +273,9 @@ func validWeightSum(caller string, weights []float64) float64 {
 	}
 	if sum <= 0 {
 		panic("dist: " + caller + " weights sum to zero")
+	}
+	if math.IsInf(sum, 1) {
+		panic("dist: " + caller + " weights overflow float64: their sum is +Inf")
 	}
 	return sum
 }

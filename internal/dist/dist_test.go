@@ -1,7 +1,9 @@
 package dist
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/xrand"
@@ -104,6 +106,7 @@ func TestPMFReturnsCopy(t *testing.T) {
 }
 
 func TestConstructorPanics(t *testing.T) {
+	overflow := []float64{1e308, 1e308, 1} // finite weights, +Inf total
 	cases := []struct {
 		name string
 		fn   func()
@@ -119,12 +122,19 @@ func TestConstructorPanics(t *testing.T) {
 		{"alias zero sum", func() { NewAlias([]float64{0}) }},
 		{"cdf empty", func() { NewCDF(nil) }},
 		{"cdf negative", func() { NewCDF([]float64{-1, 2}) }},
+		{"alias overflow", func() { NewAlias(overflow) }},
+		{"cdf overflow", func() { NewCDF(overflow) }},
+		{"custom overflow", func() { NewCustom(overflow, "x") }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			defer func() {
-				if recover() == nil {
+				r := recover()
+				if r == nil {
 					t.Fatalf("%s: no panic", tc.name)
+				}
+				if msg := fmt.Sprint(r); strings.Contains(tc.name, "overflow") && !strings.Contains(msg, "overflow") {
+					t.Fatalf("%s: panic %q does not name the overflow", tc.name, msg)
 				}
 			}()
 			tc.fn()

@@ -241,20 +241,23 @@ func TestWorldMatchesRunTrialLinks(t *testing.T) {
 // per-regime matrices it replaced kept their values. Tiled pins that
 // escalate or churn also pin S_j's (tile, node) order: the escalation
 // pool, the oracle's escalated fold and the churn draws index that list
-// by position.
+// by position. Pins whose world draws alias samples — Zipf popularity, a
+// conditioned MissResample stream, the ChurnDrift sampler — also pin the
+// one-word alias draw (column from the word's high half, coin from its
+// low half).
 var goldenPins = []pin{
 	{name: "seed42/nearest", trial: 0, cfg: Config{Side: 15, K: 50, M: 2, Seed: 0x2a},
 		want: Result{MaxLoad: 4, MeanCost: 3.128888888888889, Requests: 225}},
 	{name: "seed42/two-choices-r5", trial: 0, cfg: Config{Side: 15, K: 50, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 5}, Seed: 0x2a},
 		want: Result{MaxLoad: 4, MeanCost: 4.08, Requests: 225, Escalated: 27}},
 	{name: "nearest/resample/torus", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: Nearest, Radius: 3}, Seed: 0x63},
-		want: Result{MaxLoad: 4, MeanCost: 4.493055555555555, Requests: 144, Uncached: 22}},
+		want: Result{MaxLoad: 5, MeanCost: 4.631944444444445, Requests: 144, Uncached: 22}},
 	{name: "nearest/resample/torus", trial: 1, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: Nearest, Radius: 3}, Seed: 0x63},
-		want: Result{MaxLoad: 6, MeanCost: 4.833333333333333, Requests: 144, Uncached: 23}},
+		want: Result{MaxLoad: 4, MeanCost: 4.458333333333333, Requests: 144, Uncached: 23}},
 	{name: "nearest/resample/grid", trial: 0, cfg: Config{Side: 12, Topology: grid.Bounded, K: 150, M: 2, Strategy: StrategySpec{Kind: Nearest, Radius: 3}, Seed: 0x63},
-		want: Result{MaxLoad: 4, MeanCost: 5.756944444444445, Requests: 144, Uncached: 22}},
+		want: Result{MaxLoad: 4, MeanCost: 5.826388888888889, Requests: 144, Uncached: 22}},
 	{name: "nearest/resample/grid", trial: 1, cfg: Config{Side: 12, Topology: grid.Bounded, K: 150, M: 2, Strategy: StrategySpec{Kind: Nearest, Radius: 3}, Seed: 0x63},
-		want: Result{MaxLoad: 5, MeanCost: 6.402777777777778, Requests: 144, Uncached: 23}},
+		want: Result{MaxLoad: 4, MeanCost: 5.715277777777778, Requests: 144, Uncached: 23}},
 	{name: "nearest/escalate/torus", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: Nearest, Radius: 3}, MissPolicy: MissEscalate, Seed: 0x63},
 		want: Result{MaxLoad: 5, MeanCost: 3.8541666666666665, Requests: 144, Backhaul: 25, Uncached: 22}},
 	{name: "nearest/escalate/torus", trial: 1, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: Nearest, Radius: 3}, MissPolicy: MissEscalate, Seed: 0x63},
@@ -272,21 +275,21 @@ var goldenPins = []pin{
 	{name: "nearest/origin/grid", trial: 1, cfg: Config{Side: 12, Topology: grid.Bounded, K: 150, M: 2, Strategy: StrategySpec{Kind: Nearest, Radius: 3}, MissPolicy: MissOrigin, Seed: 0x63},
 		want: Result{MaxLoad: 4, MeanCost: 5.180555555555555, Requests: 144, Backhaul: 21, Uncached: 23}},
 	{name: "two-choices/resample/torus/wr=false", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Seed: 0x63},
-		want: Result{MaxLoad: 4, MeanCost: 4.972222222222222, Requests: 144, Escalated: 89, Uncached: 22}},
+		want: Result{MaxLoad: 5, MeanCost: 5.138888888888889, Requests: 144, Escalated: 93, Uncached: 22}},
 	{name: "two-choices/resample/torus/wr=false", trial: 1, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Seed: 0x63},
-		want: Result{MaxLoad: 5, MeanCost: 5.256944444444445, Requests: 144, Escalated: 99, Uncached: 23}},
+		want: Result{MaxLoad: 4, MeanCost: 5.090277777777778, Requests: 144, Escalated: 91, Uncached: 23}},
 	{name: "two-choices/resample/torus/wr=true", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3, WithoutReplacement: true}, Seed: 0x63},
-		want: Result{MaxLoad: 4, MeanCost: 4.944444444444445, Requests: 144, Escalated: 89, Uncached: 22}},
+		want: Result{MaxLoad: 5, MeanCost: 5.104166666666667, Requests: 144, Escalated: 93, Uncached: 22}},
 	{name: "two-choices/resample/torus/wr=true", trial: 1, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3, WithoutReplacement: true}, Seed: 0x63},
-		want: Result{MaxLoad: 5, MeanCost: 5.326388888888889, Requests: 144, Escalated: 99, Uncached: 23}},
+		want: Result{MaxLoad: 4, MeanCost: 5.027777777777778, Requests: 144, Escalated: 91, Uncached: 23}},
 	{name: "two-choices/resample/grid/wr=false", trial: 0, cfg: Config{Side: 12, Topology: grid.Bounded, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Seed: 0x63},
-		want: Result{MaxLoad: 4, MeanCost: 6.368055555555555, Requests: 144, Escalated: 98, Uncached: 22}},
+		want: Result{MaxLoad: 5, MeanCost: 7.006944444444445, Requests: 144, Escalated: 99, Uncached: 22}},
 	{name: "two-choices/resample/grid/wr=false", trial: 1, cfg: Config{Side: 12, Topology: grid.Bounded, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Seed: 0x63},
-		want: Result{MaxLoad: 5, MeanCost: 7.451388888888889, Requests: 144, Escalated: 103, Uncached: 23}},
+		want: Result{MaxLoad: 4, MeanCost: 7.006944444444445, Requests: 144, Escalated: 102, Uncached: 23}},
 	{name: "two-choices/resample/grid/wr=true", trial: 0, cfg: Config{Side: 12, Topology: grid.Bounded, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3, WithoutReplacement: true}, Seed: 0x63},
-		want: Result{MaxLoad: 4, MeanCost: 6.638888888888889, Requests: 144, Escalated: 98, Uncached: 22}},
+		want: Result{MaxLoad: 5, MeanCost: 6.986111111111111, Requests: 144, Escalated: 99, Uncached: 22}},
 	{name: "two-choices/resample/grid/wr=true", trial: 1, cfg: Config{Side: 12, Topology: grid.Bounded, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3, WithoutReplacement: true}, Seed: 0x63},
-		want: Result{MaxLoad: 5, MeanCost: 7.208333333333333, Requests: 144, Escalated: 103, Uncached: 23}},
+		want: Result{MaxLoad: 4, MeanCost: 6.763888888888889, Requests: 144, Escalated: 102, Uncached: 23}},
 	{name: "two-choices/escalate/torus/wr=false", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, MissPolicy: MissEscalate, Seed: 0x63},
 		want: Result{MaxLoad: 4, MeanCost: 4.243055555555555, Requests: 144, Escalated: 77, Backhaul: 25, Uncached: 22}},
 	{name: "two-choices/escalate/torus/wr=false", trial: 1, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, MissPolicy: MissEscalate, Seed: 0x63},
@@ -320,13 +323,13 @@ var goldenPins = []pin{
 	{name: "two-choices/origin/grid/wr=true", trial: 1, cfg: Config{Side: 12, Topology: grid.Bounded, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3, WithoutReplacement: true}, MissPolicy: MissOrigin, Seed: 0x63},
 		want: Result{MaxLoad: 4, MeanCost: 0.5208333333333334, Requests: 144, Backhaul: 113, Uncached: 23}},
 	{name: "one-choice/resample/torus", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: OneChoiceRandom, Radius: 3}, Seed: 0x63},
-		want: Result{MaxLoad: 5, MeanCost: 5.097222222222222, Requests: 144, Escalated: 89, Uncached: 22}},
+		want: Result{MaxLoad: 4, MeanCost: 5.118055555555555, Requests: 144, Escalated: 93, Uncached: 22}},
 	{name: "one-choice/resample/torus", trial: 1, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: OneChoiceRandom, Radius: 3}, Seed: 0x63},
-		want: Result{MaxLoad: 6, MeanCost: 5.451388888888889, Requests: 144, Escalated: 99, Uncached: 23}},
+		want: Result{MaxLoad: 4, MeanCost: 5.076388888888889, Requests: 144, Escalated: 91, Uncached: 23}},
 	{name: "one-choice/resample/grid", trial: 0, cfg: Config{Side: 12, Topology: grid.Bounded, K: 150, M: 2, Strategy: StrategySpec{Kind: OneChoiceRandom, Radius: 3}, Seed: 0x63},
-		want: Result{MaxLoad: 4, MeanCost: 6.701388888888889, Requests: 144, Escalated: 98, Uncached: 22}},
+		want: Result{MaxLoad: 5, MeanCost: 6.9375, Requests: 144, Escalated: 99, Uncached: 22}},
 	{name: "one-choice/resample/grid", trial: 1, cfg: Config{Side: 12, Topology: grid.Bounded, K: 150, M: 2, Strategy: StrategySpec{Kind: OneChoiceRandom, Radius: 3}, Seed: 0x63},
-		want: Result{MaxLoad: 5, MeanCost: 7.381944444444445, Requests: 144, Escalated: 103, Uncached: 23}},
+		want: Result{MaxLoad: 4, MeanCost: 6.902777777777778, Requests: 144, Escalated: 102, Uncached: 23}},
 	{name: "one-choice/escalate/torus", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: OneChoiceRandom, Radius: 3}, MissPolicy: MissEscalate, Seed: 0x63},
 		want: Result{MaxLoad: 4, MeanCost: 4.215277777777778, Requests: 144, Escalated: 77, Backhaul: 25, Uncached: 22}},
 	{name: "one-choice/escalate/torus", trial: 1, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: OneChoiceRandom, Radius: 3}, MissPolicy: MissEscalate, Seed: 0x63},
@@ -344,13 +347,13 @@ var goldenPins = []pin{
 	{name: "one-choice/origin/grid", trial: 1, cfg: Config{Side: 12, Topology: grid.Bounded, K: 150, M: 2, Strategy: StrategySpec{Kind: OneChoiceRandom, Radius: 3}, MissPolicy: MissOrigin, Seed: 0x63},
 		want: Result{MaxLoad: 4, MeanCost: 0.5208333333333334, Requests: 144, Backhaul: 113, Uncached: 23}},
 	{name: "oracle/resample/torus", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: Oracle, Radius: 3}, Seed: 0x63},
-		want: Result{MaxLoad: 4, MeanCost: 4.979166666666667, Requests: 144, Escalated: 89, Uncached: 22}},
+		want: Result{MaxLoad: 5, MeanCost: 5.048611111111111, Requests: 144, Escalated: 93, Uncached: 22}},
 	{name: "oracle/resample/torus", trial: 1, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: Oracle, Radius: 3}, Seed: 0x63},
-		want: Result{MaxLoad: 5, MeanCost: 5.472222222222222, Requests: 144, Escalated: 99, Uncached: 23}},
+		want: Result{MaxLoad: 4, MeanCost: 5.048611111111111, Requests: 144, Escalated: 91, Uncached: 23}},
 	{name: "oracle/resample/grid", trial: 0, cfg: Config{Side: 12, Topology: grid.Bounded, K: 150, M: 2, Strategy: StrategySpec{Kind: Oracle, Radius: 3}, Seed: 0x63},
-		want: Result{MaxLoad: 4, MeanCost: 6.708333333333333, Requests: 144, Escalated: 98, Uncached: 22}},
+		want: Result{MaxLoad: 4, MeanCost: 6.944444444444445, Requests: 144, Escalated: 99, Uncached: 22}},
 	{name: "oracle/resample/grid", trial: 1, cfg: Config{Side: 12, Topology: grid.Bounded, K: 150, M: 2, Strategy: StrategySpec{Kind: Oracle, Radius: 3}, Seed: 0x63},
-		want: Result{MaxLoad: 5, MeanCost: 7.243055555555555, Requests: 144, Escalated: 103, Uncached: 23}},
+		want: Result{MaxLoad: 4, MeanCost: 6.694444444444445, Requests: 144, Escalated: 102, Uncached: 23}},
 	{name: "oracle/escalate/torus", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: Oracle, Radius: 3}, MissPolicy: MissEscalate, Seed: 0x63},
 		want: Result{MaxLoad: 4, MeanCost: 4.180555555555555, Requests: 144, Escalated: 77, Backhaul: 25, Uncached: 22}},
 	{name: "oracle/escalate/torus", trial: 1, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: Oracle, Radius: 3}, MissPolicy: MissEscalate, Seed: 0x63},
@@ -368,9 +371,9 @@ var goldenPins = []pin{
 	{name: "oracle/origin/grid", trial: 1, cfg: Config{Side: 12, Topology: grid.Bounded, K: 150, M: 2, Strategy: StrategySpec{Kind: Oracle, Radius: 3}, MissPolicy: MissOrigin, Seed: 0x63},
 		want: Result{MaxLoad: 4, MeanCost: 0.5208333333333334, Requests: 144, Backhaul: 113, Uncached: 23}},
 	{name: "zipf-rinf", trial: 0, cfg: Config{Side: 15, K: 50, M: 2, Popularity: PopSpec{Kind: PopZipf, Gamma: 1}, Strategy: StrategySpec{Kind: TwoChoices, Radius: -1}, Seed: 0x2a},
-		want: Result{MaxLoad: 3, MeanCost: 7.64, Requests: 225}},
+		want: Result{MaxLoad: 5, MeanCost: 7.164444444444444, Requests: 225, Uncached: 2}},
 	{name: "zipf-rinf", trial: 1, cfg: Config{Side: 15, K: 50, M: 2, Popularity: PopSpec{Kind: PopZipf, Gamma: 1}, Strategy: StrategySpec{Kind: TwoChoices, Radius: -1}, Seed: 0x2a},
-		want: Result{MaxLoad: 4, MeanCost: 7.346666666666667, Requests: 225, Uncached: 2}},
+		want: Result{MaxLoad: 4, MeanCost: 7.706666666666667, Requests: 225, Uncached: 1}},
 	{name: "links-two-choices", trial: 0, cfg: Config{Side: 10, K: 40, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 4}, Metrics: MetricsLinks, Seed: 0x5},
 		want: Result{MaxLoad: 4, MeanCost: 3.02, Requests: 100, Escalated: 10, MaxLinkLoad: 5, LinkCongestion: 6.622516556291388}},
 	{name: "links-two-choices", trial: 1, cfg: Config{Side: 10, K: 40, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 4}, Metrics: MetricsLinks, Seed: 0x5},
@@ -380,89 +383,89 @@ var goldenPins = []pin{
 	{name: "links-nearest", trial: 1, cfg: Config{Side: 10, K: 40, M: 2, Metrics: MetricsLinks, Seed: 0x5},
 		want: Result{MaxLoad: 6, MeanCost: 2.93, Requests: 100, MaxLinkLoad: 5, LinkCongestion: 6.825938566552898}},
 	{name: "beta-choice", trial: 0, cfg: Config{Side: 12, K: 100, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 4, Beta: 0.5}, Seed: 0x7},
-		want: Result{MaxLoad: 6, MeanCost: 4.791666666666667, Requests: 144, Escalated: 60, Uncached: 8}},
+		want: Result{MaxLoad: 6, MeanCost: 4.916666666666667, Requests: 144, Escalated: 64, Uncached: 8}},
 	{name: "beta-choice", trial: 1, cfg: Config{Side: 12, K: 100, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 4, Beta: 0.5}, Seed: 0x7},
-		want: Result{MaxLoad: 5, MeanCost: 4.493055555555555, Requests: 144, Escalated: 60, Uncached: 7}},
+		want: Result{MaxLoad: 5, MeanCost: 4.645833333333333, Requests: 144, Escalated: 57, Uncached: 7}},
 	{name: "d4-choices", trial: 0, cfg: Config{Side: 12, K: 100, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 4, Choices: 4}, Seed: 0x7},
-		want: Result{MaxLoad: 5, MeanCost: 4.743055555555555, Requests: 144, Escalated: 60, Uncached: 8}},
+		want: Result{MaxLoad: 6, MeanCost: 4.743055555555555, Requests: 144, Escalated: 64, Uncached: 8}},
 	{name: "d4-choices", trial: 1, cfg: Config{Side: 12, K: 100, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 4, Choices: 4}, Seed: 0x7},
-		want: Result{MaxLoad: 5, MeanCost: 4.534722222222222, Requests: 144, Escalated: 60, Uncached: 7}},
+		want: Result{MaxLoad: 4, MeanCost: 4.756944444444445, Requests: 144, Escalated: 57, Uncached: 7}},
 	{name: "zipf-resample-uncached", trial: 0, cfg: Config{Side: 8, K: 400, M: 2, Popularity: PopSpec{Kind: PopZipf, Gamma: 1.2}, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Seed: 0x3},
-		want: Result{MaxLoad: 3, MeanCost: 2.71875, Requests: 64, Escalated: 9, Uncached: 349}},
+		want: Result{MaxLoad: 3, MeanCost: 2.921875, Requests: 64, Escalated: 16, Uncached: 349}},
 	{name: "zipf-resample-uncached", trial: 1, cfg: Config{Side: 8, K: 400, M: 2, Popularity: PopSpec{Kind: PopZipf, Gamma: 1.2}, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Seed: 0x3},
-		want: Result{MaxLoad: 4, MeanCost: 2.53125, Requests: 64, Escalated: 8, Uncached: 357}},
+		want: Result{MaxLoad: 4, MeanCost: 2.40625, Requests: 64, Escalated: 7, Uncached: 352}},
 	{name: "requests-override", trial: 0, cfg: Config{Side: 9, K: 60, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 2}, Requests: 500, Seed: 0xb},
-		want: Result{MaxLoad: 19, MeanCost: 3.922, Requests: 500, Escalated: 336, Uncached: 4}},
+		want: Result{MaxLoad: 15, MeanCost: 3.798, Requests: 500, Escalated: 320, Uncached: 4}},
 	{name: "requests-override", trial: 1, cfg: Config{Side: 9, K: 60, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 2}, Requests: 500, Seed: 0xb},
-		want: Result{MaxLoad: 14, MeanCost: 3.496, Requests: 500, Escalated: 288, Uncached: 6}},
+		want: Result{MaxLoad: 18, MeanCost: 3.774, Requests: 500, Escalated: 323, Uncached: 6}},
 	{name: "index/three-choices", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3, Choices: 3}, Seed: 0x63},
-		want: Result{MaxLoad: 4, MeanCost: 5.0625, Requests: 144, Escalated: 89, Uncached: 22}},
+		want: Result{MaxLoad: 4, MeanCost: 5.208333333333333, Requests: 144, Escalated: 93, Uncached: 22}},
 	{name: "index/three-choices", trial: 1, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3, Choices: 3}, Seed: 0x63},
-		want: Result{MaxLoad: 5, MeanCost: 5.423611111111111, Requests: 144, Escalated: 99, Uncached: 23}},
+		want: Result{MaxLoad: 4, MeanCost: 5.0625, Requests: 144, Escalated: 91, Uncached: 23}},
 	{name: "index/beta", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3, Beta: 0.5}, Seed: 0x63},
-		want: Result{MaxLoad: 4, MeanCost: 5.104166666666667, Requests: 144, Escalated: 89, Uncached: 22}},
+		want: Result{MaxLoad: 4, MeanCost: 5.173611111111111, Requests: 144, Escalated: 93, Uncached: 22}},
 	{name: "index/beta", trial: 1, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3, Beta: 0.5}, Seed: 0x63},
-		want: Result{MaxLoad: 5, MeanCost: 5.340277777777778, Requests: 144, Escalated: 99, Uncached: 23}},
+		want: Result{MaxLoad: 4, MeanCost: 5.0625, Requests: 144, Escalated: 91, Uncached: 23}},
 	{name: "index/zipf", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Popularity: PopSpec{Kind: PopZipf, Gamma: 1.2}, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Seed: 0x63},
-		want: Result{MaxLoad: 4, MeanCost: 3.6805555555555554, Requests: 144, Escalated: 41, Uncached: 79}},
+		want: Result{MaxLoad: 5, MeanCost: 2.9652777777777777, Requests: 144, Escalated: 31, Uncached: 88}},
 	{name: "index/zipf", trial: 1, cfg: Config{Side: 12, K: 150, M: 2, Popularity: PopSpec{Kind: PopZipf, Gamma: 1.2}, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Seed: 0x63},
-		want: Result{MaxLoad: 3, MeanCost: 3.2291666666666665, Requests: 144, Escalated: 34, Uncached: 85}},
+		want: Result{MaxLoad: 5, MeanCost: 3.5625, Requests: 144, Escalated: 39, Uncached: 87}},
 	{name: "index/wrap-radius", trial: 0, cfg: Config{Side: 16, K: 100, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 8}, Seed: 0x63},
 		want: Result{MaxLoad: 6, MeanCost: 5.87109375, Requests: 256, Escalated: 18}},
 	{name: "index/wrap-radius", trial: 1, cfg: Config{Side: 16, K: 100, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 8}, Seed: 0x63},
-		want: Result{MaxLoad: 4, MeanCost: 5.73046875, Requests: 256, Escalated: 6, Uncached: 1}},
+		want: Result{MaxLoad: 4, MeanCost: 5.703125, Requests: 256, Escalated: 10, Uncached: 1}},
 	{name: "index/requests-override", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 300, Seed: 0x63},
-		want: Result{MaxLoad: 7, MeanCost: 5.123333333333333, Requests: 300, Escalated: 189, Uncached: 22}},
+		want: Result{MaxLoad: 8, MeanCost: 5.326666666666667, Requests: 300, Escalated: 207, Uncached: 22}},
 	{name: "index/requests-override", trial: 1, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 300, Seed: 0x63},
-		want: Result{MaxLoad: 8, MeanCost: 5.25, Requests: 300, Escalated: 206, Uncached: 23}},
+		want: Result{MaxLoad: 8, MeanCost: 5.3566666666666665, Requests: 300, Escalated: 209, Uncached: 23}},
 	{name: "churn/replicas/two-choices", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 4096, Churn: ChurnReplicas, ChurnRate: 0.5, Seed: 0x63},
-		want: Result{MaxLoad: 48, MeanCost: 5.305908203125, Requests: 4096, Escalated: 2734, Uncached: 22, ChurnEvents: 1486, ChurnSkipped: 50}},
+		want: Result{MaxLoad: 49, MeanCost: 5.280517578125, Requests: 4096, Escalated: 2747, Uncached: 22, ChurnEvents: 1486, ChurnSkipped: 50}},
 	{name: "churn/replicas/two-choices", trial: 1, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 4096, Churn: ChurnReplicas, ChurnRate: 0.5, Seed: 0x63},
-		want: Result{MaxLoad: 47, MeanCost: 5.2490234375, Requests: 4096, Escalated: 2736, Uncached: 23, ChurnEvents: 1492, ChurnSkipped: 44}},
+		want: Result{MaxLoad: 50, MeanCost: 5.259033203125, Requests: 4096, Escalated: 2702, Uncached: 23, ChurnEvents: 1492, ChurnSkipped: 44}},
 	{name: "churn/drift/two-choices", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 4096, Churn: ChurnDrift, ChurnRate: 0.5, Seed: 0x63},
-		want: Result{MaxLoad: 46, MeanCost: 5.301513671875, Requests: 4096, Escalated: 2754, Uncached: 22, ChurnEvents: 1500, ChurnSkipped: 36}},
+		want: Result{MaxLoad: 49, MeanCost: 5.30517578125, Requests: 4096, Escalated: 2775, Uncached: 22, ChurnEvents: 1506, ChurnSkipped: 30}},
 	{name: "churn/drift/two-choices", trial: 1, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 4096, Churn: ChurnDrift, ChurnRate: 0.5, Seed: 0x63},
-		want: Result{MaxLoad: 49, MeanCost: 5.3134765625, Requests: 4096, Escalated: 2775, Uncached: 23, ChurnEvents: 1502, ChurnSkipped: 34}},
+		want: Result{MaxLoad: 49, MeanCost: 5.296142578125, Requests: 4096, Escalated: 2737, Uncached: 23, ChurnEvents: 1506, ChurnSkipped: 30}},
 	{name: "churn/replicas/nearest", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Requests: 4096, Churn: ChurnReplicas, ChurnRate: 0.5, Seed: 0x63},
-		want: Result{MaxLoad: 51, MeanCost: 4.757568359375, Requests: 4096, Uncached: 22, ChurnEvents: 1481, ChurnSkipped: 55}},
+		want: Result{MaxLoad: 53, MeanCost: 4.761474609375, Requests: 4096, Uncached: 22, ChurnEvents: 1481, ChurnSkipped: 55}},
 	{name: "churn/replicas/nearest", trial: 1, cfg: Config{Side: 12, K: 150, M: 2, Requests: 4096, Churn: ChurnReplicas, ChurnRate: 0.5, Seed: 0x63},
-		want: Result{MaxLoad: 56, MeanCost: 4.6865234375, Requests: 4096, Uncached: 23, ChurnEvents: 1490, ChurnSkipped: 46}},
+		want: Result{MaxLoad: 58, MeanCost: 4.6826171875, Requests: 4096, Uncached: 23, ChurnEvents: 1490, ChurnSkipped: 46}},
 	{name: "churn/replicas/oracle", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: Oracle, Radius: 3}, Requests: 4096, Churn: ChurnReplicas, ChurnRate: 0.5, Seed: 0x63},
-		want: Result{MaxLoad: 46, MeanCost: 5.3095703125, Requests: 4096, Escalated: 2734, Uncached: 22, ChurnEvents: 1486, ChurnSkipped: 50}},
+		want: Result{MaxLoad: 44, MeanCost: 5.275146484375, Requests: 4096, Escalated: 2747, Uncached: 22, ChurnEvents: 1486, ChurnSkipped: 50}},
 	{name: "churn/replicas/oracle", trial: 1, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: Oracle, Radius: 3}, Requests: 4096, Churn: ChurnReplicas, ChurnRate: 0.5, Seed: 0x63},
-		want: Result{MaxLoad: 43, MeanCost: 5.267578125, Requests: 4096, Escalated: 2736, Uncached: 23, ChurnEvents: 1492, ChurnSkipped: 44}},
+		want: Result{MaxLoad: 48, MeanCost: 5.26513671875, Requests: 4096, Escalated: 2702, Uncached: 23, ChurnEvents: 1492, ChurnSkipped: 44}},
 	{name: "churn/replicas/one-choice", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: OneChoiceRandom, Radius: 3}, Requests: 4096, Churn: ChurnReplicas, ChurnRate: 0.5, Seed: 0x63},
-		want: Result{MaxLoad: 51, MeanCost: 5.294921875, Requests: 4096, Escalated: 2734, Uncached: 22, ChurnEvents: 1486, ChurnSkipped: 50}},
+		want: Result{MaxLoad: 52, MeanCost: 5.27978515625, Requests: 4096, Escalated: 2747, Uncached: 22, ChurnEvents: 1486, ChurnSkipped: 50}},
 	{name: "churn/replicas/one-choice", trial: 1, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: OneChoiceRandom, Radius: 3}, Requests: 4096, Churn: ChurnReplicas, ChurnRate: 0.5, Seed: 0x63},
-		want: Result{MaxLoad: 49, MeanCost: 5.27685546875, Requests: 4096, Escalated: 2736, Uncached: 23, ChurnEvents: 1492, ChurnSkipped: 44}},
+		want: Result{MaxLoad: 52, MeanCost: 5.26416015625, Requests: 4096, Escalated: 2702, Uncached: 23, ChurnEvents: 1492, ChurnSkipped: 44}},
 	{name: "churn/replicas/miss-origin", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 4096, MissPolicy: MissOrigin, Churn: ChurnReplicas, ChurnRate: 0.5, Seed: 0x63},
 		want: Result{MaxLoad: 47, MeanCost: 0.591796875, Requests: 4096, Backhaul: 2995, Uncached: 22, ChurnEvents: 1486, ChurnSkipped: 50}},
 	{name: "churn/replicas/miss-origin", trial: 1, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 4096, MissPolicy: MissOrigin, Churn: ChurnReplicas, ChurnRate: 0.5, Seed: 0x63},
 		want: Result{MaxLoad: 47, MeanCost: 0.67041015625, Requests: 4096, Backhaul: 2883, Uncached: 23, ChurnEvents: 1492, ChurnSkipped: 44}},
 	{name: "churn/replicas/grid", trial: 0, cfg: Config{Side: 12, Topology: grid.Bounded, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 4096, Churn: ChurnReplicas, ChurnRate: 0.5, Seed: 0x63},
-		want: Result{MaxLoad: 48, MeanCost: 7.135009765625, Requests: 4096, Escalated: 2973, Uncached: 22, ChurnEvents: 1486, ChurnSkipped: 50}},
+		want: Result{MaxLoad: 48, MeanCost: 7.1025390625, Requests: 4096, Escalated: 2984, Uncached: 22, ChurnEvents: 1486, ChurnSkipped: 50}},
 	{name: "churn/replicas/grid", trial: 1, cfg: Config{Side: 12, Topology: grid.Bounded, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 4096, Churn: ChurnReplicas, ChurnRate: 0.5, Seed: 0x63},
-		want: Result{MaxLoad: 45, MeanCost: 7.033203125, Requests: 4096, Escalated: 2946, Uncached: 23, ChurnEvents: 1492, ChurnSkipped: 44}},
+		want: Result{MaxLoad: 53, MeanCost: 6.987060546875, Requests: 4096, Escalated: 2939, Uncached: 23, ChurnEvents: 1492, ChurnSkipped: 44}},
 	{name: "churn/drift/zipf", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Popularity: PopSpec{Kind: PopZipf, Gamma: 1.2}, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 4096, Churn: ChurnDrift, ChurnRate: 0.5, Seed: 0x63},
-		want: Result{MaxLoad: 34, MeanCost: 3.231201171875, Requests: 4096, Escalated: 881, Uncached: 79, ChurnEvents: 1385, ChurnSkipped: 151}},
+		want: Result{MaxLoad: 37, MeanCost: 3.169189453125, Requests: 4096, Escalated: 855, Uncached: 88, ChurnEvents: 1361, ChurnSkipped: 175}},
 	{name: "churn/drift/zipf", trial: 1, cfg: Config{Side: 12, K: 150, M: 2, Popularity: PopSpec{Kind: PopZipf, Gamma: 1.2}, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 4096, Churn: ChurnDrift, ChurnRate: 0.5, Seed: 0x63},
-		want: Result{MaxLoad: 50, MeanCost: 3.30322265625, Requests: 4096, Escalated: 983, Uncached: 85, ChurnEvents: 1304, ChurnSkipped: 232}},
+		want: Result{MaxLoad: 38, MeanCost: 3.30224609375, Requests: 4096, Escalated: 931, Uncached: 87, ChurnEvents: 1359, ChurnSkipped: 177}},
 	{name: "churn/replicas/heavy-rate", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 4096, Churn: ChurnReplicas, ChurnRate: 5, Seed: 0x63},
-		want: Result{MaxLoad: 56, MeanCost: 5.31787109375, Requests: 4096, Escalated: 2747, Uncached: 22, ChurnEvents: 14907, ChurnSkipped: 453}},
+		want: Result{MaxLoad: 47, MeanCost: 5.3134765625, Requests: 4096, Escalated: 2771, Uncached: 22, ChurnEvents: 14907, ChurnSkipped: 453}},
 	{name: "churn/replicas/heavy-rate", trial: 1, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 4096, Churn: ChurnReplicas, ChurnRate: 5, Seed: 0x63},
-		want: Result{MaxLoad: 42, MeanCost: 5.144775390625, Requests: 4096, Escalated: 2682, Uncached: 23, ChurnEvents: 14923, ChurnSkipped: 437}},
+		want: Result{MaxLoad: 50, MeanCost: 5.224365234375, Requests: 4096, Escalated: 2715, Uncached: 23, ChurnEvents: 14923, ChurnSkipped: 437}},
 	{name: "churn/replicas/wor-degenerate", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, PlacementMode: cache.WithoutReplacement, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 4096, Churn: ChurnReplicas, ChurnRate: 0.5, Seed: 0x63},
-		want: Result{MaxLoad: 60, MeanCost: 5.285400390625, Requests: 4096, Escalated: 2745, Uncached: 22, ChurnEvents: 1493, ChurnSkipped: 43}},
+		want: Result{MaxLoad: 58, MeanCost: 5.326904296875, Requests: 4096, Escalated: 2766, Uncached: 22, ChurnEvents: 1493, ChurnSkipped: 43}},
 	{name: "churn/replicas/wor-degenerate", trial: 1, cfg: Config{Side: 12, K: 150, M: 2, PlacementMode: cache.WithoutReplacement, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 4096, Churn: ChurnReplicas, ChurnRate: 0.5, Seed: 0x63},
-		want: Result{MaxLoad: 47, MeanCost: 5.2490234375, Requests: 4096, Escalated: 2736, Uncached: 23, ChurnEvents: 1492, ChurnSkipped: 44}},
+		want: Result{MaxLoad: 50, MeanCost: 5.259033203125, Requests: 4096, Escalated: 2702, Uncached: 23, ChurnEvents: 1492, ChurnSkipped: 44}},
 	{name: "churn/replicas/beta-d3", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3, Choices: 3, Beta: 0.7}, Requests: 4096, Churn: ChurnReplicas, ChurnRate: 0.5, Seed: 0x63},
-		want: Result{MaxLoad: 48, MeanCost: 5.303466796875, Requests: 4096, Escalated: 2734, Uncached: 22, ChurnEvents: 1486, ChurnSkipped: 50}},
+		want: Result{MaxLoad: 48, MeanCost: 5.2841796875, Requests: 4096, Escalated: 2747, Uncached: 22, ChurnEvents: 1486, ChurnSkipped: 50}},
 	{name: "churn/replicas/beta-d3", trial: 1, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3, Choices: 3, Beta: 0.7}, Requests: 4096, Churn: ChurnReplicas, ChurnRate: 0.5, Seed: 0x63},
-		want: Result{MaxLoad: 45, MeanCost: 5.26513671875, Requests: 4096, Escalated: 2736, Uncached: 23, ChurnEvents: 1492, ChurnSkipped: 44}},
+		want: Result{MaxLoad: 51, MeanCost: 5.244873046875, Requests: 4096, Escalated: 2702, Uncached: 23, ChurnEvents: 1492, ChurnSkipped: 44}},
 	{name: "churn/replicas/streaming", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 4096, Metrics: MetricsStreaming, Churn: ChurnReplicas, ChurnRate: 0.5, Seed: 0x63},
-		want: Result{MaxLoad: 48, MeanCost: 5.305908203125, Requests: 4096, Escalated: 2734, Uncached: 22, ChurnEvents: 1486, ChurnSkipped: 50, Streamed: true, HopMax: 12, HopStd: 2.7641387904932935, LoadP99: 46, LinkMaxApprox: 64}},
+		want: Result{MaxLoad: 49, MeanCost: 5.280517578125, Requests: 4096, Escalated: 2747, Uncached: 22, ChurnEvents: 1486, ChurnSkipped: 50, Streamed: true, HopMax: 12, HopStd: 2.702447012273801, LoadP99: 46, LinkMaxApprox: 65}},
 	{name: "churn/replicas/streaming", trial: 1, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 4096, Metrics: MetricsStreaming, Churn: ChurnReplicas, ChurnRate: 0.5, Seed: 0x63},
-		want: Result{MaxLoad: 47, MeanCost: 5.2490234375, Requests: 4096, Escalated: 2736, Uncached: 23, ChurnEvents: 1492, ChurnSkipped: 44, Streamed: true, HopMax: 12, HopStd: 2.6700526165741993, LoadP99: 45, LinkMaxApprox: 63}},
+		want: Result{MaxLoad: 50, MeanCost: 5.259033203125, Requests: 4096, Escalated: 2702, Uncached: 23, ChurnEvents: 1492, ChurnSkipped: 44, Streamed: true, HopMax: 12, HopStd: 2.7570828211902065, LoadP99: 47, LinkMaxApprox: 59}},
 	{name: "faults/crash/two-choices", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 4096, MissPolicy: MissEscalate, Faults: FaultsCrash, FaultRate: 0.02, RecoverRate: 0.01, Seed: 0x63},
 		want: Result{MaxLoad: 67, MeanCost: 4.40185546875, Requests: 4096, Escalated: 2343, Backhaul: 768, Uncached: 22, Faulted: true, FaultEvents: 61, RecoverEvents: 30, DeadNodes: 31, DeadLoad: 911, Retried: 454, Availability: 0.8125}},
 	{name: "faults/crash/two-choices", trial: 1, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 4096, MissPolicy: MissEscalate, Faults: FaultsCrash, FaultRate: 0.02, RecoverRate: 0.01, Seed: 0x63},
@@ -504,45 +507,45 @@ var goldenPins = []pin{
 	{name: "faults/regional/nearest", trial: 1, cfg: Config{Side: 12, K: 150, M: 2, Requests: 4096, MissPolicy: MissEscalate, Faults: FaultsRegional, FaultRate: 0.002, RecoverRate: 0.002, Seed: 0x63},
 		want: Result{MaxLoad: 67, MeanCost: 3.936767578125, Requests: 4096, Backhaul: 797, Uncached: 23, Faulted: true, FaultEvents: 5, RecoverEvents: 2, FaultSkipped: 5, DeadNodes: 27, DeadLoad: 609, Retried: 892, Availability: 0.805419921875}},
 	{name: "faults/regional/zipf/heavy", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Popularity: PopSpec{Kind: PopZipf, Gamma: 1.2}, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 4096, MissPolicy: MissEscalate, Faults: FaultsRegional, FaultRate: 0.01, RecoverRate: 0.01, Seed: 0x63},
-		want: Result{MaxLoad: 46, MeanCost: 2.863525390625, Requests: 4096, Escalated: 845, Backhaul: 611, Uncached: 79, Faulted: true, FaultEvents: 17, RecoverEvents: 10, FaultSkipped: 33, DeadNodes: 63, DeadLoad: 2271, Retried: 1121, Availability: 0.850830078125}},
+		want: Result{MaxLoad: 61, MeanCost: 2.87451171875, Requests: 4096, Escalated: 845, Backhaul: 600, Uncached: 88, Faulted: true, FaultEvents: 17, RecoverEvents: 10, FaultSkipped: 33, DeadNodes: 63, DeadLoad: 2246, Retried: 1143, Availability: 0.853515625}},
 	{name: "faults/regional/zipf/heavy", trial: 1, cfg: Config{Side: 12, K: 150, M: 2, Popularity: PopSpec{Kind: PopZipf, Gamma: 1.2}, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 4096, MissPolicy: MissEscalate, Faults: FaultsRegional, FaultRate: 0.01, RecoverRate: 0.01, Seed: 0x63},
-		want: Result{MaxLoad: 77, MeanCost: 2.9970703125, Requests: 4096, Escalated: 939, Backhaul: 577, Uncached: 85, Faulted: true, FaultEvents: 15, RecoverEvents: 10, FaultSkipped: 35, DeadNodes: 45, DeadLoad: 1922, Retried: 857, Availability: 0.859130859375}},
+		want: Result{MaxLoad: 88, MeanCost: 2.869873046875, Requests: 4096, Escalated: 835, Backhaul: 656, Uncached: 87, Faulted: true, FaultEvents: 15, RecoverEvents: 10, FaultSkipped: 35, DeadNodes: 45, DeadLoad: 1917, Retried: 1013, Availability: 0.83984375}},
 	{name: "hetero/capacity/two-tier/two-choices", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 4096, Hetero: HeteroCapacity, Profile: ProfileTwoTier, Seed: 0x63},
-		want: Result{MaxLoad: 105, MeanCost: 5.418212890625, Requests: 4096, Escalated: 2879, Uncached: 33}},
+		want: Result{MaxLoad: 113, MeanCost: 5.404541015625, Requests: 4096, Escalated: 2822, Uncached: 33}},
 	{name: "hetero/capacity/two-tier/two-choices", trial: 1, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 4096, Hetero: HeteroCapacity, Profile: ProfileTwoTier, Seed: 0x63},
-		want: Result{MaxLoad: 124, MeanCost: 5.44580078125, Requests: 4096, Escalated: 2875, Uncached: 33}},
+		want: Result{MaxLoad: 110, MeanCost: 5.3818359375, Requests: 4096, Escalated: 2824, Uncached: 33}},
 	{name: "hetero/capacity/power-law/two-choices", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 4096, Hetero: HeteroCapacity, Profile: ProfilePowerLaw, Seed: 0x63},
-		want: Result{MaxLoad: 186, MeanCost: 5.418212890625, Requests: 4096, Escalated: 2826, Uncached: 33}},
+		want: Result{MaxLoad: 189, MeanCost: 5.476318359375, Requests: 4096, Escalated: 2889, Uncached: 33}},
 	{name: "hetero/capacity/power-law/two-choices", trial: 1, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 4096, Hetero: HeteroCapacity, Profile: ProfilePowerLaw, Seed: 0x63},
-		want: Result{MaxLoad: 210, MeanCost: 5.44140625, Requests: 4096, Escalated: 2850, Uncached: 25}},
+		want: Result{MaxLoad: 201, MeanCost: 5.3095703125, Requests: 4096, Escalated: 2794, Uncached: 25}},
 	{name: "hetero/capacity/two-tier/nearest", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Requests: 4096, Hetero: HeteroCapacity, Profile: ProfileTwoTier, Seed: 0x63},
-		want: Result{MaxLoad: 124, MeanCost: 4.912841796875, Requests: 4096, Uncached: 33}},
+		want: Result{MaxLoad: 116, MeanCost: 4.869140625, Requests: 4096, Uncached: 33}},
 	{name: "hetero/capacity/two-tier/nearest", trial: 1, cfg: Config{Side: 12, K: 150, M: 2, Requests: 4096, Hetero: HeteroCapacity, Profile: ProfileTwoTier, Seed: 0x63},
-		want: Result{MaxLoad: 134, MeanCost: 4.9248046875, Requests: 4096, Uncached: 33}},
+		want: Result{MaxLoad: 117, MeanCost: 4.822509765625, Requests: 4096, Uncached: 33}},
 	{name: "hetero/capacity/power-law/oracle", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: Oracle, Radius: 3}, Requests: 4096, Hetero: HeteroCapacity, Profile: ProfilePowerLaw, Seed: 0x63},
-		want: Result{MaxLoad: 167, MeanCost: 5.433837890625, Requests: 4096, Escalated: 2826, Uncached: 33}},
+		want: Result{MaxLoad: 167, MeanCost: 5.450927734375, Requests: 4096, Escalated: 2889, Uncached: 33}},
 	{name: "hetero/capacity/power-law/oracle", trial: 1, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: Oracle, Radius: 3}, Requests: 4096, Hetero: HeteroCapacity, Profile: ProfilePowerLaw, Seed: 0x63},
-		want: Result{MaxLoad: 185, MeanCost: 5.4453125, Requests: 4096, Escalated: 2850, Uncached: 25}},
+		want: Result{MaxLoad: 164, MeanCost: 5.336181640625, Requests: 4096, Escalated: 2794, Uncached: 25}},
 	{name: "hetero/capacity/two-tier/one-choice", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: OneChoiceRandom, Radius: 3}, Requests: 4096, Hetero: HeteroCapacity, Profile: ProfileTwoTier, Seed: 0x63},
-		want: Result{MaxLoad: 116, MeanCost: 5.4111328125, Requests: 4096, Escalated: 2879, Uncached: 33}},
+		want: Result{MaxLoad: 119, MeanCost: 5.3935546875, Requests: 4096, Escalated: 2822, Uncached: 33}},
 	{name: "hetero/capacity/two-tier/one-choice", trial: 1, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: OneChoiceRandom, Radius: 3}, Requests: 4096, Hetero: HeteroCapacity, Profile: ProfileTwoTier, Seed: 0x63},
-		want: Result{MaxLoad: 134, MeanCost: 5.46142578125, Requests: 4096, Escalated: 2875, Uncached: 33}},
+		want: Result{MaxLoad: 119, MeanCost: 5.354736328125, Requests: 4096, Escalated: 2824, Uncached: 33}},
 	{name: "hetero/capacity/two-tier/two-choices/churn-replicas", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 4096, Churn: ChurnReplicas, ChurnRate: 0.5, Hetero: HeteroCapacity, Profile: ProfileTwoTier, Seed: 0x63},
-		want: Result{MaxLoad: 80, MeanCost: 5.401611328125, Requests: 4096, Escalated: 2838, Uncached: 33, ChurnEvents: 1484, ChurnSkipped: 52}},
+		want: Result{MaxLoad: 91, MeanCost: 5.344970703125, Requests: 4096, Escalated: 2784, Uncached: 33, ChurnEvents: 1484, ChurnSkipped: 52}},
 	{name: "hetero/capacity/two-tier/two-choices/churn-replicas", trial: 1, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 4096, Churn: ChurnReplicas, ChurnRate: 0.5, Hetero: HeteroCapacity, Profile: ProfileTwoTier, Seed: 0x63},
-		want: Result{MaxLoad: 76, MeanCost: 5.40673828125, Requests: 4096, Escalated: 2822, Uncached: 33, ChurnEvents: 1500, ChurnSkipped: 36}},
+		want: Result{MaxLoad: 81, MeanCost: 5.345947265625, Requests: 4096, Escalated: 2797, Uncached: 33, ChurnEvents: 1500, ChurnSkipped: 36}},
 	{name: "hetero/capacity/power-law/two-choices/churn-drift", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 4096, Churn: ChurnDrift, ChurnRate: 0.5, Hetero: HeteroCapacity, Profile: ProfilePowerLaw, Seed: 0x63},
-		want: Result{MaxLoad: 213, MeanCost: 5.378173828125, Requests: 4096, Escalated: 2838, Uncached: 33, ChurnEvents: 1484, ChurnSkipped: 52}},
+		want: Result{MaxLoad: 174, MeanCost: 5.453857421875, Requests: 4096, Escalated: 2841, Uncached: 33, ChurnEvents: 1491, ChurnSkipped: 45}},
 	{name: "hetero/capacity/power-law/two-choices/churn-drift", trial: 1, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 4096, Churn: ChurnDrift, ChurnRate: 0.5, Hetero: HeteroCapacity, Profile: ProfilePowerLaw, Seed: 0x63},
-		want: Result{MaxLoad: 192, MeanCost: 5.3623046875, Requests: 4096, Escalated: 2797, Uncached: 25, ChurnEvents: 1487, ChurnSkipped: 49}},
+		want: Result{MaxLoad: 190, MeanCost: 5.30029296875, Requests: 4096, Escalated: 2802, Uncached: 25, ChurnEvents: 1490, ChurnSkipped: 46}},
 	{name: "hetero/capacity/two-tier/two-choices/faults-crash", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 4096, MissPolicy: MissEscalate, Faults: FaultsCrash, FaultRate: 0.02, RecoverRate: 0.01, Hetero: HeteroCapacity, Profile: ProfileTwoTier, Seed: 0x63},
 		want: Result{MaxLoad: 102, MeanCost: 4.084716796875, Requests: 4096, Escalated: 2148, Backhaul: 1056, Uncached: 33, Faulted: true, FaultEvents: 61, RecoverEvents: 30, DeadNodes: 31, DeadLoad: 898, Retried: 343, Availability: 0.7421875}},
 	{name: "hetero/capacity/two-tier/two-choices/faults-crash", trial: 1, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 4096, MissPolicy: MissEscalate, Faults: FaultsCrash, FaultRate: 0.02, RecoverRate: 0.01, Hetero: HeteroCapacity, Profile: ProfileTwoTier, Seed: 0x63},
 		want: Result{MaxLoad: 102, MeanCost: 4.13330078125, Requests: 4096, Escalated: 2191, Backhaul: 1020, Uncached: 33, Faulted: true, FaultEvents: 61, RecoverEvents: 30, DeadNodes: 31, DeadLoad: 801, Retried: 422, Availability: 0.7509765625}},
 	{name: "hetero/capacity/two-tier/two-choices/streaming", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 4096, Metrics: MetricsStreaming, Hetero: HeteroCapacity, Profile: ProfileTwoTier, Seed: 0x63},
-		want: Result{MaxLoad: 105, MeanCost: 5.418212890625, Requests: 4096, Escalated: 2879, Uncached: 33, Streamed: true, HopMax: 12, HopStd: 2.677386936986164, LoadP99: 102, LinkMaxApprox: 82}},
+		want: Result{MaxLoad: 113, MeanCost: 5.404541015625, Requests: 4096, Escalated: 2822, Uncached: 33, Streamed: true, HopMax: 12, HopStd: 2.7478785484439863, LoadP99: 101, LinkMaxApprox: 95}},
 	{name: "hetero/capacity/two-tier/two-choices/streaming", trial: 1, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 4096, Metrics: MetricsStreaming, Hetero: HeteroCapacity, Profile: ProfileTwoTier, Seed: 0x63},
-		want: Result{MaxLoad: 124, MeanCost: 5.44580078125, Requests: 4096, Escalated: 2875, Uncached: 33, Streamed: true, HopMax: 12, HopStd: 2.694903967265038, LoadP99: 111, LinkMaxApprox: 84}},
+		want: Result{MaxLoad: 110, MeanCost: 5.3818359375, Requests: 4096, Escalated: 2824, Uncached: 33, Streamed: true, HopMax: 12, HopStd: 2.739072354121209, LoadP99: 99, LinkMaxApprox: 98}},
 	{name: "hetero/arrival/two-tier/two-choices", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 4096, MissPolicy: MissEscalate, Hetero: HeteroArrival, Profile: ProfileTwoTier, ArrivalRate: 0.01, Seed: 0x63},
 		want: Result{MaxLoad: 91, MeanCost: 3.911865234375, Requests: 4096, Escalated: 2074, Backhaul: 1162, Uncached: 52, ArrivalEvents: 30, Vacant: 8}},
 	{name: "hetero/arrival/two-tier/two-choices", trial: 1, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 4096, MissPolicy: MissEscalate, Hetero: HeteroArrival, Profile: ProfileTwoTier, ArrivalRate: 0.01, Seed: 0x63},
@@ -560,49 +563,49 @@ var goldenPins = []pin{
 	{name: "hetero/arrival/two-tier/two-choices/faults-crash", trial: 1, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 4096, MissPolicy: MissEscalate, Faults: FaultsCrash, FaultRate: 0.02, RecoverRate: 0.01, Hetero: HeteroArrival, Profile: ProfileTwoTier, ArrivalRate: 0.01, Seed: 0x63},
 		want: Result{MaxLoad: 100, MeanCost: 3.787109375, Requests: 4096, Escalated: 2034, Backhaul: 1284, Uncached: 48, Faulted: true, FaultEvents: 61, RecoverEvents: 30, DeadNodes: 28, DeadLoad: 885, Retried: 340, Availability: 0.6865234375, ArrivalEvents: 30, Vacant: 3}},
 	{name: "hetero/capacity/two-tier/two-choices/sharded-p4", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 4096, Hetero: HeteroCapacity, Profile: ProfileTwoTier, Workers: 4, Seed: 0x63},
-		want: Result{MaxLoad: 107, MeanCost: 5.362548828125, Requests: 4096, Escalated: 2798, Uncached: 33}},
+		want: Result{MaxLoad: 101, MeanCost: 5.3017578125, Requests: 4096, Escalated: 2771, Uncached: 33}},
 	{name: "hetero/capacity/two-tier/two-choices/sharded-p4", trial: 1, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 4096, Hetero: HeteroCapacity, Profile: ProfileTwoTier, Workers: 4, Seed: 0x63},
-		want: Result{MaxLoad: 105, MeanCost: 5.298828125, Requests: 4096, Escalated: 2769, Uncached: 33}},
+		want: Result{MaxLoad: 112, MeanCost: 5.363525390625, Requests: 4096, Escalated: 2812, Uncached: 33}},
 	{name: "hetero/arrival/power-law/two-choices/sharded-p4", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 4096, MissPolicy: MissEscalate, Hetero: HeteroArrival, Profile: ProfilePowerLaw, ArrivalRate: 0.01, Workers: 4, Seed: 0x63},
 		want: Result{MaxLoad: 174, MeanCost: 3.941162109375, Requests: 4096, Escalated: 2109, Backhaul: 1152, Uncached: 49, ArrivalEvents: 30, Vacant: 8}},
 	{name: "hetero/arrival/power-law/two-choices/sharded-p4", trial: 1, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 4096, MissPolicy: MissEscalate, Hetero: HeteroArrival, Profile: ProfilePowerLaw, ArrivalRate: 0.01, Workers: 4, Seed: 0x63},
 		want: Result{MaxLoad: 182, MeanCost: 4.346435546875, Requests: 4096, Escalated: 2314, Backhaul: 790, Uncached: 35, ArrivalEvents: 30, Vacant: 3}},
 	{name: "sharded/nearest/resample", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Popularity: PopSpec{Kind: PopZipf, Gamma: 0.9}, Strategy: StrategySpec{Kind: Nearest, Radius: 3}, Requests: 4096, Workers: 4, Seed: 0x71},
-		want: Result{MaxLoad: 78, MeanCost: 3.08935546875, Requests: 4096, Uncached: 62}},
+		want: Result{MaxLoad: 76, MeanCost: 3.24951171875, Requests: 4096, Uncached: 57}},
 	{name: "sharded/nearest/escalate", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Popularity: PopSpec{Kind: PopZipf, Gamma: 0.9}, Strategy: StrategySpec{Kind: Nearest, Radius: 3}, Requests: 4096, MissPolicy: MissEscalate, Workers: 4, Seed: 0x71},
-		want: Result{MaxLoad: 71, MeanCost: 2.6318359375, Requests: 4096, Backhaul: 651, Uncached: 62}},
+		want: Result{MaxLoad: 71, MeanCost: 2.768798828125, Requests: 4096, Backhaul: 574, Uncached: 57}},
 	{name: "sharded/nearest/origin", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Popularity: PopSpec{Kind: PopZipf, Gamma: 0.9}, Strategy: StrategySpec{Kind: Nearest, Radius: 3}, Requests: 4096, MissPolicy: MissOrigin, Workers: 4, Seed: 0x71},
-		want: Result{MaxLoad: 71, MeanCost: 2.6318359375, Requests: 4096, Backhaul: 651, Uncached: 62}},
+		want: Result{MaxLoad: 71, MeanCost: 2.768798828125, Requests: 4096, Backhaul: 574, Uncached: 57}},
 	{name: "sharded/two-choices/resample", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Popularity: PopSpec{Kind: PopZipf, Gamma: 0.9}, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 4096, Workers: 4, Seed: 0x71},
-		want: Result{MaxLoad: 68, MeanCost: 3.83154296875, Requests: 4096, Escalated: 1438, Uncached: 62}},
+		want: Result{MaxLoad: 76, MeanCost: 4.013916015625, Requests: 4096, Escalated: 1604, Uncached: 57}},
 	{name: "sharded/two-choices/escalate", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Popularity: PopSpec{Kind: PopZipf, Gamma: 0.9}, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 4096, MissPolicy: MissEscalate, Workers: 4, Seed: 0x71},
-		want: Result{MaxLoad: 68, MeanCost: 3.25390625, Requests: 4096, Escalated: 1241, Backhaul: 651, Uncached: 62}},
+		want: Result{MaxLoad: 71, MeanCost: 3.448486328125, Requests: 4096, Escalated: 1376, Backhaul: 574, Uncached: 57}},
 	{name: "sharded/two-choices/origin", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Popularity: PopSpec{Kind: PopZipf, Gamma: 0.9}, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 4096, MissPolicy: MissOrigin, Workers: 4, Seed: 0x71},
-		want: Result{MaxLoad: 50, MeanCost: 1.23583984375, Requests: 4096, Backhaul: 1892, Uncached: 62}},
+		want: Result{MaxLoad: 50, MeanCost: 1.174072265625, Requests: 4096, Backhaul: 1950, Uncached: 57}},
 	{name: "sharded/one-choice/resample", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Popularity: PopSpec{Kind: PopZipf, Gamma: 0.9}, Strategy: StrategySpec{Kind: OneChoiceRandom, Radius: 3}, Requests: 4096, Workers: 4, Seed: 0x71},
-		want: Result{MaxLoad: 76, MeanCost: 3.824951171875, Requests: 4096, Escalated: 1438, Uncached: 62}},
+		want: Result{MaxLoad: 76, MeanCost: 4.02880859375, Requests: 4096, Escalated: 1604, Uncached: 57}},
 	{name: "sharded/one-choice/escalate", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Popularity: PopSpec{Kind: PopZipf, Gamma: 0.9}, Strategy: StrategySpec{Kind: OneChoiceRandom, Radius: 3}, Requests: 4096, MissPolicy: MissEscalate, Workers: 4, Seed: 0x71},
-		want: Result{MaxLoad: 70, MeanCost: 3.279541015625, Requests: 4096, Escalated: 1241, Backhaul: 651, Uncached: 62}},
+		want: Result{MaxLoad: 71, MeanCost: 3.44384765625, Requests: 4096, Escalated: 1376, Backhaul: 574, Uncached: 57}},
 	{name: "sharded/one-choice/origin", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Popularity: PopSpec{Kind: PopZipf, Gamma: 0.9}, Strategy: StrategySpec{Kind: OneChoiceRandom, Radius: 3}, Requests: 4096, MissPolicy: MissOrigin, Workers: 4, Seed: 0x71},
-		want: Result{MaxLoad: 69, MeanCost: 1.22509765625, Requests: 4096, Backhaul: 1892, Uncached: 62}},
+		want: Result{MaxLoad: 59, MeanCost: 1.178466796875, Requests: 4096, Backhaul: 1950, Uncached: 57}},
 	{name: "sharded/oracle/resample", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Popularity: PopSpec{Kind: PopZipf, Gamma: 0.9}, Strategy: StrategySpec{Kind: Oracle, Radius: 3}, Requests: 4096, Workers: 4, Seed: 0x71},
-		want: Result{MaxLoad: 65, MeanCost: 3.841552734375, Requests: 4096, Escalated: 1438, Uncached: 62}},
+		want: Result{MaxLoad: 76, MeanCost: 4.080078125, Requests: 4096, Escalated: 1604, Uncached: 57}},
 	{name: "sharded/oracle/escalate", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Popularity: PopSpec{Kind: PopZipf, Gamma: 0.9}, Strategy: StrategySpec{Kind: Oracle, Radius: 3}, Requests: 4096, MissPolicy: MissEscalate, Workers: 4, Seed: 0x71},
-		want: Result{MaxLoad: 58, MeanCost: 3.300537109375, Requests: 4096, Escalated: 1241, Backhaul: 651, Uncached: 62}},
+		want: Result{MaxLoad: 71, MeanCost: 3.466796875, Requests: 4096, Escalated: 1376, Backhaul: 574, Uncached: 57}},
 	{name: "sharded/oracle/origin", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Popularity: PopSpec{Kind: PopZipf, Gamma: 0.9}, Strategy: StrategySpec{Kind: Oracle, Radius: 3}, Requests: 4096, MissPolicy: MissOrigin, Workers: 4, Seed: 0x71},
-		want: Result{MaxLoad: 50, MeanCost: 1.22900390625, Requests: 4096, Backhaul: 1892, Uncached: 62}},
+		want: Result{MaxLoad: 49, MeanCost: 1.17138671875, Requests: 4096, Backhaul: 1950, Uncached: 57}},
 	{name: "sharded/churn-replicas/two-choices", trial: 1, cfg: Config{Side: 12, K: 150, M: 2, Popularity: PopSpec{Kind: PopZipf, Gamma: 0.9}, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 4096, Churn: ChurnReplicas, ChurnRate: 0.5, Workers: 4, Seed: 0x71},
-		want: Result{MaxLoad: 50, MeanCost: 3.985595703125, Requests: 4096, Escalated: 1524, Uncached: 50, ChurnEvents: 1375, ChurnSkipped: 161}},
+		want: Result{MaxLoad: 42, MeanCost: 3.891357421875, Requests: 4096, Escalated: 1476, Uncached: 55, ChurnEvents: 1374, ChurnSkipped: 162}},
 	{name: "sharded/churn-drift/two-choices", trial: 1, cfg: Config{Side: 12, K: 150, M: 2, Popularity: PopSpec{Kind: PopZipf, Gamma: 0.9}, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 4096, Churn: ChurnDrift, ChurnRate: 0.5, Workers: 4, Seed: 0x71},
-		want: Result{MaxLoad: 43, MeanCost: 3.978759765625, Requests: 4096, Escalated: 1576, Uncached: 50, ChurnEvents: 1461, ChurnSkipped: 75}},
+		want: Result{MaxLoad: 49, MeanCost: 3.89404296875, Requests: 4096, Escalated: 1485, Uncached: 55, ChurnEvents: 1465, ChurnSkipped: 71}},
 	{name: "sharded/streaming/two-choices", trial: 2, cfg: Config{Side: 12, K: 150, M: 2, Popularity: PopSpec{Kind: PopZipf, Gamma: 0.9}, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 4096, Metrics: MetricsStreaming, Workers: 4, Seed: 0x71},
-		want: Result{MaxLoad: 75, MeanCost: 3.894775390625, Requests: 4096, Escalated: 1486, Uncached: 58, Streamed: true, HopMax: 12, HopStd: 2.5897161225601457, LoadP99: 53, LinkMaxApprox: 52}},
+		want: Result{MaxLoad: 75, MeanCost: 3.779541015625, Requests: 4096, Escalated: 1398, Uncached: 63, Streamed: true, HopMax: 12, HopStd: 2.5275973977100694, LoadP99: 70, LinkMaxApprox: 58}},
 	{name: "sharded/links/two-choices", trial: 2, cfg: Config{Side: 12, K: 150, M: 2, Popularity: PopSpec{Kind: PopZipf, Gamma: 0.9}, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 4096, Metrics: MetricsLinks, Workers: 4, Seed: 0x71},
-		want: Result{MaxLoad: 75, MeanCost: 3.894775390625, Requests: 4096, Escalated: 1486, Uncached: 58, MaxLinkLoad: 52, LinkCongestion: 1.8775152009026534}},
+		want: Result{MaxLoad: 75, MeanCost: 3.779541015625, Requests: 4096, Escalated: 1398, Uncached: 63, MaxLinkLoad: 58, LinkCongestion: 2.1580001291906186}},
 	{name: "sharded/chunk256/two-choices", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Popularity: PopSpec{Kind: PopZipf, Gamma: 0.9}, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 4096, Workers: 4, Chunk: 256, Seed: 0x71},
-		want: Result{MaxLoad: 65, MeanCost: 3.86083984375, Requests: 4096, Escalated: 1438, Uncached: 62}},
+		want: Result{MaxLoad: 76, MeanCost: 4.005615234375, Requests: 4096, Escalated: 1604, Uncached: 57}},
 	{name: "sharded/beta0.5/two-choices", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Popularity: PopSpec{Kind: PopZipf, Gamma: 0.9}, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3, Beta: 0.5}, Requests: 4096, Workers: 4, Seed: 0x71},
-		want: Result{MaxLoad: 70, MeanCost: 3.85009765625, Requests: 4096, Escalated: 1438, Uncached: 62}},
+		want: Result{MaxLoad: 76, MeanCost: 4.05859375, Requests: 4096, Escalated: 1604, Uncached: 57}},
 	{name: "sharded/d3-wor/two-choices", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Popularity: PopSpec{Kind: PopZipf, Gamma: 0.9}, Strategy: StrategySpec{Kind: TwoChoices, Radius: 4, Choices: 3, WithoutReplacement: true}, Requests: 4096, Workers: 4, Seed: 0x71},
-		want: Result{MaxLoad: 68, MeanCost: 3.95947265625, Requests: 4096, Escalated: 966, Uncached: 62}},
+		want: Result{MaxLoad: 76, MeanCost: 4.0908203125, Requests: 4096, Escalated: 1093, Uncached: 57}},
 }

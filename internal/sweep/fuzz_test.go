@@ -1,8 +1,16 @@
 package sweep
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/json"
+	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // FuzzParseSpec extends the parser fuzz convention of internal/sim to
@@ -64,6 +72,71 @@ func FuzzParseSpec(f *testing.F) {
 		}
 		if len(s.Hash()) != 64 {
 			t.Fatalf("malformed spec hash %q", s.Hash())
+		}
+	})
+}
+
+// FuzzRecoverJournal replays arbitrary journal bodies written behind a
+// matching spec line, a foreign one, or none. The contract: recovery
+// never panics; it fails only for a missing or foreign spec record or a
+// scanner error (a line past the buffer); every result it returns
+// verifies; and dropped lines plus results never exceed the line count.
+func FuzzRecoverJournal(f *testing.F) {
+	const hash, foreign = "5bec", "f0e1"
+	done, err := json.Marshal(journalRecord{T: "done", Res: &ShardResult{}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	res := NewShardResult("k1", sim.Aggregate{Trials: 3})
+	good, err := json.Marshal(journalRecord{T: "done", Res: &res})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, s := range []string{
+		"",
+		string(good) + "\n",
+		string(good) + "\n" + string(good[:len(good)/2]),
+		string(done) + "\n\n" + `{"t":"spec","hash":"` + hash + `"}`,
+		`{"t":"spec","hash":"` + foreign + `"}` + "\n" + string(good),
+		strings.Replace(string(good), `"k1"`, `"k2"`, 1) + "\r\n",
+		`{"t":"done"}` + "\n" + `{"t":"gone"}` + "\nnull\n[]\n{",
+	} {
+		for head := range uint8(3) {
+			f.Add(head, []byte(s))
+		}
+	}
+	path := filepath.Join(f.TempDir(), "sweep.journal") // rewritten by every input
+	f.Fuzz(func(t *testing.T, head uint8, body []byte) {
+		var data []byte
+		switch head % 3 {
+		case 0:
+			data = []byte(`{"t":"spec","hash":"` + hash + `"}` + "\n")
+		case 1:
+			data = []byte(`{"t":"spec","hash":"` + foreign + `"}` + "\n")
+		}
+		data = append(data, body...)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		results, dropped, err := recoverJournal(path, hash)
+		if err != nil {
+			msg := err.Error()
+			if !strings.Contains(msg, "has no spec record") && !strings.Contains(msg, "belongs to spec") &&
+				!errors.Is(err, bufio.ErrTooLong) {
+				t.Fatalf("recovery failed for another reason: %v", err)
+			}
+			return
+		}
+		if head%3 == 1 {
+			t.Fatal("recovery adopted a journal behind a foreign spec line")
+		}
+		for i, r := range results {
+			if err := r.Verify(); err != nil {
+				t.Fatalf("result %d does not verify: %v", i, err)
+			}
+		}
+		if lines := bytes.Count(data, []byte("\n")) + 1; dropped+len(results) > lines {
+			t.Fatalf("%d dropped + %d results from %d lines", dropped, len(results), lines)
 		}
 	})
 }
