@@ -74,7 +74,7 @@ func TestIndexedCandidatesUnderChurn(t *testing.T) {
 					req := Request{Origin: int32(rng.IntN(g.N())), File: int32(rng.IntN(k))}
 					reps := p.Replicas(int(req.File))
 					want := slices.Clone(s.exactCandidates(req, reps, nil))
-					got := slices.Clone(s.indexedCandidates(req, p.Replicas(int(req.File)), nil))
+					got := slices.Clone(s.exactPool(req, p.Replicas(int(req.File)), false))
 					slices.Sort(want)
 					slices.Sort(got)
 					if !slices.Equal(got, want) {

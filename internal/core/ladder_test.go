@@ -1,0 +1,246 @@
+package core
+
+import (
+	"math/rand/v2"
+	"slices"
+	"testing"
+
+	"repro/internal/ballsbins"
+	"repro/internal/cache"
+	"repro/internal/dist"
+	"repro/internal/grid"
+)
+
+// ladderView is what the brute force knows about one request: the file's
+// replicas, the live ones, and the live ones within the radius.
+type ladderView struct {
+	s                      *TwoChoice // the strategy (the oracle's inner one)
+	req                    Request
+	reps, liveReps, inBall []int32
+}
+
+// ladderBranch names a branch of the candidate ladder and recognizes, by
+// brute force, a request that must take it.
+type ladderBranch struct {
+	name   string
+	forced func(v ladderView) bool
+}
+
+// runTotal is the replica count of the tile runs covering B_r(u) for the
+// request's file, or -1 when the file is not stored as tile runs.
+func runTotal(v ladderView) int {
+	if v.s.tix == nil || v.s.tix.FileBits(int(v.req.File)) != nil {
+		return -1
+	}
+	return v.s.collectRuns(v.req.Origin, v.req.File, int32(len(v.reps)))
+}
+
+// TestLadderBranchesAgainstBruteForce drives each branch of the candidate
+// ladder that the benchmark workloads never take through a world built to
+// force it, and checks every decision against brute force: a served
+// request lands on a live replica of its file, within the radius unless
+// no live replica lies there (then it escalates to S_j, or backhauls
+// under NoEscalate or when S_j holds no live replica); Hops is the grid
+// distance; Retried is set only under a liveness mask, and only when a
+// replica of the file is dead. Where the strategy folds its whole pool
+// (the oracle, or distinct draws with d ≥ |pool|) the server is also a
+// least-loaded member of it. Each row asserts that its branch was forced
+// at least minForced times.
+func TestLadderBranchesAgainstBruteForce(t *testing.T) {
+	const minForced = 10
+	type world struct {
+		side  int
+		topo  grid.Topology
+		tile  int // 0 = untiled
+		k, m  int
+		gamma float64 // 0 = uniform
+		dead  float64 // fraction of nodes killed; 0 = no liveness mask
+	}
+	empty := func(v ladderView) bool { return len(v.reps) > 0 && len(v.inBall) == 0 }
+	for _, tc := range []struct {
+		name     string
+		w        world
+		cfg      TwoChoiceConfig
+		oracle   bool
+		branches []ladderBranch
+	}{
+		{"bitmap sampler out of budget", world{16, grid.Torus, 4, 4, 2, 0, 0}, TwoChoiceConfig{Radius: 1},
+			false, []ladderBranch{{"dense file, empty ball", func(v ladderView) bool {
+				return v.s.ball != nil && v.s.tix.FileBits(int(v.req.File)) != nil && empty(v)
+			}}}},
+		{"bitmap sampler out of budget, masked", world{16, grid.Torus, 4, 4, 2, 0, 0.7}, TwoChoiceConfig{Radius: 1},
+			false, []ladderBranch{{"dense file, no live replica in the ball", func(v ladderView) bool {
+				return v.s.ball != nil && v.s.tix.FileBits(int(v.req.File)) != nil && empty(v)
+			}}}},
+		{"bitmap exact pool, no ball template", world{16, grid.Bounded, 4, 4, 2, 0, 0}, TwoChoiceConfig{Radius: 2},
+			false, []ladderBranch{{"dense file on a bounded grid", func(v ladderView) bool {
+				return v.s.ball == nil && v.s.tix.FileBits(int(v.req.File)) != nil && len(v.inBall) > 0
+			}}}},
+		{"run sampler out of budget", world{16, grid.Torus, 8, 30, 3, 0, 0}, TwoChoiceConfig{Radius: 1},
+			false, []ladderBranch{{"runs above 3d, empty ball", func(v ladderView) bool {
+				return runTotal(v) > 3*2 && empty(v)
+			}}}},
+		{"run sampler out of budget, masked", world{16, grid.Torus, 8, 30, 3, 0, 0.5}, TwoChoiceConfig{Radius: 1},
+			false, []ladderBranch{{"runs above 3d, no live replica in the ball", func(v ladderView) bool {
+				return runTotal(v) > 3*2 && empty(v)
+			}}}},
+		{"untiled scan", world{12, grid.Torus, 0, 30, 3, 1.0, 0}, TwoChoiceConfig{Radius: 2}, false, []ladderBranch{
+			{"replica list scanned", func(v ladderView) bool { return v.s.tix == nil && len(v.reps) <= v.s.ballN }},
+			{"ball enumerated", func(v ladderView) bool { return v.s.tix == nil && len(v.reps) > v.s.ballN }},
+		}},
+		{"untiled scan, masked", world{12, grid.Torus, 0, 30, 3, 1.0, 0.4}, TwoChoiceConfig{Radius: 2}, false, []ladderBranch{
+			{"replica list scanned", func(v ladderView) bool { return v.s.tix == nil && len(v.reps) <= v.s.ballN }},
+			{"ball enumerated", func(v ladderView) bool { return v.s.tix == nil && len(v.reps) > v.s.ballN }},
+		}},
+		{"r = ∞", world{12, grid.Torus, 3, 30, 2, 0.8, 0}, TwoChoiceConfig{Radius: RadiusUnbounded},
+			false, []ladderBranch{{"several replicas", func(v ladderView) bool {
+				return v.s.cfg.Radius == RadiusUnbounded && len(v.reps) > 1
+			}}}},
+		{"without replacement", world{12, grid.Torus, 3, 30, 3, 0, 0}, TwoChoiceConfig{Radius: 2, Choices: 3, WithoutReplacement: true},
+			false, []ladderBranch{
+				{"pool no larger than d", func(v ladderView) bool { return len(v.inBall) > 1 && len(v.inBall) <= 3 }},
+				{"distinct draws", func(v ladderView) bool { return len(v.inBall) > 3 }},
+			}},
+		{"without replacement, masked", world{12, grid.Torus, 3, 30, 3, 0, 0.3}, TwoChoiceConfig{Radius: 2, Choices: 3, WithoutReplacement: true},
+			false, []ladderBranch{
+				{"pool no larger than d", func(v ladderView) bool { return len(v.inBall) > 1 && len(v.inBall) <= 3 }},
+				{"distinct draws", func(v ladderView) bool { return len(v.inBall) > 3 }},
+				{"escalated", empty},
+			}},
+		{"beta coin", world{16, grid.Torus, 4, 60, 3, 0, 0}, TwoChoiceConfig{Radius: 3, Beta: 0.5},
+			false, []ladderBranch{{"several candidates", func(v ladderView) bool { return len(v.inBall) > 1 }}}},
+		{"d = 3", world{16, grid.Torus, 4, 60, 3, 0, 0}, TwoChoiceConfig{Radius: 3, Choices: 3},
+			false, []ladderBranch{
+				{"run sampler", func(v ladderView) bool { return runTotal(v) > 3*3 && len(v.inBall) > 0 }},
+				{"runs no larger than 3d", func(v ladderView) bool { t := runTotal(v); return t > 0 && t <= 3*3 }},
+			}},
+		{"NoEscalate backhaul", world{16, grid.Torus, 8, 60, 2, 0, 0}, TwoChoiceConfig{Radius: 1, NoEscalate: true},
+			false, []ladderBranch{{"empty ball", empty}}},
+		{"live rejection exhausted", world{16, grid.Torus, 4, 8, 2, 0, 0.97}, TwoChoiceConfig{Radius: RadiusUnbounded},
+			false, []ladderBranch{{"one live replica in fifty", func(v ladderView) bool {
+				return len(v.liveReps) > 0 && 50*len(v.liveReps) <= len(v.reps)
+			}}}},
+		{"pool with no live member", world{16, grid.Torus, 4, 8, 2, 0, 0.97}, TwoChoiceConfig{Radius: 3},
+			false, []ladderBranch{{"every replica dead", func(v ladderView) bool {
+				return len(v.reps) > 0 && len(v.liveReps) == 0
+			}}}},
+		{"oracle", world{12, grid.Torus, 3, 30, 2, 0.8, 0}, TwoChoiceConfig{Radius: 2},
+			true, []ladderBranch{{"several candidates", func(v ladderView) bool { return len(v.inBall) > 1 }}}},
+		{"oracle, masked", world{12, grid.Torus, 3, 30, 2, 0.8, 0.5}, TwoChoiceConfig{Radius: 2},
+			true, []ladderBranch{
+				{"several candidates", func(v ladderView) bool { return len(v.inBall) > 1 }},
+				{"escalated", func(v ladderView) bool { return empty(v) && len(v.liveReps) > 1 }},
+			}},
+		{"one-choice", world{12, grid.Torus, 3, 30, 2, 0.8, 0}, TwoChoiceConfig{Radius: 3, Choices: 1},
+			false, []ladderBranch{{"several candidates", func(v ladderView) bool { return len(v.inBall) > 1 }}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := tc.w
+			g := grid.New(w.side, w.topo)
+			var pop dist.Popularity = dist.NewUniform(w.k)
+			if w.gamma > 0 {
+				pop = dist.NewZipf(w.k, w.gamma)
+			}
+			pl := cache.NewPlacer(g.N(), w.m, w.k)
+			if w.tile > 0 {
+				pl.EnableTiles(g.NewTiling(w.tile))
+			}
+			rng := rand.New(rand.NewPCG(uint64(w.side), 0x1add))
+			p := pl.Place(pop, cache.WithReplacement, rng)
+			var st LivenessAware
+			var s *TwoChoice
+			if tc.oracle {
+				o := NewLeastLoadedOracle(g, p, tc.cfg)
+				st, s = o, o.inner
+			} else {
+				s = NewTwoChoice(g, p, tc.cfg)
+				st = s
+			}
+			if (w.tile > 0 && tc.cfg.Radius != RadiusUnbounded) != (s.tix != nil) {
+				t.Fatalf("tile index bound: %v", s.tix != nil)
+			}
+			var lv *cache.Liveness
+			if w.dead > 0 {
+				lv = cache.NewLiveness(g.N())
+				if w.tile > 0 {
+					lv.BindTiling(p.TileIndex().Tiling())
+				}
+				for u := int32(0); u < int32(g.N()); u++ {
+					if rng.Float64() < w.dead {
+						lv.Kill(u)
+					}
+				}
+				st.SetLiveness(lv)
+			}
+			radius := s.Radius()
+			loads := ballsbins.NewLoads(g.N())
+			forced := make([]int, len(tc.branches))
+			for q := 0; q < 3000; q++ {
+				req := Request{Origin: int32(rng.IntN(g.N())), File: int32(rng.IntN(w.k))}
+				v := ladderView{s: s, req: req, reps: slices.Clone(p.Replicas(int(req.File)))}
+				for _, u := range v.reps {
+					if lv == nil || lv.Live(int(u)) {
+						v.liveReps = append(v.liveReps, u)
+						if radius == RadiusUnbounded || g.Dist(int(req.Origin), int(u)) <= radius {
+							v.inBall = append(v.inBall, u)
+						}
+					}
+				}
+				for i, b := range tc.branches {
+					if b.forced(v) {
+						forced[i]++
+					}
+				}
+				a := st.Assign(req, loads, rng)
+				checkLadderDecision(t, g, p, lv, tc.cfg, tc.oracle, v, a, loads)
+				loads.Add(int(a.Server))
+			}
+			for i, b := range tc.branches {
+				if forced[i] < minForced {
+					t.Errorf("branch %q forced %d times, want ≥ %d (tune the world)", b.name, forced[i], minForced)
+				}
+			}
+		})
+	}
+}
+
+// checkLadderDecision checks one assignment against the brute-force view
+// of its request (see TestLadderBranchesAgainstBruteForce).
+func checkLadderDecision(t *testing.T, g *grid.Grid, p *cache.Placement, lv *cache.Liveness, cfg TwoChoiceConfig, oracle bool, v ladderView, a Assignment, loads *ballsbins.Loads) {
+	t.Helper()
+	req := v.req
+	var pool []int32
+	switch {
+	case len(v.inBall) > 0:
+		pool = v.inBall
+	case len(v.liveReps) > 0 && !cfg.NoEscalate:
+		pool = v.liveReps
+	}
+	if pool == nil {
+		if !a.Backhaul || a.Escalated || a.Server != req.Origin || a.Hops != 0 {
+			t.Fatalf("req %+v (|S_j| %d, %d live, %d in ball): %+v, want backhaul at the origin",
+				req, len(v.reps), len(v.liveReps), len(v.inBall), a)
+		}
+	} else {
+		if a.Backhaul || a.Escalated != (len(v.inBall) == 0) || !slices.Contains(pool, a.Server) {
+			t.Fatalf("req %+v: %+v, want a server in %v (escalated: %v)", req, a, pool, len(v.inBall) == 0)
+		}
+		if !p.Has(int(a.Server), int(req.File)) || lv != nil && !lv.Live(int(a.Server)) {
+			t.Fatalf("req %+v: server %d does not cache the file or is dead", req, a.Server)
+		}
+		if int(a.Hops) != g.Dist(int(req.Origin), int(a.Server)) {
+			t.Fatalf("req %+v: hops %d, distance %d", req, a.Hops, g.Dist(int(req.Origin), int(a.Server)))
+		}
+		if oracle || cfg.WithoutReplacement && max(cfg.Choices, 2) >= len(pool) {
+			for _, u := range pool {
+				if loads.Load(int(u)) < loads.Load(int(a.Server)) {
+					t.Fatalf("req %+v: server %d (load %d) is not least loaded: %d has load %d",
+						req, a.Server, loads.Load(int(a.Server)), u, loads.Load(int(u)))
+				}
+			}
+		}
+	}
+	if a.Retried && (lv == nil || len(v.liveReps) == len(v.reps)) {
+		t.Fatalf("req %+v: Retried set with no dead replica (mask bound: %v)", req, lv != nil)
+	}
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 
 	"repro/internal/cache"
@@ -46,7 +47,7 @@ type TwoChoice struct {
 	ball    *grid.BallTable // precomputed B_r template (nil when inapplicable)
 	ballBuf []int32
 	candBuf []int32
-	seenBuf []int32 // distinct-candidate scratch (WithoutReplacement)
+	seenBuf []int32 // d-candidate scratch: a fast draw's batch or distinct draws
 
 	// Tile-index path (bound when the placement carries a TileIndex).
 	tix         *cache.TileIndex
@@ -136,7 +137,9 @@ func (s *TwoChoice) bindIndex() {
 		if cap(s.ballBuf) < s.ballN {
 			s.ballBuf = make([]int32, 0, s.ballN) // dense exact fallback
 		}
-		if d := max(s.cfg.Choices, 4); cap(s.seenBuf) < d {
+		// At most d candidates, capped at |B_r| because the oracle's d
+		// is unbounded (distinct draws from an escalated pool grow it).
+		if d := min(max(s.cfg.Choices, 4), s.ballN); cap(s.seenBuf) < d {
 			s.seenBuf = make([]int32, 0, d)
 		}
 	}
@@ -190,17 +193,17 @@ func (s *TwoChoice) radiusLabel() string {
 // unrestricted).
 func (s *TwoChoice) Radius() int { return s.cfg.Radius }
 
-// Assign implements Strategy.
+// Assign implements Strategy. Every request of Strategy II, one-choice
+// and the oracle takes one ladder. The (1+β) coin sets d. On a tile
+// index a fast draw is tried first: rejection straight off a dense
+// file's bitmap, or off its covered tiles' runs when they hold more than
+// 3d replicas (fewer are cheaper to materialize). A spent budget, or
+// any other request, falls through to the exact pool S_j ∩ B_r(u); an
+// empty pool escalates to S_j (backhaul under NoEscalate), and d draws
+// from the pool are folded into the least loaded. A pool with no live
+// member backhauls.
 func (s *TwoChoice) Assign(req Request, loads LoadReader, r *rand.Rand) Assignment {
 	s.retried = false
-	a := s.assign(req, loads, r)
-	a.Retried = s.retried
-	return a
-}
-
-// assign is the dispatch body behind Assign; the wrapper exists only to
-// reset and stamp the per-request retried flag across its many returns.
-func (s *TwoChoice) assign(req Request, loads LoadReader, r *rand.Rand) Assignment {
 	reps := s.p.Replicas(int(req.File))
 	if len(reps) == 0 {
 		return backhaul(req)
@@ -209,35 +212,56 @@ func (s *TwoChoice) assign(req Request, loads LoadReader, r *rand.Rand) Assignme
 	if s.cfg.Beta > 0 && s.cfg.Beta < 1 && r.Float64() >= s.cfg.Beta {
 		d = 1 // the (1+β) process degrades to one choice this round
 	}
-	if s.cfg.Radius == RadiusUnbounded {
-		return s.assignPool(req, reps, reps, d, loads, r) // every replica is in range
-	}
+	walked := false
 	if s.tix != nil {
-		return s.assignIndexed(req, reps, d, loads, r)
+		if bits := s.tix.FileBits(int(req.File)); bits != nil {
+			if !s.cfg.WithoutReplacement && s.ball != nil {
+				if srv, ok := s.sampleFromBits(req, reps, bits, d, loads, r); ok {
+					return s.served(req, srv, false)
+				}
+			}
+		} else {
+			total := s.collectRuns(req.Origin, req.File, int32(len(reps)))
+			walked = true
+			if !s.cfg.WithoutReplacement && total > 3*d {
+				if srv, ok := s.sampleFromRuns(req, reps, total, d, loads, r); ok {
+					return s.served(req, srv, false)
+				}
+			}
+		}
 	}
-	// Bounded radius without an index (direct callers whose placement
-	// carries no TileIndex): the exact in-radius candidate list, drawn
-	// from uniformly — the reference law the indexed samplers match.
-	s.candBuf = s.exactCandidates(req, reps, s.candBuf[:0])
-	return s.assignPool(req, s.candBuf, reps, d, loads, r)
-}
-
-// assignPool is every candidate path's tail: draw from the in-radius
-// pool, or — when it is empty — escalate to the whole replica list reps
-// (backhaul under NoEscalate), and backhaul when the drawn-from pool
-// holds no live replica.
-func (s *TwoChoice) assignPool(req Request, pool, reps []int32, d int, loads LoadReader, r *rand.Rand) Assignment {
-	escalated := false
+	pool, escalated := s.exactPool(req, reps, walked), false
 	if len(pool) == 0 {
 		if s.cfg.NoEscalate {
-			return backhaul(req)
+			return s.served(req, -1, false)
 		}
 		pool, escalated = reps, true
 	}
-	if srv, ok := s.pickLivePool(pool, d, loads, r); ok {
-		return s.assignArith(req, srv, escalated)
+	return s.served(req, s.drawPool(pool, d, loads, r), escalated)
+}
+
+// exactPool materializes S_j ∩ B_r(u) for req — only its live members
+// under a liveness mask — by the file's representation: S_j itself at
+// r = ∞, the ball's bitmap hits for a dense file, the runs of its
+// covered tiles, or the untiled scan. walked reports that s.runs already
+// holds req's runs (Assign walks them for the run sampler first).
+func (s *TwoChoice) exactPool(req Request, reps []int32, walked bool) []int32 {
+	switch {
+	case s.cfg.Radius == RadiusUnbounded:
+		return reps
+	case s.tix == nil:
+		s.candBuf = s.exactCandidates(req, reps, s.candBuf[:0])
+	default:
+		if bits := s.tix.FileBits(int(req.File)); bits != nil {
+			s.candBuf = s.bitExactCandidates(int(req.Origin), bits, s.candBuf[:0])
+			break
+		}
+		if !walked {
+			s.collectRuns(req.Origin, req.File, int32(len(reps)))
+		}
+		s.candBuf = s.indexExactCandidates(req.Origin, reps, s.candBuf[:0])
 	}
-	return backhaul(req)
+	return s.candBuf
 }
 
 // exactCandidates filters the replicas of req.File to those within the
@@ -271,17 +295,6 @@ func (s *TwoChoice) exactCandidates(req Request, reps []int32, dst []int32) []in
 		}
 	}
 	return dst
-}
-
-// indexedCandidates materializes S_j ∩ B_r(u) through the index,
-// dispatching on the file's representation (bitmap or tile runs of
-// reps, the file's S_j). Equal as a set to exactCandidates.
-func (s *TwoChoice) indexedCandidates(req Request, reps, dst []int32) []int32 {
-	if bits := s.tix.FileBits(int(req.File)); bits != nil {
-		return s.bitExactCandidates(int(req.Origin), bits, dst)
-	}
-	s.collectRuns(req.Origin, req.File, int32(len(reps)))
-	return s.indexExactCandidates(req.Origin, reps, dst)
 }
 
 // collectRuns walks the tiles overlapping B_r(u) and gathers, for the
@@ -506,60 +519,21 @@ func (s *TwoChoice) distFrom(ox, oy int, v int32) int {
 	return dx + dy
 }
 
-// assignIndexed is the tile-index discipline for a bounded radius: the
-// candidate space is enumerated through the O((r/t+2)²) covered tiles.
-// Candidates are drawn by a two-stage sampler — a weighted draw over the
-// per-tile replica counts, then a uniform pick inside the tile's run —
-// with rejection of out-of-ball picks from partial tiles, which is
-// uniform over S_j ∩ B_r(u) exactly like a draw from the exact candidate
-// list. Distinct-candidate sampling and exhausted budgets fall back to
-// the materialized exact list.
-func (s *TwoChoice) assignIndexed(req Request, reps []int32, d int, loads LoadReader, r *rand.Rand) Assignment {
-	// Dense files (|S_j| ≥ n/8, see cache.denseBitThreshold — the bound
-	// also sizes the bitmap arena) skip the tile walk entirely: a uniform
-	// ball cell accepted on a bitmap hit is uniform over S_j ∩ B_r(u)
-	// with acceptance ≈ |S_j|/n, and the bitmap probe is O(1). Their
-	// exact fallback enumerates the ball against the bitmap — dense
-	// files carry no tile runs at all.
-	if bits := s.tix.FileBits(int(req.File)); bits != nil {
-		if !s.cfg.WithoutReplacement && s.ball != nil {
-			if srv, ok := s.sampleFromBits(req, reps, bits, d, loads, r); ok {
-				return s.assignArith(req, srv, false)
-			}
-		}
-		s.candBuf = s.bitExactCandidates(int(req.Origin), bits, s.candBuf[:0])
-		return s.assignPool(req, s.candBuf, reps, d, loads, r)
+// served stamps the ladder's outcome: server srv with the hop count
+// computed arithmetically (identical to assignmentTo, with no
+// coordinate-table loads), or a backhaul at the origin when srv < 0; and
+// whether a dead candidate was rejected on the way.
+func (s *TwoChoice) served(req Request, srv int32, escalated bool) Assignment {
+	if srv < 0 {
+		return Assignment{Server: req.Origin, Backhaul: true, Retried: s.retried}
 	}
-	total := s.collectRuns(req.Origin, req.File, int32(len(reps)))
-	if total == 0 {
-		// No replica in any covered tile (under a liveness mask: none in
-		// any covered tile with a live node) ⇒ live S_j ∩ B_r(u) = ∅.
-		return s.assignPool(req, nil, reps, d, loads, r)
-	}
-	if !s.cfg.WithoutReplacement && total > 3*d {
-		if srv, ok := s.sampleFromRuns(req, reps, total, d, loads, r); ok {
-			return s.assignArith(req, srv, false)
-		}
-	}
-	// Exact materialization: tiny run totals (the common shape for
-	// mid-popularity files, where materializing ≤ 3d contiguous
-	// candidates and drawing from the pool is the same uniform law at
-	// fewer scattered reads), distinct-candidate sampling, or a two-stage
-	// sampler that burned its budget on out-of-ball picks from partial
-	// tiles.
-	s.candBuf = s.indexExactCandidates(req.Origin, reps, s.candBuf[:0])
-	return s.assignPool(req, s.candBuf, reps, d, loads, r)
-}
-
-// assignArith is assignmentTo with the hop count computed arithmetically
-// (no coordinate-table loads); identical output by construction.
-func (s *TwoChoice) assignArith(req Request, server int32, escalated bool) Assignment {
 	oy := int(req.Origin) / s.gl
 	ox := int(req.Origin) - oy*s.gl
 	return Assignment{
-		Server:    server,
-		Hops:      int32(s.distFrom(ox, oy, server)),
+		Server:    srv,
+		Hops:      int32(s.distFrom(ox, oy, srv)),
 		Escalated: escalated,
+		Retried:   s.retried,
 	}
 }
 
@@ -635,7 +609,7 @@ func (s *TwoChoice) sampleFromRuns(req Request, reps []int32, total, d int, load
 		}
 	}
 	s.seenBuf = cand
-	return pickLeastLoaded(cand, loads, r), true
+	return leastLoaded(cand, loads, r), true
 }
 
 // bitExactCandidates materializes S_j ∩ B_r(u) for a dense file by
@@ -663,8 +637,8 @@ func (s *TwoChoice) bitExactCandidates(origin int, bits []uint64, dst []int32) [
 // dense file's node bitmap: a uniform node of B_r(u) (O(1) through the
 // ball template) is accepted when its bit is set, which is uniform over
 // S_j ∩ B_r(u) with an O(1) membership probe.
-// Returns ok=false when the try budget is exhausted (the caller falls
-// back to the exact tile walk; partial progress is discarded).
+// Returns ok=false when the try budget is exhausted (Assign falls
+// through to the exact pool; partial progress is discarded).
 func (s *TwoChoice) sampleFromBits(req Request, reps []int32, bits []uint64, d int, loads LoadReader, r *rand.Rand) (int32, bool) {
 	budget := 6*d*(s.g.N()/(len(reps)+1)+1) + 8
 	if cap(s.seenBuf) < d {
@@ -709,135 +683,111 @@ func (s *TwoChoice) sampleFromBits(req Request, reps []int32, bits []uint64, d i
 		}
 	}
 	s.seenBuf = cand
-	return pickLeastLoaded(cand, loads, r), true
+	return leastLoaded(cand, loads, r), true
 }
 
-// pickLeastLoaded returns the least-loaded candidate, breaking ties
-// uniformly (reservoir over minima, as foldCandidate does, but with the
-// incumbent's load cached so each candidate costs one load read).
-func pickLeastLoaded(cand []int32, loads LoadReader, r *rand.Rand) int32 {
-	best := cand[0]
-	bestLoad := loads.Load(int(best))
-	ties := 1
-	for _, v := range cand[1:] {
-		lv := loads.Load(int(v))
-		switch {
-		case lv < bestLoad:
-			best, bestLoad, ties = v, lv, 1
-		case lv == bestLoad:
-			ties++
-			if r.IntN(ties) == 0 {
-				best = v
-			}
+// fold is the running least-loaded candidate, the one picker behind
+// every draw: the incumbent, its load (read once) and how many
+// candidates tie at that load. A tie replaces the incumbent with
+// probability 1/ties (reservoir), so the winner is uniform over the
+// minima whatever the draw order; the first candidate draws no word.
+type fold struct {
+	best       int32
+	load, ties int
+}
+
+// add folds candidate v in.
+func (f *fold) add(v int32, loads LoadReader, r *rand.Rand) {
+	lv := loads.Load(int(v))
+	switch {
+	case f.ties == 0 || lv < f.load:
+		f.best, f.load, f.ties = v, lv, 1
+	case lv == f.load:
+		f.ties++
+		if r.IntN(f.ties) == 0 {
+			f.best = v
 		}
 	}
-	return best
 }
 
-// pickFromPool samples d candidates uniformly from pool and returns the
-// least-loaded (ties uniform).
-func (s *TwoChoice) pickFromPool(pool []int32, d int, loads LoadReader, r *rand.Rand) int32 {
+// leastLoaded folds every candidate of cand, in order.
+func leastLoaded(cand []int32, loads LoadReader, r *rand.Rand) int32 {
+	var f fold
+	for _, v := range cand {
+		f.add(v, loads, r)
+	}
+	return f.best
+}
+
+// drawPool draws d candidates uniformly from pool, folding each as it
+// is drawn, and returns the least loaded, or −1 when the pool holds no
+// live member. Draws are with replacement, or distinct under
+// WithoutReplacement, which takes a pool no larger than d whole; a
+// one-element pool draws no word. Under a liveness mask, draws with
+// replacement reject dead picks within a budget of 4d+16 tries. A spent
+// budget (its partial fold discarded, which keeps the law uniform over
+// the live members) and distinct draws filter the pool to its live
+// members first.
+func (s *TwoChoice) drawPool(pool []int32, d int, loads LoadReader, r *rand.Rand) int32 {
+	if s.live != nil {
+		if !s.cfg.WithoutReplacement && len(pool) > 1 {
+			var f fold
+			accepted := 0
+			for tries := 0; tries < 4*d+16 && accepted < d; tries++ {
+				v := pool[r.IntN(len(pool))]
+				if !s.live.Live(int(v)) {
+					s.retried = true
+					continue
+				}
+				f.add(v, loads, r)
+				accepted++
+			}
+			if accepted == d {
+				return f.best
+			}
+		}
+		s.liveBuf = s.liveBuf[:0]
+		for _, v := range pool {
+			if s.live.Live(int(v)) {
+				s.liveBuf = append(s.liveBuf, v)
+			} else {
+				s.retried = true
+			}
+		}
+		if pool = s.liveBuf; len(pool) == 0 {
+			return -1
+		}
+	}
 	if len(pool) == 1 {
 		return pool[0]
 	}
-	var best int32 = -1
-	ties := 0
-	if s.cfg.WithoutReplacement {
-		if d >= len(pool) {
-			// Degenerates to the full-information oracle over the pool.
-			for _, v := range pool {
-				best, ties = s.foldCandidate(best, ties, v, loads, r)
-			}
-			return best
-		}
-		// Partial Fisher–Yates over indices via a small map-free trick:
-		// for d ≪ |pool| rejection on a tiny set is cheapest.
-		seen := s.seenBuf[:0]
-	draw:
-		for len(seen) < d {
-			v := pool[r.IntN(len(pool))]
-			for _, u := range seen {
-				if u == v {
-					continue draw
-				}
-			}
-			seen = append(seen, v)
-			best, ties = s.foldCandidate(best, ties, v, loads, r)
-		}
-		s.seenBuf = seen
-		return best
-	}
-	for i := 0; i < d; i++ {
-		v := pool[r.IntN(len(pool))]
-		best, ties = s.foldCandidate(best, ties, v, loads, r)
-	}
-	return best
-}
-
-// pickLivePool is pickFromPool behind the liveness mask — the pool pick
-// of the graceful-degradation ladder. Without a mask it delegates
-// unchanged (zero extra draws: the golden table pins this). With one,
-// a bounded rejection loop resamples dead picks among the pool's live
-// members; exhaustion (or distinct-candidate sampling, which cannot
-// reject cheaply) falls back to filtering the pool into preallocated
-// scratch, and ok=false reports a pool with no live member at all — the
-// caller then degrades to backhaul. Partial rejection progress is
-// discarded so the fallback's law stays uniform over the live members.
-func (s *TwoChoice) pickLivePool(pool []int32, d int, loads LoadReader, r *rand.Rand) (int32, bool) {
-	if s.live == nil {
-		return s.pickFromPool(pool, d, loads, r), true
-	}
-	if !s.cfg.WithoutReplacement && len(pool) > 1 {
-		var best int32 = -1
-		ties, accepted := 0, 0
-		for tries, budget := 0, 4*d+16; accepted < d; tries++ {
-			if tries >= budget {
-				best = -1
-				break
-			}
-			v := pool[r.IntN(len(pool))]
-			if !s.live.Live(int(v)) {
-				s.retried = true
-				continue
-			}
-			accepted++
-			best, ties = s.foldCandidate(best, ties, v, loads, r)
-		}
-		if best >= 0 {
-			return best, true
-		}
-	}
-	s.liveBuf = s.liveBuf[:0]
-	for _, v := range pool {
-		if s.live.Live(int(v)) {
-			s.liveBuf = append(s.liveBuf, v)
-		} else {
-			s.retried = true
-		}
-	}
-	if len(s.liveBuf) == 0 {
-		return -1, false
-	}
-	return s.pickFromPool(s.liveBuf, d, loads, r), true
-}
-
-// foldCandidate updates the running least-loaded winner with uniform tie
-// breaking (reservoir over minima).
-func (s *TwoChoice) foldCandidate(best int32, ties int, v int32, loads LoadReader, r *rand.Rand) (int32, int) {
-	if best < 0 {
-		return v, 1
-	}
-	lv, lb := loads.Load(int(v)), loads.Load(int(best))
 	switch {
-	case lv < lb:
-		return v, 1
-	case lv == lb:
-		ties++
-		if r.IntN(ties) == 0 {
-			return v, ties
+	case !s.cfg.WithoutReplacement:
+		var f fold
+		for range d {
+			f.add(pool[r.IntN(len(pool))], loads, r)
 		}
+		return f.best
+	case d >= len(pool):
+		return leastLoaded(pool, loads, r)
 	}
-	return best, ties
+	// Distinct draws by rejection: for d ≪ |pool| a scan of the few
+	// accepted candidates is cheaper than a partial Fisher–Yates.
+	var f fold
+	seen := s.seenBuf[:0]
+draw:
+	for len(seen) < d {
+		v := pool[r.IntN(len(pool))]
+		for _, u := range seen {
+			if u == v {
+				continue draw
+			}
+		}
+		seen = append(seen, v)
+		f.add(v, loads, r)
+	}
+	s.seenBuf = seen
+	return f.best
 }
 
 var _ Strategy = (*TwoChoice)(nil)
@@ -854,7 +804,12 @@ type LeastLoadedOracle struct {
 // and cfg.NoEscalate (an empty ball backhauls instead of widening to
 // r = ∞); the sampling fields do not apply to a full-information scan.
 func NewLeastLoadedOracle(g *grid.Grid, p *cache.Placement, cfg TwoChoiceConfig) *LeastLoadedOracle {
-	return &LeastLoadedOracle{inner: NewTwoChoice(g, p, TwoChoiceConfig{Radius: cfg.Radius, NoEscalate: cfg.NoEscalate})}
+	// More distinct draws than the pool holds take the pool whole: the
+	// ladder folds every live member of the exact pool, in order, and
+	// distinct draws skip the fast ones.
+	inner := NewTwoChoice(g, p, TwoChoiceConfig{Radius: cfg.Radius, NoEscalate: cfg.NoEscalate, WithoutReplacement: true})
+	inner.cfg.Choices = math.MaxInt32
+	return &LeastLoadedOracle{inner: inner}
 }
 
 // Name implements Strategy.
@@ -871,49 +826,7 @@ func (o *LeastLoadedOracle) SetLiveness(lv *cache.Liveness) { o.inner.SetLivenes
 
 // Assign implements Strategy.
 func (o *LeastLoadedOracle) Assign(req Request, loads LoadReader, r *rand.Rand) Assignment {
-	s := o.inner
-	s.retried = false
-	reps := s.p.Replicas(int(req.File))
-	if len(reps) == 0 {
-		return backhaul(req)
-	}
-	pool := reps
-	escalated := false
-	if s.cfg.Radius != RadiusUnbounded {
-		if s.tix != nil {
-			s.candBuf = s.indexedCandidates(req, reps, s.candBuf[:0])
-		} else {
-			s.candBuf = s.exactCandidates(req, reps, s.candBuf[:0])
-		}
-		pool = s.candBuf
-		if len(pool) == 0 {
-			if s.cfg.NoEscalate {
-				a := backhaul(req)
-				a.Retried = s.retried
-				return a
-			}
-			pool, escalated = reps, true
-		}
-	}
-	var best int32 = -1
-	ties := 0
-	for _, v := range pool {
-		if s.live != nil && !s.live.Live(int(v)) {
-			s.retried = true
-			continue
-		}
-		best, ties = s.foldCandidate(best, ties, v, loads, r)
-	}
-	if best < 0 {
-		// Oracle or not, a file whose live replica set is empty can only
-		// be served upstream.
-		a := backhaul(req)
-		a.Retried = s.retried
-		return a
-	}
-	a := assignmentTo(s.g, req, best, escalated)
-	a.Retried = s.retried
-	return a
+	return o.inner.Assign(req, loads, r)
 }
 
 var _ Strategy = (*LeastLoadedOracle)(nil)

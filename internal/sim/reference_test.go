@@ -12,13 +12,14 @@ import (
 	"repro/internal/grid"
 )
 
-// referenceTrial is a brute-force Strategy II (and one-choice / oracle)
-// trial: trial t's placement and split request streams, exactly as
-// RunTrial draws them, assigned by scanning every replica of the file
+// referenceTrial is a brute-force Strategy II (and one-choice, (1+β) /
+// oracle) trial: trial t's placement and split request streams, exactly
+// as RunTrial draws them, assigned by scanning every replica of the file
 // with grid.Dist, drawing d candidates uniformly from those within r
-// (distinct under WithoutReplacement) and taking the least loaded, ties
-// uniform. Its own rng draws the candidates, so it matches the engine in
-// law, not trajectory. Homogeneous, fault-free, churn-free worlds only.
+// (distinct under WithoutReplacement; one with probability 1−β under a
+// Beta in (0, 1)) and taking the least loaded, ties uniform. Its own rng
+// draws the candidates and the β coin, so it matches the engine in law,
+// not trajectory. Homogeneous, fault-free, churn-free worlds only.
 func referenceTrial(w *World, t uint64, rng *rand.Rand) Result {
 	cfg, g, n := w.cfg, w.g, w.g.N()
 	var placeRNG reseedRand
@@ -66,18 +67,22 @@ func referenceTrial(w *World, t uint64, rng *rand.Rand) Result {
 				pool = append(pool, reps...)
 				res.Escalated++
 			}
+			dr := d
+			if sp.Beta > 0 && sp.Beta < 1 && rng.Float64() >= sp.Beta {
+				dr = 1 // the (1+β) process's one-choice round
+			}
 			switch {
-			case sp.Kind == Oracle || sp.WithoutReplacement && d >= len(pool):
+			case sp.Kind == Oracle || sp.WithoutReplacement && dr >= len(pool):
 				cand = append(cand[:0], pool...)
 			case sp.WithoutReplacement:
-				for k := 0; k < d; k++ { // partial Fisher–Yates
+				for k := 0; k < dr; k++ { // partial Fisher–Yates
 					j := k + rng.IntN(len(pool)-k)
 					pool[k], pool[j] = pool[j], pool[k]
 				}
-				cand = append(cand[:0], pool[:d]...)
+				cand = append(cand[:0], pool[:dr]...)
 			default:
 				cand = cand[:0]
-				for range d {
+				for range dr {
 					cand = append(cand, pool[rng.IntN(len(pool))])
 				}
 			}
@@ -103,8 +108,9 @@ func referenceTrial(w *World, t uint64, rng *rand.Rand) Result {
 }
 
 // referenceConfigs span the reference comparison: torus and bounded
-// grid, Zipf with dense files, d = 4 without replacement, the oracle
-// (escalating and backhauling), and all three miss policies.
+// grid, Zipf with dense files, d = 4 without replacement, one-choice, the
+// (1+β) process, the oracle (escalating and backhauling), and all three
+// miss policies.
 var referenceConfigs = []struct {
 	name string
 	cfg  Config
@@ -113,6 +119,8 @@ var referenceConfigs = []struct {
 	{"grid/escalate", Config{Side: 12, K: 150, M: 2, Seed: 0x63, Topology: grid.Bounded, MissPolicy: MissEscalate, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}}},
 	{"zipf/origin", Config{Side: 12, K: 150, M: 2, Seed: 0x63, Popularity: PopSpec{Kind: PopZipf, Gamma: 1.2}, MissPolicy: MissOrigin, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}}},
 	{"d4-distinct", Config{Side: 12, K: 100, M: 2, Seed: 0x7, Strategy: StrategySpec{Kind: TwoChoices, Radius: 4, Choices: 4, WithoutReplacement: true}}},
+	{"one-choice", Config{Side: 12, K: 150, M: 2, Seed: 0x63, Strategy: StrategySpec{Kind: OneChoiceRandom, Radius: 3}}},
+	{"beta", Config{Side: 16, K: 60, M: 4, Seed: 0x63, Strategy: StrategySpec{Kind: TwoChoices, Radius: 4, Beta: 0.5}}},
 	{"oracle", Config{Side: 12, K: 150, M: 2, Seed: 0x63, Strategy: StrategySpec{Kind: Oracle, Radius: 3}}},
 	{"oracle/origin", Config{Side: 12, K: 150, M: 2, Seed: 0x63, MissPolicy: MissOrigin, Strategy: StrategySpec{Kind: Oracle, Radius: 3}}},
 }
@@ -149,7 +157,7 @@ func referencePValues(t *testing.T, cfg Config, trials int) (chi2P, ksP float64)
 // TestReferenceMatchesRunTrial: the engine's Strategy II law equals the
 // brute-force reference on every reference configuration. The seeds are
 // fixed, so the p-values are too (docs/perf.md records them); 1e-3 is a
-// Bonferroni-style floor over the twelve tests.
+// Bonferroni-style floor over the sixteen tests.
 func TestReferenceMatchesRunTrial(t *testing.T) {
 	for _, rc := range referenceConfigs {
 		chi2P, ksP := referencePValues(t, rc.cfg, 200)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand/v2"
 	"net/http"
 	"sync"
@@ -503,19 +504,31 @@ func (c *Coordinator) flaky() bool {
 	return c.flake.Float64() < c.flakeP
 }
 
-// decodeBody parses a capped JSON body, answering 400/413 on failure.
+// decodeBody parses a capped JSON body into v. It answers 413 past the
+// cap and 400 unless the body is exactly one JSON document of v's shape:
+// unknown fields, a second value and trailing garbage are all refused,
+// as ParseSpec and /v1/place refuse them.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			http.Error(w, "request body too large", http.StatusRequestEntityTooLarge)
-			return false
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil {
+		_, err = dec.Token()
+		if errors.Is(err, io.EOF) {
+			return true
 		}
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+		if err == nil {
+			err = errors.New("trailing data after the JSON document")
+		}
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		http.Error(w, "request body too large", http.StatusRequestEntityTooLarge)
 		return false
 	}
-	return true
+	http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+	return false
 }
 
 // writeJSON answers with a JSON body.

@@ -5,10 +5,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/sim"
 )
@@ -139,4 +144,158 @@ func FuzzRecoverJournal(f *testing.F) {
 			t.Fatalf("%d dropped + %d results from %d lines", dropped, len(results), lines)
 		}
 	})
+}
+
+// FuzzCoordinatorHandler sends fuzzed call sequences to the HTTP handler
+// of a two-shard coordinator. Each step is three bytes and a body. op
+// picks the endpoint (op%5: lease, renew, complete, fail, status) and the
+// body (op/5%6: the raw fuzz bytes, the endpoint's well-formed body, or
+// that body spoiled by trailing garbage, an unknown field, a second value
+// or another endpoint's body). arg picks the shard or lease a
+// well-formed body names, and advances the clock by arg%4 seconds
+// against a 5 s lease. n is the raw body's length. The contract: the
+// handler never panics; a spoiled body answers 400; a raw body it
+// accepts is one JSON document whose top-level keys the endpoint knows;
+// a well-formed body is never refused as malformed; and after every step
+// /v1/status partitions total and done never decreases. An input runs
+// at most maxSteps steps, which bounds the time one execution takes.
+func FuzzCoordinatorHandler(f *testing.F) {
+	const maxSteps = 64
+	spec, err := ParseSpec([]byte(`{"trials":4,"blocks":2,"seed":7,"base":{"side":5,"k":10,"m":1}}`))
+	if err != nil {
+		f.Fatal(err)
+	}
+	shards, err := spec.Shards()
+	if err != nil {
+		f.Fatal(err)
+	}
+	results := make([]string, len(shards))
+	for i, sh := range shards {
+		world, err := sim.Compile(sh.Config)
+		if err != nil {
+			f.Fatal(err)
+		}
+		b, err := json.Marshal(NewShardResult(sh.Key, world.RunBlock(uint64(sh.Lo), uint64(sh.Hi))))
+		if err != nil {
+			f.Fatal(err)
+		}
+		results[i] = string(b)
+	}
+	endpoints := []struct {
+		path    string
+		fields  []string
+		foreign string
+	}{
+		{"/v1/lease", []string{"worker"}, `{"key":"k","error":"e"}`},
+		{"/v1/renew", []string{"lease"}, `{"worker":"w"}`},
+		{"/v1/complete", []string{"key", "agg", "hash"}, `{"key":"k","error":"e"}`},
+		{"/v1/fail", []string{"key", "error"}, `{"lease":1}`},
+		{"/v1/status", nil, ""},
+	}
+	step := func(ep, mode, arg byte, raw string) []byte {
+		return append([]byte{ep + 5*mode, arg, byte(len(raw))}, raw...)
+	}
+	f.Add([]byte{})
+	for ep := range byte(5) {
+		for mode := range byte(6) {
+			f.Add(step(ep, mode, 0, `{"worker":"w"}`))
+		}
+	}
+	f.Add(slices.Concat(step(0, 1, 0, ""), step(0, 1, 0, ""), step(2, 1, 0, ""), step(2, 1, 4, ""), step(4, 0, 0, "")))
+	f.Add(slices.Concat(step(0, 1, 0, ""), step(3, 1, 0, ""), step(3, 1, 1, ""), step(0, 1, 3, ""), step(1, 1, 3, "")))
+	f.Add(slices.Concat(step(0, 1, 0, ""), step(2, 1, 4, ""), step(2, 1, 4, ""), step(3, 1, 4, ""), step(2, 4, 0, "")))
+	for _, raw := range []string{`null`, `[]`, `{}`, `{"worker":"w"}{}`, `{"WORKER":"w"}`, `{"lease":-1}`, `{"key":1}`, `{"worker":"w"} `, `{`, "\x00"} {
+		for ep := range byte(4) {
+			f.Add(step(ep, 0, 0, raw))
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		now := time.Unix(1000, 0)
+		c, err := NewCoordinator(spec, "", CoordinatorOptions{
+			LeaseTTL: 5 * time.Second, MaxAttempts: 2, Now: func() time.Time { return now }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		h := c.Handler()
+		call := func(method, path, body string) *httptest.ResponseRecorder {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+			return rec
+		}
+		leases := []uint64{1}
+		done := 0
+		for steps := 0; steps < maxSteps && len(data) >= 3; steps++ {
+			op, arg, n := data[0], data[1], min(int(data[2]), len(data)-3)
+			raw := string(data[3 : 3+n])
+			data = data[3+n:]
+			now = now.Add(time.Duration(arg%4) * time.Second)
+			ep, mode, pick := endpoints[op%5], op/5%6, int(arg/4)
+			if ep.fields != nil {
+				body := [...]string{
+					`{"worker":"w"}`,
+					fmt.Sprintf(`{"lease":%d}`, leases[pick%len(leases)]),
+					results[pick%len(results)],
+					fmt.Sprintf(`{"key":%q,"error":"fuzz"}`, shards[pick%len(shards)].Key),
+				}[op%5]
+				switch mode {
+				case 0:
+					body = raw
+				case 2:
+					body += " trailing garbage"
+				case 3:
+					body = `{"bogus":1,` + body[1:]
+				case 4:
+					body += body
+				case 5:
+					body = ep.foreign
+				}
+				rec := call(http.MethodPost, ep.path, body)
+				code := rec.Code
+				switch {
+				case mode >= 2 && code != http.StatusBadRequest:
+					t.Fatalf("%s spoiled body %q answered %d, want 400", ep.path, body, code)
+				case mode == 1 && code == http.StatusBadRequest:
+					t.Fatalf("%s well-formed body %q refused: %s", ep.path, body, rec.Body)
+				case mode == 0 && code/100 == 2 && !oneKnownDocument(body, ep.fields):
+					t.Fatalf("%s accepted %q, which is not one document of its shape", ep.path, body)
+				}
+				var rep LeaseReply
+				if ep.path == "/v1/lease" && code == http.StatusOK && json.Unmarshal(rec.Body.Bytes(), &rep) == nil && rep.Lease != 0 {
+					leases = append(leases, rep.Lease)
+				}
+			}
+			rec := call(http.MethodGet, "/v1/status", "")
+			var st Status
+			if err := json.Unmarshal(rec.Body.Bytes(), &st); rec.Code != http.StatusOK || err != nil {
+				t.Fatalf("status answered %d: %v", rec.Code, err)
+			}
+			if st.Total != len(shards) || st.Done+st.Leased+st.Pending+st.Failed != st.Total {
+				t.Fatalf("status %+v does not partition %d shards", st, len(shards))
+			}
+			if st.Done < done {
+				t.Fatalf("done fell from %d to %d", done, st.Done)
+			}
+			done = st.Done
+		}
+	})
+}
+
+// oneKnownDocument reports whether body is exactly one JSON value and,
+// when that value is an object, every key matches one of fields the way
+// encoding/json matches them (case-insensitively).
+func oneKnownDocument(body string, fields []string) bool {
+	if !json.Valid([]byte(body)) {
+		return false
+	}
+	var obj map[string]json.RawMessage
+	if json.Unmarshal([]byte(body), &obj) != nil {
+		return true // not an object
+	}
+	for k := range obj {
+		if !slices.ContainsFunc(fields, func(f string) bool { return strings.EqualFold(f, k) }) {
+			return false
+		}
+	}
+	return true
 }

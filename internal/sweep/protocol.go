@@ -17,6 +17,10 @@ import (
 //	POST /v1/fail     {"key":K,"error":E}     → 200
 //	GET  /v1/status                           → Status
 //
+// A POST body is exactly one JSON document of its endpoint's shape:
+// unknown fields, a second value or trailing data answer 400, and a body
+// over 1 MiB answers 413.
+//
 // Completions are keyed by shard content hash, never by lease, so a
 // worker can deliver a result to a coordinator that restarted (and
 // re-leased the shard) since the work was handed out — the definition

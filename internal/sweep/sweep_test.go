@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -400,6 +401,64 @@ func TestHTTPBodyCapAndBadJSON(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("garbage body: %s, want 400", resp.Status)
+	}
+}
+
+// TestHTTPRejectsMalformedBodies: every POST endpoint answers 400 to
+// its well-formed body followed by trailing garbage, with an unknown
+// field, twice over, and to another endpoint's body, and the coordinator
+// does not act on it; each well-formed body itself is accepted.
+func TestHTTPRejectsMalformedBodies(t *testing.T) {
+	spec := tinySpec(t)
+	shards, err := spec.Shards()
+	if err != nil {
+		t.Fatal(err)
+	}
+	result, err := json.Marshal(runShardDirect(t, shards[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// post sends body to a fresh coordinator that has granted lease 1.
+	post := func(t *testing.T, path, body string) (int, Status, Status) {
+		t.Helper()
+		c, err := NewCoordinator(spec, "", CoordinatorOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if rep := c.Lease("w"); rep.Lease != 1 {
+			t.Fatalf("first lease %+v", rep)
+		}
+		before := c.Status()
+		rec := httptest.NewRecorder()
+		c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		return rec.Code, before, c.Status()
+	}
+	for _, ep := range []struct{ path, body, foreign string }{
+		{"/v1/lease", `{"worker":"w"}`, `{"key":"k","error":"e"}`},
+		{"/v1/renew", `{"lease":1}`, `{"worker":"w"}`},
+		{"/v1/complete", string(result), `{"key":"` + shards[0].Key + `","error":"e"}`},
+		{"/v1/fail", `{"key":"` + shards[0].Key + `","error":"e"}`, `{"lease":1}`},
+	} {
+		if code, _, _ := post(t, ep.path, ep.body); code != http.StatusOK {
+			t.Fatalf("%s: well-formed body answered %d", ep.path, code)
+		}
+		for _, bad := range []struct{ name, body string }{
+			{"trailing garbage", ep.body + " trailing garbage"},
+			{"unknown field", `{"bogus":1,` + ep.body[1:]},
+			{"second value", ep.body + ep.body},
+			{"foreign body", ep.foreign},
+		} {
+			t.Run(strings.TrimPrefix(ep.path, "/v1/")+"/"+bad.name, func(t *testing.T) {
+				code, before, after := post(t, ep.path, bad.body)
+				if code != http.StatusBadRequest {
+					t.Errorf("answered %d, want 400", code)
+				}
+				if after != before {
+					t.Errorf("status moved from %+v to %+v", before, after)
+				}
+			})
+		}
 	}
 }
 
