@@ -60,6 +60,7 @@ import (
 
 	"repro"
 	"repro/internal/grid"
+	"repro/internal/sim"
 )
 
 func main() {
@@ -160,7 +161,10 @@ func printEras(cfg repro.Config, trials int) {
 	}
 }
 
-// buildConfig translates CLI flags into a sim configuration.
+// buildConfig translates CLI flags into a sim configuration. It rejects
+// a churn, fault or arrival process whose trial would end before its
+// first chunk barrier (see sim.CheckBarriers); every other check runs
+// when the trials do.
 func buildConfig(side int, topo string, k, m int, gamma float64, strategy string,
 	radius, choices, requests int, miss, metrics, churn string,
 	churnRate float64, faults string, faultRate, recoverRate float64,
@@ -222,5 +226,5 @@ func buildConfig(side int, topo string, k, m int, gamma float64, strategy string
 	default:
 		return cfg, fmt.Errorf("unknown strategy %q", strategy)
 	}
-	return cfg, nil
+	return cfg, sim.CheckBarriers(cfg)
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"strings"
 	"testing"
 
 	"repro"
@@ -81,7 +82,7 @@ func TestBuildConfigMetricsAndStreams(t *testing.T) {
 }
 
 func TestBuildConfigChurn(t *testing.T) {
-	cfg, err := buildConfig(10, "torus", 50, 2, 0, "two-choices", 4, 2, 0, "resample", "scalar", "replicas", 0.5, "none", 0, 0, "none", "uniform", 0, 0, "deterministic", 0, 1)
+	cfg, err := buildConfig(10, "torus", 50, 2, 0, "two-choices", 4, 2, 3000, "resample", "scalar", "replicas", 0.5, "none", 0, 0, "none", "uniform", 0, 0, "deterministic", 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestBuildConfigChurn(t *testing.T) {
 		t.Error("bogus churn mode accepted")
 	}
 	// A churn mode without a rate must be rejected at run time.
-	bad, err := buildConfig(10, "torus", 50, 2, 0, "nearest", -1, 2, 0, "resample", "scalar", "drift", 0, "none", 0, 0, "none", "uniform", 0, 0, "deterministic", 0, 1)
+	bad, err := buildConfig(10, "torus", 50, 2, 0, "nearest", -1, 2, 3000, "resample", "scalar", "drift", 0, "none", 0, 0, "none", "uniform", 0, 0, "deterministic", 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,6 @@ func TestBuildConfigChurn(t *testing.T) {
 		t.Error("churn without rate ran")
 	}
 	// The churn config must actually run and report event counters.
-	cfg.Requests = 3000
 	res, err := repro.RunTrial(cfg, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +111,7 @@ func TestBuildConfigChurn(t *testing.T) {
 }
 
 func TestBuildConfigFaults(t *testing.T) {
-	cfg, err := buildConfig(10, "torus", 50, 2, 0, "two-choices", 4, 2, 0, "escalate", "scalar", "none", 0, "crash", 0.05, 0.02, "none", "uniform", 0, 0, "deterministic", 0, 1)
+	cfg, err := buildConfig(10, "torus", 50, 2, 0, "two-choices", 4, 2, 3000, "escalate", "scalar", "none", 0, "crash", 0.05, 0.02, "none", "uniform", 0, 0, "deterministic", 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestBuildConfigFaults(t *testing.T) {
 		t.Error("bogus faults mode accepted")
 	}
 	// A fault mode without a rate must be rejected at run time.
-	bad, err := buildConfig(10, "torus", 50, 2, 0, "nearest", -1, 2, 0, "escalate", "scalar", "none", 0, "regional", 0, 0, "none", "uniform", 0, 0, "deterministic", 0, 1)
+	bad, err := buildConfig(10, "torus", 50, 2, 0, "nearest", -1, 2, 3000, "escalate", "scalar", "none", 0, "regional", 0, 0, "none", "uniform", 0, 0, "deterministic", 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestBuildConfigFaults(t *testing.T) {
 		t.Error("faults without rate ran")
 	}
 	// So must faults under the resampling miss policy.
-	bad, err = buildConfig(10, "torus", 50, 2, 0, "nearest", -1, 2, 0, "resample", "scalar", "none", 0, "crash", 0.05, 0, "none", "uniform", 0, 0, "deterministic", 0, 1)
+	bad, err = buildConfig(10, "torus", 50, 2, 0, "nearest", -1, 2, 3000, "resample", "scalar", "none", 0, "crash", 0.05, 0, "none", "uniform", 0, 0, "deterministic", 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,6 @@ func TestBuildConfigFaults(t *testing.T) {
 		t.Error("faults with resampling miss policy ran")
 	}
 	// The fault config must actually run and report availability.
-	cfg.Requests = 3000
 	res, err := repro.RunTrial(cfg, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -165,7 +164,7 @@ func TestBuildConfigShard(t *testing.T) {
 }
 
 func TestBuildConfigHetero(t *testing.T) {
-	cfg, err := buildConfig(10, "torus", 50, 2, 0, "two-choices", 4, 2, 0, "escalate", "scalar", "none", 0, "none", 0, 0, "arrival", "power-law", 0.01, 0, "deterministic", 0, 1)
+	cfg, err := buildConfig(10, "torus", 50, 2, 0, "two-choices", 4, 2, 3000, "escalate", "scalar", "none", 0, "none", 0, 0, "arrival", "power-law", 0.01, 0, "deterministic", 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +178,7 @@ func TestBuildConfigHetero(t *testing.T) {
 		t.Error("bogus cache profile accepted")
 	}
 	// An arrival mode without a rate must be rejected at run time.
-	bad, err := buildConfig(10, "torus", 50, 2, 0, "nearest", -1, 2, 0, "escalate", "scalar", "none", 0, "none", 0, 0, "arrival", "two-tier", 0, 0, "deterministic", 0, 1)
+	bad, err := buildConfig(10, "torus", 50, 2, 0, "nearest", -1, 2, 3000, "escalate", "scalar", "none", 0, "none", 0, 0, "arrival", "two-tier", 0, 0, "deterministic", 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +186,7 @@ func TestBuildConfigHetero(t *testing.T) {
 		t.Error("arrival without rate ran")
 	}
 	// So must arrivals under the resampling miss policy.
-	bad, err = buildConfig(10, "torus", 50, 2, 0, "nearest", -1, 2, 0, "resample", "scalar", "none", 0, "none", 0, 0, "arrival", "two-tier", 0.01, 0, "deterministic", 0, 1)
+	bad, err = buildConfig(10, "torus", 50, 2, 0, "nearest", -1, 2, 3000, "resample", "scalar", "none", 0, "none", 0, 0, "arrival", "two-tier", 0.01, 0, "deterministic", 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,12 +194,70 @@ func TestBuildConfigHetero(t *testing.T) {
 		t.Error("arrivals with resampling miss policy ran")
 	}
 	// The hetero config must actually run and report arrival counters.
-	cfg.Requests = 3000
 	res, err := repro.RunTrial(cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.ArrivalEvents == 0 {
 		t.Errorf("no arrival events: %+v", res)
+	}
+}
+
+// TestBuildConfigBarriers: churn, faults and node arrivals act only at
+// chunk barriers, so a trial whose requests fit in one chunk would run
+// none of them. buildConfig rejects such a config, naming both numbers
+// and both flags, and accepts it once -requests exceeds -chunk.
+func TestBuildConfigBarriers(t *testing.T) {
+	build := func(requests int, churn string, churnRate float64, faults string, faultRate float64, hetero string, arrivalRate float64, chunk int) (repro.Config, error) {
+		return buildConfig(10, "torus", 50, 2, 0, "two-choices", 4, 2, requests, "escalate", "scalar",
+			churn, churnRate, faults, faultRate, 0, hetero, "uniform", arrivalRate, 0, "deterministic", chunk, 1)
+	}
+	for _, tc := range []struct {
+		name               string
+		requests, chunk    int
+		churn, faults, het string
+		want               string // error substring, "" for accepted
+	}{
+		{"churn, n requests", 0, 0, "replicas", "none", "none", "100 requests fit in one 1024-request chunk"},
+		{"faults, n requests", 0, 0, "none", "crash", "none", "faults events"},
+		{"arrivals, n requests", 0, 0, "none", "none", "arrival", "arrivals events"},
+		{"all three", 0, 0, "drift", "crash", "arrival", "churn and faults and arrivals"},
+		{"one full chunk", 1024, 0, "replicas", "none", "none", "1024 requests fit in one 1024-request chunk"},
+		{"chunk at requests", 0, 100, "replicas", "none", "none", "-chunk"},
+		{"two chunks", 1025, 0, "replicas", "none", "none", ""},
+		{"smaller chunk", 0, 64, "replicas", "crash", "arrival", ""},
+		{"no barrier process", 0, 0, "none", "none", "capacity", ""},
+	} {
+		churnRate, faultRate, arrivalRate := 0.0, 0.0, 0.0
+		if tc.churn != "none" {
+			churnRate = 0.5
+		}
+		if tc.faults != "none" {
+			faultRate = 0.05
+		}
+		if tc.het == "arrival" {
+			arrivalRate = 0.05
+		}
+		cfg, err := build(tc.requests, tc.churn, churnRate, tc.faults, faultRate, tc.het, arrivalRate, tc.chunk)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		case tc.want != "" && err == nil:
+			t.Errorf("%s: accepted a trial with no chunk barrier", tc.name)
+		case tc.want != "" && !strings.Contains(err.Error(), tc.want):
+			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
+		case tc.want != "" && !strings.Contains(err.Error(), "-requests"):
+			t.Errorf("%s: error %q does not name -requests", tc.name, err)
+		}
+		if tc.want != "" || tc.churn == "none" {
+			continue
+		}
+		res, err := repro.RunTrial(cfg, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if res.ChurnEvents+res.ChurnSkipped == 0 {
+			t.Errorf("%s: accepted, yet no churn event was scheduled: %+v", tc.name, res)
+		}
 	}
 }

@@ -62,8 +62,8 @@ func (m Mode) String() string {
 // through a reusable Placer. Placements are immutable once built, with
 // one exception: placements built by a churn-enabled Placer
 // (Placer.EnableChurn) additionally support in-place replica migration
-// through ReplaceReplica, the primitive behind the engine's §VI dynamic
-// regime.
+// through ReplaceReplica and SwapReplicas, the primitives behind the
+// engine's §VI dynamic regime.
 type Placement struct {
 	n, k, m int
 
@@ -86,6 +86,13 @@ type Placement struct {
 
 	// cachedFiles lists files with at least one replica, ascending.
 	cachedFiles []int32
+
+	// slotFile is SlotReplica's index over the replica arena on
+	// churn-enabled placements: the file holding every 16th slot (see
+	// indexSlots). It is valid while repOff is unchanged, so it is rebuilt
+	// wherever repOff moves — the build and SpliceArrivals — and copied
+	// by Clone.
+	slotFile []int32
 
 	// caps and capOff carry heterogeneous per-node capacities
 	// (Placer.EnableHetero): caps[u] = M_u, and capOff is its prefix sum
@@ -459,6 +466,7 @@ func (pl *Placer) buildIndex() {
 	}
 	if p.sorted {
 		pl.transpose()
+		p.indexSlots()
 	}
 }
 

@@ -28,6 +28,7 @@ func (p *Placement) Clone() *Placement {
 	c.nodes = slices.Clone(p.nodes)
 	c.repOff = slices.Clone(p.repOff)
 	c.cachedFiles = slices.Clone(p.cachedFiles)
+	c.slotFile = slices.Clone(p.slotFile)
 	c.caps = slices.Clone(p.caps)
 	c.capOff = slices.Clone(p.capOff)
 	if p.tix != nil {

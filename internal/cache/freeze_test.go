@@ -43,7 +43,7 @@ func TestCloneIndependence(t *testing.T) {
 	}
 
 	r := rand.New(rand.NewPCG(11, 2))
-	storm(t, p, r, 200)
+	storm(p, r, nil, 200, nil)
 	for j := range before {
 		if !slices.Equal(c.Replicas(j), before[j]) {
 			t.Fatalf("file %d: mutating the original changed the clone", j)
@@ -57,35 +57,13 @@ func TestCloneIndependence(t *testing.T) {
 	for j := range after {
 		after[j] = slices.Clone(p.Replicas(j))
 	}
-	storm(t, c, r, 200)
+	storm(c, r, nil, 200, nil)
 	for j := range after {
 		if !slices.Equal(p.Replicas(j), after[j]) {
 			t.Fatalf("file %d: mutating the clone changed the original", j)
 		}
 	}
 	checkAgainstRebuild(t, c, tl)
-}
-
-// storm applies n random legal migrations (free-slot moves or full-cache
-// swaps), mirroring the churn engine's event shape.
-func storm(t *testing.T, p *Placement, r *rand.Rand, n int) {
-	t.Helper()
-	for i := 0; i < n; i++ {
-		j, u := p.SlotReplica(r.IntN(p.ReplicaSlots()))
-		v := int32(r.IntN(p.N()))
-		if v == u || p.Has(int(v), j) {
-			continue
-		}
-		if p.T(int(v)) < p.M() {
-			p.ReplaceReplica(j, u, v)
-			continue
-		}
-		vFiles := p.NodeFiles(int(v))
-		j2 := int(vFiles[r.IntN(len(vFiles))])
-		if p.CanSwap(j, u, j2, v) {
-			p.SwapReplicas(j, u, j2, v)
-		}
-	}
 }
 
 // TestCloneSurvivesPlacerReuse checks that a clone is decoupled from the

@@ -96,7 +96,8 @@ func (pl *Placer) StageArrival(u int32, pop dist.Popularity, mode Mode, r *rand.
 
 // SpliceArrivals splices every staged node into the replica CSR, the
 // cached-file list and, when present, the tile index: one plan pass and
-// one backward pass, whatever the number of nodes staged. Each file the
+// one backward pass, whatever the number of nodes staged. The CSR
+// offsets move, so SlotReplica's index is rebuilt after them. Each file the
 // batch touches gains its replicas at their key-ordered slots, and its
 // capacity-padded tile directory grows to min(|S_j|, Tiles) entries —
 // joiners in one tile share a run, and a new tile opens one entry. A
@@ -202,6 +203,7 @@ func (pl *Placer) SpliceArrivals() {
 		w--
 	}
 	p.cachedFiles = cached
+	p.indexSlots()
 	pl.joins = joins[:0]
 }
 

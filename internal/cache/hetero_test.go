@@ -91,12 +91,14 @@ func TestHeteroDegenerateMatchesHomogeneous(t *testing.T) {
 // node arrivals (which splice the joining nodes into the replica CSR
 // and tile index in place), and after every batch each incremental
 // structure must be set-equal to a from-scratch rebuild. This is the
-// property contract that lets churn and arrivals compose mid-trial.
+// property contract that lets churn and arrivals compose mid-trial. It
+// fails unless the storms drove every branch of the S_j splice.
 func TestHeteroStormAgainstRebuild(t *testing.T) {
 	const side, m, k, maxCap = 8, 3, 60, 6
 	n := side * side
 	g := grid.New(side, grid.Torus)
 	caps := heteroCaps(n, maxCap)
+	var branches branchCounts
 	for _, tc := range []struct {
 		name  string
 		pop   dist.Popularity
@@ -134,28 +136,8 @@ func TestHeteroStormAgainstRebuild(t *testing.T) {
 			checkAgainstRebuild(t, p, tl)
 			moved, swapped, arrived := 0, 0, 0
 			for batch := 0; batch < 24; batch++ {
-				for e := 0; e < 25; e++ {
-					slot := r.IntN(p.ReplicaSlots())
-					j, u := p.SlotReplica(slot)
-					v := int32(r.IntN(n))
-					if vacant[v] {
-						continue // the engine's vacant-destination skip
-					}
-					if p.CanReplace(j, u, v) {
-						p.ReplaceReplica(j, u, v)
-						moved++
-						continue
-					}
-					if v == u || p.Has(int(v), j) || p.T(int(v)) < p.Cap(int(v)) {
-						continue
-					}
-					vFiles := p.NodeFiles(int(v))
-					j2 := int(vFiles[r.IntN(len(vFiles))])
-					if p.CanSwap(j, u, j2, v) {
-						p.SwapReplicas(j, u, j2, v)
-						swapped++
-					}
-				}
+				mv, sw := storm(p, r, vacant, 25, &branches)
+				moved, swapped = moved+mv, swapped+sw
 				if batch%4 == 3 {
 					for joins := 1 + r.IntN(3); joins > 0 && len(vacantList) > 0; joins-- {
 						i := r.IntN(len(vacantList))
@@ -185,6 +167,7 @@ func TestHeteroStormAgainstRebuild(t *testing.T) {
 			checkAgainstRebuild(t, p, tl)
 		})
 	}
+	branches.check(t)
 }
 
 // TestHeteroArriveNodeRepadsDirectory pins the grow half of the
@@ -241,11 +224,10 @@ func TestHeteroArriveNodeRepadsDirectory(t *testing.T) {
 	// directory.
 	moved := 0
 	for e := 0; e < 200; e++ {
-		slot := r.IntN(p.ReplicaSlots())
-		j, src := p.SlotReplica(slot)
+		j, i := p.SlotReplica(r.IntN(p.ReplicaSlots()))
 		v := int32(r.IntN(n))
-		if !vacantSkip(vacant, v) && p.CanReplace(j, src, v) {
-			p.ReplaceReplica(j, src, v)
+		if at, has := slices.BinarySearch(p.NodeFiles(int(v)), int32(j)); !vacant[v] && !has && p.T(int(v)) < p.Cap(int(v)) {
+			p.ReplaceReplica(j, i, v, at)
 			moved++
 		}
 	}
@@ -254,8 +236,6 @@ func TestHeteroArriveNodeRepadsDirectory(t *testing.T) {
 	}
 	checkAgainstRebuild(t, p, tl)
 }
-
-func vacantSkip(vacant []bool, v int32) bool { return vacant[v] }
 
 // TestArriveNodeMatchesRebuild runs a splicing Placer in lockstep with a
 // twin that rebuilds its replica CSR and tile index from scratch after
@@ -412,25 +392,10 @@ func batchMerges(p *Placement, tl *grid.Tiling, joiners []int32, wasDense []bool
 // each to both p and its twin q. Vacant destinations are skipped, as
 // the engine does.
 func lockstepChurn(p, q *Placement, vacant []bool, r *rand.Rand, n int) {
-	for e := 0; e < n; e++ {
-		j, u := p.SlotReplica(r.IntN(p.ReplicaSlots()))
-		v := int32(r.IntN(p.N()))
-		if vacant[v] {
-			continue
-		}
-		if p.CanReplace(j, u, v) {
-			p.ReplaceReplica(j, u, v)
-			q.ReplaceReplica(j, u, v)
-			continue
-		}
-		if v == u || p.Has(int(v), j) || p.T(int(v)) < p.Cap(int(v)) {
-			continue
-		}
-		vFiles := p.NodeFiles(int(v))
-		j2 := int(vFiles[r.IntN(len(vFiles))])
-		if p.CanSwap(j, u, j2, v) {
-			p.SwapReplicas(j, u, j2, v)
-			q.SwapReplicas(j, u, j2, v)
+	for range n {
+		if e, ok := drawChurn(p, r, vacant); ok {
+			e.apply(p)
+			e.apply(q)
 		}
 	}
 }
@@ -518,10 +483,10 @@ func TestHeteroTileDirectoryOverflowPanics(t *testing.T) {
 			if end-starts[d] < 2 {
 				continue // removal would drop the entry and free a slot
 			}
-			u := p.Replicas(j)[starts[d]]
 			for v := int32(0); v < int32(n); v++ {
 				tv := tl.TileOf(v)
-				if tv == tu || !p.CanReplace(j, u, v) {
+				at, has := slices.BinarySearch(p.NodeFiles(int(v)), int32(j))
+				if tv == tu || has || p.T(int(v)) >= p.Cap(int(v)) {
 					continue
 				}
 				if _, present := slices.BinarySearch(tiles, tv); present {
@@ -530,7 +495,7 @@ func TestHeteroTileDirectoryOverflowPanics(t *testing.T) {
 				// Forge the stale capacity: pretend the build padded file
 				// j only to its current directory length.
 				ix.dirOff[j+1] = ix.dirOff[j] + ix.dirLen[j]
-				mustPanic(t, "directory overflow", func() { p.ReplaceReplica(j, u, v) })
+				mustPanic(t, "directory overflow", func() { p.ReplaceReplica(j, int(starts[d]), v, at) })
 				return
 			}
 		}
@@ -585,14 +550,20 @@ func TestHeteroArriveNodePanics(t *testing.T) {
 	p = het.Place(pop, WithReplacement, r)
 	het.StageArrival(4, pop, WithReplacement, r)
 	mustPanic(t, "Place while staged", func() { het.Place(pop, WithReplacement, r) })
-	var j, j2 int
+	// A swap of file j at u with v's k-th file j2, both nodes placed.
+	var j, j2, k, at, at2 int
 	var u, v int32 = -1, -1
-	for a := int32(0); a < 9 && u < 0; a++ {
-		for b := int32(0); b < 9 && u < 0; b++ {
-			for _, fa := range p.NodeFiles(int(a)) {
-				for _, fb := range p.NodeFiles(int(b)) {
-					if a != 4 && b != 4 && p.CanSwap(int(fa), a, int(fb), b) {
-						j, u, j2, v = int(fa), a, int(fb), b
+	for _, f := range p.CachedFiles() {
+		for _, a := range p.Replicas(int(f)) {
+			for b := int32(0); b < 9 && u < 0; b++ {
+				bFiles := p.NodeFiles(int(b))
+				x, has := slices.BinarySearch(bFiles, f)
+				if b == 4 || has {
+					continue
+				}
+				for y, g := range bFiles {
+					if z, has := slices.BinarySearch(p.NodeFiles(int(a)), g); !has && u < 0 {
+						j, u, v, at, k, j2, at2 = int(f), a, b, x, y, int(g), z
 					}
 				}
 			}
@@ -601,11 +572,14 @@ func TestHeteroArriveNodePanics(t *testing.T) {
 	if u < 0 {
 		t.Fatal("no legal swap in the staged placement")
 	}
-	mustPanic(t, "SwapReplicas while staged", func() { p.SwapReplicas(j, u, j2, v) })
-	mustPanic(t, "ReplaceReplica while staged", func() { p.ReplaceReplica(j, u, 7) })
+	slot := func(f int, w int32) int { return slices.Index(p.Replicas(f), w) }
+	mustPanic(t, "SwapReplicas while staged", func() { p.SwapReplicas(j, slot(j, u), v, at, k, at2) })
+	mustPanic(t, "ReplaceReplica while staged", func() { p.ReplaceReplica(j, slot(j, u), 7, 0) })
 	het.SpliceArrivals()
-	p.SwapReplicas(j, u, j2, v) // both legal again once spliced
-	p.ReplaceReplica(j2, u, 7)
+	// Both legal again once spliced. The splice may shift u's slot in S_j
+	// (node 4 can join it), but no node list changes.
+	p.SwapReplicas(j, slot(j, u), v, at, k, at2)
+	p.ReplaceReplica(j2, slot(j2, u), 7, 0)
 	checkAgainstRebuild(t, p, nil)
 }
 

@@ -215,7 +215,7 @@ func TestHasTPairBruteForce(t *testing.T) {
 			r := rand.New(rand.NewPCG(6, 7))
 			p := pl.Place(pop, tc.mode, r)
 			if tc.churn {
-				storm(t, p, r, 300)
+				storm(p, r, nil, 300, nil)
 			}
 			long := 0
 			for u := 0; u < n; u++ {

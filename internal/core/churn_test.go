@@ -12,24 +12,26 @@ import (
 )
 
 // stormStep applies one random churn event (migration, or exchange when
-// the destination is full) to p, mirroring the engine's event shape.
-// Returns whether a mutation was applied.
+// the destination is full) to p, mirroring the engine's event shape and
+// draw order. Returns whether a mutation was applied.
 func stormStep(p *cache.Placement, rng *rand.Rand) bool {
-	j, u := p.SlotReplica(rng.IntN(p.ReplicaSlots()))
+	j, i := p.SlotReplica(rng.IntN(p.ReplicaSlots()))
 	v := int32(rng.IntN(p.N()))
-	if v == u || p.Has(int(v), j) {
+	vFiles := p.NodeFiles(int(v))
+	at, has := slices.BinarySearch(vFiles, int32(j))
+	if has {
 		return false
 	}
-	if p.T(int(v)) < p.M() {
-		p.ReplaceReplica(j, u, v)
+	if len(vFiles) < p.M() {
+		p.ReplaceReplica(j, i, v, at)
 		return true
 	}
-	vFiles := p.NodeFiles(int(v))
-	j2 := int(vFiles[rng.IntN(len(vFiles))])
-	if !p.CanSwap(j, u, j2, v) {
+	k := rng.IntN(len(vFiles))
+	at2, has := slices.BinarySearch(p.NodeFiles(int(p.Replicas(j)[i])), vFiles[k])
+	if has {
 		return false
 	}
-	p.SwapReplicas(j, u, j2, v)
+	p.SwapReplicas(j, i, v, at, k, at2)
 	return true
 }
 

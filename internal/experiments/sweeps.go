@@ -58,13 +58,15 @@ var sweepSpecs = map[string]string{
 	}`,
 	// churn sweeps replica-churn intensity under the robustness
 	// extensions, the regime the crash-tolerant orchestration itself is
-	// motivated by.
+	// motivated by. Churn acts only between 1024-request pipeline chunks,
+	// so the trial runs 8192 requests (the churn experiment's count)
+	// rather than n = 900, which would fit in one chunk.
 	"churn": `{
 	  "name": "churn",
 	  "trials": 200,
 	  "blocks": 8,
 	  "seed": 2017,
-	  "base": {"side": 30, "k": 900, "m": 4, "strategy": "two-choices", "radius": 4, "churn": "replicas"},
+	  "base": {"side": 30, "k": 900, "m": 4, "strategy": "two-choices", "radius": 4, "requests": 8192, "churn": "replicas"},
 	  "axes": [
 	    {"field": "churn_rate", "values": [0.001, 0.01, 0.05, 0.1]}
 	  ]

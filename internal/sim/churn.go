@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand/v2"
+	"slices"
 
 	"repro/internal/cache"
 	"repro/internal/dist"
@@ -10,9 +11,10 @@ import (
 
 // The churn phase of the request pipeline (§VI dynamic regime): after a
 // chunk of requests is assigned and accounted, the placement mutates
-// through cache.ReplaceReplica before the next chunk is generated, so
-// the strategies always observe a fully consistent placement and tile
-// index — mutations never interleave with candidate enumeration.
+// through cache.ReplaceReplica and cache.SwapReplicas before the next
+// chunk is generated, so the strategies always observe a fully
+// consistent placement and tile index — mutations never interleave with
+// candidate enumeration.
 //
 // Events are scheduled by a fractional credit accumulator (ChurnRate
 // expected events per request, exact over the trial) and drawn from a
@@ -28,7 +30,10 @@ import (
 // already at the source — are dropped and counted in
 // Result.ChurnSkipped. Either way |S_j| and the cached-file set are
 // invariant (see cache.ReplaceReplica), and the whole path is
-// allocation-free at steady state.
+// allocation-free at steady state. Each event addresses the primitives
+// by what its draw and its feasibility searches found — the replica's
+// slot in S_j and the forward-list positions — so nothing they found is
+// searched for again.
 //
 // The schedule state lives in churnState so that both owners of mutable
 // placement state can drive it: the batch engine's Runner (per trial,
@@ -97,51 +102,54 @@ func (cs *churnState) apply(w *World, p *cache.Placement, rng *rand.Rand, c int,
 			*skipped++
 			continue
 		}
-		var j int
-		var u int32
+		// The draw names the migrating replica by its slot i in S_j, which
+		// the splices reuse instead of searching S_j for it.
+		var j, i int
 		switch w.cfg.Churn {
 		case ChurnReplicas:
 			// A uniform index into the flat replica arena is a uniform
 			// cached replica: files are hit ∝ |S_j|.
-			j, u = p.SlotReplica(rng.IntN(slots))
+			j, i = p.SlotReplica(rng.IntN(slots))
 		case ChurnDrift:
 			// Files are hit ∝ drifting popularity (restricted to cached
 			// files, so a replica always exists); the migrated replica
 			// is uniform within S_j.
 			j = cs.driftPop.Sample(rng)
-			reps := p.Replicas(j)
-			u = reps[rng.IntN(len(reps))]
+			i = rng.IntN(p.ReplicaCount(j))
 		}
 		v := int32(rng.IntN(n))
-		if v == u || p.Has(int(v), j) {
-			*skipped++
-			continue
-		}
+		// One search of v's sorted list decides whether v caches j (true
+		// for v = u) and gives j's insertion point for the splice.
+		vFiles := p.NodeFiles(int(v))
+		at, has := slices.BinarySearch(vFiles, int32(j))
 		// A vacant destination (HeteroArrival) must stay empty until its
 		// arrival event: its t = 0 would read as a free slot below and the
 		// swap branch would sample from an empty file list.
-		if cs.vacant != nil && cs.vacant[v] {
+		if has || cs.vacant != nil && cs.vacant[v] {
 			*skipped++
 			continue
 		}
-		if p.T(int(v)) < p.Cap(int(v)) {
+		if len(vFiles) < p.Cap(int(v)) {
 			// Destination has a free slot: plain migration.
-			p.ReplaceReplica(j, u, v)
+			p.ReplaceReplica(j, i, v, at)
 			*events++
 			continue
 		}
 		// Destination full — the common shape when K ≫ M, where almost
 		// every cache holds exactly M distinct files: displace a uniform
-		// resident of v back to u (an exchange; both replica counts stay
-		// invariant). Skipped only when u already caches the displaced
-		// file (probability ≈ M/K).
-		vFiles := p.NodeFiles(int(v))
-		j2 := int(vFiles[rng.IntN(len(vFiles))])
-		if !p.CanSwap(j, u, j2, v) {
+		// resident j2 of v back to u (an exchange; both replica counts
+		// stay invariant). Skipped only when u already caches j2
+		// (probability ≈ M/K), which one search of u's list decides; the
+		// exchange's other conditions hold by the draw (u caches j, v
+		// caches j2 and not j, so j ≠ j2 and u ≠ v).
+		k := rng.IntN(len(vFiles))
+		u := p.Replicas(j)[i]
+		at2, has2 := slices.BinarySearch(p.NodeFiles(int(u)), vFiles[k])
+		if has2 {
 			*skipped++
 			continue
 		}
-		p.SwapReplicas(j, u, j2, v)
+		p.SwapReplicas(j, i, v, at, k, at2)
 		*events++
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"maps"
 	"math"
 	"math/rand/v2"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/dist"
 	"repro/internal/grid"
+	"repro/internal/workload"
 )
 
 // referenceTrial is a brute-force Strategy II (and one-choice, (1+β) /
@@ -275,4 +277,226 @@ func ksTwoSample(a, b []float64) float64 {
 	}
 	x := math.Exp(-2 * lambda * lambda)
 	return 2 * (x - math.Pow(x, 4) + math.Pow(x, 9))
+}
+
+// churnModel is a brute-force replica of the churn schedule: per-node
+// file lists, each S_j a plain list re-sorted by the tiling key after
+// every event, and a drawn arena slot resolved by walking the files in
+// order. It replays churnState.apply's draws from the trial's churn
+// stream. Only the ChurnDrift file sampler (a dist.CustomBuilder over the
+// drifter's weights) is the engine's own, since the sampler is not what
+// the model checks.
+type churnModel struct {
+	w      *World
+	files  [][]int32 // per node, ascending
+	reps   [][]int32 // per file, ascending by key
+	caps   []int
+	vacant []bool
+
+	credit          float64
+	drift           *workload.Drifter
+	cond            *dist.CustomBuilder
+	pop             dist.Popularity
+	events, skipped int
+	swaps           int // events that displaced a file back to the source
+}
+
+// newChurnModel copies snapshot s's node lists, capacities and vacancies
+// and builds every S_j from the node lists.
+func newChurnModel(s *Snapshot) *churnModel {
+	w, p := s.w, s.p
+	n, k := w.g.N(), w.cfg.K
+	m := &churnModel{w: w, files: make([][]int32, n), reps: make([][]int32, k), caps: make([]int, n), vacant: make([]bool, n)}
+	for u := range n {
+		m.caps[u] = p.Cap(u)
+		if s.heteroSt.vacant != nil {
+			m.vacant[u] = s.heteroSt.vacant[u]
+		}
+		m.join(int32(u), p.NodeFiles(u))
+	}
+	if w.cfg.Churn == ChurnDrift {
+		m.drift = workload.NewDrifter(k, churnDriftBoost, churnDriftBirth, churnDriftLifespan)
+		m.cond = dist.NewCustomBuilder(k)
+	}
+	return m
+}
+
+// join gives node u the files fs and enters u into each of their S_j.
+func (m *churnModel) join(u int32, fs []int32) {
+	m.files[u] = slices.Sorted(slices.Values(fs))
+	for _, j := range fs {
+		m.reps[j] = append(m.reps[j], u)
+		m.sortReps(int(j))
+	}
+}
+
+// sortReps re-sorts S_j by the placement key: (TileOf(v), v) under the
+// world's tiling, v without one.
+func (m *churnModel) sortReps(j int) {
+	tl := m.w.tiling
+	slices.SortFunc(m.reps[j], func(a, b int32) int {
+		if tl != nil && tl.TileOf(a) != tl.TileOf(b) {
+			return int(tl.TileOf(a) - tl.TileOf(b))
+		}
+		return int(a - b)
+	})
+}
+
+// syncArrivals adopts the nodes the engine's arrival phase just filled.
+// Their draws belong to the arrival process, which the model does not
+// replay.
+func (m *churnModel) syncArrivals(s *Snapshot) {
+	for u, was := range m.vacant {
+		if was && !s.heteroSt.vacant[u] {
+			m.vacant[u] = false
+			m.join(int32(u), s.p.NodeFiles(u))
+		}
+	}
+}
+
+// move takes file j from node from and gives it to node to.
+func (m *churnModel) move(j int, from, to int32) {
+	jj := int32(j)
+	m.files[from] = slices.DeleteFunc(m.files[from], func(f int32) bool { return f == jj })
+	m.files[to] = append(m.files[to], jj)
+	slices.Sort(m.files[to])
+	for i, v := range m.reps[j] {
+		if v == from {
+			m.reps[j][i] = to
+		}
+	}
+	m.sortReps(j)
+}
+
+// apply replays one barrier of c requests: the engine's event schedule,
+// decided on the model's own lists.
+func (m *churnModel) apply(rng *rand.Rand, c int) {
+	m.credit += m.w.cfg.ChurnRate * float64(c)
+	slots := 0
+	for _, r := range m.reps {
+		slots += len(r)
+	}
+	if m.drift != nil {
+		m.drift.Step(rng)
+		if slots > 0 && (m.pop == nil || m.drift.Dirty()) {
+			weights := make([]float64, len(m.reps))
+			for j, r := range m.reps {
+				if len(r) > 0 {
+					weights[j] = m.drift.Weights()[j]
+				}
+			}
+			m.pop = m.cond.Build(weights, "churn-drift")
+			m.drift.ClearDirty()
+		}
+	}
+	n := m.w.g.N()
+	for ; m.credit >= 1; m.credit-- {
+		if slots == 0 {
+			m.skipped++
+			continue
+		}
+		var j int
+		var u int32
+		if m.drift == nil {
+			s := rng.IntN(slots)
+			for len(m.reps[j]) <= s {
+				s -= len(m.reps[j])
+				j++
+			}
+			u = m.reps[j][s]
+		} else {
+			j = m.pop.Sample(rng)
+			u = m.reps[j][rng.IntN(len(m.reps[j]))]
+		}
+		v := int32(rng.IntN(n))
+		if v == u || slices.Contains(m.files[v], int32(j)) || m.vacant[v] {
+			m.skipped++
+			continue
+		}
+		if len(m.files[v]) < m.caps[v] {
+			m.move(j, u, v)
+			m.events++
+			continue
+		}
+		j2 := int(m.files[v][rng.IntN(len(m.files[v]))])
+		if slices.Contains(m.files[u], int32(j2)) {
+			m.skipped++
+			continue
+		}
+		m.move(j, u, v)
+		m.move(j2, v, u)
+		m.events++
+		m.swaps++
+	}
+}
+
+// TestChurnMatchesReference replays the churn schedule of snapshot
+// eras, barrier by barrier, on the brute-force churnModel: after every
+// barrier the engine's node lists, every S_j and both event counters
+// must equal the model's. It covers both churn modes, untiled and tiled
+// placements (Zipf, so the tiled ones hold dense files), uniform and
+// power-law capacities, and vacant nodes that join mid-era.
+func TestChurnMatchesReference(t *testing.T) {
+	const barriers, chunk = 12, 256
+	for _, mode := range []ChurnMode{ChurnReplicas, ChurnDrift} {
+		for _, radius := range []int{-1, 3} {
+			for _, hetero := range []HeteroMode{HeteroNone, HeteroCapacity, HeteroArrival} {
+				cfg := Config{Side: 12, K: 60, M: 3, Seed: 0xC4,
+					Popularity: PopSpec{Kind: PopZipf, Gamma: 1.0},
+					Strategy:   StrategySpec{Kind: TwoChoices, Radius: radius},
+					MissPolicy: MissEscalate,
+					Churn:      mode, ChurnRate: 0.5,
+					Hetero: hetero,
+				}
+				if hetero != HeteroNone {
+					cfg.Profile = ProfilePowerLaw
+				}
+				if hetero == HeteroArrival {
+					cfg.ArrivalRate = 0.01
+				}
+				w, err := Compile(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if (w.tiling != nil) != (radius >= 0) {
+					t.Fatalf("radius %d: tiling %v", radius, w.tiling != nil)
+				}
+				for era := range uint64(2) {
+					name := fmt.Sprintf("%v/r=%d/%v/era%d", mode, radius, hetero, era)
+					s := w.Snapshot(era)
+					if ix := s.p.TileIndex(); ix != nil && !slices.ContainsFunc(s.p.CachedFiles(), func(j int32) bool { return ix.FileBits(int(j)) != nil }) {
+						t.Fatalf("%s: no dense file; the tiled fixture must hold one", name)
+					}
+					m := newChurnModel(s)
+					var rr reseedRand
+					rng := rr.stream(w.churnSrc, era)
+					for b := range barriers {
+						if s.arrivalRNG != nil {
+							s.heteroSt.applyArrivals(w, s.placer, nil, s.arrivalRNG, chunk, &s.ev.ArrivalEvents, &s.ev.ArrivalSkipped)
+							m.syncArrivals(s)
+						}
+						s.churnSt.apply(w, s.p, s.churnRNG, chunk, &s.ev.ChurnEvents, &s.ev.ChurnSkipped)
+						m.apply(rng, chunk)
+						if s.ev.ChurnEvents != m.events || s.ev.ChurnSkipped != m.skipped {
+							t.Fatalf("%s barrier %d: engine %d events %d skipped, reference %d and %d",
+								name, b, s.ev.ChurnEvents, s.ev.ChurnSkipped, m.events, m.skipped)
+						}
+						for u := range w.g.N() {
+							if !slices.Equal(s.p.NodeFiles(u), m.files[u]) {
+								t.Fatalf("%s barrier %d: node %d caches %v, reference %v", name, b, u, s.p.NodeFiles(u), m.files[u])
+							}
+						}
+						for j := range cfg.K {
+							if !slices.Equal(s.p.Replicas(j), m.reps[j]) {
+								t.Fatalf("%s barrier %d: S_%d = %v, reference %v", name, b, j, s.p.Replicas(j), m.reps[j])
+							}
+						}
+					}
+					if m.swaps == 0 || m.swaps == m.events || m.skipped == 0 {
+						t.Fatalf("%s: %d events (%d swaps), %d skipped; the comparison is vacuous", name, m.events, m.swaps, m.skipped)
+					}
+				}
+			}
+		}
+	}
 }

@@ -9,6 +9,11 @@ package sim
 // distributed sweep's merged artifact stay bit-identical to a
 // single-process RunSeries run: both sides call the same code.
 
+import (
+	"fmt"
+	"strings"
+)
+
 // BlockRange returns the half-open trial range [lo, hi) of block b when
 // trials are partitioned into `blocks` contiguous blocks. It is the
 // exact partition Run and RunSeries use for their parallel reduction,
@@ -42,3 +47,36 @@ func (w *World) RunBlock(lo, hi uint64) Aggregate {
 // coordinator runs it over every expanded grid point so a bad spec
 // fails fast at submission instead of on a remote worker.
 func Validate(cfg Config) error { return cfg.validate() }
+
+// CheckBarriers reports whether a batch trial of cfg reaches a chunk
+// barrier when cfg runs a barrier process. Churn, faults and node
+// arrivals (HeteroArrival) act only at the barriers between two pipeline
+// chunks, so a trial whose requests fit in one chunk would run none of
+// them and report zero events. The batch front doors that take user
+// input — cmd/cachesim and sweep specs — call it next to validation.
+// Served mode is exempt: Snapshot.Advance applies the processes at its
+// own batch cadence, whatever the chunk.
+func CheckBarriers(cfg Config) error {
+	var procs []string
+	if cfg.Churn != ChurnNone {
+		procs = append(procs, "churn")
+	}
+	if cfg.Faults != FaultsNone {
+		procs = append(procs, "faults")
+	}
+	if cfg.Hetero == HeteroArrival {
+		procs = append(procs, "arrivals")
+	}
+	requests, chunk := cfg.Requests, cfg.Chunk
+	if requests == 0 {
+		requests = cfg.N()
+	}
+	if chunk == 0 {
+		chunk = defaultChunk
+	}
+	if len(procs) == 0 || requests > chunk {
+		return nil
+	}
+	return fmt.Errorf("sim: %s events occur only between pipeline chunks, but all %d requests fit in one %d-request chunk; raise -requests above -chunk or lower -chunk below -requests",
+		strings.Join(procs, " and "), requests, chunk)
+}

@@ -159,8 +159,11 @@ func BenchmarkWorldRunTrialHeteroArrival(b *testing.B) {
 // pipeline chunk closes with — at the dynamic shape (the paper-scale
 // point, power-law capacities, MissEscalate) with only its own mutation
 // on: arrivals at 0.01 per request from ~25% vacant nodes, crash faults
-// at 0.01 recovering at 0.005, or replica churn at 0.5. composed is the
-// dynamic config, all three in the engine's order. A paper-scale trial
+// at 0.01 recovering at 0.005, or replica churn at 0.5 — uniform over
+// the replica arena (churn, ChurnReplicas) or chasing the drifting
+// popularity (churn-drift, ChurnDrift, whose events address the replica
+// by its IntN slot in S_j). composed is the dynamic config, arrivals,
+// faults and ChurnReplicas in the engine's order. A paper-scale trial
 // closes 4 barriers, so every 4 the era snapshot is drawn afresh with
 // the timer stopped, keeping the placement as close to its start as a
 // trial's.
@@ -175,6 +178,7 @@ func BenchmarkBarrier(b *testing.B) {
 		{"arrivals", arrivals},
 		{"faults", faults},
 		{"churn", churn},
+		{"churn-drift", func(c *Config) { c.Churn, c.ChurnRate = ChurnDrift, 0.5 }},
 		{"composed", func(c *Config) { arrivals(c); faults(c); churn(c) }},
 	} {
 		b.Run(kind.name, func(b *testing.B) {
@@ -216,12 +220,14 @@ func BenchmarkCompile(b *testing.B) {
 
 // BenchmarkWorldRunTrialChurn measures the paper-scale trial with the
 // dynamic regime switched on (ChurnReplicas, rate 0.5 — one migration
-// per two requests, ~2k events per trial): the
-// incremental Placement/TileIndex maintenance costs under a µs per
-// event (~0.9 µs including the swap double-splices), so even this heavy
-// schedule keeps the dynamic trial at ~1.6× the frozen-placement
-// BenchmarkWorldRunTrial, where per-chunk from-scratch rebuilds
-// would more than double it (see docs/perf.md's tradeoff table).
+// per two requests, ~2k events per trial). The slot-addressed
+// Placement/TileIndex splices cost ~0.4 µs per event here (the churn
+// barrier was 14 % of this trial in a CPU profile on a 2-vCPU Xeon),
+// so even this heavy schedule keeps the dynamic trial at ~1.25× the
+// frozen-placement BenchmarkWorldRunTrial (1.15–1.46× over four rounds
+// of 300 iterations on that host), where per-chunk from-scratch
+// rebuilds would more than double it (see docs/perf.md's tradeoff
+// table).
 func BenchmarkWorldRunTrialChurn(b *testing.B) {
 	cfg := paperScaleCfg()
 	cfg.Churn = ChurnReplicas

@@ -160,7 +160,7 @@ func (p PointSpec) Config(seed uint64) (sim.Config, error) {
 	if err := sim.Validate(cfg); err != nil {
 		return cfg, err
 	}
-	return cfg, nil
+	return cfg, sim.CheckBarriers(cfg)
 }
 
 // Axis is one swept dimension: a point-spec field name and the values

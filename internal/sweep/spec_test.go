@@ -115,6 +115,9 @@ func TestParseSpecRejects(t *testing.T) {
 		"neg choices":    `{"trials":1,"base":{"side":5,"k":10,"m":1,"strategy":"two-choices","radius":2,"choices":-3}}`,
 		"beta over 1":    `{"trials":1,"base":{"side":5,"k":10,"m":1,"strategy":"two-choices","radius":2,"beta":5}}`,
 		"axis radius":    `{"trials":1,"base":{"side":5,"k":10,"m":1,"strategy":"oracle"},"axes":[{"field":"radius","values":[2,-7]}]}`,
+		"churn, 1 chunk": `{"trials":1,"base":{"side":5,"k":10,"m":1,"churn":"replicas","churn_rate":0.5}}`,
+		"fault, 1 chunk": `{"trials":1,"base":{"side":5,"k":10,"m":1,"miss":"escalate","faults":"crash","fault_rate":0.01,"requests":1024}}`,
+		"axis requests":  `{"trials":1,"base":{"side":5,"k":10,"m":1,"churn":"drift","churn_rate":0.5},"axes":[{"field":"requests","values":[4096,512]}]}`,
 	} {
 		if _, err := ParseSpec([]byte(src)); err == nil {
 			t.Errorf("%s: accepted", name)
