@@ -59,47 +59,17 @@ import (
 	"os"
 
 	"repro"
-	"repro/internal/grid"
 	"repro/internal/sim"
 )
 
 func main() {
-	var (
-		side     = flag.Int("side", 45, "lattice side L (n = L^2 servers)")
-		topo     = flag.String("topology", "torus", "torus or grid")
-		k        = flag.Int("k", 500, "library size K")
-		m        = flag.Int("m", 10, "cache size M")
-		gamma    = flag.Float64("gamma", 0, "Zipf exponent (0 = uniform popularity)")
-		strategy = flag.String("strategy", "two-choices", "nearest, two-choices, one-choice or oracle")
-		radius   = flag.Int("radius", -1, "proximity radius r in hops (-1 = unbounded)")
-		choices  = flag.Int("choices", 2, "number of sampled candidates d")
-		requests = flag.Int("requests", 0, "requests per trial (0 = n)")
-		miss     = flag.String("miss", "resample", "miss policy: resample, escalate or origin")
-		metrics  = flag.String("metrics", "scalar", "per-trial instrumentation: scalar, links or streaming")
-		churn    = flag.String("churn", "none", "mid-trial re-placement: none, replicas (uniform migration) or drift (popularity-coupled)")
-		churnRt  = flag.Float64("churn-rate", 0, "expected replica migrations per request (required with -churn)")
-		faults   = flag.String("faults", "none", "node fault injection: none, crash (uniform) or regional (tile-aligned failure domains)")
-		faultRt  = flag.Float64("fault-rate", 0, "expected crash events per request (required with -faults; needs -miss escalate or origin)")
-		recovRt  = flag.Float64("recover-rate", 0, "expected recovery events per request (0 = permanent crashes)")
-		hetero   = flag.String("hetero", "none", "node heterogeneity: none, capacity (per-node M_u/C_u) or arrival (plus mid-trial joins)")
-		profile  = flag.String("profile", "uniform", "per-node cache-size profile under -hetero: uniform, two-tier or power-law")
-		arrRt    = flag.Float64("arrival-rate", 0, "expected node arrivals per request (required with -hetero arrival)")
-		shardW   = flag.Int("shard-workers", 0, "intra-trial shard workers P (0 = sequential engine)")
-		shard    = flag.String("shard", "deterministic", "sharded load visibility: deterministic (bit-identical across P) or racy (shared atomic loads)")
-		chunk    = flag.Int("chunk", 0, "request-pipeline chunk size (0 = engine default; multiple of 64 under -shard-workers)")
-		trials   = flag.Int("trials", 50, "independent trials")
-		workers  = flag.Int("workers", 0, "parallel workers across trials (0 = GOMAXPROCS)")
-		seed     = flag.Uint64("seed", 2017, "root random seed")
-		verbose  = flag.Bool("v", false, "print per-era placement diagnostics (the served-mode snapshot stamp)")
-	)
-	flag.Parse()
-
-	cfg, err := buildConfig(*side, *topo, *k, *m, *gamma, *strategy, *radius, *choices, *requests, *miss, *metrics, *churn, *churnRt, *faults, *faultRt, *recovRt, *hetero, *profile, *arrRt, *shardW, *shard, *chunk, *seed)
+	o, err := parseArgs(os.Args[1:])
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cachesim:", err)
 		os.Exit(2)
 	}
-	agg, err := repro.Run(cfg, *trials, *workers)
+	cfg := o.cfg
+	agg, err := repro.Run(cfg, o.trials, o.workers)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cachesim:", err)
 		os.Exit(1)
@@ -136,8 +106,8 @@ func main() {
 			fmt.Printf("link load: max ≈ %s (space-saving sketch upper bound)\n", agg.LinkMaxApprox.String())
 		}
 	}
-	if *verbose {
-		printEras(cfg, *trials)
+	if o.verbose {
+		printEras(cfg, o.trials)
 	}
 }
 
@@ -161,70 +131,53 @@ func printEras(cfg repro.Config, trials int) {
 	}
 }
 
-// buildConfig translates CLI flags into a sim configuration. It rejects
-// a churn, fault or arrival process whose trial would end before its
-// first chunk barrier (see sim.CheckBarriers); every other check runs
-// when the trials do.
-func buildConfig(side int, topo string, k, m int, gamma float64, strategy string,
-	radius, choices, requests int, miss, metrics, churn string,
-	churnRate float64, faults string, faultRate, recoverRate float64,
-	hetero, profile string, arrivalRate float64,
-	shardWorkers int, shard string, chunk int, seed uint64) (repro.Config, error) {
-	var cfg repro.Config
-	tp, err := grid.ParseTopology(topo)
-	if err != nil {
-		return cfg, err
+// options is cachesim's command line: the configuration it simulates
+// and how many trials to run on how many workers.
+type options struct {
+	cfg             repro.Config
+	trials, workers int
+	verbose         bool
+}
+
+// parseArgs binds the flags to a sim.PointSpec and translates it. It
+// rejects a churn, fault or arrival process whose trial would end
+// before its first chunk barrier (see sim.CheckBarriers). A bad flag
+// exits the process with status 2, as flag.Parse does.
+func parseArgs(args []string) (options, error) {
+	var p sim.PointSpec
+	var o options
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	fs.IntVar(&p.Side, "side", 45, "lattice side L (n = L^2 servers)")
+	fs.StringVar(&p.Topology, "topology", "torus", "torus or grid")
+	fs.IntVar(&p.K, "k", 500, "library size K")
+	fs.IntVar(&p.M, "m", 10, "cache size M")
+	fs.Float64Var(&p.Gamma, "gamma", 0, "Zipf exponent (0 = uniform popularity)")
+	fs.StringVar(&p.Strategy, "strategy", "two-choices", "nearest, two-choices, one-choice or oracle")
+	fs.IntVar(&p.Radius, "radius", -1, "proximity radius r in hops (-1 = unbounded)")
+	fs.IntVar(&p.Choices, "choices", 2, "number of sampled candidates d")
+	fs.IntVar(&p.Requests, "requests", 0, "requests per trial (0 = n)")
+	fs.StringVar(&p.Miss, "miss", "resample", "miss policy: resample, escalate or origin")
+	fs.StringVar(&p.Metrics, "metrics", "scalar", "per-trial instrumentation: scalar, links or streaming")
+	fs.StringVar(&p.Churn, "churn", "none", "mid-trial re-placement: none, replicas (uniform migration) or drift (popularity-coupled)")
+	fs.Float64Var(&p.ChurnRate, "churn-rate", 0, "expected replica migrations per request (required with -churn)")
+	fs.StringVar(&p.Faults, "faults", "none", "node fault injection: none, crash (uniform) or regional (tile-aligned failure domains)")
+	fs.Float64Var(&p.FaultRate, "fault-rate", 0, "expected crash events per request (required with -faults; needs -miss escalate or origin)")
+	fs.Float64Var(&p.RecoverRate, "recover-rate", 0, "expected recovery events per request (0 = permanent crashes)")
+	fs.StringVar(&p.Hetero, "hetero", "none", "node heterogeneity: none, capacity (per-node M_u/C_u) or arrival (plus mid-trial joins)")
+	fs.StringVar(&p.Profile, "profile", "uniform", "per-node cache-size profile under -hetero: uniform, two-tier or power-law")
+	fs.Float64Var(&p.ArrivalRate, "arrival-rate", 0, "expected node arrivals per request (required with -hetero arrival)")
+	fs.IntVar(&p.Workers, "shard-workers", 0, "intra-trial shard workers P (0 = sequential engine)")
+	fs.StringVar(&p.Shard, "shard", "deterministic", "sharded load visibility: deterministic (bit-identical across P) or racy (shared atomic loads)")
+	fs.IntVar(&p.Chunk, "chunk", 0, "request-pipeline chunk size (0 = engine default; multiple of 64 under -shard-workers)")
+	fs.IntVar(&o.trials, "trials", 50, "independent trials")
+	fs.IntVar(&o.workers, "workers", 0, "parallel workers across trials (0 = GOMAXPROCS)")
+	seed := fs.Uint64("seed", 2017, "root random seed")
+	fs.BoolVar(&o.verbose, "v", false, "print per-era placement diagnostics (the served-mode snapshot stamp)")
+	fs.Parse(args)
+	cfg, err := p.Config(*seed)
+	if err == nil {
+		err = sim.CheckBarriers(cfg)
 	}
-	mm, err := repro.ParseMetricsMode(metrics)
-	if err != nil {
-		return cfg, err
-	}
-	ch, err := repro.ParseChurn(churn)
-	if err != nil {
-		return cfg, err
-	}
-	fm, err := repro.ParseFaults(faults)
-	if err != nil {
-		return cfg, err
-	}
-	sh, err := repro.ParseShard(shard)
-	if err != nil {
-		return cfg, err
-	}
-	hm, err := repro.ParseHetero(hetero)
-	if err != nil {
-		return cfg, err
-	}
-	pf, err := repro.ParseProfile(profile)
-	if err != nil {
-		return cfg, err
-	}
-	mp, err := repro.ParseMiss(miss)
-	if err != nil {
-		return cfg, err
-	}
-	cfg = repro.Config{
-		Side: side, Topology: tp, K: k, M: m,
-		Requests: requests, MissPolicy: mp, Metrics: mm,
-		Churn: ch, ChurnRate: churnRate,
-		Faults: fm, FaultRate: faultRate, RecoverRate: recoverRate,
-		Hetero: hm, Profile: pf, ArrivalRate: arrivalRate,
-		Workers: shardWorkers, Shard: sh, Chunk: chunk, Seed: seed,
-	}
-	if gamma > 0 {
-		cfg.Popularity = repro.PopSpec{Kind: repro.PopZipf, Gamma: gamma}
-	}
-	switch strategy {
-	case "nearest":
-		cfg.Strategy = repro.StrategySpec{Kind: repro.Nearest}
-	case "two-choices", "two":
-		cfg.Strategy = repro.StrategySpec{Kind: repro.TwoChoices, Radius: radius, Choices: choices}
-	case "one-choice", "one":
-		cfg.Strategy = repro.StrategySpec{Kind: repro.OneChoiceRandom, Radius: radius}
-	case "oracle":
-		cfg.Strategy = repro.StrategySpec{Kind: repro.Oracle, Radius: radius}
-	default:
-		return cfg, fmt.Errorf("unknown strategy %q", strategy)
-	}
-	return cfg, sim.CheckBarriers(cfg)
+	o.cfg = cfg
+	return o, err
 }

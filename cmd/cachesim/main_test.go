@@ -1,11 +1,93 @@
 package main
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro"
 )
+
+// parse runs cachesim's front door on one command line.
+func parse(line string) (repro.Config, error) {
+	o, err := parseArgs(strings.Fields(line))
+	return o.cfg, err
+}
+
+// TestCommandLines pins, field for field, what each cachesim command
+// line of the package comment, the README and CI parses to, so a change
+// to a flag's binding, default or translation that moves any field of
+// the Config (or of the run options) fails here.
+func TestCommandLines(t *testing.T) {
+	two := func(radius int) repro.StrategySpec {
+		return repro.StrategySpec{Kind: repro.TwoChoices, Radius: radius, Choices: 2}
+	}
+	for _, tc := range []struct {
+		line string
+		want options
+	}{
+		{"", options{trials: 50, cfg: repro.Config{Side: 45, K: 500, M: 10, Strategy: two(-1), Seed: 2017}}},
+		{"-side 45 -k 500 -m 10 -strategy two-choices -radius 8 -trials 100",
+			options{trials: 100, cfg: repro.Config{Side: 45, K: 500, M: 10, Strategy: two(8), Seed: 2017}}},
+		{"-side 45 -k 500 -m 10 -strategy two-choices -radius 8",
+			options{trials: 50, cfg: repro.Config{Side: 45, K: 500, M: 10, Strategy: two(8), Seed: 2017}}},
+		{"-side 45 -k 2000 -m 1 -strategy nearest -gamma 0.8 -trials 50",
+			options{trials: 50, cfg: repro.Config{Side: 45, K: 2000, M: 1,
+				Popularity: repro.PopSpec{Kind: repro.PopZipf, Gamma: 0.8},
+				Strategy:   repro.StrategySpec{Kind: repro.Nearest}, Seed: 2017}}},
+		{"-side 1000 -k 10000 -m 10 -strategy two-choices -radius 8 -metrics streaming -trials 4",
+			options{trials: 4, cfg: repro.Config{Side: 1000, K: 10000, M: 10, Strategy: two(8),
+				Metrics: repro.MetricsStreaming, Seed: 2017}}},
+		{"-side 1000 -k 10000 -m 10 -strategy two-choices -radius 40 -metrics streaming -trials 4",
+			options{trials: 4, cfg: repro.Config{Side: 1000, K: 10000, M: 10, Strategy: two(40),
+				Metrics: repro.MetricsStreaming, Seed: 2017}}},
+		{"-side 25 -k 2000 -m 4 -strategy two-choices -radius 6 -requests 8192 -churn replicas -churn-rate 0.5 -trials 20",
+			options{trials: 20, cfg: repro.Config{Side: 25, K: 2000, M: 4, Strategy: two(6), Requests: 8192,
+				Churn: repro.ChurnReplicas, ChurnRate: 0.5, Seed: 2017}}},
+		{"-side 1000 -k 10000 -m 10 -strategy two-choices -radius 8 -metrics streaming -shard-workers 8 -trials 4",
+			options{trials: 4, cfg: repro.Config{Side: 1000, K: 10000, M: 10, Strategy: two(8),
+				Metrics: repro.MetricsStreaming, Workers: 8, Seed: 2017}}},
+		{"-side 25 -k 2000 -m 4 -strategy two-choices -radius 6 -shard-workers 8 -shard racy -chunk 256 -trials 20",
+			options{trials: 20, cfg: repro.Config{Side: 25, K: 2000, M: 4, Strategy: two(6),
+				Workers: 8, Shard: repro.ShardRacy, Chunk: 256, Seed: 2017}}},
+		{"-side 25 -k 2000 -m 4 -strategy two-choices -radius 6 -requests 8192 -miss escalate -faults crash -fault-rate 0.05 -recover-rate 0.02 -trials 20",
+			options{trials: 20, cfg: repro.Config{Side: 25, K: 2000, M: 4, Strategy: two(6), Requests: 8192,
+				MissPolicy: repro.MissEscalate, Faults: repro.FaultsCrash, FaultRate: 0.05, RecoverRate: 0.02, Seed: 2017}}},
+		{"-side 25 -k 2000 -m 4 -strategy two-choices -radius 6 -requests 8192 -hetero capacity -profile two-tier -trials 20",
+			options{trials: 20, cfg: repro.Config{Side: 25, K: 2000, M: 4, Strategy: two(6), Requests: 8192,
+				Hetero: repro.HeteroCapacity, Profile: repro.ProfileTwoTier, Seed: 2017}}},
+		{"-side 25 -k 2000 -m 4 -strategy two-choices -radius 6 -requests 8192 -hetero capacity -profile power-law -trials 20",
+			options{trials: 20, cfg: repro.Config{Side: 25, K: 2000, M: 4, Strategy: two(6), Requests: 8192,
+				Hetero: repro.HeteroCapacity, Profile: repro.ProfilePowerLaw, Seed: 2017}}},
+		{"-side 25 -k 2000 -m 4 -strategy two-choices -radius 6 -requests 8192 -miss escalate -hetero arrival -profile power-law -arrival-rate 0.01 -trials 20",
+			options{trials: 20, cfg: repro.Config{Side: 25, K: 2000, M: 4, Strategy: two(6), Requests: 8192,
+				MissPolicy: repro.MissEscalate, Hetero: repro.HeteroArrival, Profile: repro.ProfilePowerLaw,
+				ArrivalRate: 0.01, Seed: 2017}}},
+		{"-side 25 -k 2000 -m 4 -strategy two-choices -radius 6 -requests 8192 -miss escalate -hetero arrival -profile two-tier -arrival-rate 0.02 -trials 20",
+			options{trials: 20, cfg: repro.Config{Side: 25, K: 2000, M: 4, Strategy: two(6), Requests: 8192,
+				MissPolicy: repro.MissEscalate, Hetero: repro.HeteroArrival, Profile: repro.ProfileTwoTier,
+				ArrivalRate: 0.02, Seed: 2017}}},
+		{"-side 40 -k 2000 -m 4 -strategy two-choices -radius 8 -trials 5 -hetero capacity -profile power-law",
+			options{trials: 5, cfg: repro.Config{Side: 40, K: 2000, M: 4, Strategy: two(8),
+				Hetero: repro.HeteroCapacity, Profile: repro.ProfilePowerLaw, Seed: 2017}}},
+		{"-side 40 -k 2000 -m 4 -strategy two-choices -radius 8 -trials 5 -miss escalate -hetero arrival -profile power-law -arrival-rate 0.02",
+			options{trials: 5, cfg: repro.Config{Side: 40, K: 2000, M: 4, Strategy: two(8),
+				MissPolicy: repro.MissEscalate, Hetero: repro.HeteroArrival, Profile: repro.ProfilePowerLaw,
+				ArrivalRate: 0.02, Seed: 2017}}},
+		{"-side 20 -k 200 -m 5 -topology grid -seed 9 -workers 3 -v",
+			options{trials: 50, workers: 3, verbose: true, cfg: repro.Config{Side: 20, Topology: repro.Bounded,
+				K: 200, M: 5, Strategy: two(-1), Seed: 9}}},
+	} {
+		got, err := parseArgs(strings.Fields(tc.line))
+		if err != nil {
+			t.Errorf("%q: %v", tc.line, err)
+			continue
+		}
+		if got != tc.want {
+			t.Errorf("%q:\n got %+v\nwant %+v", tc.line, got, tc.want)
+		}
+	}
+}
 
 func TestBuildConfigStrategies(t *testing.T) {
 	for name, want := range map[string]repro.StrategySpec{
@@ -16,7 +98,7 @@ func TestBuildConfigStrategies(t *testing.T) {
 		"one":         {Kind: repro.OneChoiceRandom, Radius: 5},
 		"oracle":      {Kind: repro.Oracle, Radius: 5},
 	} {
-		cfg, err := buildConfig(10, "torus", 50, 2, 0, name, 5, 2, 0, "resample", "scalar", "none", 0, "none", 0, 0, "none", "uniform", 0, 0, "deterministic", 0, 1)
+		cfg, err := parse("-side 10 -k 50 -m 2 -radius 5 -seed 1 -strategy " + name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -26,20 +108,21 @@ func TestBuildConfigStrategies(t *testing.T) {
 	}
 }
 
+// TestBuildConfigErrors keeps one rejection row per name-valued flag:
+// a bogus value fails translation, and the error quotes it.
 func TestBuildConfigErrors(t *testing.T) {
-	if _, err := buildConfig(10, "torus", 50, 2, 0, "bogus", 5, 2, 0, "resample", "scalar", "none", 0, "none", 0, 0, "none", "uniform", 0, 0, "deterministic", 0, 1); err == nil {
-		t.Error("bogus strategy accepted")
-	}
-	if _, err := buildConfig(10, "torus", 50, 2, 0, "nearest", 5, 2, 0, "bogus", "scalar", "none", 0, "none", 0, 0, "none", "uniform", 0, 0, "deterministic", 0, 1); err == nil {
-		t.Error("bogus miss policy accepted")
-	}
-	if _, err := buildConfig(10, "moebius", 50, 2, 0, "nearest", 5, 2, 0, "resample", "scalar", "none", 0, "none", 0, 0, "none", "uniform", 0, 0, "deterministic", 0, 1); err == nil {
-		t.Error("bogus topology accepted")
+	for _, flag := range []string{"strategy", "topology", "miss", "metrics", "churn", "faults", "hetero", "profile", "shard"} {
+		_, err := parse("-side 10 -k 50 -m 2 -" + flag + " bogus")
+		if err == nil {
+			t.Errorf("bogus -%s accepted", flag)
+		} else if !strings.Contains(err.Error(), `"bogus"`) {
+			t.Errorf("bogus -%s: error %q does not quote the value", flag, err)
+		}
 	}
 }
 
 func TestBuildConfigPopularityAndMiss(t *testing.T) {
-	cfg, err := buildConfig(10, "grid", 50, 2, 1.5, "nearest", -1, 2, 33, "origin", "streaming", "none", 0, "none", 0, 0, "none", "uniform", 0, 0, "deterministic", 0, 9)
+	cfg, err := parse("-side 10 -topology grid -k 50 -m 2 -gamma 1.5 -strategy nearest -requests 33 -miss origin -metrics streaming -seed 9")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,22 +137,19 @@ func TestBuildConfigPopularityAndMiss(t *testing.T) {
 		t.Fatalf("built config does not run: %v", err)
 	}
 	for _, miss := range []string{"resample", "escalate"} {
-		if _, err := buildConfig(10, "torus", 50, 2, 0, "nearest", -1, 2, 0, miss, "scalar", "none", 0, "none", 0, 0, "none", "uniform", 0, 0, "deterministic", 0, 1); err != nil {
+		if _, err := parse("-side 10 -k 50 -m 2 -strategy nearest -miss " + miss); err != nil {
 			t.Errorf("miss %s rejected: %v", miss, err)
 		}
 	}
 }
 
 func TestBuildConfigMetricsAndStreams(t *testing.T) {
-	cfg, err := buildConfig(10, "torus", 50, 2, 0, "two-choices", 4, 2, 0, "resample", "streaming", "none", 0, "none", 0, 0, "none", "uniform", 0, 0, "deterministic", 0, 1)
+	cfg, err := parse("-side 10 -k 50 -m 2 -radius 4 -metrics streaming -seed 1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cfg.Metrics != repro.MetricsStreaming {
 		t.Errorf("metrics = %v, want streaming", cfg.Metrics)
-	}
-	if _, err := buildConfig(10, "torus", 50, 2, 0, "nearest", -1, 2, 0, "resample", "bogus", "none", 0, "none", 0, 0, "none", "uniform", 0, 0, "deterministic", 0, 1); err == nil {
-		t.Error("bogus metrics mode accepted")
 	}
 	// The streaming config must actually run and report the extras.
 	res, err := repro.RunTrial(cfg, 0)
@@ -82,23 +162,16 @@ func TestBuildConfigMetricsAndStreams(t *testing.T) {
 }
 
 func TestBuildConfigChurn(t *testing.T) {
-	cfg, err := buildConfig(10, "torus", 50, 2, 0, "two-choices", 4, 2, 3000, "resample", "scalar", "replicas", 0.5, "none", 0, 0, "none", "uniform", 0, 0, "deterministic", 0, 1)
+	cfg, err := parse("-side 10 -k 50 -m 2 -radius 4 -requests 3000 -churn replicas -churn-rate 0.5 -seed 1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cfg.Churn != repro.ChurnReplicas || cfg.ChurnRate != 0.5 {
 		t.Errorf("churn = %v rate %v, want replicas/0.5", cfg.Churn, cfg.ChurnRate)
 	}
-	if _, err := buildConfig(10, "torus", 50, 2, 0, "nearest", -1, 2, 0, "resample", "scalar", "bogus", 0.5, "none", 0, 0, "none", "uniform", 0, 0, "deterministic", 0, 1); err == nil {
-		t.Error("bogus churn mode accepted")
-	}
-	// A churn mode without a rate must be rejected at run time.
-	bad, err := buildConfig(10, "torus", 50, 2, 0, "nearest", -1, 2, 3000, "resample", "scalar", "drift", 0, "none", 0, 0, "none", "uniform", 0, 0, "deterministic", 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := repro.RunTrial(bad, 0); err == nil {
-		t.Error("churn without rate ran")
+	// A churn mode without a rate must be rejected at translation.
+	if _, err := parse("-side 10 -k 50 -m 2 -strategy nearest -requests 3000 -churn drift"); err == nil {
+		t.Error("churn without rate accepted")
 	}
 	// The churn config must actually run and report event counters.
 	res, err := repro.RunTrial(cfg, 0)
@@ -111,31 +184,20 @@ func TestBuildConfigChurn(t *testing.T) {
 }
 
 func TestBuildConfigFaults(t *testing.T) {
-	cfg, err := buildConfig(10, "torus", 50, 2, 0, "two-choices", 4, 2, 3000, "escalate", "scalar", "none", 0, "crash", 0.05, 0.02, "none", "uniform", 0, 0, "deterministic", 0, 1)
+	cfg, err := parse("-side 10 -k 50 -m 2 -radius 4 -requests 3000 -miss escalate -faults crash -fault-rate 0.05 -recover-rate 0.02 -seed 1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cfg.Faults != repro.FaultsCrash || cfg.FaultRate != 0.05 || cfg.RecoverRate != 0.02 {
 		t.Errorf("faults = %v rates %v/%v, want crash/0.05/0.02", cfg.Faults, cfg.FaultRate, cfg.RecoverRate)
 	}
-	if _, err := buildConfig(10, "torus", 50, 2, 0, "nearest", -1, 2, 0, "escalate", "scalar", "none", 0, "bogus", 0.05, 0, "none", "uniform", 0, 0, "deterministic", 0, 1); err == nil {
-		t.Error("bogus faults mode accepted")
-	}
-	// A fault mode without a rate must be rejected at run time.
-	bad, err := buildConfig(10, "torus", 50, 2, 0, "nearest", -1, 2, 3000, "escalate", "scalar", "none", 0, "regional", 0, 0, "none", "uniform", 0, 0, "deterministic", 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := repro.RunTrial(bad, 0); err == nil {
-		t.Error("faults without rate ran")
+	// A fault mode without a rate must be rejected at translation.
+	if _, err := parse("-side 10 -k 50 -m 2 -strategy nearest -requests 3000 -miss escalate -faults regional"); err == nil {
+		t.Error("faults without rate accepted")
 	}
 	// So must faults under the resampling miss policy.
-	bad, err = buildConfig(10, "torus", 50, 2, 0, "nearest", -1, 2, 3000, "resample", "scalar", "none", 0, "crash", 0.05, 0, "none", "uniform", 0, 0, "deterministic", 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := repro.RunTrial(bad, 0); err == nil {
-		t.Error("faults with resampling miss policy ran")
+	if _, err := parse("-side 10 -k 50 -m 2 -strategy nearest -requests 3000 -faults crash -fault-rate 0.05"); err == nil {
+		t.Error("faults with resampling miss policy accepted")
 	}
 	// The fault config must actually run and report availability.
 	res, err := repro.RunTrial(cfg, 0)
@@ -148,7 +210,7 @@ func TestBuildConfigFaults(t *testing.T) {
 }
 
 func TestBuildConfigShard(t *testing.T) {
-	cfg, err := buildConfig(10, "torus", 50, 2, 0, "two-choices", 4, 2, 0, "resample", "scalar", "none", 0, "none", 0, 0, "none", "uniform", 0, 4, "racy", 256, 1)
+	cfg, err := parse("-side 10 -k 50 -m 2 -radius 4 -shard-workers 4 -shard racy -chunk 256 -seed 1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,40 +220,23 @@ func TestBuildConfigShard(t *testing.T) {
 	if _, err := repro.RunTrial(cfg, 0); err != nil {
 		t.Fatalf("built sharded config does not run: %v", err)
 	}
-	if _, err := buildConfig(10, "torus", 50, 2, 0, "nearest", -1, 2, 0, "resample", "scalar", "none", 0, "none", 0, 0, "none", "uniform", 0, 4, "bogus", 0, 1); err == nil {
-		t.Error("bogus shard mode accepted")
-	}
 }
 
 func TestBuildConfigHetero(t *testing.T) {
-	cfg, err := buildConfig(10, "torus", 50, 2, 0, "two-choices", 4, 2, 3000, "escalate", "scalar", "none", 0, "none", 0, 0, "arrival", "power-law", 0.01, 0, "deterministic", 0, 1)
+	cfg, err := parse("-side 10 -k 50 -m 2 -radius 4 -requests 3000 -miss escalate -hetero arrival -profile power-law -arrival-rate 0.01 -seed 1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cfg.Hetero != repro.HeteroArrival || cfg.Profile != repro.ProfilePowerLaw || cfg.ArrivalRate != 0.01 {
 		t.Errorf("hetero/profile/rate = %v/%v/%v, want arrival/power-law/0.01", cfg.Hetero, cfg.Profile, cfg.ArrivalRate)
 	}
-	if _, err := buildConfig(10, "torus", 50, 2, 0, "nearest", -1, 2, 0, "resample", "scalar", "none", 0, "none", 0, 0, "bogus", "uniform", 0, 0, "deterministic", 0, 1); err == nil {
-		t.Error("bogus hetero mode accepted")
-	}
-	if _, err := buildConfig(10, "torus", 50, 2, 0, "nearest", -1, 2, 0, "resample", "scalar", "none", 0, "none", 0, 0, "capacity", "bogus", 0, 0, "deterministic", 0, 1); err == nil {
-		t.Error("bogus cache profile accepted")
-	}
-	// An arrival mode without a rate must be rejected at run time.
-	bad, err := buildConfig(10, "torus", 50, 2, 0, "nearest", -1, 2, 3000, "escalate", "scalar", "none", 0, "none", 0, 0, "arrival", "two-tier", 0, 0, "deterministic", 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := repro.RunTrial(bad, 0); err == nil {
-		t.Error("arrival without rate ran")
+	// An arrival mode without a rate must be rejected at translation.
+	if _, err := parse("-side 10 -k 50 -m 2 -strategy nearest -requests 3000 -miss escalate -hetero arrival -profile two-tier"); err == nil {
+		t.Error("arrival without rate accepted")
 	}
 	// So must arrivals under the resampling miss policy.
-	bad, err = buildConfig(10, "torus", 50, 2, 0, "nearest", -1, 2, 3000, "resample", "scalar", "none", 0, "none", 0, 0, "arrival", "two-tier", 0.01, 0, "deterministic", 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := repro.RunTrial(bad, 0); err == nil {
-		t.Error("arrivals with resampling miss policy ran")
+	if _, err := parse("-side 10 -k 50 -m 2 -strategy nearest -requests 3000 -hetero arrival -profile two-tier -arrival-rate 0.01"); err == nil {
+		t.Error("arrivals with resampling miss policy accepted")
 	}
 	// The hetero config must actually run and report arrival counters.
 	res, err := repro.RunTrial(cfg, 0)
@@ -205,13 +250,9 @@ func TestBuildConfigHetero(t *testing.T) {
 
 // TestBuildConfigBarriers: churn, faults and node arrivals act only at
 // chunk barriers, so a trial whose requests fit in one chunk would run
-// none of them. buildConfig rejects such a config, naming both numbers
+// none of them. cachesim rejects such a config, naming both numbers
 // and both flags, and accepts it once -requests exceeds -chunk.
 func TestBuildConfigBarriers(t *testing.T) {
-	build := func(requests int, churn string, churnRate float64, faults string, faultRate float64, hetero string, arrivalRate float64, chunk int) (repro.Config, error) {
-		return buildConfig(10, "torus", 50, 2, 0, "two-choices", 4, 2, requests, "escalate", "scalar",
-			churn, churnRate, faults, faultRate, 0, hetero, "uniform", arrivalRate, 0, "deterministic", chunk, 1)
-	}
 	for _, tc := range []struct {
 		name               string
 		requests, chunk    int
@@ -228,17 +269,18 @@ func TestBuildConfigBarriers(t *testing.T) {
 		{"smaller chunk", 0, 64, "replicas", "crash", "arrival", ""},
 		{"no barrier process", 0, 0, "none", "none", "capacity", ""},
 	} {
-		churnRate, faultRate, arrivalRate := 0.0, 0.0, 0.0
+		line := fmt.Sprintf("-side 10 -k 50 -m 2 -radius 4 -miss escalate -seed 1 -requests %d -chunk %d -churn %s -faults %s -hetero %s",
+			tc.requests, tc.chunk, tc.churn, tc.faults, tc.het)
 		if tc.churn != "none" {
-			churnRate = 0.5
+			line += " -churn-rate 0.5"
 		}
 		if tc.faults != "none" {
-			faultRate = 0.05
+			line += " -fault-rate 0.05"
 		}
 		if tc.het == "arrival" {
-			arrivalRate = 0.05
+			line += " -arrival-rate 0.05"
 		}
-		cfg, err := build(tc.requests, tc.churn, churnRate, tc.faults, faultRate, tc.het, arrivalRate, tc.chunk)
+		cfg, err := parse(line)
 		switch {
 		case tc.want == "" && err != nil:
 			t.Errorf("%s: rejected: %v", tc.name, err)

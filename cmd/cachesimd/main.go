@@ -42,56 +42,27 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/grid"
 	"repro/internal/serve"
+	"repro/internal/sim"
 )
 
 func main() {
-	var (
-		side     = flag.Int("side", 32, "lattice side L (n = L^2 servers)")
-		topo     = flag.String("topology", "torus", "torus or grid")
-		k        = flag.Int("k", 2000, "library size K")
-		m        = flag.Int("m", 4, "cache size M")
-		gamma    = flag.Float64("gamma", 0, "Zipf exponent (0 = uniform popularity)")
-		strategy = flag.String("strategy", "two-choices", "nearest, two-choices, one-choice or oracle")
-		radius   = flag.Int("radius", 6, "proximity radius r in hops (-1 = unbounded)")
-		choices  = flag.Int("choices", 2, "number of sampled candidates d")
-		requests = flag.Int("requests", 0, "requests per era in loadgen replay (0 = n)")
-		miss     = flag.String("miss", "resample", "miss policy: resample, escalate or origin")
-		churn    = flag.String("churn", "none", "between-batch re-placement: none, replicas or drift")
-		churnRt  = flag.Float64("churn-rate", 0, "expected replica migrations per served request")
-		faults   = flag.String("faults", "none", "node fault injection: none, crash or regional")
-		faultRt  = flag.Float64("fault-rate", 0, "expected crash events per served request")
-		recovRt  = flag.Float64("recover-rate", 0, "expected recovery events per served request")
-		hetero   = flag.String("hetero", "none", "node heterogeneity: none, capacity or arrival")
-		profile  = flag.String("profile", "uniform", "per-node cache-size profile under -hetero: uniform, two-tier or power-law")
-		arrRt    = flag.Float64("arrival-rate", 0, "expected node arrivals per served request (with -hetero arrival)")
-		seed     = flag.Uint64("seed", 2017, "root random seed")
-		era      = flag.Uint64("era", 0, "initial placement era (trial index under -seed)")
-		addr     = flag.String("addr", ":8080", "HTTP listen address")
-		loadgen  = flag.Int("loadgen", 0, "serve N decisions in-process and exit (no HTTP)")
-		conns    = flag.Int("conns", 8, "loadgen concurrent decision contexts")
-		batch    = flag.Int("batch", 256, "loadgen queries per batch")
-	)
-	flag.Parse()
-
-	cfg, err := buildConfig(*side, *topo, *k, *m, *gamma, *strategy, *radius, *choices,
-		*requests, *miss, *churn, *churnRt, *faults, *faultRt, *recovRt,
-		*hetero, *profile, *arrRt, *seed)
+	o, err := parseArgs(os.Args[1:])
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cachesimd:", err)
 		os.Exit(2)
 	}
+	cfg := o.cfg
 	w, err := repro.Compile(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cachesimd:", err)
 		os.Exit(2)
 	}
-	e := serve.New(w, *era)
+	e := serve.New(w, o.era)
 	defer e.Close()
 
-	if *loadgen > 0 {
-		res := serve.Loadgen(e, *loadgen, *conns, *batch)
+	if o.loadgen > 0 {
+		res := serve.Loadgen(e, o.loadgen, o.conns, o.batch)
 		fmt.Printf("loadgen: %d decisions in %v over %d conns (batch %d)\n",
 			res.Decisions, res.Elapsed.Round(time.Millisecond), res.Conns, res.Batch)
 		fmt.Printf("rate:    %.0f decisions/s\n", res.PerSec)
@@ -99,13 +70,13 @@ func main() {
 		return
 	}
 
-	srv := newHTTPServer(*addr, serve.NewServer(e))
+	srv := newHTTPServer(o.addr, serve.NewServer(e))
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM, syscall.SIGHUP)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		nextEra := *era
+		nextEra := o.era
 		for sig := range sigs {
 			if sig == syscall.SIGHUP {
 				nextEra++
@@ -122,7 +93,7 @@ func main() {
 	}()
 
 	fmt.Printf("cachesimd: serving n=%d K=%d M=%d strategy=%s on %s (%s)\n",
-		cfg.N(), cfg.K, cfg.M, cfg.Strategy.Kind, *addr, e.Info())
+		cfg.N(), cfg.K, cfg.M, cfg.Strategy.Kind, o.addr, e.Info())
 	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fmt.Fprintln(os.Stderr, "cachesimd:", err)
 		os.Exit(1)
@@ -146,61 +117,51 @@ func newHTTPServer(addr string, h http.Handler) *http.Server {
 	}
 }
 
-// buildConfig translates CLI flags into a served simulation
-// configuration. The served mode draws queries and strategy picks from
-// the engine's separate request and assignment streams, which is what
-// makes a quiesced daemon bit-identical to the batch engine's trials.
-func buildConfig(side int, topo string, k, m int, gamma float64, strategy string,
-	radius, choices, requests int, miss, churn string, churnRate float64,
-	faults string, faultRate, recoverRate float64,
-	hetero, profile string, arrivalRate float64, seed uint64) (repro.Config, error) {
-	var cfg repro.Config
-	tp, err := grid.ParseTopology(topo)
-	if err != nil {
-		return cfg, err
-	}
-	ch, err := repro.ParseChurn(churn)
-	if err != nil {
-		return cfg, err
-	}
-	fm, err := repro.ParseFaults(faults)
-	if err != nil {
-		return cfg, err
-	}
-	hm, err := repro.ParseHetero(hetero)
-	if err != nil {
-		return cfg, err
-	}
-	pf, err := repro.ParseProfile(profile)
-	if err != nil {
-		return cfg, err
-	}
-	mp, err := repro.ParseMiss(miss)
-	if err != nil {
-		return cfg, err
-	}
-	cfg = repro.Config{
-		Side: side, Topology: tp, K: k, M: m,
-		Requests: requests, MissPolicy: mp,
-		Churn: ch, ChurnRate: churnRate,
-		Faults: fm, FaultRate: faultRate, RecoverRate: recoverRate,
-		Hetero: hm, Profile: pf, ArrivalRate: arrivalRate,
-		Seed: seed,
-	}
-	if gamma > 0 {
-		cfg.Popularity = repro.PopSpec{Kind: repro.PopZipf, Gamma: gamma}
-	}
-	switch strategy {
-	case "nearest":
-		cfg.Strategy = repro.StrategySpec{Kind: repro.Nearest}
-	case "two-choices", "two":
-		cfg.Strategy = repro.StrategySpec{Kind: repro.TwoChoices, Radius: radius, Choices: choices}
-	case "one-choice", "one":
-		cfg.Strategy = repro.StrategySpec{Kind: repro.OneChoiceRandom, Radius: radius}
-	case "oracle":
-		cfg.Strategy = repro.StrategySpec{Kind: repro.Oracle, Radius: radius}
-	default:
-		return cfg, fmt.Errorf("unknown strategy %q", strategy)
-	}
-	return cfg, nil
+// options is cachesimd's command line: the configuration it serves,
+// the placement era it starts at, and where or how it serves.
+type options struct {
+	cfg                   repro.Config
+	era                   uint64
+	addr                  string
+	loadgen, conns, batch int
+}
+
+// parseArgs binds the flags to a sim.PointSpec and translates it. The
+// served mode draws queries and strategy picks from the engine's
+// separate request and assignment streams, which is what makes a
+// quiesced daemon bit-identical to the batch engine's trials. It skips
+// sim.CheckBarriers: Snapshot.Advance applies churn, faults and
+// arrivals at its own batch cadence. A bad flag exits the process with
+// status 2, as flag.Parse does.
+func parseArgs(args []string) (options, error) {
+	var p sim.PointSpec
+	var o options
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	fs.IntVar(&p.Side, "side", 32, "lattice side L (n = L^2 servers)")
+	fs.StringVar(&p.Topology, "topology", "torus", "torus or grid")
+	fs.IntVar(&p.K, "k", 2000, "library size K")
+	fs.IntVar(&p.M, "m", 4, "cache size M")
+	fs.Float64Var(&p.Gamma, "gamma", 0, "Zipf exponent (0 = uniform popularity)")
+	fs.StringVar(&p.Strategy, "strategy", "two-choices", "nearest, two-choices, one-choice or oracle")
+	fs.IntVar(&p.Radius, "radius", 6, "proximity radius r in hops (-1 = unbounded)")
+	fs.IntVar(&p.Choices, "choices", 2, "number of sampled candidates d")
+	fs.StringVar(&p.Miss, "miss", "resample", "miss policy: resample, escalate or origin")
+	fs.StringVar(&p.Churn, "churn", "none", "between-batch re-placement: none, replicas or drift")
+	fs.Float64Var(&p.ChurnRate, "churn-rate", 0, "expected replica migrations per served request")
+	fs.StringVar(&p.Faults, "faults", "none", "node fault injection: none, crash or regional")
+	fs.Float64Var(&p.FaultRate, "fault-rate", 0, "expected crash events per served request")
+	fs.Float64Var(&p.RecoverRate, "recover-rate", 0, "expected recovery events per served request")
+	fs.StringVar(&p.Hetero, "hetero", "none", "node heterogeneity: none, capacity or arrival")
+	fs.StringVar(&p.Profile, "profile", "uniform", "per-node cache-size profile under -hetero: uniform, two-tier or power-law")
+	fs.Float64Var(&p.ArrivalRate, "arrival-rate", 0, "expected node arrivals per served request (with -hetero arrival)")
+	seed := fs.Uint64("seed", 2017, "root random seed")
+	fs.Uint64Var(&o.era, "era", 0, "initial placement era (trial index under -seed)")
+	fs.StringVar(&o.addr, "addr", ":8080", "HTTP listen address")
+	fs.IntVar(&o.loadgen, "loadgen", 0, "serve N decisions in-process and exit (no HTTP)")
+	fs.IntVar(&o.conns, "conns", 8, "loadgen concurrent decision contexts")
+	fs.IntVar(&o.batch, "batch", 256, "loadgen queries per batch")
+	fs.Parse(args)
+	var err error
+	o.cfg, err = p.Config(*seed)
+	return o, err
 }

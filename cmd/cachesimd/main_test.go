@@ -1,45 +1,66 @@
 package main
 
 import (
+	"strings"
 	"testing"
 
 	"repro"
 )
 
-// TestBuildConfig checks the flag translation and the rejection of
-// unknown enum values.
+// TestCommandLines pins, field for field, what each cachesimd command
+// line of the package comment, the README and CI parses to, so a change
+// to a flag's binding, default or translation that moves any field of
+// the Config (or of the serving options) fails here.
+func TestCommandLines(t *testing.T) {
+	two := repro.StrategySpec{Kind: repro.TwoChoices, Radius: 6, Choices: 2}
+	zipf := repro.PopSpec{Kind: repro.PopZipf, Gamma: 0.8}
+	quiesced := repro.Config{Side: 32, K: 2000, M: 4, Popularity: zipf, Strategy: two, Seed: 2017}
+	for _, tc := range []struct {
+		line string
+		want options
+	}{
+		{"", options{addr: ":8080", conns: 8, batch: 256,
+			cfg: repro.Config{Side: 32, K: 2000, M: 4, Strategy: two, Seed: 2017}}},
+		{"-side 32 -k 2000 -m 4 -strategy two-choices -radius 6 -gamma 0.8 -addr :8080",
+			options{addr: ":8080", conns: 8, batch: 256, cfg: quiesced}},
+		{"-side 32 -k 2000 -m 4 -strategy two-choices -radius 6 -miss escalate -churn replicas -churn-rate 0.01 -faults crash -fault-rate 0.001 -recover-rate 0.001",
+			options{addr: ":8080", conns: 8, batch: 256, cfg: repro.Config{Side: 32, K: 2000, M: 4, Strategy: two,
+				MissPolicy: repro.MissEscalate, Churn: repro.ChurnReplicas, ChurnRate: 0.01,
+				Faults: repro.FaultsCrash, FaultRate: 0.001, RecoverRate: 0.001, Seed: 2017}}},
+		{"-side 32 -k 2000 -m 4 -strategy two-choices -radius 6 -gamma 0.8 -loadgen 4000000 -conns 8 -batch 256",
+			options{addr: ":8080", loadgen: 4000000, conns: 8, batch: 256, cfg: quiesced}},
+		{"-gamma 0.8 -loadgen 4000000",
+			options{addr: ":8080", loadgen: 4000000, conns: 8, batch: 256, cfg: quiesced}},
+		{"-side 32 -k 2000 -m 4 -strategy two-choices -radius 6 -gamma 0.8 -addr 127.0.0.1:18080",
+			options{addr: "127.0.0.1:18080", conns: 8, batch: 256, cfg: quiesced}},
+		{"-gamma 0.8 -era 3 -seed 7 -conns 2 -batch 64 -loadgen 100",
+			options{era: 3, addr: ":8080", loadgen: 100, conns: 2, batch: 64,
+				cfg: repro.Config{Side: 32, K: 2000, M: 4, Popularity: zipf, Strategy: two, Seed: 7}}},
+	} {
+		got, err := parseArgs(strings.Fields(tc.line))
+		if err != nil {
+			t.Errorf("%q: %v", tc.line, err)
+			continue
+		}
+		if got != tc.want {
+			t.Errorf("%q:\n got %+v\nwant %+v", tc.line, got, tc.want)
+		}
+	}
+}
+
+// TestBuildConfig checks that the translated config compiles and that
+// an unknown strategy, topology or enum value is rejected.
 func TestBuildConfig(t *testing.T) {
-	cfg, err := buildConfig(32, "torus", 2000, 4, 0.8, "two-choices", 6, 2,
-		0, "escalate", "replicas", 0.01, "crash", 0.001, 0.001, "none", "uniform", 0, 2017)
+	o, err := parseArgs(strings.Fields("-miss escalate -churn replicas -churn-rate 0.01 -faults crash -fault-rate 0.001 -recover-rate 0.001"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Strategy.Kind != repro.TwoChoices || cfg.Strategy.Radius != 6 {
-		t.Fatalf("strategy %+v", cfg.Strategy)
-	}
-	if cfg.Churn != repro.ChurnReplicas || cfg.Faults != repro.FaultsCrash {
-		t.Fatalf("dynamics %v/%v", cfg.Churn, cfg.Faults)
-	}
-	if _, err := repro.Compile(cfg); err != nil {
+	if _, err := repro.Compile(o.cfg); err != nil {
 		t.Fatalf("config does not compile: %v", err)
 	}
-
-	for name, f := range map[string]func() error{
-		"strategy": func() error {
-			_, err := buildConfig(32, "torus", 100, 4, 0, "best-effort", 6, 2, 0, "resample", "none", 0, "none", 0, 0, "none", "uniform", 0, 1)
-			return err
-		},
-		"topology": func() error {
-			_, err := buildConfig(32, "ring", 100, 4, 0, "nearest", 6, 2, 0, "resample", "none", 0, "none", 0, 0, "none", "uniform", 0, 1)
-			return err
-		},
-		"churn": func() error {
-			_, err := buildConfig(32, "torus", 100, 4, 0, "nearest", 6, 2, 0, "resample", "sometimes", 0, "none", 0, 0, "none", "uniform", 0, 1)
-			return err
-		},
-	} {
-		if f() == nil {
-			t.Errorf("%s: bad value accepted", name)
+	for _, bad := range []string{"-strategy best-effort", "-topology ring", "-churn sometimes", "-hetero some", "-profile flat", "-miss never", "-faults often"} {
+		if _, err := parseArgs(strings.Fields(bad)); err == nil {
+			t.Errorf("%s: bad value accepted", bad)
 		}
 	}
 }

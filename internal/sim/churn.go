@@ -52,6 +52,11 @@ type churnState struct {
 	driftWeights []float64
 	driftCond    *dist.CustomBuilder
 	driftPop     dist.Popularity
+	// driftCached is the cached-file count at the sampler's last build.
+	// Node arrivals cache new files without dirtying the drifter, and
+	// churn never changes the cached set, so a changed count is exactly
+	// a changed set.
+	driftCached int
 	// vacant, when non-nil (HeteroArrival), marks nodes that have not yet
 	// joined: churn never migrates replicas onto them.
 	vacant []bool
@@ -90,9 +95,10 @@ func (cs *churnState) apply(w *World, p *cache.Placement, rng *rand.Rand, c int,
 	slots := p.ReplicaSlots()
 	if cs.drift != nil {
 		// One drift tick per application; rebuild the conditioned
-		// migration sampler only when the active set actually changed.
+		// migration sampler only when the active set or the cached set
+		// changed.
 		cs.drift.Step(rng)
-		if slots > 0 && (cs.driftPop == nil || cs.drift.Dirty()) {
+		if slots > 0 && (cs.driftPop == nil || cs.drift.Dirty() || len(p.CachedFiles()) != cs.driftCached) {
 			cs.rebuildDriftSampler(p)
 		}
 	}
@@ -165,5 +171,6 @@ func (cs *churnState) rebuildDriftSampler(p *cache.Placement) {
 		cs.driftWeights[j] = dw[j]
 	}
 	cs.driftPop = cs.driftCond.Build(cs.driftWeights, "churn-drift")
+	cs.driftCached = len(p.CachedFiles())
 	cs.drift.ClearDirty()
 }

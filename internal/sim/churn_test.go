@@ -297,3 +297,46 @@ func TestChurnEmptyPlacement(t *testing.T) {
 		}
 	}
 }
+
+// TestChurnDriftSeesArrivals: under ChurnDrift with node arrivals, a
+// file first cached by a joining node must carry migration mass from
+// the barrier it joins at, whether or not the drifter's active set
+// changed there. After every barrier each cached file (drift weights
+// are at least 1) must have positive mass in the churn file sampler.
+func TestChurnDriftSeesArrivals(t *testing.T) {
+	cfg := Config{Side: 12, K: 60, M: 2, Seed: 1,
+		Popularity: PopSpec{Kind: PopZipf, Gamma: 1},
+		Strategy:   StrategySpec{Kind: TwoChoices, Radius: 3},
+		MissPolicy: MissEscalate,
+		Churn:      ChurnDrift, ChurnRate: 0.5,
+		Hetero: HeteroArrival, Profile: ProfilePowerLaw, ArrivalRate: 0.02,
+	}
+	w, err := Compile(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs, massless, grown := 0, 0, 0
+	for era := range uint64(20) {
+		s := w.Snapshot(era)
+		start := len(s.p.CachedFiles())
+		for range 30 {
+			s.Advance(64)
+			if s.churnSt.driftPop == nil {
+				continue
+			}
+			for _, j := range s.p.CachedFiles() {
+				pairs++
+				if s.churnSt.driftPop.P(int(j)) == 0 {
+					massless++
+				}
+			}
+		}
+		grown += len(s.p.CachedFiles()) - start
+	}
+	if grown == 0 {
+		t.Fatal("no arrival cached a new file; the check is vacuous")
+	}
+	if massless > 0 {
+		t.Errorf("%d of %d (barrier, cached file) pairs have no migration mass", massless, pairs)
+	}
+}

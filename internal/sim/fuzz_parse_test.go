@@ -2,15 +2,16 @@ package sim
 
 import "testing"
 
-// The Parse* converters share one contract: the empty string and each
-// canonical mode name round-trip to a valid mode with a nil error, and
-// every other input is rejected with a non-nil error (never a panic,
-// never a silently defaulted mode). The fuzz targets below pin that
-// contract over arbitrary inputs; the seed corpus covers every valid
-// name plus representative junk (case variants, whitespace, prefixes).
+// The enum name tables share one contract: the empty string and each
+// canonical name parse to the right value with a nil error, formatting
+// that value gives the name back, and every other input is rejected
+// with a non-nil error (never a panic, never a silently defaulted
+// value). The fuzz targets below, one per table, pin that contract
+// over arbitrary inputs; the seed corpus covers every valid name plus
+// representative junk (case variants, whitespace, prefixes).
 
 // fuzzSeedInputs is the shared seed corpus: all canonical names of all
-// six parsers plus near-misses that must be rejected.
+// seven tables plus near-misses that must be rejected.
 var fuzzSeedInputs = []string{
 	"", "none", "replicas", "drift", "deterministic", "racy",
 	"resample", "escalate", "origin", "crash", "regional",
@@ -18,14 +19,15 @@ var fuzzSeedInputs = []string{
 	"None", "CRASH", " crash", "crash ", "crashx", "regiona",
 	"tiles", "tile", "det", "\x00", "日本語",
 	"Capacity", "arrivals", " uniform", "two-tier ", "powerlaw", "two_tier",
+	"scalar", "links", "streaming", "Links", "stream",
 }
 
-func fuzzParse[M comparable](f *testing.F, parse func(string) (M, error), valid map[string]M) {
+func fuzzEnum[T ~int](f *testing.F, e enumNames[T], valid map[string]T) {
 	for _, s := range fuzzSeedInputs {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
-		got, err := parse(s)
+		got, err := e.parse(s)
 		want, ok := valid[s]
 		if ok {
 			if err != nil {
@@ -33,6 +35,9 @@ func fuzzParse[M comparable](f *testing.F, parse func(string) (M, error), valid 
 			}
 			if got != want {
 				t.Fatalf("parse(%q) = %v, want %v", s, got, want)
+			}
+			if s != "" && e.format(got) != s {
+				t.Fatalf("format(parse(%q)) = %q", s, e.format(got))
 			}
 			return
 		}
@@ -43,37 +48,43 @@ func fuzzParse[M comparable](f *testing.F, parse func(string) (M, error), valid 
 }
 
 func FuzzParseChurn(f *testing.F) {
-	fuzzParse(f, ParseChurn, map[string]ChurnMode{
+	fuzzEnum(f, churnNames, map[string]ChurnMode{
 		"": ChurnNone, "none": ChurnNone, "replicas": ChurnReplicas, "drift": ChurnDrift,
 	})
 }
 
 func FuzzParseShard(f *testing.F) {
-	fuzzParse(f, ParseShard, map[string]ShardMode{
+	fuzzEnum(f, shardNames, map[string]ShardMode{
 		"": ShardDeterministic, "deterministic": ShardDeterministic, "racy": ShardRacy,
 	})
 }
 
 func FuzzParseMiss(f *testing.F) {
-	fuzzParse(f, ParseMiss, map[string]MissPolicy{
+	fuzzEnum(f, missNames, map[string]MissPolicy{
 		"": MissResample, "resample": MissResample, "escalate": MissEscalate, "origin": MissOrigin,
 	})
 }
 
 func FuzzParseFaults(f *testing.F) {
-	fuzzParse(f, ParseFaults, map[string]FaultsMode{
+	fuzzEnum(f, faultsNames, map[string]FaultsMode{
 		"": FaultsNone, "none": FaultsNone, "crash": FaultsCrash, "regional": FaultsRegional,
 	})
 }
 
 func FuzzParseHetero(f *testing.F) {
-	fuzzParse(f, ParseHetero, map[string]HeteroMode{
+	fuzzEnum(f, heteroNames, map[string]HeteroMode{
 		"": HeteroNone, "none": HeteroNone, "capacity": HeteroCapacity, "arrival": HeteroArrival,
 	})
 }
 
 func FuzzParseProfile(f *testing.F) {
-	fuzzParse(f, ParseProfile, map[string]CacheProfile{
+	fuzzEnum(f, profileNames, map[string]CacheProfile{
 		"": ProfileUniform, "uniform": ProfileUniform, "two-tier": ProfileTwoTier, "power-law": ProfilePowerLaw,
+	})
+}
+
+func FuzzParseMetricsMode(f *testing.F) {
+	fuzzEnum(f, metricsNames, map[string]MetricsMode{
+		"": MetricsScalar, "scalar": MetricsScalar, "links": MetricsLinks, "streaming": MetricsStreaming,
 	})
 }

@@ -51,32 +51,10 @@ const (
 	HeteroArrival
 )
 
-// String returns the CLI name.
-func (h HeteroMode) String() string {
-	switch h {
-	case HeteroNone:
-		return "none"
-	case HeteroCapacity:
-		return "capacity"
-	case HeteroArrival:
-		return "arrival"
-	default:
-		return fmt.Sprintf("HeteroMode(%d)", int(h))
-	}
-}
+var heteroNames = enumNames[HeteroMode]{"HeteroMode", "hetero mode", []string{"none", "capacity", "arrival"}}
 
-// ParseHetero converts a CLI name.
-func ParseHetero(s string) (HeteroMode, error) {
-	switch s {
-	case "none", "":
-		return HeteroNone, nil
-	case "capacity":
-		return HeteroCapacity, nil
-	case "arrival":
-		return HeteroArrival, nil
-	}
-	return 0, fmt.Errorf("sim: unknown hetero mode %q (want none, capacity or arrival)", s)
-}
+// String returns the CLI name.
+func (h HeteroMode) String() string { return heteroNames.format(h) }
 
 // CacheProfile selects the per-node (M_u, C_u) distribution used by the
 // heterogeneous regimes. Draws come from the dedicated hetero stream in
@@ -96,32 +74,10 @@ const (
 	ProfilePowerLaw
 )
 
-// String returns the CLI name.
-func (p CacheProfile) String() string {
-	switch p {
-	case ProfileUniform:
-		return "uniform"
-	case ProfileTwoTier:
-		return "two-tier"
-	case ProfilePowerLaw:
-		return "power-law"
-	default:
-		return fmt.Sprintf("CacheProfile(%d)", int(p))
-	}
-}
+var profileNames = enumNames[CacheProfile]{"CacheProfile", "cache profile", []string{"uniform", "two-tier", "power-law"}}
 
-// ParseProfile converts a CLI name.
-func ParseProfile(s string) (CacheProfile, error) {
-	switch s {
-	case "uniform", "":
-		return ProfileUniform, nil
-	case "two-tier":
-		return ProfileTwoTier, nil
-	case "power-law":
-		return ProfilePowerLaw, nil
-	}
-	return 0, fmt.Errorf("sim: unknown cache profile %q (want uniform, two-tier or power-law)", s)
-}
+// String returns the CLI name.
+func (p CacheProfile) String() string { return profileNames.format(p) }
 
 const (
 	// capMultLCM is the common load-view scale: LCM(1..8), divisible by

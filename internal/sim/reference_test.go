@@ -283,9 +283,10 @@ func ksTwoSample(a, b []float64) float64 {
 // file lists, each S_j a plain list re-sorted by the tiling key after
 // every event, and a drawn arena slot resolved by walking the files in
 // order. It replays churnState.apply's draws from the trial's churn
-// stream. Only the ChurnDrift file sampler (a dist.CustomBuilder over the
-// drifter's weights) is the engine's own, since the sampler is not what
-// the model checks.
+// stream. Only the ChurnDrift file sampler's builder (a
+// dist.CustomBuilder over the drifter's weights) is the engine's own,
+// since the sampler is not what the model checks; which files it
+// conditions on, and when, is the model's.
 type churnModel struct {
 	w      *World
 	files  [][]int32 // per node, ascending
@@ -377,8 +378,10 @@ func (m *churnModel) apply(rng *rand.Rand, c int) {
 		slots += len(r)
 	}
 	if m.drift != nil {
+		// The sampler is rebuilt at every barrier from the model's own
+		// cached set, with no dirty flag to trust.
 		m.drift.Step(rng)
-		if slots > 0 && (m.pop == nil || m.drift.Dirty()) {
+		if slots > 0 {
 			weights := make([]float64, len(m.reps))
 			for j, r := range m.reps {
 				if len(r) > 0 {
@@ -386,7 +389,6 @@ func (m *churnModel) apply(rng *rand.Rand, c int) {
 				}
 			}
 			m.pop = m.cond.Build(weights, "churn-drift")
-			m.drift.ClearDirty()
 		}
 	}
 	n := m.w.g.N()

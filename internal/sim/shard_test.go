@@ -148,16 +148,16 @@ func TestShardValidation(t *testing.T) {
 // TestShardModeRoundTrip pins the CLI names.
 func TestShardModeRoundTrip(t *testing.T) {
 	for _, m := range []ShardMode{ShardDeterministic, ShardRacy} {
-		got, err := ParseShard(m.String())
+		got, err := shardNames.parse(m.String())
 		if err != nil || got != m {
-			t.Errorf("ParseShard(%q) = %v, %v", m.String(), got, err)
+			t.Errorf("parse(%q) = %v, %v", m.String(), got, err)
 		}
 	}
-	if m, err := ParseShard(""); err != nil || m != ShardDeterministic {
-		t.Errorf("ParseShard(\"\") = %v, %v, want deterministic", m, err)
+	if m, err := shardNames.parse(""); err != nil || m != ShardDeterministic {
+		t.Errorf("parse(\"\") = %v, %v, want deterministic", m, err)
 	}
-	if _, err := ParseShard("bogus"); err == nil {
-		t.Error("ParseShard(\"bogus\") succeeded")
+	if _, err := shardNames.parse("bogus"); err == nil {
+		t.Error("parse(\"bogus\") succeeded")
 	}
 }
 

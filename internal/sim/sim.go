@@ -61,21 +61,10 @@ const (
 	Oracle
 )
 
+var strategyNames = enumNames[StrategyKind]{"StrategyKind", "strategy", []string{"nearest", "two-choices", "one-choice", "oracle"}}
+
 // String implements fmt.Stringer.
-func (s StrategyKind) String() string {
-	switch s {
-	case Nearest:
-		return "nearest"
-	case TwoChoices:
-		return "two-choices"
-	case OneChoiceRandom:
-		return "one-choice"
-	case Oracle:
-		return "oracle"
-	default:
-		return fmt.Sprintf("StrategyKind(%d)", int(s))
-	}
-}
+func (s StrategyKind) String() string { return strategyNames.format(s) }
 
 // StrategySpec declares the assignment strategy.
 type StrategySpec struct {
@@ -108,32 +97,10 @@ const (
 	MissOrigin
 )
 
-// String implements fmt.Stringer.
-func (m MissPolicy) String() string {
-	switch m {
-	case MissResample:
-		return "resample"
-	case MissEscalate:
-		return "escalate"
-	case MissOrigin:
-		return "origin"
-	default:
-		return fmt.Sprintf("MissPolicy(%d)", int(m))
-	}
-}
+var missNames = enumNames[MissPolicy]{"MissPolicy", "miss policy", []string{"resample", "escalate", "origin"}}
 
-// ParseMiss converts a CLI name.
-func ParseMiss(s string) (MissPolicy, error) {
-	switch s {
-	case "resample", "":
-		return MissResample, nil
-	case "escalate":
-		return MissEscalate, nil
-	case "origin":
-		return MissOrigin, nil
-	}
-	return 0, fmt.Errorf("sim: unknown miss policy %q (want resample, escalate or origin)", s)
-}
+// String implements fmt.Stringer.
+func (m MissPolicy) String() string { return missNames.format(m) }
 
 // MetricsMode selects how much per-trial instrumentation a trial carries
 // beyond the Definition 1 scalars (max load L, mean cost C, miss
@@ -155,32 +122,10 @@ const (
 	MetricsStreaming
 )
 
-// String implements fmt.Stringer.
-func (m MetricsMode) String() string {
-	switch m {
-	case MetricsScalar:
-		return "scalar"
-	case MetricsLinks:
-		return "links"
-	case MetricsStreaming:
-		return "streaming"
-	default:
-		return fmt.Sprintf("MetricsMode(%d)", int(m))
-	}
-}
+var metricsNames = enumNames[MetricsMode]{"MetricsMode", "metrics mode", []string{"scalar", "links", "streaming"}}
 
-// ParseMetricsMode converts a CLI name.
-func ParseMetricsMode(s string) (MetricsMode, error) {
-	switch s {
-	case "scalar", "":
-		return MetricsScalar, nil
-	case "links":
-		return MetricsLinks, nil
-	case "streaming":
-		return MetricsStreaming, nil
-	}
-	return 0, fmt.Errorf("sim: unknown metrics mode %q (want scalar, links or streaming)", s)
-}
+// String implements fmt.Stringer.
+func (m MetricsMode) String() string { return metricsNames.format(m) }
 
 // Streams is the retired request-discipline knob. Every trial draws its
 // origins, files and strategy picks from three dedicated per-trial
@@ -242,32 +187,10 @@ const (
 	ChurnDrift
 )
 
-// String implements fmt.Stringer.
-func (c ChurnMode) String() string {
-	switch c {
-	case ChurnNone:
-		return "none"
-	case ChurnReplicas:
-		return "replicas"
-	case ChurnDrift:
-		return "drift"
-	default:
-		return fmt.Sprintf("ChurnMode(%d)", int(c))
-	}
-}
+var churnNames = enumNames[ChurnMode]{"ChurnMode", "churn mode", []string{"none", "replicas", "drift"}}
 
-// ParseChurn converts a CLI name.
-func ParseChurn(s string) (ChurnMode, error) {
-	switch s {
-	case "none", "":
-		return ChurnNone, nil
-	case "replicas":
-		return ChurnReplicas, nil
-	case "drift":
-		return ChurnDrift, nil
-	}
-	return 0, fmt.Errorf("sim: unknown churn mode %q (want none, replicas or drift)", s)
-}
+// String implements fmt.Stringer.
+func (c ChurnMode) String() string { return churnNames.format(c) }
 
 // ShardMode selects the load-visibility discipline of the intra-trial
 // sharded engine (Config.Workers > 0): what a worker's strategy sees in
@@ -297,28 +220,10 @@ const (
 	ShardRacy
 )
 
-// String implements fmt.Stringer.
-func (m ShardMode) String() string {
-	switch m {
-	case ShardDeterministic:
-		return "deterministic"
-	case ShardRacy:
-		return "racy"
-	default:
-		return fmt.Sprintf("ShardMode(%d)", int(m))
-	}
-}
+var shardNames = enumNames[ShardMode]{"ShardMode", "shard mode", []string{"deterministic", "racy"}}
 
-// ParseShard converts a CLI name.
-func ParseShard(s string) (ShardMode, error) {
-	switch s {
-	case "deterministic", "":
-		return ShardDeterministic, nil
-	case "racy":
-		return ShardRacy, nil
-	}
-	return 0, fmt.Errorf("sim: unknown shard mode %q (want deterministic or racy)", s)
-}
+// String implements fmt.Stringer.
+func (m ShardMode) String() string { return shardNames.format(m) }
 
 // FaultsMode selects the node fault-injection discipline: servers crash
 // (and optionally recover) mid-trial while the placement stays put —
@@ -347,32 +252,10 @@ const (
 	FaultsRegional
 )
 
-// String implements fmt.Stringer.
-func (f FaultsMode) String() string {
-	switch f {
-	case FaultsNone:
-		return "none"
-	case FaultsCrash:
-		return "crash"
-	case FaultsRegional:
-		return "regional"
-	default:
-		return fmt.Sprintf("FaultsMode(%d)", int(f))
-	}
-}
+var faultsNames = enumNames[FaultsMode]{"FaultsMode", "faults mode", []string{"none", "crash", "regional"}}
 
-// ParseFaults converts a CLI name.
-func ParseFaults(s string) (FaultsMode, error) {
-	switch s {
-	case "none", "":
-		return FaultsNone, nil
-	case "crash":
-		return FaultsCrash, nil
-	case "regional":
-		return FaultsRegional, nil
-	}
-	return 0, fmt.Errorf("sim: unknown faults mode %q (want none, crash or regional)", s)
-}
+// String implements fmt.Stringer.
+func (f FaultsMode) String() string { return faultsNames.format(f) }
 
 // Config declares one simulated world. The zero value is not runnable; use
 // the documented fields (Side, K, M are mandatory).

@@ -48,6 +48,14 @@ func FuzzParseSpec(f *testing.F) {
 		`{"trials":1,"base":{"side":4096,"k":10,"m":1048576}}`,
 		`{"trials":1,"base":{"side":5,"k":10,"m":1},"axes":[{"field":"m","values":[` +
 			strings.TrimSuffix(strings.Repeat("1,", 2000), ",") + `]}]}`,
+		// Axis spelling: heterogeneity knobs, a case variant of a field,
+		// null, and a fractional integer.
+		`{"trials":1,"base":{"side":6,"k":10,"m":2,"hetero":"capacity"},"axes":[{"field":"profile","values":["two-tier","power-law"]}]}`,
+		`{"trials":1,"base":{"side":40,"k":10,"m":2,"miss":"escalate","hetero":"arrival"},"axes":[{"field":"arrival_rate","values":[0.01]}]}`,
+		`{"trials":1,"base":{"side":5,"k":10,"m":1},"axes":[{"field":"hetero","values":["capacity","arrival"]}]}`,
+		`{"trials":1,"base":{"side":5,"k":10,"m":1},"axes":[{"field":"SIDE","values":[6]}]}`,
+		`{"trials":1,"base":{"side":5,"k":10,"m":1},"axes":[{"field":"m","values":[null]}]}`,
+		`{"trials":1,"base":{"side":5,"k":10,"m":1,"strategy":"two-choices"},"axes":[{"field":"radius","values":[2.5]}]}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))

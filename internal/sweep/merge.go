@@ -113,7 +113,7 @@ type ArtifactPoint struct {
 	// Label lists the point's axis assignments.
 	Label string `json:"label"`
 	// Spec is the resolved point spec.
-	Spec PointSpec `json:"spec"`
+	Spec sim.PointSpec `json:"spec"`
 	// Agg is the merged aggregate with full streaming moments — exact
 	// enough to extend the sweep later without re-running it.
 	Agg sim.Aggregate `json:"agg"`

@@ -26,11 +26,12 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"reflect"
 	"strconv"
 	"strings"
 
-	"repro/internal/grid"
 	"repro/internal/sim"
 )
 
@@ -48,127 +49,12 @@ const (
 	maxRequests   = 1 << 30
 )
 
-// PointSpec is the flag-level description of one simulated
-// configuration — the JSON spelling of the knobs cmd/cachesim exposes.
-// The zero value of every optional field selects the engine default;
-// Side, K and M are mandatory (in the spec base, after axis
-// application).
-type PointSpec struct {
-	// Side is the lattice side L (n = L² servers).
-	Side int `json:"side"`
-	// Topology is "torus" (default) or "grid".
-	Topology string `json:"topology,omitempty"`
-	// K is the library size; M the per-node cache size.
-	K int `json:"k"`
-	// M is the per-node cache size.
-	M int `json:"m"`
-	// Gamma is the Zipf exponent (0 = uniform popularity).
-	Gamma float64 `json:"gamma,omitempty"`
-	// Strategy is "nearest" (default), "two-choices", "one-choice" or
-	// "oracle".
-	Strategy string `json:"strategy,omitempty"`
-	// Radius is the proximity radius in hops (-1 = unbounded).
-	Radius int `json:"radius,omitempty"`
-	// Choices is d for the choice strategies (0 → 2).
-	Choices int `json:"choices,omitempty"`
-	// Beta selects the (1+β)-choice process for two-choices.
-	Beta float64 `json:"beta,omitempty"`
-	// WithoutReplacement samples candidates distinct when possible.
-	WithoutReplacement bool `json:"without_replacement,omitempty"`
-	// Requests is the request count per trial (0 = n).
-	Requests int `json:"requests,omitempty"`
-	// Miss is the miss policy: "resample" (default), "escalate", "origin".
-	Miss string `json:"miss,omitempty"`
-	// Metrics is "scalar" (default), "links" or "streaming".
-	Metrics string `json:"metrics,omitempty"`
-	// Churn is "none" (default), "replicas" or "drift".
-	Churn string `json:"churn,omitempty"`
-	// ChurnRate is expected replica migrations per request.
-	ChurnRate float64 `json:"churn_rate,omitempty"`
-	// Faults is "none" (default), "crash" or "regional".
-	Faults string `json:"faults,omitempty"`
-	// FaultRate is expected crash events per request.
-	FaultRate float64 `json:"fault_rate,omitempty"`
-	// RecoverRate is expected recovery events per request.
-	RecoverRate float64 `json:"recover_rate,omitempty"`
-	// Workers is the intra-trial shard count P (0 = sequential engine).
-	Workers int `json:"workers,omitempty"`
-	// Shard is "deterministic" (default) or "racy".
-	Shard string `json:"shard,omitempty"`
-	// Chunk overrides the pipeline block size (0 = engine default).
-	Chunk int `json:"chunk,omitempty"`
-}
-
-// Config translates the point into a validated engine configuration
-// rooted at the given seed.
-func (p PointSpec) Config(seed uint64) (sim.Config, error) {
-	var cfg sim.Config
-	topo := p.Topology
-	if topo == "" {
-		topo = "torus"
-	}
-	tp, err := grid.ParseTopology(topo)
-	if err != nil {
-		return cfg, err
-	}
-	mp, err := sim.ParseMiss(p.Miss)
-	if err != nil {
-		return cfg, err
-	}
-	mm, err := sim.ParseMetricsMode(p.Metrics)
-	if err != nil {
-		return cfg, err
-	}
-	ch, err := sim.ParseChurn(p.Churn)
-	if err != nil {
-		return cfg, err
-	}
-	fm, err := sim.ParseFaults(p.Faults)
-	if err != nil {
-		return cfg, err
-	}
-	sh, err := sim.ParseShard(p.Shard)
-	if err != nil {
-		return cfg, err
-	}
-	cfg = sim.Config{
-		Side: p.Side, Topology: tp, K: p.K, M: p.M,
-		Requests: p.Requests, MissPolicy: mp, Metrics: mm,
-		Churn: ch, ChurnRate: p.ChurnRate,
-		Faults: fm, FaultRate: p.FaultRate, RecoverRate: p.RecoverRate,
-		Workers: p.Workers, Shard: sh, Chunk: p.Chunk,
-		Seed: seed,
-	}
-	if p.Gamma > 0 {
-		cfg.Popularity = sim.PopSpec{Kind: sim.PopZipf, Gamma: p.Gamma}
-	}
-	switch p.Strategy {
-	case "nearest", "":
-		cfg.Strategy = sim.StrategySpec{Kind: sim.Nearest}
-	case "two-choices", "two":
-		cfg.Strategy = sim.StrategySpec{
-			Kind: sim.TwoChoices, Radius: p.Radius, Choices: p.Choices,
-			WithoutReplacement: p.WithoutReplacement, Beta: p.Beta,
-		}
-	case "one-choice", "one":
-		cfg.Strategy = sim.StrategySpec{Kind: sim.OneChoiceRandom, Radius: p.Radius}
-	case "oracle":
-		cfg.Strategy = sim.StrategySpec{Kind: sim.Oracle, Radius: p.Radius}
-	default:
-		return cfg, fmt.Errorf("sweep: unknown strategy %q", p.Strategy)
-	}
-	if err := sim.Validate(cfg); err != nil {
-		return cfg, err
-	}
-	return cfg, sim.CheckBarriers(cfg)
-}
-
 // Axis is one swept dimension: a point-spec field name and the values
 // it takes. The grid is the cross product of all axes over the base
 // point, expanded in listed order with the last axis fastest.
 type Axis struct {
-	// Field names the PointSpec knob the axis sweeps (JSON spelling,
-	// e.g. "side", "radius", "churn_rate", "strategy").
+	// Field names the sim.PointSpec knob the axis sweeps by its exact
+	// JSON name, e.g. "side", "radius", "churn_rate", "strategy".
 	Field string `json:"field"`
 	// Values are the swept values; numbers, strings or booleans
 	// matching the field's type.
@@ -192,66 +78,37 @@ type Spec struct {
 	// Seed roots all randomness (0 defaults to 2017).
 	Seed uint64 `json:"seed,omitempty"`
 	// Base is the grid origin every axis assignment is applied to.
-	Base PointSpec `json:"base"`
+	Base sim.PointSpec `json:"base"`
 	// Axes are the swept dimensions (may be empty: a one-point grid).
 	Axes []Axis `json:"axes,omitempty"`
 }
 
-// setters maps axis field names to their PointSpec assignment.
-var setters = map[string]func(*PointSpec, any) error{
-	"side":                func(p *PointSpec, v any) (err error) { p.Side, err = asInt(v); return },
-	"topology":            func(p *PointSpec, v any) (err error) { p.Topology, err = asString(v); return },
-	"k":                   func(p *PointSpec, v any) (err error) { p.K, err = asInt(v); return },
-	"m":                   func(p *PointSpec, v any) (err error) { p.M, err = asInt(v); return },
-	"gamma":               func(p *PointSpec, v any) (err error) { p.Gamma, err = asFloat(v); return },
-	"strategy":            func(p *PointSpec, v any) (err error) { p.Strategy, err = asString(v); return },
-	"radius":              func(p *PointSpec, v any) (err error) { p.Radius, err = asInt(v); return },
-	"choices":             func(p *PointSpec, v any) (err error) { p.Choices, err = asInt(v); return },
-	"beta":                func(p *PointSpec, v any) (err error) { p.Beta, err = asFloat(v); return },
-	"without_replacement": func(p *PointSpec, v any) (err error) { p.WithoutReplacement, err = asBool(v); return },
-	"requests":            func(p *PointSpec, v any) (err error) { p.Requests, err = asInt(v); return },
-	"miss":                func(p *PointSpec, v any) (err error) { p.Miss, err = asString(v); return },
-	"metrics":             func(p *PointSpec, v any) (err error) { p.Metrics, err = asString(v); return },
-	"churn":               func(p *PointSpec, v any) (err error) { p.Churn, err = asString(v); return },
-	"churn_rate":          func(p *PointSpec, v any) (err error) { p.ChurnRate, err = asFloat(v); return },
-	"faults":              func(p *PointSpec, v any) (err error) { p.Faults, err = asString(v); return },
-	"fault_rate":          func(p *PointSpec, v any) (err error) { p.FaultRate, err = asFloat(v); return },
-	"recover_rate":        func(p *PointSpec, v any) (err error) { p.RecoverRate, err = asFloat(v); return },
-	"workers":             func(p *PointSpec, v any) (err error) { p.Workers, err = asInt(v); return },
-	"shard":               func(p *PointSpec, v any) (err error) { p.Shard, err = asString(v); return },
-	"chunk":               func(p *PointSpec, v any) (err error) { p.Chunk, err = asInt(v); return },
-}
-
-func asInt(v any) (int, error) {
-	f, ok := v.(float64)
-	if !ok || f != float64(int(f)) {
-		return 0, fmt.Errorf("sweep: %v (%T) is not an integer", v, v)
+// axisFields holds PointSpec's JSON names, the only fields an axis may
+// sweep. An axis field must match one exactly: encoding/json alone
+// would also match a case variant such as "SIDE".
+var axisFields = func() map[string]bool {
+	t := reflect.TypeFor[sim.PointSpec]()
+	fields := make(map[string]bool, t.NumField())
+	for i := range t.NumField() {
+		name, _, _ := strings.Cut(t.Field(i).Tag.Get("json"), ",")
+		fields[name] = true
 	}
-	return int(f), nil
-}
+	return fields
+}()
 
-func asFloat(v any) (float64, error) {
-	f, ok := v.(float64)
-	if !ok {
-		return 0, fmt.Errorf("sweep: %v (%T) is not a number", v, v)
+// setAxis assigns one axis value to p through PointSpec's own JSON
+// decoding, which rejects a value of the wrong type and an integer
+// field's fractional or out-of-range number. A null would leave the
+// field as it was, so it is rejected here.
+func setAxis(p *sim.PointSpec, field string, v any) error {
+	if v == nil {
+		return errors.New("null is not a value")
 	}
-	return f, nil
-}
-
-func asString(v any) (string, error) {
-	s, ok := v.(string)
-	if !ok {
-		return "", fmt.Errorf("sweep: %v (%T) is not a string", v, v)
+	b, err := json.Marshal(map[string]any{field: v})
+	if err != nil {
+		return err
 	}
-	return s, nil
-}
-
-func asBool(v any) (bool, error) {
-	b, ok := v.(bool)
-	if !ok {
-		return false, fmt.Errorf("sweep: %v (%T) is not a boolean", v, v)
-	}
-	return b, nil
+	return json.Unmarshal(b, p)
 }
 
 // ParseSpec decodes, normalizes and validates a JSON sweep spec:
@@ -301,7 +158,7 @@ func (s *Spec) normalize() error {
 	points := 1
 	seen := map[string]bool{}
 	for _, ax := range s.Axes {
-		if _, ok := setters[ax.Field]; !ok {
+		if !axisFields[ax.Field] {
 			return fmt.Errorf("sweep: unknown axis field %q", ax.Field)
 		}
 		if seen[ax.Field] {
@@ -324,7 +181,7 @@ func (s *Spec) normalize() error {
 
 // checkCaps bounds the numeric knobs of one expanded point so a typo'd
 // (or fuzzed) spec cannot demand a multi-terabyte world.
-func (p PointSpec) checkCaps() error {
+func checkCaps(p sim.PointSpec) error {
 	switch {
 	case p.Side < 1 || p.Side > maxSide:
 		return fmt.Errorf("sweep: side must be in [1, %d], got %d", maxSide, p.Side)
@@ -347,7 +204,7 @@ type Point struct {
 	// or "base" for an axis-free spec.
 	Label string
 	// Spec is the base point with this point's axis values applied.
-	Spec PointSpec
+	Spec sim.PointSpec
 	// Config is the validated engine configuration.
 	Config sim.Config
 }
@@ -382,7 +239,7 @@ func (s *Spec) Points() ([]Point, error) {
 		var label strings.Builder
 		for a, ax := range s.Axes {
 			v := ax.Values[idx[a]]
-			if err := setters[ax.Field](&p, v); err != nil {
+			if err := setAxis(&p, ax.Field, v); err != nil {
 				return nil, fmt.Errorf("sweep: axis %q value %d: %w", ax.Field, idx[a], err)
 			}
 			if a > 0 {
@@ -390,10 +247,13 @@ func (s *Spec) Points() ([]Point, error) {
 			}
 			fmt.Fprintf(&label, "%s=%s", ax.Field, formatValue(v))
 		}
-		if err := p.checkCaps(); err != nil {
+		if err := checkCaps(p); err != nil {
 			return nil, fmt.Errorf("sweep: point %d (%s): %w", i, label.String(), err)
 		}
 		cfg, err := p.Config(s.Seed)
+		if err == nil {
+			err = sim.CheckBarriers(cfg)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("sweep: point %d (%s): %w", i, label.String(), err)
 		}

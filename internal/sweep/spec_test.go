@@ -3,6 +3,8 @@ package sweep
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // specJSON is the canonical small test spec: 2×2 grid, 6 trials in 3
@@ -92,35 +94,80 @@ func TestParseSpecDefaults(t *testing.T) {
 
 func TestParseSpecRejects(t *testing.T) {
 	for name, src := range map[string]string{
-		"empty":          ``,
-		"junk":           `not json`,
-		"trailing":       `{"trials":1,"base":{"side":5,"k":10,"m":1}} extra`,
-		"unknown field":  `{"trials":1,"nope":1,"base":{"side":5,"k":10,"m":1}}`,
-		"no trials":      `{"base":{"side":5,"k":10,"m":1}}`,
-		"huge trials":    `{"trials":9999999,"base":{"side":5,"k":10,"m":1}}`,
-		"blocks>trials":  `{"trials":2,"blocks":5,"base":{"side":5,"k":10,"m":1}}`,
-		"neg blocks":     `{"trials":2,"blocks":-1,"base":{"side":5,"k":10,"m":1}}`,
-		"huge side":      `{"trials":1,"base":{"side":99999,"k":10,"m":1}}`,
-		"zero k":         `{"trials":1,"base":{"side":5,"k":0,"m":1}}`,
-		"unknown axis":   `{"trials":1,"base":{"side":5,"k":10,"m":1},"axes":[{"field":"zzz","values":[1]}]}`,
-		"dup axis":       `{"trials":1,"base":{"side":5,"k":10,"m":1},"axes":[{"field":"m","values":[1]},{"field":"m","values":[2]}]}`,
-		"empty axis":     `{"trials":1,"base":{"side":5,"k":10,"m":1},"axes":[{"field":"m","values":[]}]}`,
-		"type mismatch":  `{"trials":1,"base":{"side":5,"k":10,"m":1},"axes":[{"field":"m","values":["two"]}]}`,
-		"frac int":       `{"trials":1,"base":{"side":5,"k":10,"m":1},"axes":[{"field":"m","values":[1.5]}]}`,
-		"bad strategy":   `{"trials":1,"base":{"side":5,"k":10,"m":1,"strategy":"wat"}}`,
-		"engine invalid": `{"trials":1,"base":{"side":5,"k":10,"m":1,"workers":3,"chunk":7}}`,
-		"world budget":   `{"trials":1,"base":{"side":4096,"k":10,"m":1048576}}`,
-		"huge rate":      `{"trials":1,"base":{"side":5,"k":10,"m":1,"churn":"replicas","churn_rate":1e300}}`,
-		"neg radius":     `{"trials":1,"base":{"side":5,"k":10,"m":1,"strategy":"two-choices","radius":-7}}`,
-		"neg choices":    `{"trials":1,"base":{"side":5,"k":10,"m":1,"strategy":"two-choices","radius":2,"choices":-3}}`,
-		"beta over 1":    `{"trials":1,"base":{"side":5,"k":10,"m":1,"strategy":"two-choices","radius":2,"beta":5}}`,
-		"axis radius":    `{"trials":1,"base":{"side":5,"k":10,"m":1,"strategy":"oracle"},"axes":[{"field":"radius","values":[2,-7]}]}`,
-		"churn, 1 chunk": `{"trials":1,"base":{"side":5,"k":10,"m":1,"churn":"replicas","churn_rate":0.5}}`,
-		"fault, 1 chunk": `{"trials":1,"base":{"side":5,"k":10,"m":1,"miss":"escalate","faults":"crash","fault_rate":0.01,"requests":1024}}`,
-		"axis requests":  `{"trials":1,"base":{"side":5,"k":10,"m":1,"churn":"drift","churn_rate":0.5},"axes":[{"field":"requests","values":[4096,512]}]}`,
+		"empty":            ``,
+		"junk":             `not json`,
+		"trailing":         `{"trials":1,"base":{"side":5,"k":10,"m":1}} extra`,
+		"unknown field":    `{"trials":1,"nope":1,"base":{"side":5,"k":10,"m":1}}`,
+		"no trials":        `{"base":{"side":5,"k":10,"m":1}}`,
+		"huge trials":      `{"trials":9999999,"base":{"side":5,"k":10,"m":1}}`,
+		"blocks>trials":    `{"trials":2,"blocks":5,"base":{"side":5,"k":10,"m":1}}`,
+		"neg blocks":       `{"trials":2,"blocks":-1,"base":{"side":5,"k":10,"m":1}}`,
+		"huge side":        `{"trials":1,"base":{"side":99999,"k":10,"m":1}}`,
+		"zero k":           `{"trials":1,"base":{"side":5,"k":0,"m":1}}`,
+		"unknown axis":     `{"trials":1,"base":{"side":5,"k":10,"m":1},"axes":[{"field":"zzz","values":[1]}]}`,
+		"dup axis":         `{"trials":1,"base":{"side":5,"k":10,"m":1},"axes":[{"field":"m","values":[1]},{"field":"m","values":[2]}]}`,
+		"empty axis":       `{"trials":1,"base":{"side":5,"k":10,"m":1},"axes":[{"field":"m","values":[]}]}`,
+		"type mismatch":    `{"trials":1,"base":{"side":5,"k":10,"m":1},"axes":[{"field":"m","values":["two"]}]}`,
+		"frac int":         `{"trials":1,"base":{"side":5,"k":10,"m":1},"axes":[{"field":"m","values":[1.5]}]}`,
+		"bad strategy":     `{"trials":1,"base":{"side":5,"k":10,"m":1,"strategy":"wat"}}`,
+		"engine invalid":   `{"trials":1,"base":{"side":5,"k":10,"m":1,"workers":3,"chunk":7}}`,
+		"world budget":     `{"trials":1,"base":{"side":4096,"k":10,"m":1048576}}`,
+		"huge rate":        `{"trials":1,"base":{"side":5,"k":10,"m":1,"churn":"replicas","churn_rate":1e300}}`,
+		"neg radius":       `{"trials":1,"base":{"side":5,"k":10,"m":1,"strategy":"two-choices","radius":-7}}`,
+		"neg choices":      `{"trials":1,"base":{"side":5,"k":10,"m":1,"strategy":"two-choices","radius":2,"choices":-3}}`,
+		"beta over 1":      `{"trials":1,"base":{"side":5,"k":10,"m":1,"strategy":"two-choices","radius":2,"beta":5}}`,
+		"axis radius":      `{"trials":1,"base":{"side":5,"k":10,"m":1,"strategy":"oracle"},"axes":[{"field":"radius","values":[2,-7]}]}`,
+		"churn, 1 chunk":   `{"trials":1,"base":{"side":5,"k":10,"m":1,"churn":"replicas","churn_rate":0.5}}`,
+		"fault, 1 chunk":   `{"trials":1,"base":{"side":5,"k":10,"m":1,"miss":"escalate","faults":"crash","fault_rate":0.01,"requests":1024}}`,
+		"axis requests":    `{"trials":1,"base":{"side":5,"k":10,"m":1,"churn":"drift","churn_rate":0.5},"axes":[{"field":"requests","values":[4096,512]}]}`,
+		"axis case":        `{"trials":1,"base":{"side":5,"k":10,"m":1},"axes":[{"field":"SIDE","values":[6]}]}`,
+		"axis null":        `{"trials":1,"base":{"side":5,"k":10,"m":1},"axes":[{"field":"m","values":[null]}]}`,
+		"frac radius":      `{"trials":1,"base":{"side":5,"k":10,"m":1,"strategy":"two-choices"},"axes":[{"field":"radius","values":[2.5]}]}`,
+		"huge int":         `{"trials":1,"base":{"side":5,"k":10,"m":1},"axes":[{"field":"m","values":[1e30]}]}`,
+		"bool as int":      `{"trials":1,"base":{"side":5,"k":10,"m":1},"axes":[{"field":"without_replacement","values":[1]}]}`,
+		"bad hetero":       `{"trials":1,"base":{"side":5,"k":10,"m":1,"hetero":"some"}}`,
+		"bad profile":      `{"trials":1,"base":{"side":5,"k":10,"m":1,"hetero":"capacity"},"axes":[{"field":"profile","values":["flat"]}]}`,
+		"arrival, 1 chunk": `{"trials":1,"base":{"side":5,"k":10,"m":1,"miss":"escalate","hetero":"arrival","arrival_rate":0.01}}`,
 	} {
 		if _, err := ParseSpec([]byte(src)); err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// TestHeteroAxes: the heterogeneity knobs sweep like every other
+// sim.PointSpec field, and each expanded point translates and runs.
+func TestHeteroAxes(t *testing.T) {
+	for _, tc := range []struct {
+		src  string
+		want []sim.CacheProfile
+	}{
+		{`{"trials":2,"base":{"side":8,"k":40,"m":2,"strategy":"two-choices","radius":2},
+		   "axes":[{"field":"hetero","values":["capacity"]},{"field":"profile","values":["uniform","two-tier","power-law"]}]}`,
+			[]sim.CacheProfile{sim.ProfileUniform, sim.ProfileTwoTier, sim.ProfilePowerLaw}},
+		{`{"trials":2,"base":{"side":8,"k":40,"m":2,"strategy":"two-choices","radius":2,"miss":"escalate","requests":2048,"hetero":"arrival","profile":"power-law"},
+		   "axes":[{"field":"arrival_rate","values":[0.005,0.02]}]}`,
+			[]sim.CacheProfile{sim.ProfilePowerLaw, sim.ProfilePowerLaw}},
+	} {
+		pts, err := mustParse(t, tc.src).Points()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pts) != len(tc.want) {
+			t.Fatalf("%d points, want %d", len(pts), len(tc.want))
+		}
+		for i, p := range pts {
+			cfg := p.Config
+			if cfg.Hetero == sim.HeteroNone || cfg.Profile != tc.want[i] {
+				t.Errorf("%s: hetero %v profile %v, want profile %v", p.Label, cfg.Hetero, cfg.Profile, tc.want[i])
+			}
+			agg, err := sim.Run(cfg, 2, 1)
+			if err != nil {
+				t.Fatalf("%s: %v", p.Label, err)
+			}
+			if cfg.Hetero == sim.HeteroArrival && (cfg.ArrivalRate != p.Spec.ArrivalRate || agg.ArrivalEvents.Mean() == 0) {
+				t.Errorf("%s: rate %v, %v joins per trial", p.Label, cfg.ArrivalRate, agg.ArrivalEvents.Mean())
+			}
 		}
 	}
 }

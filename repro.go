@@ -304,24 +304,6 @@ func NewDrifter(k int, boost, birthRate, lifespan float64) *Drifter {
 	return workload.NewDrifter(k, boost, birthRate, lifespan)
 }
 
-// ParseChurn converts a CLI name into a ChurnMode.
-func ParseChurn(s string) (ChurnMode, error) { return sim.ParseChurn(s) }
-
-// ParseFaults converts a CLI name into a FaultsMode.
-func ParseFaults(s string) (FaultsMode, error) { return sim.ParseFaults(s) }
-
-// ParseMiss converts a CLI name into a MissPolicy.
-func ParseMiss(s string) (MissPolicy, error) { return sim.ParseMiss(s) }
-
-// ParseShard converts a CLI name into a ShardMode.
-func ParseShard(s string) (ShardMode, error) { return sim.ParseShard(s) }
-
-// ParseHetero converts a CLI name into a HeteroMode.
-func ParseHetero(s string) (HeteroMode, error) { return sim.ParseHetero(s) }
-
-// ParseProfile converts a CLI name into a CacheProfile.
-func ParseProfile(s string) (CacheProfile, error) { return sim.ParseProfile(s) }
-
 // NewWeightedLoads returns a capacity-weighted view of inner under mult
 // (per-bin positive multipliers). See ballsbins.NewWeightedLoads.
 func NewWeightedLoads(inner interface{ Load(i int) int }, mult []int32) *WeightedLoads {
@@ -333,9 +315,6 @@ func NewAtomicLoads(n int) *AtomicLoads { return ballsbins.NewAtomicLoads(n) }
 
 // NewSpaceSaving returns a heavy-hitter sketch monitoring up to k keys.
 func NewSpaceSaving(k int) *SpaceSaving { return stats.NewSpaceSaving(k) }
-
-// ParseMetricsMode converts a CLI name into a MetricsMode.
-func ParseMetricsMode(s string) (MetricsMode, error) { return sim.ParseMetricsMode(s) }
 
 // Strategy kind constants for StrategySpec.Kind.
 const (
