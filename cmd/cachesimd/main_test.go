@@ -33,6 +33,11 @@ func TestCommandLines(t *testing.T) {
 			options{addr: ":8080", loadgen: 4000000, conns: 8, batch: 256, cfg: quiesced}},
 		{"-side 32 -k 2000 -m 4 -strategy two-choices -radius 6 -gamma 0.8 -addr 127.0.0.1:18080",
 			options{addr: "127.0.0.1:18080", conns: 8, batch: 256, cfg: quiesced}},
+		{"-side 32 -k 2000 -m 4 -strategy two-choices -radius 6 -gamma 0.8 -miss escalate -churn replicas -churn-rate 0.5 -faults crash -fault-rate 0.01 -hetero arrival -profile power-law -arrival-rate 0.01 -addr 127.0.0.1:18081",
+			options{addr: "127.0.0.1:18081", conns: 8, batch: 256, cfg: repro.Config{Side: 32, K: 2000, M: 4,
+				Popularity: zipf, Strategy: two, MissPolicy: repro.MissEscalate,
+				Churn: repro.ChurnReplicas, ChurnRate: 0.5, Faults: repro.FaultsCrash, FaultRate: 0.01,
+				Hetero: repro.HeteroArrival, Profile: repro.ProfilePowerLaw, ArrivalRate: 0.01, Seed: 2017}}},
 		{"-gamma 0.8 -era 3 -seed 7 -conns 2 -batch 64 -loadgen 100",
 			options{era: 3, addr: ":8080", loadgen: 100, conns: 2, batch: 64,
 				cfg: repro.Config{Side: 32, K: 2000, M: 4, Popularity: zipf, Strategy: two, Seed: 7}}},

@@ -13,7 +13,7 @@ const testSpec = `{
   "trials": 6,
   "blocks": 3,
   "seed": 5,
-  "base": {"side": 6, "k": 20, "m": 2},
+  "base": {"side": 6, "k": 20, "m": 2, "strategy": "two-choices"},
   "axes": [{"field": "radius", "values": [2, 3]}]
 }`
 

@@ -35,11 +35,11 @@ import (
 // slot in S_j and the forward-list positions — so nothing they found is
 // searched for again.
 //
-// The schedule state lives in churnState so that both owners of mutable
-// placement state can drive it: the batch engine's Runner (per trial,
-// applied at pipeline-chunk barriers) and the served mode's
-// sim.Snapshot (long-running, applied by the daemon's mutator between
-// request batches — see snapshot.go and internal/serve).
+// The schedule state lives in churnState, part of the trial state
+// (trial.go) that the batch engine's Runner re-arms per trial and
+// applies at pipeline-chunk barriers, and that the served mode's
+// sim.Snapshot applies between request batches (see snapshot.go and
+// internal/serve).
 
 // churnState is the churn-schedule state of one mutable placement: the
 // fractional event credit carried between applications and, for

@@ -34,9 +34,9 @@ import (
 // Result.FaultSkipped. Load carried by a node at the instant it crashes
 // is accounted into Result.DeadLoad — work the failure stranded.
 //
-// Like churn, the schedule state lives in faultState so both owners of
-// mutable liveness state can drive it: the batch engine's Runner and
-// the served mode's sim.Snapshot (see snapshot.go, internal/serve).
+// Like churn, the schedule state lives in faultState, part of the trial
+// state (trial.go) the batch engine's Runner and the served mode's
+// sim.Snapshot share (see snapshot.go, internal/serve).
 
 // faultState is the fault-schedule state of one liveness mask: the
 // fractional crash and recovery event credits carried between

@@ -161,10 +161,10 @@ func paretoCap(xm, x float64) int {
 	return int(math.Round(v))
 }
 
-// heteroState is the per-runner (and per-snapshot) heterogeneity
-// scratch: the trial's capacity vector, weighted-view multipliers,
-// vacancy mask and the arrival schedule's fractional-event credit. All
-// arenas are allocated once; arming a trial only refills them.
+// heteroState is the trial state's heterogeneity scratch: the trial's
+// capacity vector, weighted-view multipliers, vacancy mask and the
+// arrival schedule's fractional-event credit. All arenas are allocated
+// once; arming a trial only refills them.
 type heteroState struct {
 	caps       []int32
 	mults      []int32 // nil for ProfileUniform: C_u ≡ 1 needs no view
@@ -210,30 +210,11 @@ func (hs *heteroState) arm(w *World, rng *rand.Rand) {
 // WeightedLoads rebound over inner. Rebinding is in place — no
 // allocation on the trial path.
 func (r *Runner) wrapView(inner core.LoadReader) core.LoadReader {
-	if r.w.cfg.Hetero == HeteroNone || r.heteroSt.mults == nil {
+	if r.weighted == nil {
 		return inner
 	}
 	r.weighted.Bind(inner, r.heteroSt.mults)
 	return r.weighted
-}
-
-// armHetero prepares trial t's heterogeneity: it derives the dedicated
-// hetero stream, draws the capacity profile and vacancy pattern, and
-// installs them into the placer ahead of Place. It returns the hetero
-// RNG — live for the trial's arrival schedule — under HeteroArrival and
-// nil otherwise; under HeteroNone the stream is never derived.
-func (r *Runner) armHetero(t uint64) *rand.Rand {
-	w := r.w
-	if w.cfg.Hetero == HeteroNone {
-		return nil
-	}
-	rng := r.hetero.stream(w.heteroSrc, t)
-	r.heteroSt.arm(w, rng)
-	r.placer.SetHetero(r.heteroSt.caps, r.heteroSt.vacant)
-	if w.cfg.Hetero != HeteroArrival {
-		return nil
-	}
-	return rng
 }
 
 // applyArrivals advances the arrival schedule past c served requests:
@@ -244,9 +225,7 @@ func (r *Runner) armHetero(t uint64) *rand.Rand {
 // RNG schedule independent of how fast the network fills up. Nothing
 // reads the replica or tile index between events, so the staged nodes
 // are spliced into both in one pass at the end, before the caller's
-// fault and churn engines read the placement. Both mutable-placement
-// owners drive it at their barriers — the batch Runner per pipeline
-// chunk, the served Snapshot per Advance.
+// fault and churn engines read the placement.
 func (hs *heteroState) applyArrivals(w *World, placer *cache.Placer, live *cache.Liveness, rng *rand.Rand, c int, events, skipped *int) {
 	hs.credit += w.cfg.ArrivalRate * float64(c)
 	for ; hs.credit >= 1; hs.credit-- {

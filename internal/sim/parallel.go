@@ -6,10 +6,10 @@ import (
 	"sync"
 )
 
-// resolveWorkers applies the worker-count defaulting shared by Run and
-// RunSeries: non-positive means GOMAXPROCS, and a single configuration's
-// trials are never split across more blocks than there are trials (the
-// block partition is part of the deterministic reduction order).
+// resolveWorkers applies RunSeries' worker-count defaulting:
+// non-positive means GOMAXPROCS, and a single configuration's trials are
+// never split across more blocks than there are trials (the block
+// partition is part of the deterministic reduction order).
 func resolveWorkers(workers, trials int) int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -21,54 +21,28 @@ func resolveWorkers(workers, trials int) int {
 }
 
 // Run executes trials independent trials of cfg across a worker pool and
-// returns the merged aggregate. The world is compiled once and shared;
-// each worker carries its own Runner, and each trial its own deterministic
-// RNG streams, so the result is identical for any worker count (workers
-// ≤ 0 uses GOMAXPROCS).
+// returns the merged aggregate: RunSeries of the one configuration. The
+// world is compiled once and shared, and each trial has its own
+// deterministic RNG streams, so the result is identical for any worker
+// count (workers ≤ 0 uses GOMAXPROCS).
 func Run(cfg Config, trials, workers int) (Aggregate, error) {
-	if trials <= 0 {
-		if err := cfg.validate(); err != nil {
-			return Aggregate{}, err
-		}
-		return Aggregate{}, fmt.Errorf("sim: trials must be positive, got %d", trials)
-	}
-	w, err := Compile(cfg)
+	aggs, err := RunSeries([]Config{cfg}, trials, workers)
 	if err != nil {
 		return Aggregate{}, err
 	}
-	workers = resolveWorkers(workers, trials)
-
-	// Static block partition keeps per-worker state cache-friendly and
-	// the reduction deterministic: worker w owns trials [lo_w, hi_w).
-	partials := make([]Aggregate, workers)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		lo, hi := BlockRange(trials, workers, i)
-		wg.Add(1)
-		go func(i, lo, hi int) {
-			defer wg.Done()
-			r := w.NewRunner()
-			for t := lo; t < hi; t++ {
-				partials[i].Add(r.RunTrial(uint64(t)))
-			}
-		}(i, lo, hi)
-	}
-	wg.Wait()
-	var agg Aggregate
-	for i := 0; i < workers; i++ {
-		agg.Merge(partials[i])
-	}
-	return agg, nil
+	return aggs[0], nil
 }
 
-// RunSeries executes Run over a slice of configs (one experiment curve),
-// fanning configurations AND trials out across one shared worker pool, so
-// a sweep with many cheap points saturates all cores instead of
-// parallelizing only within a point. Results are returned in input order
-// and are bit-identical to calling Run(cfg, trials, workers) per point:
-// each point keeps Run's static trial partition and merge order, only the
-// scheduling of the resulting blocks is shared. A non-nil error aborts
-// the series.
+// RunSeries executes trials independent trials of each of cfgs (one
+// experiment curve), fanning configurations AND trials out across one
+// shared worker pool, so a sweep with many cheap points saturates all
+// cores instead of parallelizing only within a point. Results are
+// returned in input order and are bit-identical to calling Run(cfg,
+// trials, workers) per point: each point's trials are cut into the same
+// static blocks (BlockRange over min(workers, trials) blocks), each
+// block folds through World.RunBlock, and a point's blocks merge in
+// block order; only the scheduling of the blocks is shared. A non-nil
+// error aborts the series.
 func RunSeries(cfgs []Config, trials, workers int) ([]Aggregate, error) {
 	if len(cfgs) == 0 {
 		return nil, nil
@@ -85,7 +59,7 @@ func RunSeries(cfgs []Config, trials, workers int) ([]Aggregate, error) {
 		worlds[i] = w
 	}
 	workers = resolveWorkers(workers, trials*len(cfgs))
-	blocks := resolveWorkers(workers, trials) // per-point partition, as in Run
+	blocks := resolveWorkers(workers, trials) // per-point partition
 
 	type task struct {
 		point, block, lo, hi int
@@ -108,19 +82,9 @@ func RunSeries(cfgs []Config, trials, workers int) ([]Aggregate, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Runners are per-(worker, point); reuse the last one while a
-			// worker drains consecutive blocks of the same point.
-			var r *Runner
-			lastPoint := -1
 			for ti := range next {
 				tk := tasks[ti]
-				if tk.point != lastPoint {
-					r = worlds[tk.point].NewRunner()
-					lastPoint = tk.point
-				}
-				for t := tk.lo; t < tk.hi; t++ {
-					partials[tk.point][tk.block].Add(r.RunTrial(uint64(t)))
-				}
+				partials[tk.point][tk.block] = worlds[tk.point].RunBlock(uint64(tk.lo), uint64(tk.hi))
 			}
 		}()
 	}

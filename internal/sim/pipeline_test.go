@@ -136,9 +136,9 @@ func TestStreamingMetricsMatchSequentialOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := w.NewRunner()
-	placement := r.placer.Place(w.placeProfile, w.cfg.PlacementMode, r.place.stream(w.placeSrc, trial))
-	strat := r.bindStrategy(nil, placement)
-	sampler := r.fileSampler(placement)
+	r.arm(trial)
+	strat := r.bind(nil)
+	sampler := r.fileSampler()
 	originRNG, fileRNG := w.RequestStream(trial)
 	assignRNG := r.assign.stream(w.assignSrc, trial)
 	r.loads.Reset()

@@ -473,11 +473,11 @@ func TestChurnMatchesReference(t *testing.T) {
 					var rr reseedRand
 					rng := rr.stream(w.churnSrc, era)
 					for b := range barriers {
-						if s.arrivalRNG != nil {
-							s.heteroSt.applyArrivals(w, s.placer, nil, s.arrivalRNG, chunk, &s.ev.ArrivalEvents, &s.ev.ArrivalSkipped)
+						if hetero == HeteroArrival {
+							s.heteroSt.applyArrivals(w, s.placer, nil, s.hetero.r, chunk, &s.ev.ArrivalEvents, &s.ev.ArrivalSkipped)
 							m.syncArrivals(s)
 						}
-						s.churnSt.apply(w, s.p, s.churnRNG, chunk, &s.ev.ChurnEvents, &s.ev.ChurnSkipped)
+						s.churnSt.apply(w, s.p, s.churn.r, chunk, &s.ev.ChurnEvents, &s.ev.ChurnSkipped)
 						m.apply(rng, chunk)
 						if s.ev.ChurnEvents != m.events || s.ev.ChurnSkipped != m.skipped {
 							t.Fatalf("%s barrier %d: engine %d events %d skipped, reference %d and %d",

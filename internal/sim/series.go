@@ -2,12 +2,11 @@ package sim
 
 // This file exports the shard-execution hooks the sweep orchestration
 // layer (internal/sweep) builds on: the trial-block partition shared
-// with Run/RunSeries, the block fold a remote worker executes, and a
-// configuration validator cheap enough to run over a whole expanded
-// grid before any world is compiled. Keeping the partition and the fold
-// here — next to the engines that define them — is what lets a
-// distributed sweep's merged artifact stay bit-identical to a
-// single-process RunSeries run: both sides call the same code.
+// with Run/RunSeries and the block fold their workers and a remote
+// sweep worker execute. Keeping the partition and the fold here — next
+// to the engines that define them — is what lets a distributed sweep's
+// merged artifact stay bit-identical to a single-process RunSeries run:
+// both sides call the same code.
 
 import (
 	"fmt"
@@ -25,8 +24,8 @@ func BlockRange(trials, blocks, b int) (lo, hi int) {
 }
 
 // RunBlock executes the contiguous trial block [lo, hi) and returns its
-// aggregate, folding results in ascending trial order — the same fold a
-// Run/RunSeries worker performs for that block, so the returned
+// aggregate, folding results in ascending trial order. It is the fold
+// every Run/RunSeries worker runs for its blocks, so a remote worker's
 // Aggregate is bit-identical to the corresponding in-process partial.
 // Safe for concurrent use (runners are pooled internally).
 func (w *World) RunBlock(lo, hi uint64) Aggregate {
@@ -41,12 +40,6 @@ func (w *World) RunBlock(lo, hi uint64) Aggregate {
 	w.runners.Put(r)
 	return agg
 }
-
-// Validate reports whether cfg is a well-formed configuration, without
-// compiling a world (no lattice or alias-table allocation). The sweep
-// coordinator runs it over every expanded grid point so a bad spec
-// fails fast at submission instead of on a remote worker.
-func Validate(cfg Config) error { return cfg.validate() }
 
 // CheckBarriers reports whether a batch trial of cfg reaches a chunk
 // barrier when cfg runs a barrier process. Churn, faults and node

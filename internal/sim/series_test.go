@@ -98,16 +98,3 @@ func TestAggregateJSONRoundTrip(t *testing.T) {
 		t.Fatalf("marshal not stable:\n %s\n %s", b, b2)
 	}
 }
-
-// TestValidateExported checks the exported validator agrees with Run's
-// gate on a bad config.
-func TestValidateExported(t *testing.T) {
-	if err := Validate(baseConfig()); err != nil {
-		t.Fatalf("Validate(baseConfig()) = %v", err)
-	}
-	bad := baseConfig()
-	bad.Side = 0
-	if err := Validate(bad); err == nil {
-		t.Fatal("Validate accepted Side=0")
-	}
-}

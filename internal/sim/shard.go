@@ -98,14 +98,14 @@ func (r *Runner) initShards() {
 func (r *Runner) runTrialSharded(t uint64) Result {
 	w := r.w
 	r.initShards()
-	placement, m, res := r.beginTrial(t)
+	res := r.beginTrial(t)
 	// Faults compose with sharding: one shared mask, bound into every
 	// shard's strategy, mutated only by the coordinator at the chunk
 	// barrier (workers read it concurrently but never during a mutation —
 	// the same happens-before edges that protect the chunk buffers).
 	for s := range r.shards {
 		st := &r.shards[s]
-		st.strat = r.bindStrategy(st.strat, placement)
+		st.strat = r.bind(st.strat)
 		st.acct, st.maxSeen = acct{}, 0
 	}
 	r.shardRacy = w.cfg.Shard == ShardRacy
@@ -119,7 +119,7 @@ func (r *Runner) runTrialSharded(t uint64) Result {
 	// view; writes, MaxLoad and the load summary stay on the raw vector.
 	r.shardView = r.wrapView(r.shardLoads)
 	r.shardT = t
-	r.shardSampler = r.fileSampler(placement)
+	r.fileSampler()
 
 	chunk := len(r.origins)
 	nChunks := (w.nReq + chunk - 1) / chunk
@@ -158,7 +158,7 @@ func (r *Runner) runTrialSharded(t uint64) Result {
 				r.granAccs[i].Reset()
 			}
 		}
-		r.endChunk(placement, &m, base, c, &res)
+		r.endChunk(base, c, &res)
 	}
 	return r.finishTrial(res, a)
 }
@@ -193,7 +193,7 @@ func (r *Runner) runShard(s int) {
 		originRNG := st.origin.stream(w.originSrc.Split(label), t)
 		fileRNG := st.file.stream(w.fileSrc.Split(label), t)
 		assignRNG := st.assign.stream(w.assignSrc.Split(label), t)
-		dist.RequestBatch(originRNG, fileRNG, n, r.shardSampler, r.origins[lo:hi], r.files[lo:hi])
+		dist.RequestBatch(originRNG, fileRNG, n, r.pop, r.origins[lo:hi], r.files[lo:hi])
 		var acc *stats.Accumulator
 		if r.granAccs != nil {
 			acc = r.granAccs[gi]

@@ -113,7 +113,7 @@ func TestConfigValidation(t *testing.T) {
 		}
 		c := baseConfig()
 		rate.set(&c, maxEventRate)
-		if err := Validate(c); err != nil {
+		if err := c.validate(); err != nil {
 			t.Errorf("%s rate at the %d ceiling rejected: %v", rate.name, maxEventRate, err)
 		}
 	}
@@ -123,12 +123,12 @@ func TestConfigValidation(t *testing.T) {
 	// The slot budget is inclusive: 16384² nodes × 1 slot = 2²⁸, and
 	// 8192² × 4 under the uniform profile is the same budget.
 	for _, c := range []Config{{Side: 16384, K: 10, M: 1}, {Side: 8192, K: 10, M: 4}} {
-		if err := Validate(c); err != nil {
+		if err := c.validate(); err != nil {
 			t.Errorf("Side=%d M=%d at the slot budget rejected: %v", c.Side, c.M, err)
 		}
 	}
 	// The file cap is inclusive too.
-	if err := Validate(Config{Side: 4, K: maxK, M: 1}); err != nil {
+	if err := (Config{Side: 4, K: maxK, M: 1}).validate(); err != nil {
 		t.Errorf("K=%d at the file cap rejected: %v", maxK, err)
 	}
 }

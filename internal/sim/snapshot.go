@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 
 	"repro/internal/ballsbins"
 	"repro/internal/cache"
@@ -10,16 +11,16 @@ import (
 	"repro/internal/dist"
 )
 
-// Served-mode extraction: a Snapshot packages the mutable state a trial
-// threads through one Runner — placement, tile index, liveness mask and
-// the churn/fault event schedules — into a value that can live outside
-// the batch engine. The serving daemon (internal/serve, cmd/cachesimd)
-// compiles one Snapshot per era, applies mutation batches to it through
-// Advance, and publishes immutable Clones to concurrent readers through
-// an atomic pointer; the batch engine and the daemon therefore run the
-// same placement, strategy and mutation code over the same state, which
-// is what lets a quiesced daemon answer bit-identically to RunTrial
-// (pinned by the serve golden tests).
+// Served-mode extraction: a Snapshot is the trial state a batch Runner
+// re-arms every trial (trialState: placement, tile index, liveness mask
+// and the arrival, churn and fault schedules), armed once for one era
+// and living outside the batch engine. The serving daemon
+// (internal/serve, cmd/cachesimd) compiles one Snapshot per era, applies
+// mutation batches to it through Advance, and publishes immutable Clones
+// to concurrent readers through an atomic pointer; the batch engine and
+// the daemon therefore arm, advance and bind through the same code,
+// which is what lets a quiesced daemon answer bit-identically to
+// RunTrial (pinned by the serve golden tests).
 //
 // A Snapshot is NOT safe for concurrent mutation: exactly one goroutine
 // may call Advance. The read-only views (Placement, Liveness, sampler
@@ -33,87 +34,22 @@ import (
 // it), the liveness mask (when faults are configured) and the event
 // schedules that evolve them.
 type Snapshot struct {
-	w    *World
-	p    *cache.Placement
-	live *cache.Liveness
-	pop  dist.Popularity
+	trialState
 
 	era uint64 // trial index the placement was compiled from
 	seq uint64 // mutation batches applied since compile
-
-	churnSt  churnState
-	faultSt  faultState
-	heteroSt heteroState
-	churnRNG *rand.Rand
-	faultRNG *rand.Rand
-	// arrivalRNG (HeteroArrival only) drives the era's arrival schedule;
-	// placer is retained because arrivals splice joining nodes into the
-	// placement's derived indexes through it. Both nil on clones, which
-	// cannot Advance.
-	arrivalRNG *rand.Rand
-	placer     *cache.Placer
-
-	ev Result // churn/fault/arrival event counters accumulated by Advance
+	ev  Result // churn/fault/arrival event counters accumulated by Advance
 }
 
-// Snapshot compiles the served state for trial era t: the placement is
-// built by the Runner's Placer configuration from the same per-trial
-// placement stream as RunTrial(t), so it is identical to the batch
-// trial's — node lists, replica CSR and tile index — and sorted for
-// in-place migration exactly when the world mutates. The churn and
-// fault schedules are armed from the same per-trial streams the batch
-// engine would consume, so the served mutation sequence is the trial's
-// seeded process applied at the daemon's own batch cadence.
+// Snapshot compiles the served state for trial era t: it arms the trial
+// state RunTrial(t) arms, so the placement — node lists, replica CSR
+// and tile index — is the batch trial's, and the churn, fault and
+// arrival schedules run on the trial's own streams, applied at the
+// daemon's own batch cadence.
 func (w *World) Snapshot(t uint64) *Snapshot {
-	placer := w.newPlacer()
-	// One reseedRand per role: stream() reuses its receiver's generator,
-	// so sharing one across roles would alias every stream to the last
-	// reseed.
-	var placeRR, churnRR, faultRR, heteroRR reseedRand
-	s := &Snapshot{
-		w:   w,
-		era: t,
-	}
-	if w.cfg.Hetero != HeteroNone {
-		s.heteroSt.init(w)
-		rng := heteroRR.stream(w.heteroSrc, t)
-		s.heteroSt.arm(w, rng)
-		placer.SetHetero(s.heteroSt.caps, s.heteroSt.vacant)
-		if w.cfg.Hetero == HeteroArrival {
-			// The hetero RNG stays live for the era's arrival schedule,
-			// and the placer is retained: arrivals splice into the replica
-			// and tile indexes through it.
-			s.arrivalRNG = rng
-			s.placer = placer
-		}
-	}
-	s.p = placer.Place(w.placeProfile, w.cfg.PlacementMode, placeRR.stream(w.placeSrc, t))
-	if w.cfg.MissPolicy == MissResample && s.p.UncachedCount() > 0 {
-		// Condition the request file stream on the cached set — invariant
-		// under churn (ReplaceReplica/SwapReplicas preserve it), so one
-		// build at compile time serves the whole era.
-		weights := make([]float64, w.cfg.K)
-		for _, j := range s.p.CachedFiles() {
-			weights[j] = w.pop.P(int(j))
-		}
-		s.pop = dist.NewCustom(weights, w.condName)
-	} else {
-		s.pop = w.pop
-	}
-	if w.cfg.Churn != ChurnNone {
-		s.churnSt.init(w)
-		s.churnSt.reset()
-		s.churnSt.vacant = s.heteroSt.vacant // never migrate onto not-yet-arrived nodes
-		s.churnRNG = churnRR.stream(w.churnSrc, t)
-	}
-	if w.cfg.Faults != FaultsNone {
-		s.live = cache.NewLiveness(w.g.N())
-		if w.tiling != nil {
-			s.live.BindTiling(w.tiling)
-		}
-		s.faultSt.reset()
-		s.faultRNG = faultRR.stream(w.faultSrc, t)
-	}
+	s := &Snapshot{trialState: w.newTrialState(), era: t}
+	s.arm(t)
+	s.fileSampler()
 	return s
 }
 
@@ -146,67 +82,34 @@ func (s *Snapshot) FileSampler() dist.Popularity { return s.pop }
 // placement and liveness mask. Each concurrent decision context needs
 // its own instance (strategies carry per-call scratch); rebinding an
 // existing instance to a newer snapshot is cheaper — see Bind.
-func (s *Snapshot) NewStrategy() core.Strategy {
-	strat := buildStrategy(s.w.cfg, s.w.g, s.p)
-	if s.live != nil {
-		strat.(core.LivenessAware).SetLiveness(s.live)
-	}
-	return strat
-}
+func (s *Snapshot) NewStrategy() core.Strategy { return s.bind(nil) }
 
 // Bind rebinds an existing strategy instance (built by NewStrategy on
 // an older snapshot of the same world) to this snapshot's state. All
 // built-in strategies support rebinding; a non-rebindable custom
 // strategy falls back to a fresh build. Returns the bound instance.
-func (s *Snapshot) Bind(strat core.Strategy) core.Strategy {
-	rb, ok := strat.(core.Rebindable)
-	if !ok {
-		return s.NewStrategy()
-	}
-	rb.Rebind(s.p)
-	if la, ok := strat.(core.LivenessAware); ok {
-		if s.live != nil {
-			la.SetLiveness(s.live)
-		} else {
-			la.SetLiveness(nil)
-		}
-	}
-	return strat
-}
+func (s *Snapshot) Bind(strat core.Strategy) core.Strategy { return s.bind(strat) }
 
 // Advance applies the arrival, fault and churn schedules accrued by c
-// served requests, mutating the snapshot in place — arrivals first,
-// then faults, then churn, the batch engine's chunk-barrier order. One
-// call is the served analogue of one pipeline chunk boundary. Only the
-// single mutator goroutine may call Advance; concurrent readers must
-// hold a Clone.
+// served requests, mutating the snapshot in place — one batch-engine
+// chunk barrier. Only the single mutator goroutine may call Advance;
+// concurrent readers must hold a Clone.
 func (s *Snapshot) Advance(c int) {
-	if s.arrivalRNG != nil {
-		s.heteroSt.applyArrivals(s.w, s.placer, s.live, s.arrivalRNG, c,
-			&s.ev.ArrivalEvents, &s.ev.ArrivalSkipped)
-	}
-	if s.faultRNG != nil {
-		s.faultSt.apply(s.w, s.live, s.faultRNG, c, nil, &s.ev)
-	}
-	if s.churnRNG != nil {
-		s.churnSt.apply(s.w, s.p, s.churnRNG, c, &s.ev.ChurnEvents, &s.ev.ChurnSkipped)
-	}
+	s.advance(c, nil, &s.ev)
 	s.seq++
 }
 
 // Clone returns an immutable deep copy of the snapshot's state for
-// publication: placement, tile index and liveness are independently
-// owned, so later Advance calls on s never disturb readers of the
-// clone. The clone carries the era/seq stamp and event counters but no
-// schedule state — it cannot be Advanced, only read.
+// publication: placement, tile index, liveness and the vacancy list are
+// independently owned, so later Advance calls on s never disturb
+// readers of the clone. The clone carries the era/seq stamp and event
+// counters but no schedule state — it cannot be Advanced, only read.
 func (s *Snapshot) Clone() *Snapshot {
 	c := &Snapshot{
-		w:   s.w,
-		p:   s.p.Clone(),
-		pop: s.pop,
-		era: s.era,
-		seq: s.seq,
-		ev:  s.ev,
+		trialState: trialState{w: s.w, p: s.p.Clone(), pop: s.pop},
+		era:        s.era,
+		seq:        s.seq,
+		ev:         s.ev,
 	}
 	if s.live != nil {
 		c.live = s.live.Clone()
@@ -214,6 +117,7 @@ func (s *Snapshot) Clone() *Snapshot {
 	// The weighted-view multipliers are immutable for the era (arrivals
 	// change caps' occupancy, never C_u), so clones share the slice.
 	c.heteroSt.mults = s.heteroSt.mults
+	c.heteroSt.vacantList = slices.Clone(s.heteroSt.vacantList)
 	return c
 }
 

@@ -68,12 +68,15 @@ func replayTrial(t *testing.T, w *World, trial uint64) Result {
 	res.ChurnEvents, res.ChurnSkipped = info.ChurnEvents, info.ChurnSkipped
 	res.FaultEvents, res.RecoverEvents = info.FaultEvents, info.RecoverEvents
 	res.FaultSkipped, res.DeadNodes = info.FaultSkipped, info.DeadNodes
+	res.ArrivalEvents, res.ArrivalSkipped, res.Vacant = info.ArrivalEvents, info.ArrivalSkipped, info.Vacant
 	return res
 }
 
 // snapshotReplayConfigs spans the regimes the served mode must
 // reproduce: quiesced, both churn modes, both fault modes, a combined
-// storm, the tile index on and off, and the conditioned miss stream.
+// storm, the tile index on and off, the conditioned miss stream, both
+// heterogeneity regimes, and node arrivals under drift churn and
+// crashes.
 func snapshotReplayConfigs() map[string]Config {
 	base := Config{
 		Side: 12, K: 100, M: 3, Requests: 600, Seed: 99,
@@ -128,6 +131,25 @@ func snapshotReplayConfigs() map[string]Config {
 	c.MissPolicy = MissResample
 	cfgs["miss-resample"] = c
 
+	c = base
+	c.Hetero = HeteroCapacity
+	c.Profile = ProfileTwoTier
+	cfgs["hetero-capacity"] = c
+
+	c = base
+	c.MissPolicy = MissEscalate
+	c.Hetero = HeteroArrival
+	c.Profile = ProfilePowerLaw
+	c.ArrivalRate = 0.05
+	cfgs["hetero-arrival"] = c
+
+	c.Churn = ChurnDrift
+	c.ChurnRate = 0.05
+	c.Faults = FaultsCrash
+	c.FaultRate = 0.01
+	c.RecoverRate = 0.005
+	cfgs["arrival-storm"] = c
+
 	return cfgs
 }
 
@@ -152,7 +174,9 @@ func TestSnapshotReplayMatchesTrial(t *testing.T) {
 				}
 				if got.ChurnEvents != want.ChurnEvents || got.ChurnSkipped != want.ChurnSkipped ||
 					got.FaultEvents != want.FaultEvents || got.RecoverEvents != want.RecoverEvents ||
-					got.FaultSkipped != want.FaultSkipped || got.DeadNodes != want.DeadNodes {
+					got.FaultSkipped != want.FaultSkipped || got.DeadNodes != want.DeadNodes ||
+					got.ArrivalEvents != want.ArrivalEvents || got.ArrivalSkipped != want.ArrivalSkipped ||
+					got.Vacant != want.Vacant {
 					t.Errorf("trial %d: replay events %+v, want %+v", trial, got, want)
 				}
 			}
@@ -162,8 +186,8 @@ func TestSnapshotReplayMatchesTrial(t *testing.T) {
 
 // TestSnapshotPlacementMatchesRunner: a Runner and a Snapshot of one
 // world build the same trial placement — node lists in order, replica
-// CSR, cached set and tile index — because both take their Placer from
-// World.newPlacer. Only the mutating world sorts its node lists.
+// CSR, cached set and tile index — because both arm a trialState. Only
+// the mutating world sorts its node lists.
 func TestSnapshotPlacementMatchesRunner(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -184,7 +208,8 @@ func TestSnapshotPlacementMatchesRunner(t *testing.T) {
 			}
 			r := w.NewRunner()
 			for trial := uint64(0); trial < 3; trial++ {
-				got, _, _ := r.beginTrial(trial)
+				r.arm(trial)
+				got := r.p
 				want := w.Snapshot(trial).Placement()
 				if got.Mutable() != tc.mutable || want.Mutable() != tc.mutable {
 					t.Fatalf("trial %d: Mutable runner %v, snapshot %v, want %v",
@@ -260,6 +285,32 @@ func TestSnapshotCloneIsolation(t *testing.T) {
 	}
 	if pub.Info().DeadNodes != deadBefore {
 		t.Fatal("clone liveness changed under shadow mutation")
+	}
+}
+
+// TestSnapshotCloneInfo: the daemon publishes only clones, so a clone
+// must report its shadow's stamp — the arrival counters and the count
+// of still-vacant nodes included — before and after every Advance of a
+// HeteroArrival era.
+func TestSnapshotCloneInfo(t *testing.T) {
+	w, err := Compile(Config{Side: 16, K: 200, M: 4, Seed: 1,
+		Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, MissPolicy: MissEscalate,
+		Hetero: HeteroArrival, Profile: ProfilePowerLaw, ArrivalRate: 0.02})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := w.Snapshot(0)
+	for i := 0; ; i++ {
+		if got, want := s.Clone().Info(), s.Info(); got != want {
+			t.Fatalf("seq %d: clone reports %v, shadow %v", s.Seq(), got, want)
+		}
+		if i == 40 {
+			break
+		}
+		s.Advance(64)
+	}
+	if info := s.Info(); info.ArrivalEvents == 0 || info.Vacant == 0 {
+		t.Fatalf("era ended at %v; the check needs arrivals and vacant nodes", info)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"repro/internal/ballsbins"
-	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/grid"
@@ -215,45 +214,30 @@ func RegionNodes(side int) int {
 //	           recording (server, hops, flags);
 //	account  — fold the chunk's records into the trial accumulators
 //	           (hop sum, miss counters, link loads or streaming moments);
-//	churn    — under a non-none Config.Churn, mutate the placement (and
-//	           tile index) in place through cache.ReplaceReplica before
-//	           the next chunk is generated (see churn.go), so strategies
-//	           never observe a half-spliced index.
+//	barrier  — unless the chunk was the trial's last, apply the node
+//	           arrivals, faults and churn (trialState.advance) before the
+//	           next chunk is generated, so strategies never observe a
+//	           half-spliced placement or index.
 //
 // Origins, files and the strategy's own draws (candidate sampling, tie
 // breaks) come from three dedicated per-trial streams, so generate runs
 // as one batched dist.RequestBatch call per chunk and the result does not
 // depend on the chunk partition.
 type Runner struct {
-	w       *World
-	placer  *cache.Placer
-	loads   *ballsbins.Loads
-	strat   core.Strategy
-	links   *routing.LinkLoads
-	weights []float64
-	cond    *dist.CustomBuilder
+	trialState // re-armed every trial (see trial.go)
 
-	place, origin, file, assign, churn, fault, hetero reseedRand
+	loads *ballsbins.Loads
+	strat core.Strategy
+	links *routing.LinkLoads
 
-	// Heterogeneity state (Config.Hetero != HeteroNone): the per-trial
-	// capacity profile and vacancy scratch, the weighted load view bound
-	// into the strategies' comparisons, and the reader the sequential
-	// engine routes Assign through (the raw vector under HeteroNone or
-	// ProfileUniform — see hetero.go).
-	heteroSt heteroState
+	origin, file, assign reseedRand
+
+	// Capacity-skew view (Config.Hetero with a non-uniform profile): the
+	// weighted load view bound into the strategies' comparisons, and the
+	// reader the sequential engine routes Assign through (the raw vector
+	// otherwise — see hetero.go).
 	weighted *ballsbins.WeightedLoads
 	loadView core.LoadReader
-
-	// Churn state (Config.Churn != ChurnNone): the event schedule and
-	// drift machinery, shared with the served mode's snapshots (see
-	// churn.go).
-	churnSt churnState
-
-	// Fault state (Config.Faults != FaultsNone): the node liveness mask
-	// bound into the strategies, plus the crash/recover event schedule
-	// shared with the served mode's snapshots (see faults.go).
-	live    *cache.Liveness
-	faultSt faultState
 
 	// Chunk buffers of the request pipeline (len = min(chunk, requests)).
 	origins []int32
@@ -274,18 +258,17 @@ type Runner struct {
 	// start-signal channels of the worker barrier protocol, and the
 	// current chunk descriptor the coordinator publishes before each
 	// start signal (the channel send/recv is the happens-before edge).
-	shards       []shardState
-	atomicLoads  *ballsbins.AtomicLoads
-	granAccs     []*stats.Accumulator
-	startCh      []chan struct{}
-	doneWG       sync.WaitGroup
-	shardT       uint64
-	shardBase    int
-	shardC       int
-	shardSampler dist.Popularity
-	shardLoads   core.LoadReader // raw per-chunk reader (frozen or atomic)
-	shardView    core.LoadReader // what Assign compares through: shardLoads, weighted under capacity skew
-	shardRacy    bool
+	shards      []shardState
+	atomicLoads *ballsbins.AtomicLoads
+	granAccs    []*stats.Accumulator
+	startCh     []chan struct{}
+	doneWG      sync.WaitGroup
+	shardT      uint64
+	shardBase   int
+	shardC      int
+	shardLoads  core.LoadReader // raw per-chunk reader (frozen or atomic)
+	shardView   core.LoadReader // what Assign compares through: shardLoads, weighted under capacity skew
+	shardRacy   bool
 }
 
 // tileSize picks the index tile side for radius r: the largest divisor
@@ -335,100 +318,22 @@ const (
 	churnDriftLifespan = 64.0
 )
 
-// newPlacer returns a Placer for w's placements, shared by NewRunner and
-// Snapshot so a batch trial and its served era build the same placement:
-// heterogeneous capacities when configured, the tile index when the
-// strategy is indexed, and sorted node lists exactly when the world
-// mutates placements mid-trial (churn or arrivals), whose in-place
-// splices keep them in order.
-func (w *World) newPlacer() *cache.Placer {
-	placer := cache.NewPlacer(w.g.N(), w.cfg.M, w.cfg.K)
-	// Hetero first: EnableTiles sizes its arenas off the per-node slot
-	// budget EnableHetero installs.
-	if w.cfg.Hetero != HeteroNone {
-		placer.EnableHetero(profileMaxCap(w.cfg.Profile, w.cfg.M))
-	}
-	if w.tiling != nil {
-		placer.EnableTiles(w.tiling)
-	}
-	if w.cfg.Churn != ChurnNone || w.cfg.Hetero == HeteroArrival {
-		placer.EnableChurn()
-	}
-	return placer
-}
-
 // NewRunner returns a fresh Runner over w.
 func (w *World) NewRunner() *Runner {
 	b := min(w.chunk, w.nReq)
 	r := &Runner{
-		w:       w,
-		placer:  w.newPlacer(),
-		loads:   ballsbins.NewLoads(w.g.N()),
-		origins: make([]int32, b),
-		files:   make([]int32, b),
-		servers: make([]int32, b),
-		hops:    make([]int32, b),
-		flags:   make([]uint8, b),
+		trialState: w.newTrialState(),
+		loads:      ballsbins.NewLoads(w.g.N()),
+		origins:    make([]int32, b),
+		files:      make([]int32, b),
+		servers:    make([]int32, b),
+		hops:       make([]int32, b),
+		flags:      make([]uint8, b),
 	}
-	if w.cfg.Hetero != HeteroNone {
-		r.heteroSt.init(w)
-		if r.heteroSt.mults != nil {
-			r.weighted = &ballsbins.WeightedLoads{}
-		}
-	}
-	if w.cfg.Churn != ChurnNone {
-		r.churnSt.init(w)
-		// Churn must not target vacant nodes: a not-yet-arrived node has
-		// no cache to receive migrated replicas.
-		r.churnSt.vacant = r.heteroSt.vacant
-	}
-	if w.cfg.Faults != FaultsNone {
-		r.live = cache.NewLiveness(w.g.N())
-		if w.tiling != nil {
-			// Share the index tiling so the tile walks can skip fully dead
-			// tiles through the per-tile live counts.
-			r.live.BindTiling(w.tiling)
-		}
+	if r.heteroSt.mults != nil {
+		r.weighted = &ballsbins.WeightedLoads{}
 	}
 	return r
-}
-
-// bindStrategy returns cur rebound to the trial placement p — or a fresh
-// strategy over p when cur is nil or cannot rebind (all built-ins can) —
-// with the runner's liveness mask bound in under a fault process.
-func (r *Runner) bindStrategy(cur core.Strategy, p *cache.Placement) core.Strategy {
-	if rb, ok := cur.(core.Rebindable); ok {
-		rb.Rebind(p)
-	} else {
-		cur = buildStrategy(r.w.cfg, r.w.g, p)
-	}
-	if r.live != nil {
-		cur.(core.LivenessAware).SetLiveness(r.live)
-	}
-	return cur
-}
-
-// fileSampler returns the request-stream file distribution for this
-// trial's placement under the configured miss policy. The conditioned
-// MissResample stream is rebuilt into the runner's arenas (weights +
-// CustomBuilder), so reconditioning allocates nothing after the first
-// trial while sampling bit-identically to a fresh dist.NewCustom.
-func (r *Runner) fileSampler(p *cache.Placement) dist.Popularity {
-	w := r.w
-	if w.cfg.MissPolicy != MissResample || p.UncachedCount() == 0 {
-		return w.pop
-	}
-	// Condition the stream on files cached somewhere in the network.
-	if r.weights == nil {
-		r.weights = make([]float64, w.cfg.K)
-		r.cond = dist.NewCustomBuilder(w.cfg.K)
-	} else {
-		clear(r.weights)
-	}
-	for _, j := range p.CachedFiles() {
-		r.weights[j] = w.pop.P(int(j))
-	}
-	return r.cond.Build(r.weights, w.condName)
 }
 
 // acct carries the scalar trial accumulators between account passes.
@@ -449,34 +354,14 @@ func (a *acct) add(b acct) {
 	a.retried += b.retried
 }
 
-// mutations holds one trial's chunk-barrier streams, each nil when the
-// world does not run that process.
-type mutations struct {
-	arrival, fault, churn *rand.Rand
-}
-
 // beginTrial is the prologue both trial loops share: it arms trial t's
-// heterogeneity (ahead of Place, which reads the capacity vector), builds
-// the placement, resets the load vector and the metric arenas, and arms
-// the fault and churn schedules. Each barrier stream is derived only
-// when its process is on, so a world without it stays bit-identical to
-// the engine before that process existed.
-func (r *Runner) beginTrial(t uint64) (*cache.Placement, mutations, Result) {
-	w := r.w
-	m := mutations{arrival: r.armHetero(t)}
-	p := r.placer.Place(w.placeProfile, w.cfg.PlacementMode, r.place.stream(w.placeSrc, t))
+// state (see trialState.arm) and resets the load vector and the metric
+// arenas.
+func (r *Runner) beginTrial(t uint64) Result {
+	r.arm(t)
 	r.loads.Reset()
 	r.armMetrics()
-	if w.cfg.Churn != ChurnNone {
-		m.churn = r.churn.stream(w.churnSrc, t)
-		r.churnSt.reset()
-	}
-	if r.live != nil {
-		r.live.Reset()
-		r.faultSt.reset()
-		m.fault = r.fault.stream(w.faultSrc, t)
-	}
-	return p, m, Result{Requests: w.nReq, Uncached: p.UncachedCount()}
+	return Result{Requests: r.w.nReq, Uncached: r.p.UncachedCount()}
 }
 
 // armMetrics sizes (first trial) and resets the arenas of the world's
@@ -518,9 +403,9 @@ func (r *Runner) armMetrics() {
 // sketch (MetricsStreaming on sketch-sized worlds), recovering per-link
 // traffic without the O(n) vector — then, unless the chunk was the
 // trial's last (no request would observe the mutation), runs the barrier
-// mutations in the order arrivals → faults → churn that
-// Snapshot.Advance shares. Neither step touches a request stream.
-func (r *Runner) endChunk(p *cache.Placement, m *mutations, base, c int, res *Result) {
+// mutations (trialState.advance, which Snapshot.Advance shares). Neither
+// step touches a request stream.
+func (r *Runner) endChunk(base, c int, res *Result) {
 	if r.links != nil {
 		for i := 0; i < c; i++ {
 			r.links.Route(int(r.origins[i]), int(r.servers[i]))
@@ -538,17 +423,8 @@ func (r *Runner) endChunk(p *cache.Placement, m *mutations, base, c int, res *Re
 			}
 		}
 	}
-	if base+c >= r.w.nReq {
-		return
-	}
-	if m.arrival != nil {
-		r.heteroSt.applyArrivals(r.w, r.placer, r.live, m.arrival, c, &res.ArrivalEvents, &res.ArrivalSkipped)
-	}
-	if m.fault != nil {
-		r.faultSt.apply(r.w, r.live, m.fault, c, r.nodeLoad, res)
-	}
-	if m.churn != nil {
-		r.churnSt.apply(r.w, p, m.churn, c, &res.ChurnEvents, &res.ChurnSkipped)
+	if base+c < r.w.nReq {
+		r.advance(c, r.nodeLoad, res)
 	}
 }
 
@@ -600,10 +476,12 @@ func (r *Runner) RunTrial(t uint64) Result {
 		return r.runTrialSharded(t)
 	}
 	w := r.w
-	placement, m, res := r.beginTrial(t)
-	r.strat = r.bindStrategy(r.strat, placement)
+	res := r.beginTrial(t)
+	// Bind before conditioning the file sampler: on the first trial this
+	// is the allocation order the benchmarks were measured with.
+	r.strat = r.bind(r.strat)
 	strat := r.strat
-	fileSampler := r.fileSampler(placement)
+	fileSampler := r.fileSampler()
 	r.loadView = r.wrapView(r.loads)
 
 	var a acct
@@ -616,7 +494,7 @@ func (r *Runner) RunTrial(t uint64) Result {
 		dist.RequestBatch(originRNG, fileRNG, w.g.N(), fileSampler, r.origins[:c], r.files[:c])
 		r.assignChunk(strat, assignRNG, c)
 		r.account(c, &a)
-		r.endChunk(placement, &m, base, c, &res)
+		r.endChunk(base, c, &res)
 	}
 	return r.finishTrial(res, a)
 }

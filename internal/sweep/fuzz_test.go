@@ -22,9 +22,9 @@ import (
 // the sweep grid-spec parser. The contract: ParseSpec never panics, and
 // every accepted spec is fully usable — Points and Shards succeed, the
 // expansion respects the caps, and the hash is well-formed. Parse-time
-// caps and the engine's world budget (sim.Validate) make this safe to
-// fuzz: no accepted input can demand a multi-terabyte world or a
-// billion-point grid.
+// caps and the engine's world budget (checked by PointSpec.Config) make
+// this safe to fuzz: no accepted input can demand a multi-terabyte world
+// or a billion-point grid.
 func FuzzParseSpec(f *testing.F) {
 	seeds := []string{
 		// Valid specs.

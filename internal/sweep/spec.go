@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -271,7 +272,28 @@ func (s *Spec) Points() ([]Point, error) {
 			idx[a] = 0
 		}
 	}
+	// PointSpec.Config drops a strategy field the point's strategy does
+	// not read, so an axis over it would expand to identical points.
+	for _, ax := range s.Axes {
+		if !slices.ContainsFunc(pts, func(pt Point) bool { return readsField(pt.Config.Strategy.Kind, ax.Field) }) {
+			return nil, fmt.Errorf("sweep: axis %q is dead: no point's strategy reads it", ax.Field)
+		}
+	}
 	return pts, nil
+}
+
+// readsField reports whether a point running strategy kind reads the
+// PointSpec field: radius is read by every strategy but nearest, and
+// choices, beta and without_replacement by two-choices only. Every
+// other field is read by every point.
+func readsField(kind sim.StrategyKind, field string) bool {
+	switch field {
+	case "radius":
+		return kind != sim.Nearest
+	case "choices", "beta", "without_replacement":
+		return kind == sim.TwoChoices
+	}
+	return true
 }
 
 // Hash returns the canonical content hash of the normalized spec

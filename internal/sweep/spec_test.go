@@ -128,9 +128,62 @@ func TestParseSpecRejects(t *testing.T) {
 		"bad hetero":       `{"trials":1,"base":{"side":5,"k":10,"m":1,"hetero":"some"}}`,
 		"bad profile":      `{"trials":1,"base":{"side":5,"k":10,"m":1,"hetero":"capacity"},"axes":[{"field":"profile","values":["flat"]}]}`,
 		"arrival, 1 chunk": `{"trials":1,"base":{"side":5,"k":10,"m":1,"miss":"escalate","hetero":"arrival","arrival_rate":0.01}}`,
+		"dead axes":        `{"trials":1,"base":{"side":5,"k":10,"m":1,"strategy":"oracle"},"axes":[{"field":"choices","values":[2,5]},{"field":"beta","values":[0,0.5]}]}`,
+		"dead radius":      `{"trials":1,"base":{"side":5,"k":10,"m":1},"axes":[{"field":"radius","values":[2,3]}]}`,
 	} {
 		if _, err := ParseSpec([]byte(src)); err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// TestParseSpecNamesDeadAxis: an axis over a strategy field that no
+// expanded point's strategy reads is rejected by its name, and one that
+// some point reads is accepted.
+func TestParseSpecNamesDeadAxis(t *testing.T) {
+	for _, tc := range []struct{ dead, src string }{
+		{"choices", `{"trials":1,"base":{"side":5,"k":10,"m":1,"strategy":"oracle"},"axes":[{"field":"choices","values":[2,5]},{"field":"beta","values":[0,0.5]}]}`},
+		{"radius", `{"trials":1,"base":{"side":5,"k":10,"m":1},"axes":[{"field":"radius","values":[2,3]}]}`},
+		{"without_replacement", `{"trials":1,"base":{"side":5,"k":10,"m":1,"radius":2},"axes":[{"field":"strategy","values":["one-choice","oracle"]},{"field":"without_replacement","values":[false,true]}]}`},
+		{"", `{"trials":1,"base":{"side":5,"k":10,"m":1},"axes":[{"field":"strategy","values":["nearest","two-choices"]},{"field":"radius","values":[2,3]},{"field":"beta","values":[0,0.5]}]}`},
+	} {
+		_, err := ParseSpec([]byte(tc.src))
+		if tc.dead == "" {
+			if err != nil {
+				t.Errorf("live axes rejected: %v", err)
+			}
+		} else if err == nil || !strings.Contains(err.Error(), `"`+tc.dead+`"`) {
+			t.Errorf("dead %s axis: err = %v, want it named", tc.dead, err)
+		}
+	}
+}
+
+// TestReadsFieldMatchesConfig: readsField says a strategy reads a
+// field exactly when changing that field changes the strategy's
+// translated Config, so the dead-axis check follows PointSpec.Config.
+func TestReadsFieldMatchesConfig(t *testing.T) {
+	set := map[string]func(*sim.PointSpec){
+		"radius":              func(p *sim.PointSpec) { p.Radius = 3 },
+		"choices":             func(p *sim.PointSpec) { p.Choices = 3 },
+		"beta":                func(p *sim.PointSpec) { p.Beta = 0.5 },
+		"without_replacement": func(p *sim.PointSpec) { p.WithoutReplacement = true },
+	}
+	for _, strategy := range []string{"nearest", "two-choices", "one-choice", "oracle"} {
+		base := sim.PointSpec{Side: 8, K: 20, M: 2, Strategy: strategy, Radius: 2}
+		want, err := base.Config(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for field, apply := range set {
+			p := base
+			apply(&p)
+			got, err := p.Config(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if read := got != want; read != readsField(want.Strategy.Kind, field) {
+				t.Errorf("%s %s: Config reads it %v, readsField says %v", strategy, field, read, !read)
+			}
 		}
 	}
 }
