@@ -95,16 +95,14 @@ func main() {
 		fmt.Printf("arrivals:  %s joins/trial (skipped %s); vacant at end %s\n",
 			agg.ArrivalEvents.String(), agg.ArrivalSkipped.String(), agg.Vacant.String())
 	}
-	switch cfg.Metrics {
-	case repro.MetricsLinks:
-		fmt.Printf("link load:  max %s, congestion %s\n",
-			agg.MaxLinkLoad.String(), agg.LinkCongestion.String())
-	case repro.MetricsStreaming:
+	if cfg.Metrics == repro.MetricsStreaming {
 		fmt.Printf("hops:      max %s, std %s (streaming)\n", agg.HopMax.String(), agg.HopStd.String())
 		fmt.Printf("load p99:  %s\n", agg.LoadP99.String())
-		if agg.LinkMaxApprox.Mean() > 0 {
-			fmt.Printf("link load: max ≈ %s (space-saving sketch upper bound)\n", agg.LinkMaxApprox.String())
-		}
+	}
+	// Streaming trials count links only up to StreamingLinkMaxN nodes.
+	if cfg.Metrics == repro.MetricsLinks || agg.MaxLinkLoad.N() > 0 {
+		fmt.Printf("link load:  max %s, congestion %s\n",
+			agg.MaxLinkLoad.String(), agg.LinkCongestion.String())
 	}
 	if o.verbose {
 		printEras(cfg, o.trials)

@@ -69,8 +69,8 @@ func TestNearestReplicaModesAgreeOnDistance(t *testing.T) {
 	// for every (origin, file) — the tie *choice* may differ, the
 	// distance may not.
 	g, p := testWorld(8, 15, 2, 3)
-	ring := NewNearestReplicaMode(g, p, SearchRing)
-	scan := NewNearestReplicaMode(g, p, SearchScan)
+	ring := newNearestReplicaMode(g, p, searchRing)
+	scan := newNearestReplicaMode(g, p, searchScan)
 	r := xrand.NewSource(4).Stream(0)
 	loads := ballsbins.NewLoads(g.N())
 	for origin := 0; origin < g.N(); origin++ {
@@ -108,8 +108,8 @@ func TestNearestReplicaTieUniformity(t *testing.T) {
 			if len(ties) < 3 {
 				continue
 			}
-			for _, mode := range []SearchMode{SearchRing, SearchScan} {
-				s := NewNearestReplicaMode(g, p, mode)
+			for _, mode := range []searchMode{searchRing, searchScan} {
+				s := newNearestReplicaMode(g, p, mode)
 				counts := map[int32]int{}
 				const trials = 3000
 				for i := 0; i < trials; i++ {
@@ -120,7 +120,7 @@ func TestNearestReplicaTieUniformity(t *testing.T) {
 				for _, v := range ties {
 					got := float64(counts[v]) / trials
 					if math.Abs(got-want) > 0.05 {
-						t.Fatalf("mode %v: tie server %d frequency %.3f, want %.3f", mode, v, got, want)
+						t.Fatalf("search mode %d: tie server %d frequency %.3f, want %.3f", mode, v, got, want)
 					}
 				}
 			}
@@ -140,13 +140,6 @@ func TestNearestReplicaBackhaul(t *testing.T) {
 	a := s.Assign(Request{Origin: 5, File: int32(j)}, ballsbins.NewLoads(g.N()), xrand.NewSource(0).Stream(0))
 	if !a.Backhaul || a.Server != 5 || a.Hops != 0 {
 		t.Fatalf("backhaul assignment wrong: %+v", a)
-	}
-}
-
-func TestSearchModeString(t *testing.T) {
-	if SearchAdaptive.String() != "adaptive" || SearchRing.String() != "ring" ||
-		SearchScan.String() != "scan" || SearchMode(9).String() != "unknown" {
-		t.Fatal("SearchMode strings wrong")
 	}
 }
 

@@ -27,47 +27,29 @@ type NearestReplica struct {
 	rings    *grid.RingTable // precomputed ring templates (nil on bounded)
 	ringBuf  []int32
 	tieBuf   []int32
-	searchFn SearchMode
+	searchFn searchMode
 	live     *cache.Liveness // nil = liveness-blind (golden-pinned paths)
 	retried  bool            // per-Assign: a dead candidate was rejected
 }
 
-// SearchMode forces a specific nearest-replica search procedure; the zero
-// value (SearchAdaptive) picks per request.
-type SearchMode int
+// searchMode forces a nearest-replica search procedure: a test hook for
+// the ring-vs-scan property tests. The zero value (searchAdaptive) picks
+// per request.
+type searchMode int
 
 const (
-	// SearchAdaptive switches between ring and scan per request based on
-	// replica density.
-	SearchAdaptive SearchMode = iota
-	// SearchRing always expands rings outward from the origin.
-	SearchRing
-	// SearchScan always walks the replica list.
-	SearchScan
+	searchAdaptive searchMode = iota // ring when |S_j| > √n, else scan
+	searchRing                       // always expand rings from the origin
+	searchScan                       // always walk the replica list
 )
-
-// String implements fmt.Stringer.
-func (m SearchMode) String() string {
-	switch m {
-	case SearchAdaptive:
-		return "adaptive"
-	case SearchRing:
-		return "ring"
-	case SearchScan:
-		return "scan"
-	default:
-		return "unknown"
-	}
-}
 
 // NewNearestReplica builds Strategy I over the given topology/placement.
 func NewNearestReplica(g *grid.Grid, p *cache.Placement) *NearestReplica {
-	return NewNearestReplicaMode(g, p, SearchAdaptive)
+	return newNearestReplicaMode(g, p, searchAdaptive)
 }
 
-// NewNearestReplicaMode builds Strategy I with a forced search procedure
-// (used by the ablation benchmarks).
-func NewNearestReplicaMode(g *grid.Grid, p *cache.Placement, mode SearchMode) *NearestReplica {
+// newNearestReplicaMode builds Strategy I with a forced search procedure.
+func newNearestReplicaMode(g *grid.Grid, p *cache.Placement, mode searchMode) *NearestReplica {
 	return &NearestReplica{
 		common:   newCommon(g, p),
 		sqrtN:    int(math.Sqrt(float64(g.N()))),
@@ -97,8 +79,8 @@ func (s *NearestReplica) Assign(req Request, _ LoadReader, r *rand.Rand) Assignm
 	}
 	var server int32
 	switch {
-	case s.searchFn == SearchRing,
-		s.searchFn == SearchAdaptive && len(reps) > s.sqrtN:
+	case s.searchFn == searchRing,
+		s.searchFn == searchAdaptive && len(reps) > s.sqrtN:
 		server = s.ringSearch(req, r)
 	default:
 		server = s.scanSearch(req, reps, r)

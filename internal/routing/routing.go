@@ -125,12 +125,11 @@ func signedStep(a, b, length int, wrap bool) (steps int, forward bool) {
 	return d, forward
 }
 
-// walkLinks visits every directed link of the XY (x first, then y)
-// shortest path from src to dst, in traversal order, and returns the
-// hop count (= grid.Dist(src, dst)). The single walker behind both the
-// exact accounting (Route) and the streaming sketch feed (AppendLinks),
-// so the two can never diverge.
-func walkLinks(g *grid.Grid, src, dst int, visit func(u int, d Dir)) int {
+// Route walks the XY (x first, then y) shortest path from src to dst,
+// incrementing every traversed link. It returns the hop count, which
+// always equals grid.Dist(src, dst).
+func (l *LinkLoads) Route(src, dst int) int {
+	g := l.g
 	sx, sy := g.Coord(src)
 	dx, dy := g.Coord(dst)
 	wrap := g.Topology() == grid.Torus
@@ -142,10 +141,10 @@ func walkLinks(g *grid.Grid, src, dst int, visit func(u int, d Dir)) int {
 	for i := 0; i < steps; i++ {
 		u := g.ID(x, y)
 		if fwd {
-			visit(u, East)
+			l.add(u, East)
 			x++
 		} else {
-			visit(u, West)
+			l.add(u, West)
 			x--
 		}
 		if wrap {
@@ -158,10 +157,10 @@ func walkLinks(g *grid.Grid, src, dst int, visit func(u int, d Dir)) int {
 	for i := 0; i < steps; i++ {
 		u := g.ID(x, y)
 		if fwd {
-			visit(u, South) // y grows "downward" in row-major layout
+			l.add(u, South) // y grows "downward" in row-major layout
 			y++
 		} else {
-			visit(u, North)
+			l.add(u, North)
 			y--
 		}
 		if wrap {
@@ -170,29 +169,6 @@ func walkLinks(g *grid.Grid, src, dst int, visit func(u int, d Dir)) int {
 		hops++
 	}
 	return hops
-}
-
-// Route walks the XY shortest path from src to dst, incrementing every
-// traversed link. It returns the hop count, which always equals
-// grid.Dist(src, dst).
-func (l *LinkLoads) Route(src, dst int) int {
-	return walkLinks(l.g, src, dst, l.add)
-}
-
-// LinkID identifies node u's outgoing link in direction d, matching the
-// LinkLoads indexing. Stable across trials of one grid.
-func LinkID(u int, d Dir) uint64 { return uint64(u)*uint64(numDirs) + uint64(d) }
-
-// AppendLinks appends the directed link ids of the XY route from src to
-// dst — the exact links Route would increment, in order — and returns
-// the slice. It materializes nothing else, which is what lets the
-// streaming metrics mode feed per-link sketches without the O(n) link
-// vector.
-func AppendLinks(g *grid.Grid, src, dst int, out []uint64) []uint64 {
-	walkLinks(g, src, dst, func(u int, d Dir) {
-		out = append(out, LinkID(u, d))
-	})
-	return out
 }
 
 // Path returns the node sequence of the XY route from src to dst without

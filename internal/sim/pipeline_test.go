@@ -103,7 +103,6 @@ func TestMetricsModesAgreeOnScalars(t *testing.T) {
 			// Blank the mode-specific extras; the scalars must match.
 			got.MaxLinkLoad, got.LinkCongestion = 0, 0
 			got.Streamed, got.HopMax, got.HopStd, got.LoadP99 = false, 0, 0, 0
-			got.LinkMaxApprox = 0
 			if got != want {
 				t.Fatalf("%s/%s metrics=%s: scalars %+v != %+v",
 					cfg.Strategy.Kind, cfg.MissPolicy, mode, got, want)

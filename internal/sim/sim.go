@@ -117,8 +117,10 @@ const (
 	// MetricsStreaming additionally reports per-request hop moments and a
 	// load quantile through constant-memory streaming accumulators
 	// (running max, Welford moments, bounded histogram — see
-	// stats.Accumulator). Never materializes an O(n) metric vector, which
-	// is what keeps 10⁶-node worlds at a flat memory profile.
+	// stats.Accumulator). On worlds of at most StreamingLinkMaxN nodes it
+	// also counts links exactly as MetricsLinks does; beyond that it
+	// holds no O(n) metric vector, which is what keeps 10⁶-node worlds at
+	// a flat memory profile.
 	MetricsStreaming
 )
 
@@ -565,7 +567,9 @@ type Result struct {
 	ArrivalSkipped int // scheduled arrivals dropped (no vacant node left)
 	Vacant         int // nodes still vacant at trial end
 
-	// Link metrics, populated only in MetricsLinks mode.
+	// Link metrics, counted exactly over every delivery's XY route:
+	// populated in MetricsLinks mode, and in MetricsStreaming mode on
+	// worlds of at most StreamingLinkMaxN nodes (0 beyond).
 	MaxLinkLoad    int64   // traffic on the hottest directed link
 	LinkCongestion float64 // max/mean link load (1 = perfectly even)
 
@@ -576,16 +580,6 @@ type Result struct {
 	HopMax   int     // longest single delivery path (hops)
 	HopStd   float64 // sample std dev of per-request hops
 	LoadP99  int     // 99th-percentile final node load
-	// LinkMaxApprox upper-bounds the busiest directed link's traffic via
-	// a space-saving heavy-hitter sketch over link ids (stats.
-	// SpaceSaving, capacity LinkSketchCap): ≥ the exact MetricsLinks
-	// maximum, exceeding it by at most totalHops/LinkSketchCap, and
-	// exact on worlds whose active link count fits the sketch. Reported
-	// only on worlds with n ≤ LinkSketchMaxN nodes; beyond that it is
-	// 0 — a k-counter summary of near-uniform wide-world link loads
-	// could only report noise (see LinkSketchMaxN for the full
-	// argument).
-	LinkMaxApprox int64
 }
 
 // lastWorld memoizes the most recently compiled world, so callers that
@@ -649,15 +643,15 @@ type Aggregate struct {
 	Backhaul  stats.Summary // per-trial backhaul fraction
 	Uncached  stats.Summary // per-trial uncached-file count
 
-	// Link metrics (only meaningful in MetricsLinks mode).
+	// Link metrics (only meaningful where trials count links: see
+	// Result.MaxLinkLoad).
 	MaxLinkLoad    stats.Summary
 	LinkCongestion stats.Summary
 
 	// Streaming metrics (only meaningful in MetricsStreaming mode).
-	HopMax        stats.Summary
-	HopStd        stats.Summary
-	LoadP99       stats.Summary
-	LinkMaxApprox stats.Summary
+	HopMax  stats.Summary
+	HopStd  stats.Summary
+	LoadP99 stats.Summary
 
 	// Churn counters (only meaningful under a non-none Config.Churn).
 	ChurnEvents  stats.Summary
@@ -699,7 +693,6 @@ func (a *Aggregate) Add(r Result) {
 		a.HopMax.Add(float64(r.HopMax))
 		a.HopStd.Add(r.HopStd)
 		a.LoadP99.Add(float64(r.LoadP99))
-		a.LinkMaxApprox.Add(float64(r.LinkMaxApprox))
 	}
 	if r.ChurnEvents > 0 || r.ChurnSkipped > 0 {
 		a.ChurnEvents.Add(float64(r.ChurnEvents))
@@ -736,7 +729,6 @@ func (a *Aggregate) Merge(o Aggregate) {
 	a.HopMax.Merge(o.HopMax)
 	a.HopStd.Merge(o.HopStd)
 	a.LoadP99.Merge(o.LoadP99)
-	a.LinkMaxApprox.Merge(o.LinkMaxApprox)
 	a.ChurnEvents.Merge(o.ChurnEvents)
 	a.ChurnSkipped.Merge(o.ChurnSkipped)
 	a.Availability.Merge(o.Availability)

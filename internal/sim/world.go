@@ -20,22 +20,14 @@ import (
 // per-chunk loop overhead vanishes.
 const defaultChunk = 1024
 
-// LinkSketchCap is the capacity of the streaming mode's space-saving
-// link sketch (stats.SpaceSaving): the number of directed-link counters
-// Result.LinkMaxApprox is summarized through. Worlds whose active link
-// count fits the sketch get exact maxima; wider worlds an upper bound
-// within totalHops/LinkSketchCap.
-const LinkSketchCap = 1 << 10
-
-// LinkSketchMaxN gates Result.LinkMaxApprox: the sketch runs only on
-// worlds with n ≤ LinkSketchMaxN nodes, i.e. while the directed-link
-// count 4n stays within 64× the sketch capacity. Beyond that a k-counter
-// heavy-hitter summary is pure churn — its guarantee degrades to
-// "within totalHops/k", which on near-uniform torus link loads dwarfs
-// any real maximum (meaningful wide-world link accounting needs Ω(n)
-// counters, i.e. MetricsLinks) — and the O(totalHops) feed would
-// dominate the trial. Out-of-range trials report LinkMaxApprox = 0.
-const LinkSketchMaxN = 16 * LinkSketchCap
+// StreamingLinkMaxN gates link counting under MetricsStreaming: a
+// streaming trial on a world of n ≤ StreamingLinkMaxN nodes fills the
+// same exact per-link vector MetricsLinks does (routing.LinkLoads, 4n
+// int64 counters, at most 512 KiB) and reports MaxLinkLoad and
+// LinkCongestion; a wider world holds no O(n) metric vector at all and
+// reports both as 0, which is what keeps 10⁶-node streaming worlds at a
+// flat memory profile.
+const StreamingLinkMaxN = 1 << 14
 
 // loadHistBound is the baseline resolution of the streaming load
 // histogram. The actual bound scales with the mean per-node load (see
@@ -249,8 +241,6 @@ type Runner struct {
 	// Streaming-metrics accumulators (MetricsStreaming only).
 	hopAcc  *stats.Accumulator
 	loadAcc *stats.Accumulator
-	links64 *stats.SpaceSaving // link heavy hitters → Result.LinkMaxApprox
-	linkBuf []uint64           // per-request link ids of the XY route
 
 	// Sharded-engine state (Config.Workers > 0; see shard.go): per-shard
 	// worker scratch, the racy mode's shared atomic load vector, the
@@ -365,32 +355,26 @@ func (r *Runner) beginTrial(t uint64) Result {
 }
 
 // armMetrics sizes (first trial) and resets the arenas of the world's
-// metrics mode: the link-load vector under MetricsLinks; the hop and load
-// accumulators, the link sketch and the sharded engine's per-granule
+// metrics mode: the link-load vector wherever the world counts links
+// (MetricsLinks, and MetricsStreaming up to StreamingLinkMaxN nodes);
+// the hop and load accumulators and the sharded engine's per-granule
 // accumulators under MetricsStreaming.
 func (r *Runner) armMetrics() {
 	w := r.w
-	switch w.cfg.Metrics {
-	case MetricsLinks:
+	if w.cfg.Metrics == MetricsLinks || w.cfg.Metrics == MetricsStreaming && w.g.N() <= StreamingLinkMaxN {
 		if r.links == nil {
 			r.links = routing.NewLinkLoads(w.g)
 		} else {
 			r.links.Reset()
 		}
-	case MetricsStreaming:
+	}
+	if w.cfg.Metrics == MetricsStreaming {
 		if r.hopAcc == nil {
 			r.hopAcc = stats.NewAccumulator(w.g.Diameter())
 			r.loadAcc = stats.NewAccumulator(w.loadBound)
-			if w.g.N() <= LinkSketchMaxN {
-				r.links64 = stats.NewSpaceSaving(LinkSketchCap)
-				r.linkBuf = make([]uint64, 0, w.g.Diameter()+1)
-			}
 		}
 		r.hopAcc.Reset()
 		r.loadAcc.Reset()
-		if r.links64 != nil {
-			r.links64.Reset()
-		}
 		for _, acc := range r.granAccs {
 			acc.Reset()
 		}
@@ -398,29 +382,15 @@ func (r *Runner) armMetrics() {
 }
 
 // endChunk closes one accounted chunk of c requests starting at request
-// base: it replays the chunk's deliveries into the link metrics — every
-// XY route into the link vector (MetricsLinks) or into the heavy-hitter
-// sketch (MetricsStreaming on sketch-sized worlds), recovering per-link
-// traffic without the O(n) vector — then, unless the chunk was the
-// trial's last (no request would observe the mutation), runs the barrier
+// base: it replays every delivery's XY route into the link-load vector
+// when armMetrics armed one, then, unless the chunk was the trial's
+// last (no request would observe the mutation), runs the barrier
 // mutations (trialState.advance, which Snapshot.Advance shares). Neither
 // step touches a request stream.
 func (r *Runner) endChunk(base, c int, res *Result) {
 	if r.links != nil {
 		for i := 0; i < c; i++ {
 			r.links.Route(int(r.origins[i]), int(r.servers[i]))
-		}
-	}
-	if r.links64 != nil {
-		g := r.w.g
-		for i := 0; i < c; i++ {
-			if r.hops[i] == 0 {
-				continue
-			}
-			r.linkBuf = routing.AppendLinks(g, int(r.origins[i]), int(r.servers[i]), r.linkBuf[:0])
-			for _, id := range r.linkBuf {
-				r.links64.Observe(id)
-			}
 		}
 	}
 	if base+c < r.w.nReq {
@@ -459,9 +429,6 @@ func (r *Runner) finishTrial(res Result, a acct) Result {
 		res.HopMax = r.hopAcc.Max()
 		res.HopStd = r.hopAcc.Std()
 		res.LoadP99 = r.loadAcc.Quantile(0.99)
-		if r.links64 != nil {
-			res.LinkMaxApprox = r.links64.MaxCount()
-		}
 	}
 	r.finishHetero(&res)
 	r.finishFaults(&res)

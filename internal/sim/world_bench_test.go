@@ -44,6 +44,28 @@ func BenchmarkWorldRunTrial(b *testing.B) {
 	}
 }
 
+// BenchmarkWorldRunTrialStreaming is the metrics-accounting layer: one
+// streaming trial on widegrid quick's Side 70 world (K = 10⁴, M = 10,
+// uniform popularity, two-choices r = 8), which lies under
+// StreamingLinkMaxN and so also routes every delivery into the link
+// vector.
+func BenchmarkWorldRunTrialStreaming(b *testing.B) {
+	w, err := Compile(Config{
+		Side: 70, K: 10000, M: 10, Seed: 1,
+		Strategy: StrategySpec{Kind: TwoChoices, Radius: 8},
+		Metrics:  MetricsStreaming,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := w.NewRunner()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = r.RunTrial(uint64(i))
+	}
+}
+
 // wideWorldCfg is the widegrid acceptance point: one Side=1000
 // (n = 10⁶ servers, 10⁶ requests) two-choices r=8 trial with streaming
 // metrics. The request path allocates nothing; all

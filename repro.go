@@ -205,9 +205,6 @@ type (
 	// heterogeneous regimes: strategies compare load/C_u through it while
 	// writes stay on the raw vector.
 	WeightedLoads = ballsbins.WeightedLoads
-	// SpaceSaving is the heavy-hitter sketch behind the streaming mode's
-	// approximate max-link-load (Result.LinkMaxApprox).
-	SpaceSaving = stats.SpaceSaving
 	// Drifter is the shot-noise popularity-activity core driving the
 	// drift-coupled churn schedule and the workload streams.
 	Drifter = workload.Drifter
@@ -224,7 +221,8 @@ const (
 	// MetricsLinks materializes per-link loads and reports congestion.
 	MetricsLinks = sim.MetricsLinks
 	// MetricsStreaming reports hop moments and load quantiles through
-	// constant-memory accumulators (flat memory at any world size).
+	// constant-memory accumulators, and counts links exactly on worlds
+	// of at most StreamingLinkMaxN nodes (flat memory beyond).
 	MetricsStreaming = sim.MetricsStreaming
 )
 
@@ -287,16 +285,11 @@ const (
 	ProfilePowerLaw = sim.ProfilePowerLaw
 )
 
-// Link-sketch bounds for Result.LinkMaxApprox (MetricsStreaming): the
-// sketch holds LinkSketchCap directed-link counters and runs on worlds
-// with at most LinkSketchMaxN nodes; larger worlds report 0. See
-// sim.LinkSketchMaxN for why the gate exists.
-const (
-	// LinkSketchCap is the space-saving sketch capacity.
-	LinkSketchCap = sim.LinkSketchCap
-	// LinkSketchMaxN is the largest node count the sketch reports on.
-	LinkSketchMaxN = sim.LinkSketchMaxN
-)
+// StreamingLinkMaxN is the largest world (in nodes) on which
+// MetricsStreaming counts links: up to it a streaming trial reports the
+// exact MaxLinkLoad and LinkCongestion MetricsLinks does, beyond it both
+// are 0 and no O(n) metric vector is held. See sim.StreamingLinkMaxN.
+const StreamingLinkMaxN = sim.StreamingLinkMaxN
 
 // NewDrifter returns a shot-noise activity core over k files. See
 // workload.NewDrifter.
@@ -312,9 +305,6 @@ func NewWeightedLoads(inner interface{ Load(i int) int }, mult []int32) *Weighte
 
 // NewAtomicLoads returns an all-zero atomic load vector over n bins.
 func NewAtomicLoads(n int) *AtomicLoads { return ballsbins.NewAtomicLoads(n) }
-
-// NewSpaceSaving returns a heavy-hitter sketch monitoring up to k keys.
-func NewSpaceSaving(k int) *SpaceSaving { return stats.NewSpaceSaving(k) }
 
 // Strategy kind constants for StrategySpec.Kind.
 const (
