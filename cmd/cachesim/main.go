@@ -95,14 +95,13 @@ func main() {
 		fmt.Printf("arrivals:  %s joins/trial (skipped %s); vacant at end %s\n",
 			agg.ArrivalEvents.String(), agg.ArrivalSkipped.String(), agg.Vacant.String())
 	}
-	if cfg.Metrics == repro.MetricsStreaming {
-		fmt.Printf("hops:      max %s, std %s (streaming)\n", agg.HopMax.String(), agg.HopStd.String())
-		fmt.Printf("load p99:  %s\n", agg.LoadP99.String())
-	}
-	// Streaming trials count links only up to StreamingLinkMaxN nodes.
-	if cfg.Metrics == repro.MetricsLinks || agg.MaxLinkLoad.N() > 0 {
+	switch cfg.Metrics {
+	case repro.MetricsLinks:
 		fmt.Printf("link load:  max %s, congestion %s\n",
 			agg.MaxLinkLoad.String(), agg.LinkCongestion.String())
+	case repro.MetricsStreaming:
+		fmt.Printf("hops:      max %s, std %s (streaming)\n", agg.HopMax.String(), agg.HopStd.String())
+		fmt.Printf("load p99:  %s\n", agg.LoadP99.String())
 	}
 	if o.verbose {
 		printEras(cfg, o.trials)

@@ -18,12 +18,11 @@
 // batches report their sizes; the mutator drains the count, applies the
 // world's churn and fault schedules to the shadow (the exact event
 // machinery of the batch engine — see sim.Snapshot.Advance), clones it
-// and publishes the clone — or, when no event changed it, publishes a
-// copy-free view restamping the current state. Readers therefore never
-// observe a half-spliced placement or a torn liveness mask, and a
-// quiesced world (no churn, no faults) serves one frozen snapshot
-// forever, bit-identical to sim.RunTrial on the same era (pinned by the
-// golden tests).
+// and publishes the clone. Readers therefore never observe a
+// half-spliced placement or a torn liveness mask, and a quiesced world
+// (no churn, no faults) serves one frozen snapshot forever,
+// bit-identical to sim.RunTrial on the same era (pinned by the golden
+// tests).
 package serve
 
 import (
@@ -99,7 +98,7 @@ func New(w *sim.World, era uint64) *Engine {
 		quit:    make(chan struct{}),
 	}
 	shadow := w.Snapshot(era)
-	e.cur.Store(e.publish(shadow))
+	e.cur.Store(shadow.Clone())
 	e.wg.Add(1)
 	go e.mutator(shadow)
 	return e
@@ -140,11 +139,9 @@ func (e *Engine) World() *sim.World { return e.w }
 
 // mutator is the single goroutine that owns the shadow snapshot. It
 // wakes at batch boundaries, folds the decisions served since the last
-// drain into the churn/fault schedules, and publishes the result: a
-// fresh clone when an event changed the shadow, else a view that
-// restamps the published state and copies nothing. Published values are
-// never written again, which is what lets readers skip locking
-// entirely.
+// drain into the churn/fault schedules, and publishes a fresh clone.
+// The clone-on-publish discipline is what lets readers skip locking
+// entirely: the published value is never written again.
 func (e *Engine) mutator(shadow *sim.Snapshot) {
 	defer e.wg.Done()
 	for {
@@ -154,29 +151,16 @@ func (e *Engine) mutator(shadow *sim.Snapshot) {
 			if n == 0 {
 				continue
 			}
-			if shadow.Advance(int(n)) {
-				e.cur.Store(shadow.Clone())
-			} else {
-				e.cur.Store(shadow.View(e.cur.Load()))
-			}
+			shadow.Advance(int(n))
+			e.cur.Store(shadow.Clone())
 		case era := <-e.reload:
 			shadow = e.w.Snapshot(era)
 			e.pending.Store(0)
-			e.cur.Store(e.publish(shadow))
+			e.cur.Store(shadow.Clone())
 		case <-e.quit:
 			return
 		}
 	}
-}
-
-// publish returns the first published value of a freshly compiled era:
-// a clone the mutator can Advance the shadow away from, or on a quiesced
-// world, which never advances, a view over the shadow itself.
-func (e *Engine) publish(shadow *sim.Snapshot) *sim.Snapshot {
-	if e.dynamic {
-		return shadow.Clone()
-	}
-	return shadow.View(shadow)
 }
 
 // batchDone reports a served batch of n decisions to the mutator. For

@@ -208,63 +208,6 @@ func TestServeReload(t *testing.T) {
 	}
 }
 
-// TestServeUnchangedAdvancePublishesView checks that the mutator copies
-// nothing when an Advance applied no event: on an arrival-only world
-// (no churn, no faults) served until every vacant node has joined, each
-// later batch only burns skipped arrivals, so the published snapshot
-// keeps its placement while its seq and skip counter still rise.
-func TestServeUnchangedAdvancePublishesView(t *testing.T) {
-	cfg := sim.Config{
-		Side: 16, K: 200, M: 4, Seed: 2017, MissPolicy: sim.MissEscalate,
-		Strategy: sim.StrategySpec{Kind: sim.TwoChoices, Radius: 3},
-		Hetero:   sim.HeteroArrival, Profile: sim.ProfilePowerLaw, ArrivalRate: 0.02,
-	}
-	w := compile(t, cfg)
-	e := New(w, 0)
-	defer e.Close()
-	ctx := e.Get()
-	rng := rand.New(rand.NewPCG(1, 2))
-	pairs := make([]Pair, 64)
-	out := make([]Decision, len(pairs))
-	// serve answers one batch and waits for the mutator to publish it.
-	serve := func() sim.SnapshotInfo {
-		t.Helper()
-		seq := e.Info().Seq
-		for i := range pairs {
-			pairs[i] = Pair{User: int32(rng.IntN(w.N())), File: int32(rng.IntN(cfg.K))}
-		}
-		ctx.PlaceBatch(pairs, out)
-		deadline := time.Now().Add(5 * time.Second)
-		for e.Info().Seq == seq {
-			if time.Now().After(deadline) {
-				t.Fatalf("mutator never published seq %d", seq+1)
-			}
-			time.Sleep(100 * time.Microsecond)
-		}
-		return e.Info()
-	}
-	if e.Info().Vacant == 0 {
-		t.Fatal("fixture bug: the era starts with no vacant node")
-	}
-	for i := 0; e.Info().Vacant > 0; i++ {
-		if i == 1000 {
-			t.Fatalf("vacant nodes left after %d batches: %+v", i, e.Info())
-		}
-		serve()
-	}
-	p0, info0 := e.Snapshot().Placement(), e.Info()
-	for b := 0; b < 5; b++ {
-		info := serve()
-		if e.Snapshot().Placement() != p0 {
-			t.Fatalf("batch %d after the last arrival: published placement copied (%+v)", b, info)
-		}
-		if info.Seq != info0.Seq+uint64(b)+1 || info.ArrivalSkipped <= info0.ArrivalSkipped || info.ArrivalEvents != info0.ArrivalEvents {
-			t.Fatalf("batch %d after the last arrival: info %+v, before %+v", b, info, info0)
-		}
-		info0.ArrivalSkipped = info.ArrivalSkipped
-	}
-}
-
 // TestServeHTTP drives the full HTTP surface: a placement batch, the
 // health probe, the metrics endpoint and the malformed-input paths.
 func TestServeHTTP(t *testing.T) {

@@ -463,9 +463,9 @@ var goldenPins = []pin{
 	{name: "churn/replicas/beta-d3", trial: 1, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3, Choices: 3, Beta: 0.7}, Requests: 4096, Churn: ChurnReplicas, ChurnRate: 0.5, Seed: 0x63},
 		want: Result{MaxLoad: 51, MeanCost: 5.244873046875, Requests: 4096, Escalated: 2702, Uncached: 23, ChurnEvents: 1492, ChurnSkipped: 44}},
 	{name: "churn/replicas/streaming", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 4096, Metrics: MetricsStreaming, Churn: ChurnReplicas, ChurnRate: 0.5, Seed: 0x63},
-		want: Result{MaxLoad: 49, MeanCost: 5.280517578125, Requests: 4096, Escalated: 2747, Uncached: 22, ChurnEvents: 1486, ChurnSkipped: 50, MaxLinkLoad: 65, LinkCongestion: 1.731009293078738, Streamed: true, HopMax: 12, HopStd: 2.702447012273801, LoadP99: 46}},
+		want: Result{MaxLoad: 49, MeanCost: 5.280517578125, Requests: 4096, Escalated: 2747, Uncached: 22, ChurnEvents: 1486, ChurnSkipped: 50, Streamed: true, HopMax: 12, HopStd: 2.702447012273801, LoadP99: 46}},
 	{name: "churn/replicas/streaming", trial: 1, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 4096, Metrics: MetricsStreaming, Churn: ChurnReplicas, ChurnRate: 0.5, Seed: 0x63},
-		want: Result{MaxLoad: 50, MeanCost: 5.259033203125, Requests: 4096, Escalated: 2702, Uncached: 23, ChurnEvents: 1492, ChurnSkipped: 44, MaxLinkLoad: 59, LinkCongestion: 1.5776426349751655, Streamed: true, HopMax: 12, HopStd: 2.7570828211902065, LoadP99: 47}},
+		want: Result{MaxLoad: 50, MeanCost: 5.259033203125, Requests: 4096, Escalated: 2702, Uncached: 23, ChurnEvents: 1492, ChurnSkipped: 44, Streamed: true, HopMax: 12, HopStd: 2.7570828211902065, LoadP99: 47}},
 	{name: "faults/crash/two-choices", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 4096, MissPolicy: MissEscalate, Faults: FaultsCrash, FaultRate: 0.02, RecoverRate: 0.01, Seed: 0x63},
 		want: Result{MaxLoad: 67, MeanCost: 4.40185546875, Requests: 4096, Escalated: 2343, Backhaul: 768, Uncached: 22, Faulted: true, FaultEvents: 61, RecoverEvents: 30, DeadNodes: 31, DeadLoad: 911, Retried: 454, Availability: 0.8125}},
 	{name: "faults/crash/two-choices", trial: 1, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 4096, MissPolicy: MissEscalate, Faults: FaultsCrash, FaultRate: 0.02, RecoverRate: 0.01, Seed: 0x63},
@@ -491,9 +491,9 @@ var goldenPins = []pin{
 	{name: "faults/crash+churn", trial: 1, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 4096, MissPolicy: MissEscalate, Churn: ChurnReplicas, ChurnRate: 0.5, Faults: FaultsCrash, FaultRate: 0.02, RecoverRate: 0.01, Seed: 0x63},
 		want: Result{MaxLoad: 46, MeanCost: 4.435791015625, Requests: 4096, Escalated: 2308, Backhaul: 680, Uncached: 23, ChurnEvents: 1492, ChurnSkipped: 44, Faulted: true, FaultEvents: 61, RecoverEvents: 30, DeadNodes: 31, DeadLoad: 892, Retried: 397, Availability: 0.833984375}},
 	{name: "faults/crash/streaming", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 4096, MissPolicy: MissEscalate, Metrics: MetricsStreaming, Faults: FaultsCrash, FaultRate: 0.02, RecoverRate: 0.01, Seed: 0x63},
-		want: Result{MaxLoad: 67, MeanCost: 4.40185546875, Requests: 4096, Escalated: 2343, Backhaul: 768, Uncached: 22, Faulted: true, FaultEvents: 61, RecoverEvents: 30, DeadNodes: 31, DeadLoad: 911, Retried: 454, Availability: 0.8125, MaxLinkLoad: 59, LinkCongestion: 1.8848585690515802, Streamed: true, HopMax: 12, HopStd: 3.195331832305364, LoadP99: 55}},
+		want: Result{MaxLoad: 67, MeanCost: 4.40185546875, Requests: 4096, Escalated: 2343, Backhaul: 768, Uncached: 22, Faulted: true, FaultEvents: 61, RecoverEvents: 30, DeadNodes: 31, DeadLoad: 911, Retried: 454, Availability: 0.8125, Streamed: true, HopMax: 12, HopStd: 3.195331832305364, LoadP99: 55}},
 	{name: "faults/crash/streaming", trial: 1, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 4096, MissPolicy: MissEscalate, Metrics: MetricsStreaming, Faults: FaultsCrash, FaultRate: 0.02, RecoverRate: 0.01, Seed: 0x63},
-		want: Result{MaxLoad: 69, MeanCost: 4.36181640625, Requests: 4096, Escalated: 2284, Backhaul: 747, Uncached: 23, Faulted: true, FaultEvents: 61, RecoverEvents: 30, DeadNodes: 31, DeadLoad: 933, Retried: 477, Availability: 0.817626953125, MaxLinkLoad: 70, LinkCongestion: 2.256800626889064, Streamed: true, HopMax: 12, HopStd: 3.191479349161826, LoadP99: 61}},
+		want: Result{MaxLoad: 69, MeanCost: 4.36181640625, Requests: 4096, Escalated: 2284, Backhaul: 747, Uncached: 23, Faulted: true, FaultEvents: 61, RecoverEvents: 30, DeadNodes: 31, DeadLoad: 933, Retried: 477, Availability: 0.817626953125, Streamed: true, HopMax: 12, HopStd: 3.191479349161826, LoadP99: 61}},
 	{name: "faults/crash/workers2", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 4096, MissPolicy: MissEscalate, Faults: FaultsCrash, FaultRate: 0.02, RecoverRate: 0.01, Workers: 2, Seed: 0x63},
 		want: Result{MaxLoad: 62, MeanCost: 4.335205078125, Requests: 4096, Escalated: 2262, Backhaul: 803, Uncached: 22, Faulted: true, FaultEvents: 61, RecoverEvents: 30, DeadNodes: 31, DeadLoad: 912, Retried: 453, Availability: 0.803955078125}},
 	{name: "faults/crash/workers2", trial: 1, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 4096, MissPolicy: MissEscalate, Faults: FaultsCrash, FaultRate: 0.02, RecoverRate: 0.01, Workers: 2, Seed: 0x63},
@@ -543,9 +543,9 @@ var goldenPins = []pin{
 	{name: "hetero/capacity/two-tier/two-choices/faults-crash", trial: 1, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 4096, MissPolicy: MissEscalate, Faults: FaultsCrash, FaultRate: 0.02, RecoverRate: 0.01, Hetero: HeteroCapacity, Profile: ProfileTwoTier, Seed: 0x63},
 		want: Result{MaxLoad: 102, MeanCost: 4.13330078125, Requests: 4096, Escalated: 2191, Backhaul: 1020, Uncached: 33, Faulted: true, FaultEvents: 61, RecoverEvents: 30, DeadNodes: 31, DeadLoad: 801, Retried: 422, Availability: 0.7509765625}},
 	{name: "hetero/capacity/two-tier/two-choices/streaming", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 4096, Metrics: MetricsStreaming, Hetero: HeteroCapacity, Profile: ProfileTwoTier, Seed: 0x63},
-		want: Result{MaxLoad: 113, MeanCost: 5.404541015625, Requests: 4096, Escalated: 2822, Uncached: 33, MaxLinkLoad: 95, LinkCongestion: 2.4718796584903098, Streamed: true, HopMax: 12, HopStd: 2.7478785484439863, LoadP99: 101}},
+		want: Result{MaxLoad: 113, MeanCost: 5.404541015625, Requests: 4096, Escalated: 2822, Uncached: 33, Streamed: true, HopMax: 12, HopStd: 2.7478785484439863, LoadP99: 101}},
 	{name: "hetero/capacity/two-tier/two-choices/streaming", trial: 1, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 4096, Metrics: MetricsStreaming, Hetero: HeteroCapacity, Profile: ProfileTwoTier, Seed: 0x63},
-		want: Result{MaxLoad: 110, MeanCost: 5.3818359375, Requests: 4096, Escalated: 2824, Uncached: 33, MaxLinkLoad: 98, LinkCongestion: 2.560696788241699, Streamed: true, HopMax: 12, HopStd: 2.739072354121209, LoadP99: 99}},
+		want: Result{MaxLoad: 110, MeanCost: 5.3818359375, Requests: 4096, Escalated: 2824, Uncached: 33, Streamed: true, HopMax: 12, HopStd: 2.739072354121209, LoadP99: 99}},
 	{name: "hetero/arrival/two-tier/two-choices", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 4096, MissPolicy: MissEscalate, Hetero: HeteroArrival, Profile: ProfileTwoTier, ArrivalRate: 0.01, Seed: 0x63},
 		want: Result{MaxLoad: 91, MeanCost: 3.911865234375, Requests: 4096, Escalated: 2074, Backhaul: 1162, Uncached: 52, ArrivalEvents: 30, Vacant: 8}},
 	{name: "hetero/arrival/two-tier/two-choices", trial: 1, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 4096, MissPolicy: MissEscalate, Hetero: HeteroArrival, Profile: ProfileTwoTier, ArrivalRate: 0.01, Seed: 0x63},
@@ -599,7 +599,7 @@ var goldenPins = []pin{
 	{name: "sharded/churn-drift/two-choices", trial: 1, cfg: Config{Side: 12, K: 150, M: 2, Popularity: PopSpec{Kind: PopZipf, Gamma: 0.9}, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 4096, Churn: ChurnDrift, ChurnRate: 0.5, Workers: 4, Seed: 0x71},
 		want: Result{MaxLoad: 49, MeanCost: 3.89404296875, Requests: 4096, Escalated: 1485, Uncached: 55, ChurnEvents: 1465, ChurnSkipped: 71}},
 	{name: "sharded/streaming/two-choices", trial: 2, cfg: Config{Side: 12, K: 150, M: 2, Popularity: PopSpec{Kind: PopZipf, Gamma: 0.9}, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 4096, Metrics: MetricsStreaming, Workers: 4, Seed: 0x71},
-		want: Result{MaxLoad: 75, MeanCost: 3.779541015625, Requests: 4096, Escalated: 1398, Uncached: 63, MaxLinkLoad: 58, LinkCongestion: 2.1580001291906186, Streamed: true, HopMax: 12, HopStd: 2.5275973977100694, LoadP99: 70}},
+		want: Result{MaxLoad: 75, MeanCost: 3.779541015625, Requests: 4096, Escalated: 1398, Uncached: 63, Streamed: true, HopMax: 12, HopStd: 2.5275973977100694, LoadP99: 70}},
 	{name: "sharded/links/two-choices", trial: 2, cfg: Config{Side: 12, K: 150, M: 2, Popularity: PopSpec{Kind: PopZipf, Gamma: 0.9}, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 4096, Metrics: MetricsLinks, Workers: 4, Seed: 0x71},
 		want: Result{MaxLoad: 75, MeanCost: 3.779541015625, Requests: 4096, Escalated: 1398, Uncached: 63, MaxLinkLoad: 58, LinkCongestion: 2.1580001291906186}},
 	{name: "sharded/chunk256/two-choices", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Popularity: PopSpec{Kind: PopZipf, Gamma: 0.9}, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 4096, Workers: 4, Chunk: 256, Seed: 0x71},

@@ -86,7 +86,9 @@ func TestSplitStreamsDeterministic(t *testing.T) {
 
 // TestMetricsModesAgreeOnScalars: the instrumentation knob must be purely
 // additive — scalar, links and streaming modes report identical
-// Definition 1 scalars for identical (cfg, trial) pairs.
+// Definition 1 scalars for identical (cfg, trial) pairs. Only the links
+// mode counts links: a streaming runner holds no link vector, which is
+// what keeps its memory flat at any world size.
 func TestMetricsModesAgreeOnScalars(t *testing.T) {
 	for _, cfg := range pipelineMatrix() {
 		want, err := RunTrial(cfg, 1)
@@ -96,9 +98,15 @@ func TestMetricsModesAgreeOnScalars(t *testing.T) {
 		for _, mode := range []MetricsMode{MetricsLinks, MetricsStreaming} {
 			mcfg := cfg
 			mcfg.Metrics = mode
-			got, err := RunTrial(mcfg, 1)
+			w, err := Compile(mcfg)
 			if err != nil {
 				t.Fatal(err)
+			}
+			r := w.NewRunner()
+			got := r.RunTrial(1)
+			if counts := mode == MetricsLinks; (r.links != nil) != counts || (got.MaxLinkLoad > 0) != counts || (got.LinkCongestion > 0) != counts {
+				t.Fatalf("%s/%s metrics=%s: link vector held %v, link load %d / %v",
+					cfg.Strategy.Kind, cfg.MissPolicy, mode, r.links != nil, got.MaxLinkLoad, got.LinkCongestion)
 			}
 			// Blank the mode-specific extras; the scalars must match.
 			got.MaxLinkLoad, got.LinkCongestion = 0, 0

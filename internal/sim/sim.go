@@ -117,10 +117,10 @@ const (
 	// MetricsStreaming additionally reports per-request hop moments and a
 	// load quantile through constant-memory streaming accumulators
 	// (running max, Welford moments, bounded histogram — see
-	// stats.Accumulator). On worlds of at most StreamingLinkMaxN nodes it
-	// also counts links exactly as MetricsLinks does; beyond that it
-	// holds no O(n) metric vector, which is what keeps 10⁶-node worlds at
-	// a flat memory profile.
+	// stats.Accumulator). Never materializes an O(n) metric vector, which
+	// is what keeps 10⁶-node worlds at a flat memory profile; it counts no
+	// links (the metrics mode draws no randomness, so a MetricsLinks run
+	// of the same config and trial reports them).
 	MetricsStreaming
 )
 
@@ -567,9 +567,7 @@ type Result struct {
 	ArrivalSkipped int // scheduled arrivals dropped (no vacant node left)
 	Vacant         int // nodes still vacant at trial end
 
-	// Link metrics, counted exactly over every delivery's XY route:
-	// populated in MetricsLinks mode, and in MetricsStreaming mode on
-	// worlds of at most StreamingLinkMaxN nodes (0 beyond).
+	// Link metrics, populated only in MetricsLinks mode.
 	MaxLinkLoad    int64   // traffic on the hottest directed link
 	LinkCongestion float64 // max/mean link load (1 = perfectly even)
 
@@ -643,8 +641,7 @@ type Aggregate struct {
 	Backhaul  stats.Summary // per-trial backhaul fraction
 	Uncached  stats.Summary // per-trial uncached-file count
 
-	// Link metrics (only meaningful where trials count links: see
-	// Result.MaxLinkLoad).
+	// Link metrics (only meaningful in MetricsLinks mode).
 	MaxLinkLoad    stats.Summary
 	LinkCongestion stats.Summary
 

@@ -17,17 +17,17 @@ import (
 // and living outside the batch engine. The serving daemon
 // (internal/serve, cmd/cachesimd) compiles one Snapshot per era, applies
 // mutation batches to it through Advance, and publishes immutable Clones
-// (Views when nothing changed) to concurrent readers through an atomic
-// pointer; the batch engine and the daemon therefore arm, advance and
-// bind through the same code, which is what lets a quiesced daemon
-// answer bit-identically to RunTrial (pinned by the serve golden tests).
+// to concurrent readers through an atomic pointer; the batch engine and
+// the daemon therefore arm, advance and bind through the same code,
+// which is what lets a quiesced daemon answer bit-identically to
+// RunTrial (pinned by the serve golden tests).
 //
 // A Snapshot is NOT safe for concurrent mutation: exactly one goroutine
 // may call Advance. The read-only views (Placement, Liveness, sampler
 // and strategies built over them) are safe for any number of concurrent
 // readers as long as nobody calls Advance on that same value — which is
 // the copy-on-write discipline internal/serve enforces by mutating a
-// private shadow and publishing Clones, or Views when nothing changed.
+// private shadow and publishing Clones.
 
 // Snapshot is one era of served placement state: the placement (with
 // tile index when the world is indexed, mutable when the world mutates
@@ -92,50 +92,31 @@ func (s *Snapshot) Bind(strat core.Strategy) core.Strategy { return s.bind(strat
 
 // Advance applies the arrival, fault and churn schedules accrued by c
 // served requests, mutating the snapshot in place — one batch-engine
-// chunk barrier. It reports whether an arrival, crash, recovery or
-// churn event was applied: when none was, the placement, liveness mask
-// and vacancy list are as they were, and only the stamp and the skip
-// counters moved. Only the single mutator goroutine may call Advance;
-// concurrent readers must hold a Clone or a View.
-func (s *Snapshot) Advance(c int) bool {
-	before := s.ev
+// chunk barrier. Only the single mutator goroutine may call Advance;
+// concurrent readers must hold a Clone.
+func (s *Snapshot) Advance(c int) {
 	s.advance(c, nil, &s.ev)
 	s.seq++
-	return s.ev.ArrivalEvents != before.ArrivalEvents || s.ev.FaultEvents != before.FaultEvents ||
-		s.ev.RecoverEvents != before.RecoverEvents || s.ev.ChurnEvents != before.ChurnEvents
-}
-
-// View returns a read-only snapshot stamped with s's era, seq and event
-// counters over state's placement, liveness mask and vacancy list: it
-// copies nothing and carries no schedule state, so it cannot be
-// Advanced. state must hold s's current state and never be Advanced
-// again — s itself on a world with no mutation process, or the Clone
-// last published from s when Advance has applied no event since.
-func (s *Snapshot) View(state *Snapshot) *Snapshot {
-	v := &Snapshot{
-		trialState: trialState{w: s.w, p: state.p, live: state.live, pop: s.pop},
-		era:        s.era,
-		seq:        s.seq,
-		ev:         s.ev,
-	}
-	// The weighted-view multipliers are immutable for the era (arrivals
-	// change caps' occupancy, never C_u), so every copy shares the slice.
-	v.heteroSt.mults = s.heteroSt.mults
-	v.heteroSt.vacantList = state.heteroSt.vacantList
-	return v
 }
 
 // Clone returns an immutable deep copy of the snapshot's state for
 // publication: placement, tile index, liveness and the vacancy list are
 // independently owned, so later Advance calls on s never disturb
-// readers of the clone. Like a View, the clone carries the era/seq
-// stamp and event counters but no schedule state.
+// readers of the clone. The clone carries the era/seq stamp and event
+// counters but no schedule state — it cannot be Advanced, only read.
 func (s *Snapshot) Clone() *Snapshot {
-	c := s.View(s)
-	c.p = s.p.Clone()
+	c := &Snapshot{
+		trialState: trialState{w: s.w, p: s.p.Clone(), pop: s.pop},
+		era:        s.era,
+		seq:        s.seq,
+		ev:         s.ev,
+	}
 	if s.live != nil {
 		c.live = s.live.Clone()
 	}
+	// The weighted-view multipliers are immutable for the era (arrivals
+	// change caps' occupancy, never C_u), so clones share the slice.
+	c.heteroSt.mults = s.heteroSt.mults
 	c.heteroSt.vacantList = slices.Clone(s.heteroSt.vacantList)
 	return c
 }

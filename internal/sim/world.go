@@ -20,15 +20,6 @@ import (
 // per-chunk loop overhead vanishes.
 const defaultChunk = 1024
 
-// StreamingLinkMaxN gates link counting under MetricsStreaming: a
-// streaming trial on a world of n ≤ StreamingLinkMaxN nodes fills the
-// same exact per-link vector MetricsLinks does (routing.LinkLoads, 4n
-// int64 counters, at most 512 KiB) and reports MaxLinkLoad and
-// LinkCongestion; a wider world holds no O(n) metric vector at all and
-// reports both as 0, which is what keeps 10⁶-node streaming worlds at a
-// flat memory profile.
-const StreamingLinkMaxN = 1 << 14
-
 // loadHistBound is the baseline resolution of the streaming load
 // histogram. The actual bound scales with the mean per-node load (see
 // Compile), so heavy-load configs (Requests ≫ n) keep exact quantiles;
@@ -355,20 +346,19 @@ func (r *Runner) beginTrial(t uint64) Result {
 }
 
 // armMetrics sizes (first trial) and resets the arenas of the world's
-// metrics mode: the link-load vector wherever the world counts links
-// (MetricsLinks, and MetricsStreaming up to StreamingLinkMaxN nodes);
-// the hop and load accumulators and the sharded engine's per-granule
-// accumulators under MetricsStreaming.
+// metrics mode: the link-load vector under MetricsLinks; the hop and load
+// accumulators and the sharded engine's per-granule accumulators under
+// MetricsStreaming.
 func (r *Runner) armMetrics() {
 	w := r.w
-	if w.cfg.Metrics == MetricsLinks || w.cfg.Metrics == MetricsStreaming && w.g.N() <= StreamingLinkMaxN {
+	switch w.cfg.Metrics {
+	case MetricsLinks:
 		if r.links == nil {
 			r.links = routing.NewLinkLoads(w.g)
 		} else {
 			r.links.Reset()
 		}
-	}
-	if w.cfg.Metrics == MetricsStreaming {
+	case MetricsStreaming:
 		if r.hopAcc == nil {
 			r.hopAcc = stats.NewAccumulator(w.g.Diameter())
 			r.loadAcc = stats.NewAccumulator(w.loadBound)
@@ -383,10 +373,10 @@ func (r *Runner) armMetrics() {
 
 // endChunk closes one accounted chunk of c requests starting at request
 // base: it replays every delivery's XY route into the link-load vector
-// when armMetrics armed one, then, unless the chunk was the trial's
-// last (no request would observe the mutation), runs the barrier
-// mutations (trialState.advance, which Snapshot.Advance shares). Neither
-// step touches a request stream.
+// (MetricsLinks), then, unless the chunk was the trial's last (no
+// request would observe the mutation), runs the barrier mutations
+// (trialState.advance, which Snapshot.Advance shares). Neither step
+// touches a request stream.
 func (r *Runner) endChunk(base, c int, res *Result) {
 	if r.links != nil {
 		for i := 0; i < c; i++ {

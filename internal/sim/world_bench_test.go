@@ -45,10 +45,9 @@ func BenchmarkWorldRunTrial(b *testing.B) {
 }
 
 // BenchmarkWorldRunTrialStreaming is the metrics-accounting layer: one
-// streaming trial on widegrid quick's Side 70 world (K = 10⁴, M = 10,
-// uniform popularity, two-choices r = 8), which lies under
-// StreamingLinkMaxN and so also routes every delivery into the link
-// vector.
+// streaming trial (hop and load accumulators, no link vector) on
+// widegrid quick's Side 70 world (K = 10⁴, M = 10, uniform popularity,
+// two-choices r = 8).
 func BenchmarkWorldRunTrialStreaming(b *testing.B) {
 	w, err := Compile(Config{
 		Side: 70, K: 10000, M: 10, Seed: 1,

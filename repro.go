@@ -221,8 +221,7 @@ const (
 	// MetricsLinks materializes per-link loads and reports congestion.
 	MetricsLinks = sim.MetricsLinks
 	// MetricsStreaming reports hop moments and load quantiles through
-	// constant-memory accumulators, and counts links exactly on worlds
-	// of at most StreamingLinkMaxN nodes (flat memory beyond).
+	// constant-memory accumulators (flat memory at any world size).
 	MetricsStreaming = sim.MetricsStreaming
 )
 
@@ -284,12 +283,6 @@ const (
 	// ProfilePowerLaw draws Pareto-tailed cache sizes in [1, 8M].
 	ProfilePowerLaw = sim.ProfilePowerLaw
 )
-
-// StreamingLinkMaxN is the largest world (in nodes) on which
-// MetricsStreaming counts links: up to it a streaming trial reports the
-// exact MaxLinkLoad and LinkCongestion MetricsLinks does, beyond it both
-// are 0 and no O(n) metric vector is held. See sim.StreamingLinkMaxN.
-const StreamingLinkMaxN = sim.StreamingLinkMaxN
 
 // NewDrifter returns a shot-noise activity core over k files. See
 // workload.NewDrifter.
