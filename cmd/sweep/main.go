@@ -201,6 +201,9 @@ func coordinate(spec *sweep.Spec, out, journal, addr string, n int,
 	defer srv.Close()
 	base := "http://" + ln.Addr().String()
 	st := coord.Status()
+	if note := resumeNote(st.Done, st.Total, coord.JournalDropped()); note != "" {
+		fmt.Println(note)
+	}
 	fmt.Printf("sweep: %s (%d shards, %d done) on %s\n", spec.Name, st.Total, st.Done, base)
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -258,6 +261,21 @@ func coordinate(spec *sweep.Spec, out, journal, addr string, n int,
 	fmt.Printf("sweep: %d shards merged (%d lease expiries, %d duplicates dropped) → %s.{csv,json}\n",
 		final.Total, coord.Expiries(), coord.Dupes(), out)
 	return nil
+}
+
+// resumeNote reports what the coordinator recovered from an existing
+// journal, "" when it recovered and dropped nothing. A journal whose
+// every record was dropped is most likely not torn but written by a
+// build whose results hash differently, and the note says so.
+func resumeNote(done, total, dropped int) string {
+	if done == 0 && dropped == 0 {
+		return ""
+	}
+	note := fmt.Sprintf("sweep: resumed %d of %d shards, dropped %d journal lines", done, total, dropped)
+	if done == 0 {
+		note += " (every record failed verification: the journal was most likely written by a different build, so every shard runs again)"
+	}
+	return note
 }
 
 // chaosSeeded gives each worker its own chaos stream.

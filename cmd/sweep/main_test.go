@@ -1,9 +1,11 @@
 package main
 
 import (
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -112,4 +114,87 @@ func TestHTTPServerHardened(t *testing.T) {
 	if srv.ReadHeaderTimeout <= 0 || srv.ReadTimeout <= 0 || srv.WriteTimeout <= 0 || srv.IdleTimeout <= 0 {
 		t.Fatalf("missing deadlines: %+v", srv)
 	}
+}
+
+// TestResumeReportsDroppedJournalLines: resuming over a journal whose
+// every record fails its hash prints how many lines were dropped and
+// that a different build most likely wrote them, then re-runs every
+// shard to the direct run's bytes.
+func TestResumeReportsDroppedJournalLines(t *testing.T) {
+	spec := writeSpec(t)
+	dir := t.TempDir()
+	out := filepath.Join(dir, "run")
+	direct := filepath.Join(dir, "direct")
+	if err := run("direct", spec, "", direct, "off", "", "", 0, 0, nil, 0); err != nil {
+		t.Fatalf("direct: %v", err)
+	}
+	if err := run("run", spec, "", out, "", "", "127.0.0.1:0", 2, 0, nil, 0); err != nil {
+		t.Fatalf("first run: %v", err)
+	}
+	journal := out + ".journal"
+	data, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every done record's hash stops matching its aggregate.
+	lines := strings.Split(string(data), "\n")
+	for i, l := range lines {
+		if strings.HasPrefix(l, `{"t":"done"`) {
+			lines[i] = strings.Replace(l, `"hash":"`, `"hash":"00`, 1)
+		}
+	}
+	if err := os.WriteFile(journal, []byte(strings.Join(lines, "\n")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	stdout := captureStdout(t, func() {
+		if err := run("run", spec, "", out, "", "", "127.0.0.1:0", 2, 0, nil, 0); err != nil {
+			t.Errorf("resumed run: %v", err)
+		}
+	})
+	for _, want := range []string{"resumed 0 of 6 shards, dropped 6 journal lines", "different build"} {
+		if !strings.Contains(stdout, want) {
+			t.Errorf("stdout lacks %q:\n%s", want, stdout)
+		}
+	}
+	for _, ext := range []string{".csv", ".json"} {
+		want, _ := os.ReadFile(direct + ext)
+		got, _ := os.ReadFile(out + ext)
+		if string(got) != string(want) {
+			t.Errorf("%s artifact of the resumed run differs from the direct run", ext)
+		}
+	}
+}
+
+func TestResumeNote(t *testing.T) {
+	if got := resumeNote(0, 6, 0); got != "" {
+		t.Errorf("fresh journal: %q, want no note", got)
+	}
+	if got := resumeNote(4, 6, 1); got != "sweep: resumed 4 of 6 shards, dropped 1 journal lines" {
+		t.Errorf("torn tail: %q", got)
+	}
+	if got := resumeNote(0, 6, 6); !strings.Contains(got, "different build") {
+		t.Errorf("every record dropped: %q does not name a different build", got)
+	}
+}
+
+// captureStdout runs f with os.Stdout redirected and returns what it
+// printed.
+func captureStdout(t *testing.T, f func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stdout
+	os.Stdout = w
+	done := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		done <- string(b)
+	}()
+	defer func() { os.Stdout = saved }()
+	f()
+	w.Close()
+	return <-done
 }

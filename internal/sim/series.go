@@ -30,10 +30,7 @@ func BlockRange(trials, blocks, b int) (lo, hi int) {
 // Safe for concurrent use (runners are pooled internally).
 func (w *World) RunBlock(lo, hi uint64) Aggregate {
 	var agg Aggregate
-	r, _ := w.runners.Get().(*Runner)
-	if r == nil {
-		r = w.NewRunner()
-	}
+	r := w.pooledRunner()
 	for t := lo; t < hi; t++ {
 		agg.Add(r.RunTrial(t))
 	}

@@ -125,13 +125,22 @@ func (w *World) N() int { return w.g.N() }
 // they run through a fresh world, a reused Runner, or the package-level
 // RunTrial. Safe for concurrent use; runners are pooled internally.
 func (w *World) RunTrial(t uint64) Result {
-	r, _ := w.runners.Get().(*Runner)
-	if r == nil {
-		r = w.NewRunner()
-	}
+	r := w.pooledRunner()
 	res := r.RunTrial(t)
 	w.runners.Put(r)
 	return res
+}
+
+// pooledRunner takes a Runner from the world's pool, or makes one. A
+// pooled Runner never arms ahead: its callers run concurrently and
+// already fill the cores.
+func (w *World) pooledRunner() *Runner {
+	r, _ := w.runners.Get().(*Runner)
+	if r == nil {
+		r = w.NewRunner()
+		r.pooled = true
+	}
+	return r
 }
 
 // reseedRand is a reusable deterministic generator: one PCG wrapped by one
@@ -186,12 +195,17 @@ func RegionNodes(side int) int {
 // Runner executes trials of one World through reusable per-worker scratch:
 // the placement builder, the load vector, the strategy instance with its
 // candidate buffers, the miss-policy conditioning arenas, the per-trial
-// generators and the request-pipeline chunk buffers. After the first trial
-// a Runner's steady state allocates nothing. A Runner is NOT safe for
-// concurrent use; create one per worker.
+// generators and the request-pipeline chunk buffers. After its first
+// trials a Runner's steady state allocates nothing. A Runner is NOT safe
+// for concurrent use; create one per worker.
 //
-// A trial's request phase is a streaming pipeline over fixed-size chunks:
+// A trial arms its state, runs its request phase as a streaming pipeline
+// over fixed-size chunks, and joins its look-ahead:
 //
+//	arm      — swap in trial t's state if the previous call armed it
+//	           ahead, arm it otherwise; then, when the caller runs trials
+//	           in order, post trial t+1's arm to the helper goroutine,
+//	           which fills the spare state (see lookahead.go);
 //	generate — draw (origin, file) ids into the chunk buffers;
 //	assign   — run the strategy per request, updating the load vector and
 //	           recording (server, hops, flags);
@@ -200,14 +214,27 @@ func RegionNodes(side int) int {
 //	barrier  — unless the chunk was the trial's last, apply the node
 //	           arrivals, faults and churn (trialState.advance) before the
 //	           next chunk is generated, so strategies never observe a
-//	           half-spliced placement or index.
+//	           half-spliced placement or index;
+//	join     — before RunTrial returns, wait for the helper, or skip its
+//	           job if it has not started.
 //
 // Origins, files and the strategy's own draws (candidate sampling, tie
 // breaks) come from three dedicated per-trial streams, so generate runs
 // as one batched dist.RequestBatch call per chunk and the result does not
 // depend on the chunk partition.
 type Runner struct {
-	trialState // re-armed every trial (see trial.go)
+	*trialState // the current trial's state (see trial.go)
+
+	// Look-ahead arming (see lookahead.go): the spare state, armed for
+	// trial spareT when spareArmed; the helper goroutine that arms it;
+	// the previous call's trial; and whether the Runner is pooled.
+	spare      *trialState
+	spareT     uint64
+	spareArmed bool
+	ahead      *armHelper
+	last       uint64
+	ran        bool
+	pooled     bool
 
 	loads *ballsbins.Loads
 	strat core.Strategy
@@ -302,8 +329,9 @@ const (
 // NewRunner returns a fresh Runner over w.
 func (w *World) NewRunner() *Runner {
 	b := min(w.chunk, w.nReq)
+	st := w.newTrialState()
 	r := &Runner{
-		trialState: w.newTrialState(),
+		trialState: &st,
 		loads:      ballsbins.NewLoads(w.g.N()),
 		origins:    make([]int32, b),
 		files:      make([]int32, b),
@@ -335,11 +363,13 @@ func (a *acct) add(b acct) {
 	a.retried += b.retried
 }
 
-// beginTrial is the prologue both trial loops share: it arms trial t's
-// state (see trialState.arm) and resets the load vector and the metric
-// arenas.
+// beginTrial is the prologue both trial loops share: it swaps in trial
+// t's state if it was armed ahead, arms it otherwise (see
+// trialState.arm), and resets the load vector and the metric arenas.
 func (r *Runner) beginTrial(t uint64) Result {
-	r.arm(t)
+	if !r.takeArmed(t) {
+		r.arm(t)
+	}
 	r.loads.Reset()
 	r.armMetrics()
 	return Result{Requests: r.w.nReq, Uncached: r.p.UncachedCount()}
@@ -427,8 +457,13 @@ func (r *Runner) finishTrial(res Result, a acct) Result {
 
 // RunTrial executes one independent trial. Identical (cfg, t) pairs
 // produce identical results; the reused scratch never leaks state between
-// trials (pinned by the cross-implementation golden tests).
+// trials (pinned by the cross-implementation golden tests). A caller-held
+// Runner called in order arms trial t+1 while trial t's requests run
+// (see lookahead.go), which changes its speed, never its results.
 func (r *Runner) RunTrial(t uint64) Result {
+	n := int32(max(1, r.w.cfg.Workers))
+	busy.Add(n)
+	defer busy.Add(-n)
 	if r.w.cfg.Workers > 0 {
 		return r.runTrialSharded(t)
 	}
@@ -440,6 +475,9 @@ func (r *Runner) RunTrial(t uint64) Result {
 	strat := r.strat
 	fileSampler := r.fileSampler()
 	r.loadView = r.wrapView(r.loads)
+	if r.armAhead(t) {
+		defer r.joinAhead()
+	}
 
 	var a acct
 	chunk := len(r.origins)

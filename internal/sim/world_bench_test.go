@@ -29,8 +29,9 @@ func BenchmarkRunTrial(b *testing.B) {
 }
 
 // BenchmarkWorldRunTrial measures the same trial on an explicit compiled
-// World with a dedicated reused Runner — the exact per-worker path of
-// Run/RunSeries, with zero steady-state allocations.
+// World with a dedicated reused Runner called in order, which arms each
+// next trial ahead on a second core (the pooled runners of Run/RunSeries
+// do not), with zero steady-state allocations.
 func BenchmarkWorldRunTrial(b *testing.B) {
 	w, err := Compile(paperScaleCfg())
 	if err != nil {

@@ -26,6 +26,10 @@ var (
 	// ErrUnknownShard reports a completion or failure for a key outside
 	// this sweep.
 	ErrUnknownShard = errors.New("sweep: unknown shard key")
+	// ErrCorruptResult reports a completion whose aggregate fails its own
+	// hash, or that names no shard. Resending the same bytes cannot
+	// succeed, so /v1/complete answers it 422 and the worker stops.
+	ErrCorruptResult = errors.New("sweep: corrupt shard result")
 )
 
 // DefaultLeaseTTL is the lease deadline granted to workers; renewals
@@ -94,6 +98,7 @@ type Coordinator struct {
 	done      chan struct{}
 	expiries  int // leases reclaimed after deadline
 	dupes     int // duplicate completions verified equal and dropped
+	dropped   int // journal lines dropped on recovery (immutable)
 
 	leaseTTL    time.Duration
 	maxAttempts int
@@ -149,11 +154,11 @@ func NewCoordinator(spec *Spec, journalPath string, opt CoordinatorOptions) (*Co
 		c.byKey[sh.Key] = i
 	}
 	if journalPath != "" {
-		j, recovered, _, err := OpenJournal(journalPath, c.specHash)
+		j, recovered, dropped, err := OpenJournal(journalPath, c.specHash)
 		if err != nil {
 			return nil, err
 		}
-		c.journal = j
+		c.journal, c.dropped = j, dropped
 		for _, res := range recovered {
 			if i, ok := c.byKey[res.Key]; ok && c.phase[i] != shardDone {
 				c.phase[i] = shardDone
@@ -390,6 +395,10 @@ func (c *Coordinator) Dupes() int {
 	return c.dupes
 }
 
+// JournalDropped reports how many lines of a recovered journal were
+// dropped as torn or unverifiable. Their shards run again.
+func (c *Coordinator) JournalDropped() int { return c.dropped }
+
 // Wait blocks until every shard is done (nil) or the sweep failed
 // permanently, or ctx is cancelled.
 func (c *Coordinator) Wait(ctx context.Context) error {
@@ -471,7 +480,10 @@ func (c *Coordinator) Handler() http.Handler {
 		case errors.Is(err, ErrUnknownShard):
 			http.Error(w, err.Error(), http.StatusNotFound)
 			return
-		case err != nil:
+		case errors.Is(err, ErrCorruptResult):
+			http.Error(w, err.Error(), http.StatusUnprocessableEntity)
+			return
+		case err != nil: // a journal append failed: worth retrying
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}

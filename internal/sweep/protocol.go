@@ -13,7 +13,7 @@ import (
 //
 //	POST /v1/lease    {"worker":W}            → LeaseReply
 //	POST /v1/renew    {"lease":N}             → 200 | 410 gone
-//	POST /v1/complete ShardResult             → CompleteReply | 409 mismatch
+//	POST /v1/complete ShardResult             → CompleteReply | 409 mismatch | 422 corrupt
 //	POST /v1/fail     {"key":K,"error":E}     → 200
 //	GET  /v1/status                           → Status
 //
@@ -114,13 +114,14 @@ func NewShardResult(key string, agg sim.Aggregate) ShardResult {
 }
 
 // Verify recomputes the result's content hash and reports corruption
-// (a torn journal line, a buggy worker, or bit rot in transit).
+// (a torn journal line, a buggy worker, or bit rot in transit) as an
+// error wrapping ErrCorruptResult.
 func (r ShardResult) Verify() error {
 	if r.Key == "" {
-		return fmt.Errorf("sweep: shard result without a key")
+		return fmt.Errorf("%w: no shard key", ErrCorruptResult)
 	}
 	if got := aggHash(r.Agg); got != r.Hash {
-		return fmt.Errorf("sweep: shard %.12s result hash mismatch (got %.12s, want %.12s)", r.Key, got, r.Hash)
+		return fmt.Errorf("%w: shard %.12s hash mismatch (got %.12s, want %.12s)", ErrCorruptResult, r.Key, got, r.Hash)
 	}
 	return nil
 }

@@ -1,15 +1,18 @@
 package sweep
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -146,8 +149,8 @@ func TestCompleteRejectsCorruptAndForeign(t *testing.T) {
 	// Corrupt payload (hash no longer matches).
 	corrupt := good
 	corrupt.Agg.Trials++
-	if _, err := c.Complete(corrupt); err == nil {
-		t.Fatal("corrupt result accepted")
+	if _, err := c.Complete(corrupt); !errors.Is(err, ErrCorruptResult) {
+		t.Fatalf("corrupt result: %v", err)
 	}
 	// Mismatched duplicate: same key, different (self-consistent) agg.
 	if _, err := c.Complete(good); err != nil {
@@ -300,6 +303,114 @@ func TestJournalTornTailDropped(t *testing.T) {
 	}
 	if len(recovered) != 1 || dropped != 1 {
 		t.Fatalf("recovered %d dropped %d, want 1/1", len(recovered), dropped)
+	}
+}
+
+// TestCoordinatorReportsDroppedJournalRecords: a journal whose every
+// done record fails its hash resumes with no shard done, and the
+// coordinator reports each dropped line.
+func TestCoordinatorReportsDroppedJournalRecords(t *testing.T) {
+	spec := tinySpec(t)
+	path := filepath.Join(t.TempDir(), "sweep.journal")
+	c, err := NewCoordinator(spec, path, CoordinatorOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards, _ := spec.Shards()
+	for _, sh := range shards {
+		if _, err := c.Complete(runShardDirect(t, sh)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Close()
+	tamperJournalHashes(t, path)
+
+	c2, err := NewCoordinator(spec, path, CoordinatorOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	if st := c2.Status(); st.Done != 0 || c2.JournalDropped() != len(shards) {
+		t.Fatalf("resumed %d shards, dropped %d lines; want 0 and %d", st.Done, c2.JournalDropped(), len(shards))
+	}
+}
+
+// tamperJournalHashes rewrites every done record's hash in the journal
+// at path, so each record fails verification.
+func tamperJournalHashes(t *testing.T, path string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(string(data), "\n")
+	n := 0
+	for i, l := range lines {
+		if strings.HasPrefix(l, `{"t":"done"`) {
+			lines[i] = strings.Replace(l, `"hash":"`, `"hash":"00`, 1)
+			n++
+		}
+	}
+	if n == 0 {
+		t.Fatal("journal holds no done record")
+	}
+	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCorruptCompletionIsPermanent: a completion that fails its hash
+// answers 422 on its first attempt, and the worker stops with an error
+// naming the mismatch instead of retrying.
+func TestCorruptCompletionIsPermanent(t *testing.T) {
+	spec := tinySpec(t)
+	c, err := NewCoordinator(spec, "", CoordinatorOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	inner := c.Handler()
+	var mu sync.Mutex
+	var statuses []int
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/complete" {
+			inner.ServeHTTP(w, r)
+			return
+		}
+		// Tamper with the result in transit: its hash no longer matches.
+		var res ShardResult
+		if err := json.NewDecoder(r.Body).Decode(&res); err != nil {
+			t.Error(err)
+		}
+		res.Agg.Trials++
+		body, _ := json.Marshal(res)
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		r.ContentLength = int64(len(body))
+		rec := httptest.NewRecorder()
+		inner.ServeHTTP(rec, r)
+		mu.Lock()
+		statuses = append(statuses, rec.Code)
+		mu.Unlock()
+		w.WriteHeader(rec.Code)
+		w.Write(rec.Body.Bytes())
+	}))
+	defer srv.Close()
+
+	w := NewWorker(srv.URL, WorkerOptions{
+		Poll:        5 * time.Millisecond,
+		BackoffBase: time.Millisecond,
+		BackoffMax:  10 * time.Millisecond,
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	err = w.Run(ctx)
+	if err == nil || ctx.Err() != nil || !strings.Contains(err.Error(), "hash mismatch") {
+		t.Fatalf("worker returned %v, want an error naming the hash mismatch", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(statuses) != 1 || statuses[0] != http.StatusUnprocessableEntity {
+		t.Fatalf("/v1/complete answered %v, want one 422", statuses)
 	}
 }
 
