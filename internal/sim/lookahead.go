@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"runtime"
-	"sync/atomic"
-)
+import "runtime"
 
 // Look-ahead arming. A trial's placement phase (trialState.arm) depends
 // only on (World, t), never on an earlier trial's loads, so while trial
@@ -11,11 +8,13 @@ import (
 // trial t+1 into a second trialState on a helper goroutine and swaps it
 // in when RunTrial(t+1) begins. The helper touches only the state it is
 // handed, every decision is the synchronous path's, and RunTrial(t)
-// joins the helper before it returns, so no work outlives the call. A
-// helper that has not started by the join is skipped, not waited for:
-// RunTrial(t+1) then arms synchronously, which costs what waiting for
-// the helper's arm would have cost, without first waiting for a core
-// that may be busy or descheduled.
+// waits for the helper before it returns, so no work outlives the call.
+//
+// Pooled Runners never arm ahead. Run and RunSeries compile a world per
+// point and run each block of a few trials on one pooled Runner, which
+// would make a spare state per world and arm one trial past each block;
+// letting them arm ahead while a core was idle made `cmd/figures -id all
+// -preset quick` 9 % slower (docs/perf.md §Look-ahead trial arming).
 
 // lookaheadMinSlots is the smallest world, in nominal placement slots
 // n·M, that arms ahead. Posting a job wakes the idle core, which cost
@@ -25,35 +24,18 @@ import (
 // from 1024 slots on, arming ahead was faster in-process.
 const lookaheadMinSlots = 1024
 
-// busy counts, process-wide, the goroutines running a trial (a sharded
-// trial counts its shards) or holding a look-ahead job. A Runner arms
-// ahead only while busy is below GOMAXPROCS, that is while a core is
-// idle: concurrent callers that fill the cores, such as in-process sweep
-// workers, keep the synchronous path.
-var busy atomic.Int32
-
-// armJob asks a helper to arm st for trial t. gen names the job in the
-// helper's claim word.
+// armJob asks a helper to arm st for trial t.
 type armJob struct {
-	st  *trialState
-	t   uint64
-	gen uint64
+	st *trialState
+	t  uint64
 }
 
 // armHelper is a Runner's look-ahead goroutine. It holds no reference to
 // its Runner, so a dropped Runner is collected, and the cleanup that
 // closes jobs ends the goroutine.
-//
-// claim holds the generation of the posted job until the helper starts
-// it or the join skips it, whichever swaps it to 0 first: the helper
-// arms and replies on done only if it won, and the join waits for done
-// only if it lost. A job the join skipped is dropped when the helper
-// reaches it, since claim no longer holds its generation.
 type armHelper struct {
-	jobs  chan armJob
-	done  chan bool // one reply per started job: whether arm completed
-	claim atomic.Uint64
-	gen   uint64 // last posted generation (Runner goroutine only)
+	jobs chan armJob
+	done chan bool // one reply per job: whether arm completed
 }
 
 // startArmHelper starts r's helper goroutine, which lives until r is
@@ -68,9 +50,7 @@ func startArmHelper(r *Runner) *armHelper {
 // loop arms each job's state and replies on done.
 func (h *armHelper) loop() {
 	for j := range h.jobs {
-		if h.claim.CompareAndSwap(j.gen, 0) {
-			h.done <- armRecovered(j)
-		}
+		h.done <- armRecovered(j)
 	}
 }
 
@@ -101,19 +81,17 @@ func (r *Runner) takeArmed(t uint64) bool {
 }
 
 // armAhead starts arming trial t+1 into the spare state when the caller
-// runs trials in order — the previous call on r ran t−1 — on a world of
-// at least lookaheadMinSlots, and a core is idle to take the work: the
-// Runner is caller-held (pooled runners serve concurrent workers that
-// already fill the cores) and busy is below GOMAXPROCS. The spare and
-// the helper are made on the first call that qualifies, so a fresh
-// Runner's first trial allocates what it did without look-ahead. It
-// reports whether a job was posted; the caller must joinAhead before it
-// returns.
+// runs trials in order — the previous call on r ran t−1 — on a
+// caller-held Runner over a world of at least lookaheadMinSlots, and the
+// process has a second P to run the helper on. The spare and the helper
+// are made on the first call that qualifies, so a fresh Runner's first
+// trial allocates what it did without look-ahead. It reports whether a
+// job was posted; the caller must joinAhead before it returns.
 func (r *Runner) armAhead(t uint64) bool {
 	sequential := r.ran && r.last+1 == t
 	r.last, r.ran = t, true
 	if r.pooled || !sequential || r.w.g.N()*r.w.cfg.M < lookaheadMinSlots ||
-		busy.Load() >= int32(runtime.GOMAXPROCS(0)) {
+		runtime.GOMAXPROCS(0) < 2 {
 		return false
 	}
 	if r.spare == nil {
@@ -124,24 +102,14 @@ func (r *Runner) armAhead(t uint64) bool {
 		r.ahead = startArmHelper(r)
 	}
 	r.spareArmed = false
-	busy.Add(1)
-	h := r.ahead
-	h.gen++
-	h.claim.Store(h.gen)
-	h.jobs <- armJob{st: r.spare, t: t + 1, gen: h.gen}
+	r.ahead.jobs <- armJob{st: r.spare, t: t + 1}
 	return true
 }
 
-// joinAhead skips the job armAhead posted if the helper has not started
-// it, and waits for it otherwise. A spare whose arm panicked is dropped;
-// the next call that qualifies makes a new one.
+// joinAhead waits for the job armAhead posted. A spare whose arm
+// panicked is dropped; the next call that qualifies makes a new one.
 func (r *Runner) joinAhead() {
-	busy.Add(-1)
-	h := r.ahead
-	if h.claim.CompareAndSwap(h.gen, 0) {
-		return // not started: the spare is untouched and stays unarmed
-	}
-	if <-h.done {
+	if <-r.ahead.done {
 		r.spareArmed, r.spareT = true, r.last+1
 	} else {
 		r.spare = nil

@@ -7,13 +7,12 @@ import (
 )
 
 // lookaheadConfigs are the worlds the look-ahead tests drive, each at
-// least lookaheadMinSlots:
-// perfbench's static and dynamic workloads, a MissResample world with
-// uncached files (the conditioned sampler is rebuilt on whichever state
-// is swapped in), two-tier capacities (the weighted view rebinds to the
-// swapped-in multipliers) and drift churn with crash faults (the drift
-// sampler, the churn and fault streams and the liveness mask all live
-// in the state).
+// least lookaheadMinSlots: perfbench's static and dynamic workloads, a
+// MissResample world with uncached files (the conditioned sampler is
+// rebuilt on whichever state is swapped in), two-tier capacities (the
+// weighted view rebinds to the swapped-in multipliers) and drift churn
+// with crash faults (the drift sampler, the churn and fault streams and
+// the liveness mask all live in the state).
 func lookaheadConfigs() map[string]Config {
 	return map[string]Config{
 		"static": {
@@ -156,38 +155,55 @@ func TestRunnerLookaheadGates(t *testing.T) {
 	run("GOMAXPROCS 1", big.NewRunner())
 }
 
-// TestRunnerLookaheadSkipsUnstartedHelper drives the skip branch: a
-// join that finds the job unclaimed returns without waiting, the spare
-// stays unarmed, the helper drops the stale job when it reaches it, and
-// later calls still match fresh Runners.
-func TestRunnerLookaheadSkipsUnstartedHelper(t *testing.T) {
+// TestRunnerLookaheadSteadyStateAllocs holds the look-ahead path to the
+// Runner's allocation-free bar. testing.AllocsPerRun measures at
+// GOMAXPROCS 1, where no Runner arms ahead, so this test counts the
+// process's mallocs itself at GOMAXPROCS >= 2 over windows of in-order
+// calls after warm-up. In a passing window every call swaps in the
+// state the call before it armed ahead, and the swap, the job post, the
+// helper's arm and the join allocate nothing. A window may read a malloc
+// or two that are not per call: a goroutine that blocks on a channel
+// takes a sudog from its P's cache, and the runtime allocates one when
+// that cache and the central one are empty (every GC empties the central
+// one), so the test passes on the first clean window of a few.
+func TestRunnerLookaheadSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
 	withTwoProcs(t)
-	w, err := Compile(lookaheadConfigs()["drift-crash"])
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := w.NewRunner()
-	// A helper whose goroutine has not started yet: the job waits in the
-	// channel, unclaimed, until the join skips it.
-	h := &armHelper{jobs: make(chan armJob, 1), done: make(chan bool, 1)}
-	r.ahead = h
-	want := func(trial uint64) Result { return w.NewRunner().RunTrial(trial) }
-	for trial := uint64(0); trial < 2; trial++ {
-		if got := r.RunTrial(trial); got != want(trial) {
-			t.Fatalf("trial %d: got %+v", trial, got)
+	const warm, calls, windows = 6, 8, 5
+	for name, cfg := range lookaheadConfigs() {
+		w, err := Compile(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		r := w.NewRunner()
+		for trial := uint64(0); trial < warm; trial++ {
+			r.RunTrial(trial)
+		}
+		trial, clean := uint64(warm), false
+		for win := 0; win < windows && !clean; win++ {
+			var before, after runtime.MemStats
+			swapped := 0
+			runtime.ReadMemStats(&before)
+			for end := trial + calls; trial < end; trial++ {
+				if r.spareArmed && r.spareT == trial {
+					swapped++
+				}
+				r.RunTrial(trial)
+			}
+			runtime.ReadMemStats(&after)
+			n := after.Mallocs - before.Mallocs
+			clean = n == 0 && swapped == calls
+			if !clean {
+				t.Logf("%s, window %d: %d mallocs; %d of %d calls swapped in a state armed ahead",
+					name, win, n, swapped, calls)
+			}
+		}
+		if !clean {
+			t.Errorf("%s: no window of %d in-order calls ran allocation-free on states armed ahead", name, calls)
 		}
 	}
-	if r.spareArmed || len(h.jobs) != 1 || h.claim.Load() != 0 {
-		t.Fatalf("after the skip: spare armed %v, %d jobs queued, claim %d; want false, 1, 0",
-			r.spareArmed, len(h.jobs), h.claim.Load())
-	}
-	go h.loop()
-	for trial := uint64(2); trial < 6; trial++ {
-		if got := r.RunTrial(trial); got != want(trial) {
-			t.Fatalf("trial %d after the skip: got %+v", trial, got)
-		}
-	}
-	close(h.jobs)
 }
 
 // TestRunnerLookaheadHelperExits: a Runner that armed ahead owns a

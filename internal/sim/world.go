@@ -132,8 +132,7 @@ func (w *World) RunTrial(t uint64) Result {
 }
 
 // pooledRunner takes a Runner from the world's pool, or makes one. A
-// pooled Runner never arms ahead: its callers run concurrently and
-// already fill the cores.
+// pooled Runner never arms ahead (see lookahead.go).
 func (w *World) pooledRunner() *Runner {
 	r, _ := w.runners.Get().(*Runner)
 	if r == nil {
@@ -215,8 +214,8 @@ func RegionNodes(side int) int {
 //	           arrivals, faults and churn (trialState.advance) before the
 //	           next chunk is generated, so strategies never observe a
 //	           half-spliced placement or index;
-//	join     — before RunTrial returns, wait for the helper, or skip its
-//	           job if it has not started.
+//	join     — before RunTrial returns, wait for the helper to finish
+//	           arming trial t+1.
 //
 // Origins, files and the strategy's own draws (candidate sampling, tie
 // breaks) come from three dedicated per-trial streams, so generate runs
@@ -461,9 +460,6 @@ func (r *Runner) finishTrial(res Result, a acct) Result {
 // Runner called in order arms trial t+1 while trial t's requests run
 // (see lookahead.go), which changes its speed, never its results.
 func (r *Runner) RunTrial(t uint64) Result {
-	n := int32(max(1, r.w.cfg.Workers))
-	busy.Add(n)
-	defer busy.Add(-n)
 	if r.w.cfg.Workers > 0 {
 		return r.runTrialSharded(t)
 	}

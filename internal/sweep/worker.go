@@ -60,11 +60,12 @@ type WorkerOptions struct {
 }
 
 // Worker pulls shards from a coordinator over the work-queue protocol,
-// executes them through sim.World.RunBlock, and delivers content-hashed
-// results. It retries transient coordinator errors (connection refused,
-// 5xx) with exponential backoff plus jitter, heartbeats its lease every
-// TTL/3 while computing, keeps computing even if a heartbeat is lost
-// (the completion is keyed by content, so a reassigned shard merges
+// folds each shard's trial block in ascending order (the fold of
+// sim.World.RunBlock), and delivers content-hashed results. It retries
+// transient coordinator errors (connection refused, 5xx) with
+// exponential backoff plus jitter, heartbeats its lease every TTL/3
+// while computing, keeps computing even if a heartbeat is lost (the
+// completion is keyed by content, so a reassigned shard merges
 // idempotently), and drains gracefully on request.
 type Worker struct {
 	base  string
@@ -73,8 +74,9 @@ type Worker struct {
 	kills int
 	drain atomic.Bool
 
-	lastCfg   sim.Config
-	lastWorld *sim.World
+	lastCfg    sim.Config
+	lastWorld  *sim.World
+	lastRunner *sim.Runner
 
 	// Shards/Abandoned/Duplicates count completed, chaos-killed and
 	// duplicate-acked shards for reporting.
@@ -216,13 +218,14 @@ func (w *Worker) runShard(ctx context.Context, grant LeaseReply) error {
 	return nil
 }
 
-// execute compiles the shard's configuration (memoizing the last world,
-// since consecutive shards often share a grid point) and folds its
-// trial block in ascending order — the exact RunSeries partial.
+// execute compiles the shard's configuration (memoizing the last world
+// and its Runner, since consecutive shards often share a grid point) and
+// folds its trial block in ascending order — the exact RunSeries partial.
 func (w *Worker) execute(ctx context.Context, sh Shard) (agg sim.Aggregate, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("panic: %v", r)
+			w.lastWorld = nil // a Runner that panicked mid-trial is not reused
 		}
 	}()
 	if w.lastWorld == nil || w.lastCfg != sh.Config {
@@ -230,14 +233,14 @@ func (w *Worker) execute(ctx context.Context, sh Shard) (agg sim.Aggregate, err 
 		if cerr != nil {
 			return agg, cerr
 		}
-		w.lastWorld, w.lastCfg = world, sh.Config
+		w.lastWorld, w.lastCfg, w.lastRunner = world, sh.Config, world.NewRunner()
 	}
 	killAt := -1
 	if c := w.opt.Chaos; c != nil && c.KillProb > 0 && (c.Kills == 0 || w.kills < c.Kills) &&
 		w.rng.Float64() < c.KillProb {
 		killAt = sh.Lo + (sh.Hi-sh.Lo)/2
 	}
-	r := w.lastWorld.NewRunner()
+	r := w.lastRunner
 	for t := sh.Lo; t < sh.Hi; t++ {
 		if err := ctx.Err(); err != nil {
 			return agg, err
