@@ -52,6 +52,3 @@ func (w *WeightedLoads) Bind(inner loadReader, mult []int32) {
 
 // Load returns the capacity-weighted load of bin i.
 func (w *WeightedLoads) Load(i int) int { return w.inner.Load(i) * int(w.mult[i]) }
-
-// Inner returns the wrapped raw load vector.
-func (w *WeightedLoads) Inner() loadReader { return w.inner }

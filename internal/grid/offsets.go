@@ -93,8 +93,8 @@ func (t *BallTable) Append(u int, dst []int32) []int32 {
 	return dst
 }
 
-// RingTable replays rings of every radius 0..MaxR from one precomputed
-// offset arena (total size Θ(n)), falling back to Ring beyond MaxR.
+// RingTable replays rings of every radius 0..maxR from one precomputed
+// offset arena (total size Θ(n)), falling back to Ring beyond maxR.
 type RingTable struct {
 	g      *Grid
 	start  []int32 // start[d] indexes the first offset of ring d
@@ -141,9 +141,6 @@ func (g *Grid) NewRingTable() *RingTable {
 	t.start = append(t.start, int32(len(t.dx)))
 	return t
 }
-
-// MaxR returns the largest radius served from the template arena.
-func (t *RingTable) MaxR() int { return t.maxR }
 
 // Ring appends every node at distance exactly d from u to dst, in the same
 // order as Grid.Ring(u, d, dst).

@@ -42,7 +42,7 @@ func TestBallTableMatchesBall(t *testing.T) {
 }
 
 // TestRingTableMatchesRing pins the same replay contract for rings,
-// including the fallback above MaxR.
+// including the fallback above maxR.
 func TestRingTableMatchesRing(t *testing.T) {
 	for _, l := range []int{3, 4, 5, 7, 10, 13} {
 		g := New(l, Torus)

@@ -67,9 +67,6 @@ func (g *Grid) NewTiling(t int) *Tiling {
 // Grid returns the underlying lattice.
 func (tl *Tiling) Grid() *Grid { return tl.g }
 
-// TileSize returns the tile side length t.
-func (tl *Tiling) TileSize() int { return tl.t }
-
 // Tiles returns the number of tiles.
 func (tl *Tiling) Tiles() int { return tl.perSide * tl.perSide }
 

@@ -599,7 +599,7 @@ var goldenPins = []pin{
 	{name: "sharded/churn-drift/two-choices", trial: 1, cfg: Config{Side: 12, K: 150, M: 2, Popularity: PopSpec{Kind: PopZipf, Gamma: 0.9}, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 4096, Churn: ChurnDrift, ChurnRate: 0.5, Workers: 4, Seed: 0x71},
 		want: Result{MaxLoad: 49, MeanCost: 3.89404296875, Requests: 4096, Escalated: 1485, Uncached: 55, ChurnEvents: 1465, ChurnSkipped: 71}},
 	{name: "sharded/streaming/two-choices", trial: 2, cfg: Config{Side: 12, K: 150, M: 2, Popularity: PopSpec{Kind: PopZipf, Gamma: 0.9}, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 4096, Metrics: MetricsStreaming, Workers: 4, Seed: 0x71},
-		want: Result{MaxLoad: 75, MeanCost: 3.779541015625, Requests: 4096, Escalated: 1398, Uncached: 63, Streamed: true, HopMax: 12, HopStd: 2.5275973977100694, LoadP99: 70}},
+		want: Result{MaxLoad: 75, MeanCost: 3.779541015625, Requests: 4096, Escalated: 1398, Uncached: 63, Streamed: true, HopMax: 12, HopStd: 2.5275973977100654, LoadP99: 70}},
 	{name: "sharded/links/two-choices", trial: 2, cfg: Config{Side: 12, K: 150, M: 2, Popularity: PopSpec{Kind: PopZipf, Gamma: 0.9}, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 4096, Metrics: MetricsLinks, Workers: 4, Seed: 0x71},
 		want: Result{MaxLoad: 75, MeanCost: 3.779541015625, Requests: 4096, Escalated: 1398, Uncached: 63, MaxLinkLoad: 58, LinkCongestion: 2.1580001291906186}},
 	{name: "sharded/chunk256/two-choices", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Popularity: PopSpec{Kind: PopZipf, Gamma: 0.9}, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Requests: 4096, Workers: 4, Chunk: 256, Seed: 0x71},

@@ -67,9 +67,12 @@ func TestIndexTilesNoOpWithoutBoundedRadius(t *testing.T) {
 // exactLadderRunner returns a runner of w whose placements carry no tile
 // index, so bounded-radius choice strategies fall back to the exact
 // filter (the core package's path for placements without a TileIndex).
+// It is marked pooled so it keeps its one trial state: a Runner that
+// arms ahead swaps in a spare state built with the world's tiled Placer.
 func exactLadderRunner(w *World) *Runner {
 	r := w.NewRunner()
 	r.placer = cache.NewPlacer(w.g.N(), w.cfg.M, w.cfg.K)
+	r.pooled = true
 	return r
 }
 
@@ -101,6 +104,9 @@ func TestIndexTilesScalarsPlausible(t *testing.T) {
 	var plain, indexed Aggregate
 	for trial := uint64(0); trial < 20; trial++ {
 		plain.Add(exact.RunTrial(trial))
+		if exact.p.TileIndex() != nil {
+			t.Fatalf("trial %d: the exact-ladder runner ran on a tiled placement", trial)
+		}
 		indexed.Add(tiles.RunTrial(trial))
 	}
 	// Means within 4 pooled standard errors; the escalation fraction is

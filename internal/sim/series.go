@@ -25,9 +25,12 @@ func BlockRange(trials, blocks, b int) (lo, hi int) {
 
 // RunBlock executes the contiguous trial block [lo, hi) and returns its
 // aggregate, folding results in ascending trial order. It is the fold
-// every Run/RunSeries worker runs for its blocks, so a remote worker's
-// Aggregate is bit-identical to the corresponding in-process partial.
-// Safe for concurrent use (runners are pooled internally).
+// every Run/RunSeries worker runs for its blocks. A sweep worker
+// (internal/sweep) folds each shard the same way, in ascending trial
+// order on the Runner it keeps per compiled world, so its Aggregate is
+// bit-identical to the corresponding in-process partial;
+// TestRunBlockMatchesRun and the sweep chaos cmp in CI check that the
+// folds agree. Safe for concurrent use (runners are pooled internally).
 func (w *World) RunBlock(lo, hi uint64) Aggregate {
 	var agg Aggregate
 	r := w.pooledRunner()

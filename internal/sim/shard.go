@@ -4,7 +4,6 @@ import (
 	"repro/internal/ballsbins"
 	"repro/internal/core"
 	"repro/internal/dist"
-	"repro/internal/stats"
 )
 
 // This file is the intra-trial sharded engine (Config.Workers > 0): the
@@ -21,21 +20,22 @@ import (
 // request index) — never on P or on scheduling. Workers generate and
 // assign their granules concurrently, writing disjoint slices of the
 // shared chunk record buffers; at the barrier the coordinator applies
-// the recorded load deltas in request order (ShardDeterministic), folds
-// the per-shard scalar accounts and per-granule hop accumulators (in
-// shard and granule order respectively), routes link metrics, and runs
-// the churn phase — then releases the workers into the next chunk.
+// the recorded load deltas in request order (ShardDeterministic),
+// accounts the chunk's records in request order through the sequential
+// engine's Runner.account, routes link metrics, and runs the churn
+// phase — then releases the workers into the next chunk.
 //
 // Barrier protocol. The coordinator runs shard 0 itself and parks the
 // P−1 worker goroutines on per-worker start channels between chunks.
-// Publishing the chunk descriptor before the start signal and collecting
-// workers through a WaitGroup before merging gives the two
-// happens-before edges that make the shared buffers race-free: workers
-// never read a descriptor before it is written, and the coordinator
-// never reads records before their writers are done. Workers are
-// spawned per trial (they exit after the last chunk), which keeps the
-// steady-state allocation bill at the O(P) goroutine spawns — the chunk
-// loop itself allocates nothing.
+// Workers only store each request's (server, hops, flags) record; they
+// count nothing. Publishing the chunk descriptor before the start signal
+// and collecting workers through a WaitGroup before the coordinator
+// accounts the records gives the two happens-before edges that make the
+// shared buffers race-free: workers never read a descriptor before it
+// is written, and the coordinator never reads records before their
+// writers are done. Workers are spawned per trial (they exit after the
+// last chunk), which keeps the steady-state allocation bill at the O(P)
+// goroutine spawns — the chunk loop itself allocates nothing.
 //
 // Determinism. ShardDeterministic strategies read the frozen base load
 // vector, which no one writes during a chunk, so assignments within a
@@ -60,12 +60,11 @@ const shardGranule = 64
 
 // shardState is one worker's private scratch: its strategy instance
 // (strategies carry per-instance buffers and are not concurrency-safe),
-// its three granule-reseeded generators, its chunk account and, in racy
-// mode, the running maximum over its atomic Add returns.
+// its three granule-reseeded generators and, in racy mode, the running
+// maximum over its atomic Add returns.
 type shardState struct {
 	strat                core.Strategy
 	origin, file, assign reseedRand
-	acct                 acct
 	maxSeen              int
 }
 
@@ -83,18 +82,11 @@ func (r *Runner) initShards() {
 	if w.cfg.Shard == ShardRacy && r.atomicLoads == nil {
 		r.atomicLoads = ballsbins.NewAtomicLoads(w.g.N())
 	}
-	if w.cfg.Metrics == MetricsStreaming && r.granAccs == nil {
-		g := (min(w.chunk, w.nReq) + shardGranule - 1) / shardGranule
-		r.granAccs = make([]*stats.Accumulator, g)
-		for i := range r.granAccs {
-			r.granAccs[i] = stats.NewAccumulator(w.g.Diameter())
-		}
-	}
 }
 
 // runTrialSharded executes one trial through the sharded engine. The
-// prologue, chunk end and epilogue are the sequential engine's; only the
-// request phase changes discipline.
+// prologue, chunk account, chunk end and epilogue are the sequential
+// engine's; only the request phase changes discipline.
 func (r *Runner) runTrialSharded(t uint64) Result {
 	w := r.w
 	r.initShards()
@@ -106,18 +98,17 @@ func (r *Runner) runTrialSharded(t uint64) Result {
 	for s := range r.shards {
 		st := &r.shards[s]
 		st.strat = r.bind(st.strat)
-		st.acct, st.maxSeen = acct{}, 0
-	}
-	r.shardRacy = w.cfg.Shard == ShardRacy
-	if r.shardRacy {
-		r.atomicLoads.Reset()
-		r.shardLoads = r.atomicLoads
-	} else {
-		r.shardLoads = r.loads
+		st.maxSeen = 0
 	}
 	// Under capacity skew the strategies compare through the weighted
 	// view; writes, MaxLoad and the load summary stay on the raw vector.
-	r.shardView = r.wrapView(r.shardLoads)
+	r.shardRacy = w.cfg.Shard == ShardRacy
+	if r.shardRacy {
+		r.atomicLoads.Reset()
+		r.loadView = r.wrapView(r.atomicLoads)
+	} else {
+		r.loadView = r.wrapView(r.loads)
+	}
 	r.shardT = t
 	r.fileSampler()
 
@@ -148,16 +139,7 @@ func (r *Runner) runTrialSharded(t uint64) Result {
 				r.loads.Add(int(r.servers[i]))
 			}
 		}
-		for s := range r.shards {
-			a.add(r.shards[s].acct)
-			r.shards[s].acct = acct{}
-		}
-		if r.hopAcc != nil {
-			for i := 0; i < (c+shardGranule-1)/shardGranule; i++ {
-				r.hopAcc.Merge(r.granAccs[i])
-				r.granAccs[i].Reset()
-			}
-		}
+		r.account(c, &a)
 		r.endChunk(base, c, &res)
 	}
 	return r.finishTrial(res, a)
@@ -176,7 +158,7 @@ func (r *Runner) shardWorker(s, nChunks int) {
 // runShard processes shard s's granules of the current chunk: per
 // granule, reseed the three streams from the granule label (its global
 // first-request index), batch-generate the ids, then assign each
-// request against the shard's load view, recording results into the
+// request against the trial's load view, storing its record into the
 // shard's disjoint slice of the chunk buffers.
 func (r *Runner) runShard(s int) {
 	w := r.w
@@ -194,38 +176,15 @@ func (r *Runner) runShard(s int) {
 		fileRNG := st.file.stream(w.fileSrc.Split(label), t)
 		assignRNG := st.assign.stream(w.assignSrc.Split(label), t)
 		dist.RequestBatch(originRNG, fileRNG, n, r.pop, r.origins[lo:hi], r.files[lo:hi])
-		var acc *stats.Accumulator
-		if r.granAccs != nil {
-			acc = r.granAccs[gi]
-		}
 		for i := lo; i < hi; i++ {
 			req := core.Request{Origin: r.origins[i], File: r.files[i]}
-			a := st.strat.Assign(req, r.shardView, assignRNG)
+			a := st.strat.Assign(req, r.loadView, assignRNG)
 			if racy {
 				if v := r.atomicLoads.Add(int(a.Server)); v > st.maxSeen {
 					st.maxSeen = v
 				}
 			}
-			r.servers[i] = a.Server
-			r.hops[i] = a.Hops
-			var f uint8
-			if a.Escalated {
-				f |= flagEscalated
-				st.acct.escalated++
-			}
-			if a.Backhaul {
-				f |= flagBackhaul
-				st.acct.backhaul++
-			}
-			if a.Retried {
-				f |= flagRetried
-				st.acct.retried++
-			}
-			r.flags[i] = f
-			st.acct.hops += int64(a.Hops)
-			if acc != nil {
-				acc.Observe(int(a.Hops))
-			}
+			r.store(i, a)
 		}
 	}
 }

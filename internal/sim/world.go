@@ -209,7 +209,9 @@ func RegionNodes(side int) int {
 //	assign   — run the strategy per request, updating the load vector and
 //	           recording (server, hops, flags);
 //	account  — fold the chunk's records into the trial accumulators
-//	           (hop sum, miss counters, link loads or streaming moments);
+//	           (hop sum, miss counters, streaming moments) in request
+//	           order, then (MetricsLinks) route each delivery into the
+//	           link loads;
 //	barrier  — unless the chunk was the trial's last, apply the node
 //	           arrivals, faults and churn (trialState.advance) before the
 //	           next chunk is generated, so strategies never observe a
@@ -220,7 +222,9 @@ func RegionNodes(side int) int {
 // Origins, files and the strategy's own draws (candidate sampling, tie
 // breaks) come from three dedicated per-trial streams, so generate runs
 // as one batched dist.RequestBatch call per chunk and the result does not
-// depend on the chunk partition.
+// depend on the chunk partition. The sharded engine (shard.go) splits
+// generate and assign across its workers and runs account and the
+// barrier on the coordinator, through the same functions.
 type Runner struct {
 	*trialState // the current trial's state (see trial.go)
 
@@ -243,8 +247,9 @@ type Runner struct {
 
 	// Capacity-skew view (Config.Hetero with a non-uniform profile): the
 	// weighted load view bound into the strategies' comparisons, and the
-	// reader the sequential engine routes Assign through (the raw vector
-	// otherwise — see hetero.go).
+	// reader both trial loops route Assign through: the raw vector the
+	// trial writes (the shared atomic vector under ShardRacy), wrapped in
+	// the weighted view under capacity skew (see hetero.go).
 	weighted *ballsbins.WeightedLoads
 	loadView core.LoadReader
 
@@ -261,20 +266,18 @@ type Runner struct {
 
 	// Sharded-engine state (Config.Workers > 0; see shard.go): per-shard
 	// worker scratch, the racy mode's shared atomic load vector, the
-	// per-granule hop accumulators merged at each barrier, the reusable
-	// start-signal channels of the worker barrier protocol, and the
-	// current chunk descriptor the coordinator publishes before each
+	// reusable start-signal channels of the worker barrier protocol, and
+	// the current chunk descriptor the coordinator publishes before each
 	// start signal (the channel send/recv is the happens-before edge).
+	// The workers only store request records; the coordinator accounts
+	// them at the barrier with the sequential loop's account.
 	shards      []shardState
 	atomicLoads *ballsbins.AtomicLoads
-	granAccs    []*stats.Accumulator
 	startCh     []chan struct{}
 	doneWG      sync.WaitGroup
 	shardT      uint64
 	shardBase   int
 	shardC      int
-	shardLoads  core.LoadReader // raw per-chunk reader (frozen or atomic)
-	shardView   core.LoadReader // what Assign compares through: shardLoads, weighted under capacity skew
 	shardRacy   bool
 }
 
@@ -344,22 +347,14 @@ func (w *World) NewRunner() *Runner {
 	return r
 }
 
-// acct carries the scalar trial accumulators between account passes.
-// Hop counts sum in int64: exact in any grouping, so the sharded engine's
-// per-shard accounts fold to the same total as a request-order sum.
+// acct carries the scalar trial accumulators between account passes,
+// which both trial loops run once per chunk in request order. Hop counts
+// sum in int64, exact at any trial size.
 type acct struct {
 	hops      int64
 	escalated int
 	backhaul  int
 	retried   int
-}
-
-// add folds account b into a.
-func (a *acct) add(b acct) {
-	a.hops += b.hops
-	a.escalated += b.escalated
-	a.backhaul += b.backhaul
-	a.retried += b.retried
 }
 
 // beginTrial is the prologue both trial loops share: it swaps in trial
@@ -376,8 +371,7 @@ func (r *Runner) beginTrial(t uint64) Result {
 
 // armMetrics sizes (first trial) and resets the arenas of the world's
 // metrics mode: the link-load vector under MetricsLinks; the hop and load
-// accumulators and the sharded engine's per-granule accumulators under
-// MetricsStreaming.
+// accumulators under MetricsStreaming.
 func (r *Runner) armMetrics() {
 	w := r.w
 	switch w.cfg.Metrics {
@@ -394,9 +388,6 @@ func (r *Runner) armMetrics() {
 		}
 		r.hopAcc.Reset()
 		r.loadAcc.Reset()
-		for _, acc := range r.granAccs {
-			acc.Reset()
-		}
 	}
 }
 
@@ -503,6 +494,13 @@ func (r *Runner) assignChunk(strat core.Strategy, rng *rand.Rand, c int) {
 // record for the account phase.
 func (r *Runner) record(i int, a core.Assignment) {
 	r.loads.Add(int(a.Server))
+	r.store(i, a)
+}
+
+// store writes request i's record (server, hops, flags) into the chunk
+// buffers for the account phase. Shard workers call it directly: the
+// sharded coordinator applies the loads at the barrier.
+func (r *Runner) store(i int, a core.Assignment) {
 	r.servers[i] = a.Server
 	r.hops[i] = a.Hops
 	var f uint8

@@ -6,15 +6,13 @@ import (
 	"testing"
 )
 
-// These tests pin Accumulator.Merge and Reset under the adversarial
-// shard shapes the sharded simulation engine produces: empty shards
-// (worker counts beyond the granule count), single-sample shards,
+// These tests pin Accumulator.Merge and Reset under adversarial shard
+// shapes: empty shards (more workers than work), single-sample shards,
 // values on the histogram clamp boundary, and arbitrary merge
-// groupings. Merge is the load-bearing reduction for every parallel
-// streaming metric — a chunk's per-granule accumulators fold into the
-// trial accumulator at each barrier — so its exactness properties
-// (counts, histogram mass, max) and its float behaviour (moments exact
-// in expectation, stable under grouping) are frozen here.
+// groupings. Merge is the reduction for any parallel streaming metric,
+// so its exactness properties (counts, histogram mass, max) and its
+// float behaviour (moments exact in expectation, stable under grouping)
+// are frozen here.
 
 // fillAcc distributes obs round-robin over k accumulators and returns
 // them; shard i gets obs[i], obs[i+k], ...
@@ -149,8 +147,8 @@ func TestAccumulatorMergeEmptyIdentity(t *testing.T) {
 	}
 }
 
-// TestAccumulatorResetBetweenMergeRounds models the engine's barrier
-// cycle: per-granule accumulators are merged then Reset, round after
+// TestAccumulatorResetBetweenMergeRounds models a barrier cycle of
+// partial accumulators: they are merged then Reset, round after
 // round, and must behave as if freshly constructed each round — no
 // residue in the moments, the max, or the histogram (including the
 // clamp bucket).

@@ -8,7 +8,6 @@ import (
 	"strconv"
 
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // MergeShards folds completed shard results into per-point aggregates.
@@ -156,13 +155,4 @@ func WriteJSON(w io.Writer, spec *Spec, aggs []sim.Aggregate) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(art)
-}
-
-// Summarize renders one aggregate's headline for logs.
-func Summarize(label string, a sim.Aggregate) string {
-	return fmt.Sprintf("%-30s L=%s C=%s", label, summShort(a.MaxLoad), summShort(a.MeanCost))
-}
-
-func summShort(s stats.Summary) string {
-	return fmt.Sprintf("%.3f±%.3f", s.Mean(), s.CI95())
 }

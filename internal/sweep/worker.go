@@ -60,13 +60,14 @@ type WorkerOptions struct {
 }
 
 // Worker pulls shards from a coordinator over the work-queue protocol,
-// folds each shard's trial block in ascending order (the fold of
-// sim.World.RunBlock), and delivers content-hashed results. It retries
-// transient coordinator errors (connection refused, 5xx) with
-// exponential backoff plus jitter, heartbeats its lease every TTL/3
-// while computing, keeps computing even if a heartbeat is lost (the
-// completion is keyed by content, so a reassigned shard merges
-// idempotently), and drains gracefully on request.
+// folds each shard's trial block in ascending order on the sim.Runner it
+// keeps per compiled world (the fold sim.World.RunBlock runs), and
+// delivers content-hashed results. It retries transient coordinator
+// errors (connection refused, 5xx) with exponential backoff plus
+// jitter, heartbeats its lease every TTL/3 while computing, keeps
+// computing even if a heartbeat is lost (the completion is keyed by
+// content, so a reassigned shard merges idempotently), and drains
+// gracefully on request.
 type Worker struct {
 	base  string
 	opt   WorkerOptions
