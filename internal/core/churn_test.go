@@ -76,7 +76,7 @@ func TestIndexedCandidatesUnderChurn(t *testing.T) {
 					req := Request{Origin: int32(rng.IntN(g.N())), File: int32(rng.IntN(k))}
 					reps := p.Replicas(int(req.File))
 					want := slices.Clone(s.exactCandidates(req, reps, nil))
-					got := slices.Clone(s.exactPool(req, p.Replicas(int(req.File)), false))
+					got := slices.Clone(exactPoolOf(s, req))
 					slices.Sort(want)
 					slices.Sort(got)
 					if !slices.Equal(got, want) {

@@ -29,10 +29,21 @@ type ladderBranch struct {
 // runTotal is the replica count of the tile runs covering B_r(u) for the
 // request's file, or -1 when the file is not stored as tile runs.
 func runTotal(v ladderView) int {
-	if v.s.tix == nil || v.s.tix.FileBits(int(v.req.File)) != nil {
+	if !v.s.walks(v.req.File) {
 		return -1
 	}
 	return v.s.collectRuns(v.req.Origin, v.req.File, int32(len(v.reps)))
+}
+
+// exactPoolOf is the ladder's exact pool S_j ∩ B_r(u) for req, walked
+// first as Assign walks it.
+func exactPoolOf(s *TwoChoice, req Request) []int32 {
+	reps := s.p.Replicas(int(req.File))
+	walked := s.walks(req.File)
+	if walked {
+		s.collectRuns(req.Origin, req.File, int32(len(reps)))
+	}
+	return s.exactPool(req, reps, walked)
 }
 
 // TestLadderBranchesAgainstBruteForce drives each branch of the candidate
@@ -45,16 +56,20 @@ func runTotal(v ladderView) int {
 // replica of the file is dead. Where the strategy folds its whole pool
 // (the oracle, or distinct draws with d ≥ |pool|) the server is also a
 // least-loaded member of it. Each row asserts that its branch was forced
-// at least minForced times.
+// at least minForced times. Every request is also planned on a second
+// instance (Plan) and finished from the plan (AssignPlanned) on a twin
+// of the assignment stream, which must give the same Assignment and
+// leave the stream at the same word.
 func TestLadderBranchesAgainstBruteForce(t *testing.T) {
 	const minForced = 10
 	type world struct {
-		side  int
-		topo  grid.Topology
-		tile  int // 0 = untiled
-		k, m  int
-		gamma float64 // 0 = uniform
-		dead  float64 // fraction of nodes killed; 0 = no liveness mask
+		side     int
+		topo     grid.Topology
+		tile     int // 0 = untiled
+		k, m     int
+		gamma    float64 // 0 = uniform
+		dead     float64 // fraction of nodes killed; 0 = no liveness mask
+		deadTile bool    // also kill every node of tile 0
 	}
 	empty := func(v ladderView) bool { return len(v.reps) > 0 && len(v.inBall) == 0 }
 	for _, tc := range []struct {
@@ -64,75 +79,84 @@ func TestLadderBranchesAgainstBruteForce(t *testing.T) {
 		oracle   bool
 		branches []ladderBranch
 	}{
-		{"bitmap sampler out of budget", world{16, grid.Torus, 4, 4, 2, 0, 0}, TwoChoiceConfig{Radius: 1},
+		{"bitmap sampler out of budget", world{16, grid.Torus, 4, 4, 2, 0, 0, false}, TwoChoiceConfig{Radius: 1},
 			false, []ladderBranch{{"dense file, empty ball", func(v ladderView) bool {
 				return v.s.ball != nil && v.s.tix.FileBits(int(v.req.File)) != nil && empty(v)
 			}}}},
-		{"bitmap sampler out of budget, masked", world{16, grid.Torus, 4, 4, 2, 0, 0.7}, TwoChoiceConfig{Radius: 1},
+		{"bitmap sampler out of budget, masked", world{16, grid.Torus, 4, 4, 2, 0, 0.7, false}, TwoChoiceConfig{Radius: 1},
 			false, []ladderBranch{{"dense file, no live replica in the ball", func(v ladderView) bool {
 				return v.s.ball != nil && v.s.tix.FileBits(int(v.req.File)) != nil && empty(v)
 			}}}},
-		{"bitmap exact pool, no ball template", world{16, grid.Bounded, 4, 4, 2, 0, 0}, TwoChoiceConfig{Radius: 2},
+		{"bitmap exact pool, no ball template", world{16, grid.Bounded, 4, 4, 2, 0, 0, false}, TwoChoiceConfig{Radius: 2},
 			false, []ladderBranch{{"dense file on a bounded grid", func(v ladderView) bool {
 				return v.s.ball == nil && v.s.tix.FileBits(int(v.req.File)) != nil && len(v.inBall) > 0
 			}}}},
-		{"run sampler out of budget", world{16, grid.Torus, 8, 30, 3, 0, 0}, TwoChoiceConfig{Radius: 1},
+		{"run sampler out of budget", world{16, grid.Torus, 8, 30, 3, 0, 0, false}, TwoChoiceConfig{Radius: 1},
 			false, []ladderBranch{{"runs above 3d, empty ball", func(v ladderView) bool {
 				return runTotal(v) > 3*2 && empty(v)
 			}}}},
-		{"run sampler out of budget, masked", world{16, grid.Torus, 8, 30, 3, 0, 0.5}, TwoChoiceConfig{Radius: 1},
+		{"run sampler out of budget, masked", world{16, grid.Torus, 8, 30, 3, 0, 0.5, false}, TwoChoiceConfig{Radius: 1},
 			false, []ladderBranch{{"runs above 3d, no live replica in the ball", func(v ladderView) bool {
 				return runTotal(v) > 3*2 && empty(v)
 			}}}},
-		{"untiled scan", world{12, grid.Torus, 0, 30, 3, 1.0, 0}, TwoChoiceConfig{Radius: 2}, false, []ladderBranch{
+		{"untiled scan", world{12, grid.Torus, 0, 30, 3, 1.0, 0, false}, TwoChoiceConfig{Radius: 2}, false, []ladderBranch{
 			{"replica list scanned", func(v ladderView) bool { return v.s.tix == nil && len(v.reps) <= v.s.ballN }},
 			{"ball enumerated", func(v ladderView) bool { return v.s.tix == nil && len(v.reps) > v.s.ballN }},
 		}},
-		{"untiled scan, masked", world{12, grid.Torus, 0, 30, 3, 1.0, 0.4}, TwoChoiceConfig{Radius: 2}, false, []ladderBranch{
+		{"untiled scan, masked", world{12, grid.Torus, 0, 30, 3, 1.0, 0.4, false}, TwoChoiceConfig{Radius: 2}, false, []ladderBranch{
 			{"replica list scanned", func(v ladderView) bool { return v.s.tix == nil && len(v.reps) <= v.s.ballN }},
 			{"ball enumerated", func(v ladderView) bool { return v.s.tix == nil && len(v.reps) > v.s.ballN }},
 		}},
-		{"r = ∞", world{12, grid.Torus, 3, 30, 2, 0.8, 0}, TwoChoiceConfig{Radius: RadiusUnbounded},
+		{"r = ∞", world{12, grid.Torus, 3, 30, 2, 0.8, 0, false}, TwoChoiceConfig{Radius: RadiusUnbounded},
 			false, []ladderBranch{{"several replicas", func(v ladderView) bool {
 				return v.s.cfg.Radius == RadiusUnbounded && len(v.reps) > 1
 			}}}},
-		{"without replacement", world{12, grid.Torus, 3, 30, 3, 0, 0}, TwoChoiceConfig{Radius: 2, Choices: 3, WithoutReplacement: true},
+		{"without replacement", world{12, grid.Torus, 3, 30, 3, 0, 0, false}, TwoChoiceConfig{Radius: 2, Choices: 3, WithoutReplacement: true},
 			false, []ladderBranch{
 				{"pool no larger than d", func(v ladderView) bool { return len(v.inBall) > 1 && len(v.inBall) <= 3 }},
 				{"distinct draws", func(v ladderView) bool { return len(v.inBall) > 3 }},
 			}},
-		{"without replacement, masked", world{12, grid.Torus, 3, 30, 3, 0, 0.3}, TwoChoiceConfig{Radius: 2, Choices: 3, WithoutReplacement: true},
+		{"without replacement, masked", world{12, grid.Torus, 3, 30, 3, 0, 0.3, false}, TwoChoiceConfig{Radius: 2, Choices: 3, WithoutReplacement: true},
 			false, []ladderBranch{
 				{"pool no larger than d", func(v ladderView) bool { return len(v.inBall) > 1 && len(v.inBall) <= 3 }},
 				{"distinct draws", func(v ladderView) bool { return len(v.inBall) > 3 }},
 				{"escalated", empty},
 			}},
-		{"beta coin", world{16, grid.Torus, 4, 60, 3, 0, 0}, TwoChoiceConfig{Radius: 3, Beta: 0.5},
+		{"beta coin", world{16, grid.Torus, 4, 60, 3, 0, 0, false}, TwoChoiceConfig{Radius: 3, Beta: 0.5},
 			false, []ladderBranch{{"several candidates", func(v ladderView) bool { return len(v.inBall) > 1 }}}},
-		{"d = 3", world{16, grid.Torus, 4, 60, 3, 0, 0}, TwoChoiceConfig{Radius: 3, Choices: 3},
+		{"d = 3", world{16, grid.Torus, 4, 60, 3, 0, 0, false}, TwoChoiceConfig{Radius: 3, Choices: 3},
 			false, []ladderBranch{
 				{"run sampler", func(v ladderView) bool { return runTotal(v) > 3*3 && len(v.inBall) > 0 }},
 				{"runs no larger than 3d", func(v ladderView) bool { t := runTotal(v); return t > 0 && t <= 3*3 }},
 			}},
-		{"NoEscalate backhaul", world{16, grid.Torus, 8, 60, 2, 0, 0}, TwoChoiceConfig{Radius: 1, NoEscalate: true},
+		{"NoEscalate backhaul", world{16, grid.Torus, 8, 60, 2, 0, 0, false}, TwoChoiceConfig{Radius: 1, NoEscalate: true},
 			false, []ladderBranch{{"empty ball", empty}}},
-		{"live rejection exhausted", world{16, grid.Torus, 4, 8, 2, 0, 0.97}, TwoChoiceConfig{Radius: RadiusUnbounded},
+		{"live rejection exhausted", world{16, grid.Torus, 4, 8, 2, 0, 0.97, false}, TwoChoiceConfig{Radius: RadiusUnbounded},
 			false, []ladderBranch{{"one live replica in fifty", func(v ladderView) bool {
 				return len(v.liveReps) > 0 && 50*len(v.liveReps) <= len(v.reps)
 			}}}},
-		{"pool with no live member", world{16, grid.Torus, 4, 8, 2, 0, 0.97}, TwoChoiceConfig{Radius: 3},
+		{"pool with no live member", world{16, grid.Torus, 4, 8, 2, 0, 0.97, false}, TwoChoiceConfig{Radius: 3},
 			false, []ladderBranch{{"every replica dead", func(v ladderView) bool {
 				return len(v.reps) > 0 && len(v.liveReps) == 0
 			}}}},
-		{"oracle", world{12, grid.Torus, 3, 30, 2, 0.8, 0}, TwoChoiceConfig{Radius: 2},
+		{"oracle", world{12, grid.Torus, 3, 30, 2, 0.8, 0, false}, TwoChoiceConfig{Radius: 2},
 			true, []ladderBranch{{"several candidates", func(v ladderView) bool { return len(v.inBall) > 1 }}}},
-		{"oracle, masked", world{12, grid.Torus, 3, 30, 2, 0.8, 0.5}, TwoChoiceConfig{Radius: 2},
+		{"oracle, masked", world{12, grid.Torus, 3, 30, 2, 0.8, 0.5, false}, TwoChoiceConfig{Radius: 2},
 			true, []ladderBranch{
 				{"several candidates", func(v ladderView) bool { return len(v.inBall) > 1 }},
 				{"escalated", func(v ladderView) bool { return empty(v) && len(v.liveReps) > 1 }},
 			}},
-		{"one-choice", world{12, grid.Torus, 3, 30, 2, 0.8, 0}, TwoChoiceConfig{Radius: 3, Choices: 1},
+		{"one-choice", world{12, grid.Torus, 3, 30, 2, 0.8, 0, false}, TwoChoiceConfig{Radius: 3, Choices: 1},
 			false, []ladderBranch{{"several candidates", func(v ladderView) bool { return len(v.inBall) > 1 }}}},
+		{"dead tile skipped", world{16, grid.Torus, 4, 30, 3, 0, 0.2, true}, TwoChoiceConfig{Radius: 3},
+			false, []ladderBranch{{"a replica in the ball sits in a dead tile", func(v ladderView) bool {
+				for _, u := range v.reps {
+					if v.s.live.TileLive(v.s.tix.Tiling().TileOf(u)) == 0 && v.s.g.Dist(int(v.req.Origin), int(u)) <= v.s.cfg.Radius {
+						return true
+					}
+				}
+				return false
+			}}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			w := tc.w
@@ -145,16 +169,22 @@ func TestLadderBranchesAgainstBruteForce(t *testing.T) {
 			if w.tile > 0 {
 				pl.EnableTiles(g.NewTiling(w.tile))
 			}
-			rng := rand.New(rand.NewPCG(uint64(w.side), 0x1add))
+			pcg := rand.NewPCG(uint64(w.side), 0x1add)
+			rng := rand.New(pcg)
 			p := pl.Place(pop, cache.WithReplacement, rng)
-			var st LivenessAware
+			var st, planner interface {
+				Planner
+				LivenessAware
+			}
 			var s *TwoChoice
 			if tc.oracle {
 				o := NewLeastLoadedOracle(g, p, tc.cfg)
 				st, s = o, o.inner
+				planner = NewLeastLoadedOracle(g, p, tc.cfg)
 			} else {
 				s = NewTwoChoice(g, p, tc.cfg)
 				st = s
+				planner = NewTwoChoice(g, p, tc.cfg)
 			}
 			if (w.tile > 0 && tc.cfg.Radius != RadiusUnbounded) != (s.tix != nil) {
 				t.Fatalf("tile index bound: %v", s.tix != nil)
@@ -170,12 +200,26 @@ func TestLadderBranchesAgainstBruteForce(t *testing.T) {
 						lv.Kill(u)
 					}
 				}
+				if w.deadTile {
+					for u := int32(0); u < int32(g.N()); u++ {
+						if p.TileIndex().Tiling().TileOf(u) == 0 {
+							lv.Kill(u)
+						}
+					}
+				}
 				st.SetLiveness(lv)
+				planner.SetLiveness(lv)
 			}
+			const requests = 3000
+			runs := requests // a walk gathers at most one run per tile
+			if tix := p.TileIndex(); tix != nil {
+				runs *= tix.Tiling().Tiles()
+			}
+			plans := NewPlans(requests, runs)
 			radius := s.Radius()
 			loads := ballsbins.NewLoads(g.N())
 			forced := make([]int, len(tc.branches))
-			for q := 0; q < 3000; q++ {
+			for q := 0; q < requests; q++ {
 				req := Request{Origin: int32(rng.IntN(g.N())), File: int32(rng.IntN(w.k))}
 				v := ladderView{s: s, req: req, reps: slices.Clone(p.Replicas(int(req.File)))}
 				for _, u := range v.reps {
@@ -191,7 +235,15 @@ func TestLadderBranchesAgainstBruteForce(t *testing.T) {
 						forced[i]++
 					}
 				}
+				if !planner.Plan(req, plans) {
+					t.Fatalf("req %d: the plan arena is full", q)
+				}
+				twin := *pcg
+				planned := st.AssignPlanned(req, plans, q, loads, rand.New(&twin))
 				a := st.Assign(req, loads, rng)
+				if next := *pcg; planned != a || next.Uint64() != twin.Uint64() {
+					t.Fatalf("req %+v: planned %+v, Assign %+v (same next word: %v)", req, planned, a, next.Uint64() == twin.Uint64())
+				}
 				checkLadderDecision(t, g, p, lv, tc.cfg, tc.oracle, v, a, loads)
 				loads.Add(int(a.Server))
 			}

@@ -65,7 +65,7 @@ func TestLivenessMaskedCandidatesMatchBruteForce(t *testing.T) {
 			file := int32(rng.IntN(k))
 			want := bruteLiveCandidates(g, p, lv, int(origin), int(file), radius)
 			req := Request{Origin: origin, File: file}
-			got := slices.Clone(s.exactPool(req, p.Replicas(int(req.File)), false))
+			got := slices.Clone(exactPoolOf(s, req))
 			slices.Sort(got)
 			if !slices.Equal(got, want) {
 				t.Fatalf("it=%d step=%d (indexed): got %v want %v", it, step, got, want)

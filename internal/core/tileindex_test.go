@@ -63,7 +63,7 @@ func TestIndexExactCandidatesMatchExactCandidates(t *testing.T) {
 			reps := p.Replicas(int(file))
 			req := Request{Origin: origin, File: file}
 			want := slices.Clone(oracle.exactCandidates(req, reps, nil))
-			got := slices.Clone(s.exactPool(req, p.Replicas(int(req.File)), false))
+			got := slices.Clone(exactPoolOf(s, req))
 			slices.Sort(want)
 			slices.Sort(got)
 			if !slices.Equal(got, want) {

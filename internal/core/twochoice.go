@@ -193,16 +193,30 @@ func (s *TwoChoice) radiusLabel() string {
 // unrestricted).
 func (s *TwoChoice) Radius() int { return s.cfg.Radius }
 
-// Assign implements Strategy. Every request of Strategy II, one-choice
-// and the oracle takes one ladder. The (1+β) coin sets d. On a tile
-// index a fast draw is tried first: rejection straight off a dense
-// file's bitmap, or off its covered tiles' runs when they hold more than
-// 3d replicas (fewer are cheaper to materialize). A spent budget, or
-// any other request, falls through to the exact pool S_j ∩ B_r(u); an
-// empty pool escalates to S_j (backhaul under NoEscalate), and d draws
-// from the pool are folded into the least loaded. A pool with no live
-// member backhauls.
+// Assign implements Strategy: the ladder, walking the request's tile
+// runs itself.
 func (s *TwoChoice) Assign(req Request, loads LoadReader, r *rand.Rand) Assignment {
+	return s.ladder(req, walkHere, loads, r)
+}
+
+// walkHere tells ladder that no walk was planned: it walks the tile runs
+// itself.
+const walkHere = -2
+
+// ladder is the one candidate ladder of Strategy II, one-choice and the
+// oracle. The (1+β) coin sets d. On a tile index a fast draw is tried
+// first: rejection straight off a dense file's bitmap, or off its
+// covered tiles' runs when they hold more than 3d replicas (fewer are
+// cheaper to materialize). A spent budget, or any other request, falls
+// through to the exact pool S_j ∩ B_r(u); an empty pool escalates to S_j
+// (backhaul under NoEscalate), and d draws from the pool are folded into
+// the least loaded. A pool with no live member backhauls.
+//
+// The walk of the runs (collectRuns) reads neither loads nor the RNG, so
+// it can run ahead of the rest (Plan): total is the replica total of a
+// planned walk already in s.runs, or walkHere. Either way every draw is
+// the same.
+func (s *TwoChoice) ladder(req Request, total int, loads LoadReader, r *rand.Rand) Assignment {
 	s.retried = false
 	reps := s.p.Replicas(int(req.File))
 	if len(reps) == 0 {
@@ -221,7 +235,9 @@ func (s *TwoChoice) Assign(req Request, loads LoadReader, r *rand.Rand) Assignme
 				}
 			}
 		} else {
-			total := s.collectRuns(req.Origin, req.File, int32(len(reps)))
+			if total == walkHere {
+				total = s.collectRuns(req.Origin, req.File, int32(len(reps)))
+			}
 			walked = true
 			if !s.cfg.WithoutReplacement && total > 3*d {
 				if srv, ok := s.sampleFromRuns(req, reps, total, d, loads, r); ok {
@@ -240,26 +256,102 @@ func (s *TwoChoice) Assign(req Request, loads LoadReader, r *rand.Rand) Assignme
 	return s.served(req, s.drawPool(pool, d, loads, r), escalated)
 }
 
+// Planner is a Strategy whose Assign splits into a plan — the candidate
+// walk, a function of the bound placement, its tile index and the
+// liveness mask alone — and the rest of its ladder, which draws and
+// compares loads. A plan made before its request is assigned is the walk
+// Assign would make, as long as nothing mutates the placement or the
+// mask in between.
+type Planner interface {
+	Strategy
+	// Plan appends req's walk to pl, or reports false, planning
+	// nothing, when pl has no room left for it.
+	Plan(req Request, pl *Plans) bool
+	// AssignPlanned is Assign for req, the i-th request planned into
+	// pl (possibly by another instance bound to the same state): the
+	// same decision and the same draws.
+	AssignPlanned(req Request, pl *Plans, i int, loads LoadReader, r *rand.Rand) Assignment
+}
+
+// Plans holds the candidate walks of a run of requests planned ahead of
+// their assignment, in request order, in arenas sized once by NewPlans.
+type Plans struct {
+	runs []tileRun    // the walks' runs, back to back
+	reqs []plannedReq // one entry per planned request
+}
+
+// plannedReq locates one request's walk in Plans.runs: it ends at end
+// and holds total replicas; total −1 marks a request whose search walks
+// no runs.
+type plannedReq struct {
+	end, total int32
+}
+
+// NewPlans returns an empty Plans with room for requests walks holding
+// runs tile runs in all.
+func NewPlans(requests, runs int) *Plans {
+	return &Plans{runs: make([]tileRun, 0, runs), reqs: make([]plannedReq, 0, requests)}
+}
+
+// Reset empties pl, keeping its arenas.
+func (pl *Plans) Reset() {
+	pl.runs, pl.reqs = pl.runs[:0], pl.reqs[:0]
+}
+
+// Len returns the number of requests planned.
+func (pl *Plans) Len() int { return len(pl.reqs) }
+
+// Plan implements Planner.
+func (s *TwoChoice) Plan(req Request, pl *Plans) bool {
+	if len(pl.reqs) == cap(pl.reqs) {
+		return false
+	}
+	total := -1
+	if s.walks(req.File) {
+		total = s.collectRuns(req.Origin, req.File, int32(len(s.p.Replicas(int(req.File)))))
+		if len(pl.runs)+len(s.runs) > cap(pl.runs) {
+			return false
+		}
+		pl.runs = append(pl.runs, s.runs...)
+	}
+	pl.reqs = append(pl.reqs, plannedReq{end: int32(len(pl.runs)), total: int32(total)})
+	return true
+}
+
+// AssignPlanned implements Planner: it copies the planned runs into
+// s.runs, where the ladder's own walk would leave them, and runs the
+// ladder without walking.
+func (s *TwoChoice) AssignPlanned(req Request, pl *Plans, i int, loads LoadReader, r *rand.Rand) Assignment {
+	var start int32
+	if i > 0 {
+		start = pl.reqs[i-1].end
+	}
+	e := pl.reqs[i]
+	s.runs = append(s.runs[:0], pl.runs[start:e.end]...)
+	return s.ladder(req, int(e.total), loads, r)
+}
+
+// walks reports whether the ladder walks tile runs for a request for
+// file: a bounded radius over a tile index, and a file that is not
+// dense.
+func (s *TwoChoice) walks(file int32) bool {
+	return s.tix != nil && s.tix.FileBits(int(file)) == nil
+}
+
 // exactPool materializes S_j ∩ B_r(u) for req — only its live members
 // under a liveness mask — by the file's representation: S_j itself at
-// r = ∞, the ball's bitmap hits for a dense file, the runs of its
-// covered tiles, or the untiled scan. walked reports that s.runs already
-// holds req's runs (Assign walks them for the run sampler first).
+// r = ∞, the runs of its covered tiles when walked (s.runs holds req's
+// walk), the ball's bitmap hits for a dense file, or the untiled scan.
 func (s *TwoChoice) exactPool(req Request, reps []int32, walked bool) []int32 {
 	switch {
 	case s.cfg.Radius == RadiusUnbounded:
 		return reps
+	case walked:
+		s.candBuf = s.indexExactCandidates(req.Origin, reps, s.candBuf[:0])
 	case s.tix == nil:
 		s.candBuf = s.exactCandidates(req, reps, s.candBuf[:0])
 	default:
-		if bits := s.tix.FileBits(int(req.File)); bits != nil {
-			s.candBuf = s.bitExactCandidates(int(req.Origin), bits, s.candBuf[:0])
-			break
-		}
-		if !walked {
-			s.collectRuns(req.Origin, req.File, int32(len(reps)))
-		}
-		s.candBuf = s.indexExactCandidates(req.Origin, reps, s.candBuf[:0])
+		s.candBuf = s.bitExactCandidates(int(req.Origin), s.tix.FileBits(int(req.File)), s.candBuf[:0])
 	}
 	return s.candBuf
 }
@@ -790,7 +882,7 @@ draw:
 	return f.best
 }
 
-var _ Strategy = (*TwoChoice)(nil)
+var _ Planner = (*TwoChoice)(nil)
 var _ LivenessAware = (*TwoChoice)(nil)
 
 // LeastLoadedOracle assigns each request to the least-loaded replica
@@ -829,7 +921,15 @@ func (o *LeastLoadedOracle) Assign(req Request, loads LoadReader, r *rand.Rand) 
 	return o.inner.Assign(req, loads, r)
 }
 
-var _ Strategy = (*LeastLoadedOracle)(nil)
+// Plan implements Planner.
+func (o *LeastLoadedOracle) Plan(req Request, pl *Plans) bool { return o.inner.Plan(req, pl) }
+
+// AssignPlanned implements Planner.
+func (o *LeastLoadedOracle) AssignPlanned(req Request, pl *Plans, i int, loads LoadReader, r *rand.Rand) Assignment {
+	return o.inner.AssignPlanned(req, pl, i, loads, r)
+}
+
+var _ Planner = (*LeastLoadedOracle)(nil)
 var _ LivenessAware = (*LeastLoadedOracle)(nil)
 
 // NewOneChoice returns the random-replica-in-radius baseline (d = 1),

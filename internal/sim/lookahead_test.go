@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 // lookaheadConfigs are the worlds the look-ahead tests drive, each at
@@ -89,7 +91,16 @@ func withTwoProcs(t *testing.T) {
 
 // TestRunnerLookaheadMatchesFresh: whatever order a caller runs trials
 // in, a Runner that arms ahead returns, call by call, the Result of a
-// fresh Runner running that one trial.
+// fresh Runner running that one trial. Every other call that swaps in a
+// state armed ahead first replaces its plan with one for a prefix of
+// its requests — half of what the helper planned, or half a chunk when
+// the helper was stopped before its first walk — as a stop there would
+// have left it, so on every world some call finishes a planned prefix
+// and walks the rest. On the static and dynamic worlds some call must
+// also finish requests from walks its helper planned. Under the race
+// detector, whose instrumentation slows the helper's placement build
+// more than the caller's trial, the helper may reach no walk before the
+// join, so there that count is only logged.
 func TestRunnerLookaheadMatchesFresh(t *testing.T) {
 	withTwoProcs(t)
 	armedAhead := 0
@@ -105,9 +116,20 @@ func TestRunnerLookaheadMatchesFresh(t *testing.T) {
 		if name == "miss-resample" && fresh[0].Uncached == 0 {
 			t.Fatalf("%s: no uncached files; the conditioned sampler is not exercised", name)
 		}
+		swapped, helper, cut := 0, 0, 0
 		for order, trials := range lookaheadOrders {
 			r := w.NewRunner()
 			for i, trial := range trials {
+				if r.spareArmed && r.spareT == trial {
+					n := r.spare.plans.Len()
+					if n > 0 {
+						helper++
+					}
+					if swapped++; swapped%2 == 0 {
+						replanPrefix(r.spare, max(n, min(w.chunk, w.nReq))/2)
+						cut++
+					}
+				}
 				if got := r.RunTrial(trial); got != fresh[trial] {
 					t.Errorf("%s/%s call %d (trial %d):\n got %+v\nwant %+v", name, order, i, trial, got, fresh[trial])
 				}
@@ -119,6 +141,14 @@ func TestRunnerLookaheadMatchesFresh(t *testing.T) {
 				t.Errorf("%s: a Runner called in order never made its spare state", name)
 			}
 		}
+		if cut == 0 {
+			t.Errorf("%s: no call finished a plan cut short", name)
+		}
+		if !raceEnabled && (name == "static" || name == "dynamic") && helper == 0 {
+			t.Errorf("%s: no call finished a request its helper planned", name)
+		}
+		t.Logf("%s: %d calls swapped in a state armed ahead, %d with walks the helper planned, %d with a plan cut short",
+			name, swapped, helper, cut)
 	}
 	if armedAhead == 0 {
 		t.Error("no call armed its successor ahead; the swap path never ran")
@@ -126,9 +156,20 @@ func TestRunnerLookaheadMatchesFresh(t *testing.T) {
 	t.Logf("%d calls armed their successor ahead", armedAhead)
 }
 
-// TestRunnerLookaheadGates: pooled Runners, worlds below
-// lookaheadMinSlots and a single-P process arm every trial
-// synchronously, with no spare state and no helper.
+// replanPrefix leaves st planned for its first n requests, as a helper
+// stopped after n walks would have.
+func replanPrefix(st *trialState, n int) {
+	st.plans.Reset()
+	for i := 0; i < n; i++ {
+		if !st.planner.Plan(core.Request{Origin: st.reqOrigins[i], File: st.reqFiles[i]}, st.plans) {
+			panic("a plan arena that held more walks is full")
+		}
+	}
+}
+
+// TestRunnerLookaheadGates: pooled Runners, sharded worlds, worlds
+// below lookaheadMinSlots and a single-P process arm every trial
+// synchronously, with no spare state, no helper and no plans.
 func TestRunnerLookaheadGates(t *testing.T) {
 	withTwoProcs(t)
 	big, err := Compile(lookaheadConfigs()["hetero-two-tier"])
@@ -141,15 +182,22 @@ func TestRunnerLookaheadGates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sharded := lookaheadConfigs()["static"]
+	sharded.Workers = 2
+	shw, err := Compile(sharded)
+	if err != nil {
+		t.Fatal(err)
+	}
 	run := func(name string, r *Runner) {
 		for trial := uint64(0); trial < 4; trial++ {
 			r.RunTrial(trial)
 		}
-		if r.spare != nil || r.ahead != nil {
+		if r.spare != nil || r.ahead != nil || r.plans != nil {
 			t.Errorf("%s: a Runner called in order armed ahead", name)
 		}
 	}
 	run("pooled", big.pooledRunner())
+	run("sharded", shw.NewRunner())
 	run("below lookaheadMinSlots", tiny.NewRunner())
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	run("GOMAXPROCS 1", big.NewRunner())

@@ -143,9 +143,9 @@ func TestStreamingMetricsMatchSequentialOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := w.NewRunner()
-	r.arm(trial)
+	r.arm(trial) // places and conditions the file sampler
 	strat := r.bind(nil)
-	sampler := r.fileSampler()
+	sampler := r.pop
 	originRNG, fileRNG := w.RequestStream(trial)
 	assignRNG := r.assign.stream(w.assignSrc, trial)
 	r.loads.Reset()

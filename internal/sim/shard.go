@@ -110,9 +110,8 @@ func (r *Runner) runTrialSharded(t uint64) Result {
 		r.loadView = r.wrapView(r.loads)
 	}
 	r.shardT = t
-	r.fileSampler()
 
-	chunk := len(r.origins)
+	chunk := len(r.servers)
 	nChunks := (w.nReq + chunk - 1) / chunk
 	p := len(r.shards)
 	for s := 1; s < p; s++ {

@@ -49,7 +49,6 @@ type Snapshot struct {
 func (w *World) Snapshot(t uint64) *Snapshot {
 	s := &Snapshot{trialState: w.newTrialState(), era: t}
 	s.arm(t)
-	s.fileSampler()
 	return s
 }
 

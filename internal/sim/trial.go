@@ -14,14 +14,15 @@ import (
 // placement from the same streams and apply the same barrier sequence,
 // which is what lets a served era replay its batch trial exactly.
 //
-// Arenas are allocated once by newTrialState; arm only refills them, so
-// a Runner's steady-state trials allocate nothing here.
+// Arenas are allocated once — by newTrialState, the id arena by
+// NewRunner and the look-ahead arenas by readyAhead — and arm only
+// refills them, so a Runner's steady-state trials allocate nothing here.
 type trialState struct {
 	w      *World
 	placer *cache.Placer
 	p      *cache.Placement // the armed trial's placement
 	live   *cache.Liveness  // nil unless the world runs a fault process
-	pop    dist.Popularity  // request file sampler, set by fileSampler
+	pop    dist.Popularity  // request file sampler, conditioned by arm
 
 	heteroSt heteroState
 	churnSt  churnState
@@ -38,6 +39,20 @@ type trialState struct {
 	// dist.NewCustom.
 	weights []float64
 	cond    *dist.CustomBuilder
+
+	// Request ids, on a Runner's states only (see draw and ids): the
+	// arena the sequential trial loop reads its chunks from, how many of
+	// the armed trial's ids were drawn into it ahead, and the trial's
+	// origin and file streams, positioned after the last id drawn.
+	reqOrigins, reqFiles []int32
+	drawn                int
+	origin, file         reseedRand
+
+	// Look-ahead plans (lookahead.go), nil until the state is first
+	// armed ahead: the candidate walks of the armed trial's first
+	// requests, and the strategy instance that walked them.
+	plans   *core.Plans
+	planner core.Planner
 }
 
 // newTrialState allocates the trial-state arenas of w: a Placer with
@@ -79,8 +94,9 @@ func (w *World) newTrialState() trialState {
 }
 
 // arm prepares trial t: the capacity profile and vacancy pattern (ahead
-// of Place, which reads them), the placement, and the churn and fault
-// schedules rewound to their trial-start state on their own streams.
+// of Place, which reads them), the placement, the request file sampler
+// conditioned on it, and the churn and fault schedules rewound to their
+// trial-start state on their own streams.
 func (st *trialState) arm(t uint64) {
 	w := st.w
 	if w.cfg.Hetero != HeteroNone {
@@ -88,6 +104,7 @@ func (st *trialState) arm(t uint64) {
 		st.placer.SetHetero(st.heteroSt.caps, st.heteroSt.vacant)
 	}
 	st.p = st.placer.Place(w.placeProfile, w.cfg.PlacementMode, st.place.stream(w.placeSrc, t))
+	st.condition()
 	if w.cfg.Churn != ChurnNone {
 		st.churn.stream(w.churnSrc, t)
 		st.churnSt.reset()
@@ -99,16 +116,16 @@ func (st *trialState) arm(t uint64) {
 	}
 }
 
-// fileSampler sets and returns the request file distribution for the
-// armed placement under the miss policy: under MissResample the stream
-// is conditioned on the files cached somewhere in the network. Churn
-// preserves the cached set and MissResample admits no arrivals, so one
-// build serves the whole trial or era.
-func (st *trialState) fileSampler() dist.Popularity {
+// condition sets the request file distribution for the armed placement
+// under the miss policy: under MissResample the stream is conditioned on
+// the files cached somewhere in the network. Churn preserves the cached
+// set and MissResample admits no arrivals, so one build serves the whole
+// trial or era.
+func (st *trialState) condition() {
 	w := st.w
 	st.pop = w.pop
 	if w.cfg.MissPolicy != MissResample || st.p.UncachedCount() == 0 {
-		return st.pop
+		return
 	}
 	if st.weights == nil {
 		st.weights = make([]float64, w.cfg.K)
@@ -120,7 +137,36 @@ func (st *trialState) fileSampler() dist.Popularity {
 		st.weights[j] = w.pop.P(int(j))
 	}
 	st.pop = st.cond.Build(st.weights, w.condName)
-	return st.pop
+}
+
+// draw seeds trial t's origin and file streams and draws the trial's
+// first n request ids into the id arena: none on the synchronous path,
+// the whole trial or a whole number of chunks when the state is armed
+// ahead (see ids). It drops the plans of an earlier trial.
+func (st *trialState) draw(t uint64, n int) {
+	w := st.w
+	st.origin.stream(w.originSrc, t)
+	st.file.stream(w.fileSrc, t)
+	if st.drawn = n; n > 0 {
+		dist.RequestBatch(st.origin.r, st.file.r, w.g.N(), st.pop, st.reqOrigins[:n], st.reqFiles[:n])
+	}
+	if st.plans != nil {
+		st.plans.Reset()
+	}
+}
+
+// ids returns the request ids of the chunk [base, base+c): a view of the
+// ids drawn ahead, or, past them, the chunk drawn now into the arena's
+// head, whose ids the trial has consumed. RequestBatch draws every origin
+// and then every file of a batch, each from its own stream, so any batch
+// partition of a trial draws the same ids.
+func (st *trialState) ids(base, c int) (origins, files []int32) {
+	if base+c <= st.drawn {
+		return st.reqOrigins[base : base+c], st.reqFiles[base : base+c]
+	}
+	origins, files = st.reqOrigins[:c], st.reqFiles[:c]
+	dist.RequestBatch(st.origin.r, st.file.r, st.w.g.N(), st.pop, origins, files)
+	return origins, files
 }
 
 // advance applies the mutations accrued by c requests — arrivals, then

@@ -202,12 +202,16 @@ func RegionNodes(side int) int {
 // over fixed-size chunks, and joins its look-ahead:
 //
 //	arm      — swap in trial t's state if the previous call armed it
-//	           ahead, arm it otherwise; then, when the caller runs trials
-//	           in order, post trial t+1's arm to the helper goroutine,
-//	           which fills the spare state (see lookahead.go);
-//	generate — draw (origin, file) ids into the chunk buffers;
-//	assign   — run the strategy per request, updating the load vector and
-//	           recording (server, hops, flags);
+//	           ahead (placement, conditioned file sampler, request ids
+//	           and the candidate walks of its first requests), arm it
+//	           otherwise; then, when the caller runs trials in order,
+//	           post trial t+1's job to the helper goroutine, which fills
+//	           the spare state (see lookahead.go);
+//	generate — take the chunk's (origin, file) ids: drawn ahead, or
+//	           drawn now as one batch into the state's id arena;
+//	assign   — run the strategy per request (a request planned ahead
+//	           finishes from its stored walk), updating the load vector
+//	           and recording (server, hops, flags);
 //	account  — fold the chunk's records into the trial accumulators
 //	           (hop sum, miss counters, streaming moments) in request
 //	           order, then (MetricsLinks) route each delivery into the
@@ -216,15 +220,16 @@ func RegionNodes(side int) int {
 //	           arrivals, faults and churn (trialState.advance) before the
 //	           next chunk is generated, so strategies never observe a
 //	           half-spliced placement or index;
-//	join     — before RunTrial returns, wait for the helper to finish
-//	           arming trial t+1.
+//	join     — before RunTrial returns, stop the helper's planning and
+//	           wait for it to finish trial t+1's job.
 //
 // Origins, files and the strategy's own draws (candidate sampling, tie
-// breaks) come from three dedicated per-trial streams, so generate runs
-// as one batched dist.RequestBatch call per chunk and the result does not
-// depend on the chunk partition. The sharded engine (shard.go) splits
-// generate and assign across its workers and runs account and the
-// barrier on the coordinator, through the same functions.
+// breaks) come from three dedicated per-trial streams, so the ids can be
+// drawn in batches of any partition — a whole trial ahead, or one
+// dist.RequestBatch call per chunk — and the result does not depend on
+// it. The sharded engine (shard.go) splits generate and assign across
+// its workers and runs account and the barrier on the coordinator,
+// through the same functions.
 type Runner struct {
 	*trialState // the current trial's state (see trial.go)
 
@@ -239,11 +244,10 @@ type Runner struct {
 	ran        bool
 	pooled     bool
 
-	loads *ballsbins.Loads
-	strat core.Strategy
-	links *routing.LinkLoads
-
-	origin, file, assign reseedRand
+	loads  *ballsbins.Loads
+	strat  core.Strategy
+	links  *routing.LinkLoads
+	assign reseedRand
 
 	// Capacity-skew view (Config.Hetero with a non-uniform profile): the
 	// weighted load view bound into the strategies' comparisons, and the
@@ -253,7 +257,8 @@ type Runner struct {
 	weighted *ballsbins.WeightedLoads
 	loadView core.LoadReader
 
-	// Chunk buffers of the request pipeline (len = min(chunk, requests)).
+	// The current chunk's request ids (views of the state's id arena)
+	// and its request records (len = min(chunk, requests)).
 	origins []int32
 	files   []int32
 	servers []int32
@@ -341,6 +346,7 @@ func (w *World) NewRunner() *Runner {
 		hops:       make([]int32, b),
 		flags:      make([]uint8, b),
 	}
+	st.reqOrigins, st.reqFiles = r.origins, r.files // the state's id arena
 	if r.heteroSt.mults != nil {
 		r.weighted = &ballsbins.WeightedLoads{}
 	}
@@ -358,11 +364,13 @@ type acct struct {
 }
 
 // beginTrial is the prologue both trial loops share: it swaps in trial
-// t's state if it was armed ahead, arms it otherwise (see
-// trialState.arm), and resets the load vector and the metric arenas.
+// t's state if it was armed ahead, arms it and seeds its request streams
+// otherwise (see trialState.arm and draw), and resets the load vector
+// and the metric arenas.
 func (r *Runner) beginTrial(t uint64) Result {
 	if !r.takeArmed(t) {
 		r.arm(t)
+		r.draw(t, 0)
 	}
 	r.loads.Reset()
 	r.armMetrics()
@@ -456,35 +464,40 @@ func (r *Runner) RunTrial(t uint64) Result {
 	}
 	w := r.w
 	res := r.beginTrial(t)
-	// Bind before conditioning the file sampler: on the first trial this
-	// is the allocation order the benchmarks were measured with.
 	r.strat = r.bind(r.strat)
 	strat := r.strat
-	fileSampler := r.fileSampler()
 	r.loadView = r.wrapView(r.loads)
 	if r.armAhead(t) {
 		defer r.joinAhead()
 	}
 
 	var a acct
-	chunk := len(r.origins)
-	originRNG := r.origin.stream(w.originSrc, t)
-	fileRNG := r.file.stream(w.fileSrc, t)
+	chunk := len(r.servers)
 	assignRNG := r.assign.stream(w.assignSrc, t)
 	for base := 0; base < w.nReq; base += chunk {
 		c := min(chunk, w.nReq-base)
-		dist.RequestBatch(originRNG, fileRNG, w.g.N(), fileSampler, r.origins[:c], r.files[:c])
-		r.assignChunk(strat, assignRNG, c)
+		r.origins, r.files = r.ids(base, c)
+		r.assignChunk(strat, assignRNG, base, c)
 		r.account(c, &a)
 		r.endChunk(base, c, &res)
 	}
 	return r.finishTrial(res, a)
 }
 
-// assignChunk is the assign phase: it consumes the pre-generated chunk
-// ids, running the strategy against the dedicated assignment stream.
-func (r *Runner) assignChunk(strat core.Strategy, rng *rand.Rand, c int) {
-	for i := 0; i < c; i++ {
+// assignChunk is the assign phase of the chunk starting at request base:
+// it consumes the chunk's ids, running the strategy against the
+// dedicated assignment stream. A request planned ahead (lookahead.go)
+// finishes from its stored walk, with the same decision and draws.
+func (r *Runner) assignChunk(strat core.Strategy, rng *rand.Rand, base, c int) {
+	i := 0
+	if r.plans != nil && base < r.plans.Len() {
+		planner := strat.(core.Planner)
+		for n := min(c, r.plans.Len()-base); i < n; i++ {
+			req := core.Request{Origin: r.origins[i], File: r.files[i]}
+			r.record(i, planner.AssignPlanned(req, r.plans, base+i, r.loadView, rng))
+		}
+	}
+	for ; i < c; i++ {
 		req := core.Request{Origin: r.origins[i], File: r.files[i]}
 		r.record(i, strat.Assign(req, r.loadView, rng))
 	}

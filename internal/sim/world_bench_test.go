@@ -30,8 +30,10 @@ func BenchmarkRunTrial(b *testing.B) {
 
 // BenchmarkWorldRunTrial measures the same trial on an explicit compiled
 // World with a dedicated reused Runner called in order, which arms each
-// next trial ahead on a second core; TestRunnerLookaheadSteadyStateAllocs
-// holds that loop to zero steady-state allocations.
+// next trial ahead on a second core (placement, conditioned sampler,
+// request ids and the planned walks of its first requests);
+// TestRunnerLookaheadSteadyStateAllocs holds that loop to zero
+// steady-state allocations.
 func BenchmarkWorldRunTrial(b *testing.B) {
 	w, err := Compile(paperScaleCfg())
 	if err != nil {

@@ -74,31 +74,3 @@ func TestAccumulatorResetAndZeroAllocs(t *testing.T) {
 		t.Fatalf("reset accumulator not empty: n=%d max=%d", a.N(), a.Max())
 	}
 }
-
-func TestAccumulatorMerge(t *testing.T) {
-	a, b, both := NewAccumulator(16), NewAccumulator(16), NewAccumulator(16)
-	for v := 0; v < 10; v++ {
-		a.Observe(v)
-		both.Observe(v)
-	}
-	for v := 5; v < 15; v++ {
-		b.Observe(v)
-		both.Observe(v)
-	}
-	a.Merge(b)
-	// Pairwise moment combination is exact in math but not in float bits.
-	if a.N() != both.N() || math.Abs(a.Mean()-both.Mean()) > 1e-12 || a.Max() != both.Max() {
-		t.Fatalf("merge mismatch: %v vs %v", a, both)
-	}
-	for _, q := range []float64{0.1, 0.5, 0.9} {
-		if a.Quantile(q) != both.Quantile(q) {
-			t.Fatalf("Quantile(%v): %d vs %d", q, a.Quantile(q), both.Quantile(q))
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mismatched merge did not panic")
-		}
-	}()
-	a.Merge(NewAccumulator(8))
-}

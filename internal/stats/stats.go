@@ -377,18 +377,6 @@ func (a *Accumulator) Quantile(q float64) int {
 	return len(a.hist) - 1
 }
 
-// Merge folds another accumulator into a (parallel reduction). Histogram
-// bounds must match.
-func (a *Accumulator) Merge(o *Accumulator) {
-	if len(a.hist) != len(o.hist) {
-		panic("stats: merging accumulators of different bounds")
-	}
-	a.sum.Merge(o.sum)
-	for i, c := range o.hist {
-		a.hist[i] += c
-	}
-}
-
 // Tail returns the fraction of observations ≥ v.
 func (h *Histogram) Tail(v int) float64 {
 	if h.total == 0 {
