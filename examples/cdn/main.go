@@ -38,17 +38,21 @@ func main() {
 		{"2 choices unbounded", repro.NewTwoChoice(g, placement,
 			repro.TwoChoiceConfig{Radius: repro.RadiusUnbounded})},
 	}
-	for _, pol := range policies {
+	for idx, pol := range policies {
 		loads := repro.NewLoads(g.N())
-		r := src.Split(uint64(len(pol.name))).Stream(1)
+		// Every policy serves the same request sequence; its own picks
+		// draw from a stream of their own, so a policy that draws more
+		// words leaves the requests as they are.
+		reqs := src.Stream(1)
+		picks := src.Stream(2 + uint64(idx))
 		var hops float64
 		misses := 0
 		for i := 0; i < g.N(); i++ { // one request per cache on average
 			req := repro.Request{
-				Origin: int32(r.IntN(g.N())),
-				File:   int32(pop.Sample(r)),
+				Origin: int32(reqs.IntN(g.N())),
+				File:   int32(pop.Sample(reqs)),
 			}
-			a := pol.strat.Assign(req, loads, r)
+			a := pol.strat.Assign(req, loads, picks)
 			loads.Add(int(a.Server))
 			hops += float64(a.Hops)
 			if a.Backhaul {

@@ -69,18 +69,18 @@ func TestNearestReplicaModesAgreeOnDistance(t *testing.T) {
 	// for every (origin, file) — the tie *choice* may differ, the
 	// distance may not.
 	g, p := testWorld(8, 15, 2, 3)
-	ring := newNearestReplicaMode(g, p, searchRing)
-	scan := newNearestReplicaMode(g, p, searchScan)
+	s := NewNearestReplica(g, p)
 	r := xrand.NewSource(4).Stream(0)
-	loads := ballsbins.NewLoads(g.N())
 	for origin := 0; origin < g.N(); origin++ {
 		for j := 0; j < p.K(); j++ {
-			if len(p.Replicas(j)) == 0 {
+			reps := p.Replicas(j)
+			if len(reps) == 0 {
 				continue
 			}
 			req := Request{Origin: int32(origin), File: int32(j)}
-			if a, b := ring.Assign(req, loads, r), scan.Assign(req, loads, r); a.Hops != b.Hops {
-				t.Fatalf("origin %d file %d: ring %d hops, scan %d hops", origin, j, a.Hops, b.Hops)
+			a, b := g.Dist(origin, int(s.ringSearch(req, r))), g.Dist(origin, int(s.scanSearch(req, reps, r)))
+			if a != b {
+				t.Fatalf("origin %d file %d: ring %d hops, scan %d hops", origin, j, a, b)
 			}
 		}
 	}
@@ -90,8 +90,8 @@ func TestNearestReplicaTieUniformity(t *testing.T) {
 	// Pick a (origin, file) pair with several equidistant nearest
 	// replicas and verify both search modes spread choices uniformly.
 	g, p := testWorld(10, 8, 1, 7)
+	s := NewNearestReplica(g, p)
 	r := xrand.NewSource(8).Stream(0)
-	loads := ballsbins.NewLoads(g.N())
 	for origin := 0; origin < g.N(); origin++ {
 		for j := 0; j < p.K(); j++ {
 			reps := p.Replicas(j)
@@ -108,19 +108,24 @@ func TestNearestReplicaTieUniformity(t *testing.T) {
 			if len(ties) < 3 {
 				continue
 			}
-			for _, mode := range []searchMode{searchRing, searchScan} {
-				s := newNearestReplicaMode(g, p, mode)
+			req := Request{Origin: int32(origin), File: int32(j)}
+			for _, search := range []struct {
+				name string
+				pick func() int32
+			}{
+				{"ring", func() int32 { return s.ringSearch(req, r) }},
+				{"scan", func() int32 { return s.scanSearch(req, reps, r) }},
+			} {
 				counts := map[int32]int{}
 				const trials = 3000
 				for i := 0; i < trials; i++ {
-					a := s.Assign(Request{Origin: int32(origin), File: int32(j)}, loads, r)
-					counts[a.Server]++
+					counts[search.pick()]++
 				}
 				want := 1.0 / float64(len(ties))
 				for _, v := range ties {
 					got := float64(counts[v]) / trials
 					if math.Abs(got-want) > 0.05 {
-						t.Fatalf("search mode %d: tie server %d frequency %.3f, want %.3f", mode, v, got, want)
+						t.Fatalf("%s search: tie server %d frequency %.3f, want %.3f", search.name, v, got, want)
 					}
 				}
 			}
@@ -345,8 +350,8 @@ func TestLeastLoadedOracle(t *testing.T) {
 			t.Fatalf("oracle chose %d (load %d), want %d (load 0)", a.Server, loads.Load(int(a.Server)), reps[0])
 		}
 	}
-	if o.Name() == "" {
-		t.Fatal("empty oracle name")
+	if o.Name() != "least-loaded(r=inf)" {
+		t.Fatalf("oracle name: %s", o.Name())
 	}
 }
 

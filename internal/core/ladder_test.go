@@ -14,7 +14,7 @@ import (
 // ladderView is what the brute force knows about one request: the file's
 // replicas, the live ones, and the live ones within the radius.
 type ladderView struct {
-	s                      *TwoChoice // the strategy (the oracle's inner one)
+	s                      *TwoChoice
 	req                    Request
 	reps, liveReps, inBall []int32
 }
@@ -26,8 +26,9 @@ type ladderBranch struct {
 	forced func(v ladderView) bool
 }
 
-// runTotal is the replica count of the tile runs covering B_r(u) for the
-// request's file, or -1 when the file is not stored as tile runs.
+// runTotal is the replica count of the runs of S_j covering B_r(u) for
+// the request's file (all of S_j on an untiled placement), or -1 when
+// the ladder walks no runs for it.
 func runTotal(v ladderView) int {
 	if !v.s.walks(v.req.File) {
 		return -1
@@ -72,6 +73,13 @@ func TestLadderBranchesAgainstBruteForce(t *testing.T) {
 		deadTile bool    // also kill every node of tile 0
 	}
 	empty := func(v ladderView) bool { return len(v.reps) > 0 && len(v.inBall) == 0 }
+	// An untiled placement walks S_j as one partial run: the run sampler
+	// is tried above 3d replicas (d = 2; here with a live replica in the
+	// ball), and the exact pool serves at or below.
+	untiledRun := []ladderBranch{
+		{"run sampler", func(v ladderView) bool { return v.s.tix == nil && runTotal(v) > 3*2 && len(v.inBall) > 0 }},
+		{"run exact pool", func(v ladderView) bool { t := runTotal(v); return v.s.tix == nil && t > 0 && t <= 3*2 }},
+	}
 	for _, tc := range []struct {
 		name     string
 		w        world
@@ -99,14 +107,8 @@ func TestLadderBranchesAgainstBruteForce(t *testing.T) {
 			false, []ladderBranch{{"runs above 3d, no live replica in the ball", func(v ladderView) bool {
 				return runTotal(v) > 3*2 && empty(v)
 			}}}},
-		{"untiled scan", world{12, grid.Torus, 0, 30, 3, 1.0, 0, false}, TwoChoiceConfig{Radius: 2}, false, []ladderBranch{
-			{"replica list scanned", func(v ladderView) bool { return v.s.tix == nil && len(v.reps) <= v.s.ballN }},
-			{"ball enumerated", func(v ladderView) bool { return v.s.tix == nil && len(v.reps) > v.s.ballN }},
-		}},
-		{"untiled scan, masked", world{12, grid.Torus, 0, 30, 3, 1.0, 0.4, false}, TwoChoiceConfig{Radius: 2}, false, []ladderBranch{
-			{"replica list scanned", func(v ladderView) bool { return v.s.tix == nil && len(v.reps) <= v.s.ballN }},
-			{"ball enumerated", func(v ladderView) bool { return v.s.tix == nil && len(v.reps) > v.s.ballN }},
-		}},
+		{"untiled one run", world{12, grid.Torus, 0, 30, 3, 1.0, 0, false}, TwoChoiceConfig{Radius: 2}, false, untiledRun},
+		{"untiled one run, masked", world{12, grid.Torus, 0, 30, 3, 1.0, 0.4, false}, TwoChoiceConfig{Radius: 2}, false, untiledRun},
 		{"r = ∞", world{12, grid.Torus, 3, 30, 2, 0.8, 0, false}, TwoChoiceConfig{Radius: RadiusUnbounded},
 			false, []ladderBranch{{"several replicas", func(v ladderView) bool {
 				return v.s.cfg.Radius == RadiusUnbounded && len(v.reps) > 1
@@ -172,20 +174,11 @@ func TestLadderBranchesAgainstBruteForce(t *testing.T) {
 			pcg := rand.NewPCG(uint64(w.side), 0x1add)
 			rng := rand.New(pcg)
 			p := pl.Place(pop, cache.WithReplacement, rng)
-			var st, planner interface {
-				Planner
-				LivenessAware
-			}
-			var s *TwoChoice
+			build := NewTwoChoice
 			if tc.oracle {
-				o := NewLeastLoadedOracle(g, p, tc.cfg)
-				st, s = o, o.inner
-				planner = NewLeastLoadedOracle(g, p, tc.cfg)
-			} else {
-				s = NewTwoChoice(g, p, tc.cfg)
-				st = s
-				planner = NewTwoChoice(g, p, tc.cfg)
+				build = NewLeastLoadedOracle
 			}
+			s, planner := build(g, p, tc.cfg), build(g, p, tc.cfg)
 			if (w.tile > 0 && tc.cfg.Radius != RadiusUnbounded) != (s.tix != nil) {
 				t.Fatalf("tile index bound: %v", s.tix != nil)
 			}
@@ -207,7 +200,7 @@ func TestLadderBranchesAgainstBruteForce(t *testing.T) {
 						}
 					}
 				}
-				st.SetLiveness(lv)
+				s.SetLiveness(lv)
 				planner.SetLiveness(lv)
 			}
 			const requests = 3000
@@ -239,8 +232,8 @@ func TestLadderBranchesAgainstBruteForce(t *testing.T) {
 					t.Fatalf("req %d: the plan arena is full", q)
 				}
 				twin := *pcg
-				planned := st.AssignPlanned(req, plans, q, loads, rand.New(&twin))
-				a := st.Assign(req, loads, rng)
+				planned := s.AssignPlanned(req, plans, q, loads, rand.New(&twin))
+				a := s.Assign(req, loads, rng)
 				if next := *pcg; planned != a || next.Uint64() != twin.Uint64() {
 					t.Fatalf("req %+v: planned %+v, Assign %+v (same next word: %v)", req, planned, a, next.Uint64() == twin.Uint64())
 				}
@@ -248,6 +241,7 @@ func TestLadderBranchesAgainstBruteForce(t *testing.T) {
 				loads.Add(int(a.Server))
 			}
 			for i, b := range tc.branches {
+				t.Logf("branch %q forced %d times", b.name, forced[i])
 				if forced[i] < minForced {
 					t.Errorf("branch %q forced %d times, want ≥ %d (tune the world)", b.name, forced[i], minForced)
 				}

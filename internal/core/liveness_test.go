@@ -11,12 +11,13 @@ import (
 	"repro/internal/grid"
 )
 
-// bruteLiveCandidates is the liveness oracle: {v ∈ S_j : dist(u,v) ≤ r ∧
-// live(v)} by direct enumeration, no index, no sampler.
+// bruteLiveCandidates is the reference exact pool: {v ∈ S_j : dist(u,v)
+// ≤ r ∧ live(v)} by direct enumeration, no index, no sampler, sorted.
+// A nil mask counts every node live.
 func bruteLiveCandidates(g *grid.Grid, p *cache.Placement, lv *cache.Liveness, origin, file, radius int) []int32 {
 	var out []int32
 	for _, v := range p.Replicas(file) {
-		if g.Dist(origin, int(v)) <= radius && lv.Live(int(v)) {
+		if g.Dist(origin, int(v)) <= radius && (lv == nil || lv.Live(int(v))) {
 			out = append(out, v)
 		}
 	}
@@ -37,9 +38,9 @@ func liveStorm(lv *cache.Liveness, n int, rng *rand.Rand) {
 }
 
 // TestLivenessMaskedCandidatesMatchBruteForce: under a crash/recover
-// storm, the masked exact filters — both the PR 3 replica/ball filter
-// and the tile-walk enumeration, with the per-tile live-count skip
-// active — must equal the brute-force live filter as a set.
+// storm, the masked exact pools — the tile-walk enumeration, with the
+// per-tile live-count skip active, and the untiled twin's one-run walk
+// — must equal the brute-force live filter as a set.
 func TestLivenessMaskedCandidatesMatchBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewPCG(71, 83))
 	for it := 0; it < 40; it++ {
@@ -70,10 +71,10 @@ func TestLivenessMaskedCandidatesMatchBruteForce(t *testing.T) {
 			if !slices.Equal(got, want) {
 				t.Fatalf("it=%d step=%d (indexed): got %v want %v", it, step, got, want)
 			}
-			got = slices.Clone(plain.exactCandidates(req, p.Replicas(int(file)), nil))
+			got = slices.Clone(exactPoolOf(plain, req))
 			slices.Sort(got)
 			if !slices.Equal(got, want) {
-				t.Fatalf("it=%d step=%d (exact): got %v want %v", it, step, got, want)
+				t.Fatalf("it=%d step=%d (untiled): got %v want %v", it, step, got, want)
 			}
 		}
 	}

@@ -23,38 +23,20 @@ import (
 // (property-tested), so the adaptive pick is purely a performance choice.
 type NearestReplica struct {
 	common
-	sqrtN    int
-	rings    *grid.RingTable // precomputed ring templates (nil on bounded)
-	ringBuf  []int32
-	tieBuf   []int32
-	searchFn searchMode
-	live     *cache.Liveness // nil = liveness-blind (golden-pinned paths)
-	retried  bool            // per-Assign: a dead candidate was rejected
+	sqrtN   int
+	rings   *grid.RingTable // precomputed ring templates (nil on bounded)
+	ringBuf []int32
+	tieBuf  []int32
+	live    *cache.Liveness // nil = liveness-blind (golden-pinned paths)
+	retried bool            // per-Assign: a dead candidate was rejected
 }
-
-// searchMode forces a nearest-replica search procedure: a test hook for
-// the ring-vs-scan property tests. The zero value (searchAdaptive) picks
-// per request.
-type searchMode int
-
-const (
-	searchAdaptive searchMode = iota // ring when |S_j| > √n, else scan
-	searchRing                       // always expand rings from the origin
-	searchScan                       // always walk the replica list
-)
 
 // NewNearestReplica builds Strategy I over the given topology/placement.
 func NewNearestReplica(g *grid.Grid, p *cache.Placement) *NearestReplica {
-	return newNearestReplicaMode(g, p, searchAdaptive)
-}
-
-// newNearestReplicaMode builds Strategy I with a forced search procedure.
-func newNearestReplicaMode(g *grid.Grid, p *cache.Placement, mode searchMode) *NearestReplica {
 	return &NearestReplica{
-		common:   newCommon(g, p),
-		sqrtN:    int(math.Sqrt(float64(g.N()))),
-		rings:    g.NewRingTable(),
-		searchFn: mode,
+		common: newCommon(g, p),
+		sqrtN:  int(math.Sqrt(float64(g.N()))),
+		rings:  g.NewRingTable(),
 	}
 }
 
@@ -78,11 +60,9 @@ func (s *NearestReplica) Assign(req Request, _ LoadReader, r *rand.Rand) Assignm
 		return backhaul(req)
 	}
 	var server int32
-	switch {
-	case s.searchFn == searchRing,
-		s.searchFn == searchAdaptive && len(reps) > s.sqrtN:
+	if len(reps) > s.sqrtN {
 		server = s.ringSearch(req, r)
-	default:
+	} else {
 		server = s.scanSearch(req, reps, r)
 	}
 	if server < 0 {

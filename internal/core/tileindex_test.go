@@ -13,10 +13,10 @@ import (
 )
 
 // indexedWorld builds an index-carrying placement plus a TwoChoice bound
-// to it, and — from an identical RNG history — a plain placement with a
-// plain strategy, to serve as the exact-path oracle. The twins hold the
-// same replica sets, in (tile, node) order on the indexed side and node
-// order on the plain one.
+// to it, and — from an identical RNG history — its untiled twin: a plain
+// placement with a strategy that walks each S_j as one run. The twins
+// hold the same replica sets, in (tile, node) order on the indexed side
+// and node order on the plain one.
 func indexedWorld(l, tile int, topo grid.Topology, k, m int, gamma float64, cfg TwoChoiceConfig, seed uint64) (*grid.Grid, *cache.Placement, *TwoChoice, *TwoChoice) {
 	g := grid.New(l, topo)
 	var pop dist.Popularity = dist.NewUniform(k)
@@ -36,11 +36,11 @@ func indexedWorld(l, tile int, topo grid.Topology, k, m int, gamma float64, cfg 
 	return g, pi, NewTwoChoice(g, pi, cfg), NewTwoChoice(g, pp, cfg)
 }
 
-// TestIndexExactCandidatesMatchExactCandidates: for random worlds,
-// origins and files, the tile-walk candidate list must equal the PR 3
-// exact filter's output as a set (orders differ: cover order vs replica-
-// list / ball order).
-func TestIndexExactCandidatesMatchExactCandidates(t *testing.T) {
+// TestIndexExactCandidatesMatchBruteForce: for random worlds, origins
+// and files, the tile-walk candidate list and the untiled twin's one-run
+// list must each equal the brute-force radius filter as a set (orders
+// differ: cover order, node order, sorted).
+func TestIndexExactCandidatesMatchBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewPCG(31, 41))
 	for it := 0; it < 60; it++ {
 		l := 8 + rng.IntN(16)
@@ -50,7 +50,7 @@ func TestIndexExactCandidatesMatchExactCandidates(t *testing.T) {
 		k := 20 + rng.IntN(100)
 		m := 1 + rng.IntN(3)
 		gamma := float64(rng.IntN(3)) * 0.7
-		g, p, s, oracle := indexedWorld(l, tile, topo, k, m, gamma, TwoChoiceConfig{Radius: radius}, uint64(1000+it))
+		g, p, s, plain := indexedWorld(l, tile, topo, k, m, gamma, TwoChoiceConfig{Radius: radius}, uint64(1000+it))
 		if s.cfg.Radius == RadiusUnbounded {
 			continue // radius ≥ diameter collapses to the unbounded path
 		}
@@ -60,15 +60,18 @@ func TestIndexExactCandidatesMatchExactCandidates(t *testing.T) {
 		for q := 0; q < 20; q++ {
 			origin := int32(rng.IntN(g.N()))
 			file := int32(rng.IntN(k))
-			reps := p.Replicas(int(file))
 			req := Request{Origin: origin, File: file}
-			want := slices.Clone(oracle.exactCandidates(req, reps, nil))
-			got := slices.Clone(exactPoolOf(s, req))
-			slices.Sort(want)
-			slices.Sort(got)
-			if !slices.Equal(got, want) {
-				t.Fatalf("it=%d l=%d tile=%d r=%d %v u=%d j=%d:\n index %v\n exact %v",
-					it, l, tile, radius, topo, origin, file, got, want)
+			want := bruteLiveCandidates(g, p, nil, int(origin), int(file), radius)
+			for _, side := range []struct {
+				name string
+				s    *TwoChoice
+			}{{"index", s}, {"untiled", plain}} {
+				got := slices.Clone(exactPoolOf(side.s, req))
+				slices.Sort(got)
+				if !slices.Equal(got, want) {
+					t.Fatalf("it=%d l=%d tile=%d r=%d %v u=%d j=%d:\n %s %v\n brute %v",
+						it, l, tile, radius, topo, origin, file, side.name, got, want)
+				}
 			}
 		}
 	}
@@ -109,11 +112,12 @@ func chiSquaredUniform(t *testing.T, g *grid.Grid, s *TwoChoice, cands []int32, 
 // TestTwoStageSamplerUniformLaw: Strategy II at d = 1 must draw
 // uniformly over S_j ∩ B_r(u) across the popularity spectrum (sparse,
 // mid, popular files), and uniformly over all of S_j when the ball holds
-// no replica and the request escalates. The three geometries exercise
-// the memoized cover (torus, tiles dividing the side), a torus whose
-// tiles do not divide the side and a bounded grid. Thresholds sit far
-// above the 99.9th chi-squared percentile; seeds are fixed, so the test
-// is deterministic.
+// no replica and the request escalates, on the tile index and on its
+// untiled twin, which walks S_j as one run. The three geometries
+// exercise the memoized cover (torus, tiles dividing the side), a torus
+// whose tiles do not divide the side and a bounded grid. Thresholds sit
+// far above the 99.9th chi-squared percentile; seeds are fixed, so the
+// test is deterministic.
 func TestTwoStageSamplerUniformLaw(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -127,7 +131,7 @@ func TestTwoStageSamplerUniformLaw(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const k, m, radius = 40, 2, 6
-			g, p, s, oracle := indexedWorld(tc.l, tc.tile, tc.topo, k, m, 1.1, TwoChoiceConfig{Radius: radius, Choices: 1}, 77)
+			g, p, s, plain := indexedWorld(tc.l, tc.tile, tc.topo, k, m, 1.1, TwoChoiceConfig{Radius: radius, Choices: 1}, 77)
 			// Pick one sparse, one mid, one popular file relative to the
 			// candidate space, each with ≥ 2 in-radius candidates from a
 			// suitable origin, and one file of ≥ 2 replicas seen from an
@@ -148,7 +152,7 @@ func TestTwoStageSamplerUniformLaw(t *testing.T) {
 					reps := p.Replicas(j)
 					for u := 0; u < g.N(); u += 7 {
 						req = Request{Origin: int32(u), File: int32(j)}
-						if in := oracle.exactCandidates(req, reps, nil); class.want(len(reps), len(in)) {
+						if in := bruteLiveCandidates(g, p, nil, u, j, radius); class.want(len(reps), len(in)) {
 							cands = slices.Clone(in)
 							if len(in) == 0 {
 								cands = slices.Clone(reps)
@@ -161,13 +165,18 @@ func TestTwoStageSamplerUniformLaw(t *testing.T) {
 					t.Fatalf("no %s file found in this world (tune the fixture)", class.name)
 				}
 				const n = 40000
-				chi2, df := chiSquaredUniform(t, g, s, cands, class.name == "escalated", req, n, 1234+uint64(req.File))
-				// 99.9th percentile of chi² ≈ df + 3.09·√(2df) for moderate
-				// df; allow a wide margin on top.
-				limit := float64(df) + 4.5*math.Sqrt(2*float64(df)) + 6
-				if chi2 > limit {
-					t.Errorf("%s: file %d origin %d (%d candidates): chi² = %.1f > %.1f (df=%d) — sampler not uniform",
-						class.name, req.File, req.Origin, len(cands), chi2, limit, df)
+				for _, side := range []struct {
+					name string
+					s    *TwoChoice
+				}{{"index", s}, {"untiled", plain}} {
+					chi2, df := chiSquaredUniform(t, g, side.s, cands, class.name == "escalated", req, n, 1234+uint64(req.File))
+					// 99.9th percentile of chi² ≈ df + 3.09·√(2df) for
+					// moderate df; allow a wide margin on top.
+					limit := float64(df) + 4.5*math.Sqrt(2*float64(df)) + 6
+					if chi2 > limit {
+						t.Errorf("%s %s: file %d origin %d (%d candidates): chi² = %.1f > %.1f (df=%d) — sampler not uniform",
+							side.name, class.name, req.File, req.Origin, len(cands), chi2, limit, df)
+					}
 				}
 			}
 		})
@@ -187,8 +196,7 @@ func TestIndexedAssignMatchesSemantics(t *testing.T) {
 			loads := ballsbins.NewLoads(g.N())
 			for q := 0; q < 4000; q++ {
 				req := Request{Origin: int32(rng.IntN(g.N())), File: int32(rng.IntN(200))}
-				reps := p.Replicas(int(req.File))
-				cands := plain.exactCandidates(req, reps, nil)
+				cands := bruteLiveCandidates(g, p, nil, int(req.Origin), int(req.File), 4)
 				ai := indexed.Assign(req, loads, rng)
 				ap := plain.Assign(req, loads, rng)
 				if ai.Escalated != ap.Escalated || ai.Backhaul != ap.Backhaul {

@@ -39,7 +39,8 @@ type TwoChoiceConfig struct {
 
 // TwoChoice is Strategy II (Definition 3): sample d (=2) uniform replicas
 // of the requested file within hop radius r of the origin and assign the
-// request to the least loaded, ties uniform.
+// request to the least loaded, ties uniform. NewOneChoice and
+// NewLeastLoadedOracle build its d = 1 and full-information baselines.
 type TwoChoice struct {
 	common
 	cfg     TwoChoiceConfig
@@ -63,11 +64,14 @@ type TwoChoice struct {
 	liveTiles bool            // live counts share boundTiling: tile skip valid
 	liveBuf   []int32         // live-filtered pool scratch (degradation ladder)
 	retried   bool            // per-Assign: a dead candidate was rejected
+
+	oracle bool // built by NewLeastLoadedOracle: named least-loaded
 }
 
 // tileRun is one covered tile's replica slice: reps[start:start+n] of the
 // file's S_j, with full reporting whether the tile lies entirely inside
-// B_r(u).
+// B_r(u). A placement without a tile index is one run, all of S_j, not
+// full.
 type tileRun struct {
 	start int32
 	n     int32
@@ -104,8 +108,8 @@ func NewTwoChoice(g *grid.Grid, p *cache.Placement, cfg TwoChoiceConfig) *TwoCho
 
 // bindIndex adopts the placement's spatial replica index, if any, and
 // (re)builds the radius cover memo over its tile geometry. With an
-// index bound, Assign routes bounded-radius candidate work through the
-// tile walk instead of the exact filter.
+// index bound, Assign walks the tiles covering B_r(u) instead of one run
+// over all of S_j.
 func (s *TwoChoice) bindIndex() {
 	tix := s.p.TileIndex()
 	if tix == nil {
@@ -176,7 +180,10 @@ func (s *TwoChoice) Rebind(p *cache.Placement) {
 
 // Name implements Strategy.
 func (s *TwoChoice) Name() string {
-	if s.cfg.Choices == 1 {
+	switch {
+	case s.oracle:
+		return fmt.Sprintf("least-loaded(r=%s)", s.radiusLabel())
+	case s.cfg.Choices == 1:
 		return fmt.Sprintf("one-choice(r=%s)", s.radiusLabel())
 	}
 	return fmt.Sprintf("%d-choice(r=%s)", s.cfg.Choices, s.radiusLabel())
@@ -204,13 +211,14 @@ func (s *TwoChoice) Assign(req Request, loads LoadReader, r *rand.Rand) Assignme
 const walkHere = -2
 
 // ladder is the one candidate ladder of Strategy II, one-choice and the
-// oracle. The (1+β) coin sets d. On a tile index a fast draw is tried
-// first: rejection straight off a dense file's bitmap, or off its
-// covered tiles' runs when they hold more than 3d replicas (fewer are
-// cheaper to materialize). A spent budget, or any other request, falls
-// through to the exact pool S_j ∩ B_r(u); an empty pool escalates to S_j
-// (backhaul under NoEscalate), and d draws from the pool are folded into
-// the least loaded. A pool with no live member backhauls.
+// oracle. The (1+β) coin sets d. At a bounded radius a fast draw is
+// tried first: rejection straight off a dense file's bitmap, or off the
+// runs of S_j covering B_r(u) when they hold more than 3d replicas
+// (fewer are cheaper to materialize). A spent budget, or any other
+// request, falls through to the exact pool S_j ∩ B_r(u); an empty pool
+// escalates to S_j (backhaul under NoEscalate), and d draws from the
+// pool are folded into the least loaded. A pool with no live member
+// backhauls.
 //
 // The walk of the runs (collectRuns) reads neither loads nor the RNG, so
 // it can run ahead of the rest (Plan): total is the replica total of a
@@ -227,22 +235,20 @@ func (s *TwoChoice) ladder(req Request, total int, loads LoadReader, r *rand.Ran
 		d = 1 // the (1+β) process degrades to one choice this round
 	}
 	walked := false
-	if s.tix != nil {
-		if bits := s.tix.FileBits(int(req.File)); bits != nil {
-			if !s.cfg.WithoutReplacement && s.ball != nil {
-				if srv, ok := s.sampleFromBits(req, reps, bits, d, loads, r); ok {
-					return s.served(req, srv, false)
-				}
+	if bits := s.fileBits(req.File); bits != nil {
+		if !s.cfg.WithoutReplacement && s.ball != nil {
+			if srv, ok := s.sampleFromBits(req, reps, bits, d, loads, r); ok {
+				return s.served(req, srv, false)
 			}
-		} else {
-			if total == walkHere {
-				total = s.collectRuns(req.Origin, req.File, int32(len(reps)))
-			}
-			walked = true
-			if !s.cfg.WithoutReplacement && total > 3*d {
-				if srv, ok := s.sampleFromRuns(req, reps, total, d, loads, r); ok {
-					return s.served(req, srv, false)
-				}
+		}
+	} else if s.cfg.Radius != RadiusUnbounded {
+		if total == walkHere {
+			total = s.collectRuns(req.Origin, req.File, int32(len(reps)))
+		}
+		walked = true
+		if !s.cfg.WithoutReplacement && total > 3*d {
+			if srv, ok := s.sampleFromRuns(req, reps, total, d, loads, r); ok {
+				return s.served(req, srv, false)
 			}
 		}
 	}
@@ -254,23 +260,6 @@ func (s *TwoChoice) ladder(req Request, total int, loads LoadReader, r *rand.Ran
 		pool, escalated = reps, true
 	}
 	return s.served(req, s.drawPool(pool, d, loads, r), escalated)
-}
-
-// Planner is a Strategy whose Assign splits into a plan — the candidate
-// walk, a function of the bound placement, its tile index and the
-// liveness mask alone — and the rest of its ladder, which draws and
-// compares loads. A plan made before its request is assigned is the walk
-// Assign would make, as long as nothing mutates the placement or the
-// mask in between.
-type Planner interface {
-	Strategy
-	// Plan appends req's walk to pl, or reports false, planning
-	// nothing, when pl has no room left for it.
-	Plan(req Request, pl *Plans) bool
-	// AssignPlanned is Assign for req, the i-th request planned into
-	// pl (possibly by another instance bound to the same state): the
-	// same decision and the same draws.
-	AssignPlanned(req Request, pl *Plans, i int, loads LoadReader, r *rand.Rand) Assignment
 }
 
 // Plans holds the candidate walks of a run of requests planned ahead of
@@ -301,7 +290,11 @@ func (pl *Plans) Reset() {
 // Len returns the number of requests planned.
 func (pl *Plans) Len() int { return len(pl.reqs) }
 
-// Plan implements Planner.
+// Plan appends req's candidate walk to pl, or reports false, planning
+// nothing, when pl has no room left for it. The walk is a function of
+// the bound placement, its tile index and the liveness mask alone, so a
+// walk planned before its request is assigned is the one Assign would
+// make, as long as nothing mutates the placement or the mask in between.
 func (s *TwoChoice) Plan(req Request, pl *Plans) bool {
 	if len(pl.reqs) == cap(pl.reqs) {
 		return false
@@ -318,9 +311,11 @@ func (s *TwoChoice) Plan(req Request, pl *Plans) bool {
 	return true
 }
 
-// AssignPlanned implements Planner: it copies the planned runs into
-// s.runs, where the ladder's own walk would leave them, and runs the
-// ladder without walking.
+// AssignPlanned is Assign for req, the i-th request planned into pl
+// (possibly by another instance bound to the same state): the same
+// decision and the same draws. It copies the planned runs into s.runs,
+// where the ladder's own walk would leave them, and runs the ladder
+// without walking.
 func (s *TwoChoice) AssignPlanned(req Request, pl *Plans, i int, loads LoadReader, r *rand.Rand) Assignment {
 	var start int32
 	if i > 0 {
@@ -331,62 +326,35 @@ func (s *TwoChoice) AssignPlanned(req Request, pl *Plans, i int, loads LoadReade
 	return s.ladder(req, int(e.total), loads, r)
 }
 
-// walks reports whether the ladder walks tile runs for a request for
-// file: a bounded radius over a tile index, and a file that is not
-// dense.
+// walks reports whether the ladder walks runs of S_j for a request for
+// file: a bounded radius and a file that is not dense.
 func (s *TwoChoice) walks(file int32) bool {
-	return s.tix != nil && s.tix.FileBits(int(file)) == nil
+	return s.cfg.Radius != RadiusUnbounded && s.fileBits(file) == nil
+}
+
+// fileBits returns the dense bitmap of file, or nil when the file is
+// stored as tile runs or no tile index is bound.
+func (s *TwoChoice) fileBits(file int32) []uint64 {
+	if s.tix == nil {
+		return nil
+	}
+	return s.tix.FileBits(int(file))
 }
 
 // exactPool materializes S_j ∩ B_r(u) for req — only its live members
 // under a liveness mask — by the file's representation: S_j itself at
-// r = ∞, the runs of its covered tiles when walked (s.runs holds req's
-// walk), the ball's bitmap hits for a dense file, or the untiled scan.
+// r = ∞, the walked runs (s.runs holds req's walk), or the ball's
+// bitmap hits for a dense file.
 func (s *TwoChoice) exactPool(req Request, reps []int32, walked bool) []int32 {
 	switch {
 	case s.cfg.Radius == RadiusUnbounded:
 		return reps
 	case walked:
 		s.candBuf = s.indexExactCandidates(req.Origin, reps, s.candBuf[:0])
-	case s.tix == nil:
-		s.candBuf = s.exactCandidates(req, reps, s.candBuf[:0])
 	default:
 		s.candBuf = s.bitExactCandidates(int(req.Origin), s.tix.FileBits(int(req.File)), s.candBuf[:0])
 	}
 	return s.candBuf
-}
-
-// exactCandidates filters the replicas of req.File to those within the
-// radius, choosing the cheaper of scanning the replica list or enumerating
-// the ball.
-func (s *TwoChoice) exactCandidates(req Request, reps []int32, dst []int32) []int32 {
-	if len(reps) <= s.ballN {
-		for _, v := range reps {
-			if s.g.Dist(int(req.Origin), int(v)) <= s.cfg.Radius {
-				if s.live != nil && !s.live.Live(int(v)) {
-					s.retried = true
-					continue
-				}
-				dst = append(dst, v)
-			}
-		}
-		return dst
-	}
-	if s.ball != nil {
-		s.ballBuf = s.ball.Append(int(req.Origin), s.ballBuf[:0])
-	} else {
-		s.ballBuf = s.g.Ball(int(req.Origin), s.cfg.Radius, s.ballBuf[:0])
-	}
-	for _, v := range s.ballBuf {
-		if s.p.Has(int(v), int(req.File)) {
-			if s.live != nil && !s.live.Live(int(v)) {
-				s.retried = true
-				continue
-			}
-			dst = append(dst, v)
-		}
-	}
-	return dst
 }
 
 // collectRuns walks the tiles overlapping B_r(u) and gathers, for the
@@ -395,17 +363,22 @@ func (s *TwoChoice) exactCandidates(req Request, reps []int32, dst []int32) []in
 // tile is fully inside the ball. Returns the total replica count across
 // the runs. The runs are a superset of S_j ∩ B_r(u) (partial tiles may
 // hold out-of-ball replicas) and cover it completely, so weight 0 proves
-// the intersection empty.
+// the intersection empty. Without a tile index the walk is one partial
+// run, all of S_j.
 //
 // The cover comes as tile-row runs — memoized on tori the CoverTable
 // serves, computed per query elsewhere — and the walk intersects each
 // run with the file's sorted tile directory: one position jump per run
-// (interpolated on sparse directories, direct indexing on contiguous
-// ones) followed by a contiguous scan. Runs are gathered in the cover's
-// order, which the samplers' draws index into.
+// (interpolated by the directory's tile density) followed by a
+// contiguous scan. Runs are gathered in the cover's order, which the
+// samplers' draws index into.
 func (s *TwoChoice) collectRuns(origin, file, size int32) int {
-	tiles, starts := s.tix.FileRuns(int(file))
 	s.runs = s.runs[:0]
+	if s.tix == nil {
+		s.runs = append(s.runs, tileRun{0, size, false})
+		return int(size)
+	}
+	tiles, starts := s.tix.FileRuns(int(file))
 	n := len(tiles)
 	if n == 0 {
 		return 0
@@ -418,9 +391,7 @@ func (s *TwoChoice) collectRuns(origin, file, size int32) int {
 		s.rowBuf, utx, uty, per = s.tix.Tiling().CoverRows(int(origin), s.cfg.Radius, s.rowBuf[:0])
 		rows = s.rowBuf
 	}
-	base := int(tiles[0])
-	dense := int(tiles[n-1])-base == n-1
-	density := float64(n) / float64(int(tiles[n-1])-base+1)
+	density := float64(n) / float64(int(tiles[n-1])-int(tiles[0])+1)
 	total := 0
 	pos := 0
 	lastID := -1
@@ -452,25 +423,6 @@ func (s *TwoChoice) collectRuns(origin, file, size int32) int {
 		for si := 0; si < ns; si++ {
 			lo := rowBase + spans[si][0]
 			hi := rowBase + spans[si][1]
-			if dense {
-				p0, p1 := lo-base, hi-base
-				if p0 < 0 {
-					p0 = 0
-				}
-				if p1 > n-1 {
-					p1 = n - 1
-				}
-				for p := p0; p <= p1; p++ {
-					d := base + p - rowBase - utx
-					if d > int(row.C1) {
-						d -= per
-					} else if d < int(row.C0) {
-						d += per
-					}
-					total += s.pushRun(starts, p, size, d >= int(row.F0) && d <= int(row.F1), int32(base+p))
-				}
-				continue
-			}
 			if lo <= lastID {
 				pos = 0 // the span lies behind the cursor
 			}
@@ -551,8 +503,7 @@ func interpSearch(tiles []int32, pos int, tid int32, density float64) int {
 
 // indexExactCandidates materializes S_j ∩ B_r(u) from the runs of reps
 // collected in cover order: full-tile runs are copied wholesale,
-// partial-tile runs are distance-filtered. Equal as a set to
-// exactCandidates.
+// partial-tile runs are distance-filtered.
 func (s *TwoChoice) indexExactCandidates(origin int32, reps, dst []int32) []int32 {
 	oy := int(origin) / s.gl
 	ox := int(origin) - oy*s.gl
@@ -642,6 +593,8 @@ func (s *TwoChoice) sampleFromRuns(req Request, reps []int32, total, d int, load
 	// Covered tiles overshoot the ball by less than a tile ring, so the
 	// acceptance rate is Ω(|ball| / |cover|) ≈ 1/2 whenever the
 	// intersection is non-empty; a small per-candidate budget suffices.
+	// On an untiled placement the one run is all of S_j, whose share in
+	// the ball may be far lower, so the exact pool often serves instead.
 	budget := 8*d + 8
 	// Accept all d candidates before reading any load: the load vector
 	// reads are the trial's cache misses, and issuing them back to back
@@ -882,55 +835,23 @@ draw:
 	return f.best
 }
 
-var _ Planner = (*TwoChoice)(nil)
 var _ LivenessAware = (*TwoChoice)(nil)
 
-// LeastLoadedOracle assigns each request to the least-loaded replica
-// within the radius (full load information — the unattainable lower
-// envelope for any sampling strategy; used in ablation benches).
-type LeastLoadedOracle struct {
-	inner *TwoChoice
-}
-
-// NewLeastLoadedOracle builds the oracle baseline. It reads cfg.Radius
-// and cfg.NoEscalate (an empty ball backhauls instead of widening to
-// r = ∞); the sampling fields do not apply to a full-information scan.
-func NewLeastLoadedOracle(g *grid.Grid, p *cache.Placement, cfg TwoChoiceConfig) *LeastLoadedOracle {
+// NewLeastLoadedOracle builds the oracle baseline: each request goes to
+// the least-loaded replica within the radius (full load information —
+// the unattainable lower envelope for any sampling strategy; used in
+// ablation benches). It reads cfg.Radius and cfg.NoEscalate (an empty
+// ball backhauls instead of widening to r = ∞); the sampling fields do
+// not apply to a full-information scan.
+func NewLeastLoadedOracle(g *grid.Grid, p *cache.Placement, cfg TwoChoiceConfig) *TwoChoice {
 	// More distinct draws than the pool holds take the pool whole: the
 	// ladder folds every live member of the exact pool, in order, and
 	// distinct draws skip the fast ones.
-	inner := NewTwoChoice(g, p, TwoChoiceConfig{Radius: cfg.Radius, NoEscalate: cfg.NoEscalate, WithoutReplacement: true})
-	inner.cfg.Choices = math.MaxInt32
-	return &LeastLoadedOracle{inner: inner}
+	s := NewTwoChoice(g, p, TwoChoiceConfig{Radius: cfg.Radius, NoEscalate: cfg.NoEscalate, WithoutReplacement: true})
+	s.cfg.Choices = math.MaxInt32
+	s.oracle = true
+	return s
 }
-
-// Name implements Strategy.
-func (o *LeastLoadedOracle) Name() string {
-	return fmt.Sprintf("least-loaded(r=%s)", o.inner.radiusLabel())
-}
-
-// Rebind implements Rebindable.
-func (o *LeastLoadedOracle) Rebind(p *cache.Placement) { o.inner.Rebind(p) }
-
-// SetLiveness implements LivenessAware (delegating to the inner
-// TwoChoice, whose candidate paths carry the mask).
-func (o *LeastLoadedOracle) SetLiveness(lv *cache.Liveness) { o.inner.SetLiveness(lv) }
-
-// Assign implements Strategy.
-func (o *LeastLoadedOracle) Assign(req Request, loads LoadReader, r *rand.Rand) Assignment {
-	return o.inner.Assign(req, loads, r)
-}
-
-// Plan implements Planner.
-func (o *LeastLoadedOracle) Plan(req Request, pl *Plans) bool { return o.inner.Plan(req, pl) }
-
-// AssignPlanned implements Planner.
-func (o *LeastLoadedOracle) AssignPlanned(req Request, pl *Plans, i int, loads LoadReader, r *rand.Rand) Assignment {
-	return o.inner.AssignPlanned(req, pl, i, loads, r)
-}
-
-var _ Planner = (*LeastLoadedOracle)(nil)
-var _ LivenessAware = (*LeastLoadedOracle)(nil)
 
 // NewOneChoice returns the random-replica-in-radius baseline (d = 1),
 // the natural "no load information" counterpart of Strategy II.

@@ -68,8 +68,9 @@ type Engine struct {
 	w   *sim.World
 	cur atomic.Pointer[sim.Snapshot]
 
-	// dynamic is true when the world has a churn or fault process; a
-	// quiesced world never wakes the mutator and never republishes.
+	// dynamic is true when the world mutates mid-trial (churn, faults or
+	// arrivals); a quiesced world never wakes the mutator and never
+	// republishes.
 	dynamic bool
 
 	pending atomic.Int64  // decisions served since the last mutator drain
@@ -89,10 +90,9 @@ type Engine struct {
 // mutator goroutine is started; callers must Close the engine to stop
 // it.
 func New(w *sim.World, era uint64) *Engine {
-	cfg := w.Config()
 	e := &Engine{
 		w:       w,
-		dynamic: cfg.Churn != sim.ChurnNone || cfg.Faults != sim.FaultsNone || cfg.Hetero == sim.HeteroArrival,
+		dynamic: w.Config().MutatesMidTrial(),
 		wake:    make(chan struct{}, 1),
 		reload:  make(chan uint64),
 		quit:    make(chan struct{}),

@@ -13,8 +13,8 @@ import (
 // trial's loads. So does the candidate walk of each request before the
 // trial's first barrier: Strategy II's candidate set S_j ∩ B_r(u)
 // depends on the placement alone, and only the comparison of the d
-// samples reads loads (core.Planner). So while trial t's requests run,
-// a Runner whose caller walks the trials in order has a helper
+// samples reads loads (core.TwoChoice.Plan). So while trial t's requests
+// run, a Runner whose caller walks the trials in order has a helper
 // goroutine arm trial t+1 into a second trialState, draw its request
 // ids in one batch, and then walk its requests' tile runs in request
 // order into the state's plan arena. It keeps walking until RunTrial(t)
@@ -128,7 +128,7 @@ func (st *trialState) readyAhead() {
 // barrier mutation: all of them on a world with no churn, faults or
 // arrivals, one chunk otherwise.
 func (w *World) firstBarrier() int {
-	if w.cfg.Churn == ChurnNone && w.cfg.Faults == FaultsNone && w.cfg.Hetero != HeteroArrival {
+	if !w.cfg.MutatesMidTrial() {
 		return w.nReq
 	}
 	return min(w.chunk, w.nReq)
@@ -142,7 +142,13 @@ func (st *trialState) plan(stop *atomic.Bool) {
 	if st.plans == nil {
 		return
 	}
-	st.planner = st.bind(st.planner).(core.Planner)
+	// A nil interface, not a nil *TwoChoice inside one, so that bind
+	// builds the state's first planner instead of rebinding nil.
+	var cur core.Strategy
+	if st.planner != nil {
+		cur = st.planner
+	}
+	st.planner = st.bind(cur).(*core.TwoChoice)
 	n := min(st.drawn, st.w.firstBarrier())
 	for i := 0; i < n && !stop.Load(); i++ {
 		if !st.planner.Plan(core.Request{Origin: st.reqOrigins[i], File: st.reqFiles[i]}, st.plans) {

@@ -50,6 +50,16 @@ func (w *World) RunBlock(lo, hi uint64) Aggregate {
 // Served mode is exempt: Snapshot.Advance applies the processes at its
 // own batch cadence, whatever the chunk.
 func CheckBarriers(cfg Config) error {
+	requests, chunk := cfg.Requests, cfg.Chunk
+	if requests == 0 {
+		requests = cfg.N()
+	}
+	if chunk == 0 {
+		chunk = defaultChunk
+	}
+	if !cfg.MutatesMidTrial() || requests > chunk {
+		return nil
+	}
 	var procs []string
 	if cfg.Churn != ChurnNone {
 		procs = append(procs, "churn")
@@ -59,16 +69,6 @@ func CheckBarriers(cfg Config) error {
 	}
 	if cfg.Hetero == HeteroArrival {
 		procs = append(procs, "arrivals")
-	}
-	requests, chunk := cfg.Requests, cfg.Chunk
-	if requests == 0 {
-		requests = cfg.N()
-	}
-	if chunk == 0 {
-		chunk = defaultChunk
-	}
-	if len(procs) == 0 || requests > chunk {
-		return nil
 	}
 	return fmt.Errorf("sim: %s events occur only between pipeline chunks, but all %d requests fit in one %d-request chunk; raise -requests above -chunk or lower -chunk below -requests",
 		strings.Join(procs, " and "), requests, chunk)

@@ -359,6 +359,12 @@ type Config struct {
 // N returns the number of servers n = Side².
 func (c Config) N() int { return c.Side * c.Side }
 
+// MutatesMidTrial reports whether a trial of c changes its world between
+// pipeline chunks: a churn process, a fault process or node arrivals.
+func (c Config) MutatesMidTrial() bool {
+	return c.Churn != ChurnNone || c.Faults != FaultsNone || c.Hetero == HeteroArrival
+}
+
 // World-size bounds. Node ids and the placement's CSR offsets are int32,
 // so n = Side² must fit one (46340² < 2³¹ ≤ 46341²), and the cache-slot
 // arena n·max M_u is capped at maxSlots = 2²⁸, about 27× the widegrid

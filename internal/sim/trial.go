@@ -52,7 +52,7 @@ type trialState struct {
 	// armed ahead: the candidate walks of the armed trial's first
 	// requests, and the strategy instance that walked them.
 	plans   *core.Plans
-	planner core.Planner
+	planner *core.TwoChoice
 }
 
 // newTrialState allocates the trial-state arenas of w: a Placer with

@@ -491,7 +491,7 @@ func (r *Runner) RunTrial(t uint64) Result {
 func (r *Runner) assignChunk(strat core.Strategy, rng *rand.Rand, base, c int) {
 	i := 0
 	if r.plans != nil && base < r.plans.Len() {
-		planner := strat.(core.Planner)
+		planner := strat.(*core.TwoChoice)
 		for n := min(c, r.plans.Len()-base); i < n; i++ {
 			req := core.Request{Origin: r.origins[i], File: r.files[i]}
 			r.record(i, planner.AssignPlanned(req, r.plans, base+i, r.loadView, rng))
