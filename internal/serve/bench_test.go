@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"math/rand/v2"
 	"net/http"
 	"testing"
@@ -144,6 +145,39 @@ func BenchmarkPlaceDecode(b *testing.B) {
 	b.ReportAllocs()
 	for b.Loop() {
 		if n, err := d.decode(body); err != nil || n != benchBatch {
+			b.Fatalf("decoded %d pairs: %v", n, err)
+		}
+	}
+}
+
+// BenchmarkPlaceDecodeFallback decodes the body of BenchmarkPlaceDecode
+// with one unknown member added to each pair, which the decoder's fast
+// path refuses: what a client that sends anything but json.Marshal's
+// shape pays.
+func BenchmarkPlaceDecodeFallback(b *testing.B) {
+	type taggedPair struct {
+		Pair
+		Tag int `json:"tag"`
+	}
+	_, pairs := servedWorkload(b, benchBatch)
+	req := struct {
+		Pairs []taggedPair `json:"pairs"`
+	}{make([]taggedPair, len(pairs))}
+	for i, p := range pairs {
+		req.Pairs[i].Pair = p
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var d placeDecoder
+	if _, ok := d.fast(body); ok {
+		b.Fatal("the body took the fast path")
+	}
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	for b.Loop() {
+		if n, err := d.decode(body); err != nil || n != benchBatch || d.pairs[n-1] != pairs[n-1] {
 			b.Fatalf("decoded %d pairs: %v", n, err)
 		}
 	}

@@ -58,12 +58,20 @@ func nested(depth int, inner string) string {
 	return strings.Repeat("[", depth) + inner + strings.Repeat("]", depth)
 }
 
-// placeBodySeeds covers the edge cases of json.Unmarshal's acceptance
-// that the decoder must reproduce. The nesting limit has its own test:
-// its 20 KB bodies would stall the fuzzer's minimizer.
+// placeBodySeeds covers the edge of the decoder's fast path and the
+// edge cases of json.Unmarshal's acceptance that the decoder must
+// reproduce. The nesting limit has its own test: its 20 KB bodies would
+// stall the fuzzer's minimizer.
 var placeBodySeeds = []string{
 	`{"pairs":[{"u":1,"f":2},{"u":3,"f":4}]}`,
 	" \t\r\n{ \"pairs\" : [ { \"u\" : 1 , \"f\" : 2 } ] } \n",
+	// Near misses of the fast path's shape, some after it stored pairs.
+	`{"pairs":[{"f":2,"u":1}]}`,
+	`{"pairs":[{"u":1}]}`,
+	`{"pairs":[{"u":1,"u":3,"f":2}]}`,
+	`{"pairs":[{"u":1,"f":2},{"u":3,"f":4,"x":5}]}`,
+	`{"pairs":[{"u":1,"f":2}],"client":"smoke"}`,
+	`{"client":"smoke","pairs":[{"u":1,"f":2}]}`,
 	// Keys match with bytes.EqualFold after unescaping.
 	`{"PAIRS":[{"U":1,"F":2}]}`,
 	`{"PAIRſ":[{"u":1,"f":2}]}`,
@@ -156,13 +164,20 @@ func decisionsFrom(b []byte) []Decision {
 }
 
 // FuzzPlaceBody checks the /v1/place codec against encoding/json: the
-// decoder accepts exactly the bodies json.Unmarshal accepts and yields
-// the same pairs, and the encoder writes what json.NewEncoder writes.
-// One decoder serves every input, as a pooled one serves requests.
+// decoder, fast path and fallback, accepts exactly the bodies
+// json.Unmarshal accepts and yields the same pairs; every body
+// json.Marshal writes for a batch takes the fast path; and the encoder
+// writes what json.NewEncoder writes. One decoder serves every input, as
+// a pooled one serves requests.
 func FuzzPlaceBody(f *testing.F) {
 	for _, s := range placeBodySeeds {
 		f.Add([]byte(s), uint64(0), uint64(0))
 	}
+	indented, err := json.MarshalIndent(PlaceRequest{Pairs: []Pair{{User: 1, File: 2}, {User: -3, File: math.MaxInt32}}}, "", "  ")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(indented, uint64(0), uint64(0))
 	extremes := binary.LittleEndian.AppendUint32(nil, math.MaxUint32>>1+1) // MinInt32
 	extremes = binary.LittleEndian.AppendUint32(extremes, math.MaxInt32)
 	extremes = append(extremes, 1)
@@ -192,6 +207,15 @@ func FuzzPlaceBody(f *testing.F) {
 		}
 
 		resp := PlaceResponse{Stamp: Stamp{Era: era, Seq: seq}, Decisions: decisionsFrom(body)}
+		if len(resp.Decisions) > 0 {
+			pairs := make([]Pair, len(resp.Decisions))
+			for i, dc := range resp.Decisions {
+				pairs[i] = Pair{User: dc.Node, File: dc.Hops}
+			}
+			if _, ok := d.fast(placeBody(t, pairs)); !ok {
+				t.Fatalf("json.Marshal's body for %v missed the fast path", pairs)
+			}
+		}
 		var enc bytes.Buffer
 		if err := json.NewEncoder(&enc).Encode(&resp); err != nil {
 			t.Fatal(err)
@@ -207,6 +231,7 @@ func FuzzPlaceBody(f *testing.F) {
 // maxNestingDepth arrays and objects, counted from the top-level object,
 // and no deeper, as with json.Unmarshal.
 func TestPlaceDecodeDepthLimit(t *testing.T) {
+	const maxNestingDepth = 10000 // encoding/json's bound
 	var d placeDecoder
 	for _, tc := range []struct {
 		body string
@@ -405,8 +430,10 @@ func (h *placeHarness) call() int {
 }
 
 // TestHandlePlaceAllocs: a warmed /v1/place handler allocates the same
-// small number of times per call whatever the batch size. What remains
-// is the body limiter and the two response headers.
+// small number of times per call whatever the batch size, and whether
+// json.Marshal or json.MarshalIndent wrote the body: whitespace between
+// tokens stays on the decoder's fast path. What remains is the body
+// limiter and the two response headers.
 func TestHandlePlaceAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates and disables pool caching")
@@ -415,18 +442,32 @@ func TestHandlePlaceAllocs(t *testing.T) {
 	e := New(w, servedEra)
 	defer e.Close()
 	s := NewServer(e)
-	allocs := map[int]float64{}
-	for _, n := range []int{1, 256} {
-		h := newPlaceHarness(s, placeBody(t, pairs[:n]))
+	indented, err := json.MarshalIndent(PlaceRequest{Pairs: pairs}, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := []struct {
+		name string
+		body []byte
+	}{
+		{"1 pair", placeBody(t, pairs[:1])},
+		{"256 pairs", placeBody(t, pairs)},
+		{"256 pairs by json.MarshalIndent", indented},
+	}
+	allocs := make([]float64, len(rows))
+	for i, row := range rows {
+		h := newPlaceHarness(s, row.body)
 		for range 3 {
 			if code := h.call(); code != http.StatusOK {
-				t.Fatalf("%d pairs: status %d", n, code)
+				t.Fatalf("%s: status %d", row.name, code)
 			}
 		}
-		allocs[n] = testing.AllocsPerRun(50, func() { h.call() })
+		allocs[i] = testing.AllocsPerRun(50, func() { h.call() })
+		t.Logf("%s: %v allocs per call", row.name, allocs[i])
 	}
-	t.Logf("allocs per call: %v at 1 pair, %v at 256 pairs", allocs[1], allocs[256])
-	if allocs[1] != allocs[256] || allocs[256] > 6 {
-		t.Fatalf("allocs per call: %v at 1 pair, %v at 256 pairs; want equal and at most 6", allocs[1], allocs[256])
+	for i, row := range rows {
+		if allocs[i] != allocs[0] || allocs[i] > 6 {
+			t.Fatalf("%s: %v allocs per call, %s: %v; want equal and at most 6", row.name, allocs[i], rows[0].name, allocs[0])
+		}
 	}
 }

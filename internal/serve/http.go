@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -149,21 +150,18 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "ok")
 }
 
-// Metrics is the GET /metrics payload.
+// Metrics is the GET /metrics payload: the server's counters and the
+// published snapshot's whole era stamp, its fields inlined.
 type Metrics struct {
-	UptimeSec   float64 `json:"uptime_sec"`
-	Decisions   int64   `json:"decisions"`
-	Batches     int64   `json:"batches"`
-	QPS         float64 `json:"qps"` // decisions/s over uptime
-	LatMeanUS   float64 `json:"lat_mean_us"`
-	LatP50US    int     `json:"lat_p50_us"`
-	LatP99US    int     `json:"lat_p99_us"`
-	LatMaxUS    int     `json:"lat_max_us"`
-	Era         uint64  `json:"era"`
-	Seq         uint64  `json:"seq"`
-	DeadNodes   int     `json:"dead_nodes"`
-	ChurnEvents int     `json:"churn_events"`
-	FaultEvents int     `json:"fault_events"`
+	UptimeSec float64 `json:"uptime_sec"`
+	Decisions int64   `json:"decisions"`
+	Batches   int64   `json:"batches"`
+	QPS       float64 `json:"qps"` // decisions/s over uptime
+	LatMeanUS float64 `json:"lat_mean_us"`
+	LatP50US  int     `json:"lat_p50_us"`
+	LatP99US  int     `json:"lat_p99_us"`
+	LatMaxUS  int     `json:"lat_max_us"`
+	sim.SnapshotInfo
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -172,18 +170,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	served := s.e.Served()
 	s.mu.Lock()
 	m := Metrics{
-		UptimeSec:   up,
-		Decisions:   served,
-		Batches:     s.batches,
-		LatMeanUS:   s.lat.Mean(),
-		LatP50US:    s.lat.Quantile(0.5),
-		LatP99US:    s.lat.Quantile(0.99),
-		LatMaxUS:    s.lat.Max(),
-		Era:         info.Era,
-		Seq:         info.Seq,
-		DeadNodes:   info.DeadNodes,
-		ChurnEvents: info.ChurnEvents,
-		FaultEvents: info.FaultEvents,
+		UptimeSec:    up,
+		Decisions:    served,
+		Batches:      s.batches,
+		LatMeanUS:    s.lat.Mean(),
+		LatP50US:     s.lat.Quantile(0.5),
+		LatP99US:     s.lat.Quantile(0.99),
+		LatMaxUS:     s.lat.Max(),
+		SnapshotInfo: info,
 	}
 	s.mu.Unlock()
 	if up > 0 {

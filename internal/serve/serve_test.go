@@ -275,6 +275,74 @@ func TestServeHTTP(t *testing.T) {
 	}
 }
 
+// TestServeHTTPMetricsStamp: /metrics carries the published snapshot's
+// whole era stamp under sim.SnapshotInfo's JSON names, read on an engine
+// whose churn, crashes and node arrivals have moved it.
+func TestServeHTTPMetricsStamp(t *testing.T) {
+	cfg := stormConfig()
+	cfg.Hetero = sim.HeteroArrival
+	cfg.Profile = sim.ProfilePowerLaw
+	cfg.ArrivalRate = 0.02
+	w := compile(t, cfg)
+	e := New(w, 0)
+	stop := sync.OnceFunc(e.Close)
+	defer stop()
+	srv := httptest.NewServer(NewServer(e))
+	defer srv.Close()
+
+	rng := rand.New(rand.NewPCG(3, 3))
+	pairs := make([]Pair, 64)
+	deadline := time.Now().Add(10 * time.Second)
+	for info := e.Info(); info.ChurnEvents == 0 || info.FaultEvents == 0 || info.ArrivalEvents == 0; info = e.Info() {
+		if time.Now().After(deadline) {
+			t.Fatalf("the published stamp never saw churn, a crash and an arrival: %v", info)
+		}
+		for i := range pairs {
+			pairs[i] = Pair{User: int32(rng.IntN(w.N())), File: int32(rng.IntN(cfg.K))}
+		}
+		resp, err := http.Post(srv.URL+"/v1/place", "application/json", bytes.NewReader(placeBody(t, pairs)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("/v1/place status %d", resp.StatusCode)
+		}
+	}
+	// With the mutator stopped, /metrics and e.Info read one snapshot.
+	stop()
+
+	resp, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got map[string]any
+	err = json.NewDecoder(resp.Body).Decode(&got)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(e.Info())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want map[string]any
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	keys := []string{"era", "seq", "uncached", "churn_events", "churn_skipped", "fault_events",
+		"recover_events", "fault_skipped", "dead_nodes", "arrival_events", "arrival_skipped", "vacant"}
+	if len(want) != len(keys) {
+		t.Errorf("the stamp has %d JSON keys, want %d: %s", len(want), len(keys), raw)
+	}
+	for _, k := range keys {
+		v, ok := want[k]
+		if g := got[k]; !ok || g != v {
+			t.Errorf("%q: /metrics %v, stamp %v (stamp %s)", k, g, v, raw)
+		}
+	}
+}
+
 // TestLoadgen smoke-tests the in-process driver on both regimes.
 func TestLoadgen(t *testing.T) {
 	for name, cfg := range map[string]sim.Config{"quiesced": quiescedConfig(), "storm": stormConfig()} {

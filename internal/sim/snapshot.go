@@ -154,23 +154,24 @@ func (s *Snapshot) Info() SnapshotInfo {
 }
 
 // SnapshotInfo is the placement-era diagnostic stamp shared by the
-// batch engine (cachesim -v) and the served mode (/metrics): which era
-// the active placement was compiled from, how many mutation batches it
-// has absorbed, and the cumulative event counts behind them.
+// batch engine (cachesim -v) and the served mode (/metrics, which
+// carries it under these JSON names): which era the active placement was
+// compiled from, how many mutation batches it has absorbed, and the
+// cumulative event counts behind them.
 type SnapshotInfo struct {
-	Era           uint64 // trial index the placement was compiled from
-	Seq           uint64 // mutation batches applied since compile
-	Uncached      int    // library files with zero replicas now; arrivals can cache some mid-era
-	ChurnEvents   int    // replica migrations applied
-	ChurnSkipped  int    // infeasible churn events dropped
-	FaultEvents   int    // crash events applied
-	RecoverEvents int    // recovery events applied
-	FaultSkipped  int    // infeasible fault events dropped
-	DeadNodes     int    // currently dead nodes
+	Era           uint64 `json:"era"`            // trial index the placement was compiled from
+	Seq           uint64 `json:"seq"`            // mutation batches applied since compile
+	Uncached      int    `json:"uncached"`       // library files with zero replicas now; arrivals can cache some mid-era
+	ChurnEvents   int    `json:"churn_events"`   // replica migrations applied
+	ChurnSkipped  int    `json:"churn_skipped"`  // infeasible churn events dropped
+	FaultEvents   int    `json:"fault_events"`   // crash events applied
+	RecoverEvents int    `json:"recover_events"` // recovery events applied
+	FaultSkipped  int    `json:"fault_skipped"`  // infeasible fault events dropped
+	DeadNodes     int    `json:"dead_nodes"`     // currently dead nodes
 
-	ArrivalEvents  int // node arrivals applied (HeteroArrival)
-	ArrivalSkipped int // arrival events burned with no vacant node left
-	Vacant         int // currently vacant (not-yet-arrived) nodes
+	ArrivalEvents  int `json:"arrival_events"`  // node arrivals applied (HeteroArrival)
+	ArrivalSkipped int `json:"arrival_skipped"` // arrival events burned with no vacant node left
+	Vacant         int `json:"vacant"`          // currently vacant (not-yet-arrived) nodes
 }
 
 // String renders the stamp in the compact era=…/seq=… form both

@@ -519,7 +519,8 @@ func (c *Coordinator) flaky() bool {
 // decodeBody parses a capped JSON body into v. It answers 413 past the
 // cap and 400 unless the body is exactly one JSON document of v's shape:
 // unknown fields, a second value and trailing garbage are all refused,
-// as ParseSpec and /v1/place refuse them.
+// as ParseSpec refuses them. (The daemon's /v1/place refuses the last
+// two but ignores unknown fields, as json.Unmarshal does.)
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	dec := json.NewDecoder(r.Body)
