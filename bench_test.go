@@ -3,7 +3,7 @@ package repro_test
 // bench_test.go regenerates every table and figure of the paper's
 // evaluation as testing.B benchmarks, plus ablation benches for the
 // design choices called out in DESIGN.md §4 (search procedures, candidate
-// sampling, miss policies, with/without-replacement choices).
+// sampling, miss policies, the choice count d).
 //
 // Each BenchmarkFigureN iteration executes the figure's full parameter
 // sweep at a reduced trial count; run with -benchtime=1x for a single
@@ -117,12 +117,12 @@ func BenchmarkAblationNearestAdaptive(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationTwoChoiceExact measures Strategy II on a dense-replica
-// world with distinct-candidate sampling, which materializes the exact
-// in-ball candidate list through the tile index instead of sampling it.
+// BenchmarkAblationTwoChoiceExact measures the exact in-ball candidate
+// list on a dense-replica world: the oracle materializes it through the
+// tile index for every request, where Strategy II samples it.
 func BenchmarkAblationTwoChoiceExact(b *testing.B) {
 	cfg := repro.Config{Side: 45, K: 100, M: 20, Seed: 7,
-		Strategy: repro.StrategySpec{Kind: repro.TwoChoices, Radius: 8, WithoutReplacement: true}}
+		Strategy: repro.StrategySpec{Kind: repro.Oracle, Radius: 8}}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := repro.RunTrial(cfg, uint64(i)); err != nil {

@@ -266,14 +266,15 @@ func coordinate(spec *sweep.Spec, out, journal, addr string, n int,
 // resumeNote reports what the coordinator recovered from an existing
 // journal, "" when it recovered and dropped nothing. A journal whose
 // every record was dropped is most likely not torn but written by a
-// build whose results hash differently, and the note says so.
+// build whose shard keys or results hash differently, and the note says
+// so.
 func resumeNote(done, total, dropped int) string {
 	if done == 0 && dropped == 0 {
 		return ""
 	}
 	note := fmt.Sprintf("sweep: resumed %d of %d shards, dropped %d journal lines", done, total, dropped)
 	if done == 0 {
-		note += " (every record failed verification: the journal was most likely written by a different build, so every shard runs again)"
+		note += " (no record verified against a shard of this spec: the journal was most likely written by a different build, so every shard runs again)"
 	}
 	return note
 }

@@ -637,21 +637,5 @@ func (p *Placement) CheckGoodness(pairSamples int, r *rand.Rand) Goodness {
 	return g
 }
 
-// ReplicaCountHistogram returns counts[c] = number of files with exactly c
-// replicas, for c in 0..n (used by Example 2's analysis and by tests).
-func (p *Placement) ReplicaCountHistogram() []int {
-	maxC := 0
-	for j := 0; j < p.k; j++ {
-		if c := p.ReplicaCount(j); c > maxC {
-			maxC = c
-		}
-	}
-	counts := make([]int, maxC+1)
-	for j := 0; j < p.k; j++ {
-		counts[p.ReplicaCount(j)]++
-	}
-	return counts
-}
-
 // ReplicaCount returns |S_j| without materializing the slice header.
 func (p *Placement) ReplicaCount(j int) int { return int(p.repOff[j+1] - p.repOff[j]) }

@@ -318,28 +318,6 @@ func TestGoodnessLemma2Regime(t *testing.T) {
 	}
 }
 
-func TestReplicaCountHistogram(t *testing.T) {
-	r := xrand.NewSource(12).Stream(0)
-	p := Place(100, 2, dist.NewUniform(40), WithReplacement, r)
-	h := p.ReplicaCountHistogram()
-	totalFiles := 0
-	weighted := 0
-	for c, cnt := range h {
-		totalFiles += cnt
-		weighted += c * cnt
-	}
-	if totalFiles != p.K() {
-		t.Fatalf("histogram covers %d files, want %d", totalFiles, p.K())
-	}
-	wantWeighted := 0
-	for j := 0; j < p.K(); j++ {
-		wantWeighted += len(p.Replicas(j))
-	}
-	if weighted != wantWeighted {
-		t.Fatalf("histogram mass %d, want %d", weighted, wantWeighted)
-	}
-}
-
 func TestPlacementDeterminism(t *testing.T) {
 	p1 := Place(100, 3, dist.NewUniform(20), WithReplacement, xrand.NewSource(42).Stream(9))
 	p2 := Place(100, 3, dist.NewUniform(20), WithReplacement, xrand.NewSource(42).Stream(9))

@@ -95,24 +95,3 @@ func (h *Graph) Stats(g *grid.Grid, p *cache.Placement, r int) DegreeStats {
 	ds.PredDelta = m * m * float64(g.BallSize(2*r)) / k
 	return ds
 }
-
-// AlmostRegular reports whether max/min degree stays within factor c —
-// the "almost Δ-regular" notion of Theorem 5 (degree Θ(Δ) for all nodes).
-func (h *Graph) AlmostRegular(c float64) bool {
-	if h.Nodes == 0 {
-		return true
-	}
-	minD, maxD := math.MaxInt, 0
-	for _, d := range h.Degrees {
-		if int(d) < minD {
-			minD = int(d)
-		}
-		if int(d) > maxD {
-			maxD = int(d)
-		}
-	}
-	if minD == 0 {
-		return false
-	}
-	return float64(maxD) <= c*float64(minD)
-}

@@ -272,42 +272,10 @@ func TestTwoChoiceNoEscalateBackhauls(t *testing.T) {
 	}
 }
 
-func TestTwoChoiceWithoutReplacementDistinct(t *testing.T) {
-	// With exactly 2 candidates and one heavily loaded, without-
-	// replacement sampling must *always* pick the light one (both
-	// candidates always inspected), unlike with-replacement.
-	g := grid.New(6, grid.Torus)
-	// Build a placement with a file cached at exactly 2 nodes by retrying.
-	for seed := uint64(0); seed < 100; seed++ {
-		p := cache.Place(g.N(), 1, dist.NewUniform(30), cache.WithReplacement,
-			xrand.NewSource(seed).Stream(0))
-		for j := 0; j < p.K(); j++ {
-			reps := p.Replicas(j)
-			if len(reps) != 2 {
-				continue
-			}
-			loads := ballsbins.NewLoads(g.N())
-			for i := 0; i < 10; i++ {
-				loads.Add(int(reps[1]))
-			}
-			s := NewTwoChoice(g, p, TwoChoiceConfig{Radius: RadiusUnbounded, WithoutReplacement: true})
-			r := xrand.NewSource(25).Stream(0)
-			for i := 0; i < 500; i++ {
-				a := s.Assign(Request{Origin: 0, File: int32(j)}, loads, r)
-				if a.Server != reps[0] {
-					t.Fatalf("without-replacement missed the light replica: %+v", a)
-				}
-			}
-			return
-		}
-	}
-	t.Skip("no two-replica file found")
-}
-
 func TestOneChoiceIgnoresLoad(t *testing.T) {
 	g, p := testWorld(8, 4, 1, 29)
 	j := cachedFile(p, 4)
-	s := NewOneChoice(g, p, RadiusUnbounded)
+	s := NewTwoChoice(g, p, TwoChoiceConfig{Radius: RadiusUnbounded, Choices: 1})
 	if s.Name() != "one-choice(r=inf)" {
 		t.Fatalf("name: %s", s.Name())
 	}
@@ -426,9 +394,9 @@ func TestAssignmentServerAlwaysValid(t *testing.T) {
 		strategies := []Strategy{
 			NewNearestReplica(g, p),
 			NewTwoChoice(g, p, TwoChoiceConfig{Radius: radius}),
-			NewTwoChoice(g, p, TwoChoiceConfig{Radius: RadiusUnbounded, WithoutReplacement: true}),
-			NewOneChoice(g, p, radius),
+			NewTwoChoice(g, p, TwoChoiceConfig{Radius: radius, Choices: 1}),
 			NewLeastLoadedOracle(g, p, TwoChoiceConfig{Radius: radius}),
+			NewLeastLoadedOracle(g, p, TwoChoiceConfig{Radius: RadiusUnbounded}),
 		}
 		for trial := 0; trial < 30; trial++ {
 			req := Request{Origin: int32(r.IntN(g.N())), File: int32(r.IntN(k))}

@@ -54,12 +54,11 @@ func exactPoolOf(s *TwoChoice, req Request) []int32 {
 // no live replica lies there (then it escalates to S_j, or backhauls
 // under NoEscalate or when S_j holds no live replica); Hops is the grid
 // distance; Retried is set only under a liveness mask, and only when a
-// replica of the file is dead. Where the strategy folds its whole pool
-// (the oracle, or distinct draws with d ≥ |pool|) the server is also a
-// least-loaded member of it. Each row asserts that its branch was forced
-// at least minForced times. Every request is also planned on a second
-// instance (Plan) and finished from the plan (AssignPlanned) on a twin
-// of the assignment stream, which must give the same Assignment and
+// replica of the file is dead. The oracle's server is also a
+// least-loaded member of its pool. Each row asserts that its branch was
+// forced at least minForced times. Every request is also planned on a
+// second instance (Plan) and finished from the plan (AssignPlanned) on a
+// twin of the assignment stream, which must give the same Assignment and
 // leave the stream at the same word.
 func TestLadderBranchesAgainstBruteForce(t *testing.T) {
 	const minForced = 10
@@ -73,12 +72,13 @@ func TestLadderBranchesAgainstBruteForce(t *testing.T) {
 		deadTile bool    // also kill every node of tile 0
 	}
 	empty := func(v ladderView) bool { return len(v.reps) > 0 && len(v.inBall) == 0 }
-	// An untiled placement walks S_j as one partial run: the run sampler
-	// is tried above 3d replicas (d = 2; here with a live replica in the
-	// ball), and the exact pool serves at or below.
+	// An untiled placement walks S_j as one partial run, and the exact
+	// pool serves above 3d replicas (d = 2; here with a live replica in
+	// the ball), where a tiled walk would try the run sampler, as well as
+	// at or below.
 	untiledRun := []ladderBranch{
-		{"run sampler", func(v ladderView) bool { return v.s.tix == nil && runTotal(v) > 3*2 && len(v.inBall) > 0 }},
-		{"run exact pool", func(v ladderView) bool { t := runTotal(v); return v.s.tix == nil && t > 0 && t <= 3*2 }},
+		{"exact pool above 3d", func(v ladderView) bool { return v.s.tix == nil && runTotal(v) > 3*2 && len(v.inBall) > 0 }},
+		{"exact pool at or below 3d", func(v ladderView) bool { t := runTotal(v); return v.s.tix == nil && t > 0 && t <= 3*2 }},
 	}
 	for _, tc := range []struct {
 		name     string
@@ -113,17 +113,22 @@ func TestLadderBranchesAgainstBruteForce(t *testing.T) {
 			false, []ladderBranch{{"several replicas", func(v ladderView) bool {
 				return v.s.cfg.Radius == RadiusUnbounded && len(v.reps) > 1
 			}}}},
-		{"without replacement", world{12, grid.Torus, 3, 30, 3, 0, 0, false}, TwoChoiceConfig{Radius: 2, Choices: 3, WithoutReplacement: true},
-			false, []ladderBranch{
-				{"pool no larger than d", func(v ladderView) bool { return len(v.inBall) > 1 && len(v.inBall) <= 3 }},
-				{"distinct draws", func(v ladderView) bool { return len(v.inBall) > 3 }},
+		{"oracle, uniform", world{12, grid.Torus, 3, 30, 3, 0, 0, false}, TwoChoiceConfig{Radius: 2},
+			true, []ladderBranch{
+				{"one candidate", func(v ladderView) bool { return len(v.inBall) == 1 }},
+				{"runs above 3d", func(v ladderView) bool { return runTotal(v) > 3*2 && len(v.inBall) > 1 }},
 			}},
-		{"without replacement, masked", world{12, grid.Torus, 3, 30, 3, 0, 0.3, false}, TwoChoiceConfig{Radius: 2, Choices: 3, WithoutReplacement: true},
-			false, []ladderBranch{
-				{"pool no larger than d", func(v ladderView) bool { return len(v.inBall) > 1 && len(v.inBall) <= 3 }},
-				{"distinct draws", func(v ladderView) bool { return len(v.inBall) > 3 }},
+		{"oracle, uniform, masked", world{12, grid.Torus, 3, 30, 3, 0, 0.3, false}, TwoChoiceConfig{Radius: 2},
+			true, []ladderBranch{
+				{"runs above 3d", func(v ladderView) bool { return runTotal(v) > 3*2 && len(v.inBall) > 1 }},
 				{"escalated", empty},
 			}},
+		// At r = ∞ the exact pool is S_j itself, unfiltered, so the
+		// oracle's fold must drop the dead replicas.
+		{"oracle, masked, r = ∞", world{12, grid.Torus, 3, 30, 2, 0.8, 0.5, false}, TwoChoiceConfig{Radius: RadiusUnbounded},
+			true, []ladderBranch{{"dead replicas in S_j", func(v ladderView) bool {
+				return len(v.liveReps) > 1 && len(v.liveReps) < len(v.reps)
+			}}}},
 		{"beta coin", world{16, grid.Torus, 4, 60, 3, 0, 0, false}, TwoChoiceConfig{Radius: 3, Beta: 0.5},
 			false, []ladderBranch{{"several candidates", func(v ladderView) bool { return len(v.inBall) > 1 }}}},
 		{"d = 3", world{16, grid.Torus, 4, 60, 3, 0, 0, false}, TwoChoiceConfig{Radius: 3, Choices: 3},
@@ -277,7 +282,7 @@ func checkLadderDecision(t *testing.T, g *grid.Grid, p *cache.Placement, lv *cac
 		if int(a.Hops) != g.Dist(int(req.Origin), int(a.Server)) {
 			t.Fatalf("req %+v: hops %d, distance %d", req, a.Hops, g.Dist(int(req.Origin), int(a.Server)))
 		}
-		if oracle || cfg.WithoutReplacement && max(cfg.Choices, 2) >= len(pool) {
+		if oracle {
 			for _, u := range pool {
 				if loads.Load(int(u)) < loads.Load(int(a.Server)) {
 					t.Fatalf("req %+v: server %d (load %d) is not least loaded: %d has load %d",
@@ -288,5 +293,84 @@ func checkLadderDecision(t *testing.T, g *grid.Grid, p *cache.Placement, lv *cac
 	}
 	if a.Retried && (lv == nil || len(v.liveReps) == len(v.reps)) {
 		t.Fatalf("req %+v: Retried set with no dead replica (mask bound: %v)", req, lv != nil)
+	}
+}
+
+// TestUntiledExactPoolFold: a placement without a tile index serves
+// every bounded-radius request from the exact pool, so Assign makes the
+// decision and the draws of a brute-force fold of d uniform draws over
+// S_j ∩ B_r(u) in S_j's order (all of S_j when the ball holds none): the
+// same server and escalation, and the stream left at the same word. The
+// cases it counts are those with more than 3d replicas and one in the
+// ball, where a tiled walk would try the run sampler.
+func TestUntiledExactPoolFold(t *testing.T) {
+	const k = 30
+	for _, tc := range []struct {
+		l    int
+		topo grid.Topology
+		cfg  TwoChoiceConfig
+	}{
+		{12, grid.Torus, TwoChoiceConfig{Radius: 2}},
+		{12, grid.Torus, TwoChoiceConfig{Radius: 3, Choices: 3}},
+		{14, grid.Bounded, TwoChoiceConfig{Radius: 3, Choices: 1}},
+	} {
+		g, _, _, s := indexedWorld(tc.l, 3, tc.topo, k, 3, 1.0, tc.cfg, 11)
+		d := s.cfg.Choices
+		loads := ballsbins.NewLoads(g.N())
+		pcg := rand.NewPCG(uint64(tc.l), 0xf01d)
+		reqs := rand.New(rand.NewPCG(5, 7))
+		counted := 0
+		for q := 0; q < 3000; q++ {
+			req := Request{Origin: int32(reqs.IntN(g.N())), File: int32(reqs.IntN(k))}
+			reps := s.p.Replicas(int(req.File))
+			var pool []int32
+			for _, v := range reps {
+				if g.Dist(int(req.Origin), int(v)) <= tc.cfg.Radius {
+					pool = append(pool, v)
+				}
+			}
+			if len(reps) > 3*d && len(pool) > 0 {
+				counted++
+			}
+			escalated := len(pool) == 0 && len(reps) > 0
+			if escalated {
+				pool = reps
+			}
+			twin := *pcg
+			r := rand.New(&twin)
+			want := req.Origin
+			switch {
+			case len(pool) == 1:
+				want = pool[0]
+			case len(pool) > 1:
+				ties := 0
+				for range d {
+					v := pool[r.IntN(len(pool))]
+					switch lv := loads.Load(int(v)); {
+					case ties == 0 || lv < loads.Load(int(want)):
+						want, ties = v, 1
+					case lv == loads.Load(int(want)):
+						ties++
+						if r.IntN(ties) == 0 {
+							want = v
+						}
+					}
+				}
+			}
+			a := s.Assign(req, loads, rand.New(pcg))
+			if a.Server != want || a.Escalated != escalated || a.Backhaul != (len(reps) == 0) {
+				t.Fatalf("%s req %+v: %+v, want server %d escalated %v", s.Name(), req, a, want, escalated)
+			}
+			if got, next := pcg.Uint64(), twin.Uint64(); got != next {
+				t.Fatalf("%s req %+v: next word %#x, brute-force fold's %#x", s.Name(), req, got, next)
+			}
+			if !a.Backhaul {
+				loads.Add(int(a.Server))
+			}
+		}
+		t.Logf("%s on a %d-side %v: %d requests above 3d with a replica in the ball", s.Name(), tc.l, tc.topo, counted)
+		if counted < 100 {
+			t.Errorf("%s: %d requests above 3d with a replica in the ball, want ≥ 100 (tune the world)", s.Name(), counted)
+		}
 	}
 }

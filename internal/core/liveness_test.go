@@ -97,9 +97,8 @@ func TestLivenessAssignNeverPicksDead(t *testing.T) {
 		"nearest":     NewNearestReplica(g, p),
 		"two-bounded": NewTwoChoice(g, p, TwoChoiceConfig{Radius: radius}),
 		"two-inf":     NewTwoChoice(g, p, TwoChoiceConfig{Radius: RadiusUnbounded}),
-		"two-distinct": NewTwoChoice(g, p, TwoChoiceConfig{
-			Radius: radius, Choices: 3, WithoutReplacement: true}),
-		"oracle": NewLeastLoadedOracle(g, p, TwoChoiceConfig{Radius: radius}),
+		"oracle":      NewLeastLoadedOracle(g, p, TwoChoiceConfig{Radius: radius}),
+		"oracle-inf":  NewLeastLoadedOracle(g, p, TwoChoiceConfig{Radius: RadiusUnbounded}),
 	}
 	for name, st := range strategies {
 		st.(LivenessAware).SetLiveness(lv)
@@ -166,14 +165,17 @@ func TestLivenessAllLiveBitIdentical(t *testing.T) {
 	g := grid.New(l, grid.Torus)
 	p := cache.Place(g.N(), m, dist.NewZipf(k, 1.1), cache.WithReplacement, rand.New(rand.NewPCG(3, 4)))
 	lv := cache.NewLiveness(g.N())
-	for _, cfg := range []TwoChoiceConfig{
-		{Radius: radius},
-		{Radius: RadiusUnbounded},
-		{Radius: radius, Choices: 3, WithoutReplacement: true},
+	for _, tc := range []struct {
+		build func(*grid.Grid, *cache.Placement, TwoChoiceConfig) *TwoChoice
+		cfg   TwoChoiceConfig
+	}{
+		{NewTwoChoice, TwoChoiceConfig{Radius: radius}},
+		{NewTwoChoice, TwoChoiceConfig{Radius: RadiusUnbounded}},
+		{NewLeastLoadedOracle, TwoChoiceConfig{Radius: radius}},
 	} {
-		masked := NewTwoChoice(g, p, cfg)
+		masked := tc.build(g, p, tc.cfg)
 		masked.SetLiveness(lv)
-		bare := NewTwoChoice(g, p, cfg)
+		bare := tc.build(g, p, tc.cfg)
 		rngA := rand.New(rand.NewPCG(42, 43))
 		rngB := rand.New(rand.NewPCG(42, 43))
 		loadsA := ballsbins.NewLoads(g.N())

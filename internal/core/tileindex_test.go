@@ -190,23 +190,21 @@ func TestTwoStageSamplerUniformLaw(t *testing.T) {
 func TestIndexedAssignMatchesSemantics(t *testing.T) {
 	rng := rand.New(rand.NewPCG(91, 17))
 	for _, noEsc := range []bool{false, true} {
-		for _, wr := range []bool{false, true} {
-			cfg := TwoChoiceConfig{Radius: 4, NoEscalate: noEsc, WithoutReplacement: wr}
-			g, p, indexed, plain := indexedWorld(14, 2, grid.Torus, 200, 1, 0, cfg, 5)
-			loads := ballsbins.NewLoads(g.N())
-			for q := 0; q < 4000; q++ {
-				req := Request{Origin: int32(rng.IntN(g.N())), File: int32(rng.IntN(200))}
-				cands := bruteLiveCandidates(g, p, nil, int(req.Origin), int(req.File), 4)
-				ai := indexed.Assign(req, loads, rng)
-				ap := plain.Assign(req, loads, rng)
-				if ai.Escalated != ap.Escalated || ai.Backhaul != ap.Backhaul {
-					t.Fatalf("noEsc=%v wr=%v req=%+v: flags diverge: indexed %+v plain %+v", noEsc, wr, req, ai, ap)
-				}
-				if !ai.Escalated && !ai.Backhaul && !slices.Contains(cands, ai.Server) {
-					t.Fatalf("noEsc=%v wr=%v req=%+v: indexed server %d outside S_j ∩ B_r %v", noEsc, wr, req, ai.Server, cands)
-				}
-				loads.Add(int(ai.Server))
+		cfg := TwoChoiceConfig{Radius: 4, NoEscalate: noEsc}
+		g, p, indexed, plain := indexedWorld(14, 2, grid.Torus, 200, 1, 0, cfg, 5)
+		loads := ballsbins.NewLoads(g.N())
+		for q := 0; q < 4000; q++ {
+			req := Request{Origin: int32(rng.IntN(g.N())), File: int32(rng.IntN(200))}
+			cands := bruteLiveCandidates(g, p, nil, int(req.Origin), int(req.File), 4)
+			ai := indexed.Assign(req, loads, rng)
+			ap := plain.Assign(req, loads, rng)
+			if ai.Escalated != ap.Escalated || ai.Backhaul != ap.Backhaul {
+				t.Fatalf("noEsc=%v req=%+v: flags diverge: indexed %+v plain %+v", noEsc, req, ai, ap)
 			}
+			if !ai.Escalated && !ai.Backhaul && !slices.Contains(cands, ai.Server) {
+				t.Fatalf("noEsc=%v req=%+v: indexed server %d outside S_j ∩ B_r %v", noEsc, req, ai.Server, cands)
+			}
+			loads.Add(int(ai.Server))
 		}
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"math/rand/v2"
 
 	"repro/internal/cache"
@@ -22,10 +21,6 @@ type TwoChoiceConfig struct {
 	// (0 defaults to the paper's d = 2; d = 1 is the random-replica
 	// baseline).
 	Choices int
-	// WithoutReplacement samples the d candidates distinct when possible.
-	// The default (false) matches the standard Azar et al. model of
-	// independent choices, which the paper's analysis uses.
-	WithoutReplacement bool
 	// NoEscalate disables widening the search to r = ∞ when B_r(u) holds
 	// no replica; such requests are then served via backhaul at the
 	// origin. The default escalation matches DESIGN.md §4.4.
@@ -39,8 +34,9 @@ type TwoChoiceConfig struct {
 
 // TwoChoice is Strategy II (Definition 3): sample d (=2) uniform replicas
 // of the requested file within hop radius r of the origin and assign the
-// request to the least loaded, ties uniform. NewOneChoice and
-// NewLeastLoadedOracle build its d = 1 and full-information baselines.
+// request to the least loaded, ties uniform. Choices = 1 is the
+// random-replica baseline, and NewLeastLoadedOracle builds the
+// full-information one.
 type TwoChoice struct {
 	common
 	cfg     TwoChoiceConfig
@@ -48,7 +44,7 @@ type TwoChoice struct {
 	ball    *grid.BallTable // precomputed B_r template (nil when inapplicable)
 	ballBuf []int32
 	candBuf []int32
-	seenBuf []int32 // d-candidate scratch: a fast draw's batch or distinct draws
+	seenBuf []int32 // a fast draw's d candidates
 
 	// Tile-index path (bound when the placement carries a TileIndex).
 	tix         *cache.TileIndex
@@ -141,8 +137,8 @@ func (s *TwoChoice) bindIndex() {
 		if cap(s.ballBuf) < s.ballN {
 			s.ballBuf = make([]int32, 0, s.ballN) // dense exact fallback
 		}
-		// At most d candidates, capped at |B_r| because the oracle's d
-		// is unbounded (distinct draws from an escalated pool grow it).
+		// A fast draw holds d candidates; a d above |B_r| grows the
+		// buffer on demand.
 		if d := min(max(s.cfg.Choices, 4), s.ballN); cap(s.seenBuf) < d {
 			s.seenBuf = make([]int32, 0, d)
 		}
@@ -212,13 +208,15 @@ const walkHere = -2
 
 // ladder is the one candidate ladder of Strategy II, one-choice and the
 // oracle. The (1+β) coin sets d. At a bounded radius a fast draw is
-// tried first: rejection straight off a dense file's bitmap, or off the
-// runs of S_j covering B_r(u) when they hold more than 3d replicas
-// (fewer are cheaper to materialize). A spent budget, or any other
-// request, falls through to the exact pool S_j ∩ B_r(u); an empty pool
-// escalates to S_j (backhaul under NoEscalate), and d draws from the
-// pool are folded into the least loaded. A pool with no live member
-// backhauls.
+// tried first, except by the oracle: rejection straight off a dense
+// file's bitmap, or off the tile runs of S_j covering B_r(u) when they
+// hold more than 3d replicas (fewer are cheaper to materialize). A spent
+// budget, or any other request, falls through to the exact pool
+// S_j ∩ B_r(u); an empty pool escalates to S_j (backhaul under
+// NoEscalate), and d draws from the pool — the oracle's whole pool — are
+// folded into the least loaded. A pool with no live member backhauls. A
+// placement without a tile index always takes the exact pool: its one
+// run is all of S_j, of which the ball holds only about |B_r|/n.
 //
 // The walk of the runs (collectRuns) reads neither loads nor the RNG, so
 // it can run ahead of the rest (Plan): total is the replica total of a
@@ -236,7 +234,7 @@ func (s *TwoChoice) ladder(req Request, total int, loads LoadReader, r *rand.Ran
 	}
 	walked := false
 	if bits := s.fileBits(req.File); bits != nil {
-		if !s.cfg.WithoutReplacement && s.ball != nil {
+		if !s.oracle && s.ball != nil {
 			if srv, ok := s.sampleFromBits(req, reps, bits, d, loads, r); ok {
 				return s.served(req, srv, false)
 			}
@@ -246,7 +244,7 @@ func (s *TwoChoice) ladder(req Request, total int, loads LoadReader, r *rand.Ran
 			total = s.collectRuns(req.Origin, req.File, int32(len(reps)))
 		}
 		walked = true
-		if !s.cfg.WithoutReplacement && total > 3*d {
+		if !s.oracle && s.tix != nil && total > 3*d {
 			if srv, ok := s.sampleFromRuns(req, reps, total, d, loads, r); ok {
 				return s.served(req, srv, false)
 			}
@@ -593,8 +591,6 @@ func (s *TwoChoice) sampleFromRuns(req Request, reps []int32, total, d int, load
 	// Covered tiles overshoot the ball by less than a tile ring, so the
 	// acceptance rate is Ω(|ball| / |cover|) ≈ 1/2 whenever the
 	// intersection is non-empty; a small per-candidate budget suffices.
-	// On an untiled placement the one run is all of S_j, whose share in
-	// the ball may be far lower, so the exact pool often serves instead.
 	budget := 8*d + 8
 	// Accept all d candidates before reading any load: the load vector
 	// reads are the trial's cache misses, and issuing them back to back
@@ -764,18 +760,17 @@ func leastLoaded(cand []int32, loads LoadReader, r *rand.Rand) int32 {
 	return f.best
 }
 
-// drawPool draws d candidates uniformly from pool, folding each as it
-// is drawn, and returns the least loaded, or −1 when the pool holds no
-// live member. Draws are with replacement, or distinct under
-// WithoutReplacement, which takes a pool no larger than d whole; a
-// one-element pool draws no word. Under a liveness mask, draws with
-// replacement reject dead picks within a budget of 4d+16 tries. A spent
+// drawPool draws d candidates uniformly, with replacement, from pool,
+// folding each as it is drawn, and returns the least loaded, or −1 when
+// the pool holds no live member. The oracle folds the whole pool in
+// order instead, and a one-element pool draws no word. Under a liveness
+// mask, draws reject dead picks within a budget of 4d+16 tries. A spent
 // budget (its partial fold discarded, which keeps the law uniform over
-// the live members) and distinct draws filter the pool to its live
-// members first.
+// the live members) and the oracle filter the pool to its live members
+// first.
 func (s *TwoChoice) drawPool(pool []int32, d int, loads LoadReader, r *rand.Rand) int32 {
 	if s.live != nil {
-		if !s.cfg.WithoutReplacement && len(pool) > 1 {
+		if !s.oracle && len(pool) > 1 {
 			var f fold
 			accepted := 0
 			for tries := 0; tries < 4*d+16 && accepted < d; tries++ {
@@ -803,35 +798,16 @@ func (s *TwoChoice) drawPool(pool []int32, d int, loads LoadReader, r *rand.Rand
 			return -1
 		}
 	}
-	if len(pool) == 1 {
-		return pool[0]
-	}
 	switch {
-	case !s.cfg.WithoutReplacement:
-		var f fold
-		for range d {
-			f.add(pool[r.IntN(len(pool))], loads, r)
-		}
-		return f.best
-	case d >= len(pool):
+	case len(pool) == 1:
+		return pool[0]
+	case s.oracle:
 		return leastLoaded(pool, loads, r)
 	}
-	// Distinct draws by rejection: for d ≪ |pool| a scan of the few
-	// accepted candidates is cheaper than a partial Fisher–Yates.
 	var f fold
-	seen := s.seenBuf[:0]
-draw:
-	for len(seen) < d {
-		v := pool[r.IntN(len(pool))]
-		for _, u := range seen {
-			if u == v {
-				continue draw
-			}
-		}
-		seen = append(seen, v)
-		f.add(v, loads, r)
+	for range d {
+		f.add(pool[r.IntN(len(pool))], loads, r)
 	}
-	s.seenBuf = seen
 	return f.best
 }
 
@@ -842,19 +818,10 @@ var _ LivenessAware = (*TwoChoice)(nil)
 // the unattainable lower envelope for any sampling strategy; used in
 // ablation benches). It reads cfg.Radius and cfg.NoEscalate (an empty
 // ball backhauls instead of widening to r = ∞); the sampling fields do
-// not apply to a full-information scan.
+// not apply to a full-information scan. Its ladder skips the fast draws
+// and folds every live member of the exact pool, in order.
 func NewLeastLoadedOracle(g *grid.Grid, p *cache.Placement, cfg TwoChoiceConfig) *TwoChoice {
-	// More distinct draws than the pool holds take the pool whole: the
-	// ladder folds every live member of the exact pool, in order, and
-	// distinct draws skip the fast ones.
-	s := NewTwoChoice(g, p, TwoChoiceConfig{Radius: cfg.Radius, NoEscalate: cfg.NoEscalate, WithoutReplacement: true})
-	s.cfg.Choices = math.MaxInt32
+	s := NewTwoChoice(g, p, TwoChoiceConfig{Radius: cfg.Radius, NoEscalate: cfg.NoEscalate})
 	s.oracle = true
 	return s
-}
-
-// NewOneChoice returns the random-replica-in-radius baseline (d = 1),
-// the natural "no load information" counterpart of Strategy II.
-func NewOneChoice(g *grid.Grid, p *cache.Placement, radius int) *TwoChoice {
-	return NewTwoChoice(g, p, TwoChoiceConfig{Radius: radius, Choices: 1})
 }

@@ -56,10 +56,10 @@ func TestSmokePresetIsQuick(t *testing.T) {
 // before it; it must fail here first.
 func TestSweepPresetHashes(t *testing.T) {
 	want := map[string][2]string{
-		"churn":      {"94cc0eceb9db33942736d078ae90c65a34afc980f3990c989d542cf02f1a742f", "fe3e86de0a6ef7a4b5cbc131c515afe9136f006bec64ad14deb658b3025bdf7e"},
-		"radius":     {"9a2c6142ea45d6490374026b2b1ec5a40d7111c563ce43c3292ac91654ae04bc", "66722a8bddb81735d1370ec27ff34c8a0a0be2925198b44c12d866902038779e"},
-		"smoke":      {"73f955c99b58cdb6ed06031b5c1fbfcfbcbce55146c91fd2b9a0b89c0decd078", "3fb9d03c9d16e951185fcd7a89b78e27609186d103cdd87f90771ee014499aa1"},
-		"strategies": {"106c06470f3818fdf96f0a932d73aadc94519647832e05516d35093494c0cb87", "112352aaf752ca1a9396c3fe48154206058a8fdf31161dd027cbb63edb0d05a2"},
+		"churn":      {"94cc0eceb9db33942736d078ae90c65a34afc980f3990c989d542cf02f1a742f", "59de40f53594f4a1f78f8e40d2f38c159b24dc9b75df3612aee96fe588bb7edf"},
+		"radius":     {"9a2c6142ea45d6490374026b2b1ec5a40d7111c563ce43c3292ac91654ae04bc", "9e3fa815828d5622be6557ead9ec92c7ffe9155ef586277fa1e9c740889bf05b"},
+		"smoke":      {"73f955c99b58cdb6ed06031b5c1fbfcfbcbce55146c91fd2b9a0b89c0decd078", "b2097ec8dad68251437be8f6644308ae2137c0ef2112d9b365348b7d4b71df1b"},
+		"strategies": {"106c06470f3818fdf96f0a932d73aadc94519647832e05516d35093494c0cb87", "408b9dbeae84dfb647aa837913dce0f73b316fa6e2f1051ab47ab10e8a493fcf"},
 	}
 	if len(SweepIDs()) != len(want) {
 		t.Fatalf("%d presets, %d pinned", len(SweepIDs()), len(want))

@@ -80,17 +80,6 @@ func New(l int, topo Topology) *Grid {
 	return g
 }
 
-// NewSquare returns the smallest square lattice with at least n nodes.
-// The paper indexes experiments by the number of servers n; perfect squares
-// are used throughout, and this helper rounds up for convenience.
-func NewSquare(n int, topo Topology) *Grid {
-	l := 1
-	for l*l < n {
-		l++
-	}
-	return New(l, topo)
-}
-
 // Side returns the lattice side length L.
 func (g *Grid) Side() int { return g.l }
 
@@ -353,22 +342,4 @@ func (g *Grid) Neighbors(u int, dst []int32) []int32 {
 		}
 	}
 	return dst
-}
-
-// RadiusForBallSize returns the smallest r with |B_r| ≥ target on the
-// torus. Used to translate the paper's r = n^β into a concrete hop radius.
-func (g *Grid) RadiusForBallSize(target int) int {
-	if target <= 1 {
-		return 0
-	}
-	lo, hi := 0, g.Diameter()
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if g.BallSize(mid) >= target {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
 }

@@ -98,20 +98,6 @@ func TestNewPanicsOnNonPositive(t *testing.T) {
 	New(0, Torus)
 }
 
-func TestNewSquare(t *testing.T) {
-	for _, tc := range []struct{ n, side int }{
-		{1, 1}, {2, 2}, {4, 2}, {5, 3}, {9, 3}, {100, 10}, {101, 11}, {2025, 45},
-	} {
-		g := NewSquare(tc.n, Torus)
-		if g.Side() != tc.side {
-			t.Errorf("NewSquare(%d): side = %d, want %d", tc.n, g.Side(), tc.side)
-		}
-		if g.N() != tc.side*tc.side {
-			t.Errorf("NewSquare(%d): n = %d, want %d", tc.n, g.N(), tc.side*tc.side)
-		}
-	}
-}
-
 func TestCoordIDRoundTrip(t *testing.T) {
 	g := New(7, Torus)
 	for u := 0; u < g.N(); u++ {
@@ -346,19 +332,6 @@ func TestNeighborsDegenerate(t *testing.T) {
 	g := New(1, Torus)
 	if nb := g.Neighbors(0, nil); len(nb) != 0 {
 		t.Fatalf("1x1 torus should have no self neighbors, got %v", nb)
-	}
-}
-
-func TestRadiusForBallSize(t *testing.T) {
-	g := New(45, Torus) // n = 2025
-	for _, target := range []int{0, 1, 2, 5, 13, 100, 1000, 2025} {
-		r := g.RadiusForBallSize(target)
-		if g.BallSize(r) < target {
-			t.Fatalf("RadiusForBallSize(%d) = %d but BallSize = %d", target, r, g.BallSize(r))
-		}
-		if r > 0 && g.BallSize(r-1) >= target {
-			t.Fatalf("RadiusForBallSize(%d) = %d not minimal", target, r)
-		}
 	}
 }
 

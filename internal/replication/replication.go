@@ -53,21 +53,6 @@ func (p Policy) String() string {
 	}
 }
 
-// ParsePolicy converts a CLI name.
-func ParsePolicy(s string) (Policy, error) {
-	switch s {
-	case "proportional":
-		return Proportional, nil
-	case "sqrt", "square-root":
-		return SquareRoot, nil
-	case "uniform":
-		return UniformPlace, nil
-	case "capped":
-		return Capped, nil
-	}
-	return 0, fmt.Errorf("replication: unknown policy %q", s)
-}
-
 // DefaultCapFactor bounds any file's placement mass to 4× the mean under
 // the Capped policy.
 const DefaultCapFactor = 4.0

@@ -18,21 +18,6 @@ func TestPolicyStrings(t *testing.T) {
 	}
 }
 
-func TestParsePolicy(t *testing.T) {
-	for s, want := range map[string]Policy{
-		"proportional": Proportional, "sqrt": SquareRoot,
-		"square-root": SquareRoot, "uniform": UniformPlace, "capped": Capped,
-	} {
-		got, err := ParsePolicy(s)
-		if err != nil || got != want {
-			t.Errorf("ParsePolicy(%q) = %v, %v", s, got, err)
-		}
-	}
-	if _, err := ParsePolicy("bogus"); err == nil {
-		t.Fatal("bogus policy accepted")
-	}
-}
-
 func TestProportionalIsIdentity(t *testing.T) {
 	pop := dist.NewZipf(50, 1.1)
 	place := PlacementProfile(pop, Proportional, 0)

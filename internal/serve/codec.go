@@ -3,6 +3,8 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"io"
 	"math"
 	"strconv"
 )
@@ -20,8 +22,9 @@ type placeScratch struct {
 // placeDecoder decodes a /v1/place body into the pairs
 // json.Unmarshal(body, &PlaceRequest{}) yields, or fails where it fails.
 // The body every client sends, the shape json.Marshal writes, takes a
-// fast path without reflection; any other body goes to json.Unmarshal.
-// It stores at most maxBatch pairs.
+// fast path without reflection; any other body goes to json.Unmarshal,
+// which hands the pairs array to fallbackPairs. Either way it stores at
+// most maxBatch pairs.
 type placeDecoder struct {
 	data  []byte
 	pos   int
@@ -34,14 +37,105 @@ func (d *placeDecoder) decode(body []byte) (n int, err error) {
 	if n, ok := d.fast(body); ok {
 		return n, nil
 	}
-	// A fresh request: json.Unmarshal decodes into the elements a slice
-	// already holds, so reused memory would leak earlier pairs.
-	var req PlaceRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	// PlaceRequest with its pairs decoded by fallbackPairs, named alike
+	// so that json.Unmarshal's errors name the same type.
+	type PlaceRequest struct {
+		Pairs fallbackPairs `json:"pairs"`
+	}
+	req := PlaceRequest{fallbackPairs{pairs: d.pairs[:0]}}
+	err = json.Unmarshal(body, &req)
+	d.pairs = req.Pairs.pairs
+	if err != nil {
 		return 0, err
 	}
-	d.pairs = append(d.pairs[:0], req.Pairs[:min(len(req.Pairs), maxBatch)]...)
-	return len(req.Pairs), nil
+	return req.Pairs.n, nil
+}
+
+// fallbackPairs decodes a pairs array as json.Unmarshal decodes it into
+// a []Pair, but one element at a time, storing the first maxBatch and
+// counting the rest, so that no body costs more memory than a full
+// batch. As with a slice, a repeated "pairs" key decodes into the
+// elements earlier arrays left, past its own length too, and null or an
+// empty array drops them.
+type fallbackPairs struct {
+	pairs []Pair // the elements written since the last drop
+	n     int    // the length of the last array
+}
+
+// UnmarshalJSON implements json.Unmarshaler. json.Unmarshal has checked
+// the whole body's syntax before calling it, so data is one valid value.
+func (f *fallbackPairs) UnmarshalJSON(data []byte) error {
+	if data[0] != '[' {
+		// null drops the elements; any other value fails as it fails
+		// into a []Pair.
+		f.pairs, f.n = f.pairs[:0], 0
+		return json.Unmarshal(data, new([]Pair))
+	}
+	dec := json.NewDecoder(&arrayValues{data: data[1 : len(data)-1]})
+	n := 0
+	var past Pair // decodes, and so checks, the elements past maxBatch
+	for ; dec.More(); n++ {
+		p := &past
+		if n < maxBatch {
+			if n == len(f.pairs) {
+				f.pairs = append(f.pairs, Pair{})
+			}
+			p = &f.pairs[n]
+		}
+		if err := dec.Decode(p); err != nil {
+			// json.Unmarshal names a pair's field by Pair and its path
+			// from the root; it would rename a returned type error's
+			// struct to PlaceRequest.
+			if te, ok := err.(*json.UnmarshalTypeError); ok && te.Struct != "" {
+				te.Field = "pairs." + te.Field
+				return errors.New(te.Error())
+			}
+			return err
+		}
+	}
+	if n == 0 {
+		f.pairs = f.pairs[:0]
+	}
+	f.n = n
+	return nil
+}
+
+// arrayValues reads the elements of a valid JSON array, given without
+// its brackets, as a stream of values with spaces for the array's own
+// commas. A json.Decoder reads such a stream one value at a time
+// without allocating, where its Token API builds a syntax error it
+// never returns for every literal element, such as null, that a comma
+// follows.
+type arrayValues struct {
+	data           []byte
+	pos, depth     int
+	inStr, escaped bool
+}
+
+// Read implements io.Reader.
+func (a *arrayValues) Read(p []byte) (int, error) {
+	if a.pos == len(a.data) {
+		return 0, io.EOF
+	}
+	n := copy(p, a.data[a.pos:])
+	a.pos += n
+	for i, c := range p[:n] {
+		switch {
+		case a.escaped:
+			a.escaped = false
+		case a.inStr:
+			a.escaped, a.inStr = c == '\\', c != '"'
+		case c == '"':
+			a.inStr = true
+		case c == '{' || c == '[':
+			a.depth++
+		case c == '}' || c == ']':
+			a.depth--
+		case c == ',' && a.depth == 0:
+			p[i] = ' '
+		}
+	}
+	return n, nil
 }
 
 // fast decodes a body of exactly the form {"pairs":[{"u":U,"f":F},…]}

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -85,6 +87,7 @@ var placeBodySeeds = []string{
 	"{\"pair\xc5\xbf\":[{\"u\":1}]}",
 	// Unknown members are skipped but must be valid JSON.
 	`{"pairs":[{"u":1,"f":2,"x":[{"y":null,"z":1},-0.5e+3,"s\n\u00e9\"",true,false]}],"extra":{"a":{},"b":[]}}`,
+	`{"pairs":[{"u":1,"x":"],\"[,\\"},null,{"f":2,"y":[",",{"z":"}"}]}]}`,
 	`{"x":[1,2,],"pairs":[{"u":1,"f":2}]}`,
 	`{"x":"\q","pairs":[{"u":1,"f":2}]}`,
 	"{\"x\":\"\x01\",\"pairs\":[{\"u\":1,\"f\":2}]}",
@@ -165,7 +168,8 @@ func decisionsFrom(b []byte) []Decision {
 
 // FuzzPlaceBody checks the /v1/place codec against encoding/json: the
 // decoder, fast path and fallback, accepts exactly the bodies
-// json.Unmarshal accepts and yields the same pairs; every body
+// json.Unmarshal accepts, fails with its error text and yields the same
+// pairs; every body
 // json.Marshal writes for a batch takes the fast path; and the encoder
 // writes what json.NewEncoder writes. One decoder serves every input, as
 // a pooled one serves requests.
@@ -194,7 +198,7 @@ func FuzzPlaceBody(f *testing.F) {
 		var want PlaceRequest
 		wantErr := json.Unmarshal(body, &want)
 		n, err := d.decode(body)
-		if (err == nil) != (wantErr == nil) {
+		if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
 			t.Fatalf("body %q: decoder error %v, json.Unmarshal error %v", body, err, wantErr)
 		}
 		if err == nil {
@@ -271,6 +275,36 @@ func TestPlaceDecodeLongBatch(t *testing.T) {
 	n, err = d.decode([]byte(`{"pairs":[` + long + `],"pairs":[{"f":5}]}`))
 	if err != nil || n != 1 || d.pairs[0] != (Pair{User: 1, File: 5}) {
 		t.Fatalf("replaced long batch: n=%d err=%v pairs[0]=%v, want 1 {1 5}", n, err, d.pairs[0])
+	}
+}
+
+// TestPlaceFallbackBoundsMemory: the largest bodies of empty or null
+// pairs that fit the cap, which only the fallback decodes, allocate at
+// most 8 MB in decoding, as it stores no more than maxBatch pairs, and
+// are answered 400 naming the batch limit.
+func TestPlaceFallbackBoundsMemory(t *testing.T) {
+	e := New(compile(t, quiescedConfig()), 0)
+	defer e.Close()
+	srv := NewServer(e)
+	for _, elem := range []string{`{}`, `null`} {
+		n := (maxPlaceBody - len(`{"pairs":[]}`) - len(elem)) / (len(elem) + 1)
+		body := []byte(`{"pairs":[` + strings.Repeat(elem+`,`, n) + elem + `]}`)
+		var d placeDecoder
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err := d.decode(body)
+		runtime.ReadMemStats(&after)
+		if err != nil || got != n+1 {
+			t.Fatalf("%s: decoded %d pairs, err %v; want %d", elem, got, err, n+1)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 8<<20 {
+			t.Errorf("%s: decoding a %d-byte body of %d pairs allocated %d bytes, want ≤ 8 MB", elem, len(body), n+1, alloc)
+		}
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/place", bytes.NewReader(body)))
+		if want := fmt.Sprintf("exceeds limit %d", maxBatch); rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), want) {
+			t.Fatalf("%s: status %d (%s), want 400 naming %q", elem, rec.Code, bytes.TrimSpace(rec.Body.Bytes()), want)
+		}
 	}
 }
 

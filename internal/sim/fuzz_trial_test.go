@@ -42,7 +42,6 @@ func fuzzConfig(data []byte) Config {
 	cfg.Strategy.Radius = (b>>2)%(side+2) - 1 // -1 is r = ∞
 	b = next()
 	cfg.Strategy.Choices = b % 5
-	cfg.Strategy.WithoutReplacement = b>>3&1 != 0
 	cfg.Strategy.Beta = [...]float64{0, 0.25, 0.5, 1}[b>>4&3]
 	cfg.MissPolicy = MissPolicy(next() % 3)
 	// Mode bytes: the low two bits pick the mode (3 reads as none), the
@@ -87,7 +86,7 @@ func fuzzConfig(data []byte) Config {
 //   - with Workers = 0, a snapshot replay (replayTrial) matches.
 func FuzzTrial(f *testing.F) {
 	// Byte order: side−3, topology|mode<<1|zipf<<2|γ<<3|policy<<6, K−1,
-	// M−1, kind|(r+1)<<2, d|distinct<<3|β<<4, miss, churn, faults,
+	// M−1, kind|(r+1)<<2, d|β<<4, miss, churn, faults,
 	// hetero, workers|shard<<2|chunk<<3, requests (2 bytes), seed (2).
 	f.Add([]byte{6, 0, 39, 1, 1 | 3<<2, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0})                                  // two-choices r = 2
 	f.Add([]byte{6, 4 | 2<<3, 59, 2, 3 | 4<<2, 0, 1, 1 | 8<<2, 1 | 5<<2, 2 | 1<<2, 1 << 3, 0, 2, 2, 0}) // oracle r = 3, churn, crashes, arrivals

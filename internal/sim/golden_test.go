@@ -124,9 +124,9 @@ func replayRegime(t *testing.T, regime string) {
 // TestGoldenTrialsPinned replays the seed-42 trials of TestGoldenTrials.
 func TestGoldenTrialsPinned(t *testing.T) { replayRegime(t, "seed42") }
 
-// TestGoldenMatrixHead replays strategy × miss policy × topology ×
-// candidate sampling plus the Zipf, link-metric, β- and d-choice,
-// uncached-resample and request-count variants.
+// TestGoldenMatrixHead replays strategy × miss policy × topology plus
+// the Zipf, link-metric, β- and d-choice, uncached-resample and
+// request-count variants.
 func TestGoldenMatrixHead(t *testing.T) { replayRegime(t, "head") }
 
 // TestGoldenMatrixIndexTiles replays the d-choice, β, Zipf,
@@ -165,8 +165,7 @@ func everyNth(n int, keep func(Config) bool) []pin {
 }
 
 // TestWorldMatchesRunTrial is the cross-implementation determinism check:
-// for every strategy × miss-policy × topology combination (plus the
-// without-replacement candidate-sampling variant), a compiled World —
+// for every strategy × miss-policy × topology combination, a compiled World —
 // whether driven through a reused Runner, a fresh Runner per trial, or the
 // pooled World.RunTrial convenience — must reproduce the public RunTrial
 // results bit for bit. Scratch reuse across trials must never leak state.
@@ -178,31 +177,29 @@ func TestWorldMatchesRunTrial(t *testing.T) {
 	for _, kind := range kinds {
 		for _, mp := range policies {
 			for _, topo := range topos {
-				for _, wr := range []bool{false, true} {
-					cfg := Config{
-						Side: 12, K: 150, M: 2, Seed: 99, Topology: topo, MissPolicy: mp,
-						Strategy: StrategySpec{Kind: kind, Radius: 3, WithoutReplacement: wr},
-					}
-					name := kind.String() + "/" + mp.String() + "/" + topo.String()
-					w, err := Compile(cfg)
+				cfg := Config{
+					Side: 12, K: 150, M: 2, Seed: 99, Topology: topo, MissPolicy: mp,
+					Strategy: StrategySpec{Kind: kind, Radius: 3},
+				}
+				name := kind.String() + "/" + mp.String() + "/" + topo.String()
+				w, err := Compile(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				reused := w.NewRunner()
+				for trial := uint64(0); trial < trials; trial++ {
+					want, err := RunTrial(cfg, trial)
 					if err != nil {
 						t.Fatal(err)
 					}
-					reused := w.NewRunner()
-					for trial := uint64(0); trial < trials; trial++ {
-						want, err := RunTrial(cfg, trial)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if got := reused.RunTrial(trial); got != want {
-							t.Fatalf("%s t=%d: reused runner %+v != RunTrial %+v", name, trial, got, want)
-						}
-						if got := w.NewRunner().RunTrial(trial); got != want {
-							t.Fatalf("%s t=%d: fresh runner %+v != RunTrial %+v", name, trial, got, want)
-						}
-						if got := w.RunTrial(trial); got != want {
-							t.Fatalf("%s t=%d: pooled World.RunTrial %+v != RunTrial %+v", name, trial, got, want)
-						}
+					if got := reused.RunTrial(trial); got != want {
+						t.Fatalf("%s t=%d: reused runner %+v != RunTrial %+v", name, trial, got, want)
+					}
+					if got := w.NewRunner().RunTrial(trial); got != want {
+						t.Fatalf("%s t=%d: fresh runner %+v != RunTrial %+v", name, trial, got, want)
+					}
+					if got := w.RunTrial(trial); got != want {
+						t.Fatalf("%s t=%d: pooled World.RunTrial %+v != RunTrial %+v", name, trial, got, want)
 					}
 				}
 			}
@@ -278,50 +275,26 @@ var goldenPins = []pin{
 		want: Result{MaxLoad: 5, MeanCost: 5.138888888888889, Requests: 144, Escalated: 93, Uncached: 22}},
 	{name: "two-choices/resample/torus/wr=false", trial: 1, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Seed: 0x63},
 		want: Result{MaxLoad: 4, MeanCost: 5.090277777777778, Requests: 144, Escalated: 91, Uncached: 23}},
-	{name: "two-choices/resample/torus/wr=true", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3, WithoutReplacement: true}, Seed: 0x63},
-		want: Result{MaxLoad: 5, MeanCost: 5.104166666666667, Requests: 144, Escalated: 93, Uncached: 22}},
-	{name: "two-choices/resample/torus/wr=true", trial: 1, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3, WithoutReplacement: true}, Seed: 0x63},
-		want: Result{MaxLoad: 4, MeanCost: 5.027777777777778, Requests: 144, Escalated: 91, Uncached: 23}},
 	{name: "two-choices/resample/grid/wr=false", trial: 0, cfg: Config{Side: 12, Topology: grid.Bounded, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Seed: 0x63},
 		want: Result{MaxLoad: 5, MeanCost: 7.006944444444445, Requests: 144, Escalated: 99, Uncached: 22}},
 	{name: "two-choices/resample/grid/wr=false", trial: 1, cfg: Config{Side: 12, Topology: grid.Bounded, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, Seed: 0x63},
 		want: Result{MaxLoad: 4, MeanCost: 7.006944444444445, Requests: 144, Escalated: 102, Uncached: 23}},
-	{name: "two-choices/resample/grid/wr=true", trial: 0, cfg: Config{Side: 12, Topology: grid.Bounded, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3, WithoutReplacement: true}, Seed: 0x63},
-		want: Result{MaxLoad: 5, MeanCost: 6.986111111111111, Requests: 144, Escalated: 99, Uncached: 22}},
-	{name: "two-choices/resample/grid/wr=true", trial: 1, cfg: Config{Side: 12, Topology: grid.Bounded, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3, WithoutReplacement: true}, Seed: 0x63},
-		want: Result{MaxLoad: 4, MeanCost: 6.763888888888889, Requests: 144, Escalated: 102, Uncached: 23}},
 	{name: "two-choices/escalate/torus/wr=false", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, MissPolicy: MissEscalate, Seed: 0x63},
 		want: Result{MaxLoad: 4, MeanCost: 4.243055555555555, Requests: 144, Escalated: 77, Backhaul: 25, Uncached: 22}},
 	{name: "two-choices/escalate/torus/wr=false", trial: 1, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, MissPolicy: MissEscalate, Seed: 0x63},
 		want: Result{MaxLoad: 4, MeanCost: 4.493055555555555, Requests: 144, Escalated: 85, Backhaul: 21, Uncached: 23}},
-	{name: "two-choices/escalate/torus/wr=true", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3, WithoutReplacement: true}, MissPolicy: MissEscalate, Seed: 0x63},
-		want: Result{MaxLoad: 4, MeanCost: 4.298611111111111, Requests: 144, Escalated: 77, Backhaul: 25, Uncached: 22}},
-	{name: "two-choices/escalate/torus/wr=true", trial: 1, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3, WithoutReplacement: true}, MissPolicy: MissEscalate, Seed: 0x63},
-		want: Result{MaxLoad: 4, MeanCost: 4.652777777777778, Requests: 144, Escalated: 85, Backhaul: 21, Uncached: 23}},
 	{name: "two-choices/escalate/grid/wr=false", trial: 0, cfg: Config{Side: 12, Topology: grid.Bounded, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, MissPolicy: MissEscalate, Seed: 0x63},
 		want: Result{MaxLoad: 4, MeanCost: 5.972222222222222, Requests: 144, Escalated: 86, Backhaul: 25, Uncached: 22}},
 	{name: "two-choices/escalate/grid/wr=false", trial: 1, cfg: Config{Side: 12, Topology: grid.Bounded, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, MissPolicy: MissEscalate, Seed: 0x63},
 		want: Result{MaxLoad: 4, MeanCost: 6.118055555555555, Requests: 144, Escalated: 92, Backhaul: 21, Uncached: 23}},
-	{name: "two-choices/escalate/grid/wr=true", trial: 0, cfg: Config{Side: 12, Topology: grid.Bounded, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3, WithoutReplacement: true}, MissPolicy: MissEscalate, Seed: 0x63},
-		want: Result{MaxLoad: 4, MeanCost: 6.034722222222222, Requests: 144, Escalated: 86, Backhaul: 25, Uncached: 22}},
-	{name: "two-choices/escalate/grid/wr=true", trial: 1, cfg: Config{Side: 12, Topology: grid.Bounded, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3, WithoutReplacement: true}, MissPolicy: MissEscalate, Seed: 0x63},
-		want: Result{MaxLoad: 4, MeanCost: 6.166666666666667, Requests: 144, Escalated: 92, Backhaul: 21, Uncached: 23}},
 	{name: "two-choices/origin/torus/wr=false", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, MissPolicy: MissOrigin, Seed: 0x63},
 		want: Result{MaxLoad: 4, MeanCost: 0.6388888888888888, Requests: 144, Backhaul: 102, Uncached: 22}},
 	{name: "two-choices/origin/torus/wr=false", trial: 1, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, MissPolicy: MissOrigin, Seed: 0x63},
 		want: Result{MaxLoad: 4, MeanCost: 0.6527777777777778, Requests: 144, Backhaul: 106, Uncached: 23}},
-	{name: "two-choices/origin/torus/wr=true", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3, WithoutReplacement: true}, MissPolicy: MissOrigin, Seed: 0x63},
-		want: Result{MaxLoad: 4, MeanCost: 0.6458333333333334, Requests: 144, Backhaul: 102, Uncached: 22}},
-	{name: "two-choices/origin/torus/wr=true", trial: 1, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3, WithoutReplacement: true}, MissPolicy: MissOrigin, Seed: 0x63},
-		want: Result{MaxLoad: 4, MeanCost: 0.6597222222222222, Requests: 144, Backhaul: 106, Uncached: 23}},
 	{name: "two-choices/origin/grid/wr=false", trial: 0, cfg: Config{Side: 12, Topology: grid.Bounded, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, MissPolicy: MissOrigin, Seed: 0x63},
 		want: Result{MaxLoad: 4, MeanCost: 0.5138888888888888, Requests: 144, Backhaul: 111, Uncached: 22}},
 	{name: "two-choices/origin/grid/wr=false", trial: 1, cfg: Config{Side: 12, Topology: grid.Bounded, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}, MissPolicy: MissOrigin, Seed: 0x63},
 		want: Result{MaxLoad: 4, MeanCost: 0.5069444444444444, Requests: 144, Backhaul: 113, Uncached: 23}},
-	{name: "two-choices/origin/grid/wr=true", trial: 0, cfg: Config{Side: 12, Topology: grid.Bounded, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3, WithoutReplacement: true}, MissPolicy: MissOrigin, Seed: 0x63},
-		want: Result{MaxLoad: 4, MeanCost: 0.5069444444444444, Requests: 144, Backhaul: 111, Uncached: 22}},
-	{name: "two-choices/origin/grid/wr=true", trial: 1, cfg: Config{Side: 12, Topology: grid.Bounded, K: 150, M: 2, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3, WithoutReplacement: true}, MissPolicy: MissOrigin, Seed: 0x63},
-		want: Result{MaxLoad: 4, MeanCost: 0.5208333333333334, Requests: 144, Backhaul: 113, Uncached: 23}},
 	{name: "one-choice/resample/torus", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: OneChoiceRandom, Radius: 3}, Seed: 0x63},
 		want: Result{MaxLoad: 4, MeanCost: 5.118055555555555, Requests: 144, Escalated: 93, Uncached: 22}},
 	{name: "one-choice/resample/torus", trial: 1, cfg: Config{Side: 12, K: 150, M: 2, Strategy: StrategySpec{Kind: OneChoiceRandom, Radius: 3}, Seed: 0x63},
@@ -606,6 +579,6 @@ var goldenPins = []pin{
 		want: Result{MaxLoad: 76, MeanCost: 4.005615234375, Requests: 4096, Escalated: 1604, Uncached: 57}},
 	{name: "sharded/beta0.5/two-choices", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Popularity: PopSpec{Kind: PopZipf, Gamma: 0.9}, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3, Beta: 0.5}, Requests: 4096, Workers: 4, Seed: 0x71},
 		want: Result{MaxLoad: 76, MeanCost: 4.05859375, Requests: 4096, Escalated: 1604, Uncached: 57}},
-	{name: "sharded/d3-wor/two-choices", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Popularity: PopSpec{Kind: PopZipf, Gamma: 0.9}, Strategy: StrategySpec{Kind: TwoChoices, Radius: 4, Choices: 3, WithoutReplacement: true}, Requests: 4096, Workers: 4, Seed: 0x71},
-		want: Result{MaxLoad: 76, MeanCost: 4.0908203125, Requests: 4096, Escalated: 1093, Uncached: 57}},
+	{name: "sharded/d3/two-choices", trial: 0, cfg: Config{Side: 12, K: 150, M: 2, Popularity: PopSpec{Kind: PopZipf, Gamma: 0.9}, Strategy: StrategySpec{Kind: TwoChoices, Radius: 4, Choices: 3}, Requests: 4096, Workers: 4, Seed: 0x71},
+		want: Result{MaxLoad: 76, MeanCost: 4.109130859375, Requests: 4096, Escalated: 1093, Uncached: 57}},
 }

@@ -44,7 +44,7 @@ func (e enumNames[T]) parse(s string) (T, error) {
 // a sweep spec under its JSON names. Config is the only translation
 // from these spellings to a Config. The zero value of every optional
 // field selects the engine default; Side, K and M are mandatory. Beta
-// and WithoutReplacement have no flag: only sweep specs set them.
+// has no flag: only sweep specs set it.
 type PointSpec struct {
 	// Side is the lattice side L (n = L² servers).
 	Side int `json:"side"`
@@ -65,8 +65,6 @@ type PointSpec struct {
 	Choices int `json:"choices,omitempty"`
 	// Beta selects the (1+β)-choice process for two-choices.
 	Beta float64 `json:"beta,omitempty"`
-	// WithoutReplacement samples candidates distinct when possible.
-	WithoutReplacement bool `json:"without_replacement,omitempty"`
 	// Requests is the request count per trial (0 = n).
 	Requests int `json:"requests,omitempty"`
 	// Miss is the miss policy: "resample" (default), "escalate", "origin".
@@ -130,10 +128,7 @@ func (p PointSpec) Config(seed uint64) (Config, error) {
 	case "nearest", "":
 		cfg.Strategy = StrategySpec{Kind: Nearest}
 	case "two-choices", "two":
-		cfg.Strategy = StrategySpec{
-			Kind: TwoChoices, Radius: p.Radius, Choices: p.Choices,
-			WithoutReplacement: p.WithoutReplacement, Beta: p.Beta,
-		}
+		cfg.Strategy = StrategySpec{Kind: TwoChoices, Radius: p.Radius, Choices: p.Choices, Beta: p.Beta}
 	case "one-choice", "one":
 		cfg.Strategy = StrategySpec{Kind: OneChoiceRandom, Radius: p.Radius}
 	case "oracle":

@@ -32,14 +32,12 @@ func TestPointSpecConfig(t *testing.T) {
 			Churn: "none", Faults: "none", Hetero: "none", Profile: "uniform", Shard: "deterministic"}), world},
 		{"bounded alias", at(PointSpec{Topology: "bounded"}), with(func(c *Config) { c.Topology = grid.Bounded })},
 		{"grid", at(PointSpec{Topology: "grid"}), with(func(c *Config) { c.Topology = grid.Bounded })},
-		{"nearest reads no strategy field", at(PointSpec{Radius: 4, Choices: 3, Beta: 0.5, WithoutReplacement: true}), world},
-		{"two", at(PointSpec{Strategy: "two", Radius: 2, Choices: 3, Beta: 0.5, WithoutReplacement: true}),
-			with(func(c *Config) {
-				c.Strategy = StrategySpec{Kind: TwoChoices, Radius: 2, Choices: 3, WithoutReplacement: true, Beta: 0.5}
-			})},
+		{"nearest reads no strategy field", at(PointSpec{Radius: 4, Choices: 3, Beta: 0.5}), world},
+		{"two", at(PointSpec{Strategy: "two", Radius: 2, Choices: 3, Beta: 0.5}),
+			with(func(c *Config) { c.Strategy = StrategySpec{Kind: TwoChoices, Radius: 2, Choices: 3, Beta: 0.5} })},
 		{"two-choices", at(PointSpec{Strategy: "two-choices", Radius: -1}),
 			with(func(c *Config) { c.Strategy = StrategySpec{Kind: TwoChoices, Radius: -1} })},
-		{"one", at(PointSpec{Strategy: "one", Radius: 2, Choices: 3, Beta: 0.5, WithoutReplacement: true}),
+		{"one", at(PointSpec{Strategy: "one", Radius: 2, Choices: 3, Beta: 0.5}),
 			with(func(c *Config) { c.Strategy = StrategySpec{Kind: OneChoiceRandom, Radius: 2} })},
 		{"one-choice", at(PointSpec{Strategy: "one-choice", Radius: 2}),
 			with(func(c *Config) { c.Strategy = StrategySpec{Kind: OneChoiceRandom, Radius: 2} })},

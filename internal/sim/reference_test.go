@@ -17,9 +17,9 @@ import (
 // referenceTrial is a brute-force Strategy II (and one-choice, (1+β) /
 // oracle) trial: trial t's placement and split request streams, exactly
 // as RunTrial draws them, assigned by scanning every replica of the file
-// with grid.Dist, drawing d candidates uniformly from those within r
-// (distinct under WithoutReplacement; one with probability 1−β under a
-// Beta in (0, 1)) and taking the least loaded, ties uniform. Its own rng
+// with grid.Dist, drawing d candidates uniformly from those within r (one
+// with probability 1−β under a Beta in (0, 1); the oracle takes them
+// all) and taking the least loaded, ties uniform. Its own rng
 // draws the candidates and the β coin, so it matches the engine in law,
 // not trajectory. Homogeneous, fault-free, churn-free worlds only.
 func referenceTrial(w *World, t uint64, rng *rand.Rand) Result {
@@ -73,16 +73,9 @@ func referenceTrial(w *World, t uint64, rng *rand.Rand) Result {
 			if sp.Beta > 0 && sp.Beta < 1 && rng.Float64() >= sp.Beta {
 				dr = 1 // the (1+β) process's one-choice round
 			}
-			switch {
-			case sp.Kind == Oracle || sp.WithoutReplacement && dr >= len(pool):
+			if sp.Kind == Oracle {
 				cand = append(cand[:0], pool...)
-			case sp.WithoutReplacement:
-				for k := 0; k < dr; k++ { // partial Fisher–Yates
-					j := k + rng.IntN(len(pool)-k)
-					pool[k], pool[j] = pool[j], pool[k]
-				}
-				cand = append(cand[:0], pool[:dr]...)
-			default:
+			} else {
 				cand = cand[:0]
 				for range dr {
 					cand = append(cand, pool[rng.IntN(len(pool))])
@@ -110,7 +103,7 @@ func referenceTrial(w *World, t uint64, rng *rand.Rand) Result {
 }
 
 // referenceConfigs span the reference comparison: torus and bounded
-// grid, Zipf with dense files, d = 4 without replacement, one-choice, the
+// grid, Zipf with dense files, d = 4, one-choice, the
 // (1+β) process, the oracle (escalating and backhauling), and all three
 // miss policies.
 var referenceConfigs = []struct {
@@ -120,7 +113,7 @@ var referenceConfigs = []struct {
 	{"torus/resample", Config{Side: 16, K: 60, M: 4, Seed: 0x63, Strategy: StrategySpec{Kind: TwoChoices, Radius: 4}}},
 	{"grid/escalate", Config{Side: 12, K: 150, M: 2, Seed: 0x63, Topology: grid.Bounded, MissPolicy: MissEscalate, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}}},
 	{"zipf/origin", Config{Side: 12, K: 150, M: 2, Seed: 0x63, Popularity: PopSpec{Kind: PopZipf, Gamma: 1.2}, MissPolicy: MissOrigin, Strategy: StrategySpec{Kind: TwoChoices, Radius: 3}}},
-	{"d4-distinct", Config{Side: 12, K: 100, M: 2, Seed: 0x7, Strategy: StrategySpec{Kind: TwoChoices, Radius: 4, Choices: 4, WithoutReplacement: true}}},
+	{"d4", Config{Side: 12, K: 100, M: 2, Seed: 0x7, Strategy: StrategySpec{Kind: TwoChoices, Radius: 4, Choices: 4}}},
 	{"one-choice", Config{Side: 12, K: 150, M: 2, Seed: 0x63, Strategy: StrategySpec{Kind: OneChoiceRandom, Radius: 3}}},
 	{"beta", Config{Side: 16, K: 60, M: 4, Seed: 0x63, Strategy: StrategySpec{Kind: TwoChoices, Radius: 4, Beta: 0.5}}},
 	{"oracle", Config{Side: 12, K: 150, M: 2, Seed: 0x63, Strategy: StrategySpec{Kind: Oracle, Radius: 3}}},

@@ -74,8 +74,6 @@ type StrategySpec struct {
 	Radius int
 	// Choices is d for TwoChoices (0 → 2).
 	Choices int
-	// WithoutReplacement samples candidates distinct when possible.
-	WithoutReplacement bool
 	// Beta in (0,1) selects the (1+β)-choice process for TwoChoices.
 	Beta float64
 }
@@ -616,11 +614,10 @@ func buildStrategy(cfg Config, g *grid.Grid, p *cache.Placement) core.Strategy {
 		return core.NewNearestReplica(g, p)
 	case TwoChoices:
 		return core.NewTwoChoice(g, p, core.TwoChoiceConfig{
-			Radius:             sp.Radius,
-			Choices:            sp.Choices,
-			WithoutReplacement: sp.WithoutReplacement,
-			Beta:               sp.Beta,
-			NoEscalate:         cfg.MissPolicy == MissOrigin,
+			Radius:     sp.Radius,
+			Choices:    sp.Choices,
+			Beta:       sp.Beta,
+			NoEscalate: cfg.MissPolicy == MissOrigin,
 		})
 	case OneChoiceRandom:
 		return core.NewTwoChoice(g, p, core.TwoChoiceConfig{

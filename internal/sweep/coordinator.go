@@ -160,7 +160,13 @@ func NewCoordinator(spec *Spec, journalPath string, opt CoordinatorOptions) (*Co
 		}
 		c.journal, c.dropped = j, dropped
 		for _, res := range recovered {
-			if i, ok := c.byKey[res.Key]; ok && c.phase[i] != shardDone {
+			i, ok := c.byKey[res.Key]
+			switch {
+			case !ok:
+				// Verified, but under a key no shard of this spec has: a
+				// build whose sim.Config marshals differently wrote it.
+				c.dropped++
+			case c.phase[i] != shardDone:
 				c.phase[i] = shardDone
 				c.results[res.Key] = res
 			}
@@ -396,7 +402,8 @@ func (c *Coordinator) Dupes() int {
 }
 
 // JournalDropped reports how many lines of a recovered journal were
-// dropped as torn or unverifiable. Their shards run again.
+// dropped as torn, unverifiable or naming no shard of the spec. Their
+// shards run again.
 func (c *Coordinator) JournalDropped() int { return c.dropped }
 
 // Wait blocks until every shard is done (nil) or the sweep failed

@@ -31,7 +31,7 @@ func FuzzParseSpec(f *testing.F) {
 		`{"trials":2,"base":{"side":5,"k":10,"m":1}}`,
 		specJSON,
 		`{"trials":1,"seed":1,"base":{"side":3,"k":4,"m":1},"axes":[{"field":"gamma","values":[0.5,0.8]}]}`,
-		`{"trials":4,"blocks":2,"base":{"side":4,"k":8,"m":2,"strategy":"two-choices","radius":2,"without_replacement":true}}`,
+		`{"trials":4,"blocks":2,"base":{"side":4,"k":8,"m":2,"strategy":"two-choices","radius":2,"choices":3}}`,
 		// Junk, truncation, type confusion.
 		``, `null`, `0`, `[]`, `"spec"`, `{`, `{"trials":`,
 		`{"trials":"two","base":{}}`,

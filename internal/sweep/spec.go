@@ -57,8 +57,8 @@ type Axis struct {
 	// Field names the sim.PointSpec knob the axis sweeps by its exact
 	// JSON name, e.g. "side", "radius", "churn_rate", "strategy".
 	Field string `json:"field"`
-	// Values are the swept values; numbers, strings or booleans
-	// matching the field's type.
+	// Values are the swept values; numbers or strings matching the
+	// field's type.
 	Values []any `json:"values"`
 }
 
@@ -218,8 +218,6 @@ func formatValue(v any) string {
 		return strconv.FormatFloat(x, 'g', -1, 64)
 	case string:
 		return x
-	case bool:
-		return strconv.FormatBool(x)
 	default:
 		return fmt.Sprintf("%v", x)
 	}
@@ -284,13 +282,13 @@ func (s *Spec) Points() ([]Point, error) {
 
 // readsField reports whether a point running strategy kind reads the
 // PointSpec field: radius is read by every strategy but nearest, and
-// choices, beta and without_replacement by two-choices only. Every
-// other field is read by every point.
+// choices and beta by two-choices only. Every other field is read by
+// every point.
 func readsField(kind sim.StrategyKind, field string) bool {
 	switch field {
 	case "radius":
 		return kind != sim.Nearest
-	case "choices", "beta", "without_replacement":
+	case "choices", "beta":
 		return kind == sim.TwoChoices
 	}
 	return true

@@ -124,7 +124,6 @@ func TestParseSpecRejects(t *testing.T) {
 		"axis null":        `{"trials":1,"base":{"side":5,"k":10,"m":1},"axes":[{"field":"m","values":[null]}]}`,
 		"frac radius":      `{"trials":1,"base":{"side":5,"k":10,"m":1,"strategy":"two-choices"},"axes":[{"field":"radius","values":[2.5]}]}`,
 		"huge int":         `{"trials":1,"base":{"side":5,"k":10,"m":1},"axes":[{"field":"m","values":[1e30]}]}`,
-		"bool as int":      `{"trials":1,"base":{"side":5,"k":10,"m":1},"axes":[{"field":"without_replacement","values":[1]}]}`,
 		"bad hetero":       `{"trials":1,"base":{"side":5,"k":10,"m":1,"hetero":"some"}}`,
 		"bad profile":      `{"trials":1,"base":{"side":5,"k":10,"m":1,"hetero":"capacity"},"axes":[{"field":"profile","values":["flat"]}]}`,
 		"arrival, 1 chunk": `{"trials":1,"base":{"side":5,"k":10,"m":1,"miss":"escalate","hetero":"arrival","arrival_rate":0.01}}`,
@@ -144,7 +143,6 @@ func TestParseSpecNamesDeadAxis(t *testing.T) {
 	for _, tc := range []struct{ dead, src string }{
 		{"choices", `{"trials":1,"base":{"side":5,"k":10,"m":1,"strategy":"oracle"},"axes":[{"field":"choices","values":[2,5]},{"field":"beta","values":[0,0.5]}]}`},
 		{"radius", `{"trials":1,"base":{"side":5,"k":10,"m":1},"axes":[{"field":"radius","values":[2,3]}]}`},
-		{"without_replacement", `{"trials":1,"base":{"side":5,"k":10,"m":1,"radius":2},"axes":[{"field":"strategy","values":["one-choice","oracle"]},{"field":"without_replacement","values":[false,true]}]}`},
 		{"", `{"trials":1,"base":{"side":5,"k":10,"m":1},"axes":[{"field":"strategy","values":["nearest","two-choices"]},{"field":"radius","values":[2,3]},{"field":"beta","values":[0,0.5]}]}`},
 	} {
 		_, err := ParseSpec([]byte(tc.src))
@@ -158,15 +156,29 @@ func TestParseSpecNamesDeadAxis(t *testing.T) {
 	}
 }
 
+// TestParseSpecRefusesWithoutReplacement: Strategy II draws its
+// candidates with replacement only, so a spec naming the distinct-draw
+// knob it once had, in its base or as an axis, is refused by name.
+func TestParseSpecRefusesWithoutReplacement(t *testing.T) {
+	for _, src := range []string{
+		`{"trials":1,"base":{"side":5,"k":10,"m":1,"strategy":"two-choices","radius":2,"without_replacement":true}}`,
+		`{"trials":1,"base":{"side":5,"k":10,"m":1,"strategy":"two-choices","radius":2,"without_replacement":false}}`,
+		`{"trials":1,"base":{"side":5,"k":10,"m":1,"strategy":"two-choices","radius":2},"axes":[{"field":"without_replacement","values":[false,true]}]}`,
+	} {
+		if _, err := ParseSpec([]byte(src)); err == nil || !strings.Contains(err.Error(), `"without_replacement"`) {
+			t.Errorf("%s: err = %v, want a refusal naming without_replacement", src, err)
+		}
+	}
+}
+
 // TestReadsFieldMatchesConfig: readsField says a strategy reads a
 // field exactly when changing that field changes the strategy's
 // translated Config, so the dead-axis check follows PointSpec.Config.
 func TestReadsFieldMatchesConfig(t *testing.T) {
 	set := map[string]func(*sim.PointSpec){
-		"radius":              func(p *sim.PointSpec) { p.Radius = 3 },
-		"choices":             func(p *sim.PointSpec) { p.Choices = 3 },
-		"beta":                func(p *sim.PointSpec) { p.Beta = 0.5 },
-		"without_replacement": func(p *sim.PointSpec) { p.WithoutReplacement = true },
+		"radius":  func(p *sim.PointSpec) { p.Radius = 3 },
+		"choices": func(p *sim.PointSpec) { p.Choices = 3 },
+		"beta":    func(p *sim.PointSpec) { p.Beta = 0.5 },
 	}
 	for _, strategy := range []string{"nearest", "two-choices", "one-choice", "oracle"} {
 		base := sim.PointSpec{Side: 8, K: 20, M: 2, Strategy: strategy, Radius: 2}

@@ -335,6 +335,41 @@ func TestCoordinatorReportsDroppedJournalRecords(t *testing.T) {
 	}
 }
 
+// TestCoordinatorDropsForeignJournalKeys: a done record that verifies
+// but whose key names no shard of the spec — written by a build whose
+// sim.Config marshals differently, so every shard key moved — resumes
+// nothing and is reported as dropped.
+func TestCoordinatorDropsForeignJournalKeys(t *testing.T) {
+	spec := tinySpec(t)
+	path := filepath.Join(t.TempDir(), "sweep.journal")
+	c, err := NewCoordinator(spec, path, CoordinatorOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards, _ := spec.Shards()
+	if _, err := c.Complete(runShardDirect(t, shards[0])); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign := strings.Repeat("f", len(shards[0].Key))
+	if err := os.WriteFile(path, []byte(strings.Replace(string(data), shards[0].Key, foreign, 1)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	c2, err := NewCoordinator(spec, path, CoordinatorOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	if st := c2.Status(); st.Done != 0 || c2.JournalDropped() != 1 {
+		t.Fatalf("resumed %d shards, dropped %d lines; want 0 and 1", st.Done, c2.JournalDropped())
+	}
+}
+
 // tamperJournalHashes rewrites every done record's hash in the journal
 // at path, so each record fails verification.
 func tamperJournalHashes(t *testing.T, path string) {

@@ -56,28 +56,3 @@ func (s Source) Split(label uint64) Source {
 	st := s.seed ^ (label * 0xbf58476d1ce4e5b9)
 	return Source{seed: splitMix64(&st)}
 }
-
-// Perm fills dst with a uniform random permutation of 0..len(dst)-1.
-func Perm(r *rand.Rand, dst []int32) {
-	for i := range dst {
-		dst[i] = int32(i)
-	}
-	for i := len(dst) - 1; i > 0; i-- {
-		j := r.IntN(i + 1)
-		dst[i], dst[j] = dst[j], dst[i]
-	}
-}
-
-// TwoDistinct returns two distinct uniform indices in [0, n). It panics if
-// n < 2. Used by the without-replacement variant of the two-choices rule.
-func TwoDistinct(r *rand.Rand, n int) (int, int) {
-	if n < 2 {
-		panic("xrand: TwoDistinct needs n >= 2")
-	}
-	i := r.IntN(n)
-	j := r.IntN(n - 1)
-	if j >= i {
-		j++
-	}
-	return i, j
-}

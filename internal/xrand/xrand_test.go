@@ -3,7 +3,6 @@ package xrand
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestStreamDeterminism(t *testing.T) {
@@ -68,77 +67,6 @@ func TestStreamUniformity(t *testing.T) {
 			t.Errorf("bucket %d frequency %.4f, want 0.1 ± 0.015", i, frac)
 		}
 	}
-}
-
-func TestPerm(t *testing.T) {
-	r := NewSource(1).Stream(0)
-	dst := make([]int32, 50)
-	Perm(r, dst)
-	seen := make([]bool, 50)
-	for _, v := range dst {
-		if v < 0 || int(v) >= 50 || seen[v] {
-			t.Fatalf("not a permutation: %v", dst)
-		}
-		seen[v] = true
-	}
-}
-
-func TestPermUniformFirstElement(t *testing.T) {
-	r := NewSource(3).Stream(0)
-	dst := make([]int32, 4)
-	counts := make([]int, 4)
-	const trials = 40000
-	for i := 0; i < trials; i++ {
-		Perm(r, dst)
-		counts[dst[0]]++
-	}
-	for i, c := range counts {
-		frac := float64(c) / trials
-		if math.Abs(frac-0.25) > 0.02 {
-			t.Errorf("position 0 value %d frequency %.4f, want 0.25 ± 0.02", i, frac)
-		}
-	}
-}
-
-func TestTwoDistinct(t *testing.T) {
-	r := NewSource(5).Stream(0)
-	prop := func(nRaw uint8) bool {
-		n := int(nRaw)%20 + 2
-		i, j := TwoDistinct(r, n)
-		return i != j && i >= 0 && i < n && j >= 0 && j < n
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestTwoDistinctUniformPairs(t *testing.T) {
-	// All ordered pairs (i, j), i != j, over n=4 should be equally likely.
-	r := NewSource(11).Stream(0)
-	counts := map[[2]int]int{}
-	const trials = 60000
-	for k := 0; k < trials; k++ {
-		i, j := TwoDistinct(r, 4)
-		counts[[2]int{i, j}]++
-	}
-	if len(counts) != 12 {
-		t.Fatalf("saw %d ordered pairs, want 12", len(counts))
-	}
-	for p, c := range counts {
-		frac := float64(c) / trials
-		if math.Abs(frac-1.0/12) > 0.01 {
-			t.Errorf("pair %v frequency %.4f, want %.4f ± 0.01", p, frac, 1.0/12)
-		}
-	}
-}
-
-func TestTwoDistinctPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("TwoDistinct(r, 1) did not panic")
-		}
-	}()
-	TwoDistinct(NewSource(0).Stream(0), 1)
 }
 
 func BenchmarkStreamCreation(b *testing.B) {
