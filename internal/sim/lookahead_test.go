@@ -2,6 +2,7 @@ package sim
 
 import (
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -25,23 +26,7 @@ func lookaheadConfigs() map[string]Config {
 			Index:      IndexTiles,
 			Seed:       1,
 		},
-		"dynamic": {
-			Side: 70, K: 10_000, M: 10,
-			Popularity:  PopSpec{Kind: PopZipf, Gamma: 1.2},
-			Strategy:    StrategySpec{Kind: TwoChoices, Radius: 8},
-			MissPolicy:  MissEscalate,
-			Streams:     StreamsSplit,
-			Index:       IndexTiles,
-			Churn:       ChurnReplicas,
-			ChurnRate:   0.5,
-			Faults:      FaultsCrash,
-			FaultRate:   0.01,
-			RecoverRate: 0.005,
-			Hetero:      HeteroArrival,
-			Profile:     ProfilePowerLaw,
-			ArrivalRate: 0.01,
-			Seed:        1,
-		},
+		"dynamic": dynamicCfg(),
 		"miss-resample": {
 			Side: 16, K: 4000, M: 4, Requests: 2048, Seed: 7,
 			Popularity: PopSpec{Kind: PopZipf, Gamma: 0.8},
@@ -157,8 +142,11 @@ func TestRunnerLookaheadMatchesFresh(t *testing.T) {
 }
 
 // replanPrefix leaves st planned for its first n requests, as a helper
-// stopped after n walks would have.
+// stopped after n walks would have. The walks are made against the
+// placement the first chunk runs on: view 0 once the helper has applied
+// a barrier ahead.
 func replanPrefix(st *trialState, n int) {
+	st.planner = st.bindChunk(st.planner, 0).(*core.TwoChoice)
 	st.plans.Reset()
 	for i := 0; i < n; i++ {
 		if !st.planner.Plan(core.Request{Origin: st.reqOrigins[i], File: st.reqFiles[i]}, st.plans) {
@@ -167,9 +155,78 @@ func replanPrefix(st *trialState, n int) {
 	}
 }
 
+// TestRunnerLookaheadBarriersHandOff: a spare armed ahead whose helper
+// stopped after j barriers, for every j from none to all of the trial's,
+// gives the fresh Runner's Result field for field once swapped in —
+// DeadLoad summed from the crashes logged ahead, Uncached read at arm,
+// Vacant, every event counter and, on the links row, the link metrics
+// of every chunk run on a view. The spare is armed by hand, as the
+// helper's job does, so each j is reached exactly. The churn-arrivals
+// row has no fault process, so its views hold no liveness mask.
+func TestRunnerLookaheadBarriersHandOff(t *testing.T) {
+	links := dynamicCfg()
+	links.Metrics = MetricsLinks
+	rows := map[string]Config{
+		"dynamic":       dynamicCfg(),
+		"drift-crash":   lookaheadConfigs()["drift-crash"],
+		"dynamic/links": links,
+		"churn-arrivals": {
+			Side: 16, K: 300, M: 4, Requests: 4096, Seed: 0xA11,
+			Popularity:  PopSpec{Kind: PopZipf, Gamma: 0.9},
+			Strategy:    StrategySpec{Kind: TwoChoices, Radius: 4},
+			MissPolicy:  MissEscalate,
+			Churn:       ChurnReplicas,
+			ChurnRate:   0.5,
+			Hetero:      HeteroArrival,
+			Profile:     ProfilePowerLaw,
+			ArrivalRate: 0.01,
+		},
+	}
+	for name, cfg := range rows {
+		w, err := Compile(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if w.barriers() < 3 {
+			t.Fatalf("%s: %d barriers a trial; the hand-off is barely exercised", name, w.barriers())
+		}
+		var events, deadLoad int
+		for trial := uint64(1); trial <= 2; trial++ {
+			want := w.NewRunner().RunTrial(trial)
+			events += want.ArrivalEvents + want.FaultEvents + want.ChurnEvents
+			deadLoad += want.DeadLoad
+			for j := 0; j <= w.barriers(); j++ {
+				r := w.NewRunner()
+				st := w.newTrialState()
+				st.readyAhead()
+				st.arm(trial)
+				st.sizeViews()
+				st.draw(trial, len(st.reqOrigins))
+				st.plan(new(atomic.Bool))
+				for range j {
+					if !st.applyAhead() {
+						t.Fatalf("%s: the views ran out at barrier %d of %d", name, st.barriersAhead, w.barriers())
+					}
+				}
+				r.spare, r.spareArmed, r.spareT = &st, true, trial
+				if got := r.RunTrial(trial); got != want {
+					t.Errorf("%s trial %d, %d barriers ahead:\n got %+v\nwant %+v", name, trial, j, got, want)
+				}
+				if r.trialState != &st {
+					t.Fatalf("%s: RunTrial did not swap in the state armed ahead", name)
+				}
+			}
+		}
+		if events == 0 || (cfg.Faults != FaultsNone && deadLoad == 0) {
+			t.Errorf("%s: %d events and %d dead load over the trials; the counters are not exercised", name, events, deadLoad)
+		}
+	}
+}
+
 // TestRunnerLookaheadGates: pooled Runners, sharded worlds, worlds
 // below lookaheadMinSlots and a single-P process arm every trial
-// synchronously, with no spare state, no helper and no plans.
+// synchronously, with no spare state, no helper and no plans; a world
+// over the view budget arms ahead with no chunk views.
 func TestRunnerLookaheadGates(t *testing.T) {
 	withTwoProcs(t)
 	big, err := Compile(lookaheadConfigs()["hetero-two-tier"])
@@ -199,6 +256,30 @@ func TestRunnerLookaheadGates(t *testing.T) {
 	run("pooled", big.pooledRunner())
 	run("sharded", shw.NewRunner())
 	run("below lookaheadMinSlots", tiny.NewRunner())
+
+	// A world one of whose views would outgrow lookaheadViewBytes arms
+	// ahead and plans, but applies no barrier ahead: both of its states
+	// size their views to none.
+	wide, err := Compile(Config{
+		Side: 64, K: 10_000, M: 128, Requests: 4096, Seed: 3,
+		Strategy: StrategySpec{Kind: TwoChoices, Radius: 4},
+		Churn:    ChurnReplicas, ChurnRate: 0.5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := wide.NewRunner()
+	for trial := uint64(0); trial < 4; trial++ {
+		r.RunTrial(trial)
+	}
+	if r.spare == nil || !r.spareArmed || r.ahead == nil {
+		t.Error("over the view budget: a Runner called in order did not arm ahead")
+	} else if size := r.p.CopyBytes(); size <= lookaheadViewBytes || r.views == nil || len(r.views) != 0 ||
+		r.spare.views == nil || len(r.spare.views) != 0 {
+		t.Errorf("over the view budget: views of a %d-byte placement sized to %d and %d, want none (nil: not sized)",
+			size, len(r.views), len(r.spare.views))
+	}
+
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	run("GOMAXPROCS 1", big.NewRunner())
 }

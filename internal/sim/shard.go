@@ -119,7 +119,7 @@ func (r *Runner) runTrialSharded(t uint64) Result {
 	}
 
 	var a acct
-	for base := 0; base < w.nReq; base += chunk {
+	for base, k := 0, 0; base < w.nReq; base, k = base+chunk, k+1 {
 		c := min(chunk, w.nReq-base)
 		r.shardBase, r.shardC = base, c
 		r.doneWG.Add(p - 1)
@@ -139,7 +139,10 @@ func (r *Runner) runTrialSharded(t uint64) Result {
 			}
 		}
 		r.account(c, &a)
-		r.endChunk(base, c, &res)
+		r.route(c)
+		if base+c < w.nReq {
+			r.barrier(k, c, &res)
+		}
 	}
 	return r.finishTrial(res, a)
 }

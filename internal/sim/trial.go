@@ -15,8 +15,9 @@ import (
 // which is what lets a served era replay its batch trial exactly.
 //
 // Arenas are allocated once — by newTrialState, the id arena by
-// NewRunner and the look-ahead arenas by readyAhead — and arm only
-// refills them, so a Runner's steady-state trials allocate nothing here.
+// NewRunner, the look-ahead arenas by readyAhead and the chunk views by
+// sizeViews — and arm only refills them, so a Runner's steady-state
+// trials allocate nothing here.
 type trialState struct {
 	w      *World
 	placer *cache.Placer
@@ -53,6 +54,20 @@ type trialState struct {
 	// requests, and the strategy instance that walked them.
 	plans   *core.Plans
 	planner *core.TwoChoice
+
+	// The trial's Result as far as it is known before its requests run:
+	// the armed placement's uncached count, set by arm, plus the event
+	// counters of the barriers applied ahead.
+	res Result
+
+	// Barriers applied ahead (lookahead.go), on a Runner's states only:
+	// views[k] holds the placement and liveness mask chunk k runs on, for
+	// k < barriersAhead, while p and live are past barrier barriersAhead;
+	// crashed logs the nodes those barriers crashed, in order. views is
+	// nil until the state's first job ahead.
+	views         []chunkView
+	barriersAhead int
+	crashed       []int32
 }
 
 // newTrialState allocates the trial-state arenas of w: a Placer with
@@ -95,8 +110,10 @@ func (w *World) newTrialState() trialState {
 
 // arm prepares trial t: the capacity profile and vacancy pattern (ahead
 // of Place, which reads them), the placement, the request file sampler
-// conditioned on it, and the churn and fault schedules rewound to their
-// trial-start state on their own streams.
+// conditioned on it, the churn and fault schedules rewound to their
+// trial-start state on their own streams, and the trial's Result with
+// the placement's uncached count — before any barrier, applied ahead or
+// not, caches a joining node's files — and no barrier applied ahead.
 func (st *trialState) arm(t uint64) {
 	w := st.w
 	if w.cfg.Hetero != HeteroNone {
@@ -104,6 +121,8 @@ func (st *trialState) arm(t uint64) {
 		st.placer.SetHetero(st.heteroSt.caps, st.heteroSt.vacant)
 	}
 	st.p = st.placer.Place(w.placeProfile, w.cfg.PlacementMode, st.place.stream(w.placeSrc, t))
+	st.res = Result{Requests: w.nReq, Uncached: st.p.UncachedCount()}
+	st.barriersAhead, st.crashed = 0, st.crashed[:0]
 	st.condition()
 	if w.cfg.Churn != ChurnNone {
 		st.churn.stream(w.churnSrc, t)
@@ -191,13 +210,19 @@ func (st *trialState) advance(c int, loadOf func(int32) int, res *Result) {
 // over it when cur is nil or cannot rebind (all built-ins can) — with
 // the liveness mask bound in under a fault process.
 func (st *trialState) bind(cur core.Strategy) core.Strategy {
+	return st.bindTo(cur, st.p, st.live)
+}
+
+// bindTo is bind to placement p and liveness mask live (nil without a
+// fault process): the state's own, or a chunk view's (bindChunk).
+func (st *trialState) bindTo(cur core.Strategy, p *cache.Placement, live *cache.Liveness) core.Strategy {
 	if rb, ok := cur.(core.Rebindable); ok {
-		rb.Rebind(st.p)
+		rb.Rebind(p)
 	} else {
-		cur = buildStrategy(st.w.cfg, st.w.g, st.p)
+		cur = buildStrategy(st.w.cfg, st.w.g, p)
 	}
-	if st.live != nil {
-		cur.(core.LivenessAware).SetLiveness(st.live)
+	if live != nil {
+		cur.(core.LivenessAware).SetLiveness(live)
 	}
 	return cur
 }

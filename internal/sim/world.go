@@ -202,16 +202,18 @@ func RegionNodes(side int) int {
 // over fixed-size chunks, and joins its look-ahead:
 //
 //	arm      — swap in trial t's state if the previous call armed it
-//	           ahead (placement, conditioned file sampler, request ids
-//	           and the candidate walks of its first requests), arm it
-//	           otherwise; then, when the caller runs trials in order,
-//	           post trial t+1's job to the helper goroutine, which fills
-//	           the spare state (see lookahead.go);
+//	           ahead (placement, conditioned file sampler, request ids,
+//	           the candidate walks of its first requests and the chunk
+//	           views of the barriers applied ahead), arm it otherwise;
+//	           then, when the caller runs trials in order, post trial
+//	           t+1's job to the helper goroutine, which fills the spare
+//	           state (see lookahead.go);
 //	generate — take the chunk's (origin, file) ids: drawn ahead, or
 //	           drawn now as one batch into the state's id arena;
-//	assign   — run the strategy per request (a request planned ahead
-//	           finishes from its stored walk), updating the load vector
-//	           and recording (server, hops, flags);
+//	assign   — run the strategy per request, bound to the chunk's view
+//	           when its barrier was applied ahead (a request planned
+//	           ahead finishes from its stored walk), updating the load
+//	           vector and recording (server, hops, flags);
 //	account  — fold the chunk's records into the trial accumulators
 //	           (hop sum, miss counters, streaming moments) in request
 //	           order, then (MetricsLinks) route each delivery into the
@@ -219,9 +221,10 @@ func RegionNodes(side int) int {
 //	barrier  — unless the chunk was the trial's last, apply the node
 //	           arrivals, faults and churn (trialState.advance) before the
 //	           next chunk is generated, so strategies never observe a
-//	           half-spliced placement or index;
+//	           half-spliced placement or index, or, when the helper
+//	           applied it ahead, add the load its crashes stranded;
 //	join     — before RunTrial returns, stop the helper's planning and
-//	           wait for it to finish trial t+1's job.
+//	           barriers and wait for it to finish trial t+1's job.
 //
 // Origins, files and the strategy's own draws (candidate sampling, tie
 // breaks) come from three dedicated per-trial streams, so the ids can be
@@ -366,7 +369,9 @@ type acct struct {
 // beginTrial is the prologue both trial loops share: it swaps in trial
 // t's state if it was armed ahead, arms it and seeds its request streams
 // otherwise (see trialState.arm and draw), and resets the load vector
-// and the metric arenas.
+// and the metric arenas. The trial starts from the state's Result: the
+// armed placement's uncached count and the counters of any barrier
+// applied ahead.
 func (r *Runner) beginTrial(t uint64) Result {
 	if !r.takeArmed(t) {
 		r.arm(t)
@@ -374,7 +379,7 @@ func (r *Runner) beginTrial(t uint64) Result {
 	}
 	r.loads.Reset()
 	r.armMetrics()
-	return Result{Requests: r.w.nReq, Uncached: r.p.UncachedCount()}
+	return r.res
 }
 
 // armMetrics sizes (first trial) and resets the arenas of the world's
@@ -399,20 +404,36 @@ func (r *Runner) armMetrics() {
 	}
 }
 
-// endChunk closes one accounted chunk of c requests starting at request
-// base: it replays every delivery's XY route into the link-load vector
-// (MetricsLinks), then, unless the chunk was the trial's last (no
-// request would observe the mutation), runs the barrier mutations
-// (trialState.advance, which Snapshot.Advance shares). Neither step
-// touches a request stream.
-func (r *Runner) endChunk(base, c int, res *Result) {
+// route replays every delivery of the accounted chunk of c requests
+// into the link-load vector (MetricsLinks); it touches no request
+// stream.
+func (r *Runner) route(c int) {
 	if r.links != nil {
 		for i := 0; i < c; i++ {
 			r.links.Route(int(r.origins[i]), int(r.servers[i]))
 		}
 	}
-	if base+c < r.w.nReq {
+}
+
+// barrier runs the barrier closing chunk k, of c requests, which must
+// not be the trial's last (no request would observe the mutation): it
+// applies the mutations now (trialState.advance, which Snapshot.Advance
+// shares), or, when the helper applied them ahead — the trial's Result
+// started with their event counters — adds the current load of every
+// node they crashed to DeadLoad. No request runs between the crashes of
+// one barrier, so each is the load its node carried at its crash.
+// Neither touches a request stream.
+func (r *Runner) barrier(k, c int, res *Result) {
+	if k >= r.barriersAhead {
 		r.advance(c, r.nodeLoad, res)
+		return
+	}
+	from := 0
+	if k > 0 {
+		from = r.views[k-1].crashEnd
+	}
+	for _, u := range r.crashed[from:r.views[k].crashEnd] {
+		res.DeadLoad += r.nodeLoad(u)
 	}
 }
 
@@ -464,8 +485,7 @@ func (r *Runner) RunTrial(t uint64) Result {
 	}
 	w := r.w
 	res := r.beginTrial(t)
-	r.strat = r.bind(r.strat)
-	strat := r.strat
+	r.strat = r.bindChunk(r.strat, 0)
 	r.loadView = r.wrapView(r.loads)
 	if r.armAhead(t) {
 		defer r.joinAhead()
@@ -474,12 +494,20 @@ func (r *Runner) RunTrial(t uint64) Result {
 	var a acct
 	chunk := len(r.servers)
 	assignRNG := r.assign.stream(w.assignSrc, t)
-	for base := 0; base < w.nReq; base += chunk {
+	for base, k := 0, 0; base < w.nReq; base, k = base+chunk, k+1 {
 		c := min(chunk, w.nReq-base)
+		if k > 0 && k <= r.barriersAhead {
+			// Chunk k runs on view k, or, past the views, on the state's
+			// own placement and mask.
+			r.strat = r.bindChunk(r.strat, k)
+		}
 		r.origins, r.files = r.ids(base, c)
-		r.assignChunk(strat, assignRNG, base, c)
+		r.assignChunk(r.strat, assignRNG, base, c)
 		r.account(c, &a)
-		r.endChunk(base, c, &res)
+		r.route(c)
+		if base+c < w.nReq {
+			r.barrier(k, c, &res)
+		}
 	}
 	return r.finishTrial(res, a)
 }

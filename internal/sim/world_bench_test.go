@@ -177,6 +177,43 @@ func BenchmarkWorldRunTrialHeteroArrival(b *testing.B) {
 	}
 }
 
+// dynamicCfg is perfbench's dynamic workload at seed 1: the paper-scale
+// point with replica churn at 0.5 per request, crash faults at 0.01
+// recovering at 0.005 and power-law node arrivals at 0.01 under
+// MissEscalate, composed — 4 barriers a trial.
+func dynamicCfg() Config {
+	cfg := paperScaleCfg()
+	cfg.MissPolicy = MissEscalate
+	cfg.Churn, cfg.ChurnRate = ChurnReplicas, 0.5
+	cfg.Faults, cfg.FaultRate, cfg.RecoverRate = FaultsCrash, 0.01, 0.005
+	cfg.Hetero, cfg.Profile, cfg.ArrivalRate = HeteroArrival, ProfilePowerLaw, 0.01
+	return cfg
+}
+
+// BenchmarkWorldRunTrialDynamic is perfbench's dynamic workload in
+// process: trials of dynamicCfg on a caller-held Runner called in order,
+// whose helper arms each next trial ahead, plans its first chunk's walks
+// and applies its barriers into chunk views while the current trial's
+// requests run (internal/sim/lookahead.go). Three untimed calls first
+// make the Runner's arenas, its spare and both states' views, which
+// perfbench times as set-up, so allocs/op reads the steady state.
+func BenchmarkWorldRunTrialDynamic(b *testing.B) {
+	w, err := Compile(dynamicCfg())
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := w.NewRunner()
+	const warm = 3
+	for t := uint64(0); t < warm; t++ {
+		r.RunTrial(t)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = r.RunTrial(warm + uint64(i))
+	}
+}
+
 // BenchmarkBarrier splits the chunk-barrier mutations of the dynamic
 // regime (perfbench's dynamic workload) by kind. Each sub-benchmark
 // times one Snapshot.Advance(1024) — the barrier a 1024-request
