@@ -22,14 +22,15 @@
 //
 // Intra-trial sharding — one trial's request pipeline on P workers
 // (-shard-workers is orthogonal to -workers, which parallelizes across
-// trials). The default deterministic mode is bit-identical for every P;
-// racy mode shares one atomic load vector to model allocation under
-// stale load reads:
+// trials). The default deterministic mode reads the loads frozen at the
+// chunk barrier and is bit-identical for every P; own mode adds each
+// shard's own adds since the barrier, to model allocation under stale
+// load reads (reproducible for each P):
 //
 //	cachesim -side 1000 -k 10000 -m 10 -strategy two-choices -radius 8 \
 //	    -metrics streaming -shard-workers 8 -trials 4
 //	cachesim -side 25 -k 2000 -m 4 -strategy two-choices -radius 6 \
-//	    -shard-workers 8 -shard racy -chunk 256 -trials 20
+//	    -shard-workers 8 -shard own -chunk 256 -trials 20
 //
 // Node fault injection — servers crash (and optionally recover)
 // mid-trial while the strategies mask dead nodes and degrade
@@ -164,7 +165,7 @@ func parseArgs(args []string) (options, error) {
 	fs.StringVar(&p.Profile, "profile", "uniform", "per-node cache-size profile under -hetero: uniform, two-tier or power-law")
 	fs.Float64Var(&p.ArrivalRate, "arrival-rate", 0, "expected node arrivals per request (required with -hetero arrival)")
 	fs.IntVar(&p.Workers, "shard-workers", 0, "intra-trial shard workers P (0 = sequential engine)")
-	fs.StringVar(&p.Shard, "shard", "deterministic", "sharded load visibility: deterministic (bit-identical across P) or racy (shared atomic loads)")
+	fs.StringVar(&p.Shard, "shard", "deterministic", "sharded load visibility: deterministic (barrier loads, bit-identical across P) or own (barrier loads plus the shard's own adds)")
 	fs.IntVar(&p.Chunk, "chunk", 0, "request-pipeline chunk size (0 = engine default; multiple of 64 under -shard-workers)")
 	fs.IntVar(&o.trials, "trials", 50, "independent trials")
 	fs.IntVar(&o.workers, "workers", 0, "parallel workers across trials (0 = GOMAXPROCS)")

@@ -47,9 +47,9 @@ func TestCommandLines(t *testing.T) {
 		{"-side 1000 -k 10000 -m 10 -strategy two-choices -radius 8 -metrics streaming -shard-workers 8 -trials 4",
 			options{trials: 4, cfg: repro.Config{Side: 1000, K: 10000, M: 10, Strategy: two(8),
 				Metrics: repro.MetricsStreaming, Workers: 8, Seed: 2017}}},
-		{"-side 25 -k 2000 -m 4 -strategy two-choices -radius 6 -shard-workers 8 -shard racy -chunk 256 -trials 20",
+		{"-side 25 -k 2000 -m 4 -strategy two-choices -radius 6 -shard-workers 8 -shard own -chunk 256 -trials 20",
 			options{trials: 20, cfg: repro.Config{Side: 25, K: 2000, M: 4, Strategy: two(6),
-				Workers: 8, Shard: repro.ShardRacy, Chunk: 256, Seed: 2017}}},
+				Workers: 8, Shard: repro.ShardOwn, Chunk: 256, Seed: 2017}}},
 		{"-side 25 -k 2000 -m 4 -strategy two-choices -radius 6 -requests 8192 -miss escalate -faults crash -fault-rate 0.05 -recover-rate 0.02 -trials 20",
 			options{trials: 20, cfg: repro.Config{Side: 25, K: 2000, M: 4, Strategy: two(6), Requests: 8192,
 				MissPolicy: repro.MissEscalate, Faults: repro.FaultsCrash, FaultRate: 0.05, RecoverRate: 0.02, Seed: 2017}}},
@@ -210,15 +210,19 @@ func TestBuildConfigFaults(t *testing.T) {
 }
 
 func TestBuildConfigShard(t *testing.T) {
-	cfg, err := parse("-side 10 -k 50 -m 2 -radius 4 -shard-workers 4 -shard racy -chunk 256 -seed 1")
+	cfg, err := parse("-side 10 -k 50 -m 2 -radius 4 -shard-workers 4 -shard own -chunk 256 -seed 1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Workers != 4 || cfg.Shard != repro.ShardRacy || cfg.Chunk != 256 {
-		t.Errorf("workers/shard/chunk = %d/%v/%d, want 4/racy/256", cfg.Workers, cfg.Shard, cfg.Chunk)
+	if cfg.Workers != 4 || cfg.Shard != repro.ShardOwn || cfg.Chunk != 256 {
+		t.Errorf("workers/shard/chunk = %d/%v/%d, want 4/own/256", cfg.Workers, cfg.Shard, cfg.Chunk)
 	}
 	if _, err := repro.RunTrial(cfg, 0); err != nil {
 		t.Fatalf("built sharded config does not run: %v", err)
+	}
+	// The retired racy mode is refused by name.
+	if _, err := parse("-side 10 -k 50 -m 2 -radius 4 -shard-workers 4 -shard racy -seed 1"); err == nil || !strings.Contains(err.Error(), `"racy"`) {
+		t.Errorf("-shard racy: err = %v, want a refusal naming \"racy\"", err)
 	}
 }
 

@@ -5,7 +5,7 @@ import "fmt"
 // loadReader is the read side of a load vector — structurally identical
 // to core.LoadReader (declared locally to keep this leaf package free of
 // engine imports), so a WeightedLoads satisfies the strategies' reader
-// interface wherever a Loads or AtomicLoads does.
+// interface wherever a Loads does.
 type loadReader interface {
 	Load(i int) int
 }

@@ -47,9 +47,10 @@ type Assignment struct {
 
 // LoadReader is the strategies' read-only view of the running load
 // vector. *ballsbins.Loads is the canonical sequential implementation;
-// the sharded engine substitutes a frozen per-chunk snapshot
-// (ShardDeterministic) or an atomically read shared vector (ShardRacy)
-// without the strategies knowing which discipline they run under.
+// the sharded engine substitutes the vector frozen at the chunk barrier
+// (ShardDeterministic) or that vector plus the shard's own adds since
+// (ShardOwn) without the strategies knowing which discipline they run
+// under.
 type LoadReader interface {
 	// Load returns the current load of node i.
 	Load(i int) int

@@ -10,30 +10,32 @@ import (
 var stalenessWorkers = []int{1, 2, 4, 8}
 
 // Staleness probes two-choices allocation quality under stale load
-// information — the question the sharded engine's load-visibility
-// disciplines make experimentally accessible, and one the
-// Pourmiri–Sauerwald–Stafford model (sequential requests, exact loads)
-// cannot express. Three visibility regimes bracket each other:
+// information — the question of Mitzenmacher, "How useful is old
+// information?" (IEEE TPDS, 2000), which the source paper's model
+// (Jafari Siavoshani, Pourmiri and Shariatpanahi, IPDPS 2017: sequential
+// requests, exact loads) cannot express. The sharded engine's
+// load-visibility disciplines give three regimes that bracket each
+// other:
 //
 //   - sequential (Workers = 0): every request sees the exact live loads
 //     — the paper's process and the freshest possible signal;
-//   - racy (ShardRacy): P workers share one atomic load vector; a read
-//     misses only the adds still in flight on other workers, so
-//     staleness grows with P;
+//   - own (ShardOwn): each of P shards reads the chunk-barrier loads
+//     plus its own adds since the barrier, so a request misses the
+//     other shards' adds of its chunk — none at P = 1, about (P−1)/P of
+//     them at larger P;
 //   - frozen (ShardDeterministic): strategies read the snapshot from
 //     the last chunk barrier — the worst case, a full chunk of adds
 //     invisible regardless of P — so chunk size, not worker count,
 //     sets its staleness window.
 //
-// The x axis is P; one racy series per chunk size (the chunk bounds
-// both the barrier cadence and the in-flight window), with the frozen
-// and sequential curves as the stale/fresh envelopes. Expected shape:
-// max load degrades from the sequential baseline toward the frozen
-// ceiling as P and chunk grow, while mean cost stays put — staleness
-// perturbs tie-breaking toward the wrong replica, not the replica
-// geometry. Racy points are scheduling-dependent (not reproducible
-// run-to-run); their means converge with trials like any other noisy
-// estimator.
+// The x axis is P; one own series per chunk size (the chunk bounds the
+// window of unseen adds; at chunk = 64 a chunk is one granule, so one
+// shard sees all of it), with the frozen and sequential curves as the
+// stale/fresh envelopes. Expected shape: max load degrades from the
+// sequential baseline toward the frozen ceiling as P and chunk grow,
+// while mean cost stays put — staleness perturbs tie-breaking toward
+// the wrong replica, not the replica geometry. Every point is a pure
+// function of (config, trial, P).
 func Staleness(opt Options) (*Table, error) {
 	const (
 		side   = 25 // n = 625
@@ -50,10 +52,9 @@ func Staleness(opt Options) (*Table, error) {
 		YLabel: "max load",
 		Notes: []string{
 			fmt.Sprintf("trials/point = %d; %d requests per trial", trials, nReq),
-			"racy: shared atomic load vector, reads unsynchronized with other workers' in-flight adds (staleness grows with P and chunk)",
+			"own: each shard reads the chunk-barrier loads plus its own adds since (ShardOwn); it misses the other shards' adds, so staleness grows with P and chunk, and chunk=64 (one granule per chunk) sees every add",
 			"frozen: chunk-barrier snapshot loads (ShardDeterministic) — the worst-case window, P-invariant by construction",
 			"sequential: the Workers=0 engine, exact live loads — the paper's process, plotted flat as the fresh baseline",
-			"racy points are scheduling-dependent; means converge with trials",
 		},
 	}
 	base := sim.Config{
@@ -69,9 +70,9 @@ func Staleness(opt Options) (*Table, error) {
 		shard sim.ShardMode
 		chunk int
 	}{
-		{"racy chunk=64", sim.ShardRacy, 64},
-		{"racy chunk=256", sim.ShardRacy, 256},
-		{"racy chunk=1024", sim.ShardRacy, 1024},
+		{"own chunk=64", sim.ShardOwn, 64},
+		{"own chunk=256", sim.ShardOwn, 256},
+		{"own chunk=1024", sim.ShardOwn, 1024},
 		{"frozen chunk=1024", sim.ShardDeterministic, 1024},
 	}
 	var cfgs []sim.Config

@@ -49,15 +49,9 @@ type faultState struct {
 // reset zeroes both event credits (the trial-start state).
 func (fs *faultState) reset() { fs.crashCredit, fs.recoverCredit = 0, 0 }
 
-// nodeLoad reads node u's current load through the engine's active view:
-// the base vector everywhere except racy sharded trials, whose live
-// loads accumulate in the shared atomic vector instead.
-func (r *Runner) nodeLoad(u int32) int {
-	if r.shardRacy {
-		return r.atomicLoads.Load(int(u))
-	}
-	return r.loads.Load(int(u))
-}
+// nodeLoad reads node u's current load for the DeadLoad account. Both
+// trial loops apply every load to the one vector before a barrier runs.
+func (r *Runner) nodeLoad(u int32) int { return r.loads.Load(int(u)) }
 
 // apply executes the schedule accrued by c elapsed requests against lv,
 // counting outcomes into res. Crash events drain before recovery events

@@ -97,20 +97,25 @@ func TestFaultShardedPIndependent(t *testing.T) {
 	}
 }
 
-// TestFaultShardRacyStress drives the racy sharded engine under crash
-// and regional faults composed with churn: outcomes are scheduling-
-// dependent, but the failure schedule stays seeded and the availability
-// accounting must stay coherent. Run under -race, this is the proof
-// that barrier-only liveness mutation leaves the workers race-free.
-func TestFaultShardRacyStress(t *testing.T) {
+// TestFaultShardOwnStress drives the own-mode sharded engine under crash
+// and regional faults composed with churn: the failure schedule stays
+// seeded, the availability accounting must stay coherent, and a fresh
+// world reproduces every Result, DeadLoad included. Run under -race,
+// this is the proof that barrier-only liveness mutation leaves the
+// workers race-free.
+func TestFaultShardOwnStress(t *testing.T) {
 	for _, mode := range []FaultsMode{FaultsCrash, FaultsRegional} {
 		cfg := faultBase()
 		cfg.Faults = mode
 		cfg.Churn = ChurnReplicas
 		cfg.ChurnRate = 0.5
 		cfg.Workers = 4
-		cfg.Shard = ShardRacy
+		cfg.Shard = ShardOwn
 		w, err := Compile(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := Compile(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,6 +129,9 @@ func TestFaultShardRacyStress(t *testing.T) {
 			}
 			if got := float64(res.Requests-res.Backhaul) / float64(res.Requests); res.Availability != got {
 				t.Fatalf("%v t=%d: availability %v inconsistent with backhaul %d", mode, trial, res.Availability, res.Backhaul)
+			}
+			if again := fresh.RunTrial(trial); again != res {
+				t.Fatalf("%v t=%d: fresh world %+v, first run %+v", mode, trial, again, res)
 			}
 		}
 	}

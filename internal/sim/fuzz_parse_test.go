@@ -13,7 +13,7 @@ import "testing"
 // fuzzSeedInputs is the shared seed corpus: all canonical names of all
 // seven tables plus near-misses that must be rejected.
 var fuzzSeedInputs = []string{
-	"", "none", "replicas", "drift", "deterministic", "racy",
+	"", "none", "replicas", "drift", "deterministic", "own", "racy",
 	"resample", "escalate", "origin", "crash", "regional",
 	"capacity", "arrival", "uniform", "two-tier", "power-law",
 	"None", "CRASH", " crash", "crash ", "crashx", "regiona",
@@ -53,9 +53,11 @@ func FuzzParseChurn(f *testing.F) {
 	})
 }
 
+// FuzzParseShard's corpus holds the retired "racy", which, like any
+// name outside the table, must be refused.
 func FuzzParseShard(f *testing.F) {
 	fuzzEnum(f, shardNames, map[string]ShardMode{
-		"": ShardDeterministic, "deterministic": ShardDeterministic, "racy": ShardRacy,
+		"": ShardDeterministic, "deterministic": ShardDeterministic, "own": ShardOwn,
 	})
 }
 

@@ -132,13 +132,14 @@ func TestHeteroShardedWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestHeteroShardedRacyStress hammers the racy shared-load mode while
+// TestHeteroShardedOwnStress runs the own mode's per-shard deltas while
 // arrivals rebuild the placement and tile index and churn splices it at
 // every barrier — the worst-case interleaving surface for the race
 // detector tier (the weighted view binds before workers spawn and the
 // multiplier vector is read-only during a chunk; anything else would be
-// flagged here).
-func TestHeteroShardedRacyStress(t *testing.T) {
+// flagged here) — and checks that a fresh world reproduces every
+// Result.
+func TestHeteroShardedOwnStress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test")
 	}
@@ -154,10 +155,14 @@ func TestHeteroShardedRacyStress(t *testing.T) {
 		Profile:     ProfilePowerLaw,
 		ArrivalRate: 0.02,
 		Workers:     8,
-		Shard:       ShardRacy,
+		Shard:       ShardOwn,
 		Seed:        0x5eed,
 	}
 	w, err := Compile(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := Compile(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +172,10 @@ func TestHeteroShardedRacyStress(t *testing.T) {
 			t.Fatalf("t=%d: Requests = %d, want %d", trial, res.Requests, cfg.Requests)
 		}
 		if res.ArrivalEvents == 0 {
-			t.Fatalf("t=%d: no arrivals under the racy stress; rebuild path not exercised", trial)
+			t.Fatalf("t=%d: no arrivals under the own-mode stress; rebuild path not exercised", trial)
+		}
+		if again := fresh.RunTrial(trial); again != res {
+			t.Fatalf("t=%d: fresh world %+v, first run %+v", trial, again, res)
 		}
 	}
 }

@@ -89,9 +89,10 @@ type PointSpec struct {
 	// ArrivalRate is expected node arrivals per request (Hetero
 	// "arrival").
 	ArrivalRate float64 `json:"arrival_rate,omitempty"`
-	// Workers is the intra-trial shard count P (0 = sequential engine).
+	// Workers is the intra-trial shard count P (0 = sequential engine;
+	// at most 1024).
 	Workers int `json:"workers,omitempty"`
-	// Shard is "deterministic" (default) or "racy".
+	// Shard is "deterministic" (default) or "own".
 	Shard string `json:"shard,omitempty"`
 	// Chunk overrides the pipeline block size (0 = engine default).
 	Chunk int `json:"chunk,omitempty"`

@@ -47,10 +47,10 @@ func TestPointSpecConfig(t *testing.T) {
 		{"zipf", at(PointSpec{Gamma: 0.7}), with(func(c *Config) { c.Popularity = PopSpec{Kind: PopZipf, Gamma: 0.7} })},
 		{"every knob", PointSpec{Side: 12, K: 40, M: 3, Requests: 4096, Miss: "origin", Metrics: "links",
 			Churn: "drift", ChurnRate: 0.5, Faults: "regional", FaultRate: 0.1, RecoverRate: 0.05,
-			Hetero: "arrival", Profile: "two-tier", ArrivalRate: 0.01, Workers: 2, Shard: "racy", Chunk: 128},
+			Hetero: "arrival", Profile: "two-tier", ArrivalRate: 0.01, Workers: 2, Shard: "own", Chunk: 128},
 			Config{Side: 12, K: 40, M: 3, Requests: 4096, MissPolicy: MissOrigin, Metrics: MetricsLinks,
 				Churn: ChurnDrift, ChurnRate: 0.5, Faults: FaultsRegional, FaultRate: 0.1, RecoverRate: 0.05,
-				Hetero: HeteroArrival, Profile: ProfileTwoTier, ArrivalRate: 0.01, Workers: 2, Shard: ShardRacy, Chunk: 128, Seed: 3}},
+				Hetero: HeteroArrival, Profile: ProfileTwoTier, ArrivalRate: 0.01, Workers: 2, Shard: ShardOwn, Chunk: 128, Seed: 3}},
 	} {
 		got, err := tc.p.Config(3)
 		if err != nil {
@@ -71,6 +71,8 @@ func TestPointSpecConfig(t *testing.T) {
 		{"topology", at(PointSpec{Topology: "ring"}), []string{`"ring"`}},
 		{"two bad names", at(PointSpec{Miss: "x", Shard: "y"}), []string{`miss policy "x"`, `shard mode "y"`}},
 		{"validated", at(PointSpec{Churn: "replicas"}), []string{"ChurnRate"}},
+		{"retired racy shard mode", at(PointSpec{Workers: 2, Shard: "racy"}), []string{`shard mode "racy"`}},
+		{"workers above the bound", at(PointSpec{Workers: 1 << 30}), []string{"Workers"}},
 		{"no world", PointSpec{}, []string{"Side"}},
 	} {
 		_, err := tc.p.Config(3)

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/grid"
 	"repro/internal/workload"
@@ -159,6 +160,109 @@ func TestReferenceMatchesRunTrial(t *testing.T) {
 		t.Logf("%-16s MaxLoad chi² p=%.3f  MeanCost KS p=%.3f", rc.name, chi2P, ksP)
 		if chi2P < 1e-3 || ksP < 1e-3 {
 			t.Errorf("%s: engine law departs from the reference (chi² p=%.2g, KS p=%.2g)", rc.name, chi2P, ksP)
+		}
+	}
+}
+
+// loadFunc adapts a function to the strategies' load reader.
+type loadFunc func(u int) int
+
+// Load implements core.LoadReader.
+func (f loadFunc) Load(u int) int { return f(u) }
+
+// ownReferenceTrial replays trial t of a ShardOwn world at its Workers
+// = P one chunk and one shard at a time. Shard s takes the granules
+// [G·s/P, G·(s+1)/P) of a G-granule chunk, in order, and each of its
+// requests sees the loads applied at the last barrier plus a map of the
+// shard's own adds in this chunk, times the node's capacity multiplier;
+// the barrier then applies the whole chunk. It reuses the engine's trial
+// arming (trialState.arm, through World.Snapshot), the engine's strategy
+// (trialState.bind) and dist.RequestBatch on the granule streams, so it
+// matches the engine in trajectory: what it checks is which loads each
+// request sees. Quiesced worlds only (no churn, faults or arrivals).
+func ownReferenceTrial(w *World, t uint64) Result {
+	s := w.Snapshot(t)
+	strat := s.bind(nil)
+	n, p := w.N(), w.cfg.Workers
+	mult := func(int) int { return 1 }
+	if m := s.heteroSt.mults; m != nil {
+		mult = func(u int) int { return int(m[u]) }
+	}
+	loads := make([]int, n)
+	res := Result{Requests: w.nReq, Uncached: s.p.UncachedCount()}
+	var hops int64
+	for base := 0; base < w.nReq; base += w.chunk {
+		c := min(w.chunk, w.nReq-base)
+		g := (c + shardGranule - 1) / shardGranule
+		var servers []int32
+		for sh := range p {
+			own := map[int]int{}
+			view := loadFunc(func(u int) int { return (loads[u] + own[u]) * mult(u) })
+			for gi := g * sh / p; gi < g*(sh+1)/p; gi++ {
+				lo, hi := gi*shardGranule, min((gi+1)*shardGranule, c)
+				label := uint64(base + lo)
+				origins, files := make([]int32, hi-lo), make([]int32, hi-lo)
+				dist.RequestBatch(w.originSrc.Split(label).Stream(t), w.fileSrc.Split(label).Stream(t), n, s.pop, origins, files)
+				rng := w.assignSrc.Split(label).Stream(t)
+				for i := range origins {
+					a := strat.Assign(core.Request{Origin: origins[i], File: files[i]}, view, rng)
+					own[int(a.Server)]++
+					servers = append(servers, a.Server)
+					hops += int64(a.Hops)
+					res.Escalated += b2i(a.Escalated)
+					res.Backhaul += b2i(a.Backhaul)
+					res.Retried += b2i(a.Retried)
+				}
+			}
+		}
+		for _, u := range servers {
+			loads[u]++
+		}
+	}
+	res.MaxLoad = slices.Max(loads)
+	res.MeanCost = float64(hops) / float64(w.nReq)
+	return res
+}
+
+// b2i is 1 for true and 0 for false.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// TestShardOwnMatchesReference: the ShardOwn engine equals its
+// trajectory-exact reference, Result for Result, for two-choices and
+// the oracle, at P ∈ {1, 2, 3, 8} and chunk ∈ {64, 256, 1024}, on a
+// homogeneous world and a two-tier HeteroCapacity one. 3000 requests
+// leave a partial last chunk and granule.
+func TestShardOwnMatchesReference(t *testing.T) {
+	for _, kind := range []StrategyKind{TwoChoices, Oracle} {
+		for _, hetero := range []HeteroMode{HeteroNone, HeteroCapacity} {
+			for _, p := range []int{1, 2, 3, 8} {
+				for _, chunk := range []int{64, 256, 1024} {
+					cfg := Config{Side: 12, K: 150, M: 2, Seed: 0x63,
+						Popularity: PopSpec{Kind: PopZipf, Gamma: 0.9},
+						Strategy:   StrategySpec{Kind: kind, Radius: 3},
+						Requests:   3000, Workers: p, Shard: ShardOwn, Chunk: chunk,
+					}
+					if hetero != HeteroNone {
+						cfg.Hetero, cfg.Profile, cfg.MissPolicy = hetero, ProfileTwoTier, MissEscalate
+					}
+					w, err := Compile(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for trial := range uint64(2) {
+						want := ownReferenceTrial(w, trial)
+						if got := w.RunTrial(trial); got != want {
+							t.Errorf("%v/%v P=%d chunk=%d t=%d: engine and reference differ\n got %+v\nwant %+v",
+								kind, hetero, p, chunk, trial, got, want)
+						}
+					}
+				}
+			}
 		}
 	}
 }

@@ -44,12 +44,10 @@ import (
 // pins, replayed at P ∈ {1, 2, 4, 8}, and the P-sweep property tests).
 // This batched-visibility process is deliberately a *distinct seeded
 // process* from the sequential engine (Workers = 0), whose loads update
-// after every request as in the paper's sequential model. ShardRacy
-// swaps the frozen snapshot for one shared ballsbins.AtomicLoads: reads
-// are live but unsynchronized with other workers' in-flight adds (balls
-// into bins with outdated information), so assignment outcomes are
-// scheduling-dependent while generation stays on the deterministic
-// granule streams.
+// after every request as in the paper's sequential model. ShardOwn adds
+// each shard's own adds since the barrier to the frozen vector, through
+// a delta only that shard writes and reads, so its results depend on P
+// (which granules share a shard) but never on scheduling.
 
 // shardGranule is the fixed request-count unit of shard ownership and
 // RNG stream derivation: small enough to balance shards within a
@@ -60,27 +58,49 @@ const shardGranule = 64
 
 // shardState is one worker's private scratch: its strategy instance
 // (strategies carry per-instance buffers and are not concurrency-safe),
-// its three granule-reseeded generators and, in racy mode, the running
-// maximum over its atomic Add returns.
+// its three granule-reseeded generators and, under ShardOwn, its load
+// view.
 type shardState struct {
 	strat                core.Strategy
 	origin, file, assign reseedRand
-	maxSeen              int
+	own                  ownLoads
+}
+
+// ownLoads is a shard's load view under ShardOwn: the barrier loads plus
+// the shard's own adds since the barrier (delta, an n-entry vector the
+// shard zeroes when its granules are done), weighted by the trial's
+// capacity multipliers under skew (mult, nil otherwise).
+type ownLoads struct {
+	base  *ballsbins.Loads
+	delta []int32
+	mult  []int32
+}
+
+// Load implements core.LoadReader.
+func (v *ownLoads) Load(u int) int {
+	l := v.base.Load(u) + int(v.delta[u])
+	if v.mult != nil {
+		l *= int(v.mult[u])
+	}
+	return l
 }
 
 // initShards lazily builds the per-shard scratch and barrier plumbing.
 func (r *Runner) initShards() {
+	if r.shards != nil {
+		return
+	}
 	w := r.w
 	p := w.cfg.Workers
-	if r.shards == nil {
-		r.shards = make([]shardState, p)
-		r.startCh = make([]chan struct{}, p)
-		for s := 1; s < p; s++ {
+	r.shards = make([]shardState, p)
+	r.startCh = make([]chan struct{}, p)
+	for s := range r.shards {
+		if s > 0 {
 			r.startCh[s] = make(chan struct{}, 1)
 		}
-	}
-	if w.cfg.Shard == ShardRacy && r.atomicLoads == nil {
-		r.atomicLoads = ballsbins.NewAtomicLoads(w.g.N())
+		if w.cfg.Shard == ShardOwn {
+			r.shards[s].own = ownLoads{base: r.loads, delta: make([]int32, w.g.N())}
+		}
 	}
 }
 
@@ -98,17 +118,12 @@ func (r *Runner) runTrialSharded(t uint64) Result {
 	for s := range r.shards {
 		st := &r.shards[s]
 		st.strat = r.bind(st.strat)
-		st.maxSeen = 0
+		st.own.mult = r.heteroSt.mults
 	}
 	// Under capacity skew the strategies compare through the weighted
-	// view; writes, MaxLoad and the load summary stay on the raw vector.
-	r.shardRacy = w.cfg.Shard == ShardRacy
-	if r.shardRacy {
-		r.atomicLoads.Reset()
-		r.loadView = r.wrapView(r.atomicLoads)
-	} else {
-		r.loadView = r.wrapView(r.loads)
-	}
+	// view, whose multipliers wrapView checks and the own views reuse;
+	// writes, MaxLoad and the load summary stay on the raw vector.
+	r.loadView = r.wrapView(r.loads)
 	r.shardT = t
 
 	chunk := len(r.servers)
@@ -129,14 +144,11 @@ func (r *Runner) runTrialSharded(t uint64) Result {
 		r.runShard(0)
 		r.doneWG.Wait()
 		// Barrier: the workers are parked; the coordinator owns every
-		// shared structure until the next start signal.
-		if !r.shardRacy {
-			// Apply the chunk's load deltas in request order; the base
-			// vector's running max tracks exactly as in the sequential
-			// engine.
-			for i := 0; i < c; i++ {
-				r.loads.Add(int(r.servers[i]))
-			}
+		// shared structure until the next start signal. It applies the
+		// chunk's loads in request order, so the base vector's running
+		// max tracks exactly as in the sequential engine.
+		for i := 0; i < c; i++ {
+			r.loads.Add(int(r.servers[i]))
 		}
 		r.account(c, &a)
 		r.route(c)
@@ -160,8 +172,10 @@ func (r *Runner) shardWorker(s, nChunks int) {
 // runShard processes shard s's granules of the current chunk: per
 // granule, reseed the three streams from the granule label (its global
 // first-request index), batch-generate the ids, then assign each
-// request against the trial's load view, storing its record into the
-// shard's disjoint slice of the chunk buffers.
+// request against the shard's load view, storing its record into the
+// shard's disjoint slice of the chunk buffers. Under ShardOwn the shard
+// counts each assignment into its delta, and zeroes the delta over its
+// own records once its granules are done.
 func (r *Runner) runShard(s int) {
 	w := r.w
 	st := &r.shards[s]
@@ -169,9 +183,12 @@ func (r *Runner) runShard(s int) {
 	p := len(r.shards)
 	g := (c + shardGranule - 1) / shardGranule
 	n := w.g.N()
-	racy := r.shardRacy
-	for gi := g * s / p; gi < g*(s+1)/p; gi++ {
-		lo := gi * shardGranule
+	view, delta := r.loadView, st.own.delta
+	if delta != nil {
+		view = &st.own
+	}
+	first, end := g*s/p*shardGranule, min(g*(s+1)/p*shardGranule, c)
+	for lo := first; lo < end; lo += shardGranule {
 		hi := min(lo+shardGranule, c)
 		label := uint64(base + lo)
 		originRNG := st.origin.stream(w.originSrc.Split(label), t)
@@ -180,13 +197,16 @@ func (r *Runner) runShard(s int) {
 		dist.RequestBatch(originRNG, fileRNG, n, r.pop, r.origins[lo:hi], r.files[lo:hi])
 		for i := lo; i < hi; i++ {
 			req := core.Request{Origin: r.origins[i], File: r.files[i]}
-			a := st.strat.Assign(req, r.loadView, assignRNG)
-			if racy {
-				if v := r.atomicLoads.Add(int(a.Server)); v > st.maxSeen {
-					st.maxSeen = v
-				}
+			a := st.strat.Assign(req, view, assignRNG)
+			if delta != nil {
+				delta[a.Server]++
 			}
 			r.store(i, a)
+		}
+	}
+	if delta != nil {
+		for _, u := range r.servers[first:end] {
+			delta[u] = 0
 		}
 	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -131,10 +132,15 @@ func TestShardValidation(t *testing.T) {
 		mutate func(*Config)
 	}{
 		{"negative workers", func(c *Config) { c.Workers = -1 }},
-		{"racy without workers", func(c *Config) { c.Workers = 0; c.Shard = ShardRacy }},
+		{"workers above the bound", func(c *Config) { c.Workers = maxWorkers + 1 }},
+		{"workers 1<<30", func(c *Config) { c.Workers = 1 << 30 }},
+		// n = 2²⁸ at M = 1 fits the slot budget, but two n-entry deltas
+		// do not.
+		{"own deltas above the slot budget", func(c *Config) { c.Side, c.M, c.Shard = 1<<14, 1, ShardOwn }},
+		{"own without workers", func(c *Config) { c.Workers = 0; c.Shard = ShardOwn }},
 		{"chunk not granule-aligned", func(c *Config) { c.Chunk = 96 }},
 		{"negative chunk", func(c *Config) { c.Chunk = -1 }},
-		{"unknown shard mode", func(c *Config) { c.Shard = ShardRacy + 1 }},
+		{"unknown shard mode", func(c *Config) { c.Shard = ShardOwn + 1 }},
 	}
 	for _, tc := range cases {
 		cfg := ok
@@ -143,11 +149,26 @@ func TestShardValidation(t *testing.T) {
 			t.Errorf("%s: config %+v compiled, want error", tc.name, cfg)
 		}
 	}
+	// The bound itself compiles; Compile starts no worker.
+	for _, sh := range []ShardMode{ShardDeterministic, ShardOwn} {
+		cfg := ok
+		cfg.Workers, cfg.Shard = maxWorkers, sh
+		if _, err := Compile(cfg); err != nil {
+			t.Errorf("%v at Workers=%d rejected: %v", sh, maxWorkers, err)
+		}
+	}
+	// Only the deltas break the slot budget: the deterministic twin of
+	// that row validates (Compile would build its 2²⁸-node world).
+	big := ok
+	big.Side, big.M = 1<<14, 1
+	if err := big.validate(); err != nil {
+		t.Errorf("deterministic twin of the delta-budget row rejected: %v", err)
+	}
 }
 
 // TestShardModeRoundTrip pins the CLI names.
 func TestShardModeRoundTrip(t *testing.T) {
-	for _, m := range []ShardMode{ShardDeterministic, ShardRacy} {
+	for _, m := range []ShardMode{ShardDeterministic, ShardOwn} {
 		got, err := shardNames.parse(m.String())
 		if err != nil || got != m {
 			t.Errorf("parse(%q) = %v, %v", m.String(), got, err)
@@ -156,33 +177,42 @@ func TestShardModeRoundTrip(t *testing.T) {
 	if m, err := shardNames.parse(""); err != nil || m != ShardDeterministic {
 		t.Errorf("parse(\"\") = %v, %v, want deterministic", m, err)
 	}
-	if _, err := shardNames.parse("bogus"); err == nil {
-		t.Error("parse(\"bogus\") succeeded")
+	for _, bad := range []string{"bogus", "racy"} {
+		if _, err := shardNames.parse(bad); err == nil || !strings.Contains(err.Error(), `"`+bad+`"`) {
+			t.Errorf("parse(%q) = %v, want an error naming the value", bad, err)
+		}
 	}
 }
 
-// TestShardRacySanity checks the invariants the racy mode does keep:
-// request conservation, a max load no smaller than the perfect-balance
-// floor and no larger than the request count, and generation that stays
-// on the deterministic granule streams (miss accounting for a
-// load-blind strategy is identical to the deterministic mode's, because
-// only load *reads* are racy).
-func TestShardRacySanity(t *testing.T) {
-	cfg := Config{
+// ownBase is a quiesced world (no churn, faults or arrivals) with
+// several chunks per trial and a partial last granule.
+func ownBase() Config {
+	return Config{
 		Side: 10, K: 120, M: 2,
 		Popularity: PopSpec{Kind: PopZipf, Gamma: 0.9},
 		Strategy:   StrategySpec{Kind: TwoChoices, Radius: 3},
-		Requests:   4096,
+		Requests:   4000,
 		Workers:    4,
-		Shard:      ShardRacy,
+		Shard:      ShardOwn,
 		Seed:       0x5eed,
 	}
+}
+
+// TestShardOwnSanity checks the ShardOwn contract beyond the
+// reference's trajectory: request conservation, a max load between the
+// perfect-balance floor and the request count, results that reruns on
+// fresh worlds and reused Runners reproduce, and generation on the
+// deterministic granule streams — a load-blind strategy's Result equals
+// ShardDeterministic's at every P, because only load reads differ.
+func TestShardOwnSanity(t *testing.T) {
+	cfg := ownBase()
 	w, err := Compile(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := w.NewRunner()
 	for trial := uint64(0); trial < 3; trial++ {
-		res := w.RunTrial(trial)
+		res := r.RunTrial(trial)
 		if res.Requests != cfg.Requests {
 			t.Fatalf("t=%d: Requests = %d, want %d", trial, res.Requests, cfg.Requests)
 		}
@@ -193,35 +223,77 @@ func TestShardRacySanity(t *testing.T) {
 		if res.MeanCost < 0 || res.MeanCost > float64(w.Grid().Diameter()) {
 			t.Errorf("t=%d: MeanCost = %v outside the hop range", trial, res.MeanCost)
 		}
+		fresh, err := RunTrial(cfg, trial)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again := r.RunTrial(trial); again != res || fresh != res {
+			t.Errorf("t=%d: reused Runner %+v, fresh world %+v, first run %+v", trial, again, fresh, res)
+		}
 	}
 
-	det := cfg
-	det.Shard = ShardDeterministic
-	det.Strategy = StrategySpec{Kind: Nearest}
-	racy := det
-	racy.Shard = ShardRacy
-	wd, err := Compile(det)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wr, err := Compile(racy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := wr.RunTrial(1), wd.RunTrial(1); got != want {
-		t.Errorf("load-blind racy trial diverged from deterministic:\n got %+v\nwant %+v", got, want)
+	for _, kind := range []StrategyKind{Nearest, OneChoiceRandom} {
+		for _, p := range []int{1, 2, 4, 8} {
+			own := cfg
+			own.Strategy = StrategySpec{Kind: kind, Radius: 3}
+			own.Workers = p
+			det := own
+			det.Shard = ShardDeterministic
+			got, err := RunTrial(own, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := RunTrial(det, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Errorf("%v P=%d: load-blind own trial diverged from deterministic:\n got %+v\nwant %+v", kind, p, got, want)
+			}
+		}
 	}
 }
 
-// TestShardRacyChurnStress hammers the racy mode's shared atomic load
-// vector from 8 workers while the churn engine splices the placement
-// (and tile index) at every barrier, across streaming metrics and
-// several trials. Its job is to give the race detector (the dedicated
-// CI tier runs -race over 'Parallel|Shard|Churn') a worst-case
-// interleaving surface: any non-atomic access to shared loads, any
-// merge outside the barrier, or any churn splice overlapping an assign
-// would be flagged here.
-func TestShardRacyChurnStress(t *testing.T) {
+// TestShardOwnSingleShardInvariance: where one shard assigns a whole
+// chunk, it sees every earlier add of that chunk, so on a quiesced
+// world the chunk barriers change nothing a request sees. At P = 1 the
+// Result is the same for every chunk size, and at chunk = 64 (one
+// granule per chunk) it is the same for every P.
+func TestShardOwnSingleShardInvariance(t *testing.T) {
+	for _, kind := range []StrategyKind{TwoChoices, Oracle} {
+		cfg := ownBase()
+		cfg.Strategy.Kind = kind
+		run := func(p, chunk int) Result {
+			c := cfg
+			c.Workers, c.Chunk = p, chunk
+			res, err := RunTrial(c, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		want := run(1, 64)
+		for _, chunk := range []int{256, 1024} {
+			if got := run(1, chunk); got != want {
+				t.Errorf("%v P=1 chunk=%d diverged from chunk=64:\n got %+v\nwant %+v", kind, chunk, got, want)
+			}
+		}
+		for _, p := range []int{2, 3, 8} {
+			if got := run(p, 64); got != want {
+				t.Errorf("%v chunk=64 P=%d diverged from P=1:\n got %+v\nwant %+v", kind, p, got, want)
+			}
+		}
+	}
+}
+
+// TestShardOwnChurnStress runs 8 own-mode workers while the churn
+// engine splices the placement (and tile index) at every barrier,
+// across streaming metrics and several trials, and checks that a fresh
+// world reproduces every Result. Under the race detector (CI runs -race
+// over 'Shard|Fault|Hetero') it is the interleaving surface for the
+// per-shard deltas: any write to shared loads outside the barrier, or
+// any churn splice overlapping an assign, would be flagged here.
+func TestShardOwnChurnStress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test")
 	}
@@ -235,11 +307,15 @@ func TestShardRacyChurnStress(t *testing.T) {
 			Churn:      ChurnReplicas,
 			ChurnRate:  0.5,
 			Workers:    8,
-			Shard:      ShardRacy,
+			Shard:      ShardOwn,
 			Chunk:      256, // short chunks → many barriers and splices
 			Seed:       0xace,
 		}
 		w, err := Compile(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := Compile(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,6 +329,9 @@ func TestShardRacyChurnStress(t *testing.T) {
 			}
 			if res.MaxLoad <= 0 || !res.Streamed {
 				t.Errorf("%v t=%d: implausible result %+v", kind, trial, res)
+			}
+			if again := fresh.RunTrial(trial); again != res {
+				t.Errorf("%v t=%d: fresh world %+v, first run %+v", kind, trial, again, res)
 			}
 		}
 	}
@@ -396,7 +475,7 @@ func TestShardedTrialSteadyStateAllocs(t *testing.T) {
 		{"det-scalar-p4", func(c *Config) { c.Workers = 4 }},
 		{"det-streaming-p4", func(c *Config) { c.Workers = 4; c.Metrics = MetricsStreaming }},
 		{"det-streaming-p8", func(c *Config) { c.Workers = 8; c.Metrics = MetricsStreaming }},
-		{"racy-scalar-p4", func(c *Config) { c.Workers = 4; c.Shard = ShardRacy }},
+		{"own-scalar-p4", func(c *Config) { c.Workers = 4; c.Shard = ShardOwn }},
 		{"det-churn-p4", func(c *Config) { c.Workers = 4; c.Churn = ChurnReplicas; c.ChurnRate = 0.25 }},
 	} {
 		cfg := paperScaleCfg()

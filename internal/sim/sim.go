@@ -193,8 +193,11 @@ var churnNames = enumNames[ChurnMode]{"ChurnMode", "churn mode", []string{"none"
 func (c ChurnMode) String() string { return churnNames.format(c) }
 
 // ShardMode selects the load-visibility discipline of the intra-trial
-// sharded engine (Config.Workers > 0): what a worker's strategy sees in
-// the load vector while other workers are assigning concurrently.
+// sharded engine (Config.Workers > 0): which adds of the current chunk a
+// worker's strategy sees while the other workers assign theirs. Both
+// modes are reproducible: the coordinator applies every chunk's loads in
+// request order at the barrier, so MaxLoad, the load quantiles and
+// DeadLoad all come from one exact vector.
 type ShardMode int
 
 const (
@@ -210,17 +213,16 @@ const (
 	// engine (frozen-snapshot chunk semantics vs live per-request loads).
 	// Default.
 	ShardDeterministic ShardMode = iota
-	// ShardRacy shares one atomic load vector among the workers: adds are
-	// atomic increments, reads are atomic but unsynchronized with other
-	// workers' in-flight assignments — the classic balls-into-bins with
-	// outdated information. Generation stays on the deterministic
-	// per-granule streams, but assignment outcomes depend on scheduling;
-	// results are NOT reproducible. Data-race-free by construction (every
-	// access is atomic; see ballsbins.AtomicLoads).
-	ShardRacy
+	// ShardOwn lets each worker's strategy read the barrier loads plus
+	// its own shard's adds since the barrier, and none of the other
+	// shards' adds: at P = 1 a request sees every earlier add of its
+	// chunk, at larger P about 1/P of them — balls into bins with
+	// outdated information, at a staleness set by (P, chunk). The result
+	// is a pure function of (cfg, trial, P).
+	ShardOwn
 )
 
-var shardNames = enumNames[ShardMode]{"ShardMode", "shard mode", []string{"deterministic", "racy"}}
+var shardNames = enumNames[ShardMode]{"ShardMode", "shard mode", []string{"deterministic", "own"}}
 
 // String implements fmt.Stringer.
 func (m ShardMode) String() string { return shardNames.format(m) }
@@ -338,7 +340,7 @@ type Config struct {
 	// fixed 64-request granules owned by P workers, with loads visible
 	// per Shard's discipline and all merging done at the chunk barrier.
 	// Orthogonal to trial-level parallelism (Run's workers): a sharded
-	// trial uses P goroutines by itself.
+	// trial uses P goroutines by itself, so P is at most 1024.
 	Workers int
 	// Shard selects the sharded engine's load-visibility discipline
 	// (zero value: ShardDeterministic; see ShardMode). Only meaningful
@@ -347,8 +349,8 @@ type Config struct {
 	// Chunk overrides the request-pipeline block size (0 → the engine
 	// default, 1024). Under Workers ≥ 1 a positive Chunk must be a
 	// multiple of the 64-request shard granule so chunk boundaries never
-	// split a granule. Smaller chunks tighten the racy mode's staleness
-	// window and the churn cadence at the cost of more barriers.
+	// split a granule. Smaller chunks narrow the sharded modes' staleness
+	// window and tighten the churn cadence at the cost of more barriers.
 	Chunk int
 	// Seed is the deterministic root seed for this configuration.
 	Seed uint64
@@ -370,11 +372,16 @@ func (c Config) MutatesMidTrial() bool {
 // overflow the offsets instead of failing validation. File ids are int32
 // too, and the popularity tables, Placer and tile-index arenas are all
 // O(K), so the library is capped at maxK = 2²⁴ files, the sweep spec's
-// cap (a 2²⁴-file Zipf PMF alone is ~128 MiB per world).
+// cap (a 2²⁴-file Zipf PMF alone is ~128 MiB per world). A sharded
+// trial starts Workers−1 goroutines and keeps per-shard scratch, so the
+// shard count is capped at maxWorkers = 1024, 32× the largest P in use;
+// under ShardOwn each shard also holds an n-entry delta, so Workers·n
+// shares the maxSlots budget.
 const (
-	maxSide  = 46340
-	maxSlots = 1 << 28
-	maxK     = 1 << 24
+	maxSide    = 46340
+	maxSlots   = 1 << 28
+	maxK       = 1 << 24
+	maxWorkers = 1 << 10
 )
 
 // maxEventRate caps ChurnRate, FaultRate, RecoverRate and ArrivalRate,
@@ -468,11 +475,14 @@ func (c Config) validate() error {
 	if c.M > maxSlots || profileMaxCap(c.Profile, c.M) > maxSlots/c.N() {
 		return fmt.Errorf("sim: Side=%d with M=%d (profile %v) exceeds the %d-slot world budget", c.Side, c.M, c.Profile, maxSlots)
 	}
-	if c.Workers < 0 {
-		return fmt.Errorf("sim: Workers must be non-negative, got %d", c.Workers)
+	if c.Workers < 0 || c.Workers > maxWorkers {
+		return fmt.Errorf("sim: Workers must be in [0, %d], got %d", maxWorkers, c.Workers)
 	}
-	if c.Shard < ShardDeterministic || c.Shard > ShardRacy {
+	if c.Shard < ShardDeterministic || c.Shard > ShardOwn {
 		return fmt.Errorf("sim: unknown shard mode %d", int(c.Shard))
+	}
+	if c.Shard == ShardOwn && c.Workers > maxSlots/c.N() {
+		return fmt.Errorf("sim: Side=%d with Workers=%d exceeds the %d-slot budget of the %v mode's per-shard load deltas", c.Side, c.Workers, maxSlots, c.Shard)
 	}
 	if c.Workers == 0 && c.Shard != ShardDeterministic {
 		return fmt.Errorf("sim: shard mode %v needs intra-trial workers (set Config.Workers)", c.Shard)

@@ -255,8 +255,8 @@ type Runner struct {
 	// Capacity-skew view (Config.Hetero with a non-uniform profile): the
 	// weighted load view bound into the strategies' comparisons, and the
 	// reader both trial loops route Assign through: the raw vector the
-	// trial writes (the shared atomic vector under ShardRacy), wrapped in
-	// the weighted view under capacity skew (see hetero.go).
+	// trial writes, wrapped in the weighted view under capacity skew (see
+	// hetero.go).
 	weighted *ballsbins.WeightedLoads
 	loadView core.LoadReader
 
@@ -273,20 +273,18 @@ type Runner struct {
 	loadAcc *stats.Accumulator
 
 	// Sharded-engine state (Config.Workers > 0; see shard.go): per-shard
-	// worker scratch, the racy mode's shared atomic load vector, the
-	// reusable start-signal channels of the worker barrier protocol, and
-	// the current chunk descriptor the coordinator publishes before each
-	// start signal (the channel send/recv is the happens-before edge).
-	// The workers only store request records; the coordinator accounts
-	// them at the barrier with the sequential loop's account.
-	shards      []shardState
-	atomicLoads *ballsbins.AtomicLoads
-	startCh     []chan struct{}
-	doneWG      sync.WaitGroup
-	shardT      uint64
-	shardBase   int
-	shardC      int
-	shardRacy   bool
+	// worker scratch, the reusable start-signal channels of the worker
+	// barrier protocol, and the current chunk descriptor the coordinator
+	// publishes before each start signal (the channel send/recv is the
+	// happens-before edge). The workers only store request records; the
+	// coordinator applies their loads and accounts them at the barrier
+	// with the sequential loop's account.
+	shards    []shardState
+	startCh   []chan struct{}
+	doneWG    sync.WaitGroup
+	shardT    uint64
+	shardBase int
+	shardC    int
 }
 
 // tileSize picks the index tile side for radius r: the largest divisor
@@ -439,20 +437,11 @@ func (r *Runner) barrier(k, c int, res *Result) {
 
 // finishTrial is the result epilogue both trial loops share: the account
 // totals, MaxLoad and MeanCost, the link and streaming summaries, and the
-// heterogeneity and fault counters. A racy sharded trial's loads live in
-// the shared atomic vector, whose maximum the shards tracked as they
-// added.
+// heterogeneity and fault counters.
 func (r *Runner) finishTrial(res Result, a acct) Result {
 	w := r.w
 	res.Escalated, res.Backhaul, res.Retried = a.escalated, a.backhaul, a.retried
-	var loads core.LoadReader = r.loads
 	res.MaxLoad = r.loads.Max()
-	if r.shardRacy {
-		loads, res.MaxLoad = r.atomicLoads, 0
-		for s := range r.shards {
-			res.MaxLoad = max(res.MaxLoad, r.shards[s].maxSeen)
-		}
-	}
 	if w.nReq > 0 {
 		res.MeanCost = float64(a.hops) / float64(w.nReq)
 	}
@@ -462,7 +451,7 @@ func (r *Runner) finishTrial(res Result, a acct) Result {
 	}
 	if r.hopAcc != nil {
 		for u := 0; u < w.g.N(); u++ {
-			r.loadAcc.Observe(loads.Load(u))
+			r.loadAcc.Observe(r.loads.Load(u))
 		}
 		res.Streamed = true
 		res.HopMax = r.hopAcc.Max()

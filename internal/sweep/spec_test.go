@@ -171,6 +171,23 @@ func TestParseSpecRefusesWithoutReplacement(t *testing.T) {
 	}
 }
 
+// TestParseSpecRefusesRacyShard: the scheduling-dependent shard mode
+// is gone, so a spec naming it, in its base or on an axis, is refused
+// with an error that names the value.
+func TestParseSpecRefusesRacyShard(t *testing.T) {
+	for _, src := range []string{
+		`{"trials":1,"base":{"side":5,"k":10,"m":1,"workers":2,"shard":"racy"}}`,
+		`{"trials":1,"base":{"side":5,"k":10,"m":1,"workers":2},"axes":[{"field":"shard","values":["own","racy"]}]}`,
+	} {
+		if _, err := ParseSpec([]byte(src)); err == nil || !strings.Contains(err.Error(), `"racy"`) {
+			t.Errorf("%s: err = %v, want a refusal naming \"racy\"", src, err)
+		}
+	}
+	if _, err := ParseSpec([]byte(`{"trials":1,"base":{"side":5,"k":10,"m":1,"workers":2,"shard":"own"}}`)); err != nil {
+		t.Errorf("own shard mode refused: %v", err)
+	}
+}
+
 // TestReadsFieldMatchesConfig: readsField says a strategy reads a
 // field exactly when changing that field changes the strategy's
 // translated Config, so the dead-axis check follows PointSpec.Config.

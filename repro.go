@@ -183,7 +183,7 @@ type (
 	// the §VI dynamic regime (none, replicas or drift).
 	ChurnMode = sim.ChurnMode
 	// ShardMode selects the intra-trial sharded engine's load-visibility
-	// discipline (deterministic or racy) when Config.Workers > 0.
+	// discipline (deterministic or own) when Config.Workers > 0.
 	ShardMode = sim.ShardMode
 	// FaultsMode selects the node fault-injection discipline (none,
 	// crash or regional): servers crash and recover mid-trial, with the
@@ -198,9 +198,6 @@ type (
 	// CacheProfile selects the per-node (M_u, C_u) distribution of the
 	// heterogeneous regimes (uniform, two-tier or power-law).
 	CacheProfile = sim.CacheProfile
-	// AtomicLoads is the lock-free shared load vector of the racy
-	// sharded mode (atomic adds, unsynchronized stale reads).
-	AtomicLoads = ballsbins.AtomicLoads
 	// WeightedLoads is the capacity-normalized load view of the
 	// heterogeneous regimes: strategies compare load/C_u through it while
 	// writes stay on the raw vector.
@@ -231,9 +228,10 @@ const (
 	// are bit-identical across every worker count (default,
 	// golden-pinned).
 	ShardDeterministic = sim.ShardDeterministic
-	// ShardRacy shares one atomic load vector among workers — stale
-	// unsynchronized reads, scheduling-dependent results.
-	ShardRacy = sim.ShardRacy
+	// ShardOwn lets each worker read the barrier loads plus its own
+	// shard's adds since the barrier; results depend on P, never on
+	// scheduling.
+	ShardOwn = sim.ShardOwn
 )
 
 // Churn discipline constants for Config.Churn.
@@ -295,9 +293,6 @@ func NewDrifter(k int, boost, birthRate, lifespan float64) *Drifter {
 func NewWeightedLoads(inner interface{ Load(i int) int }, mult []int32) *WeightedLoads {
 	return ballsbins.NewWeightedLoads(inner, mult)
 }
-
-// NewAtomicLoads returns an all-zero atomic load vector over n bins.
-func NewAtomicLoads(n int) *AtomicLoads { return ballsbins.NewAtomicLoads(n) }
 
 // Strategy kind constants for StrategySpec.Kind.
 const (
